@@ -6,6 +6,7 @@
 //! unordered delivery. Each discipline owns one process's ordering state
 //! and decides when a received message may be handed to the application.
 
+use pcb_clock::prob::guard_gap;
 use pcb_clock::{Gap, KeySet, ProbClock, ProcessId, StampPool, Timestamp, VectorClock};
 
 use crate::detector::RecentListDetector;
@@ -530,13 +531,9 @@ impl Discipline for VectorDiscipline {
         if ts[j] == 0 || local[j] >= ts[j] {
             return Gap::Never;
         }
-        for (c, (&mine, &theirs)) in local.iter().zip(ts).enumerate().skip(start) {
-            let required = if c == j { theirs - 1 } else { theirs };
-            if mine < required {
-                return Gap::Blocked { entry: c, required };
-            }
-        }
-        Gap::Ready
+        // From here the wait-condition has Algorithm 2's shape with the
+        // sender's slot as the one entry allowed to be one behind.
+        guard_gap(local, ts, &[j as u32], start)
     }
 
     fn channel_value(&self, channel: usize) -> u64 {

@@ -66,7 +66,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use pcb_clock::{ClusterConfig, Gap, KeySet, ProcessId};
+use pcb_clock::{ClusterConfig, Gap, KeySet, KeySpace, ProcessId};
 use pcb_telemetry::{TraceEvent, TraceRecord, Tracer};
 
 use crate::discipline::{Discipline, ProbDiscipline};
@@ -297,6 +297,9 @@ pub struct EndpointStatus {
     /// Frames refused because they were stamped with a config epoch this
     /// endpoint neither runs nor drains.
     pub cross_epoch_refused: u64,
+    /// Frames refused because their stamp length or key space is not the
+    /// `(R, K)` geometry of the epoch they claim.
+    pub geometry_refused: u64,
     /// Old-epoch messages still blocked in the drain process's pending
     /// queue (0 once the previous epoch has fully drained, or when no
     /// reconfiguration is in progress).
@@ -366,6 +369,8 @@ pub struct Endpoint<P> {
     /// Frames refused for carrying a config epoch that is neither
     /// current nor the drain's.
     cross_epoch_refused: u64,
+    /// Frames refused for not having their epoch's `(R, K)` geometry.
+    geometry_refused: u64,
     /// Gracefully departed: terminally deaf, not restorable.
     left: bool,
     /// Requested parallelism for the batch paths (1 = sequential).
@@ -419,6 +424,7 @@ impl<P: Clone> Endpoint<P> {
             cluster,
             prev: None,
             cross_epoch_refused: 0,
+            geometry_refused: 0,
             left: false,
             threads: 1,
             pool: None,
@@ -799,6 +805,7 @@ impl<P: Clone> Endpoint<P> {
             incarnation_recovery,
             config_epoch: self.cluster.epoch,
             cross_epoch_refused: self.cross_epoch_refused,
+            geometry_refused: self.geometry_refused,
             draining: self.draining(),
             left: self.left,
             x_hat,
@@ -822,6 +829,13 @@ impl<P: Clone> Endpoint<P> {
     /// §4.2 anti-entropy (whose reply carries the sender's config, so a
     /// refusal of a *future* epoch also triggers an immediate probe that
     /// will catch this endpoint up). Returns whether anything delivered.
+    ///
+    /// This is also where a frame's geometry is checked, once: every
+    /// message from outside (wire, `FrameReceived`, sync replies) passes
+    /// here before any clock reads it, and the Algorithm 2 guard takes
+    /// equal lengths and in-range keys as its precondition. A frame that
+    /// claims an epoch without having that epoch's `(R, K)` is refused the
+    /// same way, state untouched.
     fn route(
         &mut self,
         message: Message<P>,
@@ -831,6 +845,18 @@ impl<P: Clone> Endpoint<P> {
         out: &mut Vec<Output<P>>,
     ) -> bool {
         let epoch = message.epoch();
+        let space = if epoch == self.cluster.epoch {
+            Some(self.cluster.space)
+        } else {
+            self.prev
+                .as_ref()
+                .filter(|prev| prev.config.epoch == epoch)
+                .map(|prev| prev.config.space)
+        };
+        if space.is_some_and(|space| !has_geometry(&message, space)) {
+            self.geometry_refused += 1;
+            return false;
+        }
         if epoch == self.cluster.epoch {
             return self.accept(message, refetched, now_us, hint, out);
         }
@@ -1271,13 +1297,16 @@ impl<P: Clone + Send + Sync + 'static> Endpoint<P> {
         if self.crashed || self.left {
             return hints; // deaf: no frame in this batch will be scanned
         }
-        // Only current-epoch frames are scanned: a cross-epoch timestamp
-        // lives in a different geometry than the scanning clock.
+        // Only current-epoch frames of this epoch's geometry are scanned:
+        // any other timestamp does not fit the scanning clock.
         let frames: Vec<(usize, Message<P>)> = batch
             .iter()
             .enumerate()
             .filter_map(|(index, (_, input))| match input {
-                Input::FrameReceived(message) if message.epoch() == self.cluster.epoch => {
+                Input::FrameReceived(message)
+                    if message.epoch() == self.cluster.epoch
+                        && has_geometry(message, self.cluster.space) =>
+                {
                     Some((index, message.clone()))
                 }
                 _ => None,
@@ -1307,6 +1336,12 @@ impl<P: Clone + Send + Sync + 'static> Endpoint<P> {
         }
         hints
     }
+}
+
+/// Whether `message` has the `(R, K)` geometry of `space`: an `R`-entry
+/// stamp and a key set drawn from that space (so every key is below `R`).
+fn has_geometry<P>(message: &Message<P>, space: KeySpace) -> bool {
+    message.timestamp().len() == space.r() && message.keys().space() == space
 }
 
 /// One decoded wire frame: the decode result plus, when a pool is
@@ -1407,7 +1442,7 @@ impl Endpoint<Bytes> {
         }
         let parts = self.store.codec_mut().partition(workers);
         let clock = Arc::new(self.process.clock().clone());
-        let epoch = self.cluster.epoch;
+        let ClusterConfig { epoch, space, .. } = self.cluster;
         let jobs: Vec<_> = routes
             .into_iter()
             .zip(parts)
@@ -1418,12 +1453,13 @@ impl Endpoint<Bytes> {
                         .into_iter()
                         .map(|(index, frame)| {
                             let result = part.decode(frame);
-                            // Cross-epoch frames are never pre-scanned:
-                            // their timestamps live in another geometry.
+                            // Cross-epoch and wrong-geometry frames are
+                            // never pre-scanned: their timestamps do not
+                            // fit the scanning clock.
                             let hint = result
                                 .as_ref()
                                 .ok()
-                                .filter(|m| m.epoch() == epoch)
+                                .filter(|m| m.epoch() == epoch && has_geometry(m, space))
                                 .map(|m| clock.deliverability_gap(m.timestamp(), m.keys()));
                             (index, (result, hint))
                         })
@@ -2039,6 +2075,44 @@ mod tests {
             outs.iter().any(|o| matches!(o, Output::Deliver(d) if *d.message.payload() == "x")),
             "the refused message delivers after the catch-up: {outs:?}"
         );
+    }
+
+    #[test]
+    fn wrong_geometry_frames_are_refused_not_a_panic() {
+        // A current-epoch frame from an (8, 2) process reaching a (100, 4)
+        // endpoint used to abort it on the guard's length assertion; a key
+        // set from a foreign space of the right R indexed the clock with
+        // the wrong K. Both are refused in `route`, on every way in.
+        let paper = KeySpace::new(100, 4).unwrap();
+        let mut b: Endpoint<Bytes> = Endpoint::new(
+            ProcessId::new(0),
+            KeySet::from_set_id(paper, 7).unwrap(),
+            PcbConfig::default(),
+            Some(timing()),
+        );
+        let foreign = |r: usize, k: usize| {
+            let keys = KeySet::from_set_id(KeySpace::new(r, k).unwrap(), 3).unwrap();
+            PcbProcess::new(ProcessId::new(1), keys).broadcast(Bytes::from_static(b"x"))
+        };
+        let (short, wrong_k) = (foreign(8, 2), foreign(100, 3));
+        let before = b.status();
+
+        let outs = b.handle_wire(crate::wire::encode_full(&short), 10).expect("frame decodes");
+        assert!(!outs.iter().any(|o| matches!(o, Output::Deliver(_))));
+        let _ = b.handle(Input::FrameReceived(wrong_k.clone()), 20);
+        let _ = b.handle(
+            Input::SyncResponse {
+                messages: vec![short, wrong_k],
+                config: ClusterConfig::genesis(paper),
+            },
+            30,
+        );
+
+        let after = b.status();
+        assert_eq!(after.geometry_refused, 4);
+        assert_eq!(after.cross_epoch_refused, 0);
+        assert_eq!(after.stats, before.stats, "refusal leaves the protocol state untouched");
+        assert_eq!((after.pending, after.clock), (before.pending, before.clock));
     }
 
     #[test]

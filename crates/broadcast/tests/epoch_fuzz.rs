@@ -1,8 +1,8 @@
 //! Fuzz-style hardening for the config-epoch plane's wire surface:
 //! v4 frames (non-zero config epoch) round-trip exactly, arbitrary
 //! truncation and padding never panic, and an endpoint handed a frame
-//! from an epoch it neither runs nor drains refuses it with its state
-//! untouched.
+//! from an epoch it neither runs nor drains — or a valid frame whose
+//! `(R, K)` is not its epoch's — refuses it with its state untouched.
 
 use bytes::Bytes;
 use pcb_broadcast::endpoint::{Endpoint, Input, Output};
@@ -99,5 +99,39 @@ proptest! {
             outputs.iter().any(|o| matches!(o, Output::Deliver(_))),
             "the refusal must not have poisoned the endpoint"
         );
+    }
+
+    /// A valid current-epoch frame from another `(R, K)` geometry — a
+    /// stamp of the wrong length, or the right length under a foreign key
+    /// space — decodes fine and must then be refused by the endpoint, not
+    /// abort it: `handle_wire` never panics on it and counts the refusal.
+    #[test]
+    fn wrong_geometry_frames_are_refused_by_handle_wire(
+        r in 1usize..=64,
+        k_seed in any::<usize>(),
+        set_seed in any::<u64>(),
+        warmup in 0usize..8,
+        payload in proptest::collection::vec(any::<u8>(), 0..32),
+    ) {
+        let space = KeySpace::new(r, 1 + k_seed % r.min(6)).unwrap();
+        prop_assume!(space != keys(0).space());
+        let set_id = u128::from(set_seed) % space.combination_count();
+        let mut sender =
+            PcbProcess::new(ProcessId::new(1), pcb_clock::KeySet::from_set_id(space, set_id).unwrap());
+        for _ in 0..warmup {
+            let _ = sender.broadcast(Bytes::new());
+        }
+        let frame = encode_full(&sender.broadcast(Bytes::from(payload)));
+
+        let mut receiver: Endpoint<Bytes> =
+            Endpoint::new(ProcessId::new(0), keys(0), PcbConfig::default(), None);
+        let before = receiver.status();
+        let outputs = receiver.handle_wire(frame, 1_000).expect("a valid frame decodes");
+        prop_assert!(outputs.iter().all(|o| !matches!(o, Output::Deliver(_))));
+        let after = receiver.status();
+        prop_assert_eq!(after.geometry_refused, before.geometry_refused + 1);
+        prop_assert_eq!(after.stats, before.stats);
+        prop_assert_eq!(after.pending, before.pending);
+        prop_assert_eq!(after.clock, before.clock);
     }
 }

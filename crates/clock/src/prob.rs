@@ -157,35 +157,17 @@ impl ProbClock {
     /// * for `x ∉ f(p_j)`: `V_i[x] >= ts[x]` (everything the sender had
     ///   delivered before sending is reflected locally).
     ///
-    /// # Panics
-    ///
-    /// Panics if `ts` has a different length than the local vector.
+    /// `ts` must have the local vector's length (see
+    /// [`ProbClock::deliverability_gap_from`]).
     #[must_use]
     pub fn is_deliverable(&self, ts: &Timestamp, sender_keys: &KeySet) -> bool {
-        assert_eq!(self.entries.len(), ts.len(), "timestamp length mismatch");
-        let local = self.entries.as_slice();
-        let remote = ts.entries();
-        // Scan all R entries with the sender-key exemption applied via a
-        // merged walk over the sorted key set.
-        let mut keys = sender_keys.iter().peekable();
-        for (index, (&mine, &theirs)) in local.iter().zip(remote).enumerate() {
-            let is_sender_entry = keys.next_if(|&k| k == index).is_some();
-            let required = if is_sender_entry { theirs.saturating_sub(1) } else { theirs };
-            if mine < required {
-                return false;
-            }
-        }
-        true
+        self.deliverability_gap(ts, sender_keys).is_ready()
     }
 
     /// Like [`ProbClock::is_deliverable`], but on failure reports the
     /// first blocked entry and the local value it must reach, so callers
     /// can index blocked messages by the entry they wait on instead of
     /// rescanning the whole pending queue after every delivery.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ts` has a different length than the local vector.
     #[must_use]
     pub fn deliverability_gap(&self, ts: &Timestamp, sender_keys: &KeySet) -> Gap {
         self.deliverability_gap_from(ts, sender_keys, 0)
@@ -198,9 +180,11 @@ impl ProbClock {
     /// message re-checked with its last reported gap as `start` therefore
     /// costs `O(R)` *total* across all re-checks, not per re-check.
     ///
-    /// # Panics
-    ///
-    /// Panics if `ts` has a different length than the local vector.
+    /// **Precondition:** `ts` has the local vector's length and
+    /// `sender_keys` come from its key space. Whoever admits stamps from
+    /// outside the program checks that once, where they enter
+    /// (`Endpoint::route`); on a mismatch the verdict is meaningless —
+    /// never memory-unsafe.
     #[must_use]
     pub fn deliverability_gap_from(
         &self,
@@ -208,45 +192,16 @@ impl ProbClock {
         sender_keys: &KeySet,
         start: usize,
     ) -> Gap {
-        assert_eq!(self.entries.len(), ts.len(), "timestamp length mismatch");
-        let local = self.entries.as_slice();
-        let remote = ts.entries();
-        // Merged walk as in `is_deliverable`, fast-forwarding the sorted
-        // key cursor past the already-verified prefix.
-        let mut keys = sender_keys.iter().peekable();
-        while keys.next_if(|&k| k < start).is_some() {}
-        for (index, (&mine, &theirs)) in local.iter().zip(remote).enumerate().skip(start) {
-            let is_sender_entry = keys.next_if(|&k| k == index).is_some();
-            let required = if is_sender_entry { theirs.saturating_sub(1) } else { theirs };
-            if mine < required {
-                return Gap::Blocked { entry: index, required };
-            }
-        }
-        Gap::Ready
+        debug_assert_eq!(self.entries.len(), ts.len(), "timestamp length mismatch");
+        guard_gap(&self.entries, ts.entries(), sender_keys.entries(), start)
     }
 
     /// Diagnostic version of the guard: every blocked `(entry, required)`
     /// pair, not just the first. Useful for stats and tests; the hot path
     /// uses [`ProbClock::deliverability_gap`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ts` has a different length than the local vector.
     #[must_use]
     pub fn blocked_entries(&self, ts: &Timestamp, sender_keys: &KeySet) -> Vec<(usize, u64)> {
-        assert_eq!(self.entries.len(), ts.len(), "timestamp length mismatch");
-        let local = self.entries.as_slice();
-        let remote = ts.entries();
-        let mut keys = sender_keys.iter().peekable();
-        let mut blocked = Vec::new();
-        for (index, (&mine, &theirs)) in local.iter().zip(remote).enumerate() {
-            let is_sender_entry = keys.next_if(|&k| k == index).is_some();
-            let required = if is_sender_entry { theirs.saturating_sub(1) } else { theirs };
-            if mine < required {
-                blocked.push((index, required));
-            }
-        }
-        blocked
+        blocked_walk(&self.entries, ts.entries(), sender_keys.entries(), 0).collect()
     }
 
     /// **Algorithm 2 (post).** Records a delivery from a sender with keys
@@ -322,6 +277,66 @@ impl ProbClock {
             *a = (*a).max(*b);
         }
     }
+}
+
+/// The Algorithm 2 guard kernel: *count pass → K corrections → exact
+/// fallback*. `sender_entries` are the strictly increasing entries allowed
+/// to be one behind — a key set's, or a vector clock's single sender slot.
+///
+/// The count pass adds up, without a branch, how many entries of
+/// `local[start..]` are below `remote[start..]`: the sign bit of the
+/// wrapping difference `local − remote`, which is the comparison exactly
+/// while both values are below 2⁶³ (the difference then fits an `i64`). An
+/// OR over everything read notices any value at or above 2⁶³ and hands the
+/// whole verdict to the exact walk. Of the counted entries, the sender's
+/// own (at most `K`) may legitimately be exactly one behind; those are
+/// taken off. Nothing left means [`Gap::Ready`] — the common verdict, and
+/// the only one that never needs an entry named. Otherwise the exact walk
+/// names the first blocked entry.
+///
+/// **Precondition:** `local` and `remote` have one length and
+/// `sender_entries` index inside it; otherwise the verdict is meaningless.
+#[must_use]
+pub fn guard_gap(local: &[u64], remote: &[u64], sender_entries: &[u32], start: usize) -> Gap {
+    let from = start.min(local.len()).min(remote.len());
+    let mut behind = 0u64;
+    let mut seen = 0u64;
+    for (&mine, &theirs) in local[from..].iter().zip(&remote[from..]) {
+        behind += mine.wrapping_sub(theirs) >> 63;
+        seen |= mine | theirs;
+    }
+    if seen >> 63 == 0 {
+        for entry in sender_entries.iter().map(|&e| e as usize).filter(|&e| e >= start) {
+            if let (Some(&mine), Some(&theirs)) = (local.get(entry), remote.get(entry)) {
+                behind -= u64::from(theirs.checked_sub(1) == Some(mine));
+            }
+        }
+        if behind == 0 {
+            return Gap::Ready;
+        }
+    }
+    match blocked_walk(local, remote, sender_entries, start).next() {
+        Some((entry, required)) => Gap::Blocked { entry, required },
+        None => Gap::Ready,
+    }
+}
+
+/// The exact scalar walk: every `(entry, required)` at or after `start`
+/// whose wait-condition fails, in entry order — a merged walk over the
+/// vector and the sorted sender entries.
+fn blocked_walk<'a>(
+    local: &'a [u64],
+    remote: &'a [u64],
+    sender_entries: &'a [u32],
+    start: usize,
+) -> impl Iterator<Item = (usize, u64)> + 'a {
+    let mut keys =
+        sender_entries.iter().map(|&e| e as usize).skip_while(move |&e| e < start).peekable();
+    local.iter().zip(remote).enumerate().skip(start).filter_map(move |(index, (&mine, &theirs))| {
+        let is_sender_entry = keys.next_if_eq(&index).is_some();
+        let required = if is_sender_entry { theirs.saturating_sub(1) } else { theirs };
+        (mine < required).then_some((index, required))
+    })
 }
 
 #[cfg(test)]

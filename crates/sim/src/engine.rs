@@ -22,7 +22,7 @@ use crate::config::{Dissemination, SimConfig};
 use crate::metrics::RunMetrics;
 use crate::oracle::{EpsilonEstimator, ExactChecker};
 use crate::rng::SimRng;
-use crate::wake::WakeTable;
+use crate::wake::{PendingMsg, WakeTable};
 use crate::wheel::EventQueue;
 
 /// Errors building or running a simulation.
@@ -247,7 +247,7 @@ impl<D: Discipline + Clone> Engine<'_, D> {
         self.metrics.joins += 1;
         self.schedule_next_send(p, now);
         self.schedule_leave(p, now);
-        self.drain(pi, now);
+        self.drain(pi, now, None);
     }
 
     fn pick_donor(&mut self, exclude: u32) -> Option<u32> {
@@ -393,8 +393,21 @@ impl<D: Discipline + Clone> Engine<'_, D> {
             (rec.sender, u64::from(rec.seq))
         };
         self.procs[pi].tracer.emit_at(now, || TraceEvent::Received { sender, seq });
+        let gap = self.wait_gap(pi, msg, 0);
+        // A syncing joiner only buffers; the sync-done reconciliation
+        // drains whatever the snapshot does not cover.
+        let live = !self.procs[pi].syncing;
+        // With nothing queued ready, a ready arrival is the very message
+        // `drain` would pop next: deliver it without the round trip
+        // through the ready heap — same order, same counters.
+        if live && gap.is_ready() && self.procs[pi].wake.pass_ready() {
+            let held = self.procs[pi].wake.len() + 1;
+            self.metrics.pending_peak = self.metrics.pending_peak.max(held);
+            self.drain(pi, now, Some((msg, now)));
+            return;
+        }
         let ticket = self.procs[pi].wake.ticket();
-        let gap = self.classify(pi, ticket, msg, now, 0);
+        self.file(pi, gap, ticket, msg, now);
         if let Gap::Blocked { entry, required } = gap {
             self.procs[pi].tracer.emit_at(now, || TraceEvent::Parked {
                 sender,
@@ -404,31 +417,34 @@ impl<D: Discipline + Clone> Engine<'_, D> {
             });
         }
         self.metrics.pending_peak = self.metrics.pending_peak.max(self.procs[pi].wake.len());
-        // A syncing joiner only buffers; the sync-done reconciliation
-        // drains whatever the snapshot does not cover.
-        if !self.procs[pi].syncing {
-            self.drain(pi, now);
+        if live {
+            self.drain(pi, now, None);
         }
     }
 
-    /// Asks the discipline where the message blocks (resuming the channel
-    /// scan at `start`), files the verdict in the wake table, and returns
-    /// it so callers can trace where the message went.
-    fn classify(&mut self, pi: usize, ticket: u64, msg: u32, arrived: u64, start: usize) -> Gap {
-        let gap = {
-            let rec = &self.msgs[msg as usize];
-            let sender = ProcessId::new(rec.sender as usize);
-            let stamp = rec.stamp.as_ref().expect("stamp alive while pending");
-            self.procs[pi].disc.wait_gap(sender, &self.keys[rec.sender as usize], stamp, start)
-        };
+    /// Asks the discipline where the message blocks, resuming the channel
+    /// scan at `start`.
+    fn wait_gap(&self, pi: usize, msg: u32, start: usize) -> Gap {
+        let rec = &self.msgs[msg as usize];
+        let sender = ProcessId::new(rec.sender as usize);
+        let stamp = rec.stamp.as_ref().expect("stamp alive while pending");
+        self.procs[pi].disc.wait_gap(sender, &self.keys[rec.sender as usize], stamp, start)
+    }
+
+    /// Files a verdict in the wake table.
+    fn file(&mut self, pi: usize, gap: Gap, ticket: u64, msg: u32, arrived: u64) {
+        let wake = &mut self.procs[pi].wake;
         match gap {
-            Gap::Ready => self.procs[pi].wake.make_ready(ticket, msg, arrived),
-            Gap::Blocked { entry, required } => {
-                self.procs[pi].wake.park(entry, required, ticket, msg, arrived);
-            }
-            Gap::Never => self.procs[pi].wake.kill(msg, arrived),
+            Gap::Ready => wake.make_ready(ticket, msg, arrived),
+            Gap::Blocked { entry, required } => wake.park(entry, required, ticket, msg, arrived),
+            Gap::Never => wake.kill(msg, arrived),
         }
-        gap
+    }
+
+    /// Re-checks a message from channel `start` on and files the verdict.
+    fn classify(&mut self, pi: usize, ticket: u64, msg: u32, arrived: u64, start: usize) {
+        let gap = self.wait_gap(pi, msg, start);
+        self.file(pi, gap, ticket, msg, arrived);
     }
 
     /// Delivers everything ready, waking only the waiters parked on the
@@ -436,7 +452,7 @@ impl<D: Discipline + Clone> Engine<'_, D> {
     /// delivery instead of the old `O(pending)` restart scan. Ready
     /// messages pop in arrival order, so the delivery order is exactly
     /// the legacy scan's.
-    fn drain(&mut self, pi: usize, now: u64) {
+    fn drain(&mut self, pi: usize, now: u64, first: Option<PendingMsg>) {
         let n = self.procs.len();
         let direct = self.gossip_fanout.is_none();
         // Scratch storage lives on the engine: `drain` runs once per
@@ -444,7 +460,8 @@ impl<D: Discipline + Clone> Engine<'_, D> {
         // delivery at steady state.
         let mut advanced = std::mem::take(&mut self.scratch_advanced);
         let mut woken = std::mem::take(&mut self.scratch_woken);
-        while let Some((midx, arrived_at)) = self.procs[pi].wake.pop_ready() {
+        let mut next = first.or_else(|| self.procs[pi].wake.pop_ready());
+        while let Some((midx, arrived_at)) = next {
             advanced.clear();
             {
                 let rec = &self.msgs[midx as usize];
@@ -477,6 +494,7 @@ impl<D: Discipline + Clone> Engine<'_, D> {
                     self.classify(pi, ticket, msg, arrived, channel);
                 }
             }
+            next = self.procs[pi].wake.pop_ready();
         }
         self.scratch_advanced = advanced;
         self.scratch_woken = woken;

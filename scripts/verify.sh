@@ -2,15 +2,18 @@
 # Full local verification gate. Everything runs offline — the workspace
 # vendors its dependencies — so this works with no network at all.
 #
-#   scripts/verify.sh          # tier-1 + workspace tests + fmt + clippy
+#   scripts/verify.sh          # the base gate: tier-1 + workspace tests + fmt + clippy
 #   scripts/verify.sh --tier1  # just the tier-1 gate (what CI enforces)
-#   scripts/verify.sh --chaos  # the above plus a deterministic chaos soak
-#   scripts/verify.sh --trace  # the above plus the observability gate
-#   scripts/verify.sh --perf   # the above plus hot-path regression gates
-#   scripts/verify.sh --equiv  # the above plus the sim/runtime differential gate
-#   scripts/verify.sh --daemon # the above plus the real-process replay leg
-#   scripts/verify.sh --obs    # the above plus the causal-health plane gate
-#   scripts/verify.sh --churn  # the above plus the dynamic-membership gate
+#
+# Every other flag runs the base gate and then its own stage, nothing else:
+#
+#   scripts/verify.sh --chaos  # a deterministic chaos soak
+#   scripts/verify.sh --trace  # the observability gate
+#   scripts/verify.sh --perf   # hot-path regression gates + a ledger smoke
+#   scripts/verify.sh --equiv  # the sim/runtime differential gate
+#   scripts/verify.sh --daemon # the real-process replay leg
+#   scripts/verify.sh --obs    # the causal-health plane gate
+#   scripts/verify.sh --churn  # the dynamic-membership gate
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,7 +68,7 @@ if [[ "${1:-}" == "--trace" ]]; then
     run cargo test -p pcb-telemetry --no-default-features -q
 fi
 
-# Optional perf stage. Two gates:
+# Optional perf stage. Two gates and a smoke:
 #
 # (1) alloc_gate — a counting global allocator measures *marginal* heap
 #     allocations per steady-state cycle (differential method: the same
@@ -87,12 +90,24 @@ fi
 #     case (PR 1's numbers). The `--threads`-sweep and batch
 #     determinism smokes inside the bench (byte-identical output at
 #     every thread count) run at any core count.
+# (3) ledger smoke — the two in-process workloads of the repo's
+#     benchmark (`ledger/`, BENCHMARK.json) run for 3 s each and must
+#     print `verdict: correct`: the sim kernel and the endpoint mesh
+#     still deliver everything, with identical counters on every pass.
+#     Numbers are not gated here; comparing them is the benchmark's job.
 if [[ "${1:-}" == "--perf" ]]; then
     perf_log="$(mktemp)"
     run cargo run --release -p pcb-bench --bin alloc_gate -- --check | tee "$perf_log"
     run cargo run --release -p pcb-bench --bin bench_report -- --check | tee -a "$perf_log"
     echo "==> perf gate summary"
     grep -E "SKIPPED|smoke: OK|gate: OK|gate \(|perf check: OK" "$perf_log"
+    for workload in sim-paper endpoint-mesh; do
+        run bash ledger/run.sh --workload "$workload" --seed 1 --seconds 3 --trace 0 | tee "$perf_log"
+        grep -q "verdict: correct" "$perf_log" || {
+            echo "ledger smoke: $workload did not print 'verdict: correct'"
+            exit 1
+        }
+    done
     rm -f "$perf_log"
 fi
 
