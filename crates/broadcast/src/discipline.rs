@@ -76,13 +76,6 @@ pub trait Discipline {
         Vec::new()
     }
 
-    /// State transfer for a joining process: adopt the *ordering state*
-    /// (clock values) of `donor` while keeping this process's own
-    /// identity/keys. Default: no state to adopt.
-    fn adopt_state(&mut self, donor: &Self) {
-        let _ = donor;
-    }
-
     // --- Wake channels -------------------------------------------------
     //
     // Entry-indexed engines ask the discipline *what* a blocked message
@@ -102,9 +95,9 @@ pub trait Discipline {
 
     /// Where `stamp` currently blocks, scanning channels from `start`
     /// (the channel it last parked on; re-checking earlier channels is
-    /// unnecessary because channel values only grow between
-    /// [`Discipline::adopt_state`] calls). [`Gap::Never`] marks stamps no
-    /// future delivery can unblock (e.g. a stale sequence number).
+    /// unnecessary because channel values only grow). [`Gap::Never`]
+    /// marks stamps no future delivery can unblock (e.g. a stale sequence
+    /// number).
     fn wait_gap(&self, sender: ProcessId, keys: &KeySet, stamp: &Self::Stamp, start: usize) -> Gap {
         let _ = start;
         if self.is_deliverable(sender, keys, stamp) {
@@ -222,10 +215,6 @@ impl Discipline for ProbDiscipline {
         keys.iter().map(|entry| stamp[entry]).collect()
     }
 
-    fn adopt_state(&mut self, donor: &Self) {
-        self.clock.adopt_from(&donor.clock);
-    }
-
     fn channel_count(&self) -> usize {
         self.clock.len()
     }
@@ -322,10 +311,6 @@ impl Discipline for DetectingProbDiscipline {
 
     fn stamp_key_values(stamp: &Timestamp, keys: &KeySet) -> Vec<u64> {
         ProbDiscipline::stamp_key_values(stamp, keys)
-    }
-
-    fn adopt_state(&mut self, donor: &Self) {
-        self.inner.adopt_state(&donor.inner);
     }
 
     fn channel_count(&self) -> usize {
@@ -425,10 +410,6 @@ impl Discipline for MergeProbDiscipline {
         ProbDiscipline::stamp_key_values(stamp, keys)
     }
 
-    fn adopt_state(&mut self, donor: &Self) {
-        self.clock.adopt_from(&donor.clock);
-    }
-
     fn channel_count(&self) -> usize {
         self.clock.len()
     }
@@ -506,10 +487,6 @@ impl Discipline for VectorDiscipline {
 
     fn stamp_wire_size(stamp: &VectorClock) -> usize {
         stamp.wire_size()
-    }
-
-    fn adopt_state(&mut self, donor: &Self) {
-        self.clock = donor.clock.clone();
     }
 
     fn channel_count(&self) -> usize {
@@ -607,10 +584,6 @@ impl Discipline for FifoDiscipline {
 
     fn stamp_wire_size(_stamp: &u64) -> usize {
         std::mem::size_of::<u64>()
-    }
-
-    fn adopt_state(&mut self, donor: &Self) {
-        self.next_expected.clone_from(&donor.next_expected);
     }
 
     fn channel_count(&self) -> usize {

@@ -67,7 +67,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use pcb_clock::{ClusterConfig, Gap, KeySet, KeySpace, ProcessId};
-use pcb_telemetry::{TraceEvent, TraceRecord, Tracer};
+use pcb_telemetry::{Row, TraceEvent, TraceRecord, Tracer};
 
 use crate::discipline::{Discipline, ProbDiscipline};
 use crate::message::{Message, MessageId};
@@ -253,8 +253,9 @@ struct PrevEpoch<P> {
     process: PcbProcess<P>,
 }
 
-/// A point-in-time health report — the same shape the live runtime's
-/// `NodeStatus` exposes.
+/// A point-in-time health report: what every shell hands its operators
+/// (`NodeHandle::status`, the daemon's `status` RPC and `/metrics`), with
+/// [`EndpointStatus::rows`] as the one list of names they render.
 #[derive(Debug, Clone)]
 pub struct EndpointStatus {
     /// Protocol counters (sends, deliveries, alerts, duplicates).
@@ -320,6 +321,127 @@ pub struct EndpointStatus {
     pub recommended_k: u32,
     /// Per-clock-entry collision heatmap, when estimators are enabled.
     pub heatmap: Option<pcb_telemetry::EntryHeatmap>,
+}
+
+impl EndpointStatus {
+    /// Every scalar of this report as a [`Row`] — the single table each
+    /// sink loops over (the cluster and daemon Prometheus pages, the
+    /// daemon `status` RPC), so a quantity has one name everywhere.
+    ///
+    /// The destructures are exhaustive on purpose (no `..`): a field added
+    /// to `EndpointStatus`, `ProcessStats`, `Counters` or `WakeupStats`
+    /// does not compile until it has a row here or an explicit `_`.
+    #[must_use]
+    #[allow(clippy::cast_precision_loss)] // levels are far below 2^52
+    pub fn rows(&self) -> Vec<Row> {
+        let EndpointStatus {
+            stats:
+                ProcessStats { sent, delivered, duplicates, instant_alerts, recent_alerts, max_pending },
+            pending,
+            clock: _, // a vector, not a scalar
+            recovery:
+                Counters { sync_requests, sync_served, refetched, snapshots_taken, snapshot_restores },
+            recovered,
+            backoff_resets,
+            crashed,
+            sync_timeouts,
+            peer_unreachable,
+            // The index's `max_pending` is the same high-water mark as `stats.max_pending`.
+            wakeup:
+                WakeupStats { gap_checks, wakeups, ready_on_arrival, max_wake_fanout, max_pending: _ },
+            incarnation,
+            // Same two structs again, incarnation-scoped (`max_pending` stays lifetime).
+            incarnation_stats: inc,
+            incarnation_recovery: inc_rec,
+            config_epoch,
+            cross_epoch_refused,
+            geometry_refused,
+            draining,
+            left,
+            x_hat,
+            x_samples,
+            predicted_p_error,
+            recommended_k,
+            heatmap: _, // per-slot array; sinks render it in their own shape
+        } = *self;
+        let alert_rate = if delivered > 0 { instant_alerts as f64 / delivered as f64 } else { 0.0 };
+        vec![
+            Row::counter("sent", "Messages broadcast by this node.", sent),
+            Row::counter("delivered", "Messages delivered to the application.", delivered),
+            Row::counter("duplicates", "Duplicates dropped by the dedup filter.", duplicates),
+            Row::counter("instant_alerts", "Algorithm 4 alerts raised.", instant_alerts),
+            Row::counter("recent_alerts", "Algorithm 5 alerts raised.", recent_alerts),
+            Row::gauge("pending", "Messages blocked awaiting their causal past.", pending as f64),
+            Row::gauge("max_pending", "High-water mark of the pending set.", max_pending as f64),
+            Row::counter("sync_requests", "Anti-entropy probes issued.", sync_requests),
+            Row::counter("sync_served", "Anti-entropy requests served.", sync_served),
+            Row::counter("refetched", "Messages re-fetched through anti-entropy.", refetched),
+            Row::counter("snapshots_taken", "Durable snapshots cut.", snapshots_taken),
+            Row::counter("snapshot_restores", "Restores from a snapshot.", snapshot_restores),
+            Row::counter("recovered", "Deliveries unblocked by anti-entropy.", recovered),
+            Row::counter("backoff_resets", "Idle-probe backoff resets.", backoff_resets),
+            Row::flag("crashed", "Whether the endpoint is crashed.", crashed),
+            Row::flag("left", "Whether the endpoint has left the cluster.", left),
+            Row::gauge("sync_timeouts", "Consecutive unanswered probes.", f64::from(sync_timeouts)),
+            Row::flag("peer_unreachable", "Whether every recent probe died.", peer_unreachable),
+            Row::counter("gap_checks", "Wake-up index gap evaluations.", gap_checks),
+            Row::counter("wakeups", "Waiters woken by clock advances.", wakeups),
+            Row::counter("ready_on_arrival", "Messages deliverable on arrival.", ready_on_arrival),
+            Row::gauge("max_wake_fanout", "Most waiters woken at once.", max_wake_fanout as f64),
+            Row::gauge("endpoint_incarnation", "Restores survived.", incarnation as f64),
+            Row::counter("incarnation_sent", "Broadcasts this incarnation.", inc.sent),
+            Row::counter("incarnation_delivered", "Deliveries this incarnation.", inc.delivered),
+            Row::counter("incarnation_duplicates", "Duplicates this incarnation.", inc.duplicates),
+            Row::counter(
+                "incarnation_instant_alerts",
+                "Algorithm 4 alerts this incarnation.",
+                inc.instant_alerts,
+            ),
+            Row::counter(
+                "incarnation_recent_alerts",
+                "Algorithm 5 alerts this incarnation.",
+                inc.recent_alerts,
+            ),
+            Row::counter(
+                "incarnation_sync_requests",
+                "Probes this incarnation.",
+                inc_rec.sync_requests,
+            ),
+            Row::counter(
+                "incarnation_sync_served",
+                "Syncs served this incarnation.",
+                inc_rec.sync_served,
+            ),
+            Row::counter(
+                "incarnation_refetched",
+                "Re-fetches this incarnation.",
+                inc_rec.refetched,
+            ),
+            Row::counter(
+                "incarnation_snapshots_taken",
+                "Snapshots this incarnation.",
+                inc_rec.snapshots_taken,
+            ),
+            Row::counter(
+                "incarnation_snapshot_restores",
+                "Snapshot restores this incarnation.",
+                inc_rec.snapshot_restores,
+            ),
+            Row::gauge("config_epoch", "Cluster configuration epoch.", config_epoch as f64),
+            Row::counter("cross_epoch_refused", "Frames refused cross-epoch.", cross_epoch_refused),
+            Row::counter(
+                "geometry_refused",
+                "Frames refused for a wrong (R, K).",
+                geometry_refused,
+            ),
+            Row::gauge("draining", "Messages draining in the previous epoch.", draining as f64),
+            Row::gauge("x_hat", "Online in-flight concurrency estimate.", x_hat),
+            Row::gauge("x_samples", "Delivery observations behind x_hat.", x_samples as f64),
+            Row::gauge("predicted_p_error", "Model P_error(R, K, x_hat).", predicted_p_error),
+            Row::gauge("observed_alert_rate", "Algorithm 4 alerts per delivery.", alert_rate),
+            Row::gauge("recommended_k", "K minimizing P_error at x_hat.", f64::from(recommended_k)),
+        ]
+    }
 }
 
 /// The sans-IO per-process protocol state machine. See the module docs
@@ -759,23 +881,6 @@ impl<P: Clone> Endpoint<P> {
     #[must_use]
     pub fn status(&self) -> EndpointStatus {
         let stats = self.process.stats();
-        let base = self.incarnation_stats_base;
-        let incarnation_stats = ProcessStats {
-            sent: stats.sent.saturating_sub(base.sent),
-            delivered: stats.delivered.saturating_sub(base.delivered),
-            duplicates: stats.duplicates.saturating_sub(base.duplicates),
-            instant_alerts: stats.instant_alerts.saturating_sub(base.instant_alerts),
-            recent_alerts: stats.recent_alerts.saturating_sub(base.recent_alerts),
-            max_pending: stats.max_pending,
-        };
-        let rb = self.incarnation_recovery_base;
-        let incarnation_recovery = Counters {
-            sync_requests: self.counters.sync_requests.saturating_sub(rb.sync_requests),
-            sync_served: self.counters.sync_served.saturating_sub(rb.sync_served),
-            refetched: self.counters.refetched.saturating_sub(rb.refetched),
-            snapshots_taken: self.counters.snapshots_taken.saturating_sub(rb.snapshots_taken),
-            snapshot_restores: self.counters.snapshot_restores.saturating_sub(rb.snapshot_restores),
-        };
         let (x_hat, x_samples, heatmap) = match self.process.health() {
             Some(health) => (health.x_hat(), health.samples(), Some(health.heatmap().clone())),
             None => (0.0, 0, None),
@@ -801,8 +906,8 @@ impl<P: Clone> Endpoint<P> {
             peer_unreachable: self.peer_unreachable(),
             wakeup: self.process.wakeup_stats(),
             incarnation: self.incarnation,
-            incarnation_stats,
-            incarnation_recovery,
+            incarnation_stats: stats.since(&self.incarnation_stats_base),
+            incarnation_recovery: self.counters.since(&self.incarnation_recovery_base),
             config_epoch: self.cluster.epoch,
             cross_epoch_refused: self.cross_epoch_refused,
             geometry_refused: self.geometry_refused,
@@ -2113,6 +2218,28 @@ mod tests {
         assert_eq!(after.cross_epoch_refused, 0);
         assert_eq!(after.stats, before.stats, "refusal leaves the protocol state untouched");
         assert_eq!((after.pending, after.clock), (before.pending, before.clock));
+    }
+
+    #[test]
+    fn status_rows_are_one_valid_table() {
+        let page = |status: &EndpointStatus| {
+            let mut w = pcb_telemetry::PromWriter::new();
+            w.rows("pcb_node_", &[("0".into(), status.rows())]);
+            w.into_text()
+        };
+        let mut b = endpoint(0, &[0, 1]);
+        let fresh = b.status();
+        let names: std::collections::HashSet<_> = fresh.rows().iter().map(|r| r.name).collect();
+        assert_eq!(names.len(), fresh.rows().len(), "row names are unique");
+        // `validate` rejects any family whose name is not a legal metric name.
+        pcb_telemetry::validate(&page(&fresh)).expect("fresh page parses");
+
+        let foreign = KeySet::from_set_id(KeySpace::new(8, 2).unwrap(), 3).unwrap();
+        let short = PcbProcess::new(ProcessId::new(1), foreign).broadcast("x");
+        let _ = b.handle(Input::FrameReceived(short), 10);
+        let text = page(&b.status());
+        pcb_telemetry::validate(&text).expect("page parses after a refusal");
+        assert!(text.contains("pcb_node_geometry_refused_total{node=\"0\"} 1\n"), "{text}");
     }
 
     #[test]

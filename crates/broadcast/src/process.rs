@@ -83,6 +83,23 @@ pub struct ProcessStats {
     pub max_pending: usize,
 }
 
+impl ProcessStats {
+    /// The counts accumulated since `base` was read — what makes a
+    /// report incarnation-scoped. `max_pending` stays the lifetime
+    /// high-water mark.
+    #[must_use]
+    pub fn since(&self, base: &ProcessStats) -> ProcessStats {
+        ProcessStats {
+            sent: self.sent.saturating_sub(base.sent),
+            delivered: self.delivered.saturating_sub(base.delivered),
+            duplicates: self.duplicates.saturating_sub(base.duplicates),
+            instant_alerts: self.instant_alerts.saturating_sub(base.instant_alerts),
+            recent_alerts: self.recent_alerts.saturating_sub(base.recent_alerts),
+            max_pending: self.max_pending,
+        }
+    }
+}
+
 /// A probabilistic causal broadcast endpoint.
 ///
 /// ```

@@ -19,11 +19,9 @@ use pcb_clock::{StampPool, StampPoolStats};
 use crate::message::{Message, MessageId};
 use crate::wire::{DeltaDecoder, WireError};
 
-/// Recovery-health counters shared by every layer that reports them.
-///
-/// The simulator's `RunMetrics` and the live runtime's `NodeStatus` used
-/// to hand-mirror these fields; embedding one struct keeps the lists from
-/// drifting, and [`Counters::merge`] is the single aggregation rule for
+/// Recovery-health counters shared by every layer that reports them:
+/// the simulator's `RunMetrics` and [`crate::EndpointStatus`] embed this
+/// one struct, and [`Counters::merge`] is the single aggregation rule for
 /// both sim replication pooling and cluster-wide status totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
@@ -47,6 +45,18 @@ impl Counters {
         self.refetched += other.refetched;
         self.snapshots_taken += other.snapshots_taken;
         self.snapshot_restores += other.snapshot_restores;
+    }
+
+    /// The counts accumulated since `base` was read.
+    #[must_use]
+    pub fn since(&self, base: &Counters) -> Counters {
+        Counters {
+            sync_requests: self.sync_requests.saturating_sub(base.sync_requests),
+            sync_served: self.sync_served.saturating_sub(base.sync_served),
+            refetched: self.refetched.saturating_sub(base.refetched),
+            snapshots_taken: self.snapshots_taken.saturating_sub(base.snapshots_taken),
+            snapshot_restores: self.snapshot_restores.saturating_sub(base.snapshot_restores),
+        }
     }
 }
 

@@ -259,12 +259,6 @@ impl ProbClock {
         self.entries.extend_from_slice(entries);
     }
 
-    /// State transfer: copies `donor`'s vector into this clock without an
-    /// intermediate [`Timestamp`] allocation.
-    pub fn adopt_from(&mut self, donor: &ProbClock) {
-        self.entries.clone_from(&donor.entries);
-    }
-
     /// Component-wise maximum with raw entries, in place — the merge
     /// ablation's delivery rule.
     ///

@@ -103,12 +103,6 @@ fn render(targets: &[SocketAddr], clear: bool) -> u32 {
     for addr in targets {
         match poll_status(*addr) {
             Ok(s) => {
-                let delivered = u64_field(&s, "delivered");
-                let alert_rate = if delivered > 0 {
-                    u64_field(&s, "instant_alerts") as f64 / delivered as f64
-                } else {
-                    0.0
-                };
                 let crashed = s.get("crashed").and_then(Value::as_bool).unwrap_or(false);
                 let left = s.get("left").and_then(Value::as_bool).unwrap_or(false);
                 out.push_str(&format!(
@@ -119,10 +113,10 @@ fn render(targets: &[SocketAddr], clear: bool) -> u32 {
                     u64_field(&s, "config_epoch"),
                     u64_field(&s, "members"),
                     u64_field(&s, "pending"),
-                    delivered,
+                    u64_field(&s, "delivered"),
                     f64_field(&s, "x_hat"),
                     f64_field(&s, "predicted_p_error"),
-                    alert_rate,
+                    f64_field(&s, "observed_alert_rate"),
                     u64_field(&s, "recommended_k"),
                     u64_field(&s, "udp_retransmits"),
                     u64_field(&s, "udp_peer_down")

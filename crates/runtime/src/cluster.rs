@@ -4,12 +4,12 @@
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender};
-use pcb_broadcast::{Counters, PcbConfig};
+use pcb_broadcast::{Counters, EndpointStatus, PcbConfig};
 use pcb_clock::{AssignmentPolicy, KeyAssigner, KeySpace, ProcessId};
 use pcb_sim::{FaultKind, FaultPlan, LinkFaults};
 use pcb_telemetry::{PromWriter, TraceRecord};
 
-use crate::node::{spawn_node, Command, NodeHandle, NodeStatus, RecoveryConfig};
+use crate::node::{spawn_node, Command, NodeHandle, RecoveryConfig};
 use crate::transport::{spawn_router, LatencyModel, RouterMsg};
 
 /// Cluster construction parameters.
@@ -302,11 +302,11 @@ impl<P: Send + Clone + 'static> Cluster<P> {
             .expect("spawn chaos controller thread")
     }
 
-    /// One Prometheus-text exposition page covering every node: protocol
-    /// counters, pending gauge, recovery-health counters, and the
-    /// wake-up engine's work counters, all labelled `node="i"`. Blocks
-    /// for one loop turn per node; crashed nodes still answer. The page
-    /// passes [`pcb_telemetry::validate`].
+    /// One Prometheus-text exposition page covering every node: each row
+    /// of [`EndpointStatus::rows`] as a `pcb_node_*` family, one sample
+    /// per node labelled `node="i"`. Blocks for one loop turn per node;
+    /// crashed nodes still answer. The page passes
+    /// [`pcb_telemetry::validate`].
     #[must_use]
     pub fn metrics_text(&self) -> String {
         render_metrics(&gather_statuses(&self.inboxes))
@@ -327,7 +327,7 @@ impl<P: Send + Clone + 'static> Cluster<P> {
     }
 
     /// Cluster-wide recovery-health totals (syncs, re-fetches,
-    /// snapshots) — the sum of every node's [`NodeStatus::recovery`].
+    /// snapshots) — the sum of every node's [`EndpointStatus::recovery`].
     #[must_use]
     pub fn recovery_totals(&self) -> Counters {
         let mut totals = Counters::default();
@@ -419,7 +419,7 @@ impl Drop for MetricsDump {
 /// Queries every node that still answers, in node order.
 fn gather_statuses<P: Send + Clone + 'static>(
     inboxes: &[Sender<Command<P>>],
-) -> Vec<(usize, NodeStatus)> {
+) -> Vec<(usize, EndpointStatus)> {
     let mut statuses = Vec::with_capacity(inboxes.len());
     for (i, inbox) in inboxes.iter().enumerate() {
         let (tx, rx) = bounded(1);
@@ -433,85 +433,9 @@ fn gather_statuses<P: Send + Clone + 'static>(
 }
 
 /// Renders gathered statuses as one Prometheus exposition page.
-#[allow(clippy::cast_precision_loss)] // counters are far below 2^52
-fn render_metrics(statuses: &[(usize, NodeStatus)]) -> String {
-    type Get = fn(&NodeStatus) -> f64;
-    let families: &[(&str, &str, &str, Get)] = &[
-        ("pcb_node_sent_total", "counter", "Messages broadcast.", |s| s.stats.sent as f64),
-        ("pcb_node_delivered_total", "counter", "Messages delivered.", |s| {
-            s.stats.delivered as f64
-        }),
-        ("pcb_node_duplicates_total", "counter", "Duplicates dropped.", |s| {
-            s.stats.duplicates as f64
-        }),
-        ("pcb_node_instant_alerts_total", "counter", "Algorithm 4 alerts.", |s| {
-            s.stats.instant_alerts as f64
-        }),
-        ("pcb_node_recent_alerts_total", "counter", "Algorithm 5 alerts.", |s| {
-            s.stats.recent_alerts as f64
-        }),
-        ("pcb_node_pending", "gauge", "Messages blocked awaiting their causal past.", |s| {
-            s.pending as f64
-        }),
-        ("pcb_node_crashed", "gauge", "1 while the node is crash-injected.", |s| {
-            f64::from(u8::from(s.crashed))
-        }),
-        ("pcb_node_sync_requests_total", "counter", "Anti-entropy requests issued.", |s| {
-            s.recovery.sync_requests as f64
-        }),
-        ("pcb_node_sync_served_total", "counter", "Anti-entropy requests served.", |s| {
-            s.recovery.sync_served as f64
-        }),
-        ("pcb_node_refetched_total", "counter", "Messages re-fetched from peer stores.", |s| {
-            s.recovery.refetched as f64
-        }),
-        ("pcb_node_snapshots_total", "counter", "Durable snapshots taken.", |s| {
-            s.recovery.snapshots_taken as f64
-        }),
-        ("pcb_node_snapshot_restores_total", "counter", "Restores from snapshot.", |s| {
-            s.recovery.snapshot_restores as f64
-        }),
-        ("pcb_node_recovered_total", "counter", "Deliveries unblocked by anti-entropy.", |s| {
-            s.recovered as f64
-        }),
-        ("pcb_node_gap_checks_total", "counter", "Wake-up engine gap evaluations.", |s| {
-            s.wakeup.gap_checks as f64
-        }),
-        ("pcb_node_wakeups_total", "counter", "Waiters woken by clock advances.", |s| {
-            s.wakeup.wakeups as f64
-        }),
-        ("pcb_node_incarnation", "gauge", "Incarnation (restores so far).", |s| {
-            s.incarnation as f64
-        }),
-        ("pcb_node_incarnation_delivered_total", "counter", "Deliveries this incarnation.", |s| {
-            s.incarnation_stats.delivered as f64
-        }),
-        ("pcb_node_config_epoch", "gauge", "Cluster configuration epoch in force.", |s| {
-            s.config_epoch as f64
-        }),
-        ("pcb_node_cross_epoch_refused_total", "counter", "Frames refused cross-epoch.", |s| {
-            s.cross_epoch_refused as f64
-        }),
-        ("pcb_node_draining", "gauge", "Messages draining in the previous epoch.", |s| {
-            s.draining as f64
-        }),
-        ("pcb_node_x_hat", "gauge", "Online concurrency estimate X-hat.", |s| s.x_hat),
-        ("pcb_node_x_samples", "gauge", "Delivery samples behind X-hat this epoch.", |s| {
-            s.x_samples as f64
-        }),
-        ("pcb_node_predicted_p_error", "gauge", "Model P_error(R, K, X-hat).", |s| {
-            s.predicted_p_error
-        }),
-        ("pcb_node_recommended_k", "gauge", "K_opt = ln2*R/X-hat, clamped to [1, R].", |s| {
-            f64::from(s.recommended_k)
-        }),
-    ];
+fn render_metrics(statuses: &[(usize, EndpointStatus)]) -> String {
+    let series: Vec<_> = statuses.iter().map(|(i, s)| (i.to_string(), s.rows())).collect();
     let mut w = PromWriter::new();
-    for (name, kind, help, get) in families {
-        w.header(name, kind, help);
-        for (i, status) in statuses {
-            w.sample(name, &[("node", &i.to_string())], get(status));
-        }
-    }
+    w.rows("pcb_node_", &series);
     w.into_text()
 }

@@ -42,8 +42,8 @@ use pcb_sim::export::{
     decode_digests, decode_join_grant, decode_node_spec, decode_step, encode_digests,
     encode_join_grant, encode_step, snapshot_from_wire, snapshot_to_wire, ExportError, NodeSpec,
 };
-use pcb_telemetry::prom::PromWriter;
-use pcb_telemetry::{write_stamped, StampedRecord};
+use pcb_telemetry::prom::{PromWriter, Row, RowKind};
+use pcb_telemetry::{write_stamped, EntryHeatmap, StampedRecord};
 
 use crate::json::{self, Value};
 use crate::udp::{UdpConfig, UdpEvent, UdpTransport};
@@ -744,7 +744,7 @@ impl Daemon {
                 self.apply_live(Input::Broadcast(payload));
                 Value::object([
                     ("ok", Value::from(true)),
-                    ("sent", Value::from(self.endpoint.status().stats.sent)),
+                    ("sent", Value::from(self.endpoint.stats().sent)),
                 ])
             }
             "subscribe" => {
@@ -765,58 +765,17 @@ impl Daemon {
                 Value::object([("ok", Value::from(true)), ("subscribed", Value::from(true))])
             }
             "status" => {
-                let status = self.endpoint.status();
-                let (udp, shim) = self.transport.stats();
+                let (rows, heatmap) = self.report();
                 let mut fields = vec![
                     ("ok", Value::from(true)),
                     ("node", Value::from(self.spec.node)),
                     ("n", Value::from(self.spec.n)),
-                    ("incarnation", Value::from(self.incarnation)),
-                    ("endpoint_incarnation", Value::from(status.incarnation)),
-                    ("config_epoch", Value::from(status.config_epoch)),
-                    ("members", Value::from(self.members() as u64)),
-                    ("cross_epoch_refused", Value::from(status.cross_epoch_refused)),
-                    ("draining", Value::from(status.draining as u64)),
-                    ("left", Value::from(status.left)),
-                    ("crashed", Value::from(status.crashed)),
-                    ("sent", Value::from(status.stats.sent)),
-                    ("delivered", Value::from(status.stats.delivered)),
-                    ("duplicates", Value::from(status.stats.duplicates)),
-                    ("instant_alerts", Value::from(status.stats.instant_alerts)),
-                    ("recent_alerts", Value::from(status.stats.recent_alerts)),
-                    ("incarnation_delivered", Value::from(status.incarnation_stats.delivered)),
-                    (
-                        "incarnation_sync_requests",
-                        Value::from(status.incarnation_recovery.sync_requests),
-                    ),
-                    ("pending", Value::from(status.pending as u64)),
-                    ("recovered", Value::from(status.recovered)),
-                    ("sync_requests", Value::from(status.recovery.sync_requests)),
-                    ("sync_served", Value::from(status.recovery.sync_served)),
-                    ("refetched", Value::from(status.recovery.refetched)),
-                    ("snapshots_taken", Value::from(status.recovery.snapshots_taken)),
-                    ("snapshot_restores", Value::from(status.recovery.snapshot_restores)),
-                    ("sync_timeouts", Value::from(status.sync_timeouts)),
-                    ("peer_unreachable", Value::from(status.peer_unreachable)),
-                    ("durable_seq", Value::from(self.endpoint.durable_seq())),
-                    ("x_hat", Value::Number(status.x_hat)),
-                    ("x_samples", Value::from(status.x_samples)),
-                    ("predicted_p_error", Value::Number(status.predicted_p_error)),
-                    ("recommended_k", Value::from(status.recommended_k)),
-                    ("udp_frames_sent", Value::from(udp.frames_sent)),
-                    ("udp_frames_received", Value::from(udp.frames_received)),
-                    ("udp_retransmits", Value::from(udp.retransmits)),
-                    ("udp_give_ups", Value::from(udp.give_ups)),
-                    ("udp_acks_sent", Value::from(udp.acks_sent)),
-                    ("udp_datagrams_received", Value::from(udp.datagrams_received)),
-                    ("udp_fragments_sent", Value::from(udp.fragments_sent)),
-                    ("udp_frames_reassembled", Value::from(udp.frames_reassembled)),
-                    ("udp_peer_down", Value::from(udp.peer_down)),
-                    ("udp_peer_up", Value::from(udp.peer_up)),
-                    ("udp_epoch_resets", Value::from(udp.epoch_resets)),
-                    ("shim_dropped", Value::from(shim.1)),
                 ];
-                if let Some(heatmap) = &status.heatmap {
+                fields.extend(rows.iter().map(|row| match row.kind {
+                    RowKind::Flag => (row.name, Value::from(row.value != 0.0)),
+                    RowKind::Counter | RowKind::Gauge => (row.name, Value::Number(row.value)),
+                }));
+                if let Some(heatmap) = &heatmap {
                     fields.push(("heatmap_r", Value::from(heatmap.r())));
                     fields.push((
                         "heatmap_hits",
@@ -834,10 +793,10 @@ impl Daemon {
                 Value::object([("ok", Value::from(true)), ("crashed", Value::from(false))])
             }
             "snapshot" => {
-                let status = self.endpoint.status();
+                let snapshots_taken = self.endpoint.recovery_counters().snapshots_taken;
                 Value::object([
                     ("ok", Value::from(true)),
-                    ("snapshots_taken", Value::from(status.recovery.snapshots_taken)),
+                    ("snapshots_taken", Value::from(snapshots_taken)),
                     ("durable_seq", Value::from(self.endpoint.durable_seq())),
                     (
                         "has_snapshot",
@@ -921,254 +880,48 @@ impl Daemon {
         }
     }
 
-    fn metrics_text(&self) -> String {
+    /// Everything this daemon reports, declared once for both sinks (the
+    /// `status` RPC and `/metrics`): the rows that are truly the daemon's
+    /// own, then the endpoint's and the transport's row lists, plus the
+    /// heatmap each sink renders as an array.
+    #[allow(clippy::cast_precision_loss)] // levels are far below 2^52
+    fn report(&self) -> (Vec<Row>, Option<EntryHeatmap>) {
         let status = self.endpoint.status();
         let (udp, shim) = self.transport.stats();
+        let mut rows = vec![
+            Row::gauge(
+                "incarnation",
+                "Boot counter of this state directory.",
+                self.incarnation as f64,
+            ),
+            Row::gauge(
+                "members",
+                "Members this daemon routes to (peers + itself).",
+                self.members() as f64,
+            ),
+            Row::gauge(
+                "durable_seq",
+                "Send-WAL high-water mark.",
+                self.endpoint.durable_seq() as f64,
+            ),
+            Row::counter("shim_dropped", "Datagrams dropped by the fault shim.", shim.1),
+        ];
+        rows.extend(status.rows());
+        rows.extend(udp.rows());
+        (rows, status.heatmap)
+    }
+
+    #[allow(clippy::cast_precision_loss)]
+    fn metrics_text(&self) -> String {
+        let (rows, heatmap) = self.report();
         let node = self.spec.node.to_string();
-        let labels: &[(&str, &str)] = &[("node", node.as_str())];
         let mut w = PromWriter::new();
-        let gauge = |w: &mut PromWriter, name: &str, help: &str, value: f64| {
-            w.header(name, "gauge", help);
-            w.sample(name, labels, value);
-        };
-        let counter = |w: &mut PromWriter, name: &str, help: &str, value: u64| {
-            w.header(name, "counter", help);
-            w.sample(name, labels, value as f64);
-        };
-        counter(
-            &mut w,
-            "pcb_daemon_sent_total",
-            "messages broadcast by this node",
-            status.stats.sent,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_delivered_total",
-            "messages delivered to the application",
-            status.stats.delivered,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_duplicates_total",
-            "duplicates suppressed",
-            status.stats.duplicates,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_instant_alerts_total",
-            "algorithm 4 alerts",
-            status.stats.instant_alerts,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_recent_alerts_total",
-            "algorithm 5 alerts",
-            status.stats.recent_alerts,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_sync_requests_total",
-            "anti-entropy probes sent",
-            status.recovery.sync_requests,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_refetched_total",
-            "messages recovered via anti-entropy",
-            status.recovery.refetched,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_snapshots_taken_total",
-            "durable snapshots cut",
-            status.recovery.snapshots_taken,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_snapshot_restores_total",
-            "restarts recovered from snapshot",
-            status.recovery.snapshot_restores,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_udp_retransmits_total",
-            "transport datagram retransmissions",
-            udp.retransmits,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_udp_frames_sent_total",
-            "reliable frames sent",
-            udp.frames_sent,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_udp_decode_errors_total",
-            "datagrams discarded as malformed",
-            udp.decode_errors,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_udp_frames_received_total",
-            "complete reliable frames received",
-            udp.frames_received,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_udp_give_ups_total",
-            "frames abandoned after exhausting retries",
-            udp.give_ups,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_udp_acks_sent_total",
-            "transport acks transmitted",
-            udp.acks_sent,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_udp_datagrams_received_total",
-            "datagrams read off the socket",
-            udp.datagrams_received,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_udp_fragments_sent_total",
-            "fragment datagrams put on the wire",
-            udp.fragments_sent,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_udp_frames_reassembled_total",
-            "frames completed by the reassembler",
-            udp.frames_reassembled,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_udp_peer_down_total",
-            "peers declared unreachable",
-            udp.peer_down,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_udp_peer_up_total",
-            "unreachable peers that answered again",
-            udp.peer_up,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_udp_epoch_resets_total",
-            "receive streams fenced by a higher remote epoch",
-            udp.epoch_resets,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_incarnation_delivered_total",
-            "deliveries since the last restore",
-            status.incarnation_stats.delivered,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_cross_epoch_refused_total",
-            "frames refused for carrying an unknown config epoch",
-            status.cross_epoch_refused,
-        );
-        counter(
-            &mut w,
-            "pcb_daemon_shim_dropped_total",
-            "datagrams dropped by the fault shim",
-            shim.1,
-        );
-        gauge(
-            &mut w,
-            "pcb_daemon_pending",
-            "messages blocked in the pending queue",
-            status.pending as f64,
-        );
-        gauge(
-            &mut w,
-            "pcb_daemon_crashed",
-            "1 while the endpoint is crashed",
-            f64::from(u8::from(status.crashed)),
-        );
-        gauge(
-            &mut w,
-            "pcb_daemon_peer_unreachable",
-            "1 while anti-entropy probes go unanswered",
-            f64::from(u8::from(status.peer_unreachable)),
-        );
-        gauge(
-            &mut w,
-            "pcb_daemon_incarnation",
-            "boot counter of this state directory",
-            self.incarnation as f64,
-        );
-        gauge(
-            &mut w,
-            "pcb_daemon_endpoint_incarnation",
-            "endpoint restore count (restores survived)",
-            status.incarnation as f64,
-        );
-        gauge(
-            &mut w,
-            "pcb_daemon_config_epoch",
-            "cluster configuration epoch in force",
-            status.config_epoch as f64,
-        );
-        gauge(
-            &mut w,
-            "pcb_daemon_members",
-            "cluster members this daemon routes to (peers + itself)",
-            self.members() as f64,
-        );
-        gauge(
-            &mut w,
-            "pcb_daemon_draining",
-            "messages still draining in the previous epoch's geometry",
-            status.draining as f64,
-        );
-        gauge(&mut w, "pcb_daemon_x_hat", "estimated in-flight concurrency X̂", status.x_hat);
-        gauge(
-            &mut w,
-            "pcb_daemon_x_samples",
-            "deliveries contributing to the X̂ window",
-            status.x_samples as f64,
-        );
-        gauge(
-            &mut w,
-            "pcb_daemon_predicted_p_error",
-            "model P_error(R, K, X̂) for the current load",
-            status.predicted_p_error,
-        );
-        gauge(
-            &mut w,
-            "pcb_daemon_observed_alert_rate",
-            "algorithm 4 alerts per delivery (realized counterpart of predicted_p_error)",
-            if status.stats.delivered > 0 {
-                status.stats.instant_alerts as f64 / status.stats.delivered as f64
-            } else {
-                0.0
-            },
-        );
-        gauge(
-            &mut w,
-            "pcb_daemon_recommended_k",
-            "K_opt = ln2 * R / X̂ for a future adaptive assignment",
-            f64::from(status.recommended_k),
-        );
-        if let Some(heatmap) = &status.heatmap {
-            w.header(
-                "pcb_daemon_heatmap_hits",
-                "gauge",
-                "per-slot clock-entry occupancy (entries hash to slots)",
-            );
+        w.rows("pcb_daemon_", &[(node.clone(), rows)]);
+        if let Some(heatmap) = &heatmap {
+            let name = "pcb_daemon_heatmap_hits";
+            w.header(name, "gauge", "per-slot clock-entry occupancy (entries hash to slots)");
             for (slot, &hits) in heatmap.hits().iter().enumerate() {
-                let slot_label = slot.to_string();
-                w.sample(
-                    "pcb_daemon_heatmap_hits",
-                    &[("node", node.as_str()), ("slot", slot_label.as_str())],
-                    hits as f64,
-                );
+                w.sample(name, &[("node", &node), ("slot", &slot.to_string())], hits as f64);
             }
         }
         w.into_text()

@@ -35,7 +35,7 @@ pub mod udp;
 pub use certify::{certify_record, CertifyError, CertifyOptions, CertifyStats};
 pub use cluster::{Cluster, ClusterConfig, ClusterError, MetricsDump};
 pub use loopback::LoopbackCluster;
-pub use node::{NodeHandle, NodeStatus, RecoveryConfig};
+pub use node::{NodeHandle, RecoveryConfig};
 pub use shim::{SocketShim, Verdict};
 pub use udp::{UdpConfig, UdpEvent, UdpStats, UdpTransport};
 // Chaos plans are shared with the simulator: the same `FaultPlan` drives

@@ -13,9 +13,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use pcb_broadcast::endpoint::{Endpoint, Input, Output, RecoveryTimingUs};
-use pcb_broadcast::{Counters, Delivery, Message, MessageId, PcbConfig};
-use pcb_clock::{ClusterConfig, KeySet, ProcessId, Timestamp};
+use pcb_broadcast::endpoint::{Endpoint, EndpointStatus, Input, Output, RecoveryTimingUs};
+use pcb_broadcast::{Delivery, Message, MessageId, PcbConfig};
+use pcb_clock::{ClusterConfig, KeySet, ProcessId};
 use pcb_telemetry::TraceRecord;
 
 use crate::transport::RouterMsg;
@@ -91,7 +91,7 @@ pub(crate) enum Command<P> {
         config: ClusterConfig,
     },
     /// Snapshot request.
-    Query(Sender<NodeStatus>),
+    Query(Sender<EndpointStatus>),
     /// Drain the node's lifecycle trace ring (allowed while crashed —
     /// the ring is diagnostic state, and a crash is exactly when the
     /// operator wants it).
@@ -116,64 +116,6 @@ pub(crate) enum Command<P> {
     },
     /// Stop the event loop.
     Shutdown,
-}
-
-/// Point-in-time view of a node's protocol state.
-#[derive(Debug, Clone)]
-pub struct NodeStatus {
-    /// Lifetime protocol counters.
-    pub stats: pcb_broadcast::ProcessStats,
-    /// Messages buffered awaiting their causal past.
-    pub pending: usize,
-    /// Snapshot of the local clock vector.
-    pub clock: Timestamp,
-    /// Recovery-health counters (syncs, re-fetches, snapshots) — the same
-    /// struct the simulator's `RunMetrics` embeds, so the two reports
-    /// cannot drift.
-    pub recovery: Counters,
-    /// Deliveries unblocked by anti-entropy responses (the replayed
-    /// messages plus any pending cascade they released).
-    pub recovered: u64,
-    /// Times the quiescence-probe backoff was re-armed to its minimum.
-    pub backoff_resets: u64,
-    /// Whether the node is currently crashed (fault injection).
-    pub crashed: bool,
-    /// Consecutive anti-entropy probes that died unanswered.
-    pub sync_timeouts: u32,
-    /// Health verdict after `UNREACHABLE_AFTER` consecutive dead probes:
-    /// this node cannot reach any peer (all crashed, partitioned away,
-    /// or the transport is eating its probes). Probing continues.
-    pub peer_unreachable: bool,
-    /// Work counters of the endpoint's entry-indexed pending set: gap
-    /// checks, wake fan-out, pending high-water mark.
-    pub wakeup: pcb_broadcast::WakeupStats,
-    /// Incarnation: 0 at boot, +1 per restore.
-    pub incarnation: u64,
-    /// Protocol counters since the current incarnation began.
-    pub incarnation_stats: pcb_broadcast::ProcessStats,
-    /// Recovery counters since the current incarnation began.
-    pub incarnation_recovery: Counters,
-    /// Cluster configuration epoch the node is operating in.
-    pub config_epoch: u64,
-    /// Frames refused because they were stamped in a config epoch this
-    /// node does not hold (recovered through catch-up sync).
-    pub cross_epoch_refused: u64,
-    /// Messages still draining in the previous epoch's geometry after a
-    /// reconfiguration (0 once the migration has settled).
-    pub draining: usize,
-    /// Online concurrency estimate X̂ (0.0 when estimators are off or
-    /// the window is empty).
-    pub x_hat: f64,
-    /// Delivery samples behind `x_hat` in the current incarnation.
-    pub x_samples: u64,
-    /// `P_error(R, K, X̂)` — the paper's closed-form model at the live
-    /// estimate; compare against the observed Alg-4 alert rate.
-    pub predicted_p_error: f64,
-    /// `K_opt = ln2·R/X̂` clamped to `[1, R]`; what an
-    /// `AdaptiveAssignment` policy would pick right now.
-    pub recommended_k: u32,
-    /// Per-clock-entry occupancy/collision heatmap (estimators only).
-    pub heatmap: Option<pcb_telemetry::EntryHeatmap>,
 }
 
 /// Handle to a running node: broadcast payloads, consume deliveries,
@@ -213,7 +155,7 @@ impl<P: Send + 'static> NodeHandle<P> {
 
     /// Snapshot of protocol state (blocks for the node's next loop turn).
     #[must_use]
-    pub fn status(&self) -> Option<NodeStatus> {
+    pub fn status(&self) -> Option<EndpointStatus> {
         let (tx, rx) = bounded(1);
         self.cmd_tx.send(Command::Query(tx)).ok()?;
         rx.recv().ok()
@@ -329,33 +271,6 @@ impl<P: Send + Clone + 'static> NodeLoop<P> {
         true
     }
 
-    fn status(&self) -> NodeStatus {
-        let status = self.endpoint.status();
-        NodeStatus {
-            stats: status.stats,
-            pending: status.pending,
-            clock: status.clock,
-            recovery: status.recovery,
-            recovered: status.recovered,
-            backoff_resets: status.backoff_resets,
-            crashed: status.crashed,
-            sync_timeouts: status.sync_timeouts,
-            peer_unreachable: status.peer_unreachable,
-            wakeup: status.wakeup,
-            incarnation: status.incarnation,
-            incarnation_stats: status.incarnation_stats,
-            incarnation_recovery: status.incarnation_recovery,
-            config_epoch: status.config_epoch,
-            cross_epoch_refused: status.cross_epoch_refused,
-            draining: status.draining,
-            x_hat: status.x_hat,
-            x_samples: status.x_samples,
-            predicted_p_error: status.predicted_p_error,
-            recommended_k: status.recommended_k,
-            heatmap: status.heatmap,
-        }
-    }
-
     fn run(mut self, cmd_rx: &Receiver<Command<P>>, poll_every: Duration) {
         loop {
             let cmd = match cmd_rx.recv_timeout(poll_every) {
@@ -398,7 +313,7 @@ impl<P: Send + Clone + 'static> NodeLoop<P> {
                     // Tick first so a busy inbox (frequent status queries)
                     // cannot suppress snapshots or recovery probes.
                     let outputs = self.endpoint.handle(Input::Tick, now);
-                    let _ = reply.send(self.status());
+                    let _ = reply.send(self.endpoint.status());
                     outputs
                 }
                 Command::DrainTrace(reply) => {

@@ -35,6 +35,7 @@ use std::net::{SocketAddr, UdpSocket};
 use bytes::Bytes;
 use pcb_broadcast::{fragment_into, Reassembler, MIN_MTU};
 use pcb_sim::LinkFaults;
+use pcb_telemetry::Row;
 
 use crate::shim::SocketShim;
 
@@ -111,7 +112,7 @@ pub enum UdpEvent {
     PeerUp(SocketAddr),
 }
 
-/// Counters surfaced by the daemon's metrics endpoint.
+/// Transport counters, surfaced through [`UdpStats::rows`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UdpStats {
     /// Frames accepted by [`UdpTransport::send`].
@@ -144,6 +145,51 @@ pub struct UdpStats {
     pub coalesced_sent: u64,
     /// Coalesced datagrams received and unpacked.
     pub coalesced_received: u64,
+}
+
+impl UdpStats {
+    /// The transport's rows for every metric sink, all `udp_`-named (see
+    /// `EndpointStatus::rows`). Exhaustive destructure, no `..`: a new
+    /// counter does not compile until it has a row.
+    #[must_use]
+    pub fn rows(&self) -> Vec<Row> {
+        let UdpStats {
+            frames_sent,
+            frames_received,
+            retransmits,
+            give_ups,
+            acks_sent,
+            datagrams_received,
+            decode_errors,
+            fragments_sent,
+            frames_reassembled,
+            peer_down,
+            peer_up,
+            epoch_resets,
+            coalesced_sent,
+            coalesced_received,
+        } = *self;
+        vec![
+            Row::counter("udp_frames_sent", "Reliable frames sent.", frames_sent),
+            Row::counter("udp_frames_received", "Complete frames received.", frames_received),
+            Row::counter("udp_retransmits", "Datagram retransmissions.", retransmits),
+            Row::counter("udp_give_ups", "Frames abandoned after exhausting retries.", give_ups),
+            Row::counter("udp_acks_sent", "Transport acks transmitted.", acks_sent),
+            Row::counter("udp_datagrams_received", "Datagrams read.", datagrams_received),
+            Row::counter("udp_decode_errors", "Datagrams discarded as malformed.", decode_errors),
+            Row::counter("udp_fragments_sent", "Fragment datagrams sent.", fragments_sent),
+            Row::counter("udp_frames_reassembled", "Frames reassembled.", frames_reassembled),
+            Row::counter("udp_peer_down", "Peers declared unreachable.", peer_down),
+            Row::counter("udp_peer_up", "Unreachable peers that answered again.", peer_up),
+            Row::counter("udp_epoch_resets", "Receive streams fenced by epoch.", epoch_resets),
+            Row::counter("udp_coalesced_sent", "Coalesced datagrams sent.", coalesced_sent),
+            Row::counter(
+                "udp_coalesced_received",
+                "Coalesced datagrams received.",
+                coalesced_received,
+            ),
+        ]
+    }
 }
 
 /// A frame awaiting acknowledgement.

@@ -6,12 +6,15 @@
 //! Asserts the restarted node reports exactly one snapshot restore and a
 //! non-zero anti-entropy refetch count, and that the [`StreamOracle`]
 //! certifies every delivery stream complete (zero lost messages) with
-//! exactly-once delivery per incarnation.
+//! exactly-once delivery per incarnation. The converged cluster then
+//! doubles as the observability smoke: every node's `/metrics` page must
+//! parse and agree with its `status` reply, and `pcb-top --once` must
+//! render one row per node.
 //!
 //! Skips (with a visible marker) when the environment forbids spawning
 //! subprocesses or binding sockets.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -32,20 +35,34 @@ fn daemon_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_pcb-daemon"))
 }
 
-/// Reserves `n` distinct free localhost UDP/TCP port pairs. All sockets
-/// are held until every pair is bound (so the kernel cannot hand the
-/// same port out twice), then released together; the tiny window before
-/// the daemons re-bind is an accepted test-only race.
-fn free_ports(n: usize) -> std::io::Result<Vec<(SocketAddr, SocketAddr)>> {
+/// Reserves `n` distinct free localhost `(udp, rpc, metrics)` port
+/// triples. All sockets are held until every triple is bound (so the
+/// kernel cannot hand the same port out twice), then released together;
+/// the tiny window before the daemons re-bind is an accepted test-only
+/// race.
+fn free_ports(n: usize) -> std::io::Result<Vec<(SocketAddr, SocketAddr, SocketAddr)>> {
     let mut hold = Vec::new();
     let mut addrs = Vec::new();
     for _ in 0..n {
         let udp = UdpSocket::bind("127.0.0.1:0")?;
-        let tcp = TcpListener::bind("127.0.0.1:0")?;
-        addrs.push((udp.local_addr()?, tcp.local_addr()?));
-        hold.push((udp, tcp));
+        let rpc = TcpListener::bind("127.0.0.1:0")?;
+        let metrics = TcpListener::bind("127.0.0.1:0")?;
+        addrs.push((udp.local_addr()?, rpc.local_addr()?, metrics.local_addr()?));
+        hold.push((udp, rpc, metrics));
     }
     Ok(addrs)
+}
+
+/// One scrape of a daemon's Prometheus endpoint: the page body.
+fn scrape(addr: SocketAddr) -> String {
+    let mut stream = TcpStream::connect(addr).expect("metrics endpoint accepts");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout set");
+    stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").expect("request sent");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("response read");
+    let (head, body) = response.split_once("\r\n\r\n").expect("http header/body split");
+    assert!(head.starts_with("HTTP/1.1 200"), "scrape failed: {head}");
+    body.to_owned()
 }
 
 /// One line-JSON RPC exchange on a fresh connection.
@@ -161,6 +178,7 @@ struct DaemonProc {
     state_dir: PathBuf,
     listen: SocketAddr,
     rpc: SocketAddr,
+    metrics: SocketAddr,
 }
 
 impl Drop for DaemonProc {
@@ -177,6 +195,7 @@ fn spawn_live(
     state_dir: &Path,
     listen: SocketAddr,
     rpc_addr: SocketAddr,
+    metrics_addr: SocketAddr,
     peers: &[(usize, SocketAddr)],
     resume: bool,
 ) -> std::io::Result<Child> {
@@ -191,6 +210,8 @@ fn spawn_live(
         .arg("live")
         .arg("--rpc")
         .arg(rpc_addr.to_string())
+        .arg("--metrics")
+        .arg(metrics_addr.to_string())
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::from(stderr));
@@ -252,9 +273,10 @@ fn live_cluster_survives_sigkill_and_recovers_from_disk() {
         save_spec(&state_dir, &spec).expect("spec written");
         let peers: Vec<(usize, SocketAddr)> =
             (0..N).filter(|j| *j != node).map(|j| (j, addrs[j].0)).collect();
-        let child = spawn_live(&state_dir, addrs[node].0, addrs[node].1, &peers, false)
-            .expect("daemon spawns");
-        procs.push(DaemonProc { child, state_dir, listen: addrs[node].0, rpc: addrs[node].1 });
+        let (listen, rpc, metrics) = addrs[node];
+        let child =
+            spawn_live(&state_dir, listen, rpc, metrics, &peers, false).expect("daemon spawns");
+        procs.push(DaemonProc { child, state_dir, listen, rpc, metrics });
     }
 
     // The victim's delivery log dies with its process; keep a live
@@ -300,9 +322,9 @@ fn live_cluster_survives_sigkill_and_recovers_from_disk() {
     let _ = std::fs::remove_file(procs[victim].state_dir.join("listen.txt"));
     let peers: Vec<(usize, SocketAddr)> =
         (0..N).filter(|j| *j != victim).map(|j| (j, addrs[j].0)).collect();
-    procs[victim].child =
-        spawn_live(&procs[victim].state_dir, procs[victim].listen, procs[victim].rpc, &peers, true)
-            .expect("daemon respawns");
+    let v = &procs[victim];
+    procs[victim].child = spawn_live(&v.state_dir, v.listen, v.rpc, v.metrics, &peers, true)
+        .expect("daemon respawns");
     let v = rpc(procs[victim].rpc, &Value::object([("op", Value::from("restore"))]));
     assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "restore failed: {}", v.to_json());
 
@@ -371,6 +393,54 @@ fn live_cluster_survives_sigkill_and_recovers_from_disk() {
     // after post-snapshot deliveries; that's timing-dependent, so it's
     // reported rather than asserted.
     eprintln!("victim redelivered {} messages across the restart", oracle.redelivered(victim));
+
+    // Observability smoke on the converged cluster: each `/metrics` page
+    // parses, agrees with the `status` reply, and both sinks carry the
+    // counters that used to reach neither.
+    for (node, proc) in procs.iter().enumerate() {
+        let before = status(proc.rpc);
+        let page = scrape(proc.metrics);
+        let after = status(proc.rpc);
+        pcb_telemetry::validate(&page).expect("daemon /metrics page parses");
+        let sample = format!("pcb_daemon_delivered_total{{node=\"{node}\"}} ");
+        let line = page.lines().find(|l| l.starts_with(&sample)).expect("delivered sample");
+        let delivered: u64 = line[sample.len()..].parse().expect("integral sample");
+        let bounds = [&before, &after].map(|s| s.get("delivered").and_then(Value::as_u64).unwrap());
+        assert!((bounds[0]..=bounds[1]).contains(&delivered), "{line} vs status {bounds:?}");
+        for key in [
+            "geometry_refused",
+            "left",
+            "peer_unreachable",
+            "sync_timeouts",
+            "backoff_resets",
+            "sync_served",
+            "recovered",
+            "gap_checks",
+            "wakeups",
+            "max_wake_fanout",
+            "max_pending",
+            "udp_decode_errors",
+            "udp_coalesced_sent",
+            "udp_coalesced_received",
+        ] {
+            assert!(after.get(key).is_some(), "status lacks {key}: {}", after.to_json());
+            let family = format!("# TYPE pcb_daemon_{key}");
+            let on_page =
+                [" ", "_total "].iter().any(|end| page.contains(&format!("{family}{end}")));
+            assert!(on_page, "page lacks {key}:\n{page}");
+        }
+    }
+    let mut top = Command::new(env!("CARGO_BIN_EXE_pcb-top"));
+    top.arg("--once");
+    for proc in &procs {
+        top.arg("--rpc").arg(proc.rpc.to_string());
+    }
+    let top = top.output().expect("pcb-top runs");
+    let frame = String::from_utf8_lossy(&top.stdout);
+    assert!(top.status.success(), "pcb-top --once failed:\n{frame}");
+    for (node, proc) in procs.iter().enumerate() {
+        assert!(frame.contains(&format!("{node} ({})", proc.rpc)), "no row for {node}:\n{frame}");
+    }
 
     for proc in &mut procs {
         let _ = rpc(proc.rpc, &Value::object([("op", Value::from("shutdown"))]));

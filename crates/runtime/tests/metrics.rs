@@ -43,6 +43,34 @@ fn metrics_text_parses_as_prometheus() {
         );
     }
     assert!(text.contains("# TYPE pcb_node_pending gauge"));
+    // Counters that used to reach no sink are on the page by name.
+    for name in [
+        "geometry_refused",
+        "left",
+        "peer_unreachable",
+        "sync_timeouts",
+        "backoff_resets",
+        "sync_served",
+        "recovered",
+        "gap_checks",
+        "wakeups",
+        "max_wake_fanout",
+        "max_pending",
+    ] {
+        let family = format!("# TYPE pcb_node_{name}");
+        let on_page = [" ", "_total "].iter().any(|end| text.contains(&format!("{family}{end}")));
+        assert!(on_page, "{name} missing:\n{text}");
+    }
+
+    // The daemon page renders the same row list: same families, other prefix.
+    let families = |page: &str, prefix: &str| -> Vec<String> {
+        page.lines()
+            .filter_map(|l| l.strip_prefix("# TYPE ")?.strip_prefix(prefix).map(str::to_owned))
+            .collect()
+    };
+    let mut w = pcb_telemetry::PromWriter::new();
+    w.rows("pcb_daemon_", &[("0".into(), cluster.node(0).status().unwrap().rows())]);
+    assert_eq!(families(&text, "pcb_node_"), families(&w.into_text(), "pcb_daemon_"));
     cluster.shutdown();
 }
 

@@ -52,35 +52,6 @@ pub struct LossModel {
     pub retransmit_ms: f64,
 }
 
-/// Membership churn: a fraction of processes is up at the start, the rest
-/// join over time (Poisson arrivals), and active processes may leave
-/// after an exponential lifetime. Joins perform a state transfer from a
-/// random active member; nobody else changes anything — the property the
-/// paper's constant-size stamps make possible.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnModel {
-    /// Processes active at time zero.
-    pub initial: usize,
-    /// Poisson join arrivals per second (consumes the remaining process
-    /// ids; joins stop when all `n` have been used).
-    pub join_rate_per_sec: f64,
-    /// Mean active lifetime in ms (exponential); `None` = nobody leaves.
-    pub mean_lifetime_ms: Option<f64>,
-    /// Join sync window (ms): a joiner listens for this long, then adopts
-    /// a donor's state — by which time everything in flight at join time
-    /// has landed at the donor. Use several propagation delays.
-    pub sync_window_ms: f64,
-}
-
-impl ChurnModel {
-    /// A churn model with the given initial membership and join rate, a
-    /// 500 ms sync window, and no departures.
-    #[must_use]
-    pub fn growing(initial: usize, join_rate_per_sec: f64) -> Self {
-        Self { initial, join_rate_per_sec, mean_lifetime_ms: None, sync_window_ms: 500.0 }
-    }
-}
-
 /// Full description of one simulation run.
 ///
 /// Defaults reproduce §5.4.3: `N = 1000` processes each sending on
@@ -116,11 +87,10 @@ pub struct SimConfig {
     pub dissemination: Dissemination,
     /// Lossy links with retransmission (direct dissemination only).
     pub loss: Option<LossModel>,
-    /// Membership churn; `None` = static membership (the paper's §5.4).
-    pub churn: Option<ChurnModel>,
-    /// Deterministic fault schedule (crashes, partitions, link faults);
-    /// `None` = the fault-free model. Chaos runs require
-    /// [`Self::track_exact`], [`Dissemination::Direct`], and no churn.
+    /// Deterministic fault schedule (crashes, partitions, link faults,
+    /// joins and leaves); `None` = the fault-free, static-membership
+    /// model of §5.4. Chaos runs require [`Self::track_exact`] and
+    /// [`Dissemination::Direct`].
     pub faults: Option<FaultPlan>,
     /// Run the exact ground-truth checker (primary error metric).
     pub track_exact: bool,
@@ -156,7 +126,6 @@ impl Default for SimConfig {
             policy: AssignmentPolicy::UniformRandom,
             dissemination: Dissemination::Direct,
             loss: None,
-            churn: None,
             faults: None,
             track_exact: true,
             track_epsilon: true,
@@ -248,34 +217,9 @@ impl SimConfig {
                 return Err("retransmit_ms must be positive".into());
             }
         }
-        if let Some(churn) = &self.churn {
-            if churn.initial < 2 || churn.initial > self.n {
-                return Err(format!(
-                    "churn.initial must be in [2, n], got {} of {}",
-                    churn.initial, self.n
-                ));
-            }
-            if churn.join_rate_per_sec < 0.0 {
-                return Err("join_rate_per_sec must be non-negative".into());
-            }
-            if churn.mean_lifetime_ms.is_some_and(not_positive) {
-                return Err("mean_lifetime_ms must be positive".into());
-            }
-            if not_positive(churn.sync_window_ms) {
-                return Err("sync_window_ms must be positive".into());
-            }
-            if !self.track_exact {
-                return Err("churn requires track_exact (join-time state transfer \
-                             uses the oracle to reconcile the snapshot)"
-                    .into());
-            }
-        }
         if let Some(plan) = &self.faults {
             if self.dissemination != Dissemination::Direct {
                 return Err("fault plans require direct dissemination".into());
-            }
-            if self.churn.is_some() {
-                return Err("fault plans and churn cannot be combined".into());
             }
             if !self.track_exact {
                 return Err("fault plans require track_exact (the safety oracle \
@@ -330,14 +274,9 @@ mod tests {
         let loss_on_gossip = SimConfig {
             dissemination: Dissemination::Gossip { fanout: 3 },
             loss: Some(LossModel { drop_probability: 0.1, retransmit_ms: 50.0 }),
-            ..ok.clone()
+            ..ok
         };
         assert!(loss_on_gossip.validate().is_err());
-        let bad_churn = ChurnModel { initial: 1, ..ChurnModel::growing(2, 1.0) };
-        assert!(SimConfig { churn: Some(bad_churn), ..ok.clone() }.validate().is_err());
-        let bad_lifetime =
-            ChurnModel { mean_lifetime_ms: Some(0.0), ..ChurnModel::growing(10, 1.0) };
-        assert!(SimConfig { churn: Some(bad_lifetime), ..ok }.validate().is_err());
     }
 
     #[test]

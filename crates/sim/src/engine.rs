@@ -6,11 +6,10 @@
 //! individual delay `~ N(d, σ_m²)`; receptions enqueue into the ordering
 //! discipline's pending buffer and deliveries are classified against the
 //! ground-truth oracle. Beyond the paper's model, the engine optionally
-//! simulates lossy links with retransmission ([`crate::config::LossModel`])
-//! and membership churn with join-time state transfer
-//! ([`crate::config::ChurnModel`]). All virtual times are in
-//! **microseconds**; the engine is fully deterministic for a given
-//! [`SimConfig::seed`].
+//! simulates lossy links with retransmission ([`crate::config::LossModel`]).
+//! Membership is static here; churn runs on real `Endpoint` joins through
+//! [`crate::chaos`]. All virtual times are in **microseconds**; the engine
+//! is fully deterministic for a given [`SimConfig::seed`].
 
 use std::time::Instant;
 
@@ -55,9 +54,6 @@ pub(crate) fn ms_to_us(ms: f64) -> u64 {
 enum EvKind {
     Send { p: u32 },
     Recv { p: u32, msg: u32 },
-    Join { p: u32 },
-    SyncDone { p: u32 },
-    Leave { p: u32 },
 }
 
 struct MsgRec<S> {
@@ -73,8 +69,6 @@ struct MsgRec<S> {
 
 struct Proc<D> {
     disc: D,
-    active: bool,
-    syncing: bool,
     /// Entry-indexed pending set: received messages parked on the wake
     /// channel they are blocked on (see [`crate::wake`]).
     wake: WakeTable,
@@ -113,9 +107,8 @@ struct Engine<'c, D: Discipline> {
     /// timestamp storage here and `stamp_send_pooled` reuses it, so the
     /// steady-state direct path stamps without allocating.
     stamp_pool: StampPool,
-    /// Free message-record slots (direct dissemination without churn
-    /// only: gossip keys its dedup bitmap by slot index, and churn's
-    /// snapshot dedup may revisit a record after full delivery).
+    /// Free message-record slots (direct dissemination only: gossip keys
+    /// its dedup bitmap by slot index).
     free_msgs: Vec<u32>,
     /// Scratch: channels advanced by the delivery being drained. Lives
     /// here (not on `drain`'s stack) so steady state reuses its storage.
@@ -140,15 +133,6 @@ impl<D: Discipline + Clone> Engine<'_, D> {
             now + self.rng.exponential(self.cfg.mean_send_interval_ms * MICROS_PER_MS) as u64;
         if next <= self.duration_us {
             self.push(next, EvKind::Send { p });
-        }
-    }
-
-    fn schedule_leave(&mut self, p: u32, now: u64) {
-        if let Some(lifetime) = self.cfg.churn.and_then(|c| c.mean_lifetime_ms) {
-            let at = now + self.rng.exponential(lifetime * MICROS_PER_MS) as u64;
-            if at <= self.duration_us {
-                self.push(at, EvKind::Leave { p });
-            }
         }
     }
 
@@ -184,90 +168,8 @@ impl<D: Discipline + Clone> Engine<'_, D> {
         us
     }
 
-    fn activate(&mut self, p: u32, now: u64) {
-        self.procs[p as usize].active = true;
-        self.schedule_next_send(p, now);
-        self.schedule_leave(p, now);
-    }
-
-    /// Join phase 1: start receiving (buffered) and wait one sync window
-    /// so everything in flight at join time lands at the future donor.
-    fn begin_join(&mut self, p: u32, now: u64) {
-        let window = self.cfg.churn.map_or(500.0, |c| c.sync_window_ms);
-        let proc = &mut self.procs[p as usize];
-        proc.active = true;
-        proc.syncing = true;
-        self.push(now + ms_to_us(window), EvKind::SyncDone { p });
-    }
-
-    /// Join phase 2: adopt a donor's protocol + oracle state, discard
-    /// buffered messages the snapshot already contains, and go live.
-    fn finish_join(&mut self, p: u32, now: u64) {
-        let pi = p as usize;
-        if !self.procs[pi].active {
-            return; // left (or never completed) before syncing finished
-        }
-        self.procs[pi].syncing = false;
-        if let Some(di) = self.pick_donor(p) {
-            let di = di as usize;
-            let (donor_exact, donor_eps, donor_vc) = {
-                let dp = &self.procs[di];
-                (dp.exact.clone(), dp.eps.clone(), dp.true_vc.clone())
-            };
-            // Split borrows to copy the discipline state.
-            let (lo, hi) = self.procs.split_at_mut(pi.max(di));
-            let (joiner, donor_ref) =
-                if pi < di { (&mut lo[pi], &hi[0]) } else { (&mut hi[0], &lo[di]) };
-            joiner.disc.adopt_state(&donor_ref.disc);
-            joiner.exact = donor_exact;
-            joiner.eps = donor_eps;
-            joiner.true_vc = donor_vc;
-            // State adoption moved the clock non-monotonically: every
-            // parked threshold and Never verdict is stale. Pull the whole
-            // buffer out and re-classify from scratch, dropping messages
-            // the snapshot already contains — in a real system the
-            // recovery layer's dedup does this.
-            let pending = self.procs[pi].wake.drain_all();
-            for (midx, arrived) in pending {
-                let in_snapshot = {
-                    let rec = &self.msgs[midx as usize];
-                    self.procs[pi]
-                        .exact
-                        .as_ref()
-                        .is_some_and(|e| e.contains(rec.sender as usize, rec.seq))
-                };
-                if in_snapshot {
-                    self.msgs[midx as usize].delivered_to += 1; // via the snapshot
-                } else {
-                    let ticket = self.procs[pi].wake.ticket();
-                    self.classify(pi, ticket, midx, arrived, 0);
-                }
-            }
-        }
-        self.metrics.joins += 1;
-        self.schedule_next_send(p, now);
-        self.schedule_leave(p, now);
-        self.drain(pi, now, None);
-    }
-
-    fn pick_donor(&mut self, exclude: u32) -> Option<u32> {
-        let candidates: Vec<u32> = (0..self.procs.len() as u32)
-            .filter(|&q| {
-                q != exclude && self.procs[q as usize].active && !self.procs[q as usize].syncing
-            })
-            .collect();
-        if candidates.is_empty() {
-            None
-        } else {
-            Some(candidates[self.rng.index(candidates.len())])
-        }
-    }
-
     fn handle_send(&mut self, p: u32, now: u64) {
         let pi = p as usize;
-        if !self.procs[pi].active || self.procs[pi].syncing {
-            return;
-        }
         self.schedule_next_send(p, now);
 
         // Algorithm 1: stamp and broadcast.
@@ -292,7 +194,7 @@ impl<D: Discipline + Clone> Engine<'_, D> {
             self.metrics.sent += 1;
             self.metrics.control_bytes += D::stamp_wire_size(&stamp) as u64;
         }
-        let targets = self.procs.iter().filter(|q| q.active).count() as u32 - 1;
+        let targets = self.procs.len() as u32 - 1;
         {
             let keys = &self.keys[pi];
             let key_vals =
@@ -328,10 +230,10 @@ impl<D: Discipline + Clone> Engine<'_, D> {
 
         match self.gossip_fanout {
             None => {
-                // Reliable broadcast: one delivery per other active process.
+                // Reliable broadcast: one delivery per other process.
                 let d = self.sample_base_delay_ms();
                 for q in 0..self.procs.len() as u32 {
-                    if q == p || !self.procs[q as usize].active {
+                    if q == p {
                         continue;
                     }
                     let delay = self.link_delay_us(d);
@@ -362,9 +264,6 @@ impl<D: Discipline + Clone> Engine<'_, D> {
 
     fn handle_recv(&mut self, p: u32, msg: u32, now: u64) {
         let pi = p as usize;
-        if !self.procs[pi].active {
-            return;
-        }
         if let Some(fanout) = self.gossip_fanout {
             if self.procs[pi].saw(msg) {
                 if self.msgs[msg as usize].measured {
@@ -374,33 +273,16 @@ impl<D: Discipline + Clone> Engine<'_, D> {
             }
             self.relay(pi, msg, now, fanout);
         }
-        // Snapshot dedup (churn only): a joiner's adopted state may
-        // already contain a message that was still in flight to it — the
-        // recovery layer's id-based dedup drops such late copies.
-        if self.cfg.churn.is_some() {
-            let rec = &self.msgs[msg as usize];
-            let in_snapshot = self.procs[pi]
-                .exact
-                .as_ref()
-                .is_some_and(|e| e.contains(rec.sender as usize, rec.seq));
-            if in_snapshot {
-                self.msgs[msg as usize].delivered_to += 1;
-                return;
-            }
-        }
         let (sender, seq) = {
             let rec = &self.msgs[msg as usize];
             (rec.sender, u64::from(rec.seq))
         };
         self.procs[pi].tracer.emit_at(now, || TraceEvent::Received { sender, seq });
         let gap = self.wait_gap(pi, msg, 0);
-        // A syncing joiner only buffers; the sync-done reconciliation
-        // drains whatever the snapshot does not cover.
-        let live = !self.procs[pi].syncing;
         // With nothing queued ready, a ready arrival is the very message
         // `drain` would pop next: deliver it without the round trip
         // through the ready heap — same order, same counters.
-        if live && gap.is_ready() && self.procs[pi].wake.pass_ready() {
+        if gap.is_ready() && self.procs[pi].wake.pass_ready() {
             let held = self.procs[pi].wake.len() + 1;
             self.metrics.pending_peak = self.metrics.pending_peak.max(held);
             self.drain(pi, now, Some((msg, now)));
@@ -417,9 +299,7 @@ impl<D: Discipline + Clone> Engine<'_, D> {
             });
         }
         self.metrics.pending_peak = self.metrics.pending_peak.max(self.procs[pi].wake.len());
-        if live {
-            self.drain(pi, now, None);
-        }
+        self.drain(pi, now, None);
     }
 
     /// Asks the discipline where the message blocks, resuming the channel
@@ -587,14 +467,11 @@ impl<D: Discipline + Clone> Engine<'_, D> {
         }
         // Free the arena slot once everyone has it (direct mode): the
         // stamp buffer returns to the pool for the next `stamp_send`, and
-        // without churn the record slot itself is recycled (churn's
-        // snapshot dedup may still look the record up by slot index).
+        // the record slot itself is recycled.
         if direct && rec.delivered_to >= rec.targets {
             rec.tvc = None;
             D::recycle_stamp(stamp, &mut self.stamp_pool);
-            if self.cfg.churn.is_none() {
-                self.free_msgs.push(midx);
-            }
+            self.free_msgs.push(midx);
         } else {
             rec.stamp = Some(stamp);
         }
@@ -660,15 +537,12 @@ where
     let keys: Vec<KeySet> =
         assigner.assign_n(n).map_err(|e| SimError::Assignment(e.to_string()))?;
 
-    let initial_active = config.churn.map_or(n, |c| c.initial);
     let procs: Vec<Proc<D>> = (0..n)
         .map(|i| {
             let disc = make(ProcessId::new(i), keys[i].clone());
             let wake = WakeTable::new(disc.channel_count());
             Proc {
                 disc,
-                active: false,
-                syncing: false,
                 wake,
                 true_vc: if track_truth { vec![0u32; n] } else { Vec::new() },
                 sent_count: 0,
@@ -704,23 +578,8 @@ where
         warmup_us: ms_to_us(config.warmup_ms),
     };
 
-    // Bring up the initial membership (no state transfer at time zero).
-    for p in 0..initial_active as u32 {
-        engine.activate(p, 0);
-    }
-    // Schedule later joins as Poisson arrivals over the remaining ids.
-    if let Some(churn) = config.churn {
-        if churn.join_rate_per_sec > 0.0 {
-            let mut t = 0u64;
-            for p in initial_active as u32..n as u32 {
-                t +=
-                    engine.rng.exponential(1000.0 * MICROS_PER_MS / churn.join_rate_per_sec) as u64;
-                if t > engine.duration_us {
-                    break;
-                }
-                engine.push(t, EvKind::Join { p });
-            }
-        }
+    for p in 0..n as u32 {
+        engine.schedule_next_send(p, 0);
     }
 
     let mut last_time = 0u64;
@@ -730,17 +589,6 @@ where
         match kind {
             EvKind::Send { p } => engine.handle_send(p, time),
             EvKind::Recv { p, msg } => engine.handle_recv(p, msg, time),
-            EvKind::Join { p } => engine.begin_join(p, time),
-            EvKind::SyncDone { p } => engine.finish_join(p, time),
-            EvKind::Leave { p } => {
-                let proc = &mut engine.procs[p as usize];
-                if proc.active {
-                    proc.active = false;
-                    proc.syncing = false;
-                    proc.wake.clear();
-                    engine.metrics.leaves += 1;
-                }
-            }
         }
     }
 
@@ -890,7 +738,7 @@ pub fn simulate_immediate(config: &SimConfig) -> Result<RunMetrics, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ChurnModel, LossModel};
+    use crate::config::LossModel;
 
     fn tiny_config() -> SimConfig {
         SimConfig {
@@ -1115,54 +963,6 @@ mod tests {
     }
 
     #[test]
-    fn churn_joins_and_leaves_processes() {
-        let cfg = SimConfig {
-            n: 24,
-            mean_send_interval_ms: 100.0,
-            duration_ms: 8000.0,
-            warmup_ms: 200.0,
-            churn: Some(ChurnModel {
-                mean_lifetime_ms: Some(6000.0),
-                ..ChurnModel::growing(8, 4.0)
-            }),
-            ..SimConfig::default()
-        };
-        let space = KeySpace::new(32, 3).unwrap();
-        let m = simulate_prob(&cfg, space).unwrap();
-        assert!(m.joins > 0, "joins must happen");
-        assert!(m.leaves > 0, "leaves must happen");
-        assert!(m.deliveries > 0);
-        // Stamp size unchanged by churn: 32 entries * 8 bytes.
-        assert_eq!(m.control_bytes_per_message(), 256.0);
-    }
-
-    #[test]
-    fn churn_join_state_transfer_keeps_joiners_current() {
-        // Joins with state transfer: the joiner can deliver new messages
-        // whose causal past predates its join. Without transfer it would
-        // sit blocked forever; with it, stuck stays small relative to
-        // deliveries.
-        let cfg = SimConfig {
-            n: 20,
-            mean_send_interval_ms: 100.0,
-            duration_ms: 8000.0,
-            warmup_ms: 200.0,
-            churn: Some(ChurnModel::growing(10, 2.0)),
-            ..SimConfig::default()
-        };
-        let space = KeySpace::new(32, 3).unwrap();
-        let m = simulate_prob(&cfg, space).unwrap();
-        assert!(m.joins > 0);
-        assert_eq!(m.leaves, 0);
-        assert!(
-            (m.stuck as f64) < 0.02 * m.deliveries as f64,
-            "state transfer keeps blocking negligible: stuck={} deliveries={}",
-            m.stuck,
-            m.deliveries
-        );
-    }
-
-    #[test]
     fn latency_distributions_all_run_live() {
         use crate::config::LatencyDistribution;
         let space = KeySpace::new(16, 2).unwrap();
@@ -1226,14 +1026,6 @@ mod tests {
             SimConfig {
                 loss: Some(LossModel { drop_probability: 0.2, retransmit_ms: 120.0 }),
                 mean_send_interval_ms: 60.0,
-                ..base.clone()
-            },
-            SimConfig {
-                n: 12,
-                churn: Some(ChurnModel {
-                    mean_lifetime_ms: Some(4000.0),
-                    ..ChurnModel::growing(6, 3.0)
-                }),
                 ..base
             },
         ];
@@ -1278,16 +1070,5 @@ mod tests {
             m.stamp_pool_hits,
             m.stamp_pool_misses
         );
-    }
-
-    #[test]
-    fn churn_static_config_unchanged() {
-        // churn = None must reproduce the original static behaviour.
-        let cfg = tiny_config();
-        let space = KeySpace::new(16, 2).unwrap();
-        let m = simulate_prob(&cfg, space).unwrap();
-        assert_eq!(m.joins, 0);
-        assert_eq!(m.leaves, 0);
-        assert_eq!(m.deliveries, m.sent * (cfg.n as u64 - 1));
     }
 }

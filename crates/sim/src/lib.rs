@@ -45,7 +45,7 @@ pub mod wheel;
 pub use chaos::{
     record_endpoint_chaos, record_endpoint_chaos_viz, simulate_endpoint_chaos, ChaosRecord,
 };
-pub use config::{ChurnModel, Dissemination, LatencyDistribution, LossModel, SimConfig};
+pub use config::{Dissemination, LatencyDistribution, LossModel, SimConfig};
 pub use engine::{
     simulate, simulate_fifo, simulate_immediate, simulate_prob, simulate_prob_detecting,
     simulate_prob_traced, simulate_traced, simulate_vector, SimError,

@@ -68,7 +68,7 @@ pub struct RunMetrics {
     /// Recover faults executed (chaos runs).
     pub recoveries: u64,
     /// Recovery-health counters (syncs, re-fetches, snapshots) — the
-    /// same struct `NodeStatus` embeds, so the two reports cannot drift.
+    /// same struct `EndpointStatus` embeds, so the two reports cannot drift.
     pub recovery: Counters,
     /// Frames dropped because sender and receiver were in different
     /// partition groups at arrival time.

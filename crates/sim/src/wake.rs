@@ -152,36 +152,6 @@ impl WakeTable {
         }
     }
 
-    /// Removes and returns everything held, preserving arrival-ticket
-    /// order. Used when the discipline's state changes non-monotonically
-    /// (join-time state adoption), after which every verdict — including
-    /// `Never` — must be recomputed from scratch.
-    pub fn drain_all(&mut self) -> Vec<PendingMsg> {
-        let mut entries: Vec<(u64, u32, u64)> = Vec::with_capacity(self.len);
-        for heap in &mut self.waiters {
-            entries.extend(heap.drain().map(|Reverse((_, t, m, a))| (t, m, a)));
-        }
-        entries.extend(self.ready.drain().map(|Reverse((t, m, a))| (t, m, a)));
-        // Dead messages lost their tickets' order relative to nothing:
-        // they re-enter classification like fresh arrivals.
-        let dead = std::mem::take(&mut self.dead);
-        entries.sort_unstable();
-        self.len = 0;
-        let mut out: Vec<PendingMsg> = entries.into_iter().map(|(_, m, a)| (m, a)).collect();
-        out.extend(dead);
-        out
-    }
-
-    /// Discards everything (process leaving the membership).
-    pub fn clear(&mut self) {
-        for heap in &mut self.waiters {
-            heap.clear();
-        }
-        self.ready.clear();
-        self.dead.clear();
-        self.len = 0;
-    }
-
     /// Iterates the held messages without draining (final stuck/liveness
     /// accounting).
     pub fn pending_msgs(&self) -> impl Iterator<Item = PendingMsg> + '_ {
@@ -232,21 +202,6 @@ mod tests {
         assert_eq!(woken, vec![(t1, 10, 0)]);
         assert_eq!(table.len(), 1, "the threshold-5 waiter stays parked");
         assert_eq!(table.stats().wakeups, 1);
-    }
-
-    #[test]
-    fn drain_all_returns_live_messages_in_ticket_order() {
-        let mut table = WakeTable::new(2);
-        let t1 = table.ticket();
-        let t2 = table.ticket();
-        let t3 = table.ticket();
-        table.park(1, 7, t2, 20, 2);
-        table.make_ready(t1, 10, 1);
-        table.kill(30, 3);
-        let _ = t3;
-        let drained = table.drain_all();
-        assert_eq!(drained, vec![(10, 1), (20, 2), (30, 3)]);
-        assert!(table.is_empty());
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use event::{TraceEvent, TraceRecord};
 pub use explain::{explain, Covering, ExplainMode, ExplainReport, Explanation, MissingStory};
 pub use hist::Hist;
 pub use jsonl::{parse_jsonl, parse_line, write_jsonl, write_record, ParseError};
-pub use prom::{validate, PromWriter};
+pub use prom::{validate, PromWriter, Row, RowKind};
 pub use ring::Tracer;
 pub use viz::{
     merge_timelines, message_id, parse_stamped, parse_stamped_jsonl, patch_stamped_verdicts,

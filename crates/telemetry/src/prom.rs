@@ -7,6 +7,55 @@
 
 use std::fmt::Write as _;
 
+/// How a [`Row`]'s value behaves: a counter only grows (and takes the
+/// `_total` suffix on a Prometheus page), a gauge moves freely, a flag is
+/// a boolean (`0`/`1` on a page, `true`/`false` in JSON).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowKind {
+    /// Monotone count.
+    Counter,
+    /// Point-in-time level.
+    Gauge,
+    /// Boolean condition.
+    Flag,
+}
+
+/// One reported quantity: the unit every metric sink renders. The struct
+/// that owns the numbers declares its rows once (`EndpointStatus::rows`,
+/// `UdpStats::rows`); a sink only picks a prefix and an encoding.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Row {
+    /// Bare name: no sink prefix, no `_total`.
+    pub name: &'static str,
+    /// Counter, gauge or flag.
+    pub kind: RowKind,
+    /// One-line description (the `# HELP` text).
+    pub help: &'static str,
+    /// The value; flags are `0.0` / `1.0`.
+    pub value: f64,
+}
+
+impl Row {
+    /// A counter row.
+    #[must_use]
+    #[allow(clippy::cast_precision_loss)] // counters are far below 2^52
+    pub fn counter(name: &'static str, help: &'static str, value: u64) -> Self {
+        Row { name, kind: RowKind::Counter, help, value: value as f64 }
+    }
+
+    /// A gauge row.
+    #[must_use]
+    pub fn gauge(name: &'static str, help: &'static str, value: f64) -> Self {
+        Row { name, kind: RowKind::Gauge, help, value }
+    }
+
+    /// A flag row.
+    #[must_use]
+    pub fn flag(name: &'static str, help: &'static str, value: bool) -> Self {
+        Row { name, kind: RowKind::Flag, help, value: f64::from(u8::from(value)) }
+    }
+}
+
 /// Incremental builder for one exposition page.
 ///
 /// ```
@@ -51,6 +100,25 @@ impl PromWriter {
             self.out.push('}');
         }
         let _ = writeln!(self.out, " {value}");
+    }
+
+    /// Renders row lists that share one layout — the same function's rows
+    /// for several nodes — as one family per row: `{prefix}{name}`
+    /// (`_total` appended for counters), one header, then one sample per
+    /// series labelled `node="<series.0>"`.
+    pub fn rows(&mut self, prefix: &str, series: &[(String, Vec<Row>)]) {
+        let Some((_, first)) = series.first() else { return };
+        for (i, row) in first.iter().enumerate() {
+            let (suffix, kind) = match row.kind {
+                RowKind::Counter => ("_total", "counter"),
+                RowKind::Gauge | RowKind::Flag => ("", "gauge"),
+            };
+            let family = format!("{prefix}{}{suffix}", row.name);
+            self.header(&family, kind, row.help);
+            for (node, rows) in series {
+                self.sample(&family, &[("node", node)], rows[i].value);
+            }
+        }
     }
 
     /// The finished page.
@@ -227,6 +295,18 @@ mod tests {
         let text = w.into_text();
         assert!(validate(&text).is_ok(), "{text}");
         assert!(text.contains("pcb_node_delivered_total{node=\"0\"} 12"));
+    }
+
+    #[test]
+    fn rows_render_one_family_per_row_and_one_sample_per_series() {
+        let rows = |sent| vec![Row::counter("sent", "Sent.", sent), Row::flag("up", "Up.", true)];
+        let mut w = PromWriter::new();
+        w.rows("pcb_x_", &[("0".into(), rows(3)), ("1".into(), rows(5))]);
+        let text = w.into_text();
+        assert!(validate(&text).is_ok(), "{text}");
+        assert_eq!(text.matches("# TYPE pcb_x_sent_total counter").count(), 1);
+        assert!(text.contains("pcb_x_sent_total{node=\"1\"} 5"));
+        assert!(text.contains("# TYPE pcb_x_up gauge\npcb_x_up{node=\"0\"} 1"));
     }
 
     #[test]

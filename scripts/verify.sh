@@ -150,7 +150,9 @@ fi
 # viz-JSONL schema must round-trip, keep causal/per-node order, and
 # match the checked-in golden timeline; (3) the full estimator path
 # must fit the ≤5% telemetry budget; (4) sim and real-process legs of
-# seeded chaos runs must emit byte-identical merged viz timelines.
+# seeded chaos runs must emit byte-identical merged viz timelines;
+# (5) a live 3-daemon cluster's `/metrics` pages must parse and agree
+# with the `status` RPC, and `pcb-top --once` must render every node.
 if [[ "${1:-}" == "--obs" ]]; then
     run cargo test -p pcb-sim --test estimators -q
     run cargo test -p pcb-sim --test viz_timeline -q
@@ -165,6 +167,7 @@ if [[ "${1:-}" == "--obs" ]]; then
             target/daemon-equiv-viz/seed-2/node-0/trace.jsonl \
             target/daemon-equiv-viz/seed-2/node-1/trace.jsonl \
             -o target/viz-json/seed-2/two-node-merge.jsonl
+        run cargo test -p pcb-runtime --test daemon -q
     else
         echo "==> SKIPPED: cannot spawn pcb-daemon in this environment (exit $spawn_rc)"
     fi
