@@ -126,21 +126,6 @@ pub trait Discipline {
         let _ = (sender, keys, stamp);
         out.push(0);
     }
-
-    /// Whether this discipline's wake channels may be partitioned by a
-    /// [`pcb_clock::ShardMap`] and owned shard-by-shard (fantoch's
-    /// sequential-vs-parallel `KeyClocks` split): `true` iff every wake
-    /// condition is *channel-local* — a parked waiter's threshold reads
-    /// exactly the one channel it parked on, and
-    /// [`Discipline::advanced_channels`] names every channel a delivery
-    /// advances — so disjoint shard groups never observe each other and
-    /// a sharded sweep is bit-identical to the sequential one.
-    ///
-    /// The default is `false`: the catch-all single-channel fallback
-    /// wakes every waiter on every delivery, which is inherently global.
-    fn parallel() -> bool {
-        false
-    }
 }
 
 /// The paper's probabilistic `(R, K)` discipline, with the Algorithm 4
@@ -237,12 +222,6 @@ impl Discipline for ProbDiscipline {
         // Algorithm 2 increments exactly the sender's K entries.
         out.extend(keys.iter());
     }
-
-    fn parallel() -> bool {
-        // One wake channel per clock entry; a waiter's threshold reads
-        // exactly the entry it parked on, so entry shards are disjoint.
-        true
-    }
 }
 
 /// [`ProbDiscipline`] plus the Algorithm 5 recent-list detector — used by
@@ -333,12 +312,6 @@ impl Discipline for DetectingProbDiscipline {
         out: &mut Vec<usize>,
     ) {
         self.inner.advanced_channels(sender, keys, stamp, out);
-    }
-
-    fn parallel() -> bool {
-        // The recent-list detector runs at delivery time, outside the
-        // wake channels; ordering state is the inner prob clock.
-        ProbDiscipline::parallel()
     }
 }
 
@@ -436,11 +409,6 @@ impl Discipline for MergeProbDiscipline {
             stamp.entries().iter().enumerate().filter(|&(i, &ts)| ts > local[i]).map(|(i, _)| i),
         );
     }
-
-    fn parallel() -> bool {
-        // Same entry-local wake channels as the increment variant.
-        true
-    }
 }
 
 /// Exact causal order via classical vector clocks — the `(N, N, 1)`
@@ -529,13 +497,6 @@ impl Discipline for VectorDiscipline {
             stamp.counters().iter().enumerate().filter(|&(i, &ts)| ts > local[i]).map(|(i, _)| i),
         );
     }
-
-    fn parallel() -> bool {
-        // One wake channel per process counter; thresholds are
-        // channel-local (`Never` verdicts never park, so they do not
-        // cross shards either).
-        true
-    }
 }
 
 /// FIFO-only ordering: per-sender sequence numbers, no cross-sender
@@ -615,12 +576,6 @@ impl Discipline for FifoDiscipline {
     ) {
         out.push(sender.index());
     }
-
-    fn parallel() -> bool {
-        // One wake channel per sender; a waiter only ever reads its own
-        // sender's next-expected counter.
-        true
-    }
 }
 
 /// No ordering at all: every message is delivered on arrival. The floor of
@@ -668,18 +623,6 @@ impl Discipline for ImmediateDiscipline {
 mod tests {
     use super::*;
     use pcb_clock::KeySpace;
-
-    #[test]
-    fn parallel_hook_matches_channel_locality() {
-        // Entry/sender-indexed disciplines shard; the catch-all
-        // single-channel default must stay sequential.
-        assert!(ProbDiscipline::parallel());
-        assert!(DetectingProbDiscipline::parallel());
-        assert!(MergeProbDiscipline::parallel());
-        assert!(VectorDiscipline::parallel());
-        assert!(FifoDiscipline::parallel());
-        assert!(!ImmediateDiscipline::parallel());
-    }
 
     fn keys(entries: &[usize]) -> KeySet {
         KeySet::from_entries(KeySpace::new(4, 2).unwrap(), entries).unwrap()

@@ -69,7 +69,6 @@ use bytes::Bytes;
 use pcb_clock::{ClusterConfig, Gap, KeySet, KeySpace, ProcessId};
 use pcb_telemetry::{Row, TraceEvent, TraceRecord, Tracer};
 
-use crate::discipline::{Discipline, ProbDiscipline};
 use crate::message::{Message, MessageId};
 use crate::par::BatchPool;
 use crate::pending::WakeupStats;
@@ -732,16 +731,13 @@ impl<P: Clone> Endpoint<P> {
     /// spawns a persistent worker pool and re-stripes the wake channels
     /// across `threads` shard groups.
     ///
-    /// Gated on the discipline's [`Discipline::parallel`] capability
-    /// hook — the endpoint runs the probabilistic discipline, whose wake
-    /// channels are entry-local, so it opts in; a discipline without
-    /// channel locality would silently stay at 1. Determinism never
-    /// depends on this knob: delivery order and every counter are
-    /// bit-identical at any thread count, parallelism only moves
-    /// read-only work (wire decode, deliverability pre-scans) off the
-    /// apply thread.
+    /// The probabilistic clock's wake channels are entry-local, so
+    /// shard groups never observe each other. Determinism never depends
+    /// on this knob: delivery order and every counter are bit-identical
+    /// at any thread count, parallelism only moves read-only work (wire
+    /// decode, deliverability pre-scans) off the apply thread.
     pub fn set_parallel(&mut self, threads: usize) {
-        let threads = if ProbDiscipline::parallel() { threads.max(1) } else { 1 };
+        let threads = threads.max(1);
         self.threads = threads;
         self.pool = (threads > 1).then(|| BatchPool::new(threads));
         self.process.reshard(threads);

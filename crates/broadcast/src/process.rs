@@ -17,17 +17,14 @@ use crate::detector::{instant_alert, RecentListDetector};
 use crate::message::{Message, MessageId};
 use crate::pending::{InsertVerdict, WakeupIndex, WakeupStats};
 
-/// Tuning knobs for a [`PcbProcess`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Tuning knobs for a [`PcbProcess`]. Algorithm 4 and duplicate
+/// suppression are not among them: every delivery is checked and every
+/// message id is delivered at most once.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PcbConfig {
-    /// Run Algorithm 4 before every delivery and report its alert.
-    pub detect_instant: bool,
     /// Run Algorithm 5 with the given recent-list window (time units of
     /// the caller's `now`); `None` disables it.
     pub recent_window: Option<u64>,
-    /// Drop duplicate message ids (needed under gossip/UDP transports
-    /// that may deliver the same message several times).
-    pub dedup: bool,
     /// Ring-buffer capacity for lifecycle trace events; `0` (the default)
     /// disables tracing entirely — the emit path is a no-op closure that
     /// never builds an event.
@@ -37,18 +34,6 @@ pub struct PcbConfig {
     /// change delivery order or any protocol output. Off by default; the
     /// disabled path is a single `Option` branch.
     pub estimators: bool,
-}
-
-impl Default for PcbConfig {
-    fn default() -> Self {
-        Self {
-            detect_instant: true,
-            recent_window: None,
-            dedup: true,
-            trace_capacity: 0,
-            estimators: false,
-        }
-    }
 }
 
 /// One message handed to the application, together with detector verdicts.
@@ -204,7 +189,7 @@ impl<P> PcbProcess<P> {
 
     /// Ids of every message this endpoint has seen (delivered, pending,
     /// or own broadcasts) — the `known` set of a
-    /// [`crate::recovery::SyncRequest`]. Empty when dedup is disabled.
+    /// [`crate::recovery::SyncRequest`].
     pub fn seen_ids(&self) -> impl Iterator<Item = MessageId> + '_ {
         self.seen.iter()
     }
@@ -294,9 +279,7 @@ impl<P> PcbProcess<P> {
         self.stats.sent += 1;
         let ts = self.clock.stamp_send_into(&self.keys, pool);
         let id = MessageId::new(self.id, self.seq);
-        if self.config.dedup {
-            self.seen.insert(id);
-        }
+        self.seen.insert(id);
         let (sender, seq, keys) = (self.id, self.seq, &self.keys);
         self.tracer.emit(|| TraceEvent::Sent {
             sender: sender.index_u32(),
@@ -331,7 +314,7 @@ impl<P> PcbProcess<P> {
         hint: Option<pcb_clock::Gap>,
     ) -> Vec<Delivery<P>> {
         self.tracer.advance(now);
-        if self.config.dedup && !self.seen.insert(message.id()) {
+        if !self.seen.insert(message.id()) {
             self.stats.duplicates += 1;
             return Vec::new();
         }
@@ -495,9 +478,7 @@ impl<P> PcbProcess<P> {
         now: u64,
     ) -> Vec<Delivery<P>> {
         self.tracer.advance(now);
-        if self.config.dedup {
-            self.seen.insert(id);
-        }
+        self.seen.insert(id);
         self.clock.record_delivery_entries(entries.iter().copied());
         self.stats.delivered += 1;
         self.stats.instant_alerts += u64::from(instant_alert);
@@ -562,9 +543,7 @@ impl<P> PcbProcess<P> {
             self.seq += 1;
             self.stats.sent += 1;
             let _ = self.clock.stamp_send(&self.keys);
-            if self.config.dedup {
-                self.seen.insert(MessageId::new(self.id, self.seq));
-            }
+            self.seen.insert(MessageId::new(self.id, self.seq));
             replayed += 1;
         }
         replayed
@@ -598,8 +577,7 @@ impl<P> PcbProcess<P> {
     }
 
     fn deliver(&mut self, message: Message<P>, now: u64, blocked_for: u64) -> Delivery<P> {
-        let instant = self.config.detect_instant
-            && instant_alert(&self.clock, message.timestamp(), message.keys());
+        let instant = instant_alert(&self.clock, message.timestamp(), message.keys());
         let recent = match &mut self.recent {
             Some(det) => det.check(now, &self.clock, message.timestamp(), message.keys()),
             None => false,
@@ -721,24 +699,6 @@ mod tests {
         assert!(b.on_receive(m, 1).is_empty());
         assert_eq!(b.stats().duplicates, 1);
         assert_eq!(b.stats().delivered, 1);
-    }
-
-    #[test]
-    fn dedup_disabled_redelivers() {
-        let cfg = PcbConfig { dedup: false, ..PcbConfig::default() };
-        let mut a = proc(0, &[0, 1]);
-        let mut b = PcbProcess::with_config(
-            ProcessId::new(1),
-            KeySet::from_entries(space(), &[1, 2]).unwrap(),
-            cfg,
-        );
-        let m = a.broadcast("x");
-        assert_eq!(b.on_receive(m.clone(), 0).len(), 1);
-        // Without dedup, the duplicate sits pending (its stamp now looks
-        // stale but `is_deliverable` still passes: entries only grew).
-        let again = b.on_receive(m, 1);
-        assert_eq!(again.len(), 1, "duplicate re-delivered when dedup is off");
-        assert_eq!(b.stats().duplicates, 0);
     }
 
     #[test]

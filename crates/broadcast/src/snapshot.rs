@@ -100,9 +100,10 @@ pub fn encode_snapshot(snapshot: &ProcessSnapshot<Bytes>) -> Bytes {
     wire::put_uvar(&mut buf, space.r() as u64);
     wire::put_uvar(&mut buf, space.k() as u64);
     buf.put_u128_le(snapshot.keys.set_id());
-    let flags = u8::from(snapshot.config.detect_instant)
-        | u8::from(snapshot.config.dedup) << 1
-        | u8::from(snapshot.config.recent_window.is_some()) << 2;
+    // Bits 0 and 1 are reserved: they once carried `detect_instant` and
+    // `dedup`, are always written as 1 so the bytes on disk do not
+    // change, and are ignored on read.
+    let flags = 0b011 | u8::from(snapshot.config.recent_window.is_some()) << 2;
     buf.put_u8(flags);
     if let Some(window) = snapshot.config.recent_window {
         wire::put_uvar(&mut buf, window);
@@ -193,13 +194,7 @@ pub fn decode_snapshot(blob: Bytes) -> Result<ProcessSnapshot<Bytes>, WireError>
         // knobs, not protocol state — they are not wire-encoded; a
         // decoded endpoint starts with tracing and estimators off until
         // its host reconfigures them.
-        PcbConfig {
-            detect_instant: flags & 0b001 != 0,
-            recent_window,
-            dedup: flags & 0b010 != 0,
-            trace_capacity: 0,
-            estimators: false,
-        };
+        PcbConfig { recent_window, trace_capacity: 0, estimators: false };
     let seq = wire::get_uvar(&mut blob)?;
     let clock_len = wire::get_uvar(&mut blob)? as usize;
     if clock_len > blob.remaining() {
@@ -365,6 +360,23 @@ mod tests {
             assert_eq!(m_a.timestamp(), m_b.timestamp());
             assert_eq!(m_a.payload(), m_b.payload());
         }
+
+        // The two reserved flag bits (once `detect_instant` and `dedup`)
+        // are ignored on read: a re-sealed blob with both cleared decodes
+        // to the same config and still restores an exactly-once process.
+        let sealed = encode_snapshot(&snap);
+        let flags_at = 4 + 16; // version, id, R, K (one byte each here), set id
+        assert_eq!(sealed[flags_at] & 0b011, 0b011, "reserved bits are written as 1");
+        let mut body = BytesMut::new();
+        body.put_slice(&sealed[..flags_at]);
+        body.put_u8(sealed[flags_at] & !0b011);
+        body.put_slice(&sealed[flags_at + 1..sealed.len() - 8]);
+        let cleared = decode_snapshot(wire::seal(body)).unwrap();
+        assert_eq!(cleared.config, snap.config);
+        let (mut restored, rstore) = PcbProcess::restore(cleared);
+        let old = rstore.iter().next().unwrap().clone();
+        assert!(restored.on_receive(old, 11).is_empty(), "a duplicate id is still dropped");
+        assert_eq!(restored.stats().duplicates, snap.stats.duplicates + 1);
     }
 
     #[test]

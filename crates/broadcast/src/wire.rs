@@ -130,7 +130,10 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over `bytes` — the checksum that seals every frame,
+/// snapshot, outer datagram and WAL record.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);

@@ -61,7 +61,8 @@ fn indexed_engine_beats_naive_by_5x_at_p_10_000() {
     assert_eq!(indexed_delivered, P, "indexed cascade fully drains");
 
     let scans = naive.scan_steps;
-    let checks = index.stats().gap_checks;
+    let stats = index.stats();
+    let checks = stats.gap_checks;
     assert!(
         scans >= 5 * checks,
         "indexed engine must do ≥5× less guard work: naive {scans} vs indexed {checks}"
@@ -69,4 +70,8 @@ fn indexed_engine_beats_naive_by_5x_at_p_10_000() {
     // The gap is in fact asymptotic: naive is Θ(P²), indexed Θ(P).
     assert!(scans as f64 > 0.9 * (P as f64).powi(2), "naive is quadratic here");
     assert!(checks <= 2 * P as u64 + 1, "indexed stays linear: {checks}");
+    // Each delivery wakes exactly the next message of the chain and
+    // nobody else: one wakeup per delivery, unit fan-out.
+    assert_eq!(stats.wakeups, P as u64 - 1, "one wakeup per parked message");
+    assert_eq!(stats.max_wake_fanout, 1, "no delivery wakes more than one waiter");
 }

@@ -33,6 +33,7 @@ use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 
 use bytes::Bytes;
+use pcb_broadcast::wire::fnv1a64;
 use pcb_broadcast::{fragment_into, Reassembler, MIN_MTU};
 use pcb_sim::LinkFaults;
 use pcb_telemetry::Row;
@@ -816,19 +817,9 @@ impl UdpTransport {
     }
 }
 
-/// FNV-1a over `bytes` — the same construction the wire codec seals
-/// frames with, reused here for the outer datagram envelope.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Appends the FNV trailer that closes every outer datagram.
 fn seal_outer(out: &mut Vec<u8>) {
-    let sum = fnv64(out);
+    let sum = fnv1a64(out);
     out.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -891,7 +882,7 @@ fn parse_outer(datagram: &[u8]) -> Option<(u8, u64, u64, &[u8])> {
     }
     let (payload, trailer) = datagram.split_at(datagram.len() - 8);
     let expect = u64::from_le_bytes(trailer.try_into().ok()?);
-    if fnv64(payload) != expect {
+    if fnv1a64(payload) != expect {
         return None;
     }
     let kind = payload[0];

@@ -246,13 +246,7 @@ fn live_cluster_survives_sigkill_and_recovers_from_disk() {
         snapshot_every_us: 150_000,
         sync_timeout_us: 150_000,
     };
-    let pcb_config = PcbConfig {
-        detect_instant: true,
-        recent_window: None,
-        dedup: true,
-        trace_capacity: 0,
-        estimators: false,
-    };
+    let pcb_config = PcbConfig::default();
 
     let Ok(addrs) = free_ports(N) else {
         eprintln!("SKIPPED: cannot bind localhost sockets in this environment");

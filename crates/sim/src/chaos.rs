@@ -741,9 +741,7 @@ fn run(
         sync_timeout_us: 2 * sync_us,
     };
     let pcb_config = PcbConfig {
-        detect_instant: true,
         recent_window: None,
-        dedup: true,
         trace_capacity: config.trace_capacity,
         estimators: config.estimators,
     };

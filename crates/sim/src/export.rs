@@ -429,10 +429,12 @@ pub fn encode_node_spec(spec: &NodeSpec) -> Vec<u8> {
     out.extend_from_slice(&(spec.keys.space().r() as u32).to_le_bytes());
     out.extend_from_slice(&(spec.keys.space().k() as u32).to_le_bytes());
     out.extend_from_slice(&spec.keys.set_id().to_le_bytes());
-    out.push(u8::from(spec.pcb_config.detect_instant));
+    // The two `1` bytes are reserved: they once carried `detect_instant`
+    // and `dedup`, keep the spec's byte layout, and are ignored on read.
+    out.push(1);
     out.push(u8::from(spec.pcb_config.recent_window.is_some()));
     out.extend_from_slice(&spec.pcb_config.recent_window.unwrap_or(0).to_le_bytes());
-    out.push(u8::from(spec.pcb_config.dedup));
+    out.push(1);
     out.extend_from_slice(&(spec.pcb_config.trace_capacity as u64).to_le_bytes());
     out.push(u8::from(spec.pcb_config.estimators));
     for v in [
@@ -460,10 +462,10 @@ pub fn decode_node_spec(bytes: &[u8]) -> Result<NodeSpec, ExportError> {
     let set_id = r.u128()?;
     let space = KeySpace::new(kr, kk).map_err(|e| ExportError::Keys(e.to_string()))?;
     let keys = KeySet::from_set_id(space, set_id).map_err(|e| ExportError::Keys(e.to_string()))?;
-    let detect_instant = r.u8()? != 0;
+    r.u8()?; // reserved
     let has_recent = r.u8()? != 0;
     let recent_window = r.u64()?;
-    let dedup = r.u8()? != 0;
+    r.u8()?; // reserved
     let trace_capacity = r.u64()? as usize;
     let estimators = r.u8()? != 0;
     let timing = RecoveryTimingUs {
@@ -479,9 +481,7 @@ pub fn decode_node_spec(bytes: &[u8]) -> Result<NodeSpec, ExportError> {
         n,
         keys,
         pcb_config: PcbConfig {
-            detect_instant,
             recent_window: has_recent.then_some(recent_window),
-            dedup,
             trace_capacity,
             estimators,
         },
@@ -672,9 +672,7 @@ mod tests {
             n: 9,
             keys: KeySet::from_entries(space, &[1, 5, 7]).unwrap(),
             pcb_config: PcbConfig {
-                detect_instant: true,
                 recent_window: Some(12_345),
-                dedup: true,
                 trace_capacity: 64,
                 estimators: true,
             },

@@ -120,6 +120,10 @@ pub(crate) enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Maximum nesting the parser accepts (trace lines nest two deep); a
+/// hostile line cannot recurse the stack away.
+const MAX_DEPTH: usize = 32;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -149,11 +153,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
+    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
+        if depth > MAX_DEPTH {
+            return err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -229,7 +236,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, ParseError> {
+    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -238,7 +245,7 @@ impl<'a> Parser<'a> {
             return Ok(Json::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -251,7 +258,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
+    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -264,7 +271,7 @@ impl<'a> Parser<'a> {
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            let value = self.value()?;
+            let value = self.value(depth + 1)?;
             fields.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -324,7 +331,7 @@ fn get_u64_array(obj: &[(String, Json)], key: &str) -> Result<Vec<u64>, ParseErr
 /// stamped-record parser in [`crate::viz`]).
 pub(crate) fn parse_object(line: &str) -> Result<Vec<(String, Json)>, ParseError> {
     let mut p = Parser::new(line);
-    let value = p.value()?;
+    let value = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return err(format!("trailing garbage at byte {}", p.pos));
@@ -495,6 +502,20 @@ mod tests {
     fn rejects_floats_and_negatives() {
         assert!(parse_line(r#"{"time":1.5,"node":0,"event":"SnapshotTaken"}"#).is_err());
         assert!(parse_line(r#"{"time":-1,"node":0,"event":"SnapshotTaken"}"#).is_err());
+    }
+
+    #[test]
+    fn rejects_hostile_nesting_without_overflowing_the_stack() {
+        for open in ["[", "{\"k\":"] {
+            let line = format!("{{\"t\":{}", open.repeat(2_000_000));
+            let e = parse_line(&line).unwrap_err();
+            assert!(e.msg.contains("nesting"), "{}", e.msg);
+        }
+        // The limit leaves ordinary nesting alone.
+        let nested = format!("{{\"t\":{}{}}}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_object(&nested).is_ok());
+        let over = format!("{{\"t\":{}{}}}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse_object(&over).is_err());
     }
 
     #[test]
