@@ -14,7 +14,7 @@
 //! amortised capacity doubling that converges) cancels; only per-cycle
 //! allocation survives the subtraction.
 //!
-//! Two legs:
+//! Three legs:
 //!
 //! * `sim` — the discipline-level simulator (`simulate_prob`) with the
 //!   timing-wheel scheduler, exact/epsilon oracles and estimators off.
@@ -29,6 +29,14 @@
 //!   the reason, and the gate instead enforces a small fixed budget per
 //!   cycle, which catches any per-cycle leak the pooling work removed
 //!   (receive staging, datagram builds, shim verdicts, ack builds).
+//! * `endpoint` — one `Endpoint::handle_wire` arrival, measured twice: a
+//!   sender's delta chain arriving in order, where the returned output
+//!   vector is the one allocation an arrival may make (decode draws its
+//!   stamp from the store's pool, a chain's periodic full frames share
+//!   the key set already held, deliveries pass through a reused buffer),
+//!   and two senders' chains reordered so that every other arrival parks
+//!   and returns nothing — the gate there is still one allocation per
+//!   arrival that delivers, i.e. zero for the arrival that parked.
 //!
 //! With `--check`, a violated gate exits non-zero (the `scripts/verify.sh
 //! --perf` hook). Set `AG_TRACE=1` to print a sampled backtrace for one
@@ -39,7 +47,9 @@ use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use bytes::Bytes;
-use pcb_clock::KeySpace;
+use pcb_broadcast::endpoint::{Endpoint, Input, Output};
+use pcb_broadcast::{DeltaEncoder, PcbConfig};
+use pcb_clock::{KeySet, KeySpace, ProcessId};
 use pcb_runtime::{UdpConfig, UdpEvent, UdpTransport};
 use pcb_sim::{simulate_prob, Scheduler, SimConfig};
 
@@ -216,6 +226,77 @@ fn udp_leg() -> Leg {
     }
 }
 
+fn endpoint(id: usize, set_id: u128) -> Endpoint<Bytes> {
+    let space = KeySpace::new(100, 4).expect("paper space");
+    let keys = KeySet::from_set_id(space, set_id).expect("set id in range");
+    // No recovery timing: the leg isolates decode + ordering + store.
+    Endpoint::new(ProcessId::new(id), keys, PcbConfig::default(), None)
+}
+
+fn broadcast(
+    from: &mut Endpoint<Bytes>,
+    payload: &Bytes,
+    now_us: u64,
+) -> pcb_broadcast::Message<Bytes> {
+    match from.handle(Input::Broadcast(payload.clone()), now_us).into_iter().next() {
+        Some(Output::SendFrame(message)) => message,
+        other => panic!("a live endpoint answers Broadcast with SendFrame, got {other:?}"),
+    }
+}
+
+/// Endpoint leg: `handle_wire` arrivals that return deliveries are the
+/// unit of work. In order, that is every frame of one sender's delta
+/// chain. Reordered, two senders answer each other and each reply `b_i`
+/// reaches the receiver before the `a_i` it depends on: `b_i` parks and
+/// returns nothing, `a_i` delivers both — one unit per pair, so whatever
+/// a parked arrival allocated would show as excess over the in-order
+/// figure.
+fn endpoint_leg(reordered: bool) -> Leg {
+    const WARM: usize = 500;
+    const SHORT: usize = 2_000;
+    const LONG: usize = 6_000;
+    // 100 ms apart: the 5 s store window holds 50 messages, so the store
+    // and its stamp pool reach their steady size inside the warm-up.
+    const STEP_US: u64 = 100_000;
+    let per_unit = if reordered { 2 } else { 1 };
+    let (mut a, mut b) = (endpoint(0, 11), endpoint(1, 23));
+    let (mut enc_a, mut enc_b) = (DeltaEncoder::default(), DeltaEncoder::default());
+    let payload = Bytes::from(vec![0xAB; 32]);
+    let mut frames: Vec<Bytes> = Vec::new();
+    for i in 0..(WARM + SHORT + LONG) as u64 {
+        let ma = broadcast(&mut a, &payload, i * STEP_US);
+        if reordered {
+            let _ = b.handle(Input::FrameReceived(ma.clone()), i * STEP_US);
+            let mb = broadcast(&mut b, &payload, i * STEP_US);
+            let _ = a.handle(Input::FrameReceived(mb.clone()), i * STEP_US);
+            frames.push(enc_b.encode(&mb));
+        }
+        frames.push(enc_a.encode(&ma));
+    }
+    let mut receiver = endpoint(9, 37);
+    let mut next = 0;
+    let mut run = |units: usize| {
+        let mut delivered = 0;
+        for frame in &frames[next..next + units * per_unit] {
+            let now_us = (next / per_unit) as u64 * STEP_US;
+            let outs = receiver.handle_wire(frame.clone(), now_us).expect("decodes");
+            delivered += outs.iter().filter(|o| matches!(o, Output::Deliver(_))).count();
+            next += 1;
+        }
+        assert_eq!(delivered, units * per_unit, "every message of the stream delivers");
+    };
+    run(WARM);
+    let (short_allocs, short_bytes, ()) = counted(|| run(SHORT));
+    let (long_allocs, long_bytes, ()) = counted(|| run(LONG));
+    let extra = (LONG - SHORT) as u64;
+    Leg {
+        name: if reordered { "endpoint (reordered)" } else { "endpoint (in order)" },
+        per_cycle: long_allocs.saturating_sub(short_allocs) as f64 / extra as f64,
+        bytes_per_cycle: long_bytes.saturating_sub(short_bytes) as f64 / extra as f64,
+        cycles: extra,
+    }
+}
+
 /// The UDP leg's fixed per-cycle budget: the structural allocations a
 /// delivered frame cannot avoid — the fragment-header buffer built per
 /// send, the owned copy handed to the reassembler per receive, and the
@@ -235,11 +316,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sim = sim_leg();
     eprintln!("measuring the udp leg (loopback pair, coalescing on) ...");
     let udp = udp_leg();
+    eprintln!("measuring the endpoint leg (handle_wire, in order and reordered) ...");
+    let (in_order, reordered) = (endpoint_leg(false), endpoint_leg(true));
 
     let mut failures = Vec::new();
-    for leg in [&sim, &udp] {
+    for leg in [&sim, &udp, &in_order, &reordered] {
         println!(
-            "{:>4}: {:.4} allocs/cycle, {:.1} heap bytes/cycle over {} marginal cycles",
+            "{:>20}: {:.4} allocs/cycle, {:.1} heap bytes/cycle over {} marginal cycles",
             leg.name, leg.per_cycle, leg.bytes_per_cycle, leg.cycles
         );
     }
@@ -267,6 +350,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "udp leg allocates {:.2} per cycle at steady state, budget is {UDP_BUDGET:.0}",
             udp.per_cycle
         ));
+    }
+
+    // Endpoint leg: the output vector an arrival returns is its one
+    // allocation, and an arrival that parks returns an empty one — so the
+    // reordered stream, one park and one delivering arrival per cycle,
+    // has the same budget. The same hair of slack as the sim leg.
+    for (leg, what) in [(&in_order, "in-order arrival"), (&reordered, "park + wake pair")] {
+        if leg.per_cycle <= 1.01 {
+            println!("endpoint gate (≤ 1 alloc/{what}): OK");
+        } else {
+            failures.push(format!(
+                "handle_wire allocates {:.4} per {what} at steady state, gate is 1",
+                leg.per_cycle
+            ));
+        }
     }
 
     if !failures.is_empty() {

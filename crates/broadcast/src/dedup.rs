@@ -8,10 +8,11 @@
 //! Memory is `O(senders + gaps)`: an in-order stream from any number of
 //! senders occupies one counter per sender, regardless of message count.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use pcb_clock::ProcessId;
 
+use crate::idmap::IdMap;
 use crate::message::MessageId;
 
 /// Per-sender seen-window: ids `1..=prefix` plus `exceptions`.
@@ -24,7 +25,7 @@ struct SenderWindow {
 /// Compressed set of seen message ids.
 #[derive(Debug, Clone, Default)]
 pub struct DedupFilter {
-    windows: HashMap<ProcessId, SenderWindow>,
+    windows: IdMap<ProcessId, SenderWindow>,
 }
 
 impl DedupFilter {
@@ -88,8 +89,8 @@ impl DedupFilter {
     /// Enumerates every seen id (prefix ranges expanded), ordered by
     /// sender then sequence. The order is deterministic — these ids go
     /// out on the wire in sync probes, and identical endpoints must emit
-    /// identical probes (the hash map's iteration order is seeded per
-    /// process and must not leak into outputs). Time is proportional to
+    /// identical probes (the map's iteration order follows its insertion
+    /// history and must not leak into outputs). Time is proportional to
     /// the number of *messages*, memory stays proportional to the number
     /// of *senders and gaps*.
     pub fn iter(&self) -> impl Iterator<Item = MessageId> + '_ {

@@ -252,6 +252,20 @@ struct PrevEpoch<P> {
     process: PcbProcess<P>,
 }
 
+/// How a message reached [`Endpoint::route`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Via {
+    /// [`Input::FrameReceived`]: retained for anti-entropy once delivered.
+    Frame,
+    /// A decoded wire frame ([`Endpoint::handle_wire`]): also retained
+    /// while it waits, from its arrival time, so a parked message is
+    /// re-servable to peers.
+    Wire,
+    /// An anti-entropy re-fetch ([`Input::SyncResponse`]); its deliveries
+    /// count as recovered.
+    Sync,
+}
+
 /// A point-in-time health report: what every shell hands its operators
 /// (`NodeHandle::status`, the daemon's `status` RPC and `/metrics`), with
 /// [`EndpointStatus::rows`] as the one list of names they render.
@@ -498,6 +512,9 @@ pub struct Endpoint<P> {
     threads: usize,
     /// Worker pool for batched read-only phases; present iff `threads > 1`.
     pool: Option<BatchPool>,
+    /// Delivery buffer reused across arrivals (always left empty), so a
+    /// stimulus allocates only the output vector it returns.
+    deliveries: Vec<Delivery<P>>,
 }
 
 impl<P: Clone> Endpoint<P> {
@@ -549,6 +566,7 @@ impl<P: Clone> Endpoint<P> {
             left: false,
             threads: 1,
             pool: None,
+            deliveries: Vec::new(),
         }
     }
 
@@ -624,18 +642,20 @@ impl<P: Clone> Endpoint<P> {
     /// the floor exactly as they would at a dead process.
     pub fn handle(&mut self, input: Input<P>, now_us: u64) -> Vec<Output<P>> {
         let mut out = Vec::new();
-        self.handle_into(input, now_us, None, &mut out);
+        self.handle_into(input, now_us, Via::Frame, None, &mut out);
         out
     }
 
-    /// [`Endpoint::handle`] into a caller-owned output buffer, optionally
-    /// carrying a deliverability pre-scan `hint` for a `FrameReceived`
+    /// [`Endpoint::handle`] into a caller-owned output buffer. For a
+    /// `FrameReceived`, `via` says whether the message came off the wire
+    /// codec, and `hint` optionally carries its deliverability pre-scan
     /// (see [`PcbProcess::on_receive_hinted`]; batch paths compute these
     /// on the worker pool, the hint never changes observable behaviour).
     fn handle_into(
         &mut self,
         input: Input<P>,
         now_us: u64,
+        via: Via,
         hint: Option<Gap>,
         out: &mut Vec<Output<P>>,
     ) {
@@ -680,7 +700,7 @@ impl<P: Clone> Endpoint<P> {
             Input::FrameReceived(message) => {
                 self.last_activity_us = now_us;
                 self.reset_idle_backoff();
-                self.route(message, false, now_us, hint, out);
+                self.route(message, via, now_us, hint, out);
                 self.maybe_request_sync(now_us, out);
             }
             Input::SyncRequest { from, known } => {
@@ -940,7 +960,7 @@ impl<P: Clone> Endpoint<P> {
     fn route(
         &mut self,
         message: Message<P>,
-        refetched: bool,
+        via: Via,
         now_us: u64,
         hint: Option<Gap>,
         out: &mut Vec<Output<P>>,
@@ -959,10 +979,10 @@ impl<P: Clone> Endpoint<P> {
             return false;
         }
         if epoch == self.cluster.epoch {
-            return self.accept(message, refetched, now_us, hint, out);
+            return self.accept(message, via, now_us, hint, out);
         }
         if self.prev.as_ref().is_some_and(|prev| prev.config.epoch == epoch) {
-            return self.drain_prev(message, refetched, now_us, out);
+            return self.drain_prev(message, via, now_us, out);
         }
         self.cross_epoch_refused += 1;
         if epoch > self.cluster.epoch {
@@ -978,20 +998,28 @@ impl<P: Clone> Endpoint<P> {
 
     /// Delivers `message` (and whatever it unblocks), inserting each
     /// delivery into the store and emitting `Deliver` plus detector
-    /// `Alert`s. Returns whether anything was delivered.
+    /// `Alert`s; a wire frame that has to wait is stored as it parks.
+    /// Returns whether anything was delivered.
     fn accept(
         &mut self,
         message: Message<P>,
-        refetched: bool,
+        via: Via,
         now_us: u64,
         hint: Option<Gap>,
         out: &mut Vec<Output<P>>,
     ) -> bool {
-        let deliveries = self.process.on_receive_hinted(message, now_us, hint);
+        let mut deliveries = std::mem::take(&mut self.deliveries);
+        let store = &mut self.store;
+        self.process.on_receive_into(message, now_us, hint, &mut deliveries, |parked| {
+            if via == Via::Wire {
+                store.insert_ref(now_us, parked);
+            }
+        });
         let any = !deliveries.is_empty();
-        for delivery in deliveries {
-            self.emit(delivery, refetched, now_us, out);
+        for delivery in deliveries.drain(..) {
+            self.emit(delivery, via, now_us, out);
         }
+        self.deliveries = deliveries;
         any
     }
 
@@ -1002,14 +1030,18 @@ impl<P: Clone> Endpoint<P> {
     fn drain_prev(
         &mut self,
         message: Message<P>,
-        refetched: bool,
+        via: Via,
         now_us: u64,
         out: &mut Vec<Output<P>>,
     ) -> bool {
-        let deliveries = {
-            let prev = self.prev.as_mut().expect("routed to an existing drain");
-            prev.process.on_receive(message, now_us)
-        };
+        let mut deliveries = Vec::new();
+        let prev = self.prev.as_mut().expect("routed to an existing drain");
+        let store = &mut self.store;
+        prev.process.on_receive_into(message, now_us, None, &mut deliveries, |parked| {
+            if via == Via::Wire {
+                store.insert_ref(now_us, parked);
+            }
+        });
         let any = !deliveries.is_empty();
         for delivery in deliveries {
             // Project the sender's old-geometry entries into the current
@@ -1029,26 +1061,21 @@ impl<P: Clone> Endpoint<P> {
                 delivery.recent_alert,
                 now_us,
             );
-            self.emit(delivery, refetched, now_us, out);
+            self.emit(delivery, via, now_us, out);
             for unblocked in woken {
-                self.emit(unblocked, refetched, now_us, out);
+                self.emit(unblocked, via, now_us, out);
             }
         }
         any
     }
 
-    /// Store-inserts one delivery and emits its `Deliver` + `Alert`s.
-    fn emit(
-        &mut self,
-        delivery: Delivery<P>,
-        refetched: bool,
-        now_us: u64,
-        out: &mut Vec<Output<P>>,
-    ) {
-        // The store insert is a stamp-refcount bump plus a payload
-        // clone, not a deep copy (`Message` stamps are shared).
-        self.store.insert(now_us, delivery.message.clone());
-        self.recovered += u64::from(refetched);
+    /// Retains one delivery in the store — the single insert of a message
+    /// that was deliverable on arrival, a lookup for one stored when it
+    /// parked (or a re-insert, had it aged out while waiting) — and emits
+    /// its `Deliver` + `Alert`s.
+    fn emit(&mut self, delivery: Delivery<P>, via: Via, now_us: u64, out: &mut Vec<Output<P>>) {
+        self.store.insert_ref(now_us, &delivery.message);
+        self.recovered += u64::from(via == Via::Sync);
         let (sender, seq) = (delivery.message.id().sender(), delivery.message.id().seq());
         let (instant, recent) = (delivery.instant_alert, delivery.recent_alert);
         out.push(Output::Deliver(delivery));
@@ -1155,7 +1182,7 @@ impl<P: Clone> Endpoint<P> {
         }
         let mut delivered_any = false;
         for message in messages {
-            delivered_any |= self.route(message, true, now_us, None, out);
+            delivered_any |= self.route(message, Via::Sync, now_us, None, out);
         }
         if let Some(timing) = self.timing {
             if delivered_any {
@@ -1380,7 +1407,7 @@ impl<P: Clone + Send + Sync + 'static> Endpoint<P> {
             let invalidates =
                 matches!(input, Input::Restore | Input::Reconfigure(_) | Input::Join(_));
             let hint = hints.get(index).copied().flatten();
-            self.handle_into(input, now_us, hint, &mut out);
+            self.handle_into(input, now_us, Via::Frame, hint, &mut out);
             if invalidates {
                 hints.iter_mut().for_each(|hint| *hint = None);
             }
@@ -1450,9 +1477,13 @@ fn has_geometry<P>(message: &Message<P>, space: KeySpace) -> bool {
 type DecodedFrame = (Result<Message<Bytes>, WireError>, Option<Gap>);
 
 impl Endpoint<Bytes> {
-    /// Decodes one wire frame (v2 full / v3 full / v3 delta, see
+    /// Decodes one wire frame (v2, v3/v4 full, v3/v4 delta — see
     /// [`crate::wire`]) through the store's long-lived per-sender delta
-    /// codec and feeds the message through [`Endpoint::handle`].
+    /// codec and feeds the message through the [`Endpoint::handle`] state
+    /// machine. Unlike a bare [`Input::FrameReceived`], an accepted frame
+    /// that has to wait is retained in the store from its arrival, so
+    /// peers can re-fetch it while it is parked here; a frame the router
+    /// refuses (unknown epoch, wrong `(R, K)`) is never stored.
     ///
     /// A crashed endpoint returns `Ok` with no outputs **without touching
     /// the codec**: frames at a dead process fall on the floor before
@@ -1473,8 +1504,10 @@ impl Endpoint<Bytes> {
         if self.crashed || self.left {
             return Ok(Vec::new());
         }
-        let message = self.store.decode_frame(now_us, frame)?;
-        Ok(self.handle(Input::FrameReceived(message), now_us))
+        let message = self.store.decode_pooled(frame)?;
+        let mut out = Vec::new();
+        self.handle_into(Input::FrameReceived(message), now_us, Via::Wire, None, &mut out);
+        Ok(out)
     }
 
     /// [`Endpoint::handle_wire`] over a whole batch of frames: one
@@ -1504,11 +1537,8 @@ impl Endpoint<Bytes> {
         for (index, ((now_us, _), (result, hint))) in frames.iter().zip(decoded).enumerate() {
             match result {
                 Ok(message) => {
-                    // Store insert before the stimulus, as the sequential
-                    // `decode_frame` does — a snapshot cut while handling
-                    // this frame must already retain it.
-                    self.store.insert(*now_us, message.clone());
-                    self.handle_into(Input::FrameReceived(message), *now_us, hint, &mut out);
+                    let input = Input::FrameReceived(message);
+                    self.handle_into(input, *now_us, Via::Wire, hint, &mut out);
                 }
                 Err(error) => errors.push((index, error)),
             }
@@ -2196,10 +2226,29 @@ mod tests {
             PcbProcess::new(ProcessId::new(1), keys).broadcast(Bytes::from_static(b"x"))
         };
         let (short, wrong_k) = (foreign(8, 2), foreign(100, 3));
+        // What the store serves a peer that knows nothing.
+        let served = |b: &mut Endpoint<Bytes>, now_us| {
+            let reply =
+                b.handle(Input::SyncRequest { from: ProcessId::new(5), known: vec![] }, now_us);
+            reply
+                .iter()
+                .find_map(|o| match o {
+                    Output::SyncReply { messages, .. } => {
+                        Some(messages.iter().map(|m| (m.id(), m.timestamp().clone())).collect())
+                    }
+                    _ => None,
+                })
+                .unwrap_or_else(Vec::new)
+        };
+        let own = frames(&b.handle(Input::Broadcast(Bytes::from_static(b"own")), 5)).remove(0);
         let before = b.status();
+        let served_before = served(&mut b, 6);
+        assert_eq!(served_before, [(own.id(), own.timestamp().clone())]);
 
-        let outs = b.handle_wire(crate::wire::encode_full(&short), 10).expect("frame decodes");
-        assert!(!outs.iter().any(|o| matches!(o, Output::Deliver(_))));
+        for refused in [&short, &wrong_k] {
+            let outs = b.handle_wire(crate::wire::encode_full(refused), 10).expect("decodes");
+            assert!(!outs.iter().any(|o| matches!(o, Output::Deliver(_))));
+        }
         let _ = b.handle(Input::FrameReceived(wrong_k.clone()), 20);
         let _ = b.handle(
             Input::SyncResponse {
@@ -2210,10 +2259,22 @@ mod tests {
         );
 
         let after = b.status();
-        assert_eq!(after.geometry_refused, 4);
+        assert_eq!(after.geometry_refused, 5);
         assert_eq!(after.cross_epoch_refused, 0);
         assert_eq!(after.stats, before.stats, "refusal leaves the protocol state untouched");
         assert_eq!((after.pending, after.clock), (before.pending, before.clock));
+        // A refused frame is not retained: the store, and so what peers
+        // are served from it, is what it was.
+        assert_eq!(b.store().len(), 1);
+        assert_eq!(served(&mut b, 40), served_before);
+
+        // And it shadows nothing: the genuine message with the refused
+        // frames' id (sender 1, seq 1) is stored with its own stamp.
+        let genuine = PcbProcess::new(ProcessId::new(1), KeySet::from_set_id(paper, 3).unwrap())
+            .broadcast(Bytes::from_static(b"x"));
+        let outs = b.handle_wire(crate::wire::encode_full(&genuine), 50).expect("decodes");
+        assert!(outs.iter().any(|o| matches!(o, Output::Deliver(_))));
+        assert_eq!(b.store().get(genuine.id()).unwrap().timestamp(), genuine.timestamp());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! uvar fragment index
 //! uvar fragment count
 //! uvar payload length, payload bytes   -- this fragment's slice
-//! u64  FNV-1a checksum (LE)            -- over every preceding byte
+//! u64  checksum (LE)                   -- `wire::checksum64` over every preceding byte
 //! ```
 //!
 //! The checksum makes decoding *total*: arbitrary or truncated bytes

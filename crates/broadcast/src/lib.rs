@@ -40,6 +40,7 @@ pub mod detector;
 pub mod discipline;
 pub mod endpoint;
 pub mod fragment;
+mod idmap;
 pub mod membership;
 pub mod message;
 pub mod par;

@@ -238,6 +238,21 @@ impl<P> WakeupIndex<P> {
         clock: &ProbClock,
         hint: Option<Gap>,
     ) -> InsertVerdict {
+        self.insert_hinted_with(arrived, message, clock, hint, |_| {})
+    }
+
+    /// [`WakeupIndex::insert_hinted`] with a callback for the blocked
+    /// case: `on_parked` sees the message where it now waits, so a caller
+    /// that keeps parked messages elsewhere too (the endpoint's store)
+    /// clones only those.
+    pub fn insert_hinted_with(
+        &mut self,
+        arrived: u64,
+        message: Message<P>,
+        clock: &ProbClock,
+        hint: Option<Gap>,
+        on_parked: impl FnOnce(&Message<P>),
+    ) -> InsertVerdict {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
         let scan_from = match hint {
@@ -266,6 +281,8 @@ impl<P> WakeupIndex<P> {
         };
         if verdict == InsertVerdict::Ready {
             self.stats.ready_on_arrival += 1;
+        } else {
+            on_parked(&self.slots[index].as_ref().expect("parked slot is live").message);
         }
         verdict
     }

@@ -313,14 +313,31 @@ impl<P> PcbProcess<P> {
         now: u64,
         hint: Option<pcb_clock::Gap>,
     ) -> Vec<Delivery<P>> {
+        let mut out = Vec::new();
+        self.on_receive_into(message, now, hint, &mut out, |_| {});
+        out
+    }
+
+    /// [`PcbProcess::on_receive_hinted`] appending the deliveries to a
+    /// caller-owned buffer (reused across arrivals, so the receive path
+    /// allocates nothing of its own). `on_parked` sees the arrival if it
+    /// has to wait — the endpoint retains exactly those for anti-entropy.
+    pub fn on_receive_into(
+        &mut self,
+        message: Message<P>,
+        now: u64,
+        hint: Option<pcb_clock::Gap>,
+        out: &mut Vec<Delivery<P>>,
+        on_parked: impl FnOnce(&Message<P>),
+    ) {
         self.tracer.advance(now);
         if !self.seen.insert(message.id()) {
             self.stats.duplicates += 1;
-            return Vec::new();
+            return;
         }
         let (sender, seq) = (message.id().sender().index_u32(), message.id().seq());
         self.tracer.emit(|| TraceEvent::Received { sender, seq });
-        let verdict = self.pending.insert_hinted(now, message, &self.clock, hint);
+        let verdict = self.pending.insert_hinted_with(now, message, &self.clock, hint, on_parked);
         if let InsertVerdict::Parked { entry, required } = verdict {
             self.tracer.emit(|| TraceEvent::Parked {
                 sender,
@@ -330,7 +347,7 @@ impl<P> PcbProcess<P> {
             });
         }
         self.stats.max_pending = self.stats.max_pending.max(self.pending.len());
-        self.drain(now)
+        self.drain_into(now, out);
     }
 
     /// Re-runs the delivery loop without a new arrival (useful after a
@@ -549,6 +566,13 @@ impl<P> PcbProcess<P> {
         replayed
     }
 
+    /// [`PcbProcess::drain_into`] into a fresh vector.
+    fn drain(&mut self, now: u64) -> Vec<Delivery<P>> {
+        let mut out = Vec::new();
+        self.drain_into(now, &mut out);
+        out
+    }
+
     /// Delivers everything the index has marked ready. Each delivery
     /// advances exactly the sender's `K` clock entries; the index is told
     /// which, wakes only the waiters whose thresholds those crossings
@@ -556,8 +580,7 @@ impl<P> PcbProcess<P> {
     /// cascade costs `O(unblocked · (log W + K))`, not `O(P)` per
     /// delivery. Delivery order (ready tickets = arrival order) matches
     /// the old front-to-back rescan exactly; see `tests/differential.rs`.
-    fn drain(&mut self, now: u64) -> Vec<Delivery<P>> {
-        let mut out = Vec::new();
+    fn drain_into(&mut self, now: u64, out: &mut Vec<Delivery<P>>) {
         while let Some((arrived, message)) = self.pending.pop_ready_entry() {
             let delivery = self.deliver(message, now, now.saturating_sub(arrived));
             // Disjoint-field borrow: the wake callback writes the tracer
@@ -573,7 +596,6 @@ impl<P> PcbProcess<P> {
             );
             out.push(delivery);
         }
-        out
     }
 
     fn deliver(&mut self, message: Message<P>, now: u64, blocked_for: u64) -> Delivery<P> {

@@ -11,11 +11,13 @@
 //! the response through `PcbProcess::on_receive` is idempotent thanks to
 //! duplicate suppression.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashSet, VecDeque};
 
 use bytes::Bytes;
 use pcb_clock::{StampPool, StampPoolStats};
 
+use crate::idmap::IdMap;
 use crate::message::{Message, MessageId};
 use crate::wire::{DeltaDecoder, WireError};
 
@@ -70,11 +72,11 @@ pub struct MessageStore<P> {
     entries: VecDeque<(u64, Message<P>)>,
     /// Absolute position (monotone since store creation) of each retained
     /// id; subtract `base` to index `entries`.
-    index: HashMap<MessageId, u64>,
+    index: IdMap<MessageId, u64>,
     base: u64,
-    /// Per-sender reconstruction stamps for the v3 delta wire format:
-    /// the store is the long-lived per-node receive state, so it is where
-    /// delta chains are resolved (see [`MessageStore::decode_frame`]).
+    /// Per-sender reconstruction stamps for the delta wire format: the
+    /// store is the long-lived per-node receive state, so it is where
+    /// delta chains are resolved (see [`MessageStore::decode_pooled`]).
     codec: DeltaDecoder,
     /// Recycled stamp buffers closing the ingest loop: eviction retires
     /// the stamps of aged-out messages here, and frame decode (plus the
@@ -86,7 +88,7 @@ pub struct MessageStore<P> {
 impl<P: Clone> Clone for MessageStore<P> {
     /// Clones the retained messages and codec state. The stamp pool does
     /// **not** travel: cloning would alias its free buffers (every stamp
-    /// `Arc` would gain a sharer, defeating `fill_unique` on both sides),
+    /// `Arc` would gain a sharer, defeating in-place reuse on both sides),
     /// so the clone starts with an empty pool and re-warms on its own.
     fn clone(&self) -> Self {
         Self {
@@ -108,7 +110,7 @@ impl<P> MessageStore<P> {
         Self {
             window,
             entries: VecDeque::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
             base: 0,
             codec: DeltaDecoder::new(),
             pool: StampPool::new(),
@@ -156,12 +158,23 @@ impl<P> MessageStore<P> {
     /// here — a peer may be missing either). Idempotent by id: re-inserting
     /// a retained message (e.g. a re-fetched duplicate) is a no-op.
     pub fn insert(&mut self, now: u64, message: Message<P>) {
-        self.evict(now);
-        if self.index.contains_key(&message.id()) {
-            return;
+        if self.claim(now, message.id()) {
+            self.entries.push_back((now, message));
         }
-        self.index.insert(message.id(), self.base + self.entries.len() as u64);
-        self.entries.push_back((now, message));
+    }
+
+    /// Evicts what `now` has aged out, then reserves the next position
+    /// for `id`; `false` (nothing reserved) if `id` is already retained.
+    fn claim(&mut self, now: u64, id: MessageId) -> bool {
+        self.evict(now);
+        let position = self.base + self.entries.len() as u64;
+        match self.index.entry(id) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(position);
+                true
+            }
+        }
     }
 
     /// Number of retained messages (after the last eviction).
@@ -253,35 +266,31 @@ pub struct SyncResponse<P> {
 }
 
 impl MessageStore<Bytes> {
-    /// Decodes a wire frame (v2, v3 full, or v3 delta) against this
-    /// store's per-sender reconstruction stamps and retains the decoded
-    /// message for anti-entropy, returning it for delivery.
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`]. [`WireError::MissingDeltaBase`] means the store
-    /// has no base for the delta chain (late joiner, or the chain head
-    /// was lost) — issue a sync request; peers re-serve messages as
-    /// standalone full frames.
-    pub fn decode_frame(&mut self, now: u64, frame: Bytes) -> Result<Message<Bytes>, WireError> {
-        let message = self.decode_pooled(frame)?;
-        self.insert(now, message.clone());
-        Ok(message)
-    }
-
-    /// Decodes a frame against the codec with the stamp drawn from the
-    /// store's recycle pool, **without** inserting the result (batch
-    /// paths insert separately, after the whole batch has decoded).
+    /// Decodes a wire frame (v2, full, or delta) against this store's
+    /// per-sender reconstruction stamps, the stamp drawn from the store's
+    /// recycle pool. The result is **not** retained: the endpoint stores
+    /// a frame once its ordering core has accepted it.
     ///
     /// # Errors
     ///
     /// Any [`WireError`], exactly as [`DeltaDecoder::decode`].
+    /// [`WireError::MissingDeltaBase`] means the store has no base for the
+    /// delta chain (late joiner, or the chain head was lost) — issue a
+    /// sync request; peers re-serve messages as standalone full frames.
     pub fn decode_pooled(&mut self, frame: Bytes) -> Result<Message<Bytes>, WireError> {
         self.codec.decode_pooled(frame, &mut self.pool)
     }
 }
 
 impl<P: Clone> MessageStore<P> {
+    /// [`MessageStore::insert`] by reference: clones `message` only when
+    /// it is not already retained.
+    pub fn insert_ref(&mut self, now: u64, message: &Message<P>) {
+        if self.claim(now, message.id()) {
+            self.entries.push_back((now, message.clone()));
+        }
+    }
+
     /// Answers a [`SyncRequest`] from this store.
     #[must_use]
     pub fn handle_sync(&self, request: &SyncRequest) -> SyncResponse<P> {
@@ -425,7 +434,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_frame_feeds_the_store_and_the_delta_chain() {
+    fn decode_pooled_resolves_the_delta_chain_and_retains_nothing() {
         use crate::wire::{self, DeltaEncoder};
         use bytes::Bytes;
 
@@ -440,22 +449,22 @@ mod tests {
         let frames: Vec<Bytes> = msgs.iter().map(|m| encoder.encode(m)).collect();
 
         // The store misses the chain head: the first delta names its base.
-        match store.decode_frame(0, frames[1].clone()) {
+        match store.decode_pooled(frames[1].clone()) {
             Err(WireError::MissingDeltaBase { sender, base_seq }) => {
                 assert_eq!((sender, base_seq), (0, 1));
             }
             other => panic!("expected MissingDeltaBase, got {other:?}"),
         }
-        assert!(store.is_empty(), "a refused frame must not touch the store");
-
         // Refetch the full frame (what a sync peer re-serves), then the
-        // rest of the chain decodes and lands in the store.
-        store.decode_frame(0, wire::encode_full(&msgs[0])).unwrap();
+        // rest of the chain decodes. Retaining is the caller's decision.
+        store.decode_pooled(wire::encode_full(&msgs[0])).unwrap();
         for (t, frame) in frames.iter().enumerate().skip(1) {
-            let m = store.decode_frame(t as u64, frame.clone()).unwrap();
+            let m = store.decode_pooled(frame.clone()).unwrap();
             assert_eq!(wire::encode(&m), wire::encode(&msgs[t]));
+            store.insert_ref(t as u64, &m);
+            store.insert_ref(t as u64, &m);
         }
-        assert_eq!(store.len(), msgs.len());
+        assert_eq!(store.len(), msgs.len() - 1, "insert_ref is idempotent by id");
         assert_eq!(store.codec().tracked_senders(), 1);
         assert_eq!(store.get(msgs[5].id()).unwrap().timestamp(), msgs[5].timestamp());
     }
@@ -477,7 +486,8 @@ mod tests {
             let m = sender.broadcast(Bytes::from_static(b"x"));
             let frame = encoder.encode(&m);
             drop(m); // the transport copy dies; only the store retains it
-            store.decode_frame(t, frame).unwrap();
+            let decoded = store.decode_pooled(frame).unwrap();
+            store.insert(t, decoded);
         }
         let stats = store.stamp_pool_stats();
         assert!(

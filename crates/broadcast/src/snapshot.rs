@@ -26,7 +26,7 @@
 //!
 //! For byte payloads the snapshot has a wire encoding ([`encode_snapshot`]
 //! / [`decode_snapshot`]) with the same hardening as message frames:
-//! version byte, FNV-1a checksum, total decoding.
+//! version byte, trailing [`crate::wire::checksum64`], total decoding.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pcb_clock::{AssignmentPolicy, ClusterConfig, KeySet, KeySpace, ProcessId, Timestamp};
@@ -89,7 +89,7 @@ const SNAPSHOT_VERSION: u8 = 1;
 const SNAPSHOT_VERSION_EPOCH: u8 = 2;
 
 /// Encodes a snapshot with byte payloads to a self-contained durable
-/// blob (version byte, varint fields, trailing FNV-1a checksum).
+/// blob (version byte, varint fields, trailing [`crate::wire::checksum64`]).
 #[must_use]
 pub fn encode_snapshot(snapshot: &ProcessSnapshot<Bytes>) -> Bytes {
     let epoch_plane = snapshot.cluster.epoch > 0 || snapshot.prev.is_some();

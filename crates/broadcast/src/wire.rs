@@ -12,7 +12,7 @@
 //! u128 set_id (16 bytes, LE)    -- the key set, not its expansion
 //! uvar × R timestamp entries    -- LEB128 varints; small counters stay small
 //! uvar payload length, payload bytes
-//! u64  FNV-1a checksum (LE)     -- over every preceding byte
+//! u64  checksum (LE)            -- `checksum64` over every preceding byte
 //! ```
 //!
 //! With fresh clocks the stamp costs ~1 byte per entry, approaching the
@@ -26,12 +26,12 @@
 //! ```text
 //! full frame (kind = 0): standalone, self-describing
 //!   u8 3 | u8 0 | uvar sender | uvar seq | uvar R | uvar K
-//!   u128 set_id | uvar × R entries | uvar payload_len, payload | u64 fnv
+//!   u128 set_id | uvar × R entries | uvar payload_len, payload | u64 checksum
 //!
 //! delta frame (kind = 1): relative to the sender's frame `base_seq`
 //!   u8 3 | u8 1 | uvar sender | uvar seq | uvar base_seq | uvar count
 //!   (uvar index_gap, uvar increase) × count      -- both deltas ≥ small
-//!   uvar payload_len, payload | u64 fnv
+//!   uvar payload_len, payload | u64 checksum
 //! ```
 //!
 //! A delta frame omits `R`, `K`, `set_id` and the unchanged entries: the
@@ -51,7 +51,7 @@
 //! drawn in (see `pcb_clock::ClusterConfig`):
 //!
 //! ```text
-//! u8 4 | u8 kind | uvar config_epoch | <v3 body for that kind> | u64 fnv
+//! u8 4 | u8 kind | uvar config_epoch | <v3 body for that kind> | u64 checksum
 //! ```
 //!
 //! Encoders emit v4 **only when the epoch is non-zero** — a cluster that
@@ -61,19 +61,22 @@
 //! cross-epoch delta fails with [`WireError::MissingDeltaBase`], state
 //! untouched, and recovers through the same full-frame refetch path.
 //!
-//! Version 2 appends a 64-bit FNV-1a checksum so in-flight corruption is
-//! *detected*, never delivered: each FNV step `x ↦ (x ⊕ b) · prime` is a
-//! bijection of the state for fixed position, so any single-byte
-//! substitution is guaranteed to change the digest. Versions 3 and 4 keep
-//! the same trailer. Decoding is total — arbitrary bytes either yield a
-//! well-formed message or a [`WireError`], never a panic.
+//! Every version ends in the same 64-bit trailer, [`checksum64`], so
+//! in-flight corruption is *detected*, never delivered. The checksum
+//! folds the frame in eight bytes at a time: each step
+//! `x ↦ mix((x ⊕ word) · odd)` is a bijection of the state for a fixed
+//! word and of the word for a fixed state, so any substitution confined
+//! to one word — in particular any single-byte one — is guaranteed to
+//! change the digest; the length is folded in first, so a frame and its
+//! zero-padded extension differ too. Decoding is total — arbitrary bytes
+//! either yield a well-formed message or a [`WireError`], never a panic.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pcb_clock::{KeySet, KeySpace, ProcessId, StampPool, Timestamp};
 
+use crate::idmap::IdMap;
 use crate::message::{Message, MessageId};
 
 const VERSION: u8 = 2;
@@ -90,7 +93,7 @@ pub enum WireError {
     Truncated,
     /// Unknown format version byte.
     BadVersion(u8),
-    /// The trailing FNV-1a digest does not match the frame body: the
+    /// The trailing [`checksum64`] digest does not match the frame body: the
     /// frame was corrupted in flight and must be discarded (anti-entropy
     /// re-fetches it).
     ChecksumMismatch,
@@ -130,21 +133,46 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// 64-bit FNV-1a over `bytes` — the checksum that seals every frame,
-/// snapshot, outer datagram and WAL record.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
+/// Odd multiplier of the checksum's word step (2⁶⁴ / φ).
+const CHECKSUM_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One checksum step: a bijection of `state` for fixed `word` and of
+/// `word` for fixed `state` (xor, odd multiply and xor-shift all are).
+#[inline]
+fn checksum_step(state: u64, word: u64) -> u64 {
+    let mixed = (state ^ word).wrapping_mul(CHECKSUM_MUL);
+    mixed ^ (mixed >> 32)
 }
 
-/// Appends the FNV-1a digest of everything written so far.
+/// The 64-bit checksum that seals every frame, fragment, snapshot, outer
+/// datagram and WAL record: a multiply-mix over little-endian 8-byte
+/// words, the trailing `len % 8` bytes gathered into one zero-padded
+/// word, seeded with the length. It detects corruption; it is not a MAC —
+/// anyone can compute it.
+#[must_use]
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    let mut state = checksum_step(0xcbf2_9ce4_8422_2325, bytes.len() as u64);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes"));
+        state = checksum_step(state, word);
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = 0u64;
+        for (i, &byte) in tail.iter().enumerate() {
+            word |= u64::from(byte) << (8 * i);
+        }
+        state = checksum_step(state, word);
+    }
+    // Final avalanche, so the low digest bytes depend on every word.
+    let mixed = (state ^ (state >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    mixed ^ (mixed >> 32)
+}
+
+/// Appends the [`checksum64`] digest of everything written so far.
 pub(crate) fn seal(mut buf: BytesMut) -> Bytes {
-    let digest = fnv1a64(&buf);
+    let digest = checksum64(&buf);
     buf.put_u64_le(digest);
     buf.freeze()
 }
@@ -156,7 +184,7 @@ pub(crate) fn checksum_verified(frame: &Bytes) -> Result<Bytes, WireError> {
     }
     let split = frame.len() - CHECKSUM_LEN;
     let expected = u64::from_le_bytes(frame[split..].try_into().expect("checksum is 8 bytes"));
-    if fnv1a64(&frame[..split]) != expected {
+    if checksum64(&frame[..split]) != expected {
         return Err(WireError::ChecksumMismatch);
     }
     Ok(frame.slice(0..split))
@@ -286,14 +314,16 @@ fn preflight(frame: &Bytes) -> Result<Preflight, WireError> {
 }
 
 /// Decodes the shared full-frame body; `skip` is the header length (1 for
-/// v2's version byte, 2 for v3's version + kind). Entries are staged in
-/// `scratch` and the stamp is drawn from `pool`, so a decoder holding a
-/// warm scratch/pool pair decodes without heap traffic; one-shot callers
-/// pass empty locals and get the old allocating behaviour.
+/// v2's version byte, 2 for v3's version + kind). The entries are read
+/// straight into a stamp drawn from `pool`, and a sender in `known` whose
+/// base already carries the frame's key set shares it instead of
+/// unranking `set_id` again — so a decoder with warm state decodes a
+/// chain's periodic full frames without heap traffic too. One-shot
+/// callers pass an empty map and pool and allocate both.
 fn decode_full_body(
     mut frame: Bytes,
     skip: usize,
-    scratch: &mut Vec<u64>,
+    known: &IdMap<usize, Reconstruction>,
     pool: &mut StampPool,
 ) -> Result<Message<Bytes>, WireError> {
     frame.advance(skip);
@@ -306,23 +336,37 @@ fn decode_full_body(
     }
     let set_id = frame.get_u128_le();
     let space = KeySpace::new(r, k).map_err(|e| WireError::BadKeys(e.to_string()))?;
-    let keys = KeySet::from_set_id(space, set_id).map_err(|e| WireError::BadKeys(e.to_string()))?;
-    scratch.clear();
-    scratch.reserve(r);
-    for _ in 0..r {
-        scratch.push(get_uvar(&mut frame)?);
-    }
-    let payload_len = get_uvar(&mut frame)? as usize;
-    if frame.remaining() < payload_len {
+    let keys = match known.get(&sender) {
+        Some(base) if base.keys.space() == space && base.keys.set_id() == set_id => {
+            Arc::clone(&base.keys)
+        }
+        _ => Arc::new(
+            KeySet::from_set_id(space, set_id).map_err(|e| WireError::BadKeys(e.to_string()))?,
+        ),
+    };
+    // Every entry is at least one byte, so a frame too short for `R`
+    // entries is refused before a stamp of that length is drawn.
+    if frame.remaining() < r {
         return Err(WireError::Truncated);
     }
-    let payload = frame.split_to(payload_len);
-    Ok(Message::new(
-        MessageId::new(ProcessId::new(sender), seq),
-        Arc::new(keys),
-        pool.stamp_from(scratch),
-        payload,
-    ))
+    // The payload is split off inside the fill too, so any error behind
+    // the draw hands the buffer back to the pool.
+    let (stamp, payload) = pool.stamp_with(r, |entries| {
+        for entry in entries {
+            *entry = get_uvar(&mut frame)?;
+        }
+        take_payload(&mut frame)
+    })?;
+    Ok(Message::new(MessageId::new(ProcessId::new(sender), seq), keys, stamp, payload))
+}
+
+/// Splits the length-prefixed payload off the front of `body`.
+fn take_payload(body: &mut Bytes) -> Result<Bytes, WireError> {
+    let payload_len = get_uvar(body)? as usize;
+    if body.remaining() < payload_len {
+        return Err(WireError::Truncated);
+    }
+    Ok(body.split_to(payload_len))
 }
 
 /// Decodes a standalone frame (v2, or a v3 full frame).
@@ -339,11 +383,12 @@ pub fn decode(frame: Bytes) -> Result<Message<Bytes>, WireError> {
     let kind = preflight(&frame)?;
     let body = checksum_verified(&frame)?;
     match kind {
-        Preflight::V2 => decode_full_body(body, 1, &mut Vec::new(), &mut StampPool::new()),
-        Preflight::V3Full => decode_full_body(body, 2, &mut Vec::new(), &mut StampPool::new()),
+        Preflight::V2 => decode_full_body(body, 1, &IdMap::default(), &mut StampPool::new()),
+        Preflight::V3Full => decode_full_body(body, 2, &IdMap::default(), &mut StampPool::new()),
         Preflight::V4Full => {
             let (epoch, body) = epoch_header(body)?;
-            Ok(decode_full_body(body, 0, &mut Vec::new(), &mut StampPool::new())?.with_epoch(epoch))
+            Ok(decode_full_body(body, 0, &IdMap::default(), &mut StampPool::new())?
+                .with_epoch(epoch))
         }
         Preflight::V3Delta => {
             let mut body = body;
@@ -533,7 +578,7 @@ struct Reconstruction {
     keys: Arc<KeySet>,
 }
 
-/// Stateful decoder for v3 delta chains (also accepts v2 and v3 full
+/// Stateful decoder for v3/v4 delta chains (also accepts v2 and full
 /// frames, which refresh its per-sender reconstruction stamps).
 ///
 /// Correctness does not depend on arrival order: the stamp attached to a
@@ -542,16 +587,21 @@ struct Reconstruction {
 /// A delta whose base is unknown fails with
 /// [`WireError::MissingDeltaBase`] and leaves the decoder state
 /// untouched; the caller re-fetches a full frame.
+///
+/// The sender id of a frame is whatever its bytes claim, so the decoder
+/// tracks at most [`DeltaDecoder::MAX_TRACKED_SENDERS`] of them: past the
+/// cap a full frame from a new sender still decodes, it just seeds no
+/// base, and that sender's deltas take the `MissingDeltaBase` path.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaDecoder {
-    stamps: HashMap<usize, Reconstruction>,
-    /// Entry staging buffer reused across frames: every decode rebuilds
-    /// the stamp here before committing it to (pooled) `Arc` storage, so
-    /// the steady-state decode path touches no allocator.
-    scratch: Vec<u64>,
+    stamps: IdMap<usize, Reconstruction>,
 }
 
 impl DeltaDecoder {
+    /// Most senders with a live reconstruction stamp (one `R`-entry
+    /// stamp each): what forged sender ids can make a decoder hold.
+    pub const MAX_TRACKED_SENDERS: usize = 4096;
+
     /// A decoder with no reconstruction state (a late joiner).
     #[must_use]
     pub fn new() -> Self {
@@ -564,8 +614,8 @@ impl DeltaDecoder {
         self.stamps.len()
     }
 
-    /// Decodes any frame (v2, v3 full, v3 delta), updating the sender's
-    /// reconstruction stamp on success.
+    /// Decodes any frame (v2, v3/v4 full, v3/v4 delta), updating the
+    /// sender's reconstruction stamp on success.
     ///
     /// # Errors
     ///
@@ -592,24 +642,35 @@ impl DeltaDecoder {
         let kind = preflight(&frame)?;
         let body = checksum_verified(&frame)?;
         let message = match kind {
-            Preflight::V2 => decode_full_body(body, 1, &mut self.scratch, pool)?,
-            Preflight::V3Full => decode_full_body(body, 2, &mut self.scratch, pool)?,
+            Preflight::V2 => decode_full_body(body, 1, &self.stamps, pool)?,
+            Preflight::V3Full => decode_full_body(body, 2, &self.stamps, pool)?,
             Preflight::V4Full => {
                 let (epoch, body) = epoch_header(body)?;
-                decode_full_body(body, 0, &mut self.scratch, pool)?.with_epoch(epoch)
+                decode_full_body(body, 0, &self.stamps, pool)?.with_epoch(epoch)
             }
             Preflight::V3Delta => {
                 let mut body = body;
                 body.advance(2);
-                self.decode_delta_body(body, 0, pool)?
+                return self.decode_delta_body(body, 0, pool);
             }
             Preflight::V4Delta => {
                 let (epoch, body) = epoch_header(body)?;
-                self.decode_delta_body(body, epoch, pool)?
+                return self.decode_delta_body(body, epoch, pool);
             }
         };
+        self.seed(&message);
+        Ok(message)
+    }
+
+    /// Records a full frame's stamp as its sender's reconstruction base
+    /// (a sender past the cap seeds none).
+    fn seed(&mut self, message: &Message<Bytes>) {
+        let sender = message.sender().index();
+        if self.stamps.len() >= Self::MAX_TRACKED_SENDERS && !self.stamps.contains_key(&sender) {
+            return;
+        }
         self.stamps.insert(
-            message.sender().index(),
+            sender,
             Reconstruction {
                 seq: message.id().seq(),
                 epoch: message.epoch(),
@@ -617,63 +678,62 @@ impl DeltaDecoder {
                 keys: message.keys_arc(),
             },
         );
-        Ok(message)
     }
 
     /// Reconstructs a delta body (headers already stripped) against the
-    /// sender's stored base. The base must match both `base_seq` *and*
-    /// the frame's config `epoch` — a cross-epoch delta refuses with
+    /// sender's stored base and advances that base to the new frame in
+    /// place. The base must match both `base_seq` *and* the frame's
+    /// config `epoch` — a cross-epoch delta refuses with
     /// [`WireError::MissingDeltaBase`], state untouched, exactly like an
     /// unknown base: the full-frame refetch path covers both.
     fn decode_delta_body(
         &mut self,
-        mut body: Bytes,
+        body: Bytes,
         epoch: u64,
         pool: &mut StampPool,
     ) -> Result<Message<Bytes>, WireError> {
-        let ((sender, seq, base_seq), rest) = delta_header(body)?;
-        body = rest;
-        // Disjoint-field borrow: the base stamp is read from
-        // `stamps` while the entries are staged in `scratch`.
-        let Self { stamps, scratch } = self;
-        let base = stamps
-            .get(&sender)
-            .filter(|s| s.seq == base_seq && s.epoch == epoch)
+        let ((sender, seq, base_seq), mut body) = delta_header(body)?;
+        let base = self
+            .stamps
+            .get_mut(&sender)
+            .filter(|base| base.seq == base_seq && base.epoch == epoch)
             .ok_or(WireError::MissingDeltaBase { sender, base_seq })?;
         let r = base.stamp.len();
         let count = get_uvar(&mut body)? as usize;
         if count > r {
             return Err(WireError::BadDelta(format!("{count} changes for R = {r}")));
         }
-        scratch.clear();
-        scratch.extend_from_slice(base.stamp.entries());
-        let mut prev: Option<usize> = None;
-        for _ in 0..count {
-            let gap = get_uvar(&mut body)? as usize;
-            let increase = get_uvar(&mut body)?;
-            let index = match prev {
-                None => gap,
-                Some(p) => p
-                    .checked_add(1 + gap)
-                    .ok_or_else(|| WireError::BadDelta("entry index overflow".into()))?,
-            };
-            if index >= r {
-                return Err(WireError::BadDelta(format!("entry {index} past R = {r}")));
+        // One copy of the base into a pooled stamp, increments applied
+        // where they land; any error hands the buffer back to the pool.
+        let (stamp, payload) = pool.stamp_with(r, |entries| {
+            entries.copy_from_slice(base.stamp.entries());
+            let mut prev: Option<usize> = None;
+            for _ in 0..count {
+                let gap = get_uvar(&mut body)? as usize;
+                let increase = get_uvar(&mut body)?;
+                let index = match prev {
+                    None => gap,
+                    Some(p) => p
+                        .checked_add(1)
+                        .and_then(|next| next.checked_add(gap))
+                        .ok_or_else(|| WireError::BadDelta("entry index overflow".into()))?,
+                };
+                if index >= r {
+                    return Err(WireError::BadDelta(format!("entry {index} past R = {r}")));
+                }
+                entries[index] = entries[index]
+                    .checked_add(increase)
+                    .ok_or_else(|| WireError::BadDelta("entry counter overflow".into()))?;
+                prev = Some(index);
             }
-            scratch[index] = scratch[index]
-                .checked_add(increase)
-                .ok_or_else(|| WireError::BadDelta("entry counter overflow".into()))?;
-            prev = Some(index);
-        }
-        let payload_len = get_uvar(&mut body)? as usize;
-        if body.remaining() < payload_len {
-            return Err(WireError::Truncated);
-        }
-        let payload = body.split_to(payload_len);
+            take_payload(&mut body)
+        })?;
+        base.seq = seq;
+        base.stamp = stamp.clone();
         Ok(Message::new(
             MessageId::new(ProcessId::new(sender), seq),
             Arc::clone(&base.keys),
-            pool.stamp_from(scratch),
+            stamp,
             payload,
         )
         .with_epoch(epoch))
@@ -708,11 +768,17 @@ impl DeltaDecoder {
     }
 
     /// Merges shard decoders split off by [`DeltaDecoder::partition`]
-    /// back into `self`, adopting their (disjoint) reconstruction stamps.
+    /// back into `self`, adopting their (disjoint) reconstruction stamps
+    /// up to the sender cap. Each shard admitted new senders against its
+    /// own count, so only a batch that crosses the cap can lose bases
+    /// here — which ones is unspecified, and each is one full-frame
+    /// refetch away.
     pub fn absorb(&mut self, parts: Vec<DeltaDecoder>) {
         for part in parts {
             for (sender, stamp) in part.stamps {
-                self.stamps.insert(sender, stamp);
+                if self.stamps.len() < Self::MAX_TRACKED_SENDERS {
+                    self.stamps.insert(sender, stamp);
+                }
             }
         }
     }
@@ -909,7 +975,7 @@ mod tests {
 
     #[test]
     fn any_single_byte_substitution_is_rejected() {
-        // The FNV-1a step is a bijection per byte position, so every
+        // The checksum step is a bijection per word position, so every
         // substitution must surface as an error (checksum mismatch, or
         // bad-version for byte 0) — never decode as a different message.
         let frame = encode(&sample(b"chaos payload"));

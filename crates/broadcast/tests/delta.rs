@@ -264,3 +264,51 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// A frame's sender id is whatever its bytes claim, and anyone can
+    /// compute the checksum: 10⁵ full frames from as many forged senders
+    /// must leave the decoder holding at most its cap of reconstruction
+    /// stamps, every one of them still decoding, and a genuine chain that
+    /// was tracked before the flood decoding its deltas throughout.
+    #[test]
+    fn forged_sender_ids_cannot_grow_the_decoder(
+        first in 1usize..1 << 40,
+        stride in 1usize..1 << 40,
+    ) {
+        const FORGED: usize = 100_000;
+        let space = KeySpace::new(4, 1).unwrap();
+        let keys = Arc::new(KeySet::from_entries(space, &[2]).unwrap());
+        let mut decoder = DeltaDecoder::new();
+        let mut encoder = DeltaEncoder::new(u64::MAX); // one full, then deltas forever
+        let mut genuine_seq = 0u64;
+        let mut genuine = |decoder: &mut DeltaDecoder| {
+            genuine_seq += 1;
+            let m = raw_message(0, genuine_seq, vec![0, 0, genuine_seq, 0], &keys);
+            let back = decoder.decode(encoder.encode(&m)).map_err(|e| format!("genuine: {e}"))?;
+            prop_assert_eq!(wire::encode(&back), wire::encode(&m));
+            Ok(())
+        };
+        genuine(&mut decoder)?;
+        for i in 0..FORGED {
+            let forged = raw_message(first + i * stride, 1, vec![1, 0, 0, 0], &keys);
+            let back = decoder.decode(wire::encode_full(&forged)).map_err(|e| format!("forged: {e}"))?;
+            prop_assert_eq!(back.id(), forged.id());
+            if i % 1_000 == 0 {
+                genuine(&mut decoder)?;
+                prop_assert!(decoder.tracked_senders() <= DeltaDecoder::MAX_TRACKED_SENDERS);
+            }
+        }
+        prop_assert_eq!(decoder.tracked_senders(), DeltaDecoder::MAX_TRACKED_SENDERS);
+        // Past the cap a new sender seeded no base: its delta is a
+        // refetch, not a reconstruction against someone else's stamp.
+        let late = raw_message(first + (FORGED - 1) * stride, 2, vec![2, 0, 0, 0], &keys);
+        let mut late_encoder = DeltaEncoder::new(u64::MAX);
+        let _ = late_encoder.encode(&raw_message(late.sender().index(), 1, vec![1, 0, 0, 0], &keys));
+        let delta = late_encoder.encode(&late);
+        prop_assert!(matches!(decoder.decode(delta), Err(WireError::MissingDeltaBase { .. })));
+        genuine(&mut decoder)?;
+    }
+}

@@ -1,0 +1,215 @@
+//! Differential test for the endpoint's ingest paths.
+//!
+//! One seeded stream of 2 000 wire frames — six causally chained senders,
+//! each sender's delta chain in order but the senders reordered against
+//! each other so about a third of the arrivals have to park, with
+//! duplicate frames and one delta against a missing base injected — goes
+//! into four twin endpoints:
+//!
+//! * `handle_wire(frame)`, the sequential wire path;
+//! * `handle(Input::FrameReceived(..))` fed by a standalone
+//!   `DeltaDecoder`, the path the simulator shell and the daemons take;
+//! * `handle_wire_batch` at one and at two threads.
+//!
+//! All four must emit the same outputs and report the same `status()`.
+//! The wire paths must hold identical stores; the `FrameReceived` twin
+//! holds the same messages except those still parked (only the wire path
+//! retains a frame while it waits).
+
+use bytes::Bytes;
+use pcb_broadcast::endpoint::{Endpoint, Input, Output, RecoveryTimingUs};
+use pcb_broadcast::{DeltaDecoder, DeltaEncoder, MessageId, PcbConfig, PcbProcess, WireError};
+use pcb_clock::{AssignmentPolicy, KeyAssigner, KeySet, KeySpace, ProcessId};
+
+const SENDERS: usize = 6;
+const FRAMES: usize = 2_000;
+const STEP_US: u64 = 1_000;
+/// Steps each sender's stream lags behind its send time at the receiver:
+/// constant per sender (its delta chain stays in order), different across
+/// senders (causally later messages overtake earlier ones).
+const LAGS: [u64; SENDERS] = [1, 1, 2, 2, 3, 6];
+
+fn space() -> KeySpace {
+    KeySpace::new(32, 3).unwrap()
+}
+
+fn key_sets() -> Vec<KeySet> {
+    KeyAssigner::new(space(), AssignmentPolicy::UniformRandom, 20).assign_n(SENDERS + 1).unwrap()
+}
+
+fn receiver(keys: &KeySet) -> Endpoint<Bytes> {
+    let timing = RecoveryTimingUs {
+        stale_after_us: 20 * STEP_US,
+        poll_every_us: 5 * STEP_US,
+        // No eviction: the twins stamp a parked message at different
+        // times (arrival vs delivery), so their windows would differ.
+        store_window_us: u64::MAX / 2,
+        snapshot_every_us: 150 * STEP_US,
+        sync_timeout_us: 60 * STEP_US,
+    };
+    Endpoint::new(ProcessId::new(SENDERS), keys.clone(), PcbConfig::default(), Some(timing))
+}
+
+/// The arrival stream as `(now_us, frame)`, in arrival order.
+fn trace(keys: &[KeySet]) -> Vec<(u64, Bytes)> {
+    let mut senders: Vec<PcbProcess<Bytes>> =
+        (0..SENDERS).map(|i| PcbProcess::new(ProcessId::new(i), keys[i].clone())).collect();
+    let mut encoders: Vec<DeltaEncoder> = (0..SENDERS).map(|_| DeltaEncoder::new(8)).collect();
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    // (arrival step, send order, frame)
+    let mut arrivals: Vec<(u64, usize, Bytes)> = Vec::new();
+    let mut stale_delta: Option<Bytes> = None;
+    let mut order = 0;
+    for step in 0u64.. {
+        if arrivals.len() >= FRAMES {
+            break;
+        }
+        let s = (next() % SENDERS as u64) as usize;
+        let message = senders[s].broadcast(Bytes::from(step.to_le_bytes().to_vec()));
+        // The senders hear each other at once, so every message depends
+        // on everything sent before it.
+        for (o, other) in senders.iter_mut().enumerate() {
+            if o != s {
+                assert_eq!(other.on_receive(message.clone(), step).len(), 1);
+            }
+        }
+        let frame = encoders[s].encode(&message);
+        let arrival = step + LAGS[s];
+        let is_full = frame[1] == 0;
+        arrivals.push((arrival, order, frame.clone()));
+        order += 1;
+        if is_full && next() % 2 == 0 {
+            // The transport duplicates a full frame back to back: it
+            // decodes again (same base) and the ordering core drops it.
+            arrivals.push((arrival, order, frame.clone()));
+            order += 1;
+        }
+        if !is_full && step == 300 {
+            stale_delta = Some(frame);
+        } else if step == 700 {
+            // A delta replayed long after its base moved on: the decoder
+            // refuses it, state untouched, on every path alike.
+            arrivals.push((arrival, order, stale_delta.take().expect("a delta by step 300")));
+            order += 1;
+        }
+    }
+    arrivals.sort_by_key(|&(arrival, order, _)| (arrival, order));
+    arrivals.into_iter().map(|(arrival, _, frame)| (arrival * STEP_US, frame)).collect()
+}
+
+fn digest(outs: &[Output<Bytes>]) -> Vec<String> {
+    outs.iter().map(|o| format!("{o:?}")).collect()
+}
+
+fn store_of(ep: &Endpoint<Bytes>) -> Vec<(u64, MessageId)> {
+    ep.store().entries().map(|(at, m)| (at, m.id())).collect()
+}
+
+fn sorted_ids(ep: &Endpoint<Bytes>, keep: impl Fn(MessageId) -> bool) -> Vec<MessageId> {
+    let mut ids: Vec<MessageId> =
+        ep.store().iter().map(|m| m.id()).filter(|&id| keep(id)).collect();
+    ids.sort_unstable();
+    ids
+}
+
+#[test]
+fn every_ingest_path_agrees_on_a_reordered_stream() {
+    let keys = key_sets();
+    let frames = trace(&keys[..SENDERS]);
+    assert_eq!(frames.len(), FRAMES);
+
+    // The sequential wire path and, in lockstep, a standalone decoder
+    // feeding `FrameReceived` into a twin.
+    let mut wire = receiver(&keys[SENDERS]);
+    let mut plain = receiver(&keys[SENDERS]);
+    let mut decoder = DeltaDecoder::new();
+    let mut wire_out: Vec<String> = Vec::new();
+    let mut wire_errors = Vec::new();
+    let mut delivered = std::collections::HashSet::new();
+    let (mut parked, mut decoded, mut most_waiting) = (0u32, 0u32, 0);
+    for (index, (now_us, frame)) in frames.iter().enumerate() {
+        let waiting = wire.pending_len();
+        let outs = match (wire.handle_wire(frame.clone(), *now_us), decoder.decode(frame.clone())) {
+            (Ok(outs), Ok(message)) => {
+                decoded += 1;
+                if wire.pending_len() > waiting {
+                    parked += 1;
+                    // Retained as it parks, stamped with its arrival.
+                    assert_eq!(store_of(&wire).last(), Some(&(*now_us, message.id())));
+                }
+                let plain_outs = plain.handle(Input::FrameReceived(message), *now_us);
+                assert_eq!(digest(&plain_outs), digest(&outs), "frame {index}");
+                outs
+            }
+            (Err(error), Err(same)) => {
+                assert_eq!(error, same, "frame {index}");
+                wire_errors.push((index, error));
+                Vec::new()
+            }
+            (wire, plain) => panic!("frame {index}: wire path {wire:?}, decoder {plain:?}"),
+        };
+        delivered.extend(outs.iter().filter_map(|o| match o {
+            Output::Deliver(d) => Some(d.message.id()),
+            _ => None,
+        }));
+        wire_out.extend(digest(&outs));
+        assert_eq!(
+            format!("{:?}", plain.status()),
+            format!("{:?}", wire.status()),
+            "frame {index}"
+        );
+        // Same messages retained, except those still waiting: only the
+        // wire path stores a frame before it delivers.
+        assert_eq!(wire.store().len(), plain.store().len() + wire.pending_len(), "frame {index}");
+        most_waiting = most_waiting.max(wire.pending_len());
+        if index % 64 == 0 || index + 1 == FRAMES {
+            assert_eq!(
+                sorted_ids(&wire, |id| delivered.contains(&id)),
+                sorted_ids(&plain, |_| true),
+                "frame {index}"
+            );
+        }
+    }
+    let share = f64::from(parked) / f64::from(decoded);
+    assert!((0.2..0.5).contains(&share), "about a third of arrivals park, got {share:.2}");
+    assert!(most_waiting >= 3, "arrivals queue up behind a late sender");
+    assert!(wire.stats().duplicates >= 50, "duplicates reached the ordering core");
+    assert!(
+        matches!(wire_errors[..], [(_, WireError::MissingDeltaBase { .. })]),
+        "exactly the injected stale delta is refused: {wire_errors:?}"
+    );
+    assert_eq!(wire.pending_len(), 0, "the stream is complete, everything delivers");
+    assert_eq!(wire.stats().delivered + wire.stats().duplicates, u64::from(decoded));
+
+    // Batched wire path, one and two threads.
+    for threads in [1, 2] {
+        let mut batched = receiver(&keys[SENDERS]);
+        batched.set_parallel(threads);
+        let mut out = Vec::new();
+        let mut errors = Vec::new();
+        for (chunk_index, chunk) in frames.chunks(64).enumerate() {
+            let (outs, errs) = batched.handle_wire_batch(chunk);
+            out.extend(digest(&outs));
+            errors.extend(errs.into_iter().map(|(i, e)| (chunk_index * 64 + i, e)));
+        }
+        assert_eq!(out, wire_out, "{threads} thread(s)");
+        assert_eq!(errors, wire_errors, "{threads} thread(s)");
+        // A pre-scanned `Ready` hint skips the index's own gap check, so
+        // that one work counter is lower with a pool; nothing else moves.
+        let status = |ep: &Endpoint<Bytes>| {
+            let mut status = ep.status();
+            if threads > 1 {
+                status.wakeup.gap_checks = 0;
+            }
+            format!("{status:?}")
+        };
+        assert_eq!(status(&batched), status(&wire), "{threads} thread(s)");
+        assert_eq!(store_of(&batched), store_of(&wire), "{threads} thread(s)");
+    }
+}

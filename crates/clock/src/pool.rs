@@ -55,18 +55,53 @@ impl StampPool {
     /// buffer when one is available (zero heap traffic when the length
     /// matches) and allocating otherwise.
     pub fn stamp_from(&mut self, entries: &[u64]) -> Timestamp {
-        while let Some(mut ts) = self.free.pop() {
-            // A recycled stamp can have grown new sharers between recycle
-            // and reuse only through external cloning of the pool's own
-            // handle, which nothing does — but stay defensive and drop
-            // any stamp that is no longer uniquely owned.
-            if ts.fill_unique(entries) {
+        let copied: Result<(Timestamp, ()), std::convert::Infallible> =
+            self.stamp_with(entries.len(), |slots| {
+                slots.copy_from_slice(entries);
+                Ok(())
+            });
+        match copied {
+            Ok((ts, ())) => ts,
+        }
+    }
+
+    /// Builds a `len`-entry timestamp by letting `fill` write the entries
+    /// straight into the (recycled or fresh) buffer — a decoder applies
+    /// its increments in place instead of staging them elsewhere and
+    /// copying. The slots arrive holding unspecified old values: `fill`
+    /// must write every one of them. Whatever else `fill` produces (what
+    /// followed the entries in its input, say) comes back beside the stamp.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `fill` returns; the buffer then goes back on the free
+    /// list, so a failed build costs the pool nothing.
+    pub fn stamp_with<T, E>(
+        &mut self,
+        len: usize,
+        fill: impl FnOnce(&mut [u64]) -> Result<T, E>,
+    ) -> Result<(Timestamp, T), E> {
+        // A recycled stamp can have grown new sharers between recycle and
+        // reuse only through external cloning of the pool's own handle,
+        // which nothing does — but stay defensive and drop any stamp that
+        // is no longer uniquely owned.
+        let mut ts = loop {
+            let Some(mut ts) = self.free.pop() else {
+                self.stats.misses += 1;
+                break Timestamp::zero(len);
+            };
+            if ts.resize_unique(len) {
                 self.stats.hits += 1;
-                return ts;
+                break ts;
+            }
+        };
+        match fill(ts.entries_mut()) {
+            Ok(extra) => Ok((ts, extra)),
+            Err(error) => {
+                self.free.push(ts);
+                Err(error)
             }
         }
-        self.stats.misses += 1;
-        Timestamp::from_entries(entries.to_vec())
     }
 
     /// Returns a stamp to the free list if this handle is its sole owner;
@@ -137,6 +172,24 @@ mod tests {
         let ts = pool.stamp_from(&[7, 8]);
         assert_eq!(ts.entries(), &[7, 8]);
         assert_eq!(pool.stats().hits, 1);
+    }
+
+    #[test]
+    fn stamp_with_fills_in_place_and_keeps_the_buffer_on_error() {
+        let mut pool = StampPool::new();
+        pool.recycle(Timestamp::from_entries(vec![5, 5, 5]));
+        let failed: Result<(Timestamp, ()), &str> = pool.stamp_with(3, |_| Err("bad input"));
+        assert_eq!(failed, Err("bad input"));
+        assert_eq!(pool.len(), 1, "a failed build returns its buffer");
+        let (ts, rest) = pool
+            .stamp_with(3, |slots| {
+                slots.copy_from_slice(&[1, 2, 3]);
+                slots[1] += 10;
+                Ok::<_, ()>("rest")
+            })
+            .unwrap();
+        assert_eq!((ts.entries(), rest), (&[1, 12, 3][..], "rest"));
+        assert_eq!(pool.stats(), StampPoolStats { hits: 2, misses: 0 });
     }
 
     #[test]

@@ -127,19 +127,14 @@ impl Timestamp {
         Arc::strong_count(&self.entries) == 1 && Arc::weak_count(&self.entries) == 0
     }
 
-    /// Overwrites the entries in place when this handle uniquely owns the
-    /// allocation, reusing its storage (no heap traffic when the lengths
-    /// match). Returns `false` — leaving `self` untouched — if the
-    /// allocation is still shared.
-    pub(crate) fn fill_unique(&mut self, entries: &[u64]) -> bool {
+    /// Sets the length to `len` in place when this handle uniquely owns
+    /// the allocation, keeping its storage (no heap traffic when the
+    /// length already matches; old values stay in the slots). Returns
+    /// `false` — leaving `self` untouched — if the allocation is shared.
+    pub(crate) fn resize_unique(&mut self, len: usize) -> bool {
         match Arc::get_mut(&mut self.entries) {
             Some(own) => {
-                if own.len() == entries.len() {
-                    own.copy_from_slice(entries);
-                } else {
-                    own.clear();
-                    own.extend_from_slice(entries);
-                }
+                own.resize(len, 0);
                 true
             }
             None => false,

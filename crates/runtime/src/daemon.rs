@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use pcb_broadcast::endpoint::{Input, Output};
-use pcb_broadcast::wire::fnv1a64;
+use pcb_broadcast::wire::checksum64;
 use pcb_broadcast::{decode_snapshot, encode_snapshot, Endpoint, MessageId, ProcessSnapshot};
 use pcb_clock::{KeyAssigner, KeySpace, ProcessId};
 use pcb_sim::export::{
@@ -229,7 +229,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// Propagates filesystem errors.
 pub fn save_wal(dir: &Path, durable_seq: u64) -> std::io::Result<()> {
     let mut out = durable_seq.to_le_bytes().to_vec();
-    let sum = fnv1a64(&out);
+    let sum = checksum64(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     write_atomic(&dir.join("wal.bin"), &out)
 }
@@ -243,7 +243,7 @@ pub fn load_wal(dir: &Path) -> Option<u64> {
     }
     let value = u64::from_le_bytes(bytes[..8].try_into().ok()?);
     let sum = u64::from_le_bytes(bytes[8..].try_into().ok()?);
-    (fnv1a64(&bytes[..8]) == sum).then_some(value)
+    (checksum64(&bytes[..8]) == sum).then_some(value)
 }
 
 /// Persists the endpoint's stable snapshot.

@@ -33,14 +33,14 @@ use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 
 use bytes::Bytes;
-use pcb_broadcast::wire::fnv1a64;
+use pcb_broadcast::wire::checksum64;
 use pcb_broadcast::{fragment_into, Reassembler, MIN_MTU};
 use pcb_sim::LinkFaults;
 use pcb_telemetry::Row;
 
 use crate::shim::SocketShim;
 
-/// Outer datagram overhead: kind byte, epoch, sequence, FNV trailer.
+/// Outer datagram overhead: kind byte, epoch, sequence, checksum trailer.
 const OUTER_OVERHEAD: usize = 1 + 8 + 8 + 8;
 /// Outer datagram kind: a data fragment.
 const KIND_DATA: u8 = 0;
@@ -817,9 +817,9 @@ impl UdpTransport {
     }
 }
 
-/// Appends the FNV trailer that closes every outer datagram.
+/// Appends the [`checksum64`] trailer that closes every outer datagram.
 fn seal_outer(out: &mut Vec<u8>) {
-    let sum = fnv1a64(out);
+    let sum = checksum64(out);
     out.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -882,7 +882,7 @@ fn parse_outer(datagram: &[u8]) -> Option<(u8, u64, u64, &[u8])> {
     }
     let (payload, trailer) = datagram.split_at(datagram.len() - 8);
     let expect = u64::from_le_bytes(trailer.try_into().ok()?);
-    if fnv1a64(payload) != expect {
+    if checksum64(payload) != expect {
         return None;
     }
     let kind = payload[0];

@@ -96,7 +96,9 @@ stage_trace() {
 #     allocation-free per delivery (≤ 0.01, i.e. recycling-only); the
 #     runtime leg's strict-zero check prints an explicit SKIPPED marker
 #     (delivered frames are owned buffers by design) and enforces a
-#     fixed per-cycle budget instead.
+#     fixed per-cycle budget instead; the endpoint leg allows
+#     `handle_wire` its returned output vector and nothing else — one
+#     allocation per arrival that delivers, none for one that parks.
 # (2) work counters under the optimizer — the wake-up engine's reversed
 #     FIFO chain at P = 10⁴ (≥ 5× less guard work than the restart-scan,
 #     one wakeup per delivery, unit fan-out) and the two pinned
