@@ -43,7 +43,6 @@ pub mod fragment;
 mod idmap;
 pub mod membership;
 pub mod message;
-pub mod par;
 pub mod pending;
 pub mod process;
 pub mod recovery;
@@ -62,11 +61,8 @@ pub use fragment::{
 };
 pub use membership::{Group, MemberState};
 pub use message::{Message, MessageId};
-pub use par::BatchPool;
 pub use pending::{InsertVerdict, WakeupIndex, WakeupStats};
 pub use process::{Delivery, PcbConfig, PcbProcess, ProcessStats};
 pub use recovery::{Counters, MessageStore, SyncRequest, SyncResponse};
 pub use snapshot::{decode_snapshot, encode_snapshot, PrevEpochSnapshot, ProcessSnapshot};
-pub use wire::{
-    control_size, decode, encode, encode_full, peek_sender, DeltaDecoder, DeltaEncoder, WireError,
-};
+pub use wire::{control_size, decode, encode, encode_full, DeltaDecoder, DeltaEncoder, WireError};

@@ -35,7 +35,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use pcb_clock::{Gap, ProbClock, ShardMap};
+use pcb_clock::{Gap, ProbClock};
 
 use crate::message::Message;
 
@@ -89,25 +89,12 @@ type WaiterHeap = BinaryHeap<Reverse<(u64, u64, usize)>>;
 
 /// The entry-indexed pending set. Owns the blocked messages; the caller
 /// owns the clock and reports which entries each delivery advanced.
-///
-/// Wake channels (the per-entry waiter heaps) are physically grouped by
-/// [`ShardMap`]: entry `e` lives at `shards[e % S][e / S]`, so the `S`
-/// shard groups are disjoint owners and a parallel sweep can hand each
-/// group to a different worker without sharing. The default `S = 1` is
-/// the sequential layout; because each entry keeps its own heap at any
-/// `S` and the ready heap stays global (ordered by arrival ticket),
-/// every observable — verdicts, wake sets, pop order — is identical for
-/// every shard count. `tests` pins that equivalence differentially.
 #[derive(Debug, Clone)]
 pub struct WakeupIndex<P> {
     slots: Vec<Option<Slot<P>>>,
     free: Vec<usize>,
-    /// Number of clock entries (`R`).
-    entries: usize,
-    /// Entry → shard striping for the waiter heaps.
-    map: ShardMap,
-    /// Per shard, per owned entry: the entry's waiter heap.
-    waiters: Vec<Vec<WaiterHeap>>,
+    /// Per clock entry: the entry's waiter heap.
+    waiters: Vec<WaiterHeap>,
     /// Min-heap of `(ticket, slot)` messages whose guard passed.
     ready: BinaryHeap<Reverse<(u64, usize)>>,
     next_ticket: u64,
@@ -115,56 +102,19 @@ pub struct WakeupIndex<P> {
     stats: WakeupStats,
 }
 
-/// Builds the `[shard][offset]` heap layout for `entries` entries.
-fn shard_layout(entries: usize, map: ShardMap) -> Vec<Vec<WaiterHeap>> {
-    (0..map.shards())
-        .map(|shard| (0..map.shard_len(entries, shard)).map(|_| BinaryHeap::new()).collect())
-        .collect()
-}
-
 impl<P> WakeupIndex<P> {
-    /// An empty index over a clock of `r` entries, sequential layout.
+    /// An empty index over a clock of `r` entries.
     #[must_use]
     pub fn new(r: usize) -> Self {
-        Self::with_shards(r, 1)
-    }
-
-    /// An empty index over a clock of `r` entries with its wake channels
-    /// striped across `shards` shard groups (clamped to `[1, r]`).
-    #[must_use]
-    pub fn with_shards(r: usize, shards: usize) -> Self {
-        let map = ShardMap::new(shards.min(r.max(1)));
         Self {
             slots: Vec::new(),
             free: Vec::new(),
-            entries: r,
-            map,
-            waiters: shard_layout(r, map),
+            waiters: vec![BinaryHeap::new(); r],
             ready: BinaryHeap::new(),
             next_ticket: 0,
             len: 0,
             stats: WakeupStats::default(),
         }
-    }
-
-    /// Number of shard groups the wake channels are striped across.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.map.shards()
-    }
-
-    /// Re-stripes the wake channels across `shards` groups, re-parking
-    /// every waiter in the new layout. Observable behaviour is unchanged
-    /// (same per-entry heaps, same global ready order); only heap
-    /// ownership moves, so this is safe with messages in flight.
-    pub fn reshard(&mut self, shards: usize, clock: &ProbClock) {
-        let map = ShardMap::new(shards.min(self.entries.max(1)));
-        if map == self.map {
-            return;
-        }
-        self.map = map;
-        self.waiters = shard_layout(self.entries, map);
-        self.rebuild(clock);
     }
 
     /// Number of messages currently indexed (waiting or ready).
@@ -215,51 +165,23 @@ impl<P> WakeupIndex<P> {
         message: Message<P>,
         clock: &ProbClock,
     ) -> InsertVerdict {
-        self.insert_hinted(arrived, message, clock, None)
+        self.insert_with(arrived, message, clock, |_| {})
     }
 
-    /// [`WakeupIndex::insert_tracked`] with an optional pre-scan hint: a
-    /// [`Gap`] computed for this message against an **earlier** snapshot
-    /// of the same clock (batch pre-classification on worker threads).
-    ///
-    /// Soundness rides on monotonicity — the local clock only grows
-    /// between the snapshot and the insert — so `Gap::Ready` stays ready,
-    /// and `Gap::Blocked { entry, .. }` certifies every entry before
-    /// `entry` was already satisfied, making `entry` a valid scan resume
-    /// point. The verdict (and all downstream state) is therefore
-    /// identical to an unhinted insert; only redundant scan work is
-    /// skipped. The hint's `required` value is *not* trusted: it may be
-    /// stale, so a blocked hint still re-scans from `entry` against the
-    /// current clock.
-    pub fn insert_hinted(
-        &mut self,
-        arrived: u64,
-        message: Message<P>,
-        clock: &ProbClock,
-        hint: Option<Gap>,
-    ) -> InsertVerdict {
-        self.insert_hinted_with(arrived, message, clock, hint, |_| {})
-    }
-
-    /// [`WakeupIndex::insert_hinted`] with a callback for the blocked
+    /// [`WakeupIndex::insert_tracked`] with a callback for the blocked
     /// case: `on_parked` sees the message where it now waits, so a caller
     /// that keeps parked messages elsewhere too (the endpoint's store)
     /// clones only those.
-    pub fn insert_hinted_with(
+    pub fn insert_with(
         &mut self,
         arrived: u64,
         message: Message<P>,
         clock: &ProbClock,
-        hint: Option<Gap>,
         on_parked: impl FnOnce(&Message<P>),
     ) -> InsertVerdict {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        let scan_from = match hint {
-            Some(Gap::Blocked { entry, .. }) => entry,
-            _ => 0,
-        };
-        let slot = Slot { arrived, ticket, scan_from, message };
+        let slot = Slot { arrived, ticket, scan_from: 0, message };
         let index = match self.free.pop() {
             Some(i) => {
                 self.slots[i] = Some(slot);
@@ -272,13 +194,7 @@ impl<P> WakeupIndex<P> {
         };
         self.len += 1;
         self.stats.max_pending = self.stats.max_pending.max(self.len);
-        let verdict = if matches!(hint, Some(Gap::Ready)) {
-            // Ready under the older snapshot ⇒ ready now; skip the scan.
-            self.ready.push(Reverse((ticket, index)));
-            InsertVerdict::Ready
-        } else {
-            self.classify(index, clock)
-        };
+        let verdict = self.classify(index, clock);
         if verdict == InsertVerdict::Ready {
             self.stats.ready_on_arrival += 1;
         } else {
@@ -305,8 +221,7 @@ impl<P> WakeupIndex<P> {
             Gap::Blocked { entry, required } => {
                 debug_assert!(entry >= slot.scan_from, "gap scan moved left");
                 slot.scan_from = entry;
-                let (shard, offset) = (self.map.shard_of(entry), self.map.offset_of(entry));
-                self.waiters[shard][offset].push(Reverse((required, slot.ticket, index)));
+                self.waiters[entry].push(Reverse((required, slot.ticket, index)));
                 InsertVerdict::Parked { entry, required }
             }
             Gap::Never => unreachable!("probabilistic guard never yields Never"),
@@ -335,12 +250,11 @@ impl<P> WakeupIndex<P> {
         let local = clock.entries();
         let mut fanout = 0u64;
         for channel in channels {
-            let (shard, offset) = (self.map.shard_of(channel), self.map.offset_of(channel));
-            while let Some(&Reverse((required, _, slot))) = self.waiters[shard][offset].peek() {
+            while let Some(&Reverse((required, _, slot))) = self.waiters[channel].peek() {
                 if local[channel] < required {
                     break;
                 }
-                self.waiters[shard][offset].pop();
+                self.waiters[channel].pop();
                 // A popped waiter may be a ghost of a slot re-registered
                 // elsewhere? No: each live slot is registered in exactly
                 // one heap, so the slot is live and parked right here.
@@ -377,10 +291,8 @@ impl<P> WakeupIndex<P> {
     /// (state installation may overwrite the vector arbitrarily), where
     /// resume points and parked thresholds are no longer trustworthy.
     pub fn rebuild(&mut self, clock: &ProbClock) {
-        for shard in &mut self.waiters {
-            for heap in shard {
-                heap.clear();
-            }
+        for heap in &mut self.waiters {
+            heap.clear();
         }
         self.ready.clear();
         for index in 0..self.slots.len() {
@@ -589,104 +501,6 @@ mod tests {
         clock.reset_to(pcb_clock::Timestamp::from_entries(vec![0, 1, 1, 0]));
         index.rebuild(&clock);
         assert!(index.pop_ready().is_some(), "rebuild sees the new vector");
-    }
-
-    /// Drives one arrival stream through an index, draining after every
-    /// insert, and returns the delivery order. `hints`, when set,
-    /// pre-classifies every arrival against the *initial* clock — a
-    /// deliberately stale snapshot, exactly the batched endpoint's
-    /// worker-side pre-scan — so this exercises the monotonicity
-    /// argument, not just the trivial same-clock case.
-    fn drive(
-        arrivals: &[Message<()>],
-        shards: usize,
-        hints: bool,
-    ) -> (Vec<MessageId>, WakeupStats) {
-        let snapshot = ProbClock::new(space());
-        let mut clock = ProbClock::new(space());
-        let mut index = WakeupIndex::with_shards(4, shards);
-        let mut order = Vec::new();
-        for m in arrivals {
-            let hint = hints.then(|| snapshot.deliverability_gap(m.timestamp(), m.keys()));
-            index.insert_hinted(0, m.clone(), &clock, hint);
-            while let Some(d) = index.pop_ready() {
-                clock.record_delivery(d.keys());
-                let keys: Vec<usize> = d.keys().iter().collect();
-                order.push(d.id());
-                index.on_clock_advance(keys, &clock);
-            }
-        }
-        (order, index.stats())
-    }
-
-    /// A deterministic contended trace: three senders on overlapping key
-    /// sets, arrivals shuffled by a fixed permutation so plenty of
-    /// messages park before delivering.
-    fn contended_trace() -> Vec<Message<()>> {
-        let sets = [[0usize, 1], [1, 2], [2, 3]];
-        let mut clocks: Vec<ProbClock> = (0..3).map(|_| ProbClock::new(space())).collect();
-        let mut msgs = Vec::new();
-        for round in 0..8u64 {
-            for (s, set) in sets.iter().enumerate() {
-                let f = KeySet::from_entries(space(), set).unwrap();
-                let ts = clocks[s].stamp_send(&f);
-                msgs.push(msg(s, round + 1, set, ts));
-            }
-        }
-        // Fixed shuffle: reverse each window of five.
-        for window in msgs.chunks_mut(5) {
-            window.reverse();
-        }
-        msgs
-    }
-
-    #[test]
-    fn sharded_layouts_are_bit_identical() {
-        let trace = contended_trace();
-        let (seq_order, seq_stats) = drive(&trace, 1, false);
-        assert!(!seq_order.is_empty());
-        for shards in [2, 3, 4, 7] {
-            let (order, stats) = drive(&trace, shards, false);
-            assert_eq!(order, seq_order, "delivery order diverged at {shards} shards");
-            assert_eq!(stats, seq_stats, "work counters diverged at {shards} shards");
-        }
-    }
-
-    #[test]
-    fn hinted_inserts_match_unhinted_verdicts() {
-        let trace = contended_trace();
-        let (plain, plain_stats) = drive(&trace, 1, false);
-        let (hinted, hinted_stats) = drive(&trace, 4, true);
-        assert_eq!(hinted, plain, "hints changed delivery order");
-        // Hints must only *save* scans, never add heap traffic.
-        assert_eq!(hinted_stats.wakeups, plain_stats.wakeups);
-        assert_eq!(hinted_stats.ready_on_arrival, plain_stats.ready_on_arrival);
-        assert!(hinted_stats.gap_checks <= plain_stats.gap_checks);
-    }
-
-    #[test]
-    fn reshard_preserves_waiters_in_flight() {
-        let mut clock = ProbClock::new(space());
-        let f = KeySet::from_entries(space(), &[1, 2]).unwrap();
-        let mut sender = ProbClock::new(space());
-        let ts1 = sender.stamp_send(&f);
-        let ts2 = sender.stamp_send(&f);
-
-        let mut index = WakeupIndex::new(4);
-        index.insert(0, msg(1, 2, &[1, 2], ts2), &clock);
-        assert!(index.pop_ready().is_none(), "second send parks");
-
-        index.reshard(3, &clock);
-        assert_eq!(index.shard_count(), 3);
-        assert_eq!(index.len(), 1, "re-striping keeps the waiter");
-
-        index.insert(1, msg(1, 1, &[1, 2], ts1), &clock);
-        let first = index.pop_ready().expect("first send ready");
-        clock.record_delivery(first.keys());
-        index.on_clock_advance(f.iter(), &clock);
-        let second = index.pop_ready().expect("waiter survives the reshard");
-        assert_eq!(second.id().seq(), 2);
-        assert!(index.is_empty());
     }
 
     #[test]

@@ -212,8 +212,7 @@ impl<P> PcbProcess<P> {
     /// Estimator state is observability, not protocol state: it is never
     /// snapshotted, and the wire codec deliberately decodes
     /// `estimators: false` — hosts re-apply their local knob after
-    /// [`PcbProcess::restore`] (mirroring how the endpoint re-applies its
-    /// shard count). Enabling starts from an empty window.
+    /// [`PcbProcess::restore`]. Enabling starts from an empty window.
     pub fn set_estimators(&mut self, on: bool) {
         self.config.estimators = on;
         if on {
@@ -296,29 +295,12 @@ impl<P> PcbProcess<P> {
     /// order — the new message may unblock older pending ones and vice
     /// versa, so zero, one, or many deliveries can result.
     pub fn on_receive(&mut self, message: Message<P>, now: u64) -> Vec<Delivery<P>> {
-        self.on_receive_hinted(message, now, None)
-    }
-
-    /// [`PcbProcess::on_receive`] with an optional pre-computed
-    /// deliverability [`Gap`] from [`ProbClock::first_gap`] against an
-    /// **earlier snapshot** of this process's clock. The guard is monotone
-    /// in the delivered set, so a stale hint can only under-promise: the
-    /// verdict and delivery order are exactly those of the unhinted path,
-    /// the hint merely skips re-scanning entries the snapshot already
-    /// certified. Callers batching many arrivals compute hints in parallel
-    /// against one snapshot and feed them through here serially.
-    pub fn on_receive_hinted(
-        &mut self,
-        message: Message<P>,
-        now: u64,
-        hint: Option<pcb_clock::Gap>,
-    ) -> Vec<Delivery<P>> {
         let mut out = Vec::new();
-        self.on_receive_into(message, now, hint, &mut out, |_| {});
+        self.on_receive_into(message, now, &mut out, |_| {});
         out
     }
 
-    /// [`PcbProcess::on_receive_hinted`] appending the deliveries to a
+    /// [`PcbProcess::on_receive`] appending the deliveries to a
     /// caller-owned buffer (reused across arrivals, so the receive path
     /// allocates nothing of its own). `on_parked` sees the arrival if it
     /// has to wait — the endpoint retains exactly those for anti-entropy.
@@ -326,7 +308,6 @@ impl<P> PcbProcess<P> {
         &mut self,
         message: Message<P>,
         now: u64,
-        hint: Option<pcb_clock::Gap>,
         out: &mut Vec<Delivery<P>>,
         on_parked: impl FnOnce(&Message<P>),
     ) {
@@ -337,7 +318,7 @@ impl<P> PcbProcess<P> {
         }
         let (sender, seq) = (message.id().sender().index_u32(), message.id().seq());
         self.tracer.emit(|| TraceEvent::Received { sender, seq });
-        let verdict = self.pending.insert_hinted_with(now, message, &self.clock, hint, on_parked);
+        let verdict = self.pending.insert_with(now, message, &self.clock, on_parked);
         if let InsertVerdict::Parked { entry, required } = verdict {
             self.tracer.emit(|| TraceEvent::Parked {
                 sender,
@@ -354,14 +335,6 @@ impl<P> PcbProcess<P> {
     /// state transfer or manual clock adjustment).
     pub fn poll(&mut self, now: u64) -> Vec<Delivery<P>> {
         self.drain(now)
-    }
-
-    /// Re-partitions the wake-up index across `shards` per-entry wake
-    /// channels (see [`WakeupIndex::reshard`]). Delivery order is
-    /// bit-identical at any shard count; sharding only changes which
-    /// channel a parked waiter sits in, never when it wakes.
-    pub fn reshard(&mut self, shards: usize) {
-        self.pending.reshard(shards, &self.clock);
     }
 
     /// Installs a vector snapshot from an existing member (state transfer

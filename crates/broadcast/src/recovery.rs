@@ -136,14 +136,6 @@ impl<P> MessageStore<P> {
         &self.codec
     }
 
-    /// Exclusive access to the codec, for batched decode: the endpoint
-    /// partitions the reconstruction stamps across sender shards
-    /// ([`DeltaDecoder::partition`]) and absorbs them back after the
-    /// parallel phase.
-    pub fn codec_mut(&mut self) -> &mut DeltaDecoder {
-        &mut self.codec
-    }
-
     /// Drops every per-sender reconstruction stamp
     /// ([`DeltaDecoder::clear`]). Must be called when the store crosses a
     /// crash/restore boundary: a delta arriving after restore must fail

@@ -747,64 +747,6 @@ impl DeltaDecoder {
     pub fn clear(&mut self) {
         self.stamps.clear();
     }
-
-    /// Splits the decoder into `shards` independent decoders, moving each
-    /// sender's reconstruction stamp to shard `sender % shards`.
-    ///
-    /// Delta chains are strictly per-sender — a frame from sender `s`
-    /// reads and writes only `s`'s stamp — so the shard decoders can run
-    /// on different threads over a sender-partitioned batch and produce
-    /// byte-identical results to one sequential decoder, provided each
-    /// shard sees its senders' frames in the original order. Re-join with
-    /// [`DeltaDecoder::absorb`]. `self` is left empty.
-    #[must_use]
-    pub fn partition(&mut self, shards: usize) -> Vec<DeltaDecoder> {
-        let shards = shards.max(1);
-        let mut parts: Vec<DeltaDecoder> = (0..shards).map(|_| DeltaDecoder::new()).collect();
-        for (sender, stamp) in self.stamps.drain() {
-            parts[sender % shards].stamps.insert(sender, stamp);
-        }
-        parts
-    }
-
-    /// Merges shard decoders split off by [`DeltaDecoder::partition`]
-    /// back into `self`, adopting their (disjoint) reconstruction stamps
-    /// up to the sender cap. Each shard admitted new senders against its
-    /// own count, so only a batch that crosses the cap can lose bases
-    /// here — which ones is unspecified, and each is one full-frame
-    /// refetch away.
-    pub fn absorb(&mut self, parts: Vec<DeltaDecoder>) {
-        for part in parts {
-            for (sender, stamp) in part.stamps {
-                if self.stamps.len() < Self::MAX_TRACKED_SENDERS {
-                    self.stamps.insert(sender, stamp);
-                }
-            }
-        }
-    }
-}
-
-/// Reads the sender index from a frame header without verifying the
-/// checksum — just enough to route the frame to its sender shard for
-/// parallel decode. Routing is a pure function of the leading bytes, so
-/// it is deterministic even for frames that later fail full decoding
-/// (they surface the same [`WireError`] from whichever shard got them).
-///
-/// # Errors
-///
-/// [`WireError`] if the frame is too short to carry a header.
-pub fn peek_sender(frame: &Bytes) -> Result<usize, WireError> {
-    let kind = preflight(frame)?;
-    let mut body = frame.clone();
-    match kind {
-        Preflight::V2 => body.advance(1),
-        Preflight::V3Full | Preflight::V3Delta => body.advance(2),
-        Preflight::V4Full | Preflight::V4Delta => {
-            body.advance(2);
-            let _epoch = get_uvar(&mut body)?;
-        }
-    }
-    Ok(get_uvar(&mut body)? as usize)
 }
 
 /// Encoded control-information size (everything except the payload) for a
@@ -1070,75 +1012,6 @@ mod tests {
         assert_eq!(dec.tracked_senders(), 1);
     }
 
-    /// Two independent sender streams (each with its own encoder),
-    /// interleaved round-robin: the shape the batched endpoint decodes.
-    fn two_sender_frames(n: usize) -> Vec<Bytes> {
-        let space = KeySpace::new(100, 4).unwrap();
-        let mut assigner = KeyAssigner::new(space, AssignmentPolicy::UniformRandom, 11);
-        let mut frames = Vec::new();
-        let mut procs: Vec<_> = (0..2)
-            .map(|i| {
-                let keys = assigner.next_set().unwrap();
-                (crate::PcbProcess::new(ProcessId::new(i), keys), DeltaEncoder::new(8))
-            })
-            .collect();
-        for _ in 0..n {
-            for (process, encoder) in &mut procs {
-                frames.push(encoder.encode(&process.broadcast(Bytes::from_static(b"m"))));
-            }
-        }
-        frames
-    }
-
-    #[test]
-    fn peek_sender_reads_the_routing_key() {
-        for frame in two_sender_frames(6) {
-            let full = decode(frame.clone());
-            let peeked = peek_sender(&frame).unwrap();
-            match full {
-                Ok(m) => assert_eq!(peeked, m.sender().index()),
-                // Delta frames still route by their header's sender.
-                Err(WireError::MissingDeltaBase { sender, .. }) => assert_eq!(peeked, sender),
-                Err(e) => panic!("unexpected decode error: {e}"),
-            }
-        }
-        assert!(peek_sender(&Bytes::new()).is_err());
-    }
-
-    #[test]
-    fn partitioned_decode_matches_sequential() {
-        let frames = two_sender_frames(20);
-
-        let mut sequential = DeltaDecoder::new();
-        let seq_out: Vec<_> =
-            frames.iter().map(|f| sequential.decode(f.clone()).unwrap()).collect();
-
-        let mut decoder = DeltaDecoder::new();
-        let shards = 2;
-        let mut parts = decoder.partition(shards);
-        // Route every frame to its sender shard, preserving order.
-        let mut routed: Vec<Vec<(usize, Bytes)>> = vec![Vec::new(); shards];
-        for (i, frame) in frames.iter().enumerate() {
-            routed[peek_sender(frame).unwrap() % shards].push((i, frame.clone()));
-        }
-        let mut merged: Vec<(usize, Message<Bytes>)> = Vec::new();
-        for (part, shard_frames) in parts.iter_mut().zip(routed) {
-            for (i, frame) in shard_frames {
-                merged.push((i, part.decode(frame).unwrap()));
-            }
-        }
-        merged.sort_by_key(|(i, _)| *i);
-        decoder.absorb(parts);
-
-        assert_eq!(merged.len(), seq_out.len());
-        for ((_, sharded), sequential) in merged.iter().zip(&seq_out) {
-            assert_same(sharded, sequential);
-        }
-        // The re-absorbed decoder continues exactly where the sequential
-        // one would: both track the same senders.
-        assert_eq!(decoder.tracked_senders(), sequential.tracked_senders());
-    }
-
     #[test]
     fn clear_forces_missing_delta_base() {
         let originals = stream(6);
@@ -1370,16 +1243,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn peek_sender_routes_v4_frames() {
-        let originals: Vec<_> = stream(6).into_iter().map(|m| m.with_epoch(300)).collect();
-        let mut enc = DeltaEncoder::new(3);
-        for m in &originals {
-            let frame = enc.encode(m);
-            assert_eq!(peek_sender(&frame).unwrap(), m.sender().index());
         }
     }
 

@@ -3,23 +3,29 @@
 //! One seeded stream of 2 000 wire frames — six causally chained senders,
 //! each sender's delta chain in order but the senders reordered against
 //! each other so about a third of the arrivals have to park, with
-//! duplicate frames and one delta against a missing base injected — goes
-//! into four twin endpoints:
+//! duplicate frames, one delta against a missing base and one corrupted
+//! frame injected — goes into three twin endpoints:
 //!
-//! * `handle_wire(frame)`, the sequential wire path;
+//! * `handle_wire(frame)`, the wire path;
 //! * `handle(Input::FrameReceived(..))` fed by a standalone
 //!   `DeltaDecoder`, the path the simulator shell and the daemons take;
-//! * `handle_wire_batch` at one and at two threads.
+//! * the `handle_wire_batch` shim the frozen ledger links, which must be
+//!   nothing but `handle_wire` per frame.
 //!
-//! All four must emit the same outputs and report the same `status()`.
+//! All three must emit the same outputs and report the same `status()`.
 //! The wire paths must hold identical stores; the `FrameReceived` twin
 //! holds the same messages except those still parked (only the wire path
 //! retains a frame while it waits).
+//!
+//! A second test crashes a receiver in the middle of a delta stream:
+//! pre-crash reconstruction stamps must not decode post-restore deltas.
 
 use bytes::Bytes;
 use pcb_broadcast::endpoint::{Endpoint, Input, Output, RecoveryTimingUs};
-use pcb_broadcast::{DeltaDecoder, DeltaEncoder, MessageId, PcbConfig, PcbProcess, WireError};
-use pcb_clock::{AssignmentPolicy, KeyAssigner, KeySet, KeySpace, ProcessId};
+use pcb_broadcast::{
+    wire, DeltaDecoder, DeltaEncoder, MessageId, PcbConfig, PcbProcess, WireError,
+};
+use pcb_clock::{AssignmentPolicy, ClusterConfig, KeyAssigner, KeySet, KeySpace, ProcessId};
 
 const SENDERS: usize = 6;
 const FRAMES: usize = 2_000;
@@ -65,6 +71,7 @@ fn trace(keys: &[KeySet]) -> Vec<(u64, Bytes)> {
     // (arrival step, send order, frame)
     let mut arrivals: Vec<(u64, usize, Bytes)> = Vec::new();
     let mut stale_delta: Option<Bytes> = None;
+    let mut corrupted = false;
     let mut order = 0;
     for step in 0u64.. {
         if arrivals.len() >= FRAMES {
@@ -87,7 +94,15 @@ fn trace(keys: &[KeySet]) -> Vec<(u64, Bytes)> {
         if is_full && next() % 2 == 0 {
             // The transport duplicates a full frame back to back: it
             // decodes again (same base) and the ordering core drops it.
-            arrivals.push((arrival, order, frame.clone()));
+            // One duplicate is damaged in flight instead: the checksum
+            // refuses it, state untouched.
+            let mut copy = frame.to_vec();
+            if step >= 1_000 && !corrupted {
+                corrupted = true;
+                let middle = copy.len() / 2;
+                copy[middle] ^= 0x40;
+            }
+            arrivals.push((arrival, order, Bytes::from(copy)));
             order += 1;
         }
         if !is_full && step == 300 {
@@ -181,35 +196,112 @@ fn every_ingest_path_agrees_on_a_reordered_stream() {
     assert!(most_waiting >= 3, "arrivals queue up behind a late sender");
     assert!(wire.stats().duplicates >= 50, "duplicates reached the ordering core");
     assert!(
-        matches!(wire_errors[..], [(_, WireError::MissingDeltaBase { .. })]),
-        "exactly the injected stale delta is refused: {wire_errors:?}"
+        matches!(
+            wire_errors[..],
+            [(_, WireError::MissingDeltaBase { .. }), (_, WireError::ChecksumMismatch)]
+        ),
+        "exactly the stale delta and the damaged frame are refused: {wire_errors:?}"
     );
     assert_eq!(wire.pending_len(), 0, "the stream is complete, everything delivers");
     assert_eq!(wire.stats().delivered + wire.stats().duplicates, u64::from(decoded));
 
-    // Batched wire path, one and two threads.
-    for threads in [1, 2] {
-        let mut batched = receiver(&keys[SENDERS]);
-        batched.set_parallel(threads);
-        let mut out = Vec::new();
-        let mut errors = Vec::new();
-        for (chunk_index, chunk) in frames.chunks(64).enumerate() {
-            let (outs, errs) = batched.handle_wire_batch(chunk);
-            out.extend(digest(&outs));
-            errors.extend(errs.into_iter().map(|(i, e)| (chunk_index * 64 + i, e)));
-        }
-        assert_eq!(out, wire_out, "{threads} thread(s)");
-        assert_eq!(errors, wire_errors, "{threads} thread(s)");
-        // A pre-scanned `Ready` hint skips the index's own gap check, so
-        // that one work counter is lower with a pool; nothing else moves.
-        let status = |ep: &Endpoint<Bytes>| {
-            let mut status = ep.status();
-            if threads > 1 {
-                status.wakeup.gap_checks = 0;
-            }
-            format!("{status:?}")
-        };
-        assert_eq!(status(&batched), status(&wire), "{threads} thread(s)");
-        assert_eq!(store_of(&batched), store_of(&wire), "{threads} thread(s)");
+    // The shim the frozen ledger links: whatever `set_parallel` is
+    // told, `handle_wire_batch` is `handle_wire` per frame.
+    let mut shim = receiver(&keys[SENDERS]);
+    shim.set_parallel(8);
+    let mut out = Vec::new();
+    let mut errors = Vec::new();
+    for (chunk_index, chunk) in frames.chunks(256).enumerate() {
+        let (outs, errs) = shim.handle_wire_batch(chunk);
+        out.extend(digest(&outs));
+        errors.extend(errs.into_iter().map(|(i, e)| (chunk_index * 256 + i, e)));
     }
+    assert_eq!(out, wire_out);
+    assert_eq!(errors, wire_errors);
+    assert_eq!(format!("{:?}", shim.status()), format!("{:?}", wire.status()));
+    assert_eq!(store_of(&shim), store_of(&wire));
+}
+
+/// `(id, instant_alert, recent_alert)` of every delivery in `outs`.
+fn deliveries(outs: &[Output<Bytes>]) -> Vec<(MessageId, bool, bool)> {
+    outs.iter()
+        .filter_map(|o| match o {
+            Output::Deliver(d) => Some((d.message.id(), d.instant_alert, d.recent_alert)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn crash_mid_delta_stream_restores_bit_identically() {
+    // One sender, eleven messages, delta-encoded with full frames only
+    // at the cadence boundary — the stream crossing the crash is deltas.
+    let keys = key_sets();
+    let mut sender = PcbProcess::<Bytes>::new(ProcessId::new(0), keys[0].clone());
+    let mut enc = DeltaEncoder::new(100); // frame 0 full, the rest deltas
+    let pool: Vec<_> =
+        (0..11).map(|i| sender.broadcast(Bytes::from(format!("m{i}").into_bytes()))).collect();
+    let frames: Vec<Bytes> = pool.iter().map(|m| enc.encode(m)).collect();
+
+    // Reference receiver: never crashes, decodes the whole chain.
+    let mut reference = receiver(&keys[SENDERS]);
+    let mut reference_deliveries = Vec::new();
+    for (i, frame) in frames.iter().enumerate() {
+        let outs = reference.handle_wire(frame.clone(), 10 + i as u64 * 10).unwrap();
+        reference_deliveries.extend(deliveries(&outs));
+    }
+    assert_eq!(reference_deliveries.len(), 11);
+
+    // Crashing receiver: delivers the first six, snapshots, crashes.
+    let snapshot_at = 150 * STEP_US;
+    let mut rec = receiver(&keys[SENDERS]);
+    let mut rec_deliveries = Vec::new();
+    for (i, frame) in frames.iter().take(6).enumerate() {
+        let outs = rec.handle_wire(frame.clone(), 10 + i as u64 * 10).unwrap();
+        rec_deliveries.extend(deliveries(&outs));
+    }
+    let outs = rec.handle(Input::Tick, snapshot_at);
+    assert!(outs.iter().any(|o| matches!(o, Output::SnapshotReady { .. })));
+    let _ = rec.handle(Input::Crash, snapshot_at + 1);
+
+    // Frames 6..9 arrive while crashed: dropped before decoding, so the
+    // codec is not even consulted.
+    let tracked = rec.store().codec().tracked_senders();
+    for (i, frame) in frames.iter().enumerate().take(10).skip(6) {
+        let outs = rec.handle_wire(frame.clone(), snapshot_at + 2 + i as u64).unwrap();
+        assert!(outs.is_empty(), "crashed endpoint is deaf");
+    }
+    assert_eq!(rec.store().codec().tracked_senders(), tracked, "codec untouched while deaf");
+
+    let _ = rec.handle(Input::Restore, snapshot_at + 100);
+
+    // The pre-crash reconstruction stamp (from frame 5) is gone: the
+    // next delta must refuse to decode rather than silently reconstruct
+    // against a base this incarnation never saw.
+    let err = rec.handle_wire(frames[10].clone(), snapshot_at + 200).unwrap_err();
+    assert!(
+        matches!(err, WireError::MissingDeltaBase { .. }),
+        "stale delta base must be refused after restore, got {err:?}"
+    );
+
+    // Anti-entropy: re-fetch the gap (6..=9) as typed messages and the
+    // refused frame as a standalone full frame.
+    let refetch: Vec<_> = pool[6..10].to_vec();
+    let outs = rec.handle(
+        Input::SyncResponse { messages: refetch, config: ClusterConfig::genesis(space()) },
+        snapshot_at + 300,
+    );
+    rec_deliveries.extend(deliveries(&outs));
+    let outs = rec.handle_wire(wire::encode_full(&pool[10]), snapshot_at + 400).unwrap();
+    rec_deliveries.extend(deliveries(&outs));
+
+    // The full frame re-primed the chain: a subsequent delta decodes.
+    let m11 = sender.broadcast(Bytes::from_static(b"m11"));
+    let outs = rec.handle_wire(enc.encode(&m11), snapshot_at + 500).unwrap();
+    assert_eq!(deliveries(&outs).len(), 1, "delta chain re-primed by the full frame");
+
+    assert_eq!(
+        rec_deliveries, reference_deliveries,
+        "crash + restore + re-fetch converges to the no-crash delivery sequence"
+    );
 }

@@ -329,76 +329,6 @@ impl fmt::Display for KeySet {
     }
 }
 
-/// Static partition of the `R` clock entries into shards — the shard key
-/// for parallel pending/wake machinery.
-///
-/// Entry `e` lives on shard `e mod S` (round-robin striping). A message's
-/// shard footprint is the image of its [`KeySet`] under that map: since a
-/// message touches at most `K` of `R` entries (paper Algorithm 1/2), two
-/// messages whose key sets map to disjoint shard sets never contend on
-/// the same wake channel. The map is pure arithmetic — no state — so
-/// every process derives the identical partition from `(R, S)` alone.
-///
-/// ```
-/// use pcb_clock::{KeySet, KeySpace, ShardMap};
-/// let space = KeySpace::new(8, 2)?;
-/// let map = ShardMap::new(3);
-/// let keys = KeySet::from_entries(space, &[1, 4])?;
-/// assert_eq!(map.shard_of(1), 1);
-/// assert_eq!(map.shard_of(4), 1);
-/// assert_eq!(map.shards_of(&keys), vec![1]);
-/// # Ok::<(), pcb_clock::KeyError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardMap {
-    shards: usize,
-}
-
-impl ShardMap {
-    /// A map over `shards` shards; zero is clamped to one (the
-    /// sequential layout).
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        Self { shards: shards.max(1) }
-    }
-
-    /// Number of shards in the partition.
-    #[must_use]
-    pub const fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard owning clock entry `entry`.
-    #[must_use]
-    pub const fn shard_of(&self, entry: usize) -> usize {
-        entry % self.shards
-    }
-
-    /// The entry's position within its shard's dense local storage:
-    /// shard `s` owns entries `s, s + S, s + 2S, …` at offsets
-    /// `0, 1, 2, …`.
-    #[must_use]
-    pub const fn offset_of(&self, entry: usize) -> usize {
-        entry / self.shards
-    }
-
-    /// How many entries of a clock of length `len` fall on `shard`.
-    #[must_use]
-    pub const fn shard_len(&self, len: usize, shard: usize) -> usize {
-        len / self.shards + if shard < len % self.shards { 1 } else { 0 }
-    }
-
-    /// The distinct shards a key set touches, sorted ascending — the
-    /// wake channels a delivery stamped with `keys` can advance.
-    #[must_use]
-    pub fn shards_of(&self, keys: &KeySet) -> Vec<usize> {
-        let mut shards: Vec<usize> = keys.iter().map(|e| self.shard_of(e)).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        shards
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,33 +357,6 @@ mod tests {
             assert_eq!(keys.set_id(), id);
             assert_eq!(keys.len(), 3);
         }
-    }
-
-    #[test]
-    fn shard_map_partitions_entries() {
-        let map = ShardMap::new(3);
-        // Every entry lands on exactly one shard, at a dense offset.
-        let mut seen = vec![Vec::new(); 3];
-        for e in 0..10 {
-            seen[map.shard_of(e)].push(map.offset_of(e));
-        }
-        for (shard, offsets) in seen.iter().enumerate() {
-            assert_eq!(offsets.len(), map.shard_len(10, shard), "shard {shard}");
-            assert_eq!(*offsets, (0..offsets.len()).collect::<Vec<_>>(), "shard {shard}");
-        }
-        // Zero shards clamp to the sequential layout.
-        let seq = ShardMap::new(0);
-        assert_eq!(seq.shards(), 1);
-        assert_eq!(seq.shard_of(7), 0);
-        assert_eq!(seq.offset_of(7), 7);
-    }
-
-    #[test]
-    fn shard_footprint_is_sorted_and_deduped() {
-        let space = KeySpace::new(12, 4).unwrap();
-        let map = ShardMap::new(4);
-        let keys = KeySet::from_entries(space, &[0, 4, 8, 9]).unwrap();
-        assert_eq!(map.shards_of(&keys), vec![0, 1]);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use cluster::ClusterConfig;
 pub use combinatorics::{binomial, rank, unrank, BinomialTable, CombinatoricsError};
 pub use compare::{judge, JudgmentQuality};
 pub use id::ProcessId;
-pub use keys::{KeyError, KeySet, KeySpace, ShardMap};
+pub use keys::{KeyError, KeySet, KeySpace};
 pub use lamport::LamportClock;
 pub use pool::{StampPool, StampPoolStats};
 pub use prob::{Gap, ProbClock};

@@ -234,16 +234,40 @@ pub fn save_wal(dir: &Path, durable_seq: u64) -> std::io::Result<()> {
     write_atomic(&dir.join("wal.bin"), &out)
 }
 
-/// Loads the send-WAL high-water mark; `None` if absent or corrupt.
-#[must_use]
-pub fn load_wal(dir: &Path) -> Option<u64> {
-    let bytes = std::fs::read(dir.join("wal.bin")).ok()?;
-    if bytes.len() != 16 {
-        return None;
+/// Reads a state file; `Ok(None)` only if it does not exist.
+fn read_state(path: &Path) -> std::io::Result<Option<Vec<u8>>> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
     }
-    let value = u64::from_le_bytes(bytes[..8].try_into().ok()?);
-    let sum = u64::from_le_bytes(bytes[8..].try_into().ok()?);
-    (checksum64(&bytes[..8]) == sum).then_some(value)
+}
+
+/// The error for a state file that exists but does not hold what this
+/// daemon wrote: booting past it would restart from genesis and reissue
+/// stamp heights, so every loader refuses instead.
+fn corrupt(path: &Path, why: impl std::fmt::Display) -> std::io::Error {
+    std::io::Error::new(ErrorKind::InvalidData, format!("{}: {why}", path.display()))
+}
+
+/// Loads the send-WAL high-water mark; `Ok(None)` if there is none yet.
+///
+/// # Errors
+///
+/// Filesystem errors, or `InvalidData` naming the file when it has the
+/// wrong length or a bad checksum.
+pub fn load_wal(dir: &Path) -> std::io::Result<Option<u64>> {
+    let path = dir.join("wal.bin");
+    let Some(bytes) = read_state(&path)? else { return Ok(None) };
+    let Ok(bytes) = <[u8; 16]>::try_from(bytes) else {
+        return Err(corrupt(&path, "not a 16-byte WAL record"));
+    };
+    let value = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
+    let sum = u64::from_le_bytes(bytes[8..].try_into().expect("8 bytes"));
+    if checksum64(&bytes[..8]) != sum {
+        return Err(corrupt(&path, "checksum mismatch"));
+    }
+    Ok(Some(value))
 }
 
 /// Persists the endpoint's stable snapshot.
@@ -256,14 +280,18 @@ pub fn save_snapshot(dir: &Path, snapshot: &ProcessSnapshot<u32>) -> std::io::Re
     write_atomic(&dir.join("snapshot.bin"), &blob)
 }
 
-/// Loads the stable snapshot; `None` if absent or corrupt (the snapshot
-/// codec is checksummed, so a torn write reads as absent, and the node
-/// falls back to genesis + anti-entropy).
-#[must_use]
-pub fn load_snapshot(dir: &Path) -> Option<ProcessSnapshot<u32>> {
-    let bytes = std::fs::read(dir.join("snapshot.bin")).ok()?;
-    let wire = decode_snapshot(Bytes::from(bytes)).ok()?;
-    snapshot_from_wire(wire).ok()
+/// Loads the stable snapshot; `Ok(None)` if none was ever cut (the node
+/// then starts from genesis + WAL replay + anti-entropy).
+///
+/// # Errors
+///
+/// Filesystem errors, or `InvalidData` naming the file when the
+/// checksummed snapshot codec refuses it.
+pub fn load_snapshot(dir: &Path) -> std::io::Result<Option<ProcessSnapshot<u32>>> {
+    let path = dir.join("snapshot.bin");
+    let Some(bytes) = read_state(&path)? else { return Ok(None) };
+    let wire = decode_snapshot(Bytes::from(bytes)).map_err(|e| corrupt(&path, e))?;
+    snapshot_from_wire(wire).map(Some).map_err(|e| corrupt(&path, e))
 }
 
 /// Reads, increments, and persists the boot counter. The incarnation
@@ -272,13 +300,16 @@ pub fn load_snapshot(dir: &Path) -> Option<ProcessSnapshot<u32>> {
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors.
+/// Filesystem errors, or `InvalidData` naming the file when an existing
+/// counter is not 8 bytes.
 pub fn bump_incarnation(dir: &Path) -> std::io::Result<u64> {
     let path = dir.join("incarnation.bin");
-    let prev = std::fs::read(&path)
-        .ok()
-        .and_then(|b| Some(u64::from_le_bytes(b.try_into().ok()?)))
-        .unwrap_or(0);
+    let prev = match read_state(&path)? {
+        None => 0,
+        Some(bytes) => u64::from_le_bytes(
+            bytes.try_into().map_err(|_| corrupt(&path, "not an 8-byte counter"))?,
+        ),
+    };
     let next = prev + 1;
     write_atomic(&path, &next.to_le_bytes())?;
     Ok(next)
@@ -336,14 +367,16 @@ struct Daemon {
 ///
 /// # Errors
 ///
-/// Propagates startup IO failures (bad state dir, bind failures). Loop
-/// errors on individual connections are absorbed, not fatal.
+/// Propagates startup IO failures (bad state dir, bind failures); with
+/// `resume`, a state file that exists but is corrupt refuses the start
+/// before any socket is bound. Loop errors on individual connections are
+/// absorbed, not fatal.
 pub fn run(opts: DaemonOptions) -> std::io::Result<()> {
     let spec = load_spec(&opts.state_dir)?;
     let incarnation = bump_incarnation(&opts.state_dir)?;
     let (mut endpoint, last_durable) = if opts.resume {
-        let stable = load_snapshot(&opts.state_dir);
-        let durable = load_wal(&opts.state_dir).unwrap_or(0);
+        let stable = load_snapshot(&opts.state_dir)?;
+        let durable = load_wal(&opts.state_dir)?.unwrap_or(0);
         (
             Endpoint::resume(
                 ProcessId::new(spec.node as usize),
@@ -1080,15 +1113,44 @@ mod tests {
         assert_eq!(back.node, spec.node);
         assert_eq!(back.keys, spec.keys);
 
-        assert_eq!(load_wal(&dir), None);
+        // Absent is a fresh node; anything else on disk must be intact.
+        assert_eq!(load_wal(&dir).unwrap(), None);
+        assert!(load_snapshot(&dir).unwrap().is_none());
         save_wal(&dir, 41).unwrap();
-        assert_eq!(load_wal(&dir), Some(41));
-        // Corrupt file reads as absent, not as garbage.
+        assert_eq!(load_wal(&dir).unwrap(), Some(41));
+        let mut wal = std::fs::read(dir.join("wal.bin")).unwrap();
+        wal[3] ^= 1;
+        std::fs::write(dir.join("wal.bin"), &wal).unwrap();
+        let refused = load_wal(&dir).unwrap_err();
+        assert_eq!(refused.kind(), ErrorKind::InvalidData);
+        assert!(refused.to_string().contains("wal.bin"), "{refused}");
         std::fs::write(dir.join("wal.bin"), [1, 2, 3]).unwrap();
-        assert_eq!(load_wal(&dir), None);
+        assert_eq!(load_wal(&dir).unwrap_err().kind(), ErrorKind::InvalidData);
 
         assert_eq!(bump_incarnation(&dir).unwrap(), 1);
         assert_eq!(bump_incarnation(&dir).unwrap(), 2);
+        std::fs::write(dir.join("incarnation.bin"), [0u8; 7]).unwrap();
+        let refused = bump_incarnation(&dir).unwrap_err();
+        assert_eq!(refused.kind(), ErrorKind::InvalidData);
+        assert!(refused.to_string().contains("incarnation.bin"), "{refused}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_refuses_a_corrupt_wal_before_binding() {
+        let dir = temp_dir("resume");
+        save_spec(&dir, &sample_spec()).unwrap();
+        save_wal(&dir, 41).unwrap();
+        let mut wal = std::fs::read(dir.join("wal.bin")).unwrap();
+        wal[0] ^= 1;
+        std::fs::write(dir.join("wal.bin"), &wal).unwrap();
+        let mut opts = DaemonOptions::new(dir.clone(), "127.0.0.1:0".parse().unwrap(), Mode::Live);
+        opts.resume = true;
+        let refused = run(opts).expect_err("a flipped WAL byte must not boot from genesis");
+        assert_eq!(refused.kind(), ErrorKind::InvalidData);
+        assert!(refused.to_string().contains("wal.bin"), "{refused}");
+        // `listen.txt` is written right after the UDP bind.
+        assert!(!dir.join("listen.txt").exists(), "refused before any socket was bound");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1117,13 +1179,16 @@ mod tests {
         assert!(snapshotted, "endpoint never cut a snapshot");
         let snapshot = ep.stable_snapshot().cloned().expect("stable snapshot");
         save_snapshot(&dir, &snapshot).unwrap();
-        let back = load_snapshot(&dir).expect("load");
+        let back = load_snapshot(&dir).expect("load").expect("present");
         assert_eq!(back.seq, snapshot.seq);
         assert_eq!(back.clock, snapshot.clock);
         assert_eq!(back.store.len(), snapshot.store.len());
-        // Corrupt blob reads as absent.
-        std::fs::write(dir.join("snapshot.bin"), [9u8; 30]).unwrap();
-        assert!(load_snapshot(&dir).is_none());
+        // A truncated blob is refused, naming the file.
+        let blob = std::fs::read(dir.join("snapshot.bin")).unwrap();
+        std::fs::write(dir.join("snapshot.bin"), &blob[..blob.len() - 1]).unwrap();
+        let refused = load_snapshot(&dir).unwrap_err();
+        assert_eq!(refused.kind(), ErrorKind::InvalidData);
+        assert!(refused.to_string().contains("snapshot.bin"), "{refused}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

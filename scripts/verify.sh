@@ -109,8 +109,8 @@ stage_trace() {
 #     non-zero otherwise): the sim kernel and the endpoint mesh still
 #     deliver everything, with identical counters on every pass.
 # (4) the ledger's per-layer table, printed for the reader (wheel vs
-#     heap ns/event, full vs delta bytes/msg, batch ingest at 1 and N
-#     threads, park→wake cost); comparing runs is the benchmark's job.
+#     heap ns/event, full vs delta bytes/msg, park→wake cost);
+#     comparing runs is the benchmark's job.
 stage_perf() {
     run cargo run --release -p pcb-bench --bin alloc_gate -- --check
     run cargo test --release -p pcb-broadcast --test work_ratio -q
