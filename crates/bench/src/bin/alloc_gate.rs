@@ -4,13 +4,13 @@
 //! cargo run --release -p pcb-bench --bin alloc_gate [-- --check]
 //! ```
 //!
-//! A counting `#[global_allocator]` wraps the system allocator and
-//! tallies every `alloc`/`realloc`. Absolute counts are useless — setup
-//! (key assignment, socket buffers, slab growth) allocates freely and
-//! legitimately — so the gate measures **marginal** allocations with a
-//! differential method: run the same workload at duration `T` and `3T`
-//! and attribute `(allocs(3T) − allocs(T)) / (work(3T) − work(T))` to
-//! the steady state. Everything both runs share (setup, warm-up growth,
+//! A counting `#[global_allocator]` ([`pcb_bench::alloc`]) wraps the
+//! system allocator and tallies every `alloc`/`realloc`. Absolute counts
+//! are useless — setup (key assignment, socket buffers, slab growth)
+//! allocates freely and legitimately — so the gate measures **marginal**
+//! allocations with a differential method: run the same workload at
+//! duration `T` and `3T` and attribute
+//! `(allocs(3T) − allocs(T)) / (work(3T) − work(T))` to the steady state. Everything both runs share (setup, warm-up growth,
 //! amortised capacity doubling that converges) cancels; only per-cycle
 //! allocation survives the subtraction.
 //!
@@ -42,68 +42,18 @@
 //! --perf` hook). Set `AG_TRACE=1` to print a sampled backtrace for one
 //! in every 997 counted allocations — how the remaining sites were found.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use bytes::Bytes;
+use pcb_bench::alloc::{counted, set_trace, CountingAlloc};
 use pcb_broadcast::endpoint::{Endpoint, Input, Output};
 use pcb_broadcast::{DeltaEncoder, PcbConfig};
 use pcb_clock::{KeySet, KeySpace, ProcessId};
 use pcb_runtime::{UdpConfig, UdpEvent, UdpTransport};
 use pcb_sim::{simulate_prob, Scheduler, SimConfig};
 
-/// Counts allocations while [`ARMED`]; forwards everything to [`System`].
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static TRACE: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            let n = ALLOCS.fetch_add(1, Ordering::Relaxed);
-            ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            if n.is_multiple_of(997) && TRACE.load(Ordering::Relaxed) {
-                ARMED.store(false, Ordering::SeqCst);
-                eprintln!(
-                    "--- sampled alloc of {} bytes ---\n{}",
-                    layout.size(),
-                    std::backtrace::Backtrace::force_capture()
-                );
-                ARMED.store(true, Ordering::SeqCst);
-            }
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
-
-/// Runs `f` with the counter armed; returns `(allocs, bytes, result)`.
-fn counted<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    ALLOC_BYTES.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let out = f();
-    ARMED.store(false, Ordering::SeqCst);
-    (ALLOCS.load(Ordering::SeqCst), ALLOC_BYTES.load(Ordering::SeqCst), out)
-}
 
 /// Lean steady-state sim config: wheel scheduler, oracles and telemetry
 /// off, no churn/loss — the pure stamp → schedule → deliver cycle.
@@ -308,7 +258,7 @@ const UDP_BUDGET: f64 = 6.0;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let check = std::env::args().any(|a| a == "--check");
-    TRACE.store(std::env::var_os("AG_TRACE").is_some(), Ordering::SeqCst);
+    set_trace(std::env::var_os("AG_TRACE").is_some());
     println!("=== alloc_gate: steady-state heap allocation audit ===");
     println!("method: differential (allocs at T vs 3T; setup cancels)\n");
 

@@ -13,6 +13,8 @@
 
 use std::path::PathBuf;
 
+pub mod alloc;
+
 /// Scale factor from `PCB_SCALE` (default 0.25).
 #[must_use]
 pub fn scale() -> f64 {

@@ -1,0 +1,139 @@
+//! Hostile bytes at the step codec — the frames daemons exchange and
+//! replay. `decode_step` must be total (an error, never a panic) and must
+//! not claim memory its input does not pay for: a count field is four
+//! bytes, and it used to reserve 16 MB before reading one element.
+
+use pcb_bench::alloc::{counted, CountingAlloc};
+use pcb_broadcast::endpoint::{Endpoint, Input, Output};
+use pcb_broadcast::{Message, PcbConfig, SeenWindows};
+use pcb_clock::{ClusterConfig, KeySet, KeySpace, ProcessId};
+use pcb_sim::export::{decode_step, encode_step};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+
+#[global_allocator]
+static COUNTER: CountingAlloc = CountingAlloc;
+
+/// Heap bytes a decode may claim per input byte, plus a flat allowance.
+/// An honest step decodes into a few times its size (varint stamps widen
+/// to `u64`s, every message owns its key set); a forged count under the
+/// old pre-allocation claimed a million times its 17 bytes.
+const CEILING_PER_BYTE: u64 = 64;
+const CEILING_FLAT: u64 = 16 * 1024;
+
+fn space() -> KeySpace {
+    KeySpace::new(16, 2).expect("valid space")
+}
+
+fn messages(count: usize) -> Vec<Message<u32>> {
+    let keys = KeySet::from_entries(space(), &[3, 9]).expect("keys");
+    let mut sender = Endpoint::new(ProcessId::new(2), keys, PcbConfig::default(), None);
+    (0..count)
+        .map(|i| {
+            let outs = sender.handle(Input::Broadcast(i as u32), 1_000 + i as u64);
+            outs.into_iter()
+                .find_map(|o| match o {
+                    Output::SendFrame(m) => Some(m),
+                    _ => None,
+                })
+                .expect("broadcast emits a frame")
+        })
+        .collect()
+}
+
+fn windows(rng: &mut StdRng) -> SeenWindows {
+    let mut sender = 0;
+    (0..rng.random_range(0..6usize))
+        .map(|_| {
+            sender += rng.random_range(1..4usize);
+            let prefix = rng.random_range(0..1_000u64);
+            let mut seq = prefix;
+            let exceptions = (0..rng.random_range(0..5usize))
+                .map(|_| {
+                    seq += rng.random_range(1..9u64);
+                    seq
+                })
+                .collect();
+            (ProcessId::new(sender), prefix, exceptions)
+        })
+        .collect()
+}
+
+/// A well-formed sync request or response, then damaged: left alone,
+/// truncated, a bit flipped, or four bytes overwritten with `0xff` —
+/// wherever that lands on a count, it announces four billion elements.
+fn hostile_step(rng: &mut StdRng) -> Vec<u8> {
+    let input = if rng.random_bool(0.5) {
+        Input::SyncRequest { from: ProcessId::new(1), windows: windows(rng) }
+    } else {
+        Input::SyncResponse {
+            messages: messages(rng.random_range(0..4usize)),
+            config: ClusterConfig::genesis(space()),
+        }
+    };
+    let mut bytes = encode_step(rng.random_range(0..1_000_000u64), &input);
+    match rng.random_range(0..4u32) {
+        0 => {}
+        1 => bytes.truncate(rng.random_range(0..=bytes.len())),
+        2 => {
+            let at = rng.random_range(0..bytes.len());
+            bytes[at] ^= 1 << rng.random_range(0..8u32);
+        }
+        _ => {
+            let at = rng.random_range(9..bytes.len() - 3);
+            bytes[at..at + 4].fill(0xff);
+        }
+    }
+    bytes
+}
+
+/// A sync request (17 bytes) or response (30) whose count field says
+/// `u32::MAX` with nothing behind it.
+fn forged_count(input: &Input<u32>) -> Vec<u8> {
+    let mut bytes = encode_step(0, input);
+    let at = bytes.len() - 4;
+    bytes[at..].fill(0xff);
+    bytes
+}
+
+fn decode_within_ceiling(bytes: &[u8]) -> Result<(), String> {
+    let (_, claimed, outcome) = counted(|| decode_step(bytes).map(drop));
+    let ceiling = CEILING_PER_BYTE * bytes.len() as u64 + CEILING_FLAT;
+    if claimed > ceiling {
+        return Err(format!(
+            "decoding {} bytes ({outcome:?}) allocated {claimed} B, ceiling {ceiling} B: {bytes:?}",
+            bytes.len()
+        ));
+    }
+    Ok(())
+}
+
+// One test in this binary: the counter is process-wide, and a second
+// test thread's allocations would land in this one's tally.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    #[test]
+    fn decode_step_is_total_and_claims_no_more_than_its_input_pays_for(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut noise: Vec<u8> =
+            (0..rng.random_range(0..200usize)).map(|_| rng.random_range(0..=u8::MAX)).collect();
+        // Steer a share of the noise into the two arms that read a count.
+        if noise.len() > 8 && rng.random_bool(0.5) {
+            noise[8] = rng.random_range(1..=2u8);
+        }
+        let request = Input::SyncRequest { from: ProcessId::new(0), windows: vec![] };
+        let response =
+            Input::SyncResponse { messages: vec![], config: ClusterConfig::genesis(space()) };
+        let forged = [forged_count(&request), forged_count(&response)];
+        prop_assert_eq!(forged[0].len(), 17);
+        for bytes in &forged {
+            prop_assert!(decode_step(bytes).is_err());
+        }
+        for bytes in forged.into_iter().chain([noise, hostile_step(&mut rng)]) {
+            let verdict = decode_within_ceiling(&bytes);
+            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
+    }
+}

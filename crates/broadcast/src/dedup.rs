@@ -15,6 +15,22 @@ use pcb_clock::ProcessId;
 use crate::idmap::IdMap;
 use crate::message::MessageId;
 
+/// A [`DedupFilter`] in exported form: one `(sender, prefix, exceptions)`
+/// per sender, ascending by sender — ids `1..=prefix` plus the ascending
+/// `exceptions` beyond it. What snapshots persist and sync probes carry.
+pub type SeenWindows = Vec<(ProcessId, u64, Vec<u64>)>;
+
+/// Whether `id` is inside `windows` (which must be ascending by sender,
+/// each exception list ascending, as [`DedupFilter::export_windows`]
+/// produces them).
+#[must_use]
+pub fn windows_contain(windows: &[(ProcessId, u64, Vec<u64>)], id: MessageId) -> bool {
+    windows.binary_search_by_key(&id.sender(), |(sender, _, _)| *sender).is_ok_and(|at| {
+        let (_, prefix, exceptions) = &windows[at];
+        id.seq() <= *prefix || exceptions.binary_search(&id.seq()).is_ok()
+    })
+}
+
 /// Per-sender seen-window: ids `1..=prefix` plus `exceptions`.
 #[derive(Debug, Clone, Default)]
 struct SenderWindow {
@@ -86,28 +102,13 @@ impl DedupFilter {
             .is_some_and(|w| id.seq() <= w.prefix || w.exceptions.contains(&id.seq()))
     }
 
-    /// Enumerates every seen id (prefix ranges expanded), ordered by
-    /// sender then sequence. The order is deterministic — these ids go
-    /// out on the wire in sync probes, and identical endpoints must emit
-    /// identical probes (the map's iteration order follows its insertion
-    /// history and must not leak into outputs). Time is proportional to
-    /// the number of *messages*, memory stays proportional to the number
-    /// of *senders and gaps*.
-    pub fn iter(&self) -> impl Iterator<Item = MessageId> + '_ {
-        let mut senders: Vec<_> = self.windows.iter().collect();
-        senders.sort_by_key(|(&sender, _)| sender);
-        senders.into_iter().flat_map(|(&sender, window)| {
-            (1..=window.prefix)
-                .chain(window.exceptions.iter().copied())
-                .map(move |seq| MessageId::new(sender, seq))
-        })
-    }
-
     /// The compressed per-sender state `(sender, prefix, exceptions)`,
-    /// sorted by sender — the filter's full contents in its native
-    /// `O(senders + gaps)` representation, for durable snapshots.
+    /// sorted by sender (the map's iteration order follows its insertion
+    /// history and must not leak into outputs) — the filter's full
+    /// contents in its native `O(senders + gaps)` representation, for
+    /// durable snapshots and anti-entropy probes.
     #[must_use]
-    pub fn export_windows(&self) -> Vec<(ProcessId, u64, Vec<u64>)> {
+    pub fn export_windows(&self) -> SeenWindows {
         let mut out: Vec<_> = self
             .windows
             .iter()
@@ -128,6 +129,25 @@ impl DedupFilter {
             );
         }
         filter
+    }
+
+    /// Adds everything `other` has seen to this filter.
+    pub fn union(&mut self, other: &DedupFilter) {
+        for (&sender, theirs) in &other.windows {
+            let window = self.windows.entry(sender).or_default();
+            let prefix = window.prefix.max(theirs.prefix);
+            window.prefix = prefix;
+            // Keep only what the (possibly longer) prefix does not cover,
+            // then absorb exceptions that became contiguous with it.
+            window.exceptions.retain(|&seq| seq > prefix);
+            window.exceptions.extend(theirs.exceptions.iter().copied().filter(|&seq| seq > prefix));
+            while let Some(next) = window.prefix.checked_add(1) {
+                if !window.exceptions.remove(&next) {
+                    break;
+                }
+                window.prefix = next;
+            }
+        }
     }
 
     /// Number of senders tracked.
@@ -182,14 +202,42 @@ mod tests {
     }
 
     #[test]
-    fn iter_expands_prefix_and_exceptions() {
+    fn exported_windows_answer_membership_like_the_filter() {
         let mut filter = DedupFilter::new();
-        for seq in [1, 2, 5] {
-            filter.insert(id(7, seq));
+        for (sender, seq) in [(7, 1), (7, 2), (7, 5), (3, 9)] {
+            filter.insert(id(sender, seq));
         }
-        let mut seen: Vec<u64> = filter.iter().map(MessageId::seq).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![1, 2, 5]);
+        let windows = filter.export_windows();
+        assert_eq!(
+            windows,
+            vec![(ProcessId::new(3), 0, vec![9]), (ProcessId::new(7), 2, vec![5])],
+            "ascending by sender whatever the insertion order"
+        );
+        for sender in [3, 5, 7] {
+            for seq in 0..12 {
+                let probe = id(sender, seq);
+                assert_eq!(windows_contain(&windows, probe), filter.contains(probe), "{probe:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn union_takes_the_longer_prefix_and_heals_across_it() {
+        let mut a = DedupFilter::new();
+        for seq in [1, 2, 3, 6, 9] {
+            a.insert(id(0, seq));
+        }
+        let mut b = DedupFilter::new();
+        for seq in [1, 2, 3, 4, 5, 8] {
+            b.insert(id(0, seq));
+        }
+        b.insert(id(4, 2));
+        a.union(&b);
+        // 1..=5 from b, 6 from a heals onto it; 8 and 9 stay exceptions.
+        assert_eq!(
+            a.export_windows(),
+            vec![(ProcessId::new(0), 6, vec![8, 9]), (ProcessId::new(4), 0, vec![2])]
+        );
     }
 
     #[test]

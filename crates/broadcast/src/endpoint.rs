@@ -67,7 +67,8 @@ use bytes::Bytes;
 use pcb_clock::{ClusterConfig, KeySet, KeySpace, ProcessId};
 use pcb_telemetry::{Row, TraceEvent, TraceRecord, Tracer};
 
-use crate::message::{Message, MessageId};
+use crate::dedup::SeenWindows;
+use crate::message::Message;
 use crate::pending::WakeupStats;
 use crate::process::{Delivery, PcbConfig, PcbProcess, ProcessStats};
 use crate::recovery::{Counters, MessageStore, SyncRequest};
@@ -126,8 +127,8 @@ pub enum Input<P> {
     SyncRequest {
         /// The requesting process (route the reply back to it).
         from: ProcessId,
-        /// Message ids the requester already has.
-        known: Vec<MessageId>,
+        /// The requester's dedup windows ([`Output::RequestSync`]).
+        windows: SeenWindows,
     },
     /// A peer answered our [`Output::RequestSync`].
     SyncResponse {
@@ -177,12 +178,14 @@ pub enum Output<P> {
     Deliver(Delivery<P>),
     /// Broadcast this frame to every peer.
     SendFrame(Message<P>),
-    /// Ask a peer for anything not in `known`. Peer choice is the
+    /// Ask a peer for anything outside `windows`. Peer choice is the
     /// shell's (the live router rotates; the simulator rotates
     /// deterministically).
     RequestSync {
-        /// Every message id this endpoint already has.
-        known: Vec<MessageId>,
+        /// Everything this endpoint has seen, as dedup windows: per
+        /// sender a contiguous prefix plus the exceptions beyond it, so
+        /// the probe's size follows senders and gaps, not history.
+        windows: SeenWindows,
     },
     /// Unicast answer to an [`Input::SyncRequest`].
     SyncReply {
@@ -576,7 +579,7 @@ impl<P: Clone> Endpoint<P> {
         let (sponsor, store) = PcbProcess::restore(snapshot);
         let clock = sponsor.clock().to_timestamp();
         let mut process =
-            PcbProcess::drain_from_parts(id, keys, clock, sponsor.seen_clone(), config);
+            PcbProcess::drain_from_parts(id, keys, clock, sponsor.seen().clone(), config);
         process.set_estimators(ep.config.estimators);
         ep.process = process;
         ep.store = store;
@@ -685,8 +688,8 @@ impl<P: Clone> Endpoint<P> {
                 self.route(message, via, now_us, out);
                 self.maybe_request_sync(now_us, out);
             }
-            Input::SyncRequest { from, known } => {
-                let response = self.store.handle_sync(&SyncRequest::new(known));
+            Input::SyncRequest { from, windows } => {
+                let response = self.store.handle_sync(&SyncRequest { windows });
                 self.counters.sync_served += 1;
                 // Always reply, even when empty: the requester's backoff
                 // doubling needs to observe the emptiness, and the
@@ -1216,19 +1219,21 @@ impl<P: Clone> Endpoint<P> {
         if !pending_stale && !idle_probe {
             return;
         }
-        let mut known: Vec<MessageId> = self.process.seen_ids().collect();
-        if let Some(prev) = self.prev.as_ref() {
-            // Messages parked in the drain's pending queue are known to
-            // the drain only (they reach the current seen-set when they
-            // deliver); without its ids every probe would refetch them.
-            known.extend(prev.process.seen_ids());
-            known.sort_unstable();
-            known.dedup();
-        }
+        let windows = match self.prev.as_ref() {
+            None => self.process.seen_windows(),
+            Some(prev) => {
+                // Messages parked in the drain's pending queue are known
+                // to the drain only (they reach the current seen-set when
+                // they deliver); without them every probe would refetch.
+                let mut seen = self.process.seen().clone();
+                seen.union(prev.process.seen());
+                seen.export_windows()
+            }
+        };
         self.counters.sync_requests += 1;
         self.sync_in_flight = true;
         self.sync_sent_at_us = now_us;
-        out.push(Output::RequestSync { known });
+        out.push(Output::RequestSync { windows });
     }
 
     /// Re-arms the quiescence probe at its minimum interval (new traffic
@@ -1277,7 +1282,7 @@ impl<P: Clone> Endpoint<P> {
                         self.id,
                         prev.keys.clone(),
                         prev.clock,
-                        self.process.seen_clone(),
+                        self.process.seen().clone(),
                         self.config.clone(),
                     );
                     PrevEpoch { config, keys: prev.keys, process }
@@ -1396,6 +1401,7 @@ impl Endpoint<Bytes> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::MessageId;
     use pcb_clock::KeySpace;
 
     fn space() -> KeySpace {
@@ -1430,9 +1436,13 @@ mod tests {
             .collect()
     }
 
-    fn known_of<P>(outs: &[Output<P>]) -> Option<Vec<MessageId>> {
+    fn holds(windows: &SeenWindows, ids: &[MessageId]) -> bool {
+        ids.iter().all(|&id| crate::dedup::windows_contain(windows, id))
+    }
+
+    fn windows_of<P>(outs: &[Output<P>]) -> Option<SeenWindows> {
         outs.iter().find_map(|o| match o {
-            Output::RequestSync { known } => Some(known.clone()),
+            Output::RequestSync { windows } => Some(windows.clone()),
             _ => None,
         })
     }
@@ -1504,10 +1514,10 @@ mod tests {
 
         // Idle probe fires once b has been quiet past stale_after.
         let outs = b.handle(Input::Tick, 2_000);
-        let known = known_of(&outs).expect("idle probe");
+        let windows = windows_of(&outs).expect("idle probe");
         assert_eq!(b.recovery_counters().sync_requests, 1);
 
-        let reply = a.handle(Input::SyncRequest { from: b.id(), known }, 2_100);
+        let reply = a.handle(Input::SyncRequest { from: b.id(), windows }, 2_100);
         let Some(Output::SyncReply { to, messages, .. }) =
             reply.iter().find(|o| matches!(o, Output::SyncReply { .. }))
         else {
@@ -1547,7 +1557,7 @@ mod tests {
         // successive probes.
         for _ in 0..200 {
             let outs = b.handle(Input::Tick, now);
-            if known_of(&outs).is_some() {
+            if windows_of(&outs).is_some() {
                 if let Some(prev) = last_probe {
                     probe_gaps.push(now - prev);
                 }
@@ -1593,17 +1603,17 @@ mod tests {
         let mut b = endpoint(1, &[1, 2]);
         let t = timing();
         let outs = b.handle(Input::Tick, t.stale_after_us);
-        assert!(known_of(&outs).is_some(), "first probe fires");
+        assert!(windows_of(&outs).is_some(), "first probe fires");
         // In flight: no second probe before the (jittered) timeout.
         let outs = b.handle(Input::Tick, t.stale_after_us + t.sync_timeout_us - 1);
-        assert!(known_of(&outs).is_none());
+        assert!(windows_of(&outs).is_none());
         // Timed out: the probe re-arms within the jitter window
         // (timeout .. timeout + timeout/4) at poll granularity.
         let mut now = t.stale_after_us + t.sync_timeout_us;
         let deadline = t.stale_after_us + t.sync_timeout_us + t.sync_timeout_us / 4;
         let mut fired = false;
         while now <= deadline + t.poll_every_us {
-            if known_of(&b.handle(Input::Tick, now)).is_some() {
+            if windows_of(&b.handle(Input::Tick, now)).is_some() {
                 fired = true;
                 break;
             }
@@ -1627,7 +1637,7 @@ mod tests {
             let mut probes = Vec::new();
             let mut now = t.stale_after_us;
             for _ in 0..400 {
-                if known_of(&e.handle(Input::Tick, now)).is_some() {
+                if windows_of(&e.handle(Input::Tick, now)).is_some() {
                     probes.push(now);
                     let _ = e.handle(
                         Input::SyncResponse {
@@ -1698,7 +1708,7 @@ mod tests {
         let outs = r.handle(Input::Restore, t.snapshot_every_us + 100);
         assert!(!r.crashed());
         assert_eq!(r.recovery_counters().snapshot_restores, 1);
-        assert!(known_of(&outs).is_some(), "restore probes for what it missed");
+        assert!(windows_of(&outs).is_some(), "restore probes for what it missed");
         let m = frames(&r.handle(Input::Broadcast("4"), t.snapshot_every_us + 200)).remove(0);
         assert_eq!(m.id().seq(), 4, "stamp heights continue past the kill");
     }
@@ -1731,7 +1741,7 @@ mod tests {
         assert_eq!(b.recovery_counters().snapshot_restores, 1);
         assert!(!b.crashed());
         assert_eq!(b.stats().delivered, 1, "snapshot preserved the pre-crash delivery");
-        assert!(known_of(&outs).is_some(), "restore probes for what it missed");
+        assert!(windows_of(&outs).is_some(), "restore probes for what it missed");
     }
 
     #[test]
@@ -1850,7 +1860,7 @@ mod tests {
         let mut a = endpoint(0, &[0, 1]);
         let outs = a.handle(Input::Tick, 6_000);
         assert!(outs.iter().any(|o| matches!(o, Output::SnapshotReady { at_us: 6_000 })));
-        assert!(known_of(&outs).is_some(), "idle past stale_after: probe fires");
+        assert!(windows_of(&outs).is_some(), "idle past stale_after: probe fires");
         assert!(outs
             .iter()
             .any(|o| matches!(o, Output::ScheduleTick { at_us } if *at_us == 6_000 + 250)));
@@ -1965,9 +1975,9 @@ mod tests {
         assert!(!outs.iter().any(|o| matches!(o, Output::Deliver(_))), "refused, not delivered");
         assert_eq!(b.status().cross_epoch_refused, 1);
         assert_eq!(b.stats().delivered, 0, "refusal leaves state untouched");
-        let known = known_of(&outs).expect("a future-epoch refusal fires an immediate probe");
+        let windows = windows_of(&outs).expect("a future-epoch refusal fires an immediate probe");
 
-        let reply = a.handle(Input::SyncRequest { from: b.id(), known }, 2_100);
+        let reply = a.handle(Input::SyncRequest { from: b.id(), windows }, 2_100);
         let Some(Output::SyncReply { messages, config, .. }) =
             reply.iter().find(|o| matches!(o, Output::SyncReply { .. }))
         else {
@@ -2005,7 +2015,7 @@ mod tests {
         // What the store serves a peer that knows nothing.
         let served = |b: &mut Endpoint<Bytes>, now_us| {
             let reply =
-                b.handle(Input::SyncRequest { from: ProcessId::new(5), known: vec![] }, now_us);
+                b.handle(Input::SyncRequest { from: ProcessId::new(5), windows: vec![] }, now_us);
             reply
                 .iter()
                 .find_map(|o| match o {
@@ -2089,11 +2099,11 @@ mod tests {
         assert_eq!(c.status().config_epoch, 0);
         assert_eq!(c.stats().delivered, 0, "sponsor history is not the newcomer's delivery");
 
-        // Pre-join history is known, not wanted: the first probe's known
-        // set already covers the sponsor's messages.
+        // Pre-join history is known, not wanted: the first probe's
+        // windows already cover the sponsor's messages.
         let outs = c.handle(Input::Tick, t.stale_after_us);
-        let known = known_of(&outs).expect("idle probe");
-        assert!(known.contains(&m1.id()) && known.contains(&m2.id()), "history inherited");
+        let windows = windows_of(&outs).expect("idle probe");
+        assert!(holds(&windows, &[m1.id(), m2.id()]), "history inherited");
 
         // Traffic causally after the join point delivers immediately.
         let m3 = frames(&a.handle(Input::Broadcast("m3"), 30)).remove(0);
@@ -2136,8 +2146,8 @@ mod tests {
         // the sponsor's history stays known and never re-delivers.
         let _ = c.handle(Input::Crash, 1_010);
         let outs = c.handle(Input::Restore, 1_020);
-        let known = known_of(&outs).expect("restore fires the catch-up probe");
-        assert!(known.contains(&m1.id()) && known.contains(&m2.id()), "floor survived the crash");
+        let windows = windows_of(&outs).expect("restore fires the catch-up probe");
+        assert!(holds(&windows, &[m1.id(), m2.id()]), "floor survived the crash");
         assert!(c.handle(Input::FrameReceived(m1), 1_040).is_empty(), "pre-floor frame is dedup'd");
 
         // Post-join traffic flows both ways.
@@ -2226,13 +2236,14 @@ mod tests {
         let _ = b.handle(Input::Crash, t.snapshot_every_us + 30);
         let outs = b.handle(Input::Restore, t.snapshot_every_us + 40);
         assert_eq!(b.status().config_epoch, 0, "restored into the pre-reconfigure epoch");
-        let known = known_of(&outs).expect("restore probes for what it missed");
+        let windows = windows_of(&outs).expect("restore probes for what it missed");
 
         let refused = b.handle(Input::FrameReceived(m.clone()), t.snapshot_every_us + 50);
         assert!(!refused.iter().any(|o| matches!(o, Output::Deliver(_))));
         assert!(b.status().cross_epoch_refused >= 1);
 
-        let reply = a.handle(Input::SyncRequest { from: b.id(), known }, t.snapshot_every_us + 60);
+        let reply =
+            a.handle(Input::SyncRequest { from: b.id(), windows }, t.snapshot_every_us + 60);
         let Some(Output::SyncReply { messages, config, .. }) =
             reply.iter().find(|o| matches!(o, Output::SyncReply { .. }))
         else {

@@ -53,6 +53,13 @@ pub const MAX_FRAGMENTS: u64 = 1024;
 /// and the 8-byte checksum.
 const HEADER_WORST_CASE: usize = 1 + 10 + 10 + 10 + 5 + 8;
 
+/// The largest frame [`fragment`] splits at this `mtu`: [`MAX_FRAGMENTS`]
+/// datagrams, each with the worst-case header taken out.
+#[must_use]
+pub fn max_frame_len(mtu: usize) -> usize {
+    MAX_FRAGMENTS as usize * mtu.saturating_sub(HEADER_WORST_CASE)
+}
+
 /// Errors decoding or assembling datagrams.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FragmentError {

@@ -49,7 +49,7 @@ pub mod recovery;
 pub mod snapshot;
 pub mod wire;
 
-pub use dedup::DedupFilter;
+pub use dedup::{DedupFilter, SeenWindows};
 pub use detector::{instant_alert, RecentListDetector};
 pub use discipline::{
     Alerts, DetectingProbDiscipline, Discipline, FifoDiscipline, ImmediateDiscipline,
@@ -57,12 +57,13 @@ pub use discipline::{
 };
 pub use endpoint::{Endpoint, EndpointStatus, Input, JoinGrant, Output, RecoveryTimingUs};
 pub use fragment::{
-    fragment, fragment_into, FragmentError, Reassembler, DEFAULT_MTU, MAX_FRAGMENTS, MIN_MTU,
+    fragment, fragment_into, max_frame_len, FragmentError, Reassembler, DEFAULT_MTU, MAX_FRAGMENTS,
+    MIN_MTU,
 };
 pub use membership::{Group, MemberState};
 pub use message::{Message, MessageId};
 pub use pending::{InsertVerdict, WakeupIndex, WakeupStats};
 pub use process::{Delivery, PcbConfig, PcbProcess, ProcessStats};
-pub use recovery::{Counters, MessageStore, SyncRequest, SyncResponse};
+pub use recovery::{Counters, MessageStore, SyncRequest, SyncResponse, SYNC_REPLY_MAX};
 pub use snapshot::{decode_snapshot, encode_snapshot, PrevEpochSnapshot, ProcessSnapshot};
 pub use wire::{control_size, decode, encode, encode_full, DeltaDecoder, DeltaEncoder, WireError};

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use pcb_clock::{KeySet, ProbClock, ProcessId};
 use pcb_telemetry::{CausalHealth, TraceEvent, TraceRecord, Tracer};
 
-use crate::dedup::DedupFilter;
+use crate::dedup::{DedupFilter, SeenWindows};
 use crate::detector::{instant_alert, RecentListDetector};
 use crate::message::{Message, MessageId};
 use crate::pending::{InsertVerdict, WakeupIndex, WakeupStats};
@@ -187,11 +187,12 @@ impl<P> PcbProcess<P> {
         self.pending.oldest_age(now)
     }
 
-    /// Ids of every message this endpoint has seen (delivered, pending,
-    /// or own broadcasts) — the `known` set of a
-    /// [`crate::recovery::SyncRequest`].
-    pub fn seen_ids(&self) -> impl Iterator<Item = MessageId> + '_ {
-        self.seen.iter()
+    /// Every message this endpoint has seen (delivered, pending, or own
+    /// broadcasts) as dedup windows — what a
+    /// [`crate::recovery::SyncRequest`] carries.
+    #[must_use]
+    pub fn seen_windows(&self) -> SeenWindows {
+        self.seen.export_windows()
     }
 
     /// Lifetime counters.
@@ -361,7 +362,7 @@ impl<P> PcbProcess<P> {
         // The snapshot must not claim still-pending messages: they are
         // lost with the crash (the pending queue is deliberately not
         // persisted), so leaving their ids in the durable seen-set would
-        // make the restored endpoint advertise them as `known` and dedup
+        // make the restored endpoint claim them in its probe windows and dedup
         // away the very re-fetch that is supposed to bring them back.
         let mut seen = self.seen.clone();
         for message in self.pending.iter_messages() {
@@ -514,11 +515,12 @@ impl<P> PcbProcess<P> {
         }
     }
 
-    /// Clone of the duplicate-suppression filter (crate-internal: seeds a
-    /// rebuilt drain process's seen-set across a crash mid-migration).
+    /// The duplicate-suppression filter (crate-internal: seeds a rebuilt
+    /// drain process's seen-set across a crash mid-migration, and joins a
+    /// probe's windows with the drain's).
     #[must_use]
-    pub(crate) fn seen_clone(&self) -> DedupFilter {
-        self.seen.clone()
+    pub(crate) fn seen(&self) -> &DedupFilter {
+        &self.seen
     }
 
     /// Re-applies the clock effects of own broadcasts made after the

@@ -6,17 +6,20 @@
 //! [`MessageStore`] of recently seen messages (gossip and UDP stacks
 //! already do, §4.2.1); when a process suspects trouble — an Algorithm 4/5
 //! alert, or a pending message stuck past the propagation window — it
-//! sends a [`SyncRequest`] listing what it already has, and any peer
-//! answers with the recent messages the requester is missing. Replaying
-//! the response through `PcbProcess::on_receive` is idempotent thanks to
-//! duplicate suppression.
+//! sends a [`SyncRequest`] carrying its dedup windows (per sender: a
+//! contiguous prefix plus the exceptions beyond it, so a probe's size
+//! follows senders and gaps, not history), and any peer answers with the
+//! recent messages outside them, at most [`SYNC_REPLY_MAX`] at a time.
+//! Replaying the response through `PcbProcess::on_receive` is idempotent
+//! thanks to duplicate suppression.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use pcb_clock::{StampPool, StampPoolStats};
 
+use crate::dedup::{windows_contain, DedupFilter, SeenWindows};
 use crate::idmap::IdMap;
 use crate::message::{Message, MessageId};
 use crate::wire::{DeltaDecoder, WireError};
@@ -234,18 +237,31 @@ impl<P> MessageStore<P> {
     }
 }
 
-/// Anti-entropy request: "here is what I recently saw; send me the rest".
+/// Most messages one [`SyncResponse`] carries. A reply is one transport
+/// frame, and a frame the transport cannot fragment is lost whole — the
+/// requester would time out and ask for the same oversized answer again.
+/// Bounded, the requester's next probe carries advanced windows and
+/// fetches the rest.
+pub const SYNC_REPLY_MAX: usize = 1024;
+
+/// Anti-entropy request: "here is what I have seen; send me the rest".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncRequest {
-    /// Message ids the requester already holds (delivered or pending).
-    pub known: Vec<MessageId>,
+    /// The requester's seen-set (delivered or pending), as
+    /// [`DedupFilter::export_windows`] produces it: ascending by sender,
+    /// each exception list ascending.
+    pub windows: SeenWindows,
 }
 
 impl SyncRequest {
-    /// Builds a request from an iterator of known ids.
+    /// Builds a request from the ids the requester holds.
     #[must_use]
     pub fn new(known: impl IntoIterator<Item = MessageId>) -> Self {
-        Self { known: known.into_iter().collect() }
+        let mut seen = DedupFilter::new();
+        for id in known {
+            seen.insert(id);
+        }
+        Self { windows: seen.export_windows() }
     }
 }
 
@@ -283,12 +299,18 @@ impl<P: Clone> MessageStore<P> {
         }
     }
 
-    /// Answers a [`SyncRequest`] from this store.
+    /// Answers a [`SyncRequest`] from this store: the retained messages
+    /// outside the requester's windows, oldest first, at most
+    /// [`SYNC_REPLY_MAX`] of them.
     #[must_use]
     pub fn handle_sync(&self, request: &SyncRequest) -> SyncResponse<P> {
-        let known: HashSet<MessageId> = request.known.iter().copied().collect();
         SyncResponse {
-            messages: self.iter().filter(|m| !known.contains(&m.id())).cloned().collect(),
+            messages: self
+                .iter()
+                .filter(|m| !windows_contain(&request.windows, m.id()))
+                .take(SYNC_REPLY_MAX)
+                .cloned()
+                .collect(),
         }
     }
 }
@@ -371,6 +393,23 @@ mod tests {
     }
 
     #[test]
+    fn reply_is_bounded_and_the_next_probe_fetches_the_rest() {
+        let mut a = proc(0, &[0, 1]);
+        let mut store = MessageStore::new(u64::MAX / 2);
+        let total = SYNC_REPLY_MAX + 10;
+        for t in 0..total {
+            store.insert(t as u64, a.broadcast("m"));
+        }
+        let first = store.handle_sync(&SyncRequest::new([]));
+        assert_eq!(first.messages.len(), SYNC_REPLY_MAX);
+        assert_eq!(first.messages[0].id().seq(), 1, "oldest first");
+        // The requester replays the reply; its windows advance past it.
+        let rest = store.handle_sync(&SyncRequest::new(first.messages.iter().map(Message::id)));
+        let seqs: Vec<u64> = rest.messages.iter().map(|m| m.id().seq()).collect();
+        assert_eq!(seqs, (SYNC_REPLY_MAX as u64 + 1..=total as u64).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn lost_message_recovered_by_anti_entropy() {
         // p_a broadcasts m1 then m2. p_b gets both (and keeps a store).
         // p_k loses m1: m2 blocks. Anti-entropy from p_b unblocks it.
@@ -391,7 +430,7 @@ mod tests {
         assert!(p_k.oldest_pending_age(60).is_some_and(|age| age >= 50));
 
         // Stuck past the propagation window: ask p_b for what we miss.
-        let request = SyncRequest::new(p_k.seen_ids());
+        let request = SyncRequest { windows: p_k.seen_windows() };
         let response = b_store.handle_sync(&request);
         assert_eq!(response.messages.len(), 1, "only m1 is missing");
 

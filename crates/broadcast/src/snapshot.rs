@@ -31,6 +31,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pcb_clock::{AssignmentPolicy, ClusterConfig, KeySet, KeySpace, ProcessId, Timestamp};
 
+use crate::dedup::SeenWindows;
 use crate::message::Message;
 use crate::process::{PcbConfig, ProcessStats};
 use crate::wire::{self, WireError};
@@ -71,7 +72,7 @@ pub struct ProcessSnapshot<P> {
     /// The last sequence number used at snapshot time.
     pub seq: u64,
     /// Compressed dedup state: `(sender, prefix, exceptions)` windows.
-    pub seen: Vec<(ProcessId, u64, Vec<u64>)>,
+    pub seen: SeenWindows,
     /// Lifetime counters at snapshot time.
     pub stats: ProcessStats,
     /// Retention window of the message store.

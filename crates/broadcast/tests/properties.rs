@@ -236,7 +236,7 @@ proptest! {
             }
         }
         // Anti-entropy: fetch everything rx has not seen.
-        let response = store.handle_sync(&SyncRequest::new(rx.seen_ids()));
+        let response = store.handle_sync(&SyncRequest { windows: rx.seen_windows() });
         let mut recovered = 0usize;
         for m in response.messages {
             recovered += rx.on_receive(m, count as u64).len();

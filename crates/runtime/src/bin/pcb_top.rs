@@ -84,7 +84,7 @@ fn render(targets: &[SocketAddr], clear: bool) -> u32 {
         out.push_str("\x1b[2J\x1b[H");
     }
     out.push_str(&format!(
-        "{:<21} {:>3} {:>3} {:>3} {:>5} {:>9} {:>7} {:>9} {:>9} {:>5} {:>6} {:>5}  {}\n",
+        "{:<21} {:>3} {:>3} {:>3} {:>5} {:>9} {:>7} {:>9} {:>9} {:>5} {:>6} {:>5} {:>5}  {}\n",
         "node (rpc)",
         "inc",
         "cfg",
@@ -97,6 +97,7 @@ fn render(targets: &[SocketAddr], clear: bool) -> u32 {
         "k_rec",
         "rexmit",
         "down",
+        "rstrt",
         "entry heat",
     ));
     let mut unreachable = 0;
@@ -107,7 +108,7 @@ fn render(targets: &[SocketAddr], clear: bool) -> u32 {
                 let left = s.get("left").and_then(Value::as_bool).unwrap_or(false);
                 out.push_str(&format!(
                     "{:<21} {:>3} {:>3} {:>3} {:>5} {:>9} {:>7.2} {:>9.2e} {:>9.2e} {:>5} {:>6} \
-                     {:>5}  {}{}\n",
+                     {:>5} {:>5}  {}{}\n",
                     format!("{} ({addr})", u64_field(&s, "node")),
                     u64_field(&s, "endpoint_incarnation"),
                     u64_field(&s, "config_epoch"),
@@ -121,6 +122,7 @@ fn render(targets: &[SocketAddr], clear: bool) -> u32 {
                     u64_field(&s, "udp_retransmits"),
                     u64_field(&s, "udp_peer_down")
                         - u64_field(&s, "udp_peer_up").min(u64_field(&s, "udp_peer_down")),
+                    u64_field(&s, "udp_peer_restarts"),
                     heatmap_spark(&s),
                     if left {
                         "  [LEFT]"

@@ -696,7 +696,7 @@ impl Daemon {
                         self.transport.send(addr, frame.clone(), wall);
                     }
                 }
-                Output::RequestSync { known } => {
+                Output::RequestSync { windows } => {
                     let n = self.spec.n as usize;
                     if n > 1 {
                         // Same deterministic rotation the simulator uses.
@@ -706,7 +706,7 @@ impl Daemon {
                         if let Some(addr) = self.peer_addrs[target] {
                             let msg = encode_pcb_msg(&Input::SyncRequest {
                                 from: ProcessId::new(self.spec.node as usize),
-                                known,
+                                windows,
                             });
                             let wall = self.wall_us();
                             self.transport.send(addr, msg, wall);

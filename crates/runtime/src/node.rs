@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use pcb_broadcast::endpoint::{Endpoint, EndpointStatus, Input, Output, RecoveryTimingUs};
-use pcb_broadcast::{Delivery, Message, MessageId, PcbConfig};
+use pcb_broadcast::{Delivery, Message, PcbConfig, SeenWindows};
 use pcb_clock::{ClusterConfig, KeySet, ProcessId};
 use pcb_telemetry::TraceRecord;
 
@@ -77,8 +77,8 @@ pub(crate) enum Command<P> {
     SyncRequest {
         /// The requesting node.
         from: ProcessId,
-        /// Ids the requester already holds.
-        known: Vec<MessageId>,
+        /// The requester's dedup windows.
+        windows: SeenWindows,
     },
     /// Missing messages arriving from a peer's store, together with the
     /// cluster configuration the replier was running — a replier in a
@@ -249,8 +249,8 @@ impl<P: Send + Clone + 'static> NodeLoop<P> {
                         return false;
                     }
                 }
-                Output::RequestSync { known } => {
-                    let _ = self.router_tx.send(RouterMsg::SyncRequest { from: self.id, known });
+                Output::RequestSync { windows } => {
+                    let _ = self.router_tx.send(RouterMsg::SyncRequest { from: self.id, windows });
                 }
                 Output::SyncReply { to, messages, config } => {
                     let _ = self.router_tx.send(RouterMsg::SyncResponse {
@@ -291,8 +291,8 @@ impl<P: Send + Clone + 'static> NodeLoop<P> {
                     self.endpoint.handle(Input::FrameReceived(message), now)
                 }
                 Command::Broadcast(payload) => self.endpoint.handle(Input::Broadcast(payload), now),
-                Command::SyncRequest { from, known } => {
-                    self.endpoint.handle(Input::SyncRequest { from, known }, now)
+                Command::SyncRequest { from, windows } => {
+                    self.endpoint.handle(Input::SyncRequest { from, windows }, now)
                 }
                 Command::SyncResponse { messages, config } => {
                     self.endpoint.handle(Input::SyncResponse { messages, config }, now)

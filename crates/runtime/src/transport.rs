@@ -13,7 +13,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use pcb_broadcast::{Message, MessageId};
+use pcb_broadcast::{Message, SeenWindows};
 use pcb_clock::{ClusterConfig, ProcessId};
 use pcb_sim::LinkFaults;
 use rand::rngs::StdRng;
@@ -111,8 +111,8 @@ pub(crate) enum RouterMsg<P> {
     SyncRequest {
         /// The node asking for its missing messages.
         from: ProcessId,
-        /// Message ids the requester already holds.
-        known: Vec<MessageId>,
+        /// The requester's dedup windows.
+        windows: SeenWindows,
     },
     /// Anti-entropy: deliver these missing messages to `to`.
     SyncResponse {
@@ -283,7 +283,7 @@ pub(crate) fn spawn_router<P: Clone + Send + 'static>(
                             });
                         }
                     }
-                    Some(RouterMsg::SyncRequest { from, known }) => {
+                    Some(RouterMsg::SyncRequest { from, windows }) => {
                         // Sync traffic is unicast and assumed reliable
                         // (e.g. TCP). Targets rotate so a retrying
                         // requester reaches every peer within n-1 rounds
@@ -304,7 +304,7 @@ pub(crate) fn spawn_router<P: Clone + Send + 'static>(
                                 due: now + delay,
                                 seq,
                                 target,
-                                command: Command::SyncRequest { from, known },
+                                command: Command::SyncRequest { from, windows },
                             });
                         }
                     }

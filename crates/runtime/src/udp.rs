@@ -11,14 +11,21 @@
 //!   receivers hold back out-of-order frames and return cumulative acks;
 //!   senders retransmit on a capped exponential backoff.
 //! - **Epochs** — each process incarnation stamps its datagrams with an
-//!   epoch. A receiver that sees a higher epoch resets its expectations,
-//!   so a restarted peer's fresh sequence space is never confused with
-//!   the dead one's. Messages lost across the reset are recovered by the
-//!   protocol's own anti-entropy (§4.2), not the transport.
+//!   epoch: the incarnation in the high half, this side's fences towards
+//!   that peer in the low half. A receiver that sees a higher epoch
+//!   resets its expectations, so a restarted peer's fresh sequence space
+//!   is never confused with the dead one's. If the *incarnation* rose,
+//!   the peer also lost what it had received from us, so the send side
+//!   is fenced too: a new send epoch, numbering from 1 again, and every
+//!   frame still outstanding or queued offered again under it — the
+//!   restarted peer would otherwise hold everything back, waiting for a
+//!   sequence number 1 that was acknowledged to its previous life.
+//!   Messages lost across a reset are recovered by the protocol's own
+//!   anti-entropy (§4.2), not the transport.
 //! - **Liveness** — a frame that exhausts its retries marks the peer
-//!   unreachable, surfaces a [`UdpEvent::PeerDown`], abandons the
-//!   outstanding queue (again: anti-entropy owns the gap) and bumps the
-//!   send epoch so delivery restarts cleanly when the peer returns.
+//!   unreachable, surfaces a [`UdpEvent::PeerDown`] and fences the send
+//!   side the same way, except that the outstanding queue is abandoned
+//!   (again: anti-entropy owns the gap).
 //! - **Fault injection** — every outbound datagram passes through a
 //!   [`SocketShim`], so a recorded chaos plan can drop, duplicate, delay
 //!   or corrupt traffic deterministically without touching iptables.
@@ -34,7 +41,7 @@ use std::net::{SocketAddr, UdpSocket};
 
 use bytes::Bytes;
 use pcb_broadcast::wire::checksum64;
-use pcb_broadcast::{fragment_into, Reassembler, MIN_MTU};
+use pcb_broadcast::{fragment_into, max_frame_len, Reassembler, MIN_MTU};
 use pcb_sim::LinkFaults;
 use pcb_telemetry::Row;
 
@@ -146,6 +153,12 @@ pub struct UdpStats {
     pub coalesced_sent: u64,
     /// Coalesced datagrams received and unpacked.
     pub coalesced_received: u64,
+    /// Send-side fences caused by a peer's incarnation rising (it
+    /// restarted and lost what it had received), distinct from
+    /// `give_ups`.
+    pub peer_restarts: u64,
+    /// Frames refused by [`UdpTransport::send`] as too large to fragment.
+    pub oversize_refused: u64,
 }
 
 impl UdpStats {
@@ -169,6 +182,8 @@ impl UdpStats {
             epoch_resets,
             coalesced_sent,
             coalesced_received,
+            peer_restarts,
+            oversize_refused,
         } = *self;
         vec![
             Row::counter("udp_frames_sent", "Reliable frames sent.", frames_sent),
@@ -188,6 +203,16 @@ impl UdpStats {
                 "udp_coalesced_received",
                 "Coalesced datagrams received.",
                 coalesced_received,
+            ),
+            Row::counter(
+                "udp_peer_restarts",
+                "Send sides fenced by a peer restart.",
+                peer_restarts,
+            ),
+            Row::counter(
+                "udp_oversize_refused",
+                "Frames refused as too large to fragment.",
+                oversize_refused,
             ),
         ]
     }
@@ -243,6 +268,37 @@ impl PeerState {
             pending_since_us: 0,
         }
     }
+
+    /// Opens a new send epoch towards this peer: numbering restarts at 1
+    /// and whatever was numbered in the old epoch — in flight, or parked
+    /// in the coalescing buffer, which holds fragments of in-flight
+    /// frames — leaves it. With `reoffer` those frames go back to the
+    /// head of the queue in send order, for the next `promote_queued` to
+    /// ship under the new numbering (the peer restarted: it wants them,
+    /// and dedup absorbs any it already had); without, they and the
+    /// queue behind them are abandoned (the peer is unreachable:
+    /// anti-entropy owns the gap).
+    fn fence(&mut self, reoffer: bool) {
+        self.send_epoch += 1;
+        self.next_seq = 1;
+        self.pending.clear();
+        self.pending_bytes = 0;
+        let outstanding = std::mem::take(&mut self.unacked);
+        if reoffer {
+            for out in outstanding.into_values().rev() {
+                self.queued.push_front(out.frame);
+            }
+        } else {
+            self.queued.clear();
+        }
+    }
+}
+
+/// The process incarnation an epoch was issued under
+/// ([`UdpTransport::bind`] puts it in the high half; per-peer fences
+/// count in the low half).
+fn incarnation_of(epoch: u64) -> u64 {
+    epoch >> 32
 }
 
 /// A datagram the shim held back, waiting for its release time.
@@ -276,10 +332,10 @@ impl Ord for Delayed {
 pub struct UdpTransport {
     socket: UdpSocket,
     cfg: UdpConfig,
-    /// Epoch base for this process incarnation. Per-peer give-up bumps
-    /// add to it, so restarts must raise the base by more than any
-    /// plausible bump count — [`UdpTransport::bind`] shifts the
-    /// incarnation into the high bits.
+    /// Epoch base for this process incarnation. Per-peer fences add to
+    /// it, so restarts must raise the base by more than any plausible
+    /// fence count — [`UdpTransport::bind`] shifts the incarnation into
+    /// the high bits.
     epoch_base: u64,
     peers: HashMap<SocketAddr, PeerState>,
     shim: SocketShim,
@@ -352,12 +408,19 @@ impl UdpTransport {
         self.peers.get(&peer).is_some_and(|p| p.unreachable)
     }
 
-    /// Queues `frame` for reliable in-order delivery to `peer`.
+    /// Queues `frame` for reliable in-order delivery to `peer`. A frame
+    /// too large to fragment is refused and counted
+    /// ([`UdpStats::oversize_refused`]): numbered, it could never leave,
+    /// and would stall everything behind it until the give-up.
     pub fn send(&mut self, peer: SocketAddr, frame: Bytes, now_us: u64) {
+        if frame.len() > max_frame_len(self.cfg.mtu - OUTER_OVERHEAD) {
+            self.stats.oversize_refused += 1;
+            return;
+        }
         self.stats.frames_sent += 1;
         let cfg = self.cfg.clone();
         let state = self.peers.entry(peer).or_insert_with(|| PeerState::new(self.epoch_base, &cfg));
-        if state.unacked.len() < cfg.window {
+        if state.queued.is_empty() && state.unacked.len() < cfg.window {
             let seq = state.next_seq;
             state.next_seq += 1;
             state.unacked.insert(
@@ -481,13 +544,27 @@ impl UdpTransport {
                     return;
                 }
                 if epoch > state.remote_epoch {
-                    // New incarnation (or post-give-up reset): the old
+                    // New incarnation, or the peer's own fence: the old
                     // sequence space is dead.
                     self.stats.epoch_resets += 1;
+                    // Only a restart takes the peer's receive state with
+                    // it. Its own fence (low half) leaves what it has
+                    // acknowledged intact — and answering a fence with a
+                    // fence would never end, each side's next datagram
+                    // raising the other's epoch again. A peer heard for
+                    // the first time has no earlier incarnation to
+                    // compare with, and nothing sent in this epoch means
+                    // nothing to renumber.
+                    let restarted = state.remote_epoch != 0
+                        && incarnation_of(epoch) > incarnation_of(state.remote_epoch);
                     state.remote_epoch = epoch;
                     state.expect = 1;
                     state.holdback.clear();
                     state.reassembler = Reassembler::new(cfg.reassembly_timeout_us, cfg.window);
+                    if restarted && state.next_seq > 1 {
+                        self.stats.peer_restarts += 1;
+                        state.fence(true);
+                    }
                 }
                 if kind == KIND_DATA {
                     if !Self::accept_fragment(state, &mut self.stats, now_us, arg, body) {
@@ -588,17 +665,7 @@ impl UdpTransport {
             if gave_up {
                 self.stats.give_ups += 1;
                 let state = self.peers.get_mut(&addr).expect("known peer");
-                state.unacked.clear();
-                state.queued.clear();
-                // Buffered-but-unflushed frames belong to the dead epoch;
-                // shipping them after the bump would confuse the receiver.
-                state.pending.clear();
-                state.pending_bytes = 0;
-                // A fresh epoch restarts sequencing from 1 when (if) the
-                // peer returns; the abandoned frames are the anti-entropy
-                // path's problem now.
-                state.send_epoch += 1;
-                state.next_seq = 1;
+                state.fence(false);
                 if !state.unreachable {
                     state.unreachable = true;
                     self.stats.peer_down += 1;
@@ -651,8 +718,7 @@ impl UdpTransport {
         }
         let inner_mtu = self.cfg.mtu - OUTER_OVERHEAD;
         let mut fragments = std::mem::take(&mut self.frag_scratch);
-        // Oversized frames (> MAX_FRAGMENTS * mtu) cannot happen with
-        // protocol traffic; drop rather than panic if they do.
+        // `send` refused anything too large to fragment.
         if fragment_into(seq, frame, inner_mtu, &mut fragments).is_ok() {
             if fragments.len() == 1 {
                 // Small frame: park it in the peer's coalescing buffer
@@ -750,8 +816,7 @@ impl UdpTransport {
     fn transmit_frame(&mut self, to: SocketAddr, epoch: u64, seq: u64, frame: &Bytes, now_us: u64) {
         let inner_mtu = self.cfg.mtu - OUTER_OVERHEAD;
         let mut fragments = std::mem::take(&mut self.frag_scratch);
-        // Oversized frames (> MAX_FRAGMENTS * mtu) cannot happen with
-        // protocol traffic; drop rather than panic if they do.
+        // `send` refused anything too large to fragment.
         if fragment_into(seq, frame, inner_mtu, &mut fragments).is_ok() {
             for frag in &fragments {
                 self.stats.fragments_sent += 1;
@@ -1106,6 +1171,205 @@ mod tests {
         let got = pump(&mut a2, &mut b, 1, 2_000);
         assert_eq!(got.len(), 1, "fresh epoch must not be mistaken for replay");
         assert_eq!(got[0].as_ref(), [7]);
+    }
+
+    /// Polls both ends at one frozen instant of the synthetic clock until
+    /// `done` holds, collecting the frames each end received (`a`'s
+    /// first). Loopback queues a datagram on the receiving socket inside
+    /// `send_to`, so this spins without sleeping; and because the clock
+    /// never advances, no retransmit timer can fire — whatever arrives
+    /// was sent exactly once.
+    fn settle(
+        a: &mut UdpTransport,
+        b: &mut UdpTransport,
+        now_us: u64,
+        mut done: impl FnMut(&UdpTransport, &UdpTransport, &[Bytes], &[Bytes]) -> bool,
+    ) -> (Vec<Bytes>, Vec<Bytes>) {
+        let frames = |events: Vec<UdpEvent>| {
+            events.into_iter().filter_map(|e| match e {
+                UdpEvent::Frame { frame, .. } => Some(frame),
+                _ => None,
+            })
+        };
+        let (mut at_a, mut at_b) = (Vec::new(), Vec::new());
+        for _ in 0..100_000 {
+            at_a.extend(frames(a.poll(now_us)));
+            at_b.extend(frames(b.poll(now_us)));
+            if done(a, b, &at_a, &at_b) {
+                break;
+            }
+            std::hint::spin_loop();
+        }
+        (at_a, at_b)
+    }
+
+    fn outstanding(t: &UdpTransport, peer: SocketAddr) -> usize {
+        t.peers.get(&peer).map_or(0, |p| p.unacked.len() + p.queued.len())
+    }
+
+    fn byte_frames(range: std::ops::Range<u8>) -> Vec<Bytes> {
+        range.map(|i| Bytes::from(vec![i])).collect()
+    }
+
+    #[test]
+    fn restarted_receiver_resyncs_without_a_give_up() {
+        // A window of 4 so the restart finds frames in every send-side
+        // state: in flight, parked in the coalescing buffer, and queued.
+        let cfg = UdpConfig { window: 4, ..UdpConfig::default() };
+        let (mut a, mut b, addr_a, addr_b) = pair(cfg.clone());
+        // B is a known peer of A (one frame back), and five frames A→B
+        // are delivered and acknowledged.
+        b.send(addr_a, Bytes::from_static(b"hello"), 0);
+        b.flush(0);
+        let (at_a, _) = settle(&mut a, &mut b, 0, |_, _, at_a, _| !at_a.is_empty());
+        assert_eq!(at_a, [Bytes::from_static(b"hello")]);
+        let mut at_b = Vec::new();
+        for frame in byte_frames(0..5) {
+            // One at a time: the window is 4.
+            a.send(addr_b, frame, 0);
+            a.flush(0);
+            at_b.extend(settle(&mut a, &mut b, 0, |a, _, _, _| outstanding(a, addr_b) == 0).1);
+        }
+        assert_eq!(at_b, byte_frames(0..5));
+
+        // B dies. A keeps sending: two frames flushed to the dead socket,
+        // two parked in the coalescing buffer, two queued behind the
+        // window.
+        drop(b);
+        for (i, frame) in byte_frames(5..11).into_iter().enumerate() {
+            a.send(addr_b, frame, 0);
+            if i == 1 {
+                a.flush(0);
+            }
+        }
+        assert_eq!(outstanding(&a, addr_b), 6);
+
+        // B′: same address, next incarnation, nothing remembered. It
+        // speaks first; A has one more frame to send.
+        let mut b2 = UdpTransport::bind(addr_b, 1, cfg, 3).expect("rebind b");
+        b2.send(addr_a, Bytes::from_static(b"back"), 0);
+        b2.flush(0);
+        a.send(addr_b, Bytes::from(vec![11]), 0);
+        let (at_a, at_b) = settle(&mut a, &mut b2, 0, |_, _, _, at_b| at_b.len() >= 7);
+        assert_eq!(at_a, [Bytes::from_static(b"back")]);
+        assert_eq!(at_b, byte_frames(5..12), "everything outstanding, in order, nothing twice");
+        let (stats, _) = a.stats();
+        assert_eq!(stats.peer_restarts, 1);
+        assert_eq!((stats.give_ups, stats.retransmits), (0, 0), "the clock never moved");
+        // Nothing further is in flight, and nothing arrives a second time.
+        let (_, more) = settle(&mut a, &mut b2, 0, |a, _, _, _| outstanding(a, addr_b) == 0);
+        assert!(more.is_empty(), "re-offered frames arrived twice: {more:?}");
+        assert_eq!(b2.stats().0.frames_received, 7);
+    }
+
+    #[test]
+    fn reordered_stale_ack_does_not_fence() {
+        let cfg = UdpConfig { coalesce_delay_us: 0, ..UdpConfig::default() };
+        let (mut a, mut b, addr_a, addr_b) = pair(cfg);
+        b.send(addr_a, Bytes::from_static(b"hello"), 0);
+        for frame in byte_frames(0..5) {
+            a.send(addr_b, frame, 0);
+        }
+        let (_, at_b) = settle(&mut a, &mut b, 0, |a, _, at_a, _| {
+            !at_a.is_empty() && outstanding(a, addr_b) == 0
+        });
+        assert_eq!(at_b, byte_frames(0..5));
+        // Two more leave A; B has not read them yet.
+        for frame in byte_frames(5..7) {
+            a.send(addr_b, frame, 0);
+        }
+        // Acks B sent early in this epoch ("nothing of yours delivered
+        // yet", then "three delivered") surface late, after the ack for
+        // all five. They look exactly like a restarted listener's — which
+        // is why a regressed ack is not taken as a restart signal.
+        let epoch = a.peers[&addr_b].send_epoch;
+        let seen = a.stats().0.datagrams_received;
+        let mut raw = Vec::new();
+        for cumulative in [0, 3] {
+            build_ack_into(&mut raw, epoch, cumulative);
+            b.socket.send_to(&raw, addr_a).expect("loopback send");
+        }
+        for _ in 0..100_000 {
+            let _ = a.poll(0);
+            if a.stats().0.datagrams_received >= seen + 2 {
+                break;
+            }
+        }
+        assert_eq!(a.stats().0.datagrams_received, seen + 2, "both stale acks were read");
+        assert_eq!(a.stats().0.peer_restarts, 0);
+        assert_eq!(a.peers[&addr_b].send_epoch, epoch);
+        assert_eq!(a.peers[&addr_b].unacked.len(), 2, "stale acks release nothing");
+        let (_, at_b) = settle(&mut a, &mut b, 0, |a, _, _, _| outstanding(a, addr_b) == 0);
+        assert_eq!(at_b, byte_frames(5..7));
+        assert_eq!(a.stats().0.retransmits, 0);
+    }
+
+    #[test]
+    fn peer_that_refenced_after_a_give_up_converges_without_a_counter_fence() {
+        let cfg = UdpConfig {
+            rto_initial_us: 1_000,
+            rto_max_us: 1_000,
+            max_retries: 2,
+            coalesce_delay_us: 0,
+            ..UdpConfig::default()
+        };
+        let (mut a, mut b, addr_a, addr_b) = pair(cfg);
+        a.send(addr_b, Bytes::from_static(b"a1"), 0);
+        b.send(addr_a, Bytes::from_static(b"b1"), 0);
+        let (at_a, at_b) = settle(&mut a, &mut b, 0, |a, b, _, _| {
+            outstanding(a, addr_b) == 0 && outstanding(b, addr_a) == 0
+        });
+        assert_eq!((at_a.len(), at_b.len()), (1, 1));
+
+        // B stops reading; A's frame exhausts its retries on the
+        // synthetic clock and A fences its send side by itself.
+        a.send(addr_b, Bytes::from_static(b"lost"), 0);
+        let mut now_us = 0;
+        let mut down = false;
+        while !down && now_us < 100_000 {
+            now_us += 1_000;
+            down = a.poll(now_us).iter().any(|e| matches!(e, UdpEvent::PeerDown(_)));
+        }
+        assert!(down);
+        let fenced = a.peers[&addr_b].send_epoch;
+        assert_eq!(incarnation_of(fenced), incarnation_of(fenced - 1), "a fence, not a restart");
+
+        // B reads again: the abandoned frame's copies are still in its
+        // socket buffer (one delivery), then traffic resumes both ways.
+        // A's higher epoch resets B's receive stream and nothing else —
+        // B's send side, and A's in answer, keep their epochs however
+        // many frames cross.
+        let b_epoch = b.peers[&addr_a].send_epoch;
+        for round in 0..3u8 {
+            a.send(addr_b, Bytes::from(vec![b'a', round]), now_us);
+            b.send(addr_a, Bytes::from(vec![b'b', round]), now_us);
+        }
+        let (at_a, at_b) = settle(&mut a, &mut b, now_us, |a, b, _, _| {
+            outstanding(a, addr_b) == 0 && outstanding(b, addr_a) == 0
+        });
+        let expect = |tag: u8| (0..3u8).map(|r| Bytes::from(vec![tag, r])).collect::<Vec<_>>();
+        assert_eq!(at_a, expect(b'b'));
+        assert_eq!(at_b[at_b.len() - 3..], expect(b'a')[..]);
+        assert!(at_b[..at_b.len() - 3].iter().all(|f| f.as_ref() == b"lost"));
+        assert_eq!(a.peers[&addr_b].send_epoch, fenced);
+        assert_eq!(b.peers[&addr_a].send_epoch, b_epoch);
+        assert_eq!((a.stats().0.peer_restarts, b.stats().0.peer_restarts), (0, 0));
+        assert_eq!(b.stats().0.epoch_resets, 2, "first contact, then A's fence");
+    }
+
+    #[test]
+    fn oversize_frame_is_refused_and_counted_not_numbered() {
+        let cfg = UdpConfig { mtu: MIN_MTU + OUTER_OVERHEAD, ..UdpConfig::default() };
+        let limit = max_frame_len(MIN_MTU);
+        let (mut a, mut b, _, addr_b) = pair(cfg);
+        a.send(addr_b, Bytes::from(vec![7u8; limit + 1]), 0);
+        assert_eq!(a.stats().0.oversize_refused, 1);
+        assert_eq!(a.stats().0.frames_sent, 0);
+        assert_eq!(a.next_deadline_us(), None, "nothing was numbered, nothing retries");
+        // The stream behind it is not stalled.
+        a.send(addr_b, Bytes::from(vec![8u8; 100]), 0);
+        let (_, at_b) = settle(&mut a, &mut b, 0, |_, _, _, at_b| !at_b.is_empty());
+        assert_eq!(at_b, [Bytes::from(vec![8u8; 100])]);
     }
 
     #[test]

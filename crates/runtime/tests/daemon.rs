@@ -361,6 +361,14 @@ fn live_cluster_survives_sigkill_and_recovers_from_disk() {
         s.to_json()
     );
     assert_eq!(s.get("incarnation").and_then(Value::as_u64), Some(2), "victim incarnation");
+    // Each survivor saw the victim's incarnation rise and renumbered its
+    // send side once — a fence is not answered with a fence, so the count
+    // stays at one however much traffic followed; the victim, which only
+    // ever met first-incarnation peers, never did.
+    for (node, proc) in procs.iter().enumerate() {
+        let restarts = status(proc.rpc).get("udp_peer_restarts").and_then(Value::as_u64);
+        assert_eq!(restarts, Some(u64::from(node != victim)), "node {node}");
+    }
 
     // Stream certification. Fresh subscriptions replay each process's
     // full in-memory delivery log; the victim's pre-kill stream comes
@@ -416,6 +424,8 @@ fn live_cluster_survives_sigkill_and_recovers_from_disk() {
             "udp_decode_errors",
             "udp_coalesced_sent",
             "udp_coalesced_received",
+            "udp_peer_restarts",
+            "udp_oversize_refused",
         ] {
             assert!(after.get(key).is_some(), "status lacks {key}: {}", after.to_json());
             let family = format!("# TYPE pcb_daemon_{key}");

@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use pcb_broadcast::endpoint::{Input, Output};
 use pcb_broadcast::{
-    Counters, Delivery, Endpoint, Message, MessageId, PcbConfig, RecoveryTimingUs,
+    Counters, Delivery, Endpoint, Message, MessageId, PcbConfig, RecoveryTimingUs, SeenWindows,
 };
 use pcb_clock::{AssignmentPolicy, ClusterConfig, KeyAssigner, KeySet, KeySpace, ProcessId};
 use pcb_telemetry::{patch_stamped_verdicts, StampedRecord, TraceEvent, TraceRecord};
@@ -131,8 +131,8 @@ enum Kind {
     Send { p: u32 },
     /// Arena message `msg` arrives at `p`.
     Frame { p: u32, msg: u32 },
-    /// `from`'s sync request (with its known-set) arrives at `p`.
-    SyncReq { p: u32, from: u32, known: Vec<MessageId> },
+    /// `from`'s sync request (with its dedup windows) arrives at `p`.
+    SyncReq { p: u32, from: u32, windows: SeenWindows },
     /// `from`'s sync reply (messages plus its cluster config) arrives
     /// back at requester `p`.
     SyncResp { p: u32, from: u32, messages: Vec<Message<u32>>, config: ClusterConfig },
@@ -306,7 +306,7 @@ impl Driver<'_> {
         match output {
             Output::Deliver(d) => self.on_deliver(p, &d, now),
             Output::SendFrame(m) => self.fan_out(p, m, now),
-            Output::RequestSync { known } => {
+            Output::RequestSync { windows } => {
                 // Peer choice is the shell's: rotate globally so repeated
                 // probes cover the whole cluster. Slots outside the
                 // membership (never joined, or gracefully left) are
@@ -327,7 +327,7 @@ impl Driver<'_> {
                     return; // no other member to probe
                 }
                 let at = now + self.sync_leg_us();
-                self.push(at, Kind::SyncReq { p: q as u32, from: p, known });
+                self.push(at, Kind::SyncReq { p: q as u32, from: p, windows });
             }
             Output::SyncReply { to, messages, config } => {
                 let at = now + self.sync_leg_us();
@@ -525,7 +525,7 @@ impl Driver<'_> {
             self.metrics.pending_peak.max(self.procs[p as usize].ep.pending_len());
     }
 
-    fn handle_sync_req(&mut self, p: u32, from: u32, known: Vec<MessageId>, now: u64) {
+    fn handle_sync_req(&mut self, p: u32, from: u32, windows: SeenWindows, now: u64) {
         // Requests to crashed or partitioned peers are lost; the
         // requester's sync timeout re-arms the probe.
         if !self.procs[p as usize].active
@@ -533,7 +533,7 @@ impl Driver<'_> {
         {
             return;
         }
-        self.feed(p, Input::SyncRequest { from: ProcessId::new(from as usize), known }, now);
+        self.feed(p, Input::SyncRequest { from: ProcessId::new(from as usize), windows }, now);
     }
 
     fn handle_sync_resp(
@@ -811,7 +811,7 @@ fn run(
         match kind {
             Kind::Send { p } => driver.handle_send(p, time),
             Kind::Frame { p, msg } => driver.handle_frame(p, msg, time),
-            Kind::SyncReq { p, from, known } => driver.handle_sync_req(p, from, known, time),
+            Kind::SyncReq { p, from, windows } => driver.handle_sync_req(p, from, windows, time),
             Kind::SyncResp { p, from, messages, config } => {
                 driver.handle_sync_resp(p, from, messages, config, time);
             }

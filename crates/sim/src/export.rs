@@ -30,7 +30,8 @@
 use bytes::Bytes;
 use pcb_broadcast::endpoint::{Input, RecoveryTimingUs};
 use pcb_broadcast::{
-    wire, Counters, JoinGrant, Message, MessageId, PcbConfig, ProcessSnapshot, WireError,
+    wire, Counters, JoinGrant, Message, MessageId, PcbConfig, ProcessSnapshot, SeenWindows,
+    WireError,
 };
 use pcb_clock::{AssignmentPolicy, ClusterConfig, KeySet, KeySpace, ProcessId};
 
@@ -50,6 +51,10 @@ pub enum ExportError {
     Wire(WireError),
     /// Key-set reconstruction from `(R, K, set_id)` failed.
     Keys(String),
+    /// A sync request's dedup windows are not in exported form: senders
+    /// strictly ascending, each exception list strictly ascending and
+    /// beyond its prefix.
+    BadWindows,
 }
 
 impl std::fmt::Display for ExportError {
@@ -159,6 +164,13 @@ impl<'a> Reader<'a> {
         Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("16 bytes")))
     }
 
+    /// Capacity for `count` announced elements of at least `min_bytes`
+    /// each: never more than the bytes left could hold, so a forged count
+    /// cannot claim memory the input does not pay for.
+    fn capacity(&self, count: usize, min_bytes: usize) -> usize {
+        count.min(self.0.len() / min_bytes)
+    }
+
     fn done(&self) -> Result<(), ExportError> {
         if self.0.is_empty() {
             Ok(())
@@ -255,6 +267,13 @@ const STEP_RECONFIGURE: u8 = 7;
 const STEP_LEAVE: u8 = 8;
 const STEP_JOIN: u8 = 9;
 
+/// Fewest bytes one window of a sync request occupies: sender, prefix,
+/// exception count.
+const WINDOW_MIN_BYTES: usize = 4 + 8 + 4;
+/// Fewest bytes one embedded frame occupies: its length prefix and the
+/// checksum trailer every wire frame ends with.
+const FRAME_MIN_BYTES: usize = 4 + 8;
+
 fn put_config(out: &mut Vec<u8>, config: &ClusterConfig) {
     out.extend_from_slice(&config.epoch.to_le_bytes());
     out.extend_from_slice(&(config.space.r() as u32).to_le_bytes());
@@ -287,13 +306,17 @@ pub fn encode_step(now_us: u64, input: &Input<u32>) -> Vec<u8> {
             out.push(STEP_FRAME);
             put_frame(&mut out, message);
         }
-        Input::SyncRequest { from, known } => {
+        Input::SyncRequest { from, windows } => {
             out.push(STEP_SYNC_REQUEST);
             out.extend_from_slice(&(from.index() as u32).to_le_bytes());
-            out.extend_from_slice(&(known.len() as u32).to_le_bytes());
-            for id in known {
-                out.extend_from_slice(&(id.sender().index() as u32).to_le_bytes());
-                out.extend_from_slice(&id.seq().to_le_bytes());
+            out.extend_from_slice(&(windows.len() as u32).to_le_bytes());
+            for (sender, prefix, exceptions) in windows {
+                out.extend_from_slice(&(sender.index() as u32).to_le_bytes());
+                out.extend_from_slice(&prefix.to_le_bytes());
+                out.extend_from_slice(&(exceptions.len() as u32).to_le_bytes());
+                for seq in exceptions {
+                    out.extend_from_slice(&seq.to_le_bytes());
+                }
             }
         }
         Input::SyncResponse { messages, config } => {
@@ -326,6 +349,34 @@ pub fn encode_step(now_us: u64, input: &Input<u32>) -> Vec<u8> {
     out
 }
 
+/// Reads a sync request's dedup windows, accepting only the exported
+/// form `MessageStore::handle_sync` searches: senders strictly ascending,
+/// each exception list strictly ascending and beyond its prefix.
+fn read_windows(r: &mut Reader<'_>) -> Result<SeenWindows, ExportError> {
+    let count = r.u32()? as usize;
+    let mut windows: SeenWindows = Vec::with_capacity(r.capacity(count, WINDOW_MIN_BYTES));
+    for _ in 0..count {
+        let sender = ProcessId::new(r.u32()? as usize);
+        if windows.last().is_some_and(|(last, _, _)| *last >= sender) {
+            return Err(ExportError::BadWindows);
+        }
+        let prefix = r.u64()?;
+        let gaps = r.u32()? as usize;
+        let mut exceptions = Vec::with_capacity(r.capacity(gaps, 8));
+        let mut floor = prefix;
+        for _ in 0..gaps {
+            let seq = r.u64()?;
+            if seq <= floor {
+                return Err(ExportError::BadWindows);
+            }
+            floor = seq;
+            exceptions.push(seq);
+        }
+        windows.push((sender, prefix, exceptions));
+    }
+    Ok(windows)
+}
+
 fn read_frame(r: &mut Reader<'_>) -> Result<Message<u32>, ExportError> {
     let len = r.u32()? as usize;
     let frame = Bytes::from(r.take(len)?);
@@ -345,18 +396,12 @@ pub fn decode_step(bytes: &[u8]) -> Result<(u64, Input<u32>), ExportError> {
         STEP_FRAME => Input::FrameReceived(read_frame(&mut r)?),
         STEP_SYNC_REQUEST => {
             let from = ProcessId::new(r.u32()? as usize);
-            let count = r.u32()? as usize;
-            let mut known = Vec::with_capacity(count.min(1 << 20));
-            for _ in 0..count {
-                let sender = ProcessId::new(r.u32()? as usize);
-                known.push(MessageId::new(sender, r.u64()?));
-            }
-            Input::SyncRequest { from, known }
+            Input::SyncRequest { from, windows: read_windows(&mut r)? }
         }
         STEP_SYNC_RESPONSE => {
             let config = read_config(&mut r)?;
             let count = r.u32()? as usize;
-            let mut messages = Vec::with_capacity(count.min(1 << 16));
+            let mut messages = Vec::with_capacity(r.capacity(count, FRAME_MIN_BYTES));
             for _ in 0..count {
                 messages.push(read_frame(&mut r)?);
             }
@@ -512,7 +557,7 @@ pub fn encode_digests(digests: &[(MessageId, bool, bool)]) -> Vec<u8> {
 pub fn decode_digests(bytes: &[u8]) -> Result<Vec<(MessageId, bool, bool)>, ExportError> {
     let mut r = Reader(bytes);
     let count = r.u32()? as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 20));
+    let mut out = Vec::with_capacity(r.capacity(count, 4 + 8 + 1));
     for _ in 0..count {
         let sender = ProcessId::new(r.u32()? as usize);
         let seq = r.u64()?;
@@ -582,7 +627,10 @@ mod tests {
                 2,
                 Input::SyncRequest {
                     from: ProcessId::new(4),
-                    known: vec![m.id(), MessageId::new(ProcessId::new(1), 9)],
+                    windows: vec![
+                        (ProcessId::new(1), 0, vec![9]),
+                        (m.id().sender(), m.id().seq(), vec![]),
+                    ],
                 },
             ),
             (
@@ -640,6 +688,75 @@ mod tests {
         let mut bad = bytes.clone();
         bad[8] = 99; // unknown kind
         assert!(matches!(decode_step(&bad), Err(ExportError::BadKind(99))));
+    }
+
+    #[test]
+    fn sync_request_windows_decode_only_in_exported_form() {
+        let from = ProcessId::new(0);
+        let step = |windows| encode_step(1, &Input::SyncRequest { from, windows });
+        let sorted = vec![(ProcessId::new(1), 4, vec![6, 9]), (ProcessId::new(3), 0, vec![])];
+        assert!(decode_step(&step(sorted)).is_ok());
+        for bad in [
+            // Senders out of order, or repeated: `handle_sync` binary-searches them.
+            vec![(ProcessId::new(3), 0, vec![]), (ProcessId::new(1), 4, vec![])],
+            vec![(ProcessId::new(1), 0, vec![]), (ProcessId::new(1), 4, vec![])],
+            // Exceptions out of order, repeated, or inside the prefix.
+            vec![(ProcessId::new(1), 4, vec![9, 6])],
+            vec![(ProcessId::new(1), 4, vec![6, 6])],
+            vec![(ProcessId::new(1), 4, vec![4])],
+        ] {
+            assert_eq!(
+                decode_step(&step(bad.clone())).err(),
+                Some(ExportError::BadWindows),
+                "{bad:?}"
+            );
+        }
+    }
+
+    /// A probe names senders and gaps, not history: after 10 in-order
+    /// deliveries or 10⁵, the same bytes go out.
+    #[test]
+    fn probe_size_is_independent_of_how_much_was_ever_delivered() {
+        let space = KeySpace::new(16, 2).unwrap();
+        let timing = RecoveryTimingUs {
+            stale_after_us: 1_000,
+            poll_every_us: 250,
+            store_window_us: 2_000,
+            snapshot_every_us: u64::MAX / 2,
+            sync_timeout_us: 4_000,
+        };
+        let probe_bytes = |deliveries: u64| {
+            let keys = |entries| KeySet::from_entries(space, entries).unwrap();
+            let config = PcbConfig::default;
+            let mut a = Endpoint::new(ProcessId::new(0), keys(&[3, 9]), config(), None);
+            let mut b = Endpoint::new(ProcessId::new(1), keys(&[1, 4]), config(), Some(timing));
+            let mut now = 0;
+            for i in 0..deliveries {
+                now += 100;
+                let frame = a
+                    .handle(Input::Broadcast(i as u32), now)
+                    .into_iter()
+                    .find_map(|o| match o {
+                        pcb_broadcast::Output::SendFrame(m) => Some(m),
+                        _ => None,
+                    })
+                    .expect("broadcast emits a frame");
+                let outs = b.handle(Input::FrameReceived(frame), now);
+                assert!(outs.iter().any(|o| matches!(o, pcb_broadcast::Output::Deliver(_))));
+            }
+            assert_eq!(b.stats().delivered, deliveries);
+            // Idle past `stale_after_us`: the quiescence probe fires.
+            let windows = b
+                .handle(Input::Tick, now + timing.stale_after_us)
+                .into_iter()
+                .find_map(|o| match o {
+                    pcb_broadcast::Output::RequestSync { windows } => Some(windows),
+                    _ => None,
+                })
+                .expect("idle probe");
+            encode_step(0, &Input::SyncRequest { from: b.id(), windows }).len()
+        };
+        assert_eq!(probe_bytes(100_000), probe_bytes(10));
     }
 
     #[test]
