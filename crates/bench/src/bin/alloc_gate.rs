@@ -21,10 +21,9 @@
 //!   The event slab, message arena and stamp pool recycle everything, so
 //!   the gate here is **zero**: no marginal allocation per delivery.
 //! * `udp` — a loopback [`pcb_runtime::UdpTransport`] pair driving full
-//!   send → coalesce → datagram → reassemble → deliver → ack cycles.
+//!   send → coalesce → datagram → deliver → ack cycles.
 //!   Strict zero is structurally unattainable on this leg — each
-//!   delivered frame is handed to the owner as an owned `Bytes` (one
-//!   allocation) and fragment headers are prepended into fresh buffers —
+//!   delivered frame is handed to the owner as an owned `Bytes` —
 //!   so the strict-zero check prints an explicit `SKIPPED` marker with
 //!   the reason, and the gate instead enforces a small fixed budget per
 //!   cycle, which catches any per-cycle leak the pooling work removed
@@ -248,13 +247,15 @@ fn endpoint_leg(reordered: bool) -> Leg {
 }
 
 /// The UDP leg's fixed per-cycle budget: the structural allocations a
-/// delivered frame cannot avoid — the fragment-header buffer built per
-/// send, the owned copy handed to the reassembler per receive, and the
-/// in-flight/holdback tree nodes that cycle with each frame — measured
-/// at 4/cycle, with slack for allocator jitter. The un-pooled path paid
-/// 13+ (fresh fragment lists, per-poll address sweeps, per-poll event
-/// vectors, per-datagram receive copies, per-datagram verdicts).
-const UDP_BUDGET: f64 = 6.0;
+/// delivered frame cannot avoid — the owned copy handed to the owner per
+/// receive (buffer + handle) — measured at 2/cycle, with slack for
+/// allocator jitter and the in-flight tree's nodes. A frame that fits a
+/// datagram no longer passes the fragmenter (a header buffer per send)
+/// or the holdback (a tree node per frame in order), which made it
+/// 4/cycle; the un-pooled path paid 13+ (fresh fragment lists, per-poll
+/// address sweeps, per-poll event vectors, per-datagram receive copies,
+/// per-datagram verdicts).
+const UDP_BUDGET: f64 = 3.0;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let check = std::env::args().any(|a| a == "--check");
@@ -290,8 +291,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // UDP leg: strict zero cannot hold while delivered frames are owned.
     println!(
-        "udp strict-zero gate: SKIPPED (frame handoff and fragment headers \
-         require owned buffers; enforcing fixed budget instead)"
+        "udp strict-zero gate: SKIPPED (frame handoff requires an owned buffer; \
+         enforcing fixed budget instead)"
     );
     if udp.per_cycle <= UDP_BUDGET {
         println!("udp gate (≤ {UDP_BUDGET:.0} allocs/cycle): OK");

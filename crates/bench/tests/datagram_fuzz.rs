@@ -1,0 +1,280 @@
+//! Hostile bytes at the UDP transport's socket — the outermost trust
+//! boundary a daemon has. Whatever arrives, from a peer it talks to or
+//! from an address it has never heard of, `poll` must neither panic nor
+//! claim memory the datagram does not pay for: counts and lengths inside
+//! a coalesced body are checked against the bytes that are there, ack
+//! fields release at most what is outstanding, and an ack or an unknown
+//! kind from a stranger allocates nothing at all.
+//!
+//! The datagrams are forged here from the layout `runtime::udp`
+//! documents, not with its builders, so the documentation is under test
+//! too.
+
+use std::net::{IpAddr, Ipv4Addr, SocketAddr, UdpSocket};
+
+use bytes::Bytes;
+use pcb_bench::alloc::{counted, CountingAlloc};
+use pcb_broadcast::fragment;
+use pcb_broadcast::wire::checksum64;
+use pcb_runtime::{UdpConfig, UdpEvent, UdpTransport};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+
+#[global_allocator]
+static COUNTER: CountingAlloc = CountingAlloc;
+
+/// Heap bytes one datagram may make `poll` claim per byte of its own,
+/// plus a flat allowance. Honest traffic copies each frame once and
+/// keeps a map node per held-back frame; the flat part covers the one
+/// thing a small datagram may legitimately reserve — a reassembly table
+/// for a fragment that announces up to `fragment::MAX_FRAGMENTS` (1024)
+/// siblings — and first-use growth of the transport's own buffers.
+const CEILING_PER_BYTE: u64 = 16;
+const CEILING_FLAT: u64 = 64 * 1024;
+
+const KIND_FRAME: u8 = 0;
+const KIND_ACK: u8 = 1;
+const KIND_COALESCED: u8 = 2;
+const KIND_FRAGMENT: u8 = 3;
+
+fn loopback() -> SocketAddr {
+    SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0)
+}
+
+fn uvar(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+fn seal(out: &mut Vec<u8>) {
+    let sum = checksum64(out);
+    out.extend_from_slice(&sum.to_le_bytes());
+}
+
+/// `kind | epoch | acknowledged epoch | cumulative | body | checksum`,
+/// an epoch being two varints (incarnation, fences).
+fn datagram(kind: u8, epoch: (u64, u64), ack: (u64, u64, u64), body: &[u8]) -> Vec<u8> {
+    let mut out = vec![kind];
+    for half in [epoch.0, epoch.1, ack.0, ack.1, ack.2] {
+        uvar(&mut out, half);
+    }
+    out.extend_from_slice(body);
+    seal(&mut out);
+    out
+}
+
+/// A number that is sometimes small, sometimes at a boundary.
+fn number(rng: &mut StdRng) -> u64 {
+    match rng.random_range(0..4u32) {
+        0 => rng.random_range(0..4u64),
+        1 => rng.random_range(0..200u64),
+        2 => u64::from(u32::MAX) + rng.random_range(0..3u64) - 1,
+        _ => u64::MAX - rng.random_range(0..2u64),
+    }
+}
+
+fn bytes(rng: &mut StdRng, max: usize) -> Vec<u8> {
+    (0..rng.random_range(0..=max)).map(|_| rng.random_range(0..=u8::MAX)).collect()
+}
+
+/// A header whose every field is drawn by [`number`], except that the
+/// acknowledged epoch is often the victim's real one, so forged
+/// cumulatives actually reach its send window.
+fn header(rng: &mut StdRng) -> ((u64, u64), (u64, u64, u64)) {
+    let epoch = (number(rng), number(rng));
+    let ack_epoch = if rng.random_bool(0.5) { (1, 0) } else { (number(rng), number(rng)) };
+    (epoch, (ack_epoch.0, ack_epoch.1, number(rng)))
+}
+
+/// One datagram that is well-formed down to the checksum, with counts,
+/// lengths, sequence numbers and ack fields a sender could only have
+/// made up.
+fn forged(rng: &mut StdRng) -> Vec<u8> {
+    let (epoch, ack) = header(rng);
+    let mut body = Vec::new();
+    let kind = match rng.random_range(0..5u32) {
+        0 => {
+            uvar(&mut body, number(rng));
+            body.extend(bytes(rng, 120));
+            KIND_FRAME
+        }
+        1 => KIND_ACK,
+        2 => {
+            // The count and each entry's length lie independently.
+            let entries = rng.random_range(0..6u64);
+            uvar(&mut body, if rng.random_bool(0.5) { entries } else { number(rng) });
+            for _ in 0..entries {
+                uvar(&mut body, number(rng));
+                let frame = bytes(rng, 40);
+                let len = if rng.random_bool(0.7) { frame.len() as u64 } else { number(rng) };
+                uvar(&mut body, len);
+                body.extend(frame);
+            }
+            KIND_COALESCED
+        }
+        3 => {
+            // A real fragment of a real frame, under a forged sequence
+            // number — or a fragment header that is itself made up.
+            uvar(&mut body, number(rng));
+            if rng.random_bool(0.5) {
+                let frame = Bytes::from(bytes(rng, 400));
+                let fragments = fragment(number(rng), &frame, 64).expect("fragments");
+                body.extend_from_slice(&fragments[rng.random_range(0..fragments.len())]);
+            } else {
+                // version | frame id | index | count | len | payload | sum
+                let count =
+                    if rng.random_bool(0.5) { rng.random_range(1..=1024) } else { number(rng) };
+                let mut frag = vec![1];
+                for field in [number(rng), rng.random_range(0..4u64), count] {
+                    uvar(&mut frag, field);
+                }
+                let payload = bytes(rng, 30);
+                uvar(&mut frag, payload.len() as u64);
+                frag.extend(payload);
+                seal(&mut frag);
+                body.extend(frag);
+            }
+            KIND_FRAGMENT
+        }
+        _ => {
+            body.extend(bytes(rng, 60));
+            rng.random_range(4..=u8::MAX)
+        }
+    };
+    datagram(kind, epoch, ack, &body)
+}
+
+/// [`forged`], then damaged the way a link damages things: left alone,
+/// truncated, a bit flipped, four bytes overwritten with `0xff` — and,
+/// half the time, sealed again so the damage is read as fields instead
+/// of stopping at the checksum.
+fn hostile(rng: &mut StdRng) -> Vec<u8> {
+    let mut raw = forged(rng);
+    let sealed = raw.len() - 8;
+    match rng.random_range(0..4u32) {
+        0 => return raw,
+        1 => raw.truncate(rng.random_range(0..=raw.len())),
+        2 => {
+            let at = rng.random_range(0..raw.len());
+            raw[at] ^= 1 << rng.random_range(0..8u32);
+        }
+        _ => {
+            let at = rng.random_range(0..raw.len().saturating_sub(3).max(1));
+            let end = (at + 4).min(raw.len());
+            raw[at..end].fill(0xff);
+        }
+    }
+    if rng.random_bool(0.5) {
+        raw.truncate(sealed.min(raw.len()));
+        seal(&mut raw);
+    }
+    raw
+}
+
+/// Sends `raw` from `from` and polls the victim once with the counter
+/// armed. Loopback queues the datagram inside `send_to`, so one poll
+/// reads it.
+fn poll_within_ceiling(
+    victim: &mut UdpTransport,
+    from: &UdpSocket,
+    raw: &[u8],
+    now_us: u64,
+    events: &mut Vec<UdpEvent>,
+) -> Result<u64, String> {
+    let to = victim.local_addr().expect("victim address");
+    from.send_to(raw, to).expect("loopback send");
+    let before = victim.stats().0.datagrams_received;
+    let (_, claimed, ()) = counted(|| victim.poll_into(now_us, events));
+    if victim.stats().0.datagrams_received != before + 1 {
+        return Err(format!("datagram of {} bytes was not read by one poll", raw.len()));
+    }
+    let ceiling = CEILING_PER_BYTE * raw.len() as u64 + CEILING_FLAT;
+    if claimed > ceiling {
+        return Err(format!(
+            "a {}-byte datagram made poll allocate {claimed} B, ceiling {ceiling} B: {raw:?}",
+            raw.len()
+        ));
+    }
+    Ok(claimed)
+}
+
+// One test in this binary: the counter is process-wide, and a second
+// test thread's allocations would land in this one's tally.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    #[test]
+    fn poll_is_total_and_claims_no_more_than_a_datagram_pays_for(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cfg = UdpConfig::default();
+        let mut victim = UdpTransport::bind(loopback(), 0, cfg.clone(), 1).expect("bind victim");
+        let victim_addr = victim.local_addr().expect("victim address");
+        let peer = UdpSocket::bind(loopback()).expect("bind peer");
+        let stranger = UdpSocket::bind(loopback()).expect("bind stranger");
+        let mut events = Vec::with_capacity(64);
+        let mut now_us = 0u64;
+
+        // The victim talks to `peer` (so acks from there mean something:
+        // a window of frames is outstanding under epoch (1, 0)) and has
+        // never heard of `stranger`.
+        for i in 0..rng.random_range(1..40u32) {
+            victim.send(peer.local_addr().expect("peer address"), Bytes::from(vec![i as u8; 20]), 0);
+        }
+        victim.flush(0);
+        // One poll before the counter is armed grows the transport's own
+        // scratch lists to the peer count.
+        victim.poll_into(0, &mut events);
+
+        // What a stranger cannot do: leave state behind with anything
+        // that carries no frame.
+        for _ in 0..4 {
+            let (epoch, ack) = header(&mut rng);
+            let kind = if rng.random_bool(0.5) { KIND_ACK } else { rng.random_range(4..=u8::MAX) };
+            let raw = datagram(kind, epoch, ack, &bytes(&mut rng, 30));
+            let claimed = poll_within_ceiling(&mut victim, &stranger, &raw, now_us, &mut events);
+            prop_assert_eq!(claimed, Ok(0), "an ack or unknown kind from a stranger allocated");
+            prop_assert!(events.is_empty());
+        }
+
+        for _ in 0..24 {
+            now_us += rng.random_range(0..20_000u64);
+            let raw = match rng.random_range(0..3u32) {
+                0 => bytes(&mut rng, 200),
+                1 => {
+                    // Noise behind a checksum that holds.
+                    let mut raw = bytes(&mut rng, 120);
+                    seal(&mut raw);
+                    raw
+                }
+                _ => hostile(&mut rng),
+            };
+            let from = if rng.random_bool(0.7) { &peer } else { &stranger };
+            let verdict = poll_within_ceiling(&mut victim, from, &raw, now_us, &mut events);
+            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
+
+        // Whatever the two of them did, it stayed on their own streams: a
+        // newcomer's first frame still goes straight through.
+        let mut honest = UdpTransport::bind(loopback(), 0, cfg, 2).expect("bind honest");
+        honest.send(victim_addr, Bytes::from_static(b"still here"), now_us);
+        honest.flush(now_us);
+        let from = honest.local_addr().expect("honest address");
+        let mut seen = false;
+        for _ in 0..10_000 {
+            victim.poll_into(now_us, &mut events);
+            seen |= events.contains(&UdpEvent::Frame { from, frame: Bytes::from_static(b"still here") });
+            if seen {
+                break;
+            }
+        }
+        prop_assert!(seen, "an honest frame no longer gets through");
+    }
+}

@@ -7,7 +7,8 @@
 //! estimators (sliding-window X̂,
 //! the model's predicted `P_error(R, K, X̂)` next to the observed
 //! Algorithm-4 alert rate, and the `K_opt` recommendation), transport
-//! health (retransmits, unreachable peers), and a clock-entry occupancy
+//! health (retransmits, unreachable peers, datagram bytes per frame
+//! sent, deltas dropped for a missing base), and a clock-entry occupancy
 //! sparkline from the collision heatmap.
 //!
 //! ```text
@@ -84,7 +85,8 @@ fn render(targets: &[SocketAddr], clear: bool) -> u32 {
         out.push_str("\x1b[2J\x1b[H");
     }
     out.push_str(&format!(
-        "{:<21} {:>3} {:>3} {:>3} {:>5} {:>9} {:>7} {:>9} {:>9} {:>5} {:>6} {:>5} {:>5}  {}\n",
+        "{:<21} {:>3} {:>3} {:>3} {:>5} {:>9} {:>7} {:>9} {:>9} {:>5} {:>6} {:>5} {:>5} {:>5} \
+         {:>6}  {}\n",
         "node (rpc)",
         "inc",
         "cfg",
@@ -98,6 +100,8 @@ fn render(targets: &[SocketAddr], clear: bool) -> u32 {
         "rexmit",
         "down",
         "rstrt",
+        "B/frm",
+        "nobase",
         "entry heat",
     ));
     let mut unreachable = 0;
@@ -108,7 +112,7 @@ fn render(targets: &[SocketAddr], clear: bool) -> u32 {
                 let left = s.get("left").and_then(Value::as_bool).unwrap_or(false);
                 out.push_str(&format!(
                     "{:<21} {:>3} {:>3} {:>3} {:>5} {:>9} {:>7.2} {:>9.2e} {:>9.2e} {:>5} {:>6} \
-                     {:>5} {:>5}  {}{}\n",
+                     {:>5} {:>5} {:>5} {:>6}  {}{}\n",
                     format!("{} ({addr})", u64_field(&s, "node")),
                     u64_field(&s, "endpoint_incarnation"),
                     u64_field(&s, "config_epoch"),
@@ -123,6 +127,8 @@ fn render(targets: &[SocketAddr], clear: bool) -> u32 {
                     u64_field(&s, "udp_peer_down")
                         - u64_field(&s, "udp_peer_up").min(u64_field(&s, "udp_peer_down")),
                     u64_field(&s, "udp_peer_restarts"),
+                    u64_field(&s, "udp_bytes_sent") / u64_field(&s, "udp_frames_sent").max(1),
+                    u64_field(&s, "delta_missing_base"),
                     heatmap_spark(&s),
                     if left {
                         "  [LEFT]"

@@ -7,9 +7,11 @@
 //! peers, crash-durable state on disk, and an operator surface. It runs
 //! in one of two modes:
 //!
-//! * **Live** — N daemons form a localhost cluster. Protocol outputs are
-//!   serialized with the [`pcb_sim::export`] step codec and carried over
-//!   the reliable UDP channel; applications publish and subscribe over a
+//! * **Live** — N daemons form a localhost cluster. A broadcast leaves
+//!   as the next frame of this daemon's delta chain (`LiveFrames`),
+//!   anti-entropy probes and replies as self-contained
+//!   [`pcb_sim::export`] steps, both over the reliable UDP channel;
+//!   applications publish and subscribe over a
 //!   line-delimited JSON RPC socket; Prometheus text metrics are served
 //!   over HTTP. `kill -9` at any moment loses nothing durable: the send
 //!   WAL is persisted before a broadcast's frames leave the process, the
@@ -36,12 +38,16 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use pcb_broadcast::endpoint::{Input, Output};
-use pcb_broadcast::wire::checksum64;
-use pcb_broadcast::{decode_snapshot, encode_snapshot, Endpoint, MessageId, ProcessSnapshot};
+use pcb_broadcast::wire::{self, checksum64};
+use pcb_broadcast::{
+    decode_snapshot, encode_snapshot, DeltaDecoder, DeltaEncoder, Endpoint, Message, MessageId,
+    ProcessSnapshot, WireError,
+};
 use pcb_clock::{KeyAssigner, KeySpace, ProcessId};
 use pcb_sim::export::{
     decode_digests, decode_join_grant, decode_node_spec, decode_step, encode_digests,
-    encode_join_grant, encode_step, snapshot_from_wire, snapshot_to_wire, ExportError, NodeSpec,
+    encode_join_grant, encode_step, message_from_bytes, message_to_bytes, snapshot_from_wire,
+    snapshot_to_wire, ExportError, NodeSpec,
 };
 use pcb_telemetry::prom::{PromWriter, Row, RowKind};
 use pcb_telemetry::{write_stamped, EntryHeatmap, StampedRecord};
@@ -108,7 +114,8 @@ impl DaemonOptions {
 
 // ---- transport message envelope ---------------------------------------
 
-/// Live protocol traffic: an encoded `Input` for the receiving endpoint.
+/// Live protocol traffic that stands alone (anti-entropy probes and
+/// replies): an encoded `Input` for the receiving endpoint.
 const MSG_PCB: u8 = 0;
 /// Replay: one recorded step, `u64` index + encoded `(now, Input)`.
 const MSG_STEP: u8 = 1;
@@ -116,12 +123,18 @@ const MSG_STEP: u8 = 1;
 const MSG_ACK: u8 = 2;
 /// Replay: the driver is done; exit cleanly.
 const MSG_STOP: u8 = 3;
+/// Live broadcast: one wire frame of the sender's delta chain, full or
+/// delta, for the receiver's [`DeltaDecoder`].
+const MSG_FRAME: u8 = 4;
 
 /// A decoded transport frame, shared between daemon and driver.
 #[derive(Debug)]
 pub enum DaemonMsg {
     /// Live traffic: apply this input at the receiver's clock.
     Pcb(Input<u32>),
+    /// Live broadcast: a wire frame, still encoded — a delta only means
+    /// something to the decoder that holds its base.
+    Frame(Bytes),
     /// Replay: apply this recorded step.
     Step {
         /// Position in the node's recorded stream.
@@ -142,11 +155,21 @@ pub enum DaemonMsg {
     Stop,
 }
 
-/// Encodes live protocol traffic.
+/// Encodes live protocol traffic that stands alone.
 #[must_use]
 pub fn encode_pcb_msg(input: &Input<u32>) -> Bytes {
     let mut out = vec![MSG_PCB];
     out.extend_from_slice(&encode_step(0, input));
+    Bytes::from(out)
+}
+
+/// Wraps one wire frame of a live delta chain: the kind byte, nothing
+/// else — the frame carries its own checksum.
+#[must_use]
+pub fn encode_frame_msg(wire: &Bytes) -> Bytes {
+    let mut out = Vec::with_capacity(1 + wire.len());
+    out.push(MSG_FRAME);
+    out.extend_from_slice(wire);
     Bytes::from(out)
 }
 
@@ -204,7 +227,102 @@ pub fn decode_msg(frame: &Bytes) -> Result<DaemonMsg, ExportError> {
             Ok(DaemonMsg::Ack { idx, digests })
         }
         MSG_STOP if rest.is_empty() => Ok(DaemonMsg::Stop),
+        MSG_FRAME => Ok(DaemonMsg::Frame(frame.slice(1..))),
         other => Err(ExportError::BadKind(other)),
+    }
+}
+
+// ---- live delta chain --------------------------------------------------
+
+/// Counters of the live frame path, rows of the daemon's report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ChainStats {
+    /// Broadcast frames sent to a peer as a delta against the one before.
+    deltas_sent: u64,
+    /// Broadcast frames sent to a peer standing alone.
+    fulls_sent: u64,
+    /// Received deltas dropped because their base never arrived here.
+    missing_base: u64,
+}
+
+/// Live broadcasts on the wire: this daemon's own delta chain going out,
+/// every peer's coming in.
+///
+/// The transport's per-peer channel is reliable and in order, which is
+/// exactly what a chain needs: the base of a delta is the frame sent
+/// just before it. That holds until the transport fences a link
+/// ([`UdpEvent::Fenced`]) — frames were abandoned, or re-offered to a
+/// process that has no base for them — so the next frame to that peer
+/// stands alone; the one encoder never has to know, because a full frame
+/// of message `n` seeds the same base the delta of `n` would have left.
+/// A delta that arrives without its base is dropped and counted;
+/// anti-entropy, whose replies are self-contained, fetches the message.
+#[derive(Debug, Default)]
+struct LiveFrames {
+    encoder: DeltaEncoder,
+    decoder: DeltaDecoder,
+    /// Peers whose link was fenced since the last broadcast.
+    restart: Vec<SocketAddr>,
+    stats: ChainStats,
+}
+
+impl LiveFrames {
+    /// Hands `send` the frame that carries `message` to each of `peers`
+    /// (every peer this daemon broadcasts to): the chain's next frame,
+    /// or a full frame for a peer whose link was fenced.
+    fn outgoing(
+        &mut self,
+        message: &Message<u32>,
+        peers: impl Iterator<Item = SocketAddr>,
+        mut send: impl FnMut(SocketAddr, Bytes),
+    ) {
+        let message = message_to_bytes(message);
+        let deltas_before = self.encoder.deltas_emitted();
+        let chained = encode_frame_msg(&self.encoder.encode(&message));
+        let is_delta = self.encoder.deltas_emitted() > deltas_before;
+        let mut full = None;
+        for peer in peers {
+            if is_delta && self.restart.contains(&peer) {
+                self.stats.fulls_sent += 1;
+                let full = full
+                    .get_or_insert_with(|| encode_frame_msg(&wire::encode_full(&message)))
+                    .clone();
+                send(peer, full);
+            } else {
+                if is_delta {
+                    self.stats.deltas_sent += 1;
+                } else {
+                    self.stats.fulls_sent += 1;
+                }
+                send(peer, chained.clone());
+            }
+        }
+        self.restart.clear();
+    }
+
+    /// Decodes a peer's chain frame; `None` for one that cannot be used.
+    fn incoming(&mut self, frame: Bytes) -> Option<Message<u32>> {
+        match self.decoder.decode(frame) {
+            Ok(message) => message_from_bytes(message).ok(),
+            Err(WireError::MissingDeltaBase { .. }) => {
+                self.stats.missing_base += 1;
+                None
+            }
+            Err(_) => None,
+        }
+    }
+
+    /// The transport fenced the link to `peer`.
+    fn fenced(&mut self, peer: SocketAddr) {
+        if !self.restart.contains(&peer) {
+            self.restart.push(peer);
+        }
+    }
+
+    /// This daemon now speaks as another process (`join`): no peer holds
+    /// a base for it, so the next frame stands alone for everyone.
+    fn rejoin(&mut self) {
+        self.encoder.force_full();
     }
 }
 
@@ -343,6 +461,7 @@ struct Daemon {
     incarnation: u64,
     endpoint: Endpoint<u32>,
     transport: UdpTransport,
+    frames: LiveFrames,
     /// Index → address for live routing.
     peer_addrs: Vec<Option<SocketAddr>>,
     sync_round: u64,
@@ -440,6 +559,7 @@ pub fn run(opts: DaemonOptions) -> std::io::Result<()> {
         incarnation,
         endpoint,
         transport,
+        frames: LiveFrames::default(),
         peer_addrs,
         sync_round: 0,
         last_durable,
@@ -621,10 +741,18 @@ impl Daemon {
 
             let events = self.transport.poll(wall);
             for event in events {
-                if let UdpEvent::Frame { frame, .. } = event {
-                    if let Ok(DaemonMsg::Pcb(input)) = decode_msg(&frame) {
-                        self.apply_live(input);
-                    }
+                match event {
+                    UdpEvent::Frame { frame, .. } => match decode_msg(&frame) {
+                        Ok(DaemonMsg::Pcb(input)) => self.apply_live(input),
+                        Ok(DaemonMsg::Frame(wire)) => {
+                            if let Some(message) = self.frames.incoming(wire) {
+                                self.apply_live(Input::FrameReceived(message));
+                            }
+                        }
+                        Ok(_) | Err(_) => {}
+                    },
+                    UdpEvent::Fenced(peer) => self.frames.fenced(peer),
+                    UdpEvent::PeerDown(_) | UdpEvent::PeerUp(_) => {}
                 }
             }
 
@@ -690,11 +818,11 @@ impl Daemon {
                     self.event_queue.push(event.to_json());
                 }
                 Output::SendFrame(message) => {
-                    let frame = encode_pcb_msg(&Input::FrameReceived(message));
                     let wall = self.wall_us();
-                    for addr in self.peer_addrs.clone().into_iter().flatten() {
-                        self.transport.send(addr, frame.clone(), wall);
-                    }
+                    let peers = self.peer_addrs.iter().flatten().copied();
+                    self.frames.outgoing(&message, peers, |to, frame| {
+                        self.transport.send(to, frame, wall)
+                    });
                 }
                 Output::RequestSync { windows } => {
                     let n = self.spec.n as usize;
@@ -886,6 +1014,7 @@ impl Daemon {
                 let id = grant.id;
                 self.endpoint =
                     Endpoint::join(grant, self.spec.pcb_config.clone(), Some(self.spec.timing));
+                self.frames.rejoin();
                 self.spec.node = id.index() as u32;
                 if self.peer_addrs.len() <= id.index() {
                     self.peer_addrs.resize(id.index() + 1, None);
@@ -914,6 +1043,7 @@ impl Daemon {
     fn report(&self) -> (Vec<Row>, Option<EntryHeatmap>) {
         let status = self.endpoint.status();
         let (udp, shim) = self.transport.stats();
+        let ChainStats { deltas_sent, fulls_sent, missing_base } = self.frames.stats;
         let mut rows = vec![
             Row::gauge(
                 "incarnation",
@@ -931,6 +1061,17 @@ impl Daemon {
                 self.endpoint.durable_seq() as f64,
             ),
             Row::counter("shim_dropped", "Datagrams dropped by the fault shim.", shim.1),
+            Row::counter(
+                "frames_delta_sent",
+                "Broadcast frames sent as a delta against the one before.",
+                deltas_sent,
+            ),
+            Row::counter("frames_full_sent", "Broadcast frames sent standing alone.", fulls_sent),
+            Row::counter(
+                "delta_missing_base",
+                "Received deltas dropped because their base never arrived.",
+                missing_base,
+            ),
         ];
         rows.extend(status.rows());
         rows.extend(udp.rows());
@@ -1084,6 +1225,7 @@ mod tests {
     use super::*;
     use pcb_broadcast::{PcbConfig, RecoveryTimingUs};
     use pcb_clock::{KeySet, KeySpace};
+    use pcb_sim::LinkFaults;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1215,9 +1357,189 @@ mod tests {
         assert!(matches!(decode_msg(&encode_stop_msg()).unwrap(), DaemonMsg::Stop));
         let pcb = encode_pcb_msg(&Input::Tick);
         assert!(matches!(decode_msg(&pcb).unwrap(), DaemonMsg::Pcb(Input::Tick)));
+        let wire = Bytes::from_static(b"any bytes: the decoder judges them");
+        match decode_msg(&encode_frame_msg(&wire)).unwrap() {
+            DaemonMsg::Frame(back) => assert_eq!(back, wire),
+            other => panic!("wrong decode: {other:?}"),
+        }
 
         assert!(decode_msg(&Bytes::new()).is_err());
         assert!(decode_msg(&Bytes::from(vec![99u8])).is_err());
         assert!(decode_msg(&Bytes::from(vec![MSG_STEP, 1, 2])).is_err());
+    }
+
+    /// One directed link of a live cluster on a synthetic clock: a
+    /// publishing endpoint and its chain at `a`, a receiving chain at
+    /// `b`, real loopback transports between them. `pump` is `run_live`'s
+    /// event handling, nothing more.
+    struct Link {
+        a: UdpTransport,
+        b: UdpTransport,
+        addr_b: SocketAddr,
+        publisher: Endpoint<u32>,
+        out: LiveFrames,
+        into: LiveFrames,
+        now_us: u64,
+    }
+
+    fn link_cfg() -> UdpConfig {
+        UdpConfig {
+            rto_initial_us: 1_000,
+            rto_max_us: 1_000,
+            max_retries: 2,
+            ..UdpConfig::default()
+        }
+    }
+
+    impl Link {
+        fn new() -> Self {
+            let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
+            let a = UdpTransport::bind(any, 1, link_cfg(), 1).expect("bind a");
+            let b = UdpTransport::bind(any, 1, link_cfg(), 2).expect("bind b");
+            let addr_b = b.local_addr().expect("addr b");
+            let spec = sample_spec();
+            let publisher = Endpoint::new(
+                ProcessId::new(spec.node as usize),
+                spec.keys.clone(),
+                spec.pcb_config.clone(),
+                None,
+            );
+            let (out, into) = (LiveFrames::default(), LiveFrames::default());
+            Link { a, b, addr_b, publisher, out, into, now_us: 0 }
+        }
+
+        fn publish(&mut self, payload: u32) {
+            for output in self.publisher.handle(Input::Broadcast(payload), self.now_us) {
+                if let Output::SendFrame(message) = output {
+                    let (a, now_us) = (&mut self.a, self.now_us);
+                    self.out.outgoing(&message, [self.addr_b].into_iter(), |to, frame| {
+                        a.send(to, frame, now_us);
+                    });
+                }
+            }
+            self.a.flush(self.now_us);
+        }
+
+        /// Polls both ends until `b` has read `datagrams` more; returns
+        /// the payloads `b`'s chain decoded, in order.
+        fn pump(&mut self, datagrams: u64) -> Vec<u32> {
+            let want = self.b.stats().0.datagrams_received + datagrams;
+            let mut delivered = Vec::new();
+            for _ in 0..100_000 {
+                for event in self.a.poll(self.now_us) {
+                    if let UdpEvent::Fenced(peer) = event {
+                        self.out.fenced(peer);
+                    }
+                }
+                for event in self.b.poll(self.now_us) {
+                    let UdpEvent::Frame { frame, .. } = event else { continue };
+                    let Ok(DaemonMsg::Frame(wire)) = decode_msg(&frame) else {
+                        panic!("only chain frames travel here");
+                    };
+                    delivered.extend(self.into.incoming(wire).map(|m| *m.payload()));
+                }
+                if self.b.stats().0.datagrams_received >= want {
+                    break;
+                }
+            }
+            delivered
+        }
+    }
+
+    #[test]
+    fn chain_restarts_with_a_full_frame_after_a_give_up() {
+        let mut link = Link::new();
+        for payload in 0..3 {
+            link.publish(payload);
+        }
+        assert_eq!(link.pump(3), [0, 1, 2]);
+        assert_eq!(link.out.stats, ChainStats { deltas_sent: 2, fulls_sent: 1, missing_base: 0 });
+
+        // Two deltas leave into a dead link and exhaust their retries:
+        // the transport abandons them and says so.
+        link.a.set_faults(Some(LinkFaults { drop: 1.0, ..LinkFaults::default() }));
+        link.publish(3);
+        link.publish(4);
+        while link.a.stats().0.give_ups == 0 {
+            link.now_us += 1_000;
+            assert!(link.now_us < 100_000, "no give-up");
+            let _ = link.pump(0);
+        }
+        link.a.set_faults(None);
+        assert_eq!(link.out.restart, [link.addr_b]);
+
+        // The encoder would chain message 5 to message 4, which `b` never
+        // saw; the link's flag makes this one frame stand alone, and the
+        // chain goes on from it.
+        for payload in 5..8 {
+            link.publish(payload);
+        }
+        assert_eq!(link.pump(3), [5, 6, 7]);
+        assert_eq!(link.out.encoder.fulls_emitted(), 1, "the encoder itself never restarted");
+        assert_eq!(link.out.stats, ChainStats { deltas_sent: 6, fulls_sent: 2, missing_base: 0 });
+        assert_eq!(link.into.stats.missing_base, 0);
+    }
+
+    #[test]
+    fn chain_restarts_with_a_full_frame_after_a_peer_restart() {
+        let mut link = Link::new();
+        for payload in 0..3 {
+            link.publish(payload);
+        }
+        assert_eq!(link.pump(3), [0, 1, 2]);
+
+        // `b` dies with two deltas in flight and comes back on the same
+        // address, next incarnation, empty decoder. Its first word makes
+        // the transport re-offer them — deltas against a base only the
+        // dead process held.
+        let addr_a = link.a.local_addr().unwrap();
+        let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        link.b = UdpTransport::bind(any, 1, link_cfg(), 9).unwrap(); // frees the port
+        link.publish(3);
+        link.publish(4);
+        link.b = UdpTransport::bind(link.addr_b, 2, link_cfg(), 3).expect("rebind b");
+        link.into = LiveFrames::default();
+        link.b.send(addr_a, encode_pcb_msg(&Input::Tick), link.now_us);
+        link.b.flush(link.now_us);
+        assert_eq!(link.pump(2), [] as [u32; 0]);
+        assert_eq!(link.a.stats().0.peer_restarts, 1);
+        assert_eq!(link.into.stats.missing_base, 2, "the re-offered deltas, and only they");
+        assert_eq!(link.out.restart, [link.addr_b]);
+
+        // The first frame of the link's new life stands alone; nothing
+        // after it is dropped for a missing base.
+        for payload in 5..8 {
+            link.publish(payload);
+        }
+        assert_eq!(link.pump(3), [5, 6, 7]);
+        assert_eq!(link.into.stats.missing_base, 2);
+        assert_eq!(link.out.stats.fulls_sent, 2);
+        assert_eq!(link.a.stats().0.give_ups, 0);
+    }
+
+    #[test]
+    fn chain_restarts_with_a_full_frame_after_join() {
+        let mut link = Link::new();
+        for payload in 0..3 {
+            link.publish(payload);
+        }
+        assert_eq!(link.pump(3), [0, 1, 2]);
+        // `join` replaces the endpoint: another process id, its own
+        // sequence numbers. No decoder anywhere holds a base for it.
+        let space = KeySpace::new(16, 2).unwrap();
+        link.publisher = Endpoint::new(
+            ProcessId::new(4),
+            KeySet::from_entries(space, &[5, 11]).unwrap(),
+            PcbConfig::default(),
+            None,
+        );
+        link.out.rejoin();
+        for payload in 10..13 {
+            link.publish(payload);
+        }
+        assert_eq!(link.pump(3), [10, 11, 12]);
+        assert_eq!(link.out.encoder.fulls_emitted(), 2);
+        assert_eq!(link.into.stats.missing_base, 0);
+        assert_eq!(link.into.decoder.tracked_senders(), 2);
     }
 }

@@ -5,22 +5,36 @@
 //! `UdpSocket`s. UDP gives us datagram boundaries and nothing else, so
 //! the transport layers the minimum machinery the protocol needs on top:
 //!
-//! - **Fragmentation** — frames larger than the MTU are split by
-//!   [`pcb_broadcast::fragment`] and reassembled per peer.
+//! - **One layer of framing** — a frame that fits a datagram rides in it
+//!   whole, alone ([`KIND_FRAME`]) or packed with its neighbours
+//!   ([`KIND_COALESCED`]); only a frame larger than the MTU is split by
+//!   [`pcb_broadcast::fragment`] and reassembled per peer
+//!   ([`KIND_FRAGMENT`]).
 //! - **Reliability** — every frame gets a per-peer sequence number;
-//!   receivers hold back out-of-order frames and return cumulative acks;
-//!   senders retransmit on a capped exponential backoff.
+//!   receivers hold back out-of-order frames; senders retransmit on a
+//!   capped exponential backoff until a cumulative ack covers the frame.
+//! - **Acks ride along** — every datagram, whatever its kind, names the
+//!   highest in-order sequence number received on the reverse stream. A
+//!   standalone [`KIND_ACK`] leaves only when no datagram did within a
+//!   quarter of `rto_initial_us` (counted from the poll before the one
+//!   that read the frame, so a stalled owner adds nothing to it), on
+//!   every second unacknowledged frame, and at once on a duplicate, a
+//!   gap — open or just closed — or an epoch change, so neither loss
+//!   recovery nor the send window ever waits on the timer.
 //! - **Epochs** — each process incarnation stamps its datagrams with an
 //!   epoch: the incarnation in the high half, this side's fences towards
 //!   that peer in the low half. A receiver that sees a higher epoch
 //!   resets its expectations, so a restarted peer's fresh sequence space
-//!   is never confused with the dead one's. If the *incarnation* rose,
-//!   the peer also lost what it had received from us, so the send side
-//!   is fenced too: a new send epoch, numbering from 1 again, and every
-//!   frame still outstanding or queued offered again under it — the
-//!   restarted peer would otherwise hold everything back, waiting for a
-//!   sequence number 1 that was acknowledged to its previous life.
-//!   Messages lost across a reset are recovered by the protocol's own
+//!   is never confused with the dead one's. If the *incarnation* rose —
+//!   on any datagram, a lone ack included — the peer also lost what it
+//!   had received from us, so the send side is fenced too: a new send
+//!   epoch, numbering from 1 again, and every frame still outstanding or
+//!   queued offered again under it — the restarted peer would otherwise
+//!   hold everything back, waiting for a sequence number 1 that was
+//!   acknowledged to its previous life. Every fence is surfaced as
+//!   [`UdpEvent::Fenced`]: whatever the owner layered on the in-order
+//!   stream (a delta chain) has to start over on that link. Messages
+//!   lost across a reset are recovered by the protocol's own
 //!   anti-entropy (§4.2), not the transport.
 //! - **Liveness** — a frame that exhausts its retries marks the peer
 //!   unreachable, surfaces a [`UdpEvent::PeerDown`] and fences the send
@@ -29,6 +43,22 @@
 //! - **Fault injection** — every outbound datagram passes through a
 //!   [`SocketShim`], so a recorded chaos plan can drop, duplicate, delay
 //!   or corrupt traffic deterministically without touching iptables.
+//!
+//! Every datagram has the same header and trailer (`uvar` is a LEB128
+//! varint, an epoch is two of them, incarnation then fences):
+//!
+//! ```text
+//! u8    kind
+//! epoch sender's send epoch towards this peer
+//! epoch the peer's epoch being acknowledged (0 0: nothing heard yet)
+//! uvar  cumulative ack: every sequence number ≤ this arrived in that epoch
+//! ...   body, by kind:
+//!         0 frame      uvar seq | frame bytes
+//!         1 ack        (empty)
+//!         2 coalesced  uvar count | count × (uvar seq | uvar len | frame bytes)
+//!         3 fragment   uvar seq | one `pcb_broadcast::fragment` datagram
+//! u64   `checksum64` of everything before it, little endian
+//! ```
 //!
 //! The API is a poll loop, not callbacks: the owner calls
 //! [`UdpTransport::poll`] with the current monotonic time and receives
@@ -47,19 +77,21 @@ use pcb_telemetry::Row;
 
 use crate::shim::SocketShim;
 
-/// Outer datagram overhead: kind byte, epoch, sequence, checksum trailer.
-const OUTER_OVERHEAD: usize = 1 + 8 + 8 + 8;
-/// Outer datagram kind: a data fragment.
-const KIND_DATA: u8 = 0;
-/// Outer datagram kind: a cumulative acknowledgement.
+/// Worst-case outer framing around one frame or fragment: kind byte,
+/// two epochs (four varints of a 32-bit half each), the cumulative ack
+/// and the sequence number, checksum trailer.
+const OUTER_OVERHEAD: usize = 1 + 4 * 5 + 10 + 10 + 8;
+/// Outer datagram kind: one whole frame.
+const KIND_FRAME: u8 = 0;
+/// Outer datagram kind: nothing but the header's cumulative ack.
 const KIND_ACK: u8 = 1;
-/// Outer datagram kind: several coalesced data fragments. Body is
-/// `count` (the outer `arg`) repetitions of
-/// `[u64 seq LE | u16 len LE | len fragment bytes]` under one epoch and
-/// one checksum — `count` small frames per syscall instead of one.
+/// Outer datagram kind: several whole frames under one header and one
+/// checksum — that many small frames per syscall instead of one.
 const KIND_COALESCED: u8 = 2;
-/// Per-entry framing bytes inside a coalesced body (seq + length).
-const COALESCE_ENTRY_OVERHEAD: usize = 8 + 2;
+/// Outer datagram kind: one fragment of a frame too large for a datagram.
+const KIND_FRAGMENT: u8 = 3;
+/// Worst-case per-entry framing inside a coalesced body (seq + length).
+const COALESCE_ENTRY_OVERHEAD: usize = 10 + 3;
 
 /// Tuning knobs for [`UdpTransport`].
 #[derive(Debug, Clone)]
@@ -67,7 +99,8 @@ pub struct UdpConfig {
     /// Maximum datagram size put on the wire, bytes. Frames larger than
     /// this (minus overhead) are fragmented.
     pub mtu: usize,
-    /// First retransmit timeout, µs.
+    /// First retransmit timeout, µs. A quarter of it is the longest an
+    /// acknowledgement waits for a datagram to ride on.
     pub rto_initial_us: u64,
     /// Backoff cap for the retransmit timeout, µs.
     pub rto_max_us: u64,
@@ -83,8 +116,8 @@ pub struct UdpConfig {
     /// buffer waiting for companions, µs. Buffered frames flush early
     /// whenever the next frame would overflow the MTU budget (the size
     /// trigger); this deadline bounds the latency a lone frame pays.
-    /// `0` disables coalescing — every frame ships immediately as plain
-    /// [`KIND_DATA`] datagrams, byte-identical to older peers.
+    /// `0` disables coalescing — every frame ships immediately in a
+    /// datagram of its own.
     pub coalesce_delay_us: u64,
 }
 
@@ -109,7 +142,7 @@ pub enum UdpEvent {
     Frame {
         /// Sender's socket address.
         from: SocketAddr,
-        /// The reassembled frame exactly as the peer passed it to
+        /// The frame exactly as the peer passed it to
         /// [`UdpTransport::send`].
         frame: Bytes,
     },
@@ -118,6 +151,11 @@ pub enum UdpEvent {
     PeerDown(SocketAddr),
     /// A previously unreachable peer answered again.
     PeerUp(SocketAddr),
+    /// The send side towards this peer opened a new epoch — a give-up,
+    /// or the peer restarted. Frames sent before may never have arrived
+    /// (or arrived at a process that no longer exists), so state the
+    /// owner chained from frame to frame on this link starts over.
+    Fenced(SocketAddr),
 }
 
 /// Transport counters, surfaced through [`UdpStats::rows`].
@@ -127,18 +165,23 @@ pub struct UdpStats {
     pub frames_sent: u64,
     /// Complete frames handed to the owner.
     pub frames_received: u64,
-    /// Datagram retransmissions.
+    /// Frame retransmissions.
     pub retransmits: u64,
     /// Frames abandoned after exhausting retries.
     pub give_ups: u64,
-    /// Acks transmitted.
+    /// Standalone ack datagrams transmitted.
     pub acks_sent: u64,
+    /// Owed acknowledgements that left on a datagram carrying frames.
+    pub acks_piggybacked: u64,
     /// Datagrams read off the socket.
     pub datagrams_received: u64,
+    /// Datagram bytes handed to the socket (UDP payload; the 28 bytes of
+    /// IP and UDP header per datagram are the kernel's).
+    pub bytes_sent: u64,
     /// Datagrams discarded as malformed, corrupt, or stale-epoch.
     pub decode_errors: u64,
     /// Fragment datagrams put on the wire (first transmissions and
-    /// retransmissions alike).
+    /// retransmissions alike); whole-frame datagrams are not fragments.
     pub fragments_sent: u64,
     /// Frames completed by the per-peer reassembler.
     pub frames_reassembled: u64,
@@ -173,7 +216,9 @@ impl UdpStats {
             retransmits,
             give_ups,
             acks_sent,
+            acks_piggybacked,
             datagrams_received,
+            bytes_sent,
             decode_errors,
             fragments_sent,
             frames_reassembled,
@@ -188,10 +233,16 @@ impl UdpStats {
         vec![
             Row::counter("udp_frames_sent", "Reliable frames sent.", frames_sent),
             Row::counter("udp_frames_received", "Complete frames received.", frames_received),
-            Row::counter("udp_retransmits", "Datagram retransmissions.", retransmits),
+            Row::counter("udp_retransmits", "Frame retransmissions.", retransmits),
             Row::counter("udp_give_ups", "Frames abandoned after exhausting retries.", give_ups),
-            Row::counter("udp_acks_sent", "Transport acks transmitted.", acks_sent),
+            Row::counter("udp_acks_sent", "Standalone transport acks transmitted.", acks_sent),
+            Row::counter(
+                "udp_acks_piggybacked",
+                "Owed acks that rode on a datagram carrying frames.",
+                acks_piggybacked,
+            ),
             Row::counter("udp_datagrams_received", "Datagrams read.", datagrams_received),
+            Row::counter("udp_bytes_sent", "Datagram bytes handed to the socket.", bytes_sent),
             Row::counter("udp_decode_errors", "Datagrams discarded as malformed.", decode_errors),
             Row::counter("udp_fragments_sent", "Fragment datagrams sent.", fragments_sent),
             Row::counter("udp_frames_reassembled", "Frames reassembled.", frames_reassembled),
@@ -237,12 +288,25 @@ struct PeerState {
     queued: VecDeque<Bytes>,
     unreachable: bool,
     // Receive side.
+    /// Highest incarnation any datagram from the peer named, acks
+    /// included (`0`: never heard from).
+    remote_incarnation: u64,
+    /// Epoch of the peer's frame stream being received (`0`: none yet).
     remote_epoch: u64,
     expect: u64,
     holdback: BTreeMap<u64, Bytes>,
     reassembler: Reassembler,
-    // Coalescing buffer: single-fragment frames awaiting the
-    // size-or-deadline flush, as `(seq, fragment datagram)`.
+    // Acknowledging the receive side.
+    /// Frames taken since a datagram of ours last left for the peer.
+    ack_owed: u32,
+    /// The earliest the first of them can have arrived (delay base): the
+    /// poll before the one that read it.
+    ack_since_us: u64,
+    /// A duplicate, a gap or an epoch change was seen: the sender is
+    /// retransmitting or renumbering, so the ack leaves with this poll.
+    ack_now: bool,
+    // Coalescing buffer: whole frames awaiting the size-or-deadline
+    // flush, as `(seq, frame)`.
     pending: Vec<(u64, Bytes)>,
     /// Coalesced body bytes `pending` would occupy (entry overheads
     /// included), checked against the MTU budget by the size trigger.
@@ -259,10 +323,14 @@ impl PeerState {
             unacked: BTreeMap::new(),
             queued: VecDeque::new(),
             unreachable: false,
+            remote_incarnation: 0,
             remote_epoch: 0,
             expect: 1,
             holdback: BTreeMap::new(),
             reassembler: Reassembler::new(cfg.reassembly_timeout_us, cfg.window),
+            ack_owed: 0,
+            ack_since_us: 0,
+            ack_now: false,
             pending: Vec::new(),
             pending_bytes: 0,
             pending_since_us: 0,
@@ -271,13 +339,13 @@ impl PeerState {
 
     /// Opens a new send epoch towards this peer: numbering restarts at 1
     /// and whatever was numbered in the old epoch — in flight, or parked
-    /// in the coalescing buffer, which holds fragments of in-flight
-    /// frames — leaves it. With `reoffer` those frames go back to the
-    /// head of the queue in send order, for the next `promote_queued` to
-    /// ship under the new numbering (the peer restarted: it wants them,
-    /// and dedup absorbs any it already had); without, they and the
-    /// queue behind them are abandoned (the peer is unreachable:
-    /// anti-entropy owns the gap).
+    /// in the coalescing buffer, which holds in-flight frames — leaves
+    /// it. With `reoffer` those frames go back to the head of the queue
+    /// in send order, for the next `promote_queued` to ship under the
+    /// new numbering (the peer restarted: it wants them, and dedup
+    /// absorbs any it already had); without, they and the queue behind
+    /// them are abandoned (the peer is unreachable: anti-entropy owns
+    /// the gap).
     fn fence(&mut self, reoffer: bool) {
         self.send_epoch += 1;
         self.next_seq = 1;
@@ -291,6 +359,51 @@ impl PeerState {
         } else {
             self.queued.clear();
         }
+    }
+
+    /// Numbers `frame` as the next one of the current send epoch and
+    /// starts its retransmit clock.
+    fn number(&mut self, frame: Bytes, now_us: u64, rto_us: u64) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.unacked.insert(seq, OutFrame { frame, sent_at_us: now_us, rto_us, retries: 0 });
+        seq
+    }
+
+    /// Whether frame `seq` of the current receive epoch is still wanted.
+    /// One that was delivered or is already held back is a duplicate —
+    /// the sender is retransmitting because an ack of ours was lost —
+    /// and asks for an immediate ack.
+    fn wants(&mut self, seq: u64) -> bool {
+        let wanted = seq >= self.expect && !self.holdback.contains_key(&seq);
+        self.ack_now |= !wanted;
+        wanted
+    }
+
+    /// Takes one wanted frame numbered `seq`, which arrived some time
+    /// after `since_us`: it comes straight back when it is the next one
+    /// expected, and waits in the holdback when it is ahead. Either way
+    /// the sender is owed an ack for it.
+    fn take(&mut self, seq: u64, frame: Bytes, since_us: u64) -> Option<Bytes> {
+        if self.ack_owed == 0 {
+            self.ack_since_us = since_us;
+        }
+        self.ack_owed += 1;
+        if seq == self.expect {
+            self.expect += 1;
+            return Some(frame);
+        }
+        self.holdback.insert(seq, frame);
+        None
+    }
+
+    /// Whether a standalone ack has to leave now: asked for at once,
+    /// every second unacknowledged frame, or one that has waited `delay`
+    /// for a datagram to ride on.
+    fn ack_due(&self, now_us: u64, delay_us: u64) -> bool {
+        self.ack_now
+            || self.ack_owed >= 2
+            || (self.ack_owed == 1 && now_us.saturating_sub(self.ack_since_us) >= delay_us)
     }
 }
 
@@ -352,6 +465,12 @@ pub struct UdpTransport {
     /// Scratch peer-address list for the per-poll sweeps
     /// (retransmit/promote/flush walk addresses while mutating peers).
     addr_scratch: Vec<SocketAddr>,
+    /// When [`Self::poll`] last ran. Whatever the next one reads arrived
+    /// after this, and an owed ack's delay counts from here: an owner
+    /// that was descheduled for longer than the delay acknowledges at
+    /// once instead of adding the delay to a wait the sender's
+    /// retransmit timer has been counting all along.
+    last_poll_us: u64,
 }
 
 impl UdpTransport {
@@ -385,6 +504,7 @@ impl UdpTransport {
             dgram_buf: Vec::new(),
             frag_scratch: Vec::new(),
             addr_scratch: Vec::new(),
+            last_poll_us: 0,
         })
     }
 
@@ -408,32 +528,31 @@ impl UdpTransport {
         self.peers.get(&peer).is_some_and(|p| p.unreachable)
     }
 
+    /// The largest frame one datagram carries whole.
+    fn whole_frame_max(&self) -> usize {
+        self.cfg.mtu - OUTER_OVERHEAD
+    }
+
+    /// The longest an owed ack waits for a datagram to ride on.
+    fn ack_delay_us(&self) -> u64 {
+        self.cfg.rto_initial_us / 4
+    }
+
     /// Queues `frame` for reliable in-order delivery to `peer`. A frame
     /// too large to fragment is refused and counted
     /// ([`UdpStats::oversize_refused`]): numbered, it could never leave,
     /// and would stall everything behind it until the give-up.
     pub fn send(&mut self, peer: SocketAddr, frame: Bytes, now_us: u64) {
-        if frame.len() > max_frame_len(self.cfg.mtu - OUTER_OVERHEAD) {
+        if frame.len() > max_frame_len(self.whole_frame_max()) {
             self.stats.oversize_refused += 1;
             return;
         }
         self.stats.frames_sent += 1;
-        let cfg = self.cfg.clone();
-        let state = self.peers.entry(peer).or_insert_with(|| PeerState::new(self.epoch_base, &cfg));
-        if state.queued.is_empty() && state.unacked.len() < cfg.window {
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            state.unacked.insert(
-                seq,
-                OutFrame {
-                    frame: frame.clone(),
-                    sent_at_us: now_us,
-                    rto_us: cfg.rto_initial_us,
-                    retries: 0,
-                },
-            );
-            let epoch = state.send_epoch;
-            self.transmit_first(peer, epoch, seq, &frame, now_us);
+        let state =
+            self.peers.entry(peer).or_insert_with(|| PeerState::new(self.epoch_base, &self.cfg));
+        if state.queued.is_empty() && state.unacked.len() < self.cfg.window {
+            let seq = state.number(frame.clone(), now_us, self.cfg.rto_initial_us);
+            self.transmit_first(peer, seq, frame, now_us);
         } else {
             state.queued.push_back(frame);
         }
@@ -442,7 +561,8 @@ impl UdpTransport {
     /// Drives the transport: releases shim-delayed datagrams, drains the
     /// socket, flushes coalescing buffers past their deadline,
     /// retransmits overdue frames, promotes queued traffic into freed
-    /// windows. Returns completed frames and health transitions.
+    /// windows, and sends the acks nothing carried. Returns completed
+    /// frames and health transitions.
     pub fn poll(&mut self, now_us: u64) -> Vec<UdpEvent> {
         let mut events = Vec::new();
         self.poll_into(now_us, &mut events);
@@ -459,6 +579,9 @@ impl UdpTransport {
         self.flush_due_coalesced(now_us);
         self.retransmit_overdue(now_us, events);
         self.promote_queued(now_us);
+        // Last: whatever left for a peer above took its ack along.
+        self.flush_due_acks(now_us);
+        self.last_poll_us = now_us;
     }
 
     /// Flushes every peer's coalescing buffer immediately, regardless of
@@ -490,20 +613,25 @@ impl UdpTransport {
             .filter(|p| !p.pending.is_empty())
             .map(|p| p.pending_since_us + self.cfg.coalesce_delay_us)
             .min();
-        [delayed, retry, coalesce].into_iter().flatten().min()
+        let ack = self
+            .peers
+            .values()
+            .filter(|p| p.ack_owed > 0)
+            .map(|p| p.ack_since_us + self.ack_delay_us())
+            .min();
+        [delayed, retry, coalesce, ack].into_iter().flatten().min()
     }
 
     fn flush_delayed(&mut self, now_us: u64) {
         while self.delayed.peek().is_some_and(|d| d.due_us <= now_us) {
             let d = self.delayed.pop().expect("peeked");
-            let _ = self.socket.send_to(&d.datagram, d.to);
+            self.put_on_socket(&d.datagram, d.to);
         }
     }
 
     fn drain_socket(&mut self, now_us: u64, events: &mut Vec<UdpEvent>) {
         // Take the staging buffer out of `self` so the datagram can be
-        // handled by `&mut self` methods without copying it first — the
-        // old `to_vec` here was one allocation per datagram.
+        // handled by `&mut self` methods without copying it first.
         let mut buf = std::mem::take(&mut self.recv_buf);
         loop {
             let (len, from) = match self.socket.recv_from(&mut buf) {
@@ -526,146 +654,174 @@ impl UdpTransport {
         now_us: u64,
         events: &mut Vec<UdpEvent>,
     ) {
-        let Some((kind, epoch, arg, body)) = parse_outer(datagram) else {
+        let Some(outer) = parse_outer(datagram) else {
             self.stats.decode_errors += 1;
             return;
         };
-        let cfg = self.cfg.clone();
-        let state = self.peers.entry(from).or_insert_with(|| PeerState::new(self.epoch_base, &cfg));
+        let carries_frames = matches!(outer.kind, KIND_FRAME | KIND_COALESCED | KIND_FRAGMENT);
+        // Only frames make a peer. A lone ack from an address nothing was
+        // ever sent to acknowledges nothing, and an unknown kind says
+        // nothing: neither may claim a `PeerState` every `poll` then walks.
+        let known_peer_ack = outer.kind == KIND_ACK && self.peers.contains_key(&from);
+        if !(carries_frames || known_peer_ack) {
+            self.stats.decode_errors += 1;
+            return;
+        }
+        let state =
+            self.peers.entry(from).or_insert_with(|| PeerState::new(self.epoch_base, &self.cfg));
         if state.unreachable {
             state.unreachable = false;
             self.stats.peer_up += 1;
             events.push(UdpEvent::PeerUp(from));
         }
-        match kind {
-            KIND_DATA | KIND_COALESCED => {
-                if epoch < state.remote_epoch {
-                    self.stats.decode_errors += 1;
-                    return;
-                }
-                if epoch > state.remote_epoch {
-                    // New incarnation, or the peer's own fence: the old
-                    // sequence space is dead.
-                    self.stats.epoch_resets += 1;
-                    // Only a restart takes the peer's receive state with
-                    // it. Its own fence (low half) leaves what it has
-                    // acknowledged intact — and answering a fence with a
-                    // fence would never end, each side's next datagram
-                    // raising the other's epoch again. A peer heard for
-                    // the first time has no earlier incarnation to
-                    // compare with, and nothing sent in this epoch means
-                    // nothing to renumber.
-                    let restarted = state.remote_epoch != 0
-                        && incarnation_of(epoch) > incarnation_of(state.remote_epoch);
-                    state.remote_epoch = epoch;
-                    state.expect = 1;
-                    state.holdback.clear();
-                    state.reassembler = Reassembler::new(cfg.reassembly_timeout_us, cfg.window);
-                    if restarted && state.next_seq > 1 {
-                        self.stats.peer_restarts += 1;
-                        state.fence(true);
-                    }
-                }
-                if kind == KIND_DATA {
-                    if !Self::accept_fragment(state, &mut self.stats, now_us, arg, body) {
-                        return;
-                    }
-                } else {
-                    // `arg` is the entry count; a truncated entry list
-                    // keeps whatever decoded before the damage.
-                    self.stats.coalesced_received += 1;
-                    let mut rest = body;
-                    for _ in 0..arg {
-                        let Some((seq, frag, tail)) = split_coalesced_entry(rest) else {
-                            self.stats.decode_errors += 1;
-                            break;
-                        };
-                        rest = tail;
-                        let _ = Self::accept_fragment(state, &mut self.stats, now_us, seq, frag);
-                    }
-                }
-                while let Some(frame) = state.holdback.remove(&state.expect) {
-                    state.expect += 1;
-                    self.stats.frames_received += 1;
-                    events.push(UdpEvent::Frame { from, frame });
-                }
-                // One cumulative ack per datagram — a coalesced burst is
-                // acknowledged with a single reply.
-                let (ack_epoch, cumulative) = (state.remote_epoch, state.expect - 1);
-                self.ship_ack(from, ack_epoch, cumulative, now_us);
+
+        // Who is speaking. Only a restart takes the peer's receive state
+        // with it, and every datagram names the incarnation — an ack too,
+        // so a peer that only listens is found out by its first one. The
+        // peer's own fence (low half) leaves what it has acknowledged
+        // intact — and answering a fence with a fence would never end,
+        // each side's next datagram raising the other's epoch again. A
+        // peer heard for the first time has no earlier incarnation to
+        // compare with, and nothing sent in this epoch means nothing to
+        // renumber.
+        let incarnation = incarnation_of(outer.epoch);
+        if incarnation > state.remote_incarnation {
+            let known = state.remote_incarnation != 0;
+            state.remote_incarnation = incarnation;
+            if known && state.next_seq > 1 {
+                self.stats.peer_restarts += 1;
+                state.fence(true);
+                events.push(UdpEvent::Fenced(from));
             }
-            KIND_ACK => {
-                if epoch != state.send_epoch {
-                    return;
+        }
+
+        // What it has received from us. An ack for any other epoch is
+        // ignored; a cumulative below what was already released (a
+        // reordered early ack) releases nothing.
+        if outer.ack_epoch == state.send_epoch
+            && state.unacked.first_key_value().is_some_and(|(&seq, _)| seq <= outer.cumulative)
+        {
+            state.unacked.retain(|&seq, _| seq > outer.cumulative);
+        }
+        if !carries_frames {
+            return;
+        }
+
+        // What it sends us.
+        if outer.epoch < state.remote_epoch {
+            self.stats.decode_errors += 1;
+            return;
+        }
+        if outer.epoch > state.remote_epoch {
+            // New incarnation, or the peer's own fence: the old sequence
+            // space is dead, and a sender that renumbered wants to hear at
+            // once where the new stream stands (a first contact renumbers
+            // nothing).
+            self.stats.epoch_resets += 1;
+            state.ack_now |= state.remote_epoch != 0;
+            state.remote_epoch = outer.epoch;
+            state.expect = 1;
+            state.holdback.clear();
+            state.reassembler = Reassembler::new(self.cfg.reassembly_timeout_us, self.cfg.window);
+        }
+        // Every frame-carrying body opens with a varint: the sequence
+        // number, or a coalesced datagram's entry count.
+        let mut body = outer.body;
+        let Some(first) = take_uvar(&mut body) else {
+            self.stats.decode_errors += 1;
+            return;
+        };
+        match outer.kind {
+            KIND_FRAME => {
+                if state.wants(first) {
+                    let ready = state.take(first, Bytes::from(body), self.last_poll_us);
+                    Self::surface(&mut self.stats, events, from, ready);
                 }
-                let cumulative = arg;
-                state.unacked.retain(|&seq, _| seq > cumulative);
+            }
+            KIND_COALESCED => {
+                // A truncated entry list keeps whatever decoded before
+                // the damage; a forged count runs out of bytes, not time.
+                self.stats.coalesced_received += 1;
+                for _ in 0..first {
+                    let Some((seq, frame)) = take_coalesced_entry(&mut body) else {
+                        self.stats.decode_errors += 1;
+                        break;
+                    };
+                    if state.wants(seq) {
+                        let ready = state.take(seq, Bytes::from(frame), self.last_poll_us);
+                        Self::surface(&mut self.stats, events, from, ready);
+                    }
+                }
             }
             _ => {
-                self.stats.decode_errors += 1;
+                if state.wants(first) {
+                    match state.reassembler.accept(now_us, &Bytes::from(body)) {
+                        Ok(Some(frame)) => {
+                            self.stats.frames_reassembled += 1;
+                            let ready = state.take(first, frame, self.last_poll_us);
+                            Self::surface(&mut self.stats, events, from, ready);
+                        }
+                        Ok(None) => {}
+                        Err(_) => {
+                            self.stats.decode_errors += 1;
+                            return;
+                        }
+                    }
+                }
             }
         }
+        // A gap that closed, or one still open: the sender is recovering
+        // from a loss, so tell it now where the stream stands.
+        while let Some(frame) = state.holdback.remove(&state.expect) {
+            state.expect += 1;
+            state.ack_now = true;
+            Self::surface(&mut self.stats, events, from, Some(frame));
+        }
+        state.ack_now |= !state.holdback.is_empty();
     }
 
-    /// Feeds one `(seq, fragment)` pair into `state`'s reassembler and
-    /// holdback. Returns `false` for an undecodable fragment.
-    fn accept_fragment(
-        state: &mut PeerState,
+    /// Hands the owner a frame whose turn has come, if `ready` holds one.
+    fn surface(
         stats: &mut UdpStats,
-        now_us: u64,
-        seq: u64,
-        frag: &[u8],
-    ) -> bool {
-        if seq >= state.expect && !state.holdback.contains_key(&seq) {
-            match state.reassembler.accept(now_us, &Bytes::from(frag.to_vec())) {
-                Ok(Some(frame)) => {
-                    stats.frames_reassembled += 1;
-                    state.holdback.insert(seq, frame);
-                }
-                Ok(None) => {}
-                Err(_) => {
-                    stats.decode_errors += 1;
-                    return false;
-                }
-            }
+        events: &mut Vec<UdpEvent>,
+        from: SocketAddr,
+        ready: Option<Bytes>,
+    ) {
+        if let Some(frame) = ready {
+            stats.frames_received += 1;
+            events.push(UdpEvent::Frame { from, frame });
         }
-        true
     }
 
     fn retransmit_overdue(&mut self, now_us: u64, events: &mut Vec<UdpEvent>) {
-        let cfg = self.cfg.clone();
         let mut addrs = std::mem::take(&mut self.addr_scratch);
         addrs.extend(self.peers.keys().copied());
         for &addr in &addrs {
             let state = self.peers.get_mut(&addr).expect("known peer");
-            let overdue: Vec<u64> = state
-                .unacked
-                .iter()
-                .filter(|(_, f)| now_us >= f.sent_at_us + f.rto_us)
-                .map(|(&seq, _)| seq)
-                .collect();
             let mut gave_up = false;
-            let mut resend: Vec<(u64, u64, Bytes)> = Vec::new();
-            for seq in overdue {
-                let state = self.peers.get_mut(&addr).expect("known peer");
-                let Some(out) = state.unacked.get_mut(&seq) else { continue };
-                if out.retries >= cfg.max_retries {
+            let mut resend: Vec<(u64, Bytes)> = Vec::new();
+            for (&seq, out) in &mut state.unacked {
+                if now_us < out.sent_at_us + out.rto_us {
+                    continue;
+                }
+                if out.retries >= self.cfg.max_retries {
                     gave_up = true;
                     break;
                 }
                 out.retries += 1;
                 out.sent_at_us = now_us;
-                out.rto_us = (out.rto_us * 2).min(cfg.rto_max_us);
+                out.rto_us = (out.rto_us * 2).min(self.cfg.rto_max_us);
                 self.stats.retransmits += 1;
-                resend.push((state.send_epoch, seq, out.frame.clone()));
+                resend.push((seq, out.frame.clone()));
             }
-            for (epoch, seq, frame) in resend {
-                self.transmit_frame(addr, epoch, seq, &frame, now_us);
+            for (seq, frame) in resend {
+                self.transmit_frame(addr, seq, &frame, now_us);
             }
             if gave_up {
                 self.stats.give_ups += 1;
                 let state = self.peers.get_mut(&addr).expect("known peer");
                 state.fence(false);
+                events.push(UdpEvent::Fenced(addr));
                 if !state.unreachable {
                     state.unreachable = true;
                     self.stats.peer_down += 1;
@@ -678,71 +834,49 @@ impl UdpTransport {
     }
 
     fn promote_queued(&mut self, now_us: u64) {
-        let cfg = self.cfg.clone();
         let mut addrs = std::mem::take(&mut self.addr_scratch);
         addrs.extend(self.peers.keys().copied());
         for &addr in &addrs {
             loop {
                 let state = self.peers.get_mut(&addr).expect("known peer");
-                if state.unacked.len() >= cfg.window {
+                if state.unacked.len() >= self.cfg.window {
                     break;
                 }
                 let Some(frame) = state.queued.pop_front() else { break };
-                let seq = state.next_seq;
-                state.next_seq += 1;
-                state.unacked.insert(
-                    seq,
-                    OutFrame {
-                        frame: frame.clone(),
-                        sent_at_us: now_us,
-                        rto_us: cfg.rto_initial_us,
-                        retries: 0,
-                    },
-                );
-                let epoch = state.send_epoch;
-                self.transmit_frame(addr, epoch, seq, &frame, now_us);
+                let seq = state.number(frame.clone(), now_us, self.cfg.rto_initial_us);
+                self.transmit_frame(addr, seq, &frame, now_us);
             }
         }
         addrs.clear();
         self.addr_scratch = addrs;
     }
 
-    /// First transmission of a frame: the only path allowed to coalesce.
-    /// Retransmits and promotions go through [`Self::transmit_frame`]
-    /// and always ship plain [`KIND_DATA`], so a peer that never learned
-    /// the coalesced kind still converges via retries.
-    fn transmit_first(&mut self, to: SocketAddr, epoch: u64, seq: u64, frame: &Bytes, now_us: u64) {
-        if self.cfg.coalesce_delay_us == 0 {
-            self.transmit_frame(to, epoch, seq, frame, now_us);
-            return;
+    /// Sends the acks that are due and that nothing carried.
+    fn flush_due_acks(&mut self, now_us: u64) {
+        let delay = self.ack_delay_us();
+        let mut due = std::mem::take(&mut self.addr_scratch);
+        due.extend(self.peers.iter().filter(|(_, s)| s.ack_due(now_us, delay)).map(|(a, _)| *a));
+        for &addr in &due {
+            self.ship(addr, KIND_ACK, now_us, |_| {});
         }
-        let inner_mtu = self.cfg.mtu - OUTER_OVERHEAD;
-        let mut fragments = std::mem::take(&mut self.frag_scratch);
-        // `send` refused anything too large to fragment.
-        if fragment_into(seq, frame, inner_mtu, &mut fragments).is_ok() {
-            if fragments.len() == 1 {
-                // Small frame: park it in the peer's coalescing buffer
-                // until the size trigger or the deadline flushes it.
-                let frag = fragments.pop().expect("single fragment");
-                self.buffer_coalesced(to, seq, frag, now_us);
-            } else {
-                // A multi-fragment frame already fills datagrams on its
-                // own; coalescing could only split or overflow it.
-                for frag in &fragments {
-                    self.stats.fragments_sent += 1;
-                    self.ship_data(to, epoch, seq, frag, now_us);
-                }
-            }
-        }
-        fragments.clear();
-        self.frag_scratch = fragments;
+        due.clear();
+        self.addr_scratch = due;
     }
 
-    /// Parks one single-fragment frame in `to`'s coalescing buffer,
-    /// flushing first if the addition would overflow the MTU budget.
-    fn buffer_coalesced(&mut self, to: SocketAddr, seq: u64, frag: Bytes, now_us: u64) {
-        let budget = self.cfg.mtu - OUTER_OVERHEAD;
-        let entry = COALESCE_ENTRY_OVERHEAD + frag.len();
+    /// First transmission of a frame: the only path allowed to coalesce.
+    /// Retransmits and promotions go through [`Self::transmit_frame`]
+    /// and ship at once, one frame per datagram.
+    fn transmit_first(&mut self, to: SocketAddr, seq: u64, frame: Bytes, now_us: u64) {
+        if self.cfg.coalesce_delay_us == 0 || frame.len() > self.whole_frame_max() {
+            // A multi-fragment frame already fills datagrams on its own;
+            // coalescing could only split or overflow it.
+            self.transmit_frame(to, seq, &frame, now_us);
+            return;
+        }
+        // Small frame: park it in the peer's coalescing buffer until the
+        // size trigger or the deadline flushes it.
+        let entry = COALESCE_ENTRY_OVERHEAD + frame.len();
+        let budget = self.whole_frame_max();
         let state = self.peers.get_mut(&to).expect("send created the peer");
         if !state.pending.is_empty() && state.pending_bytes + entry > budget {
             self.flush_coalesced(to, now_us);
@@ -751,38 +885,31 @@ impl UdpTransport {
         if state.pending.is_empty() {
             state.pending_since_us = now_us;
         }
-        state.pending.push((seq, frag));
+        state.pending.push((seq, frame));
         state.pending_bytes += entry;
     }
 
     /// Ships `to`'s coalescing buffer now. A lone entry goes out as a
-    /// plain [`KIND_DATA`] datagram — byte-identical to a non-coalescing
-    /// sender — so the coalesced kind only ever appears when it packs
-    /// two or more frames.
+    /// plain [`KIND_FRAME`] datagram, so the coalesced kind only ever
+    /// appears when it packs two or more frames.
     fn flush_coalesced(&mut self, to: SocketAddr, now_us: u64) {
         let Some(state) = self.peers.get_mut(&to) else { return };
         if state.pending.is_empty() {
             return;
         }
-        let entries = std::mem::take(&mut state.pending);
+        let mut entries = std::mem::take(&mut state.pending);
         state.pending_bytes = 0;
-        let epoch = state.send_epoch;
-        self.stats.fragments_sent += entries.len() as u64;
-        if let [(seq, frag)] = entries.as_slice() {
-            self.ship_data(to, epoch, *seq, frag, now_us);
+        if let [(seq, frame)] = entries.as_slice() {
+            self.transmit_frame(to, *seq, frame, now_us);
         } else {
             self.stats.coalesced_sent += 1;
-            let mut buf = std::mem::take(&mut self.dgram_buf);
-            build_coalesced_into(&mut buf, epoch, &entries);
-            self.shimmed_send(to, &buf, now_us);
-            self.dgram_buf = buf;
+            self.ship(to, KIND_COALESCED, now_us, |out| put_coalesced_body(out, &entries));
         }
         // Hand the drained vector back so steady-state buffering never
         // reallocates.
+        entries.clear();
         if let Some(state) = self.peers.get_mut(&to) {
             if state.pending.capacity() < entries.capacity() {
-                let mut entries = entries;
-                entries.clear();
                 state.pending = entries;
             }
         }
@@ -811,37 +938,49 @@ impl UdpTransport {
         self.addr_scratch = due;
     }
 
-    /// Fragments `frame` and pushes every fragment datagram through the
-    /// shim to the socket (or the delay queue).
-    fn transmit_frame(&mut self, to: SocketAddr, epoch: u64, seq: u64, frame: &Bytes, now_us: u64) {
-        let inner_mtu = self.cfg.mtu - OUTER_OVERHEAD;
+    /// Puts frame `seq` on the wire by itself: whole in one datagram when
+    /// it fits, else one datagram per fragment. `send` refused anything
+    /// too large to fragment.
+    fn transmit_frame(&mut self, to: SocketAddr, seq: u64, frame: &Bytes, now_us: u64) {
+        let inner_mtu = self.whole_frame_max();
+        if frame.len() <= inner_mtu {
+            self.ship(to, KIND_FRAME, now_us, |out| {
+                put_uvar(out, seq);
+                out.extend_from_slice(frame);
+            });
+            return;
+        }
         let mut fragments = std::mem::take(&mut self.frag_scratch);
-        // `send` refused anything too large to fragment.
         if fragment_into(seq, frame, inner_mtu, &mut fragments).is_ok() {
             for frag in &fragments {
                 self.stats.fragments_sent += 1;
-                self.ship_data(to, epoch, seq, frag, now_us);
+                self.ship(to, KIND_FRAGMENT, now_us, |out| {
+                    put_uvar(out, seq);
+                    out.extend_from_slice(frag);
+                });
             }
         }
         fragments.clear();
         self.frag_scratch = fragments;
     }
 
-    /// Builds one [`KIND_DATA`] datagram in the staging buffer and ships
-    /// it through the shim.
-    fn ship_data(&mut self, to: SocketAddr, epoch: u64, seq: u64, frag: &[u8], now_us: u64) {
+    /// Builds one datagram for `to` in the staging buffer — the header
+    /// every kind shares, then whatever `body` appends, then the trailer
+    /// — and ships it through the shim. The header acknowledges the
+    /// reverse stream, so whatever ack `to` was owed has now left.
+    fn ship(&mut self, to: SocketAddr, kind: u8, now_us: u64, body: impl FnOnce(&mut Vec<u8>)) {
+        let Some(state) = self.peers.get_mut(&to) else { return };
         let mut buf = std::mem::take(&mut self.dgram_buf);
-        build_data_into(&mut buf, epoch, seq, frag);
-        self.shimmed_send(to, &buf, now_us);
-        self.dgram_buf = buf;
-    }
-
-    /// Builds one [`KIND_ACK`] datagram in the staging buffer and ships
-    /// it through the shim.
-    fn ship_ack(&mut self, to: SocketAddr, epoch: u64, cumulative: u64, now_us: u64) {
-        self.stats.acks_sent += 1;
-        let mut buf = std::mem::take(&mut self.dgram_buf);
-        build_ack_into(&mut buf, epoch, cumulative);
+        open_outer(&mut buf, kind, state.send_epoch, (state.remote_epoch, state.expect - 1));
+        body(&mut buf);
+        seal_outer(&mut buf);
+        if kind == KIND_ACK {
+            self.stats.acks_sent += 1;
+        } else if state.ack_owed > 0 || state.ack_now {
+            self.stats.acks_piggybacked += 1;
+        }
+        state.ack_owed = 0;
+        state.ack_now = false;
         self.shimmed_send(to, &buf, now_us);
         self.dgram_buf = buf;
     }
@@ -851,14 +990,14 @@ impl UdpTransport {
     /// only corrupted or delayed copies allocate.
     fn shimmed_send(&mut self, to: SocketAddr, datagram: &[u8], now_us: u64) {
         if self.shim.passthrough() {
-            let _ = self.socket.send_to(datagram, to);
+            self.put_on_socket(datagram, to);
             return;
         }
         let verdict = self.shim.judge();
         for (i, &offset) in verdict.offsets_us.iter().enumerate() {
             let corrupt = verdict.corrupt && i == 0;
             if offset == 0 && !corrupt {
-                let _ = self.socket.send_to(datagram, to);
+                self.put_on_socket(datagram, to);
                 continue;
             }
             let mut copy = datagram.to_vec();
@@ -868,7 +1007,7 @@ impl UdpTransport {
                 copy[last] ^= 0xff;
             }
             if offset == 0 {
-                let _ = self.socket.send_to(&copy, to);
+                self.put_on_socket(&copy, to);
             } else {
                 self.delay_tie += 1;
                 self.delayed.push(Delayed {
@@ -880,6 +1019,67 @@ impl UdpTransport {
             }
         }
     }
+
+    /// The one place a datagram meets the socket.
+    fn put_on_socket(&mut self, datagram: &[u8], to: SocketAddr) {
+        self.stats.bytes_sent += datagram.len() as u64;
+        let _ = self.socket.send_to(datagram, to);
+    }
+}
+
+fn put_uvar(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// Takes one varint off the front of `buf`; `None` when it is truncated
+/// or does not fit 64 bits.
+fn take_uvar(buf: &mut &[u8]) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let (&byte, rest) = buf.split_first()?;
+        *buf = rest;
+        let group = u64::from(byte & 0x7f);
+        if shift == 63 && group > 1 {
+            return None;
+        }
+        v |= group << shift;
+        if byte & 0x80 == 0 {
+            return Some(v);
+        }
+    }
+    None
+}
+
+/// An epoch as two varints, incarnation then fences: two bytes for the
+/// life of most processes, where the `u64` they pack into costs five or
+/// more.
+fn put_epoch(out: &mut Vec<u8>, epoch: u64) {
+    put_uvar(out, epoch >> 32);
+    put_uvar(out, epoch & 0xffff_ffff);
+}
+
+fn take_epoch(buf: &mut &[u8]) -> Option<u64> {
+    let incarnation = u32::try_from(take_uvar(buf)?).ok()?;
+    let fences = u32::try_from(take_uvar(buf)?).ok()?;
+    Some(u64::from(incarnation) << 32 | u64::from(fences))
+}
+
+/// Starts a datagram in `out` (cleared first): the header every kind
+/// shares. `ack` is `(epoch, cumulative)` of the reverse stream.
+fn open_outer(out: &mut Vec<u8>, kind: u8, epoch: u64, ack: (u64, u64)) {
+    out.clear();
+    out.push(kind);
+    put_epoch(out, epoch);
+    put_epoch(out, ack.0);
+    put_uvar(out, ack.1);
 }
 
 /// Appends the [`checksum64`] trailer that closes every outer datagram.
@@ -888,72 +1088,54 @@ fn seal_outer(out: &mut Vec<u8>) {
     out.extend_from_slice(&sum.to_le_bytes());
 }
 
-fn build_data_into(out: &mut Vec<u8>, epoch: u64, seq: u64, frag: &[u8]) {
-    out.clear();
-    out.push(KIND_DATA);
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(frag);
-    seal_outer(out);
-}
-
-fn build_ack_into(out: &mut Vec<u8>, epoch: u64, cumulative: u64) {
-    out.clear();
-    out.push(KIND_ACK);
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&cumulative.to_le_bytes());
-    seal_outer(out);
-}
-
-fn build_coalesced_into(out: &mut Vec<u8>, epoch: u64, entries: &[(u64, Bytes)]) {
-    out.clear();
-    out.push(KIND_COALESCED);
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for (seq, frag) in entries {
-        debug_assert!(
-            frag.len() <= usize::from(u16::MAX),
-            "fragment exceeds the entry length field"
-        );
-        out.extend_from_slice(&seq.to_le_bytes());
-        out.extend_from_slice(&(frag.len() as u16).to_le_bytes());
-        out.extend_from_slice(frag);
+fn put_coalesced_body(out: &mut Vec<u8>, entries: &[(u64, Bytes)]) {
+    put_uvar(out, entries.len() as u64);
+    for (seq, frame) in entries {
+        put_uvar(out, *seq);
+        put_uvar(out, frame.len() as u64);
+        out.extend_from_slice(frame);
     }
-    seal_outer(out);
 }
 
-/// Splits one `[u64 seq | u16 len | fragment]` entry off the front of a
-/// coalesced body, returning `(seq, fragment, rest)`.
-fn split_coalesced_entry(body: &[u8]) -> Option<(u64, &[u8], &[u8])> {
-    if body.len() < COALESCE_ENTRY_OVERHEAD {
+/// Takes one `uvar seq | uvar len | frame` entry off the front of a
+/// coalesced body. The length is checked against the bytes that are
+/// there before anything is sliced, let alone allocated.
+fn take_coalesced_entry<'a>(body: &mut &'a [u8]) -> Option<(u64, &'a [u8])> {
+    let seq = take_uvar(body)?;
+    let len = usize::try_from(take_uvar(body)?).ok()?;
+    if body.len() < len {
         return None;
     }
-    let seq = u64::from_le_bytes(body[..8].try_into().ok()?);
-    let len = usize::from(u16::from_le_bytes(body[8..10].try_into().ok()?));
-    let rest = &body[COALESCE_ENTRY_OVERHEAD..];
-    if rest.len() < len {
-        return None;
-    }
-    Some((seq, &rest[..len], &rest[len..]))
+    let (frame, rest) = body.split_at(len);
+    *body = rest;
+    Some((seq, frame))
 }
 
-/// Splits an outer datagram into `(kind, epoch, seq-or-cumulative,
-/// body)`, verifying the trailer. Total: any malformed input is `None`.
-/// The body borrows from the datagram — no copy until a fragment is
-/// actually accepted.
-fn parse_outer(datagram: &[u8]) -> Option<(u8, u64, u64, &[u8])> {
-    if datagram.len() < OUTER_OVERHEAD {
-        return None;
-    }
-    let (payload, trailer) = datagram.split_at(datagram.len() - 8);
+/// An outer datagram's header, checksum verified, and the kind's body.
+struct Outer<'a> {
+    kind: u8,
+    /// The sender's send epoch towards us.
+    epoch: u64,
+    /// Our epoch the sender acknowledges, and how far.
+    ack_epoch: u64,
+    cumulative: u64,
+    body: &'a [u8],
+}
+
+/// Splits an outer datagram into header and body, verifying the
+/// trailer. Total: any malformed input is `None`. The body borrows from
+/// the datagram — no copy until a frame is actually wanted.
+fn parse_outer(datagram: &[u8]) -> Option<Outer<'_>> {
+    let (payload, trailer) = datagram.split_at(datagram.len().checked_sub(8)?);
     let expect = u64::from_le_bytes(trailer.try_into().ok()?);
     if checksum64(payload) != expect {
         return None;
     }
-    let kind = payload[0];
-    let epoch = u64::from_le_bytes(payload[1..9].try_into().ok()?);
-    let arg = u64::from_le_bytes(payload[9..17].try_into().ok()?);
-    Some((kind, epoch, arg, &payload[17..]))
+    let (&kind, mut rest) = payload.split_first()?;
+    let epoch = take_epoch(&mut rest)?;
+    let ack_epoch = take_epoch(&mut rest)?;
+    let cumulative = take_uvar(&mut rest)?;
+    Some(Outer { kind, epoch, ack_epoch, cumulative, body: rest })
 }
 
 #[cfg(test)]
@@ -1211,32 +1393,66 @@ mod tests {
         range.map(|i| Bytes::from(vec![i])).collect()
     }
 
+    /// One whole-frame datagram, as `ship` builds it.
+    fn frame_datagram(epoch: u64, ack: (u64, u64), seq: u64, frame: &[u8]) -> Vec<u8> {
+        let mut raw = Vec::new();
+        open_outer(&mut raw, KIND_FRAME, epoch, ack);
+        put_uvar(&mut raw, seq);
+        raw.extend_from_slice(frame);
+        seal_outer(&mut raw);
+        raw
+    }
+
+    /// A standalone ack for `(epoch, cumulative)` whose own epoch is left
+    /// at zero — it names no incarnation, so it can only ever be read for
+    /// what it acknowledges.
+    fn build_ack_into(out: &mut Vec<u8>, epoch: u64, cumulative: u64) {
+        open_outer(out, KIND_ACK, 0, (epoch, cumulative));
+        seal_outer(out);
+    }
+
+    /// Polls `t` on a frozen clock until it has read `want` datagrams.
+    fn read_datagrams(t: &mut UdpTransport, now_us: u64, want: u64) -> Vec<UdpEvent> {
+        let mut events = Vec::new();
+        for _ in 0..100_000 {
+            events.extend(t.poll(now_us));
+            if t.stats().0.datagrams_received >= want {
+                break;
+            }
+        }
+        assert_eq!(t.stats().0.datagrams_received, want);
+        events
+    }
+
     #[test]
     fn restarted_receiver_resyncs_without_a_give_up() {
         // A window of 4 so the restart finds frames in every send-side
         // state: in flight, parked in the coalescing buffer, and queued.
         let cfg = UdpConfig { window: 4, ..UdpConfig::default() };
         let (mut a, mut b, addr_a, addr_b) = pair(cfg.clone());
-        // B is a known peer of A (one frame back), and five frames A→B
+        // B is a known peer of A (one frame back), and six frames A→B
         // are delivered and acknowledged.
         b.send(addr_a, Bytes::from_static(b"hello"), 0);
         b.flush(0);
         let (at_a, _) = settle(&mut a, &mut b, 0, |_, _, at_a, _| !at_a.is_empty());
         assert_eq!(at_a, [Bytes::from_static(b"hello")]);
         let mut at_b = Vec::new();
-        for frame in byte_frames(0..5) {
-            // One at a time: the window is 4.
-            a.send(addr_b, frame, 0);
+        for batch in [0..4, 4..6] {
+            // The window is 4; and two frames or more are acknowledged at
+            // once, where a lone one would wait for a clock that is frozen.
+            for frame in byte_frames(batch) {
+                a.send(addr_b, frame, 0);
+            }
             a.flush(0);
             at_b.extend(settle(&mut a, &mut b, 0, |a, _, _, _| outstanding(a, addr_b) == 0).1);
         }
-        assert_eq!(at_b, byte_frames(0..5));
+        assert_eq!(at_b, byte_frames(0..6));
 
         // B dies. A keeps sending: two frames flushed to the dead socket,
         // two parked in the coalescing buffer, two queued behind the
         // window.
         drop(b);
-        for (i, frame) in byte_frames(5..11).into_iter().enumerate() {
+        for (i, frame) in byte_frames(6..12).into_iter().enumerate() {
             a.send(addr_b, frame, 0);
             if i == 1 {
                 a.flush(0);
@@ -1249,13 +1465,14 @@ mod tests {
         let mut b2 = UdpTransport::bind(addr_b, 1, cfg, 3).expect("rebind b");
         b2.send(addr_a, Bytes::from_static(b"back"), 0);
         b2.flush(0);
-        a.send(addr_b, Bytes::from(vec![11]), 0);
+        a.send(addr_b, Bytes::from(vec![12]), 0);
         let (at_a, at_b) = settle(&mut a, &mut b2, 0, |_, _, _, at_b| at_b.len() >= 7);
         assert_eq!(at_a, [Bytes::from_static(b"back")]);
-        assert_eq!(at_b, byte_frames(5..12), "everything outstanding, in order, nothing twice");
+        assert_eq!(at_b, byte_frames(6..13), "everything outstanding, in order, nothing twice");
         let (stats, _) = a.stats();
         assert_eq!(stats.peer_restarts, 1);
         assert_eq!((stats.give_ups, stats.retransmits), (0, 0), "the clock never moved");
+        assert_eq!(a.peers[&addr_b].send_epoch, a.epoch_base + 1);
         // Nothing further is in flight, and nothing arrives a second time.
         let (_, more) = settle(&mut a, &mut b2, 0, |a, _, _, _| outstanding(a, addr_b) == 0);
         assert!(more.is_empty(), "re-offered frames arrived twice: {more:?}");
@@ -1314,12 +1531,16 @@ mod tests {
             ..UdpConfig::default()
         };
         let (mut a, mut b, addr_a, addr_b) = pair(cfg);
-        a.send(addr_b, Bytes::from_static(b"a1"), 0);
-        b.send(addr_a, Bytes::from_static(b"b1"), 0);
+        // Two frames each way: a pair is acknowledged at once, a lone
+        // frame's ack would wait for a clock this test keeps still.
+        for tag in [1u8, 2] {
+            a.send(addr_b, Bytes::from(vec![b'a', tag]), 0);
+            b.send(addr_a, Bytes::from(vec![b'b', tag]), 0);
+        }
         let (at_a, at_b) = settle(&mut a, &mut b, 0, |a, b, _, _| {
             outstanding(a, addr_b) == 0 && outstanding(b, addr_a) == 0
         });
-        assert_eq!((at_a.len(), at_b.len()), (1, 1));
+        assert_eq!((at_a.len(), at_b.len()), (2, 2));
 
         // B stops reading; A's frame exhausts its retries on the
         // synthetic clock and A fences its send side by itself.
@@ -1374,8 +1595,7 @@ mod tests {
 
     #[test]
     fn corrupt_datagrams_are_counted_not_delivered() {
-        let mut raw = Vec::new();
-        build_data_into(&mut raw, 1 << 32, 1, &[0u8; 8]);
+        let raw = frame_datagram(1 << 32, (0, 0), 1, &[0u8; 8]);
         let mut bad = raw.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0x40;
@@ -1390,18 +1610,23 @@ mod tests {
         let entries =
             vec![(3u64, Bytes::from(vec![1, 2, 3])), (4, Bytes::from(vec![9])), (5, Bytes::new())];
         let mut raw = Vec::new();
-        build_coalesced_into(&mut raw, 7, &entries);
-        let (kind, epoch, count, mut body) = parse_outer(&raw).expect("sealed datagram parses");
-        assert_eq!((kind, epoch, count), (KIND_COALESCED, 7, 3));
-        for (seq, frag) in &entries {
-            let (got_seq, got_frag, rest) =
-                split_coalesced_entry(body).expect("entry within count");
+        open_outer(&mut raw, KIND_COALESCED, 7 << 32 | 2, (9 << 32, 300));
+        put_coalesced_body(&mut raw, &entries);
+        seal_outer(&mut raw);
+        let outer = parse_outer(&raw).expect("sealed datagram parses");
+        assert_eq!(
+            (outer.kind, outer.epoch, outer.ack_epoch, outer.cumulative),
+            (KIND_COALESCED, 7 << 32 | 2, 9 << 32, 300)
+        );
+        let mut body = outer.body;
+        assert_eq!(take_uvar(&mut body), Some(3));
+        for (seq, frame) in &entries {
+            let (got_seq, got_frame) = take_coalesced_entry(&mut body).expect("entry within count");
             assert_eq!(got_seq, *seq);
-            assert_eq!(got_frag, frag.as_ref());
-            body = rest;
+            assert_eq!(got_frame, frame.as_ref());
         }
         assert!(body.is_empty(), "no trailing bytes after the last entry");
-        assert!(split_coalesced_entry(body).is_none());
+        assert!(take_coalesced_entry(&mut body).is_none());
     }
 
     #[test]
@@ -1442,8 +1667,7 @@ mod tests {
 
     #[test]
     fn coalescing_and_plain_peers_interoperate_both_ways() {
-        // `coalesce_delay_us: 0` is the wire behaviour of a peer built
-        // before the coalesced kind existed: plain KIND_DATA only.
+        // `coalesce_delay_us: 0` never packs: one frame per datagram.
         let old = UdpConfig { coalesce_delay_us: 0, ..UdpConfig::default() };
         let mut plain = UdpTransport::bind(loopback(), 0, old, 11).expect("bind plain");
         let mut packed =
@@ -1488,5 +1712,237 @@ mod tests {
         for (i, frame) in got.iter().enumerate() {
             assert_eq!(frame.as_ref(), (i as u32).to_be_bytes(), "order broken at {i}");
         }
+    }
+
+    #[test]
+    fn listen_only_peer_restart_is_found_by_its_ack() {
+        let cfg = UdpConfig::default();
+        let (mut a, mut b, _, addr_b) = pair(cfg.clone());
+        // B only ever listens. Its acks are all A hears from it — and
+        // they name its incarnation.
+        for frame in byte_frames(0..4) {
+            a.send(addr_b, frame, 0);
+        }
+        a.flush(0);
+        let (_, at_b) = settle(&mut a, &mut b, 0, |a, _, _, _| outstanding(a, addr_b) == 0);
+        assert_eq!(at_b, byte_frames(0..4));
+        assert_eq!(b.stats().0.frames_sent, 0);
+        assert_eq!(a.peers[&addr_b].remote_incarnation, 1);
+        assert_eq!(a.peers[&addr_b].remote_epoch, 0, "no frame stream from B, ever");
+
+        // B dies; two frames go to the dead socket. B′ binds the same
+        // address under the next incarnation and still only listens.
+        drop(b);
+        for frame in byte_frames(4..6) {
+            a.send(addr_b, frame, 0);
+        }
+        a.flush(0);
+        let mut b2 = UdpTransport::bind(addr_b, 1, cfg, 3).expect("rebind b");
+        // The next frame reaches B′ numbered 7 where it expects 1: held
+        // back, and acknowledged at once as the gap it is. That ack is
+        // B′'s first word, its incarnation is higher, and A renumbers
+        // everything outstanding in the same poll.
+        a.send(addr_b, Bytes::from(vec![6]), 0);
+        a.flush(0);
+        let (_, at_b) = settle(&mut a, &mut b2, 0, |a, _, _, _| outstanding(a, addr_b) == 0);
+        assert_eq!(at_b, byte_frames(4..7), "everything outstanding, in order, nothing twice");
+        let (stats, _) = a.stats();
+        assert_eq!(stats.peer_restarts, 1);
+        assert_eq!((stats.give_ups, stats.retransmits), (0, 0), "the clock never moved");
+        assert_eq!(a.peers[&addr_b].send_epoch, a.epoch_base + 1);
+        assert_eq!(b2.stats().0.frames_sent, 0, "B′ never said anything but acks");
+    }
+
+    #[test]
+    fn ack_or_unknown_kind_from_a_stranger_creates_no_state() {
+        let (mut a, _, addr_a, _) = pair(UdpConfig::default());
+        let stranger = UdpSocket::bind(loopback()).expect("bind stranger");
+        let mut raw = Vec::new();
+        // A well-formed ack for an epoch A could have issued.
+        build_ack_into(&mut raw, a.epoch_base, 3);
+        stranger.send_to(&raw, addr_a).expect("loopback send");
+        // The same with an incarnation of its own.
+        open_outer(&mut raw, KIND_ACK, 5 << 32, (a.epoch_base, 3));
+        seal_outer(&mut raw);
+        stranger.send_to(&raw, addr_a).expect("loopback send");
+        // A kind nobody defined, sealed correctly.
+        open_outer(&mut raw, 9, 1 << 32, (0, 0));
+        raw.extend_from_slice(b"whatever");
+        seal_outer(&mut raw);
+        stranger.send_to(&raw, addr_a).expect("loopback send");
+        let events = read_datagrams(&mut a, 0, 3);
+        assert!(events.is_empty());
+        assert!(a.peers.is_empty(), "nothing was ever sent to or framed by that address");
+        assert_eq!(a.stats().0.decode_errors, 3);
+        assert_eq!(a.next_deadline_us(), None);
+
+        // A frame is how a peer introduces itself.
+        let hello = frame_datagram(1 << 32, (0, 0), 1, b"hello");
+        stranger.send_to(&hello, addr_a).expect("loopback send");
+        let events = read_datagrams(&mut a, 0, 4);
+        let from = stranger.local_addr().expect("addr");
+        assert_eq!(events, [UdpEvent::Frame { from, frame: Bytes::from_static(b"hello") }]);
+        assert_eq!(a.peers.len(), 1);
+    }
+
+    #[test]
+    fn symmetric_traffic_sends_no_standalone_acks() {
+        let (mut a, mut b, addr_a, addr_b) = pair(UdpConfig::default());
+        const ROUNDS: u8 = 50;
+        let (mut at_a, mut at_b) = (Vec::new(), Vec::new());
+        for round in 0..ROUNDS {
+            a.send(addr_b, Bytes::from(vec![b'a', round]), 0);
+            b.send(addr_a, Bytes::from(vec![b'b', round]), 0);
+            a.flush(0);
+            b.flush(0);
+            let want = usize::from(round) + 1;
+            let (more_a, more_b) = settle(&mut a, &mut b, 0, |a, b, _, _| {
+                a.stats().0.frames_received as usize == want
+                    && b.stats().0.frames_received as usize == want
+            });
+            at_a.extend(more_a);
+            at_b.extend(more_b);
+        }
+        assert_eq!(at_a, (0..ROUNDS).map(|r| Bytes::from(vec![b'b', r])).collect::<Vec<_>>());
+        assert_eq!(at_b, (0..ROUNDS).map(|r| Bytes::from(vec![b'a', r])).collect::<Vec<_>>());
+        for (t, peer) in [(&a, addr_b), (&b, addr_a)] {
+            let (stats, _) = t.stats();
+            assert_eq!(stats.acks_sent, 0, "every ack had a frame to ride on");
+            assert_eq!(stats.acks_piggybacked, u64::from(ROUNDS) - 1);
+            assert_eq!(stats.retransmits, 0);
+            // All but the last frame were acknowledged by the next one
+            // coming the other way.
+            assert_eq!(outstanding(t, peer), 1);
+        }
+    }
+
+    #[test]
+    fn one_way_traffic_acks_every_second_frame_or_after_the_delay() {
+        let cfg = UdpConfig::default();
+        let delay = cfg.rto_initial_us / 4;
+        let (mut a, mut b, _, addr_b) = pair(cfg);
+        const FRAMES: u64 = 20;
+        for i in 0..FRAMES {
+            // One frame per datagram, each read before the next leaves.
+            a.send(addr_b, Bytes::from(vec![i as u8]), 0);
+            a.flush(0);
+            let _ = settle(&mut a, &mut b, 0, |_, b, _, _| b.stats().0.frames_received == i + 1);
+        }
+        let _ = settle(&mut a, &mut b, 0, |a, _, _, _| outstanding(a, addr_b) == 0);
+        assert_eq!(outstanding(&a, addr_b), 0);
+        assert_eq!(b.stats().0.acks_sent, FRAMES / 2, "one ack per two datagrams");
+
+        // A lone frame's ack waits for company, but not past the delay —
+        // counted from the last poll that did not find it yet.
+        let t0 = 1_000;
+        let _ = b.poll(t0);
+        a.send(addr_b, Bytes::from_static(b"odd one"), t0);
+        a.flush(t0);
+        let _ = settle(&mut a, &mut b, t0, |_, b, _, _| b.stats().0.frames_received == FRAMES + 1);
+        assert_eq!(b.stats().0.acks_sent, FRAMES / 2);
+        assert_eq!(b.next_deadline_us(), Some(t0 + delay));
+        let _ = b.poll(t0 + delay - 1);
+        assert_eq!(b.stats().0.acks_sent, FRAMES / 2, "not before the delay has passed");
+        let _ = b.poll(t0 + delay);
+        assert_eq!(b.stats().0.acks_sent, FRAMES / 2 + 1, "and no later");
+        assert_eq!(b.next_deadline_us(), None);
+        let _ = settle(&mut a, &mut b, t0 + delay, |a, _, _, _| outstanding(a, addr_b) == 0);
+        assert_eq!(outstanding(&a, addr_b), 0);
+        assert_eq!(a.stats().0.retransmits, 0, "the delay is a quarter of the first timeout");
+
+        // An owner that was away for most of the sender's timeout does not
+        // add the delay on top: the frame may have been waiting in the
+        // socket since the last poll, so its ack is overdue already.
+        let t1 = t0 + delay;
+        a.send(addr_b, Bytes::from_static(b"late read"), t1);
+        a.flush(t1);
+        let t2 = t1 + 20_000;
+        let _ = settle(&mut a, &mut b, t2, |a, _, _, _| outstanding(a, addr_b) == 0);
+        assert_eq!(outstanding(&a, addr_b), 0);
+        assert_eq!(b.stats().0.acks_sent, FRAMES / 2 + 2);
+        assert_eq!(a.stats().0.retransmits, 0);
+    }
+
+    #[test]
+    fn duplicate_and_gap_are_acknowledged_at_once() {
+        let (mut a, b, addr_a, addr_b) = pair(UdpConfig::default());
+        let epoch = b.epoch_base;
+        let send = |seq: u64, frame: &[u8]| {
+            b.socket.send_to(&frame_datagram(epoch, (0, 0), seq, frame), addr_a).expect("send");
+        };
+        let acks = |a: &UdpTransport| a.stats().0.acks_sent;
+        // Frame 2 before frame 1: held back, and the gap acknowledged in
+        // the same poll — a lone frame in order would have waited.
+        send(2, b"two");
+        assert!(read_datagrams(&mut a, 0, 1).is_empty());
+        assert_eq!(acks(&a), 1);
+        assert_eq!(a.peers[&addr_b].holdback.len(), 1);
+        // Frame 1 closes the gap: both surface, and the sender hears of it.
+        send(1, b"one");
+        let events = read_datagrams(&mut a, 0, 2);
+        let frames =
+            [&b"one"[..], b"two"].map(|f| UdpEvent::Frame { from: addr_b, frame: f.into() });
+        assert_eq!(events, frames);
+        assert_eq!(acks(&a), 2);
+        // A retransmission of something already delivered means the ack
+        // was lost: repeat it now.
+        send(1, b"one");
+        assert!(read_datagrams(&mut a, 0, 3).is_empty());
+        assert_eq!(acks(&a), 3);
+        // So does a copy of something still held back.
+        send(4, b"four");
+        send(4, b"four");
+        assert!(read_datagrams(&mut a, 0, 5).is_empty());
+        assert_eq!(a.peers[&addr_b].holdback.len(), 1);
+        assert_eq!(a.stats().0.frames_received, 2);
+        assert_eq!(a.stats().0.decode_errors, 0);
+    }
+
+    #[test]
+    fn one_way_burst_never_waits_on_the_ack_timer() {
+        let cfg = UdpConfig::default();
+        let delay = cfg.rto_initial_us / 4;
+        let (mut a, mut b, _, addr_b) = pair(cfg);
+        const BURST: usize = 2_000;
+        for i in 0..BURST as u32 {
+            a.send(addr_b, Bytes::from(i.to_be_bytes().to_vec()), 0);
+        }
+        // The clock creeps one microsecond a round and the owner flushes
+        // by hand: neither the coalescing deadline nor the ack delay ever
+        // comes, so every window that opens was opened by an ack sent for
+        // the frames themselves.
+        let mut got = Vec::new();
+        let mut now_us = 0;
+        while got.len() < BURST && now_us < delay {
+            now_us += 1;
+            a.flush(now_us);
+            let _ = a.poll(now_us);
+            got.extend(b.poll(now_us).into_iter().filter_map(|e| match e {
+                UdpEvent::Frame { frame, .. } => Some(frame),
+                _ => None,
+            }));
+        }
+        assert_eq!(got.len(), BURST, "stalled at {now_us} µs, before any ack timer could fire");
+        for (i, frame) in got.iter().enumerate() {
+            assert_eq!(frame.as_ref(), (i as u32).to_be_bytes(), "order broken at {i}");
+        }
+        assert_eq!(a.stats().0.retransmits, 0);
+        assert!(b.stats().0.acks_sent <= BURST as u64 / 2);
+    }
+
+    #[test]
+    fn a_frame_that_fits_rides_in_one_layer_of_framing() {
+        let (mut a, mut b, _, addr_b) = pair(UdpConfig::default());
+        let frame = Bytes::from(vec![0x5a; 40]);
+        a.send(addr_b, frame.clone(), 0);
+        a.flush(0);
+        let (_, at_b) = settle(&mut a, &mut b, 0, |_, _, _, at_b| !at_b.is_empty());
+        assert_eq!(at_b, [frame]);
+        // kind, two epochs of two one-byte varints, cumulative, seq, the
+        // frame, the checksum: 15 bytes around it, no fragment header.
+        assert_eq!(a.stats().0.bytes_sent, 1 + 2 + 2 + 1 + 1 + 40 + 8);
+        assert_eq!(a.stats().0.fragments_sent, 0);
+        assert_eq!(b.stats().0.frames_reassembled, 0);
+        assert_eq!(b.peers.values().map(|p| p.reassembler.partials()).sum::<usize>(), 0);
     }
 }

@@ -4,7 +4,9 @@
 //! snapshot + WAL.
 //!
 //! Asserts the restarted node reports exactly one snapshot restore and a
-//! non-zero anti-entropy refetch count, and that the [`StreamOracle`]
+//! non-zero anti-entropy refetch count, that broadcasts travelled as
+//! delta frames with a bounded number dropped for a missing base across
+//! the kill, and that the [`StreamOracle`]
 //! certifies every delivery stream complete (zero lost messages) with
 //! exactly-once delivery per incarnation. The converged cluster then
 //! doubles as the observability smoke: every node's `/metrics` page must
@@ -369,6 +371,22 @@ fn live_cluster_survives_sigkill_and_recovers_from_disk() {
         let restarts = status(proc.rpc).get("udp_peer_restarts").and_then(Value::as_u64);
         assert_eq!(restarts, Some(u64::from(node != victim)), "node {node}");
     }
+    // Broadcasts travelled as a delta chain, and the kill did not leave
+    // it broken: a delta whose base is missing can only be one that was
+    // in flight when a link was fenced — re-offered to the restarted
+    // victim, or sent by it before it noticed a survivor's give-up — and
+    // each fence is followed by a full frame, so the count is bounded by
+    // what one window holds, not by how long the cluster ran afterwards.
+    for (node, proc) in procs.iter().enumerate() {
+        let s = status(proc.rpc);
+        let field = |name: &str| s.get(name).and_then(Value::as_u64).expect(name);
+        // (With three-entry vector stamps the encoder itself falls back
+        // to a full frame whenever two entries moved, so deltas are the
+        // minority here; that some were sent is the point.)
+        assert!(field("frames_delta_sent") > 0, "node {node}: {}", s.to_json());
+        assert!(field("delta_missing_base") <= 64, "node {node}: {}", s.to_json());
+        assert!(field("udp_acks_piggybacked") > 0, "node {node}: {}", s.to_json());
+    }
 
     // Stream certification. Fresh subscriptions replay each process's
     // full in-memory delivery log; the victim's pre-kill stream comes
@@ -426,6 +444,11 @@ fn live_cluster_survives_sigkill_and_recovers_from_disk() {
             "udp_coalesced_received",
             "udp_peer_restarts",
             "udp_oversize_refused",
+            "udp_bytes_sent",
+            "udp_acks_piggybacked",
+            "frames_delta_sent",
+            "frames_full_sent",
+            "delta_missing_base",
         ] {
             assert!(after.get(key).is_some(), "status lacks {key}: {}", after.to_json());
             let family = format!("# TYPE pcb_daemon_{key}");

@@ -182,12 +182,29 @@ impl<'a> Reader<'a> {
 
 // ---- message <-> wire frame ------------------------------------------
 
-/// Encodes a replayed message as a standalone wire-v3 full frame (the
-/// `u32` arena payload travels as 4 big-endian bytes).
+/// A replayed message as the wire codecs take it: the `u32` arena
+/// payload as 4 big-endian bytes, everything else untouched.
+#[must_use]
+pub fn message_to_bytes(message: &Message<u32>) -> Message<Bytes> {
+    message.clone().map(|v| Bytes::from(v.to_be_bytes().to_vec()))
+}
+
+/// The inverse of [`message_to_bytes`], for a message any wire decoder
+/// produced.
+///
+/// # Errors
+///
+/// [`ExportError::BadPayload`] if the payload is not a 4-byte arena index.
+pub fn message_from_bytes(message: Message<Bytes>) -> Result<Message<u32>, ExportError> {
+    let payload: [u8; 4] =
+        message.payload().as_ref().try_into().map_err(|_| ExportError::BadPayload)?;
+    Ok(message.map(move |_| u32::from_be_bytes(payload)))
+}
+
+/// Encodes a replayed message as a standalone wire-v3 full frame.
 #[must_use]
 pub fn message_to_wire(message: &Message<u32>) -> Bytes {
-    let bytes = message.clone().map(|v| Bytes::from(v.to_be_bytes().to_vec()));
-    wire::encode_full(&bytes)
+    wire::encode_full(&message_to_bytes(message))
 }
 
 /// Decodes a standalone wire frame back into a replayed message.
@@ -197,10 +214,7 @@ pub fn message_to_wire(message: &Message<u32>) -> Bytes {
 /// [`ExportError::Wire`] for undecodable bytes, [`ExportError::BadPayload`]
 /// if the payload is not a 4-byte arena index.
 pub fn message_from_wire(frame: Bytes) -> Result<Message<u32>, ExportError> {
-    let message = wire::decode(frame).map_err(ExportError::Wire)?;
-    let payload: [u8; 4] =
-        message.payload().as_ref().try_into().map_err(|_| ExportError::BadPayload)?;
-    Ok(message.map(move |_| u32::from_be_bytes(payload)))
+    message_from_bytes(wire::decode(frame).map_err(ExportError::Wire)?)
 }
 
 /// Rewrites a replayed-node snapshot to byte payloads so it can pass

@@ -12,7 +12,7 @@
 #   scripts/verify.sh --trace  # the observability gate
 #   scripts/verify.sh --perf   # allocation + work-counter gates, ledger smokes + layer table
 #   scripts/verify.sh --equiv  # the sim/runtime differential gate
-#   scripts/verify.sh --daemon # the real-process replay leg + the ledger's crash smoke
+#   scripts/verify.sh --daemon # the real-process replay leg + the ledger's crash and steady smokes
 #   scripts/verify.sh --obs    # the causal-health plane gate
 #   scripts/verify.sh --churn  # the dynamic-membership gate
 #
@@ -136,12 +136,15 @@ stage_equiv() {
 # of the seeded chaos plans (including lossy-shim seeds 1 and 5) replays
 # against real pcb-daemon OS processes — recorded crashes as actual
 # SIGKILLs, restarts from snapshot + WAL — plus the live-mode 3-process
-# kill -9 integration test, and a 6 s run of the benchmark's crash
-# workload (SIGKILL + `--resume` of one of three daemons under load; the
-# ledger exits non-zero unless every message arrived everywhere), of
-# which the lines that say how the restart went are shown. Environments
-# that forbid fork/exec print an explicit SKIPPED marker instead of
-# failing.
+# kill -9 integration test, and two 6 s runs of the benchmark (the
+# ledger exits non-zero unless every message arrived everywhere): the
+# crash workload (SIGKILL + `--resume` of one of three daemons under
+# load), of which the lines that say how the restart went are shown, and
+# the steady workload, of which the lines that say what a publish costs
+# on the wire are — ≈ 440 B and ≈ 4.4 packets on a quiet loopback; the
+# counters are the `lo` interface's, so anything else talking on it is
+# in them. Environments that forbid fork/exec print an explicit SKIPPED
+# marker instead of failing.
 stage_daemon() {
     run cargo build --release -p pcb-runtime --bins
     if can_spawn_daemon; then
@@ -152,6 +155,9 @@ stage_daemon() {
         echo "==> bash ledger/run.sh --workload daemon-crash --seed 1 --seconds 6 --trace 0"
         bash ledger/run.sh --workload daemon-crash --seed 1 --seconds 6 --trace 0 |
             grep -E "restart catch-up|deliver_p90_ms  |failed_ops|verdict"
+        echo "==> bash ledger/run.sh --workload daemon-steady --seed 1 --seconds 6 --trace 0"
+        bash ledger/run.sh --workload daemon-steady --seed 1 --seconds 6 --trace 0 |
+            grep -E "wire_bytes_per_msg  |lo packets per message|failed_ops|verdict"
     fi
 }
 
