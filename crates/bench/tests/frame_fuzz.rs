@@ -1,0 +1,101 @@
+//! Forged counts behind a valid checksum, at the frame and snapshot
+//! decoders. The slice cursor bounds every count by the bytes left before
+//! anything is sized by it, so a body that announces four billion stamp
+//! entries, delta changes, dedup windows or stored messages must be
+//! refused without claiming memory its few bytes never paid for.
+
+use bytes::Bytes;
+use pcb_bench::alloc::{counted, CountingAlloc};
+use pcb_broadcast::wire::checksum64;
+use pcb_broadcast::{
+    decode, decode_snapshot, encode_snapshot, DeltaDecoder, DeltaEncoder, MessageStore, PcbProcess,
+};
+use pcb_clock::{KeySet, KeySpace, ProcessId};
+use proptest::prelude::*;
+
+#[global_allocator]
+static COUNTER: CountingAlloc = CountingAlloc;
+
+/// As `step_fuzz`: heap bytes a decode may claim per input byte (varint
+/// stamps widen to `u64`s, every stored message owns a stamp and a key
+/// set), plus a flat allowance.
+const CEILING_PER_BYTE: u64 = 64;
+const CEILING_FLAT: u64 = 16 * 1024;
+
+/// LEB128 of `u32::MAX`: what a forged count, length or index says.
+const FOUR_BILLION: [u8; 5] = [0xff, 0xff, 0xff, 0xff, 0x0f];
+
+fn resealed(body: &[u8]) -> Bytes {
+    let mut out = body.to_vec();
+    out.extend_from_slice(&checksum64(body).to_le_bytes());
+    Bytes::from(out)
+}
+
+/// A full frame, a delta on it, and a snapshot holding both messages.
+fn artefacts(sender: usize, payload: &[u8]) -> (Bytes, Bytes, Bytes) {
+    let space = KeySpace::new(16, 2).expect("valid space");
+    let keys = KeySet::from_entries(space, &[3, 9]).expect("keys");
+    let mut process = PcbProcess::new(ProcessId::new(sender), keys);
+    let mut encoder = DeltaEncoder::new(64);
+    let mut store = MessageStore::new(1_000);
+    let mut frames = Vec::new();
+    for at in 0..2 {
+        let message = process.broadcast(Bytes::from(payload.to_vec()));
+        frames.push(encoder.encode(&message));
+        store.insert(at, message);
+    }
+    let delta = frames.pop().expect("two frames");
+    let full = frames.pop().expect("two frames");
+    (full, delta, encode_snapshot(&process.snapshot(&store)))
+}
+
+fn within_ceiling<T>(
+    what: &str,
+    input: &Bytes,
+    decode: impl FnOnce(Bytes) -> T,
+) -> Result<(), String> {
+    let (_, claimed, _) = counted(|| decode(input.clone()));
+    let ceiling = CEILING_PER_BYTE * input.len() as u64 + CEILING_FLAT;
+    if claimed > ceiling {
+        return Err(format!(
+            "{what}: decoding {} bytes allocated {claimed} B, ceiling {ceiling} B: {input:?}",
+            input.len()
+        ));
+    }
+    Ok(())
+}
+
+// One test in this binary: the counter is process-wide, and a second
+// test thread's allocations would land in this one's tally.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_forged_count_claims_nothing_the_input_does_not_pay_for(
+        sender in 0usize..64,
+        payload in proptest::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let (full, delta, snapshot) = artefacts(sender, &payload);
+        let mut primed = DeltaDecoder::new();
+        primed.decode(full.clone()).expect("own full frame decodes");
+        // Every field of every body in turn says four billion, the rest
+        // of the body left as it was, then everything behind it cut off.
+        for (what, artefact) in [("full", &full), ("delta", &delta), ("snapshot", &snapshot)] {
+            let body = &artefact[..artefact.len() - 8];
+            for at in 1..body.len() {
+                for rest in [&body[at + 1..], &[][..]] {
+                    let forged = resealed(&[&body[..at], &FOUR_BILLION, rest].concat());
+                    let verdict = match what {
+                        "snapshot" => within_ceiling(what, &forged, decode_snapshot),
+                        "full" => within_ceiling(what, &forged, decode),
+                        _ => {
+                            let mut decoder = primed.clone();
+                            within_ceiling(what, &forged, move |frame| decoder.decode(frame))
+                        }
+                    };
+                    prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+                }
+            }
+        }
+    }
+}

@@ -29,9 +29,9 @@
 
 use std::collections::HashMap;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::wire::{checksum_verified, get_uvar, put_uvar, seal, WireError};
+use crate::wire::{checksum_verified, put_uvar, seal, take_len_prefixed, take_uvar, WireError};
 
 /// Datagram-layer format version.
 const FRAG_VERSION: u8 = 1;
@@ -125,26 +125,19 @@ fn encode_one(frame_id: u64, index: u64, count: u64, payload: &[u8]) -> Bytes {
 }
 
 fn decode_one(datagram: &Bytes) -> Result<Datagram, FragmentError> {
-    let mut body = checksum_verified(datagram)?;
-    if body.remaining() < 1 {
-        return Err(WireError::Truncated.into());
-    }
-    let version = body.get_u8();
+    let body = checksum_verified(datagram)?;
+    let (&version, mut cur) = body.split_first().ok_or(WireError::Truncated)?;
     if version != FRAG_VERSION {
         return Err(FragmentError::BadVersion(version));
     }
-    let frame_id = get_uvar(&mut body)?;
-    let index = get_uvar(&mut body)?;
-    let count = get_uvar(&mut body)?;
-    let len = get_uvar(&mut body)? as usize;
-    if body.remaining() < len {
-        return Err(WireError::Truncated.into());
-    }
+    let frame_id = take_uvar(&mut cur)?;
+    let index = take_uvar(&mut cur)?;
+    let count = take_uvar(&mut cur)?;
+    let payload = take_len_prefixed(body, &mut cur)?;
     if count == 0 || count > MAX_FRAGMENTS || index >= count {
         return Err(FragmentError::BadHeader);
     }
-    let payload = body.split_to(len);
-    Ok(Datagram { frame_id, index, count, payload })
+    Ok(Datagram { frame_id, index, count, payload: datagram.slice(payload) })
 }
 
 /// Splits `frame` into datagrams of at most `mtu` bytes each, tagged

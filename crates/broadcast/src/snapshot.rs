@@ -28,7 +28,7 @@
 //! / [`decode_snapshot`]) with the same hardening as message frames:
 //! version byte, trailing [`crate::wire::checksum64`], total decoding.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use pcb_clock::{AssignmentPolicy, ClusterConfig, KeySet, KeySpace, ProcessId, Timestamp};
 
 use crate::dedup::SeenWindows;
@@ -174,114 +174,98 @@ pub fn decode_snapshot(blob: Bytes) -> Result<ProcessSnapshot<Bytes>, WireError>
     if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_EPOCH {
         return Err(WireError::BadVersion(version));
     }
-    let mut blob = wire::checksum_verified(&blob)?;
-    blob.advance(1); // version, already checked
-    let id = ProcessId::new(wire::get_uvar(&mut blob)? as usize);
-    let r = wire::get_uvar(&mut blob)? as usize;
-    let k = wire::get_uvar(&mut blob)? as usize;
-    if blob.remaining() < 16 {
-        return Err(WireError::Truncated);
-    }
-    let set_id = blob.get_u128_le();
+    let body = wire::checksum_verified(&blob)?;
+    let mut cur = &body[1..]; // version, already checked
+    let id = ProcessId::new(wire::take_uvar(&mut cur)? as usize);
+    let r = wire::take_uvar(&mut cur)? as usize;
+    let k = wire::take_uvar(&mut cur)? as usize;
+    let set_id = u128::from_le_bytes(wire::take_array(&mut cur)?);
     let space = KeySpace::new(r, k).map_err(|e| WireError::BadKeys(e.to_string()))?;
     let keys = KeySet::from_set_id(space, set_id).map_err(|e| WireError::BadKeys(e.to_string()))?;
-    if !blob.has_remaining() {
-        return Err(WireError::Truncated);
-    }
-    let flags = blob.get_u8();
-    let recent_window = if flags & 0b100 != 0 { Some(wire::get_uvar(&mut blob)?) } else { None };
+    let [flags] = wire::take_array(&mut cur)?;
+    let recent_window = if flags & 0b100 != 0 { Some(wire::take_uvar(&mut cur)?) } else { None };
     let config =
         // `trace_capacity` and `estimators` are local observability
         // knobs, not protocol state — they are not wire-encoded; a
         // decoded endpoint starts with tracing and estimators off until
         // its host reconfigures them.
         PcbConfig { recent_window, trace_capacity: 0, estimators: false };
-    let seq = wire::get_uvar(&mut blob)?;
-    let clock_len = wire::get_uvar(&mut blob)? as usize;
-    if clock_len > blob.remaining() {
+    let seq = wire::take_uvar(&mut cur)?;
+    let clock_len = wire::take_uvar(&mut cur)? as usize;
+    if clock_len > cur.len() {
         // Each entry costs at least one byte; reject absurd lengths
         // before allocating.
         return Err(WireError::Truncated);
     }
     let mut entries = Vec::with_capacity(clock_len);
     for _ in 0..clock_len {
-        entries.push(wire::get_uvar(&mut blob)?);
+        entries.push(wire::take_uvar(&mut cur)?);
     }
     let clock = Timestamp::from_entries(entries);
-    let seen_count = wire::get_uvar(&mut blob)? as usize;
-    if seen_count > blob.remaining() {
+    let seen_count = wire::take_uvar(&mut cur)? as usize;
+    if seen_count > cur.len() {
         return Err(WireError::Truncated);
     }
     let mut seen = Vec::with_capacity(seen_count);
     for _ in 0..seen_count {
-        let sender = ProcessId::new(wire::get_uvar(&mut blob)? as usize);
-        let prefix = wire::get_uvar(&mut blob)?;
-        let n_exc = wire::get_uvar(&mut blob)? as usize;
-        if n_exc > blob.remaining() {
+        let sender = ProcessId::new(wire::take_uvar(&mut cur)? as usize);
+        let prefix = wire::take_uvar(&mut cur)?;
+        let n_exc = wire::take_uvar(&mut cur)? as usize;
+        if n_exc > cur.len() {
             return Err(WireError::Truncated);
         }
         let mut exceptions = Vec::with_capacity(n_exc);
         for _ in 0..n_exc {
-            exceptions.push(wire::get_uvar(&mut blob)?);
+            exceptions.push(wire::take_uvar(&mut cur)?);
         }
         seen.push((sender, prefix, exceptions));
     }
     let stats = ProcessStats {
-        sent: wire::get_uvar(&mut blob)?,
-        delivered: wire::get_uvar(&mut blob)?,
-        duplicates: wire::get_uvar(&mut blob)?,
-        instant_alerts: wire::get_uvar(&mut blob)?,
-        recent_alerts: wire::get_uvar(&mut blob)?,
-        max_pending: wire::get_uvar(&mut blob)? as usize,
+        sent: wire::take_uvar(&mut cur)?,
+        delivered: wire::take_uvar(&mut cur)?,
+        duplicates: wire::take_uvar(&mut cur)?,
+        instant_alerts: wire::take_uvar(&mut cur)?,
+        recent_alerts: wire::take_uvar(&mut cur)?,
+        max_pending: wire::take_uvar(&mut cur)? as usize,
     };
-    let store_window = wire::get_uvar(&mut blob)?;
-    let store_count = wire::get_uvar(&mut blob)? as usize;
-    if store_count > blob.remaining() {
+    let store_window = wire::take_uvar(&mut cur)?;
+    let store_count = wire::take_uvar(&mut cur)? as usize;
+    if store_count > cur.len() {
         return Err(WireError::Truncated);
     }
     let mut store = Vec::with_capacity(store_count);
     for _ in 0..store_count {
-        let at = wire::get_uvar(&mut blob)?;
-        let frame_len = wire::get_uvar(&mut blob)? as usize;
-        if blob.remaining() < frame_len {
-            return Err(WireError::Truncated);
-        }
-        let frame = blob.split_to(frame_len);
+        let at = wire::take_uvar(&mut cur)?;
+        // One new sharer of the blob per stored message: the handle the
+        // frame decoder narrows to the payload.
+        let frame = blob.slice(wire::take_len_prefixed(body, &mut cur)?);
         store.push((at, wire::decode(frame)?));
     }
     let (cluster, prev) = if version == SNAPSHOT_VERSION_EPOCH {
-        let epoch = wire::get_uvar(&mut blob)?;
-        if !blob.has_remaining() {
-            return Err(WireError::Truncated);
-        }
-        let code = blob.get_u8();
+        let epoch = wire::take_uvar(&mut cur)?;
+        let [code] = wire::take_array(&mut cur)?;
         let policy = AssignmentPolicy::from_wire_code(code)
             .ok_or_else(|| WireError::BadKeys(format!("unknown assignment policy {code}")))?;
         let cluster = ClusterConfig { epoch, space, policy };
-        if !blob.has_remaining() {
-            return Err(WireError::Truncated);
-        }
-        let prev = match blob.get_u8() {
+        let [marker] = wire::take_array(&mut cur)?;
+        let prev = match marker {
             0 => None,
             1 => {
-                let prev_epoch = wire::get_uvar(&mut blob)?;
-                let prev_r = wire::get_uvar(&mut blob)? as usize;
-                let prev_k = wire::get_uvar(&mut blob)? as usize;
-                if blob.remaining() < 16 {
-                    return Err(WireError::Truncated);
-                }
-                let prev_set_id = blob.get_u128_le();
+                let prev_epoch = wire::take_uvar(&mut cur)?;
+                let prev_r = wire::take_uvar(&mut cur)? as usize;
+                let prev_k = wire::take_uvar(&mut cur)? as usize;
+                let prev_set_id = u128::from_le_bytes(wire::take_array(&mut cur)?);
                 let prev_space =
                     KeySpace::new(prev_r, prev_k).map_err(|e| WireError::BadKeys(e.to_string()))?;
                 let prev_keys = KeySet::from_set_id(prev_space, prev_set_id)
                     .map_err(|e| WireError::BadKeys(e.to_string()))?;
-                let prev_len = wire::get_uvar(&mut blob)? as usize;
-                if prev_len > blob.remaining() {
+                let prev_len = wire::take_uvar(&mut cur)? as usize;
+                if prev_len > cur.len() {
                     return Err(WireError::Truncated);
                 }
                 let mut prev_entries = Vec::with_capacity(prev_len);
                 for _ in 0..prev_len {
-                    prev_entries.push(wire::get_uvar(&mut blob)?);
+                    prev_entries.push(wire::take_uvar(&mut cur)?);
                 }
                 Some(PrevEpochSnapshot {
                     epoch: prev_epoch,

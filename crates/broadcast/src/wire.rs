@@ -71,6 +71,7 @@
 //! zero-padded extension differ too. Decoding is total — arbitrary bytes
 //! either yield a well-formed message or a [`WireError`], never a panic.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -177,38 +178,62 @@ pub(crate) fn seal(mut buf: BytesMut) -> Bytes {
     buf.freeze()
 }
 
-/// Strips and verifies the trailing digest, returning the frame body.
-pub(crate) fn checksum_verified(frame: &Bytes) -> Result<Bytes, WireError> {
+/// Verifies the trailing digest and returns the frame body in front of
+/// it. Every decoder below reads that slice through a `&mut &[u8]` cursor
+/// — the slice shrinks from the front as fields are taken — and leaves
+/// the owned [`Bytes`] alone until the payload is cut out of it, once.
+pub(crate) fn checksum_verified(frame: &[u8]) -> Result<&[u8], WireError> {
     if frame.len() < 1 + CHECKSUM_LEN {
         return Err(WireError::Truncated);
     }
-    let split = frame.len() - CHECKSUM_LEN;
-    let expected = u64::from_le_bytes(frame[split..].try_into().expect("checksum is 8 bytes"));
-    if checksum64(&frame[..split]) != expected {
+    let (body, trailer) = frame.split_at(frame.len() - CHECKSUM_LEN);
+    let expected = u64::from_le_bytes(trailer.try_into().expect("checksum is 8 bytes"));
+    if checksum64(body) != expected {
         return Err(WireError::ChecksumMismatch);
     }
-    Ok(frame.slice(0..split))
+    Ok(body)
 }
 
-pub(crate) fn put_uvar(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
+/// Appends `v` as a LEB128 varint: seven value bits a byte, low group
+/// first, the high bit set on every byte but the last. The workspace's
+/// one varint encoder (frames, fragments, snapshots, UDP datagrams).
+#[inline]
+pub fn put_uvar(out: &mut impl BufMut, mut v: u64) {
+    while v >= 0x80 {
+        out.put_u8(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
+    }
+    out.put_u8(v as u8);
+}
+
+/// Takes one LEB128 varint off the front of `buf` — the workspace's one
+/// varint decoder. A value below 128 is a single byte and is answered
+/// here, inlined into the caller's loop; anything longer goes through
+/// the out-of-line tail.
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] when the input ends on a continuation bit,
+/// [`WireError::VarintOverflow`] when the value does not fit 64 bits (an
+/// eleventh byte, or more than the top bit in the tenth). `buf` is then
+/// left somewhere inside the bad varint.
+#[inline]
+pub fn take_uvar(buf: &mut &[u8]) -> Result<u64, WireError> {
+    match buf.split_first() {
+        Some((&byte, rest)) if byte < 0x80 => {
+            *buf = rest;
+            Ok(u64::from(byte))
         }
-        buf.put_u8(byte | 0x80);
+        _ => leb128_tail(buf),
     }
 }
 
-pub(crate) fn get_uvar(buf: &mut Bytes) -> Result<u64, WireError> {
+/// The general case behind [`take_uvar`]: up to ten bytes.
+fn leb128_tail(buf: &mut &[u8]) -> Result<u64, WireError> {
     let mut v: u64 = 0;
     for shift in (0..64).step_by(7) {
-        if !buf.has_remaining() {
-            return Err(WireError::Truncated);
-        }
-        let byte = buf.get_u8();
+        let (&byte, rest) = buf.split_first().ok_or(WireError::Truncated)?;
+        *buf = rest;
         let group = u64::from(byte & 0x7F);
         if shift == 63 && group > 0x01 {
             // Nine continuation bytes already consumed 63 bits, so only
@@ -223,6 +248,38 @@ pub(crate) fn get_uvar(buf: &mut Bytes) -> Result<u64, WireError> {
         }
     }
     Err(WireError::VarintOverflow)
+}
+
+/// Takes `N` fixed bytes off the front of `buf`.
+#[inline]
+pub(crate) fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], WireError> {
+    let (head, rest) = buf.split_first_chunk::<N>().ok_or(WireError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
+}
+
+/// Locates the length-prefixed byte string at the front of `cur` as a
+/// range of `body`, of which `cur` is the unread suffix — so the caller
+/// can cut it out of the buffer it owns ([`narrowed`]) after the borrow
+/// has ended.
+#[inline]
+pub(crate) fn take_len_prefixed(body: &[u8], cur: &mut &[u8]) -> Result<Range<usize>, WireError> {
+    let len = take_uvar(cur)? as usize;
+    if cur.len() < len {
+        return Err(WireError::Truncated);
+    }
+    let start = body.len() - cur.len();
+    *cur = &cur[len..];
+    Ok(start..start + len)
+}
+
+/// Narrows an owned buffer to `at` in place: the one cut that turns a
+/// frame into its payload. No new sharer, so no reference-count traffic.
+#[inline]
+pub(crate) fn narrowed(mut buf: Bytes, at: Range<usize>) -> Bytes {
+    buf.truncate(at.end);
+    buf.advance(at.start);
+    buf
 }
 
 fn put_full_body(buf: &mut BytesMut, message: &Message<Bytes>) {
@@ -283,7 +340,30 @@ enum Preflight {
     V4Delta,
 }
 
-fn preflight(frame: &Bytes) -> Result<Preflight, WireError> {
+impl Preflight {
+    fn is_delta(&self) -> bool {
+        matches!(self, Preflight::V3Delta | Preflight::V4Delta)
+    }
+
+    /// The config epoch a verified `body` of this kind names (0 before
+    /// v4) and the offset of the kind's own fields behind the header:
+    /// the version byte, v3's kind byte, v4's uvar epoch.
+    fn header(&self, body: &[u8]) -> Result<(u64, usize), WireError> {
+        match self {
+            Preflight::V2 => Ok((0, 1)),
+            Preflight::V3Full | Preflight::V3Delta => Ok((0, 2)),
+            Preflight::V4Full | Preflight::V4Delta => {
+                // `preflight` read the kind off the sealed frame: a
+                // one-byte body has its "kind" in the trailer.
+                let mut cur = body.get(2..).ok_or(WireError::Truncated)?;
+                let epoch = take_uvar(&mut cur)?;
+                Ok((epoch, body.len() - cur.len()))
+            }
+        }
+    }
+}
+
+fn preflight(frame: &[u8]) -> Result<Preflight, WireError> {
     if frame.is_empty() {
         return Err(WireError::Truncated);
     }
@@ -313,28 +393,30 @@ fn preflight(frame: &Bytes) -> Result<Preflight, WireError> {
     }
 }
 
-/// Decodes the shared full-frame body; `skip` is the header length (1 for
-/// v2's version byte, 2 for v3's version + kind). The entries are read
-/// straight into a stamp drawn from `pool`, and a sender in `known` whose
-/// base already carries the frame's key set shares it instead of
-/// unranking `set_id` again — so a decoder with warm state decodes a
-/// chain's periodic full frames without heap traffic too. One-shot
-/// callers pass an empty map and pool and allocate both.
+/// A message whose payload is still a range of the frame it was decoded
+/// from: what the body decoders return while they only borrow the frame.
+type Located = Message<Range<usize>>;
+
+/// Decodes the shared full-frame body of `body`, starting `at` bytes in
+/// (behind the version byte for v2, version + kind for v3, and the epoch
+/// too for v4). The entries are read straight into a stamp drawn from
+/// `pool`, and a sender in `known` whose base already carries the frame's
+/// key set shares it instead of unranking `set_id` again — so a decoder
+/// with warm state decodes a chain's periodic full frames without heap
+/// traffic too. One-shot callers pass an empty map and pool and allocate
+/// both.
 fn decode_full_body(
-    mut frame: Bytes,
-    skip: usize,
+    body: &[u8],
+    at: usize,
     known: &IdMap<usize, Reconstruction>,
     pool: &mut StampPool,
-) -> Result<Message<Bytes>, WireError> {
-    frame.advance(skip);
-    let sender = get_uvar(&mut frame)? as usize;
-    let seq = get_uvar(&mut frame)?;
-    let r = get_uvar(&mut frame)? as usize;
-    let k = get_uvar(&mut frame)? as usize;
-    if frame.remaining() < 16 {
-        return Err(WireError::Truncated);
-    }
-    let set_id = frame.get_u128_le();
+) -> Result<Located, WireError> {
+    let mut cur = body.get(at..).ok_or(WireError::Truncated)?;
+    let sender = take_uvar(&mut cur)? as usize;
+    let seq = take_uvar(&mut cur)?;
+    let r = take_uvar(&mut cur)? as usize;
+    let k = take_uvar(&mut cur)? as usize;
+    let set_id = u128::from_le_bytes(take_array(&mut cur)?);
     let space = KeySpace::new(r, k).map_err(|e| WireError::BadKeys(e.to_string()))?;
     let keys = match known.get(&sender) {
         Some(base) if base.keys.space() == space && base.keys.set_id() == set_id => {
@@ -346,27 +428,18 @@ fn decode_full_body(
     };
     // Every entry is at least one byte, so a frame too short for `R`
     // entries is refused before a stamp of that length is drawn.
-    if frame.remaining() < r {
+    if cur.len() < r {
         return Err(WireError::Truncated);
     }
-    // The payload is split off inside the fill too, so any error behind
+    // The payload is located inside the fill too, so any error behind
     // the draw hands the buffer back to the pool.
     let (stamp, payload) = pool.stamp_with(r, |entries| {
         for entry in entries {
-            *entry = get_uvar(&mut frame)?;
+            *entry = take_uvar(&mut cur)?;
         }
-        take_payload(&mut frame)
+        take_len_prefixed(body, &mut cur)
     })?;
     Ok(Message::new(MessageId::new(ProcessId::new(sender), seq), keys, stamp, payload))
-}
-
-/// Splits the length-prefixed payload off the front of `body`.
-fn take_payload(body: &mut Bytes) -> Result<Bytes, WireError> {
-    let payload_len = get_uvar(body)? as usize;
-    if body.remaining() < payload_len {
-        return Err(WireError::Truncated);
-    }
-    Ok(body.split_to(payload_len))
 }
 
 /// Decodes a standalone frame (v2, or a v3 full frame).
@@ -382,44 +455,23 @@ fn take_payload(body: &mut Bytes) -> Result<Bytes, WireError> {
 pub fn decode(frame: Bytes) -> Result<Message<Bytes>, WireError> {
     let kind = preflight(&frame)?;
     let body = checksum_verified(&frame)?;
-    match kind {
-        Preflight::V2 => decode_full_body(body, 1, &IdMap::default(), &mut StampPool::new()),
-        Preflight::V3Full => decode_full_body(body, 2, &IdMap::default(), &mut StampPool::new()),
-        Preflight::V4Full => {
-            let (epoch, body) = epoch_header(body)?;
-            Ok(decode_full_body(body, 0, &IdMap::default(), &mut StampPool::new())?
-                .with_epoch(epoch))
-        }
-        Preflight::V3Delta => {
-            let mut body = body;
-            body.advance(2);
-            let (sender, _, base_seq) = delta_header(body)?.0;
-            Err(WireError::MissingDeltaBase { sender, base_seq })
-        }
-        Preflight::V4Delta => {
-            let (_, body) = epoch_header(body)?;
-            let (sender, _, base_seq) = delta_header(body)?.0;
-            Err(WireError::MissingDeltaBase { sender, base_seq })
-        }
+    let (epoch, at) = kind.header(body)?;
+    if kind.is_delta() {
+        let (sender, _, base_seq) = delta_header(&mut body.get(at..).ok_or(WireError::Truncated)?)?;
+        return Err(WireError::MissingDeltaBase { sender, base_seq });
     }
+    let located = decode_full_body(body, at, &IdMap::default(), &mut StampPool::new())?;
+    Ok(located.with_epoch(epoch).map(|at| narrowed(frame, at)))
 }
 
-/// Strips a v4 header (version + kind + uvar config epoch), returning the
-/// epoch and the bytes positioned at the kind-specific body.
-fn epoch_header(mut body: Bytes) -> Result<(u64, Bytes), WireError> {
-    body.advance(2); // version + kind, already checked
-    let epoch = get_uvar(&mut body)?;
-    Ok((epoch, body))
-}
-
-/// Reads `(sender, seq, base_seq)` from a delta body whose version/kind
-/// (and, for v4, epoch) header has already been stripped, returning the
-/// remaining bytes positioned at the change list.
-fn delta_header(mut body: Bytes) -> Result<((usize, u64, u64), Bytes), WireError> {
-    let sender = get_uvar(&mut body)? as usize;
-    let seq = get_uvar(&mut body)?;
-    let base_seq = get_uvar(&mut body)?;
-    Ok(((sender, seq, base_seq), body))
+/// Takes `(sender, seq, base_seq)` off a delta body whose version/kind
+/// (and, for v4, epoch) header is already behind the cursor, leaving it
+/// at the change list.
+fn delta_header(cur: &mut &[u8]) -> Result<(usize, u64, u64), WireError> {
+    let sender = take_uvar(cur)? as usize;
+    let seq = take_uvar(cur)?;
+    let base_seq = take_uvar(cur)?;
+    Ok((sender, seq, base_seq))
 }
 
 /// Per-sender stateful encoder producing v3 delta chains.
@@ -641,30 +693,21 @@ impl DeltaDecoder {
     ) -> Result<Message<Bytes>, WireError> {
         let kind = preflight(&frame)?;
         let body = checksum_verified(&frame)?;
-        let message = match kind {
-            Preflight::V2 => decode_full_body(body, 1, &self.stamps, pool)?,
-            Preflight::V3Full => decode_full_body(body, 2, &self.stamps, pool)?,
-            Preflight::V4Full => {
-                let (epoch, body) = epoch_header(body)?;
-                decode_full_body(body, 0, &self.stamps, pool)?.with_epoch(epoch)
-            }
-            Preflight::V3Delta => {
-                let mut body = body;
-                body.advance(2);
-                return self.decode_delta_body(body, 0, pool);
-            }
-            Preflight::V4Delta => {
-                let (epoch, body) = epoch_header(body)?;
-                return self.decode_delta_body(body, epoch, pool);
-            }
+        let (epoch, at) = kind.header(body)?;
+        let located = if kind.is_delta() {
+            self.decode_delta_body(body, at, epoch, pool)?
+        } else {
+            let full = decode_full_body(body, at, &self.stamps, pool)?.with_epoch(epoch);
+            self.seed(&full);
+            full
         };
-        self.seed(&message);
-        Ok(message)
+        // The one cut: the frame handle we own becomes the payload.
+        Ok(located.map(|at| narrowed(frame, at)))
     }
 
     /// Records a full frame's stamp as its sender's reconstruction base
     /// (a sender past the cap seeds none).
-    fn seed(&mut self, message: &Message<Bytes>) {
+    fn seed(&mut self, message: &Located) {
         let sender = message.sender().index();
         if self.stamps.len() >= Self::MAX_TRACKED_SENDERS && !self.stamps.contains_key(&sender) {
             return;
@@ -680,26 +723,29 @@ impl DeltaDecoder {
         );
     }
 
-    /// Reconstructs a delta body (headers already stripped) against the
-    /// sender's stored base and advances that base to the new frame in
-    /// place. The base must match both `base_seq` *and* the frame's
-    /// config `epoch` — a cross-epoch delta refuses with
-    /// [`WireError::MissingDeltaBase`], state untouched, exactly like an
-    /// unknown base: the full-frame refetch path covers both.
+    /// Reconstructs the delta whose `(sender, seq, base_seq)` header
+    /// starts `at` bytes into `body` against the sender's stored base, and
+    /// advances that base to the new frame in place. The base must match
+    /// both `base_seq` *and* the frame's config `epoch` — a cross-epoch
+    /// delta refuses with [`WireError::MissingDeltaBase`], state untouched,
+    /// exactly like an unknown base: the full-frame refetch path covers
+    /// both.
     fn decode_delta_body(
         &mut self,
-        body: Bytes,
+        body: &[u8],
+        at: usize,
         epoch: u64,
         pool: &mut StampPool,
-    ) -> Result<Message<Bytes>, WireError> {
-        let ((sender, seq, base_seq), mut body) = delta_header(body)?;
+    ) -> Result<Located, WireError> {
+        let mut cur = body.get(at..).ok_or(WireError::Truncated)?;
+        let (sender, seq, base_seq) = delta_header(&mut cur)?;
         let base = self
             .stamps
             .get_mut(&sender)
             .filter(|base| base.seq == base_seq && base.epoch == epoch)
             .ok_or(WireError::MissingDeltaBase { sender, base_seq })?;
         let r = base.stamp.len();
-        let count = get_uvar(&mut body)? as usize;
+        let count = take_uvar(&mut cur)? as usize;
         if count > r {
             return Err(WireError::BadDelta(format!("{count} changes for R = {r}")));
         }
@@ -707,26 +753,23 @@ impl DeltaDecoder {
         // where they land; any error hands the buffer back to the pool.
         let (stamp, payload) = pool.stamp_with(r, |entries| {
             entries.copy_from_slice(base.stamp.entries());
-            let mut prev: Option<usize> = None;
+            // Index of the next entry a zero gap would name.
+            let mut next = 0usize;
             for _ in 0..count {
-                let gap = get_uvar(&mut body)? as usize;
-                let increase = get_uvar(&mut body)?;
-                let index = match prev {
-                    None => gap,
-                    Some(p) => p
-                        .checked_add(1)
-                        .and_then(|next| next.checked_add(gap))
-                        .ok_or_else(|| WireError::BadDelta("entry index overflow".into()))?,
-                };
-                if index >= r {
+                let gap = take_uvar(&mut cur)? as usize;
+                let increase = take_uvar(&mut cur)?;
+                let index = next
+                    .checked_add(gap)
+                    .ok_or_else(|| WireError::BadDelta("entry index overflow".into()))?;
+                let Some(entry) = entries.get_mut(index) else {
                     return Err(WireError::BadDelta(format!("entry {index} past R = {r}")));
-                }
-                entries[index] = entries[index]
+                };
+                *entry = entry
                     .checked_add(increase)
                     .ok_or_else(|| WireError::BadDelta("entry counter overflow".into()))?;
-                prev = Some(index);
+                next = index + 1;
             }
-            take_payload(&mut body)
+            take_len_prefixed(body, &mut cur)
         })?;
         base.seq = seq;
         base.stamp = stamp.clone();
@@ -842,11 +885,27 @@ mod tests {
 
     #[test]
     fn varint_boundaries() {
-        for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX] {
+        // Either side of every length change, through both sinks.
+        for (v, len) in [
+            (0u64, 1),
+            (1, 1),
+            (127, 1),
+            (128, 2),
+            ((1 << 14) - 1, 2),
+            (1 << 14, 3),
+            (u64::MAX >> 1, 9),
+            (u64::MAX, 10),
+        ] {
             let mut buf = BytesMut::new();
             put_uvar(&mut buf, v);
-            let mut frozen = buf.freeze();
-            assert_eq!(get_uvar(&mut frozen).unwrap(), v);
+            let mut vec = Vec::new();
+            put_uvar(&mut vec, v);
+            assert_eq!(&buf[..], &vec[..]);
+            assert_eq!(vec.len(), len, "{v} takes {len} bytes");
+            vec.push(0xEE);
+            let mut cur = &vec[..];
+            assert_eq!(take_uvar(&mut cur), Ok(v));
+            assert_eq!(cur, [0xEE], "the cursor stops right behind the varint");
         }
     }
 
@@ -868,18 +927,18 @@ mod tests {
     #[test]
     fn varint_overflow_detected() {
         // 10 continuation bytes push past 64 bits.
-        let bad = Bytes::from_static(&[0xFF; 11]);
-        let mut b = bad;
-        assert_eq!(get_uvar(&mut b), Err(WireError::VarintOverflow));
+        assert_eq!(take_uvar(&mut &[0xFF; 11][..]), Err(WireError::VarintOverflow));
     }
 
     #[test]
     fn varint_rejects_truncated_continuation() {
-        // Every byte promises another, then the frame ends.
+        // Every byte promises another, then the input ends — the last
+        // byte of the input carries a continuation bit.
+        assert_eq!(take_uvar(&mut &[][..]), Err(WireError::Truncated));
         for len in 1..=9usize {
-            let mut b = Bytes::from(vec![0x80u8; len]);
-            assert_eq!(get_uvar(&mut b), Err(WireError::Truncated), "len {len}");
+            assert_eq!(take_uvar(&mut &[0x80u8; 9][..len]), Err(WireError::Truncated), "len {len}");
         }
+        assert_eq!(take_uvar(&mut &[0x05, 0x80][1..]), Err(WireError::Truncated));
     }
 
     #[test]
@@ -887,19 +946,57 @@ mod tests {
         // Nine continuation bytes consume 63 bits; the tenth byte may
         // carry only the final bit. The old decoder silently dropped the
         // upper bits here, decoding [0x80×9, 0x02] as 0.
-        let mut b = Bytes::from([&[0x80u8; 9][..], &[0x02]].concat());
-        assert_eq!(get_uvar(&mut b), Err(WireError::VarintOverflow));
+        let overlong = [&[0x80u8; 9][..], &[0x02]].concat();
+        assert_eq!(take_uvar(&mut &overlong[..]), Err(WireError::VarintOverflow));
         // 0x01 in the tenth byte is legal: it is u64's top bit.
-        let mut b = Bytes::from([&[0xFFu8; 9][..], &[0x01]].concat());
-        assert_eq!(get_uvar(&mut b), Ok(u64::MAX));
+        let max = [&[0xFFu8; 9][..], &[0x01]].concat();
+        assert_eq!(take_uvar(&mut &max[..]), Ok(u64::MAX));
     }
 
     #[test]
     fn varint_rejects_high_bit_set_final_byte() {
         // Tenth byte keeps the continuation bit set: the value never
         // terminates inside 64 bits.
-        let mut b = Bytes::from([&[0x80u8; 9][..], &[0x81]].concat());
-        assert_eq!(get_uvar(&mut b), Err(WireError::VarintOverflow));
+        let endless = [&[0x80u8; 9][..], &[0x81]].concat();
+        assert_eq!(take_uvar(&mut &endless[..]), Err(WireError::VarintOverflow));
+    }
+
+    #[test]
+    fn varint_accepts_padded_encodings_like_the_parent() {
+        // LEB128 does not forbid leading-zero groups and neither decoder
+        // ever did: 0x80 0x00 is 0. Pinned so the fast path cannot start
+        // refusing what the general path accepts.
+        assert_eq!(take_uvar(&mut &[0x80, 0x00][..]), Ok(0));
+        assert_eq!(take_uvar(&mut &[0xFF, 0x80, 0x00][..]), Ok(127));
+    }
+
+    #[test]
+    fn len_prefixed_ranges_index_the_body_and_narrowing_keeps_the_storage() {
+        let body = [9u8, 9, 3, b'a', b'b', b'c', 7];
+        let mut cur = &body[2..];
+        let at = take_len_prefixed(&body, &mut cur).unwrap();
+        assert_eq!(at, 3..6);
+        assert_eq!(cur, [7], "the cursor moves past the bytes it located");
+        // A length the input does not pay for is refused, nothing sliced.
+        assert_eq!(take_len_prefixed(&body, &mut &body[6..]), Err(WireError::Truncated));
+        assert_eq!(take_array::<2>(&mut &body[6..]), Err(WireError::Truncated));
+        let owned = Bytes::from(body.to_vec());
+        let base = owned.as_ptr();
+        let cut = narrowed(owned, at);
+        assert_eq!(&cut[..], b"abc");
+        assert_eq!(cut.as_ptr(), base.wrapping_add(3), "narrowing never copies");
+    }
+
+    #[test]
+    fn a_body_shorter_than_its_header_is_truncated_not_a_panic() {
+        // preflight reads the kind at byte 1 of the *sealed* frame; with
+        // a one-byte body that byte belongs to the trailer, so the body
+        // decoders must not assume two header bytes.
+        assert_eq!(Preflight::V4Delta.header(&[VERSION_EPOCH]), Err(WireError::Truncated));
+        let full = decode_full_body(&[VERSION_DELTA], 2, &IdMap::default(), &mut StampPool::new());
+        assert_eq!(full.unwrap_err(), WireError::Truncated);
+        let delta = DeltaDecoder::new().decode_delta_body(&[3], 2, 0, &mut StampPool::new());
+        assert_eq!(delta.unwrap_err(), WireError::Truncated);
     }
 
     #[test]

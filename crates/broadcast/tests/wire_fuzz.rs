@@ -138,3 +138,310 @@ proptest! {
         let _ = decode(Bytes::from(bytes));
     }
 }
+
+// ---- behind the checksum ------------------------------------------------
+//
+// Everything above damages a sealed frame, so the checksum answers first.
+// Below, the damaged body is re-sealed with a valid digest: what refuses
+// (or accepts) it is the decoders' own bounds logic on the slice cursor.
+
+use std::sync::Arc;
+
+use pcb_broadcast::{
+    decode_snapshot, encode_full, encode_snapshot, DeltaDecoder, DeltaEncoder, Message, MessageId,
+    PcbConfig, PrevEpochSnapshot, ProcessSnapshot, ProcessStats, WireError,
+};
+use pcb_clock::{ClusterConfig, KeySet, StampPool, Timestamp};
+
+fn resealed(body: &[u8]) -> Bytes {
+    Bytes::from(sealed(body))
+}
+
+fn unhex(hex: &str) -> Bytes {
+    let digit = |c: u8| (c as char).to_digit(16).expect("hex digit") as u8;
+    Bytes::from(
+        hex.as_bytes().chunks(2).map(|p| digit(p[0]) << 4 | digit(p[1])).collect::<Vec<_>>(),
+    )
+}
+
+/// Three messages of sender 3 in an (8, 2) space, written out in full so
+/// the frames below can be checked against the bytes by eye.
+fn golden_messages(epoch: u64) -> Vec<Message<Bytes>> {
+    let space = KeySpace::new(8, 2).unwrap();
+    let keys = Arc::new(KeySet::from_entries(space, &[1, 5]).unwrap());
+    let message = |seq: u64, stamp: [u64; 8], payload: &'static [u8]| {
+        Message::new(
+            MessageId::new(ProcessId::new(3), seq),
+            Arc::clone(&keys),
+            Timestamp::from_entries(stamp.to_vec()),
+            Bytes::from_static(payload),
+        )
+        .with_epoch(epoch)
+    };
+    vec![
+        message(1, [0, 1, 0, 0, 0, 1, 0, 0], b"a"),
+        message(2, [0, 2, 0, 300, 0, 2, 0, 0], b"pcb"),
+        message(3, [0, 3, 0, 300, 0, 3, 0, 1], b""),
+    ]
+}
+
+const GOLDEN_V2: &str =
+    "02030208020a000000000000000000000000000000000200ac020002000003706362e4e85834eab27d31";
+const GOLDEN_V3_FULL: &str =
+    "0300030208020a000000000000000000000000000000000200ac02000200000370636234dfa12c095823f9";
+/// `DeltaEncoder::new(32)` over the three messages: full, delta, delta.
+const GOLDEN_CHAIN: [&str; 3] = [
+    "0300030108020a00000000000000000000000000000000010000000100000161c40f3b1f4c47ad03",
+    "030103020103010101ac02010103706362774b23b71cc02315",
+    "03010303020301010301010100aa1408e2b830bb53",
+];
+/// The same chain at config epoch 7 (v4 frames).
+const GOLDEN_CHAIN_EPOCH7: [&str; 3] = [
+    "040007030108020a00000000000000000000000000000000010000000100000161c9024ff1b4e17da4",
+    "04010703020103010101ac020101037063623957de4665b5a4d1",
+    "0401070303020301010301010100f6fe812146ed5365",
+];
+const GOLDEN_SNAPSHOT_V1: &str = "010308020a00000000000000000000000000000007fa010308000300ac02000300010201020204060303000304010002058827020a2702030108020a00000000000000000000000000000000010000000100000161af7b6f21319db860142a02030208020a000000000000000000000000000000000200ac020002000003706362e4e85834eab27d314c031551c9ff287d";
+const GOLDEN_SNAPSHOT_V2: &str = "02030c020a00000000000000000000000000000007fa01030c000300ac0200030001000000000201020204060303000304010002058827020a280300030108020a00000000000000000000000000000000010000000100000161c40f3b1f4c47ad03142c040001030208020a000000000000000000000000000000000200ac020002000003706362dd15944f8bedfa140100010008020a00000000000000000000000000000008000300ac02000300014768d42c35a7c82b";
+
+fn golden_snapshots() -> [ProcessSnapshot<Bytes>; 2] {
+    let space = KeySpace::new(8, 2).unwrap();
+    let keys = KeySet::from_entries(space, &[1, 5]).unwrap();
+    let (epoch0, epoch1) = (golden_messages(0), golden_messages(1));
+    let v1 = ProcessSnapshot {
+        id: ProcessId::new(3),
+        keys: keys.clone(),
+        config: PcbConfig { recent_window: Some(250), trace_capacity: 0, estimators: false },
+        cluster: ClusterConfig::genesis(space),
+        prev: None,
+        clock: Timestamp::from_entries(vec![0, 3, 0, 300, 0, 3, 0, 1]),
+        seq: 3,
+        seen: vec![(ProcessId::new(1), 2, vec![4, 6]), (ProcessId::new(3), 3, vec![])],
+        stats: ProcessStats {
+            sent: 3,
+            delivered: 4,
+            duplicates: 1,
+            instant_alerts: 0,
+            recent_alerts: 2,
+            max_pending: 5,
+        },
+        store_window: 5000,
+        store: vec![(10, epoch0[0].clone()), (20, epoch0[1].clone())],
+    };
+    let cluster = ClusterConfig::genesis(space).reconfigured(KeySpace::new(12, 2).unwrap());
+    let v2 = ProcessSnapshot {
+        keys: cluster.migrate_keys(&keys).unwrap(),
+        cluster,
+        clock: Timestamp::from_entries(vec![0, 3, 0, 300, 0, 3, 0, 1, 0, 0, 0, 0]),
+        prev: Some(PrevEpochSnapshot { epoch: 0, keys, clock: v1.clock.clone() }),
+        store: vec![(10, epoch0[0].clone()), (20, epoch1[1].clone())],
+        ..v1.clone()
+    };
+    [v1, v2]
+}
+
+fn assert_is(got: &Message<Bytes>, want: &Message<Bytes>) {
+    assert_eq!(got.id(), want.id());
+    assert_eq!(got.epoch(), want.epoch());
+    assert_eq!(got.keys(), want.keys());
+    assert_eq!(got.timestamp(), want.timestamp());
+    assert_eq!(got.payload(), want.payload());
+}
+
+/// Bytes → message, pinned with the codec of the commit before the slice
+/// cursor (it produced every constant above and below, and every result
+/// asserted here): the encoders still emit exactly these bytes, and the
+/// decoders still read them — honest or forged — exactly as it did.
+#[test]
+fn golden_frames_encode_and_decode_as_before_the_cursor() {
+    let plain = golden_messages(0);
+    assert_eq!(encode(&plain[1]), unhex(GOLDEN_V2));
+    assert_eq!(encode_full(&plain[1]), unhex(GOLDEN_V3_FULL));
+    assert_is(&decode(unhex(GOLDEN_V2)).unwrap(), &plain[1]);
+    assert_is(&decode(unhex(GOLDEN_V3_FULL)).unwrap(), &plain[1]);
+    for (epoch, chain) in [(0, GOLDEN_CHAIN), (7, GOLDEN_CHAIN_EPOCH7)] {
+        let messages = golden_messages(epoch);
+        let (mut encoder, mut decoder) = (DeltaEncoder::new(32), DeltaDecoder::new());
+        for (message, frame) in messages.iter().zip(chain) {
+            assert_eq!(encoder.encode(message), unhex(frame));
+            assert_is(&decoder.decode(unhex(frame)).unwrap(), message);
+        }
+        // A delta is not standalone.
+        assert_eq!(
+            decode(unhex(chain[1])).unwrap_err(),
+            WireError::MissingDeltaBase { sender: 3, base_seq: 1 }
+        );
+    }
+
+    // Forged bodies under a valid checksum, each against a decoder that
+    // holds frame 1 of the chain: `(body, what it decoded to)`.
+    let after_first = |body: &[u8]| {
+        let mut decoder = DeltaDecoder::new();
+        decoder.decode(unhex(GOLDEN_CHAIN[0])).unwrap();
+        decoder
+            .decode(resealed(body))
+            .map(|m| (m.id().seq(), m.timestamp().entries().to_vec(), m.payload().to_vec()))
+    };
+    let delta = unhex(GOLDEN_CHAIN[1]);
+    let delta = &delta[..delta.len() - 8];
+    let with = |at: usize, byte: u8| {
+        let mut body = delta.to_vec();
+        body[at] = byte;
+        body
+    };
+    // A padded varint (seq as 0x82 0x00) is read like the canonical one.
+    let padded = [&delta[..3], &[0x82, 0x00], &delta[4..]].concat();
+    assert_eq!(after_first(&padded), Ok((2, vec![0, 2, 0, 300, 0, 2, 0, 0], b"pcb".to_vec())));
+    // No changes at all: the base's stamp under a new sequence number.
+    assert_eq!(
+        after_first(&[3, 1, 3, 9, 1, 0, 1, b'z']),
+        Ok((9, vec![0, 1, 0, 0, 0, 1, 0, 0], b"z".to_vec()))
+    );
+    // A forged gap that stays inside R moves the increases with it …
+    assert_eq!(after_first(&with(8, 0)), Ok((2, vec![0, 2, 300, 0, 1, 1, 0, 0], b"pcb".to_vec())));
+    // … one that leaves R, a count above R and a payload length the
+    // frame does not hold are refused.
+    assert_eq!(after_first(&with(8, 7)), Err(WireError::BadDelta("entry 9 past R = 8".into())));
+    assert_eq!(after_first(&with(5, 9)), Err(WireError::BadDelta("9 changes for R = 8".into())));
+    assert_eq!(after_first(&with(delta.len() - 4, 4)), Err(WireError::Truncated));
+    // Bytes behind the payload of a full frame are ignored, as ever.
+    let full = unhex(GOLDEN_V3_FULL);
+    let trailing = [&full[..full.len() - 8], &[0xde, 0xad]].concat();
+    assert_is(&decode(resealed(&trailing)).unwrap(), &plain[1]);
+
+    for (snapshot, blob) in golden_snapshots().iter().zip([GOLDEN_SNAPSHOT_V1, GOLDEN_SNAPSHOT_V2])
+    {
+        assert_eq!(encode_snapshot(snapshot), unhex(blob));
+        let back = decode_snapshot(unhex(blob)).unwrap();
+        assert_eq!(
+            (back.id, &back.keys, &back.config, back.cluster, &back.prev, &back.clock, back.seq),
+            (
+                snapshot.id,
+                &snapshot.keys,
+                &snapshot.config,
+                snapshot.cluster,
+                &snapshot.prev,
+                &snapshot.clock,
+                snapshot.seq
+            )
+        );
+        assert_eq!(
+            (&back.seen, back.stats, back.store_window),
+            (&snapshot.seen, snapshot.stats, 5000)
+        );
+        assert_eq!(back.store.len(), snapshot.store.len());
+        for ((at, got), (want_at, want)) in back.store.iter().zip(&snapshot.store) {
+            assert_eq!(at, want_at);
+            assert_is(got, want);
+        }
+    }
+}
+
+/// A chain of `count` frames from one sender at `epoch` (v3 at 0, v4
+/// above), the first full and the rest deltas, with its messages.
+fn chain(sender: usize, count: usize, epoch: u64, payload: &[u8]) -> Vec<(Message<Bytes>, Bytes)> {
+    let space = KeySpace::new(32, 3).unwrap();
+    let mut assigner = KeyAssigner::new(space, AssignmentPolicy::UniformRandom, sender as u64 + 1);
+    let mut process = PcbProcess::new(ProcessId::new(sender), assigner.next_set().unwrap());
+    let mut encoder = DeltaEncoder::new(64);
+    (0..count)
+        .map(|_| {
+            let message = process.broadcast(Bytes::from(payload.to_vec())).with_epoch(epoch);
+            let frame = encoder.encode(&message);
+            (message, frame)
+        })
+        .collect()
+}
+
+/// Every truncation of `body` and, at every position, the substitutions
+/// that matter to a varint reader (zero, the largest single byte, a bare
+/// continuation bit, all ones) plus one random `xor` — so every count,
+/// gap, increase and payload length in the body gets forged in turn.
+fn damaged(body: &[u8], xor: u8) -> Vec<Vec<u8>> {
+    let mut out: Vec<Vec<u8>> = (0..body.len()).map(|len| body[..len].to_vec()).collect();
+    for at in 0..body.len() {
+        for byte in [0x00, 0x7f, 0x80, 0xff, body[at] ^ xor] {
+            if byte != body[at] {
+                let mut bad = body.to_vec();
+                bad[at] = byte;
+                out.push(bad);
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Full, delta and v4 frames, damaged behind a valid checksum:
+    /// decoding is total; a refusal leaves the decoder's reconstruction
+    /// state as it was and hands the stamp it drew back to the pool; an
+    /// acceptance has the stamp length of the space and a payload that
+    /// lies inside the frame.
+    #[test]
+    fn resealed_damage_meets_the_cursors_own_bounds(
+        sender in 0usize..40,
+        length in 2usize..6,
+        // Half the cases at epoch 0 (v3 frames), half above (v4).
+        epoch in (0u64..600).prop_map(|pick| pick.saturating_sub(300)),
+        payload in proptest::collection::vec(any::<u8>(), 0..24),
+        xor in 1u8..=255,
+    ) {
+        let frames = chain(sender, length, epoch, &payload);
+        let mut primed = DeltaDecoder::new();
+        for (_, frame) in &frames[..length - 1] {
+            primed.decode(frame.clone()).unwrap();
+        }
+        let state = format!("{primed:?}");
+        // The last frame is a delta on the primed base; the first is full.
+        for (message, frame) in [&frames[length - 1], &frames[0]] {
+            let body = &frame[..frame.len() - 8];
+            let mut pool = StampPool::new();
+            pool.recycle(Timestamp::zero(32));
+            for bad in damaged(body, xor) {
+                let mut decoder = primed.clone();
+                match decoder.decode_pooled(resealed(&bad), &mut pool) {
+                    Err(_) => {
+                        prop_assert_eq!(&format!("{decoder:?}"), &state, "refusal of {:?} moved state", bad);
+                        prop_assert_eq!(pool.len(), 1, "refusal of {:?} kept the pooled stamp", bad);
+                    }
+                    Ok(decoded) => {
+                        prop_assert_eq!(decoded.timestamp().len(), 32);
+                        let payload = decoded.payload();
+                        prop_assert!(
+                            payload.is_empty() || bad.windows(payload.len()).any(|w| w == &payload[..])
+                        );
+                        pool.recycle(decoded.into_parts().2);
+                        // The base may share the stamp; top the pool up.
+                        if pool.is_empty() {
+                            pool.recycle(Timestamp::zero(32));
+                        }
+                    }
+                }
+                // One-shot decode of the same bytes is total too.
+                let _ = decode(resealed(&bad));
+            }
+            // Undamaged, it still decodes to what was sent.
+            let mut decoder = primed.clone();
+            let decoded = decoder.decode(frame.clone()).unwrap();
+            prop_assert_eq!(decoded.id(), message.id());
+            prop_assert_eq!(decoded.timestamp(), message.timestamp());
+            prop_assert_eq!(decoded.payload(), message.payload());
+            prop_assert_eq!(decoded.epoch(), epoch);
+        }
+    }
+
+    /// Both snapshot formats, damaged behind a valid checksum: total.
+    #[test]
+    fn resealed_snapshot_damage_is_refused_or_read_never_a_panic(xor in 1u8..=255) {
+        for blob in [GOLDEN_SNAPSHOT_V1, GOLDEN_SNAPSHOT_V2] {
+            let blob = unhex(blob);
+            for bad in damaged(&blob[..blob.len() - 8], xor) {
+                if let Ok(snapshot) = decode_snapshot(resealed(&bad)) {
+                    prop_assert!(snapshot.store.len() <= 2, "a count the input never paid for");
+                }
+            }
+        }
+    }
+}

@@ -611,8 +611,7 @@ impl Daemon {
         }
         if outputs.iter().any(|o| matches!(o, Output::SnapshotReady { .. })) {
             if let Some(snapshot) = self.endpoint.stable_snapshot() {
-                let snapshot = snapshot.clone();
-                if let Err(e) = save_snapshot(&self.opts.state_dir, &snapshot) {
+                if let Err(e) = save_snapshot(&self.opts.state_dir, snapshot) {
                     eprintln!("pcb-daemon: snapshot write failed: {e}");
                 }
             }

@@ -70,7 +70,7 @@ use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 
 use bytes::Bytes;
-use pcb_broadcast::wire::checksum64;
+use pcb_broadcast::wire::{checksum64, put_uvar, take_uvar};
 use pcb_broadcast::{fragment_into, max_frame_len, Reassembler, MIN_MTU};
 use pcb_sim::LinkFaults;
 use pcb_telemetry::Row;
@@ -727,7 +727,7 @@ impl UdpTransport {
         // Every frame-carrying body opens with a varint: the sequence
         // number, or a coalesced datagram's entry count.
         let mut body = outer.body;
-        let Some(first) = take_uvar(&mut body) else {
+        let Ok(first) = take_uvar(&mut body) else {
             self.stats.decode_errors += 1;
             return;
         };
@@ -1027,37 +1027,6 @@ impl UdpTransport {
     }
 }
 
-fn put_uvar(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Takes one varint off the front of `buf`; `None` when it is truncated
-/// or does not fit 64 bits.
-fn take_uvar(buf: &mut &[u8]) -> Option<u64> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let (&byte, rest) = buf.split_first()?;
-        *buf = rest;
-        let group = u64::from(byte & 0x7f);
-        if shift == 63 && group > 1 {
-            return None;
-        }
-        v |= group << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-    }
-    None
-}
-
 /// An epoch as two varints, incarnation then fences: two bytes for the
 /// life of most processes, where the `u64` they pack into costs five or
 /// more.
@@ -1067,8 +1036,8 @@ fn put_epoch(out: &mut Vec<u8>, epoch: u64) {
 }
 
 fn take_epoch(buf: &mut &[u8]) -> Option<u64> {
-    let incarnation = u32::try_from(take_uvar(buf)?).ok()?;
-    let fences = u32::try_from(take_uvar(buf)?).ok()?;
+    let incarnation = u32::try_from(take_uvar(buf).ok()?).ok()?;
+    let fences = u32::try_from(take_uvar(buf).ok()?).ok()?;
     Some(u64::from(incarnation) << 32 | u64::from(fences))
 }
 
@@ -1101,8 +1070,8 @@ fn put_coalesced_body(out: &mut Vec<u8>, entries: &[(u64, Bytes)]) {
 /// coalesced body. The length is checked against the bytes that are
 /// there before anything is sliced, let alone allocated.
 fn take_coalesced_entry<'a>(body: &mut &'a [u8]) -> Option<(u64, &'a [u8])> {
-    let seq = take_uvar(body)?;
-    let len = usize::try_from(take_uvar(body)?).ok()?;
+    let seq = take_uvar(body).ok()?;
+    let len = usize::try_from(take_uvar(body).ok()?).ok()?;
     if body.len() < len {
         return None;
     }
@@ -1134,7 +1103,7 @@ fn parse_outer(datagram: &[u8]) -> Option<Outer<'_>> {
     let (&kind, mut rest) = payload.split_first()?;
     let epoch = take_epoch(&mut rest)?;
     let ack_epoch = take_epoch(&mut rest)?;
-    let cumulative = take_uvar(&mut rest)?;
+    let cumulative = take_uvar(&mut rest).ok()?;
     Some(Outer { kind, epoch, ack_epoch, cumulative, body: rest })
 }
 
@@ -1619,7 +1588,7 @@ mod tests {
             (KIND_COALESCED, 7 << 32 | 2, 9 << 32, 300)
         );
         let mut body = outer.body;
-        assert_eq!(take_uvar(&mut body), Some(3));
+        assert_eq!(take_uvar(&mut body), Ok(3));
         for (seq, frame) in &entries {
             let (got_seq, got_frame) = take_coalesced_entry(&mut body).expect("entry within count");
             assert_eq!(got_seq, *seq);

@@ -221,6 +221,13 @@ pub fn message_from_wire(frame: Bytes) -> Result<Message<u32>, ExportError> {
 /// through [`pcb_broadcast::encode_snapshot`] for on-disk persistence.
 #[must_use]
 pub fn snapshot_to_wire(s: &ProcessSnapshot<u32>) -> ProcessSnapshot<Bytes> {
+    // Every payload in one buffer, each message a 4-byte window of it:
+    // two allocations a snapshot, however many messages the store holds.
+    let mut arena = Vec::with_capacity(4 * s.store.len());
+    for (_, m) in &s.store {
+        arena.extend_from_slice(&m.payload().to_be_bytes());
+    }
+    let arena = Bytes::from(arena);
     ProcessSnapshot {
         id: s.id,
         keys: s.keys.clone(),
@@ -235,7 +242,8 @@ pub fn snapshot_to_wire(s: &ProcessSnapshot<u32>) -> ProcessSnapshot<Bytes> {
         store: s
             .store
             .iter()
-            .map(|(t, m)| (*t, m.clone().map(|v| Bytes::from(v.to_be_bytes().to_vec()))))
+            .enumerate()
+            .map(|(i, (t, m))| (*t, m.clone().map(|_| arena.slice(4 * i..4 * i + 4))))
             .collect(),
     }
 }
