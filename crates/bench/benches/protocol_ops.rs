@@ -127,9 +127,9 @@ fn bench_wire_codec(c: &mut Criterion) {
         let _ = p.broadcast(Bytes::new());
     }
     let msg = p.broadcast(Bytes::from_static(b"a realistic small payload"));
-    let frame = pcb_broadcast::encode(&msg);
+    let frame = pcb_broadcast::encode_full(&msg);
     c.bench_function("protocol/wire_encode_r100", |b| {
-        b.iter(|| black_box(pcb_broadcast::encode(black_box(&msg))))
+        b.iter(|| black_box(pcb_broadcast::encode_full(black_box(&msg))))
     });
     c.bench_function("protocol/wire_decode_r100", |b| {
         b.iter(|| black_box(pcb_broadcast::decode(black_box(frame.clone())).expect("valid")))

@@ -1342,7 +1342,7 @@ fn has_geometry<P>(message: &Message<P>, space: KeySpace) -> bool {
 }
 
 impl Endpoint<Bytes> {
-    /// Decodes one wire frame (v2, v3/v4 full, v3/v4 delta — see
+    /// Decodes one wire frame (full or delta — see
     /// [`crate::wire`]) through the store's long-lived per-sender delta
     /// codec and feeds the message through the [`Endpoint::handle`] state
     /// machine. Unlike a bare [`Input::FrameReceived`], an accepted frame

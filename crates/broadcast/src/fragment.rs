@@ -1,6 +1,6 @@
 //! MTU-aware datagram fragmentation for wire frames.
 //!
-//! UDP transports cannot assume a frame fits one datagram: a v3 full
+//! UDP transports cannot assume a frame fits one datagram: a full
 //! frame carries all `R` timestamp entries plus the payload, and an
 //! anti-entropy `SyncResponse` ships many frames at once. This module
 //! splits an opaque byte blob into self-describing, individually

@@ -66,4 +66,4 @@ pub use pending::{InsertVerdict, WakeupIndex, WakeupStats};
 pub use process::{Delivery, PcbConfig, PcbProcess, ProcessStats};
 pub use recovery::{Counters, MessageStore, SyncRequest, SyncResponse, SYNC_REPLY_MAX};
 pub use snapshot::{decode_snapshot, encode_snapshot, PrevEpochSnapshot, ProcessSnapshot};
-pub use wire::{control_size, decode, encode, encode_full, DeltaDecoder, DeltaEncoder, WireError};
+pub use wire::{decode, encode_full, DeltaDecoder, DeltaEncoder, WireError};

@@ -274,7 +274,7 @@ pub struct SyncResponse<P> {
 }
 
 impl MessageStore<Bytes> {
-    /// Decodes a wire frame (v2, full, or delta) against this store's
+    /// Decodes a wire frame (full or delta) against this store's
     /// per-sender reconstruction stamps, the stamp drawn from the store's
     /// recycle pool. The result is **not** retained: the endpoint stores
     /// a frame once its ordering core has accepted it.
@@ -491,7 +491,7 @@ mod tests {
         store.decode_pooled(wire::encode_full(&msgs[0])).unwrap();
         for (t, frame) in frames.iter().enumerate().skip(1) {
             let m = store.decode_pooled(frame.clone()).unwrap();
-            assert_eq!(wire::encode(&m), wire::encode(&msgs[t]));
+            assert_eq!(wire::encode_full(&m), wire::encode_full(&msgs[t]));
             store.insert_ref(t as u64, &m);
             store.insert_ref(t as u64, &m);
         }

@@ -27,6 +27,9 @@
 //! For byte payloads the snapshot has a wire encoding ([`encode_snapshot`]
 //! / [`decode_snapshot`]) with the same hardening as message frames:
 //! version byte, trailing [`crate::wire::checksum64`], total decoding.
+//! There is one blob layout; stored messages are full wire frames, and
+//! the cluster tail (epoch, assignment policy, previous-epoch drain
+//! state) is always written, genesis included.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use pcb_clock::{AssignmentPolicy, ClusterConfig, KeySet, KeySpace, ProcessId, Timestamp};
@@ -81,39 +84,30 @@ pub struct ProcessSnapshot<P> {
     pub store: Vec<(u64, Message<P>)>,
 }
 
-const SNAPSHOT_VERSION: u8 = 1;
-/// Version 2 appends the cluster configuration (epoch, policy) and the
-/// optional previous-epoch drain state, and stores messages as v3/v4
-/// frames so their config epochs survive. Emitted only when the config
-/// plane is active (epoch > 0 or mid-drain) — a never-reconfigured
-/// cluster keeps producing byte-identical version-1 blobs.
-const SNAPSHOT_VERSION_EPOCH: u8 = 2;
+/// The blob format. Bytes 1 (wire-v2 frames, no cluster tail) and 2 (the
+/// tail only while the config plane was active) are retired and refuse
+/// as [`WireError::BadVersion`].
+const BLOB_VERSION: u8 = 3;
+/// The one flag bit: a `recent_window` follows. Any other set bit refuses.
+const FLAG_RECENT_WINDOW: u8 = 0b100;
 
 /// Encodes a snapshot with byte payloads to a self-contained durable
 /// blob (version byte, varint fields, trailing [`crate::wire::checksum64`]).
 #[must_use]
 pub fn encode_snapshot(snapshot: &ProcessSnapshot<Bytes>) -> Bytes {
-    let epoch_plane = snapshot.cluster.epoch > 0 || snapshot.prev.is_some();
     let mut buf = BytesMut::with_capacity(64 + snapshot.store.len() * 64);
-    buf.put_u8(if epoch_plane { SNAPSHOT_VERSION_EPOCH } else { SNAPSHOT_VERSION });
+    buf.put_u8(BLOB_VERSION);
     wire::put_uvar(&mut buf, snapshot.id.index() as u64);
-    let space = snapshot.keys.space();
-    wire::put_uvar(&mut buf, space.r() as u64);
-    wire::put_uvar(&mut buf, space.k() as u64);
-    buf.put_u128_le(snapshot.keys.set_id());
-    // Bits 0 and 1 are reserved: they once carried `detect_instant` and
-    // `dedup`, are always written as 1 so the bytes on disk do not
-    // change, and are ignored on read.
-    let flags = 0b011 | u8::from(snapshot.config.recent_window.is_some()) << 2;
-    buf.put_u8(flags);
-    if let Some(window) = snapshot.config.recent_window {
-        wire::put_uvar(&mut buf, window);
+    put_keys(&mut buf, &snapshot.keys);
+    match snapshot.config.recent_window {
+        None => buf.put_u8(0),
+        Some(window) => {
+            buf.put_u8(FLAG_RECENT_WINDOW);
+            wire::put_uvar(&mut buf, window);
+        }
     }
     wire::put_uvar(&mut buf, snapshot.seq);
-    wire::put_uvar(&mut buf, snapshot.clock.len() as u64);
-    for &entry in snapshot.clock.entries() {
-        wire::put_uvar(&mut buf, entry);
-    }
+    put_entries(&mut buf, &snapshot.clock);
     wire::put_uvar(&mut buf, snapshot.seen.len() as u64);
     for (sender, prefix, exceptions) in &snapshot.seen {
         wire::put_uvar(&mut buf, sender.index() as u64);
@@ -132,58 +126,94 @@ pub fn encode_snapshot(snapshot: &ProcessSnapshot<Bytes>) -> Bytes {
     wire::put_uvar(&mut buf, snapshot.store.len() as u64);
     for (at, message) in &snapshot.store {
         wire::put_uvar(&mut buf, *at);
-        // v1 keeps the historical v2-frame encoding byte-for-byte; the
-        // epoch-plane format stores full v3/v4 frames so each message's
-        // config epoch survives the roundtrip.
-        let frame = if epoch_plane { wire::encode_full(message) } else { wire::encode(message) };
+        let frame = wire::encode_full(message);
         wire::put_uvar(&mut buf, frame.len() as u64);
         buf.put_slice(&frame);
     }
-    if epoch_plane {
-        wire::put_uvar(&mut buf, snapshot.cluster.epoch);
-        buf.put_u8(snapshot.cluster.policy.wire_code());
-        match &snapshot.prev {
-            None => buf.put_u8(0),
-            Some(prev) => {
-                buf.put_u8(1);
-                wire::put_uvar(&mut buf, prev.epoch);
-                let space = prev.keys.space();
-                wire::put_uvar(&mut buf, space.r() as u64);
-                wire::put_uvar(&mut buf, space.k() as u64);
-                buf.put_u128_le(prev.keys.set_id());
-                wire::put_uvar(&mut buf, prev.clock.len() as u64);
-                for &entry in prev.clock.entries() {
-                    wire::put_uvar(&mut buf, entry);
-                }
-            }
+    wire::put_uvar(&mut buf, snapshot.cluster.epoch);
+    buf.put_u8(snapshot.cluster.policy.wire_code());
+    match &snapshot.prev {
+        None => buf.put_u8(0),
+        Some(prev) => {
+            buf.put_u8(1);
+            wire::put_uvar(&mut buf, prev.epoch);
+            put_keys(&mut buf, &prev.keys);
+            put_entries(&mut buf, &prev.clock);
         }
     }
     wire::seal(buf)
+}
+
+/// `R`, `K` and the set id of a key set.
+fn put_keys(buf: &mut BytesMut, keys: &KeySet) {
+    wire::put_uvar(buf, keys.space().r() as u64);
+    wire::put_uvar(buf, keys.space().k() as u64);
+    buf.put_u128_le(keys.set_id());
+}
+
+fn take_keys(cur: &mut &[u8]) -> Result<KeySet, WireError> {
+    let r = wire::take_uvar(cur)? as usize;
+    let k = wire::take_uvar(cur)? as usize;
+    let set_id = u128::from_le_bytes(wire::take_array(cur)?);
+    let space = KeySpace::new(r, k).map_err(|e| WireError::BadKeys(e.to_string()))?;
+    KeySet::from_set_id(space, set_id).map_err(|e| WireError::BadKeys(e.to_string()))
+}
+
+/// A clock vector: its length, then its entries.
+fn put_entries(buf: &mut BytesMut, clock: &Timestamp) {
+    wire::put_uvar(buf, clock.len() as u64);
+    for &entry in clock.entries() {
+        wire::put_uvar(buf, entry);
+    }
+}
+
+fn take_entries(cur: &mut &[u8]) -> Result<Timestamp, WireError> {
+    let len = wire::take_uvar(cur)? as usize;
+    if len > cur.len() {
+        // Each entry costs at least one byte; reject absurd lengths
+        // before allocating.
+        return Err(WireError::Truncated);
+    }
+    let mut entries = Vec::with_capacity(len);
+    for _ in 0..len {
+        entries.push(wire::take_uvar(cur)?);
+    }
+    Ok(Timestamp::from_entries(entries))
+}
+
+/// A config epoch, refused at 2⁶³ and above: frames carry it as
+/// `epoch · 2 + kind` in a `u64`.
+fn take_epoch(cur: &mut &[u8]) -> Result<u64, WireError> {
+    let epoch = wire::take_uvar(cur)?;
+    if epoch >= 1 << 63 {
+        return Err(WireError::BadKeys(format!("config epoch {epoch} does not fit a frame tag")));
+    }
+    Ok(epoch)
 }
 
 /// Decodes a blob produced by [`encode_snapshot`].
 ///
 /// # Errors
 ///
-/// Any [`WireError`] on malformed input; decoding never panics.
+/// Any [`WireError`] on malformed input; decoding never panics. The
+/// version byte is checked before the checksum, so a retired format
+/// reports [`WireError::BadVersion`].
 pub fn decode_snapshot(blob: Bytes) -> Result<ProcessSnapshot<Bytes>, WireError> {
-    if blob.is_empty() {
-        return Err(WireError::Truncated);
-    }
-    let version = blob[0];
-    if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_EPOCH {
-        return Err(WireError::BadVersion(version));
+    match blob.first() {
+        None => return Err(WireError::Truncated),
+        Some(&BLOB_VERSION) => {}
+        Some(&version) => return Err(WireError::BadVersion(version)),
     }
     let body = wire::checksum_verified(&blob)?;
     let mut cur = &body[1..]; // version, already checked
     let id = ProcessId::new(wire::take_uvar(&mut cur)? as usize);
-    let r = wire::take_uvar(&mut cur)? as usize;
-    let k = wire::take_uvar(&mut cur)? as usize;
-    let set_id = u128::from_le_bytes(wire::take_array(&mut cur)?);
-    let space = KeySpace::new(r, k).map_err(|e| WireError::BadKeys(e.to_string()))?;
-    let keys = KeySet::from_set_id(space, set_id).map_err(|e| WireError::BadKeys(e.to_string()))?;
+    let keys = take_keys(&mut cur)?;
     let [flags] = wire::take_array(&mut cur)?;
-    let recent_window = if flags & 0b100 != 0 { Some(wire::take_uvar(&mut cur)?) } else { None };
+    if flags & !FLAG_RECENT_WINDOW != 0 {
+        return Err(WireError::BadDelta(format!("unknown snapshot flags {flags:#04x}")));
+    }
+    let recent_window =
+        if flags & FLAG_RECENT_WINDOW != 0 { Some(wire::take_uvar(&mut cur)?) } else { None };
     let config =
         // `trace_capacity` and `estimators` are local observability
         // knobs, not protocol state — they are not wire-encoded; a
@@ -191,17 +221,7 @@ pub fn decode_snapshot(blob: Bytes) -> Result<ProcessSnapshot<Bytes>, WireError>
         // its host reconfigures them.
         PcbConfig { recent_window, trace_capacity: 0, estimators: false };
     let seq = wire::take_uvar(&mut cur)?;
-    let clock_len = wire::take_uvar(&mut cur)? as usize;
-    if clock_len > cur.len() {
-        // Each entry costs at least one byte; reject absurd lengths
-        // before allocating.
-        return Err(WireError::Truncated);
-    }
-    let mut entries = Vec::with_capacity(clock_len);
-    for _ in 0..clock_len {
-        entries.push(wire::take_uvar(&mut cur)?);
-    }
-    let clock = Timestamp::from_entries(entries);
+    let clock = take_entries(&mut cur)?;
     let seen_count = wire::take_uvar(&mut cur)? as usize;
     if seen_count > cur.len() {
         return Err(WireError::Truncated);
@@ -241,43 +261,19 @@ pub fn decode_snapshot(blob: Bytes) -> Result<ProcessSnapshot<Bytes>, WireError>
         let frame = blob.slice(wire::take_len_prefixed(body, &mut cur)?);
         store.push((at, wire::decode(frame)?));
     }
-    let (cluster, prev) = if version == SNAPSHOT_VERSION_EPOCH {
-        let epoch = wire::take_uvar(&mut cur)?;
-        let [code] = wire::take_array(&mut cur)?;
-        let policy = AssignmentPolicy::from_wire_code(code)
-            .ok_or_else(|| WireError::BadKeys(format!("unknown assignment policy {code}")))?;
-        let cluster = ClusterConfig { epoch, space, policy };
-        let [marker] = wire::take_array(&mut cur)?;
-        let prev = match marker {
-            0 => None,
-            1 => {
-                let prev_epoch = wire::take_uvar(&mut cur)?;
-                let prev_r = wire::take_uvar(&mut cur)? as usize;
-                let prev_k = wire::take_uvar(&mut cur)? as usize;
-                let prev_set_id = u128::from_le_bytes(wire::take_array(&mut cur)?);
-                let prev_space =
-                    KeySpace::new(prev_r, prev_k).map_err(|e| WireError::BadKeys(e.to_string()))?;
-                let prev_keys = KeySet::from_set_id(prev_space, prev_set_id)
-                    .map_err(|e| WireError::BadKeys(e.to_string()))?;
-                let prev_len = wire::take_uvar(&mut cur)? as usize;
-                if prev_len > cur.len() {
-                    return Err(WireError::Truncated);
-                }
-                let mut prev_entries = Vec::with_capacity(prev_len);
-                for _ in 0..prev_len {
-                    prev_entries.push(wire::take_uvar(&mut cur)?);
-                }
-                Some(PrevEpochSnapshot {
-                    epoch: prev_epoch,
-                    keys: prev_keys,
-                    clock: Timestamp::from_entries(prev_entries),
-                })
-            }
-            other => return Err(WireError::BadDelta(format!("bad prev-epoch marker {other}"))),
-        };
-        (cluster, prev)
-    } else {
-        (ClusterConfig::genesis(space), None)
+    let epoch = take_epoch(&mut cur)?;
+    let [code] = wire::take_array(&mut cur)?;
+    let policy = AssignmentPolicy::from_wire_code(code)
+        .ok_or_else(|| WireError::BadKeys(format!("unknown assignment policy {code}")))?;
+    let cluster = ClusterConfig { epoch, space: keys.space(), policy };
+    let prev = match wire::take_array(&mut cur)? {
+        [0] => None,
+        [1] => Some(PrevEpochSnapshot {
+            epoch: take_epoch(&mut cur)?,
+            keys: take_keys(&mut cur)?,
+            clock: take_entries(&mut cur)?,
+        }),
+        [other] => return Err(WireError::BadDelta(format!("bad prev-epoch marker {other}"))),
     };
     Ok(ProcessSnapshot {
         id,
@@ -345,23 +341,36 @@ mod tests {
             assert_eq!(m_a.timestamp(), m_b.timestamp());
             assert_eq!(m_a.payload(), m_b.payload());
         }
+        assert_eq!(back.cluster, ClusterConfig::genesis(space()));
+        assert!(back.prev.is_none());
 
-        // The two reserved flag bits (once `detect_instant` and `dedup`)
-        // are ignored on read: a re-sealed blob with both cleared decodes
-        // to the same config and still restores an exactly-once process.
+        // `recent_window` is the only flag: every other bit, set and
+        // re-sealed, is refused rather than ignored.
         let sealed = encode_snapshot(&snap);
         let flags_at = 4 + 16; // version, id, R, K (one byte each here), set id
-        assert_eq!(sealed[flags_at] & 0b011, 0b011, "reserved bits are written as 1");
-        let mut body = BytesMut::new();
-        body.put_slice(&sealed[..flags_at]);
-        body.put_u8(sealed[flags_at] & !0b011);
-        body.put_slice(&sealed[flags_at + 1..sealed.len() - 8]);
-        let cleared = decode_snapshot(wire::seal(body)).unwrap();
-        assert_eq!(cleared.config, snap.config);
-        let (mut restored, rstore) = PcbProcess::restore(cleared);
-        let old = rstore.iter().next().unwrap().clone();
-        assert!(restored.on_receive(old, 11).is_empty(), "a duplicate id is still dropped");
-        assert_eq!(restored.stats().duplicates, snap.stats.duplicates + 1);
+        assert_eq!(sealed[flags_at] & !FLAG_RECENT_WINDOW, 0);
+        for bit in (0..8).map(|i| 1u8 << i).filter(|&bit| bit != FLAG_RECENT_WINDOW) {
+            let mut bytes = sealed[..sealed.len() - 8].to_vec();
+            bytes[flags_at] |= bit;
+            let mut body = BytesMut::new();
+            body.put_slice(&bytes);
+            assert!(
+                matches!(decode_snapshot(wire::seal(body)), Err(WireError::BadDelta(_))),
+                "flag bit {bit:#04x} must refuse"
+            );
+        }
+    }
+
+    #[test]
+    fn retired_versions_refuse_before_the_checksum() {
+        let (b, store) = populated();
+        let blob = encode_snapshot(&b.snapshot(&store));
+        for version in [1u8, 2] {
+            let mut old = blob.to_vec();
+            old[0] = version;
+            let err = decode_snapshot(Bytes::from(old)).unwrap_err();
+            assert_eq!(err, WireError::BadVersion(version));
+        }
     }
 
     #[test]
@@ -398,7 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_plane_snapshot_roundtrips_cluster_and_prev_state() {
+    fn reconfigured_snapshot_roundtrips_cluster_and_prev_state() {
         let (b, store) = populated();
         let mut snap = b.snapshot(&store);
         let old_space = space();
@@ -414,13 +423,13 @@ mod tests {
             clock: Timestamp::from_entries(vec![4, 0, 3, 3, 0, 0, 0, 0]),
         });
         let blob = encode_snapshot(&snap);
-        assert_eq!(blob[0], SNAPSHOT_VERSION_EPOCH);
+        assert_eq!(blob[0], BLOB_VERSION);
         let back = decode_snapshot(blob.clone()).unwrap();
         assert_eq!(back.cluster, snap.cluster);
         assert_eq!(back.prev, snap.prev);
         assert_eq!(back.keys, snap.keys);
         assert_eq!(back.clock, snap.clock);
-        // Hardened like v1: mutation and truncation sweeps must reject.
+        // Mutation and truncation sweeps must reject.
         for i in (0..blob.len()).step_by(7) {
             let mut bytes = blob.to_vec();
             bytes[i] ^= 0x41;
@@ -429,17 +438,6 @@ mod tests {
         for len in (0..blob.len()).step_by(11) {
             assert!(decode_snapshot(blob.slice(0..len)).is_err(), "truncation to {len}");
         }
-    }
-
-    #[test]
-    fn genesis_snapshot_keeps_the_version1_encoding() {
-        let (b, store) = populated();
-        let snap = b.snapshot(&store);
-        let blob = encode_snapshot(&snap);
-        assert_eq!(blob[0], SNAPSHOT_VERSION, "epoch 0 must stay on the v1 blob format");
-        let back = decode_snapshot(blob).unwrap();
-        assert_eq!(back.cluster, ClusterConfig::genesis(space()));
-        assert!(back.prev.is_none());
     }
 
     #[test]

@@ -1,69 +1,56 @@
 //! Compact wire format for broadcast messages.
 //!
 //! The paper's argument is about *control-information bytes on the wire*,
-//! so the library ships a real codec rather than hand-waving sizes. The
-//! baseline (version 2) format is deliberately simple and self-contained:
+//! so the library ships a real codec rather than hand-waving sizes — one
+//! frame layout, in two kinds:
 //!
 //! ```text
-//! u8   version (= 2)
-//! uvar sender index
-//! uvar sequence number
-//! uvar R (vector length)        uvar K (entries per process)
-//! u128 set_id (16 bytes, LE)    -- the key set, not its expansion
-//! uvar × R timestamp entries    -- LEB128 varints; small counters stay small
-//! uvar payload length, payload bytes
-//! u64  checksum (LE)            -- `checksum64` over every preceding byte
+//! u8 3 | uvar tag | body | u64 checksum      tag = config_epoch · 2 + kind
+//!
+//! full body (kind 0): standalone, self-describing
+//!   uvar sender | uvar seq | uvar R | uvar K
+//!   u128 set_id (16 bytes, LE)            -- the key set, not its expansion
+//!   uvar × R entries                      -- LEB128; small counters stay small
+//!   uvar payload_len, payload
+//!
+//! delta body (kind 1): relative to the sender's frame `base_seq`
+//!   uvar sender | uvar seq | uvar base_seq | uvar count
+//!   (uvar index_gap, uvar increase) × count
+//!   uvar payload_len, payload
 //! ```
 //!
-//! With fresh clocks the stamp costs ~1 byte per entry, approaching the
+//! The checksum is [`checksum64`] over every preceding byte. With fresh
+//! clocks a full frame's stamp costs ~1 byte per entry, approaching the
 //! paper's "few integer timestamps"; entries grow logarithmically with
 //! traffic. Decoding recomputes the key set from `set_id` via Algorithm 3.
 //!
-//! **Version 3** adds a *delta* encoding. Algorithm 1 changes only the
-//! sender's `K` entries between consecutive sends (plus whatever its
-//! delivery rule incremented), so a frame rarely needs all `R` entries:
-//!
-//! ```text
-//! full frame (kind = 0): standalone, self-describing
-//!   u8 3 | u8 0 | uvar sender | uvar seq | uvar R | uvar K
-//!   u128 set_id | uvar × R entries | uvar payload_len, payload | u64 checksum
-//!
-//! delta frame (kind = 1): relative to the sender's frame `base_seq`
-//!   u8 3 | u8 1 | uvar sender | uvar seq | uvar base_seq | uvar count
-//!   (uvar index_gap, uvar increase) × count      -- both deltas ≥ small
-//!   uvar payload_len, payload | u64 checksum
-//! ```
-//!
-//! A delta frame omits `R`, `K`, `set_id` and the unchanged entries: the
-//! decoder reconstructs the stamp from its per-sender *reconstruction
-//! stamp* — the `(seq, timestamp, keys)` of the sender's last decoded
-//! frame. Because the stamp for a given `(sender, seq)` is unique, any
-//! frame whose stored `seq` equals `base_seq` is a valid base, in or out
-//! of order. A delta against an unknown base fails with
+//! A *delta* exists because Algorithm 1 changes only the sender's `K`
+//! entries between consecutive sends (plus whatever its delivery rule
+//! incremented), so a frame rarely needs all `R` entries. It omits `R`,
+//! `K`, `set_id` and the unchanged entries: the decoder reconstructs the
+//! stamp from its per-sender *reconstruction stamp* — the `(seq,
+//! timestamp, keys)` of the sender's last decoded frame. Because the
+//! stamp for a given `(sender, seq)` is unique, any frame whose stored
+//! `seq` equals `base_seq` is a valid base, in or out of order. A delta against an unknown base fails with
 //! [`WireError::MissingDeltaBase`]; the caller re-fetches a standalone
 //! full frame (anti-entropy serves those), which is also how late joiners
 //! bootstrap. [`DeltaEncoder`] emits a full frame periodically and
 //! whenever a delta would not be smaller or the stamp regressed (e.g.
 //! after a crash-restore).
 //!
-//! **Version 4** is version 3 plus the cluster *config epoch*: a uvar
-//! following the kind byte names the `(R, K)` configuration the stamp was
-//! drawn in (see `pcb_clock::ClusterConfig`):
+//! The tag's *config epoch* names the `(R, K)` configuration the stamp was
+//! drawn in (see `pcb_clock::ClusterConfig`). At epoch 0 the tag is the
+//! single byte 0 or 1, so a cluster that never reconfigures pays nothing
+//! for the plane. A delta frame is only sound against a base of the
+//! *same* epoch (the geometry may differ across epochs), so a cross-epoch
+//! delta fails with [`WireError::MissingDeltaBase`], state untouched, and
+//! recovers through the same full-frame refetch path. A decoded epoch is
+//! below 2⁶³ by construction, and the codecs that read an epoch from
+//! other input (the step codec, the snapshot tail) refuse larger ones, so
+//! `epoch · 2 + kind` never wraps.
 //!
-//! ```text
-//! u8 4 | u8 kind | uvar config_epoch | <v3 body for that kind> | u64 checksum
-//! ```
-//!
-//! Encoders emit v4 **only when the epoch is non-zero** — a cluster that
-//! never reconfigures stays byte-identical to v3 forever, and v3/v2
-//! frames decode as epoch 0. A delta frame is only sound against a base
-//! of the *same* epoch (the geometry may differ across epochs), so a
-//! cross-epoch delta fails with [`WireError::MissingDeltaBase`], state
-//! untouched, and recovers through the same full-frame refetch path.
-//!
-//! Every version ends in the same 64-bit trailer, [`checksum64`], so
-//! in-flight corruption is *detected*, never delivered. The checksum
-//! folds the frame in eight bytes at a time: each step
+//! The trailing [`checksum64`] makes in-flight corruption *detected*,
+//! never delivered. It folds the frame in eight bytes at a time: each step
 //! `x ↦ mix((x ⊕ word) · odd)` is a bijection of the state for a fixed
 //! word and of the word for a fixed state, so any substitution confined
 //! to one word — in particular any single-byte one — is guaranteed to
@@ -80,11 +67,9 @@ use pcb_clock::{KeySet, KeySpace, ProcessId, StampPool, Timestamp};
 use crate::idmap::IdMap;
 use crate::message::{Message, MessageId};
 
-const VERSION: u8 = 2;
-const VERSION_DELTA: u8 = 3;
-const VERSION_EPOCH: u8 = 4;
-const KIND_FULL: u8 = 0;
-const KIND_DELTA: u8 = 1;
+const FRAME_VERSION: u8 = 3;
+const KIND_FULL: u64 = 0;
+const KIND_DELTA: u64 = 1;
 const CHECKSUM_LEN: usize = 8;
 
 /// Errors decoding a wire frame.
@@ -282,6 +267,16 @@ pub(crate) fn narrowed(mut buf: Bytes, at: Range<usize>) -> Bytes {
     buf
 }
 
+/// Opens a frame: the version byte and the `epoch · 2 + kind` tag. Epochs
+/// read from input are bounded where they enter (module docs) and the
+/// config plane only counts up by one, so a larger one is a bug here,
+/// not hostile input.
+fn put_header(buf: &mut BytesMut, epoch: u64, kind: u64) {
+    assert!(epoch < 1 << 63, "config epoch {epoch} does not fit the frame tag");
+    buf.put_u8(FRAME_VERSION);
+    put_uvar(buf, epoch << 1 | kind);
+}
+
 fn put_full_body(buf: &mut BytesMut, message: &Message<Bytes>) {
     put_uvar(buf, message.sender().index() as u64);
     put_uvar(buf, message.id().seq());
@@ -303,115 +298,58 @@ fn full_frame_capacity(message: &Message<Bytes>) -> usize {
     48 + message.timestamp().wire_size() + message.payload().len()
 }
 
-/// Encodes a message as a standalone v2 frame (all `R` entries).
-#[must_use]
-pub fn encode(message: &Message<Bytes>) -> Bytes {
-    let mut buf = BytesMut::with_capacity(full_frame_capacity(message));
-    buf.put_u8(VERSION);
-    put_full_body(&mut buf, message);
-    seal(buf)
-}
-
-/// Encodes a message as a standalone v3 *full* frame. Like [`encode`] it
-/// is self-describing — anti-entropy and late-joiner bootstrap serve
-/// these — but it participates in v3 delta chains: a decoder records its
-/// stamp as the sender's reconstruction base.
+/// Encodes a message as a standalone *full* frame (all `R` entries) —
+/// what anti-entropy and late-joiner bootstrap serve, and what a
+/// [`DeltaDecoder`] records as the sender's reconstruction base.
 #[must_use]
 pub fn encode_full(message: &Message<Bytes>) -> Bytes {
     let mut buf = BytesMut::with_capacity(full_frame_capacity(message));
-    if message.epoch() > 0 {
-        buf.put_u8(VERSION_EPOCH);
-        buf.put_u8(KIND_FULL);
-        put_uvar(&mut buf, message.epoch());
-    } else {
-        buf.put_u8(VERSION_DELTA);
-        buf.put_u8(KIND_FULL);
-    }
+    put_header(&mut buf, message.epoch(), KIND_FULL);
     put_full_body(&mut buf, message);
     seal(buf)
 }
 
-/// What a frame claims to be, before the checksum is verified.
-enum Preflight {
-    V2,
-    V3Full,
-    V3Delta,
-    V4Full,
-    V4Delta,
+/// A checksum-verified frame, opened behind its header.
+struct Opened<'a> {
+    /// Everything in front of the checksum: the ranges the body decoders
+    /// locate index it, and the frame it came from.
+    body: &'a [u8],
+    /// The kind's own fields, behind the version byte and the tag.
+    cur: &'a [u8],
+    epoch: u64,
+    delta: bool,
 }
 
-impl Preflight {
-    fn is_delta(&self) -> bool {
-        matches!(self, Preflight::V3Delta | Preflight::V4Delta)
+/// Checks the version byte first (so foreign formats report
+/// [`WireError::BadVersion`]), then the checksum, then reads the tag.
+fn open(frame: &[u8]) -> Result<Opened<'_>, WireError> {
+    match frame.first() {
+        None => return Err(WireError::Truncated),
+        Some(&FRAME_VERSION) => {}
+        Some(&version) => return Err(WireError::BadVersion(version)),
     }
-
-    /// The config epoch a verified `body` of this kind names (0 before
-    /// v4) and the offset of the kind's own fields behind the header:
-    /// the version byte, v3's kind byte, v4's uvar epoch.
-    fn header(&self, body: &[u8]) -> Result<(u64, usize), WireError> {
-        match self {
-            Preflight::V2 => Ok((0, 1)),
-            Preflight::V3Full | Preflight::V3Delta => Ok((0, 2)),
-            Preflight::V4Full | Preflight::V4Delta => {
-                // `preflight` read the kind off the sealed frame: a
-                // one-byte body has its "kind" in the trailer.
-                let mut cur = body.get(2..).ok_or(WireError::Truncated)?;
-                let epoch = take_uvar(&mut cur)?;
-                Ok((epoch, body.len() - cur.len()))
-            }
-        }
-    }
-}
-
-fn preflight(frame: &[u8]) -> Result<Preflight, WireError> {
-    if frame.is_empty() {
-        return Err(WireError::Truncated);
-    }
-    match frame[0] {
-        VERSION => Ok(Preflight::V2),
-        VERSION_DELTA => {
-            if frame.len() < 2 {
-                return Err(WireError::Truncated);
-            }
-            match frame[1] {
-                KIND_FULL => Ok(Preflight::V3Full),
-                KIND_DELTA => Ok(Preflight::V3Delta),
-                kind => Err(WireError::BadDelta(format!("unknown frame kind {kind}"))),
-            }
-        }
-        VERSION_EPOCH => {
-            if frame.len() < 2 {
-                return Err(WireError::Truncated);
-            }
-            match frame[1] {
-                KIND_FULL => Ok(Preflight::V4Full),
-                KIND_DELTA => Ok(Preflight::V4Delta),
-                kind => Err(WireError::BadDelta(format!("unknown frame kind {kind}"))),
-            }
-        }
-        version => Err(WireError::BadVersion(version)),
-    }
+    let body = checksum_verified(frame)?;
+    let mut cur = &body[1..];
+    let tag = take_uvar(&mut cur)?;
+    Ok(Opened { body, cur, epoch: tag >> 1, delta: tag & 1 == KIND_DELTA })
 }
 
 /// A message whose payload is still a range of the frame it was decoded
 /// from: what the body decoders return while they only borrow the frame.
 type Located = Message<Range<usize>>;
 
-/// Decodes the shared full-frame body of `body`, starting `at` bytes in
-/// (behind the version byte for v2, version + kind for v3, and the epoch
-/// too for v4). The entries are read straight into a stamp drawn from
-/// `pool`, and a sender in `known` whose base already carries the frame's
-/// key set shares it instead of unranking `set_id` again — so a decoder
-/// with warm state decodes a chain's periodic full frames without heap
-/// traffic too. One-shot callers pass an empty map and pool and allocate
-/// both.
+/// Decodes a full body from `cur`, the unread suffix of `body`. The
+/// entries are read straight into a stamp drawn from `pool`, and a sender
+/// in `known` whose base already carries the frame's key set shares it
+/// instead of unranking `set_id` again — so a decoder with warm state
+/// decodes a chain's periodic full frames without heap traffic too.
+/// One-shot callers pass an empty map and pool and allocate both.
 fn decode_full_body(
     body: &[u8],
-    at: usize,
+    mut cur: &[u8],
     known: &IdMap<usize, Reconstruction>,
     pool: &mut StampPool,
 ) -> Result<Located, WireError> {
-    let mut cur = body.get(at..).ok_or(WireError::Truncated)?;
     let sender = take_uvar(&mut cur)? as usize;
     let seq = take_uvar(&mut cur)?;
     let r = take_uvar(&mut cur)? as usize;
@@ -442,31 +380,28 @@ fn decode_full_body(
     Ok(Message::new(MessageId::new(ProcessId::new(sender), seq), keys, stamp, payload))
 }
 
-/// Decodes a standalone frame (v2, or a v3 full frame).
+/// Decodes a standalone (full) frame.
 ///
 /// # Errors
 ///
 /// Any [`WireError`] on malformed input; decoding never panics. The
 /// version byte is checked first (so foreign formats report
 /// [`WireError::BadVersion`]), then the trailing checksum, then the body.
-/// A v3 *delta* frame is not standalone: it reports
+/// A *delta* frame is not standalone: it reports
 /// [`WireError::MissingDeltaBase`] here — use [`DeltaDecoder`] (which
 /// keeps per-sender reconstruction stamps) to decode delta streams.
 pub fn decode(frame: Bytes) -> Result<Message<Bytes>, WireError> {
-    let kind = preflight(&frame)?;
-    let body = checksum_verified(&frame)?;
-    let (epoch, at) = kind.header(body)?;
-    if kind.is_delta() {
-        let (sender, _, base_seq) = delta_header(&mut body.get(at..).ok_or(WireError::Truncated)?)?;
+    let Opened { body, mut cur, epoch, delta } = open(&frame)?;
+    if delta {
+        let (sender, _, base_seq) = delta_header(&mut cur)?;
         return Err(WireError::MissingDeltaBase { sender, base_seq });
     }
-    let located = decode_full_body(body, at, &IdMap::default(), &mut StampPool::new())?;
+    let located = decode_full_body(body, cur, &IdMap::default(), &mut StampPool::new())?;
     Ok(located.with_epoch(epoch).map(|at| narrowed(frame, at)))
 }
 
-/// Takes `(sender, seq, base_seq)` off a delta body whose version/kind
-/// (and, for v4, epoch) header is already behind the cursor, leaving it
-/// at the change list.
+/// Takes `(sender, seq, base_seq)` off a delta body whose header is
+/// already behind the cursor, leaving it at the change list.
 fn delta_header(cur: &mut &[u8]) -> Result<(usize, u64, u64), WireError> {
     let sender = take_uvar(cur)? as usize;
     let seq = take_uvar(cur)?;
@@ -474,7 +409,7 @@ fn delta_header(cur: &mut &[u8]) -> Result<(usize, u64, u64), WireError> {
     Ok((sender, seq, base_seq))
 }
 
-/// Per-sender stateful encoder producing v3 delta chains.
+/// Per-sender stateful encoder producing delta chains.
 ///
 /// One encoder per sending process. Each call diffs the outgoing stamp
 /// against the previous frame's stamp and ships only the changed entries
@@ -593,14 +528,7 @@ fn encode_delta(
         return None;
     }
     let mut buf = BytesMut::with_capacity(32 + changed.len() * 12 + message.payload().len());
-    if message.epoch() > 0 {
-        buf.put_u8(VERSION_EPOCH);
-        buf.put_u8(KIND_DELTA);
-        put_uvar(&mut buf, message.epoch());
-    } else {
-        buf.put_u8(VERSION_DELTA);
-        buf.put_u8(KIND_DELTA);
-    }
+    put_header(&mut buf, message.epoch(), KIND_DELTA);
     put_uvar(&mut buf, message.sender().index() as u64);
     put_uvar(&mut buf, message.id().seq());
     put_uvar(&mut buf, base_seq);
@@ -630,8 +558,8 @@ struct Reconstruction {
     keys: Arc<KeySet>,
 }
 
-/// Stateful decoder for v3/v4 delta chains (also accepts v2 and full
-/// frames, which refresh its per-sender reconstruction stamps).
+/// Stateful decoder for delta chains (also accepts full frames, which
+/// refresh its per-sender reconstruction stamps).
 ///
 /// Correctness does not depend on arrival order: the stamp attached to a
 /// given `(sender, seq)` is unique, so any stored stamp whose `seq`
@@ -666,8 +594,8 @@ impl DeltaDecoder {
         self.stamps.len()
     }
 
-    /// Decodes any frame (v2, v3/v4 full, v3/v4 delta), updating the
-    /// sender's reconstruction stamp on success.
+    /// Decodes any frame, full or delta, updating the sender's
+    /// reconstruction stamp on success.
     ///
     /// # Errors
     ///
@@ -691,13 +619,11 @@ impl DeltaDecoder {
         frame: Bytes,
         pool: &mut StampPool,
     ) -> Result<Message<Bytes>, WireError> {
-        let kind = preflight(&frame)?;
-        let body = checksum_verified(&frame)?;
-        let (epoch, at) = kind.header(body)?;
-        let located = if kind.is_delta() {
-            self.decode_delta_body(body, at, epoch, pool)?
+        let Opened { body, cur, epoch, delta } = open(&frame)?;
+        let located = if delta {
+            self.decode_delta_body(body, cur, epoch, pool)?
         } else {
-            let full = decode_full_body(body, at, &self.stamps, pool)?.with_epoch(epoch);
+            let full = decode_full_body(body, cur, &self.stamps, pool)?.with_epoch(epoch);
             self.seed(&full);
             full
         };
@@ -724,7 +650,8 @@ impl DeltaDecoder {
     }
 
     /// Reconstructs the delta whose `(sender, seq, base_seq)` header
-    /// starts `at` bytes into `body` against the sender's stored base, and
+    /// starts `cur`, the unread suffix of `body`, against the sender's
+    /// stored base, and
     /// advances that base to the new frame in place. The base must match
     /// both `base_seq` *and* the frame's config `epoch` — a cross-epoch
     /// delta refuses with [`WireError::MissingDeltaBase`], state untouched,
@@ -733,11 +660,10 @@ impl DeltaDecoder {
     fn decode_delta_body(
         &mut self,
         body: &[u8],
-        at: usize,
+        mut cur: &[u8],
         epoch: u64,
         pool: &mut StampPool,
     ) -> Result<Located, WireError> {
-        let mut cur = body.get(at..).ok_or(WireError::Truncated)?;
         let (sender, seq, base_seq) = delta_header(&mut cur)?;
         let base = self
             .stamps
@@ -792,13 +718,6 @@ impl DeltaDecoder {
     }
 }
 
-/// Encoded control-information size (everything except the payload) for a
-/// message — the quantity Figures 3–6 are ultimately about.
-#[must_use]
-pub fn control_size(message: &Message<Bytes>) -> usize {
-    encode(message).len() - message.payload().len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -815,10 +734,16 @@ mod tests {
         process.broadcast(Bytes::from_static(payload))
     }
 
+    /// A full frame's bytes other than the payload: the control
+    /// information Figures 3–6 are ultimately about.
+    fn control_bytes(message: &Message<Bytes>) -> usize {
+        encode_full(message).len() - message.payload().len()
+    }
+
     #[test]
     fn roundtrip_preserves_everything() {
         let original = sample(b"hello wire");
-        let decoded = decode(encode(&original)).unwrap();
+        let decoded = decode(encode_full(&original)).unwrap();
         assert_eq!(decoded.id(), original.id());
         assert_eq!(decoded.keys(), original.keys());
         assert_eq!(decoded.timestamp(), original.timestamp());
@@ -828,7 +753,7 @@ mod tests {
     #[test]
     fn empty_payload_roundtrips() {
         let original = sample(b"");
-        let decoded = decode(encode(&original)).unwrap();
+        let decoded = decode(encode_full(&original)).unwrap();
         assert_eq!(decoded.payload().len(), 0);
     }
 
@@ -836,8 +761,7 @@ mod tests {
     fn fresh_clock_stamp_is_one_byte_per_entry() {
         // Early in a run, every counter is < 128: the encoded stamp is
         // R bytes + small header, far below the fixed 8·R accounting.
-        let m = sample(b"");
-        let size = control_size(&m);
+        let size = control_bytes(&sample(b""));
         assert!(size < 100 + 40, "control size {size} should be ≈ R + header for small counters");
         assert!(size > 100, "must still carry all R entries");
     }
@@ -848,15 +772,33 @@ mod tests {
         assert!(matches!(decode(Bytes::from_static(&[9, 0, 0])), Err(WireError::BadVersion(9))));
         // Truncated mid-set-id.
         let m = sample(b"x");
-        let full = encode(&m);
+        let full = encode_full(&m);
         let cut = full.slice(0..8);
         assert!(matches!(decode(cut), Err(WireError::Truncated)));
     }
 
     #[test]
+    fn retired_versions_refuse_before_the_checksum() {
+        // Bytes 2 (the old full-only frame) and 4 (the old epoch frame)
+        // are foreign formats now, whatever follows and however sealed.
+        let frame = encode_full(&sample(b"old"));
+        for version in [2u8, 4] {
+            let mut old = frame.to_vec();
+            old[0] = version;
+            let mut resealed = BytesMut::new();
+            resealed.put_slice(&old[..old.len() - CHECKSUM_LEN]);
+            for bytes in [Bytes::from(old), seal(resealed)] {
+                assert_eq!(decode(bytes.clone()).unwrap_err(), WireError::BadVersion(version));
+                let mut decoder = DeltaDecoder::new();
+                assert_eq!(decoder.decode(bytes).unwrap_err(), WireError::BadVersion(version));
+            }
+        }
+    }
+
+    #[test]
     fn decode_rejects_bad_keyspace() {
         let mut buf = BytesMut::new();
-        buf.put_u8(VERSION);
+        put_header(&mut buf, 0, KIND_FULL);
         put_uvar(&mut buf, 0); // sender
         put_uvar(&mut buf, 1); // seq
         put_uvar(&mut buf, 4); // r
@@ -869,7 +811,7 @@ mod tests {
     #[test]
     fn decode_rejects_out_of_range_set_id() {
         let mut buf = BytesMut::new();
-        buf.put_u8(VERSION);
+        put_header(&mut buf, 0, KIND_FULL);
         put_uvar(&mut buf, 0);
         put_uvar(&mut buf, 1);
         put_uvar(&mut buf, 4); // r
@@ -989,14 +931,16 @@ mod tests {
 
     #[test]
     fn a_body_shorter_than_its_header_is_truncated_not_a_panic() {
-        // preflight reads the kind at byte 1 of the *sealed* frame; with
-        // a one-byte body that byte belongs to the trailer, so the body
-        // decoders must not assume two header bytes.
-        assert_eq!(Preflight::V4Delta.header(&[VERSION_EPOCH]), Err(WireError::Truncated));
-        let full = decode_full_body(&[VERSION_DELTA], 2, &IdMap::default(), &mut StampPool::new());
-        assert_eq!(full.unwrap_err(), WireError::Truncated);
-        let delta = DeltaDecoder::new().decode_delta_body(&[3], 2, 0, &mut StampPool::new());
-        assert_eq!(delta.unwrap_err(), WireError::Truncated);
+        // Sealed bodies that end at the version byte, inside the tag, or
+        // right behind it (full and delta).
+        for body in [&[3u8][..], &[3, 0x80], &[3, 0], &[3, 1]] {
+            let mut buf = BytesMut::new();
+            buf.put_slice(body);
+            let frame = seal(buf);
+            assert_eq!(decode(frame.clone()).unwrap_err(), WireError::Truncated, "{body:?}");
+            let delta = DeltaDecoder::new().decode(frame).unwrap_err();
+            assert_eq!(delta, WireError::Truncated, "{body:?}");
+        }
     }
 
     #[test]
@@ -1004,7 +948,7 @@ mod tests {
         // A frame whose seq field is an overlong varint must error, not
         // silently decode a truncated sequence number.
         let mut buf = BytesMut::new();
-        buf.put_u8(VERSION);
+        put_header(&mut buf, 0, KIND_FULL);
         put_uvar(&mut buf, 0); // sender
         buf.put_slice(&[0xFF; 9]);
         buf.put_u8(0x7F); // seq: ten bytes, junk in the tenth
@@ -1017,7 +961,7 @@ mod tests {
         // The checksum step is a bijection per word position, so every
         // substitution must surface as an error (checksum mismatch, or
         // bad-version for byte 0) — never decode as a different message.
-        let frame = encode(&sample(b"chaos payload"));
+        let frame = encode_full(&sample(b"chaos payload"));
         for i in 0..frame.len() {
             for delta in [0x01u8, 0x80, 0xFF] {
                 let mut bytes = frame.to_vec();
@@ -1032,7 +976,7 @@ mod tests {
 
     #[test]
     fn truncation_at_every_length_is_rejected() {
-        let frame = encode(&sample(b"abc"));
+        let frame = encode_full(&sample(b"abc"));
         for len in 0..frame.len() {
             assert!(decode(frame.slice(0..len)).is_err(), "prefix of {len} bytes must fail");
         }
@@ -1042,7 +986,7 @@ mod tests {
     #[test]
     fn wire_size_beats_fixed_accounting_and_vector_clocks() {
         let m = sample(b"");
-        let encoded = control_size(&m);
+        let encoded = control_bytes(&m);
         // Fixed accounting: 8 bytes × 100 entries + ids.
         assert!(encoded < m.control_overhead());
         // A vector clock for N = 1000 would be ≥ 1000 bytes even varint-encoded.
@@ -1071,6 +1015,15 @@ mod tests {
             .collect()
     }
 
+    /// The `epoch · 2 + kind` tag behind a frame's version byte.
+    fn tag(frame: &[u8]) -> u64 {
+        take_uvar(&mut &frame[1..]).unwrap()
+    }
+
+    fn kind(frame: &[u8]) -> u64 {
+        tag(frame) & 1
+    }
+
     fn assert_same(decoded: &Message<Bytes>, original: &Message<Bytes>) {
         assert_eq!(decoded.id(), original.id());
         assert_eq!(decoded.keys(), original.keys());
@@ -1079,7 +1032,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_full_frame_is_standalone() {
+    fn full_frame_is_standalone() {
         let original = sample(b"standalone");
         let decoded = decode(encode_full(&original)).unwrap();
         assert_same(&decoded, &original);
@@ -1095,7 +1048,7 @@ mod tests {
         let full_len = encode_full(&originals[5]).len();
         for original in &originals {
             let frame = enc.encode(original);
-            if frame[1] == KIND_DELTA {
+            if kind(&frame) == KIND_DELTA {
                 assert!(
                     frame.len() < full_len / 2,
                     "delta frame ({} B) should be far below full ({full_len} B)",
@@ -1121,7 +1074,7 @@ mod tests {
         assert_eq!(dec.tracked_senders(), 0);
         // The next delta must refuse — its base died with the clear.
         let delta = enc.encode(&originals[4]);
-        assert_eq!(delta[1], KIND_DELTA, "cadence 64 keeps emitting deltas");
+        assert_eq!(kind(&delta), KIND_DELTA, "cadence 64 keeps emitting deltas");
         assert!(matches!(dec.decode(delta), Err(WireError::MissingDeltaBase { .. })));
         // A full frame re-primes the chain.
         assert_same(&dec.decode(encode_full(&originals[5])).unwrap(), &originals[5]);
@@ -1149,20 +1102,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_frame_seeds_a_delta_base() {
-        // Cross-version: state learned from a v2 frame reconstructs a v3
-        // delta encoded against the same (sender, seq) stamp.
-        let originals = stream(3);
-        let mut dec = DeltaDecoder::new();
-        assert_same(&dec.decode(encode(&originals[0])).unwrap(), &originals[0]);
-        let base_seq = originals[0].id().seq();
-        let delta =
-            encode_delta(&originals[1], base_seq, originals[0].timestamp(), &mut Vec::new())
-                .unwrap();
-        assert_same(&dec.decode(delta).unwrap(), &originals[1]);
-    }
-
-    #[test]
     fn force_full_restarts_the_chain() {
         let originals = stream(6);
         let mut enc = DeltaEncoder::new(1000);
@@ -1170,7 +1109,7 @@ mod tests {
         let _ = enc.encode(&originals[1]);
         enc.force_full();
         let frame = enc.encode(&originals[2]);
-        assert_eq!(frame[1], KIND_FULL, "force_full must emit a standalone frame");
+        assert_eq!(kind(&frame), KIND_FULL, "force_full must emit a standalone frame");
         assert_eq!(enc.fulls_emitted(), 2);
     }
 
@@ -1182,7 +1121,7 @@ mod tests {
         let mut enc = DeltaEncoder::new(1000);
         let _ = enc.encode(&originals[5]);
         let frame = enc.encode(&originals[0]);
-        assert_eq!(frame[1], KIND_FULL);
+        assert_eq!(kind(&frame), KIND_FULL);
         assert_same(&decode(frame).unwrap(), &originals[0]);
     }
 
@@ -1192,7 +1131,7 @@ mod tests {
         let mut enc = DeltaEncoder::new(64);
         let mut frames: Vec<Bytes> = originals.iter().map(|m| enc.encode(m)).collect();
         let delta = frames.pop().unwrap();
-        assert_eq!(delta[1], KIND_DELTA);
+        assert_eq!(kind(&delta), KIND_DELTA);
         for i in 0..delta.len() {
             for flip in [0x01u8, 0x80, 0xFF] {
                 let mut primed = DeltaDecoder::new();
@@ -1215,7 +1154,7 @@ mod tests {
         let mut enc = DeltaEncoder::new(64);
         let frames: Vec<Bytes> = originals.iter().map(|m| enc.encode(m)).collect();
         let delta = frames.last().unwrap();
-        assert_eq!(delta[1], KIND_DELTA);
+        assert_eq!(kind(delta), KIND_DELTA);
         for len in 0..delta.len() {
             let mut primed = DeltaDecoder::new();
             for f in &frames[..frames.len() - 1] {
@@ -1228,56 +1167,50 @@ mod tests {
     #[test]
     fn steady_state_delta_meets_the_size_budget() {
         // Acceptance bar: amortized wire size at (R=100, K=4) steady
-        // state ≤ 0.35× the v2 full-vector frame.
+        // state ≤ 0.35× the full-vector frame.
         let originals = stream(256);
         let mut enc = DeltaEncoder::default();
         let steady = &originals[64..];
-        let v3: usize = steady.iter().map(|m| enc.encode(m).len()).sum();
-        let v2: usize = steady.iter().map(|m| encode(m).len()).sum();
-        let ratio = v3 as f64 / v2 as f64;
+        let chain: usize = steady.iter().map(|m| enc.encode(m).len()).sum();
+        let full: usize = steady.iter().map(|m| encode_full(m).len()).sum();
+        let ratio = chain as f64 / full as f64;
         assert!(ratio <= 0.35, "amortized delta ratio {ratio:.3} must be ≤ 0.35");
     }
 
     #[test]
-    fn epoch_zero_frames_stay_byte_identical_to_v3() {
-        // A cluster that never reconfigures must emit exactly the frames
-        // it emitted before the config plane existed.
-        let originals = stream(8);
-        let mut enc = DeltaEncoder::new(4);
-        for m in &originals {
-            assert_eq!(m.epoch(), 0);
-            let frame = enc.encode(m);
-            assert_eq!(frame[0], VERSION_DELTA, "epoch 0 must never emit a v4 frame");
-        }
-        assert_eq!(encode_full(&originals[0])[0], VERSION_DELTA);
-    }
-
-    #[test]
-    fn v4_full_frame_roundtrips_with_its_epoch() {
-        let original = sample(b"epoch payload").with_epoch(7);
+    fn config_epoch_rides_in_the_tag() {
+        // Epoch 7 is tag 14 (full) or 15 (delta): still one byte, so the
+        // frame is exactly as long as its epoch-0 twin.
+        let plain = sample(b"epoch payload");
+        let original = plain.clone().with_epoch(7);
         let frame = encode_full(&original);
-        assert_eq!(frame[0], VERSION_EPOCH);
-        assert_eq!(frame[1], KIND_FULL);
+        assert_eq!(frame[..2], [FRAME_VERSION, 0x0e]);
+        assert_eq!(frame.len(), encode_full(&plain).len());
         let decoded = decode(frame).unwrap();
         assert_same(&decoded, &original);
         assert_eq!(decoded.epoch(), 7);
+        // The largest epoch a tag can carry fills its ten bytes.
+        let last = plain.with_epoch(u64::MAX >> 1);
+        let frame = encode_full(&last);
+        assert_eq!(tag(&frame), u64::MAX - 1);
+        assert_eq!(decode(frame).unwrap().epoch(), u64::MAX >> 1);
     }
 
     #[test]
-    fn v4_delta_chain_roundtrips_with_its_epoch() {
+    fn epoch_delta_chain_roundtrips_with_its_epoch() {
         let originals: Vec<_> = stream(20).into_iter().map(|m| m.with_epoch(3)).collect();
         let mut enc = DeltaEncoder::new(8);
         let mut dec = DeltaDecoder::new();
         let mut saw_delta = false;
         for original in &originals {
             let frame = enc.encode(original);
-            assert_eq!(frame[0], VERSION_EPOCH);
-            saw_delta |= frame[1] == KIND_DELTA;
+            assert_eq!(tag(&frame) >> 1, 3);
+            saw_delta |= kind(&frame) == KIND_DELTA;
             let decoded = dec.decode(frame).unwrap();
             assert_same(&decoded, original);
             assert_eq!(decoded.epoch(), 3);
         }
-        assert!(saw_delta, "the chain must exercise v4 delta frames");
+        assert!(saw_delta, "the chain must exercise epoch-3 delta frames");
     }
 
     #[test]
@@ -1286,10 +1219,9 @@ mod tests {
         let mut enc = DeltaEncoder::new(1000);
         let _ = enc.encode(&originals[0].clone().with_epoch(1));
         let mid = enc.encode(&originals[1].clone().with_epoch(1));
-        assert_eq!(mid[1], KIND_DELTA, "same-epoch stream keeps using deltas");
+        assert_eq!(kind(&mid), KIND_DELTA, "same-epoch stream keeps using deltas");
         let cross = enc.encode(&originals[2].clone().with_epoch(2));
-        assert_eq!(cross[0], VERSION_EPOCH);
-        assert_eq!(cross[1], KIND_FULL, "an epoch bump must restart the chain");
+        assert_eq!(tag(&cross), 2 << 1 | KIND_FULL, "an epoch bump must restart the chain");
     }
 
     #[test]
@@ -1304,7 +1236,7 @@ mod tests {
         let wrong = originals[1].clone().with_epoch(2);
         let delta =
             encode_delta(&wrong, base.id().seq(), base.timestamp(), &mut Vec::new()).unwrap();
-        assert_eq!(delta[0], VERSION_EPOCH);
+        assert_eq!(tag(&delta), 2 << 1 | KIND_DELTA);
         assert!(matches!(dec.decode(delta), Err(WireError::MissingDeltaBase { .. })));
         // State untouched: the same delta at the right epoch still decodes.
         let right = originals[1].clone().with_epoch(1);
@@ -1314,7 +1246,7 @@ mod tests {
     }
 
     #[test]
-    fn v4_frame_corruption_and_truncation_are_rejected() {
+    fn epoch_frame_corruption_and_truncation_are_rejected() {
         let originals: Vec<_> = stream(4).into_iter().map(|m| m.with_epoch(9)).collect();
         let mut enc = DeltaEncoder::new(64);
         let frames: Vec<Bytes> = originals.iter().map(|m| enc.encode(m)).collect();
@@ -1351,7 +1283,7 @@ mod tests {
         let mut tx = crate::PcbProcess::new(ProcessId::new(0), assigner.next_set().unwrap());
         let mut rx = crate::PcbProcess::new(ProcessId::new(1), assigner.next_set().unwrap());
         let m = tx.broadcast(Bytes::from_static(b"payload"));
-        let decoded = decode(encode(&m)).unwrap();
+        let decoded = decode(encode_full(&m)).unwrap();
         let out = rx.on_receive(decoded, 0);
         assert_eq!(out.len(), 1);
         assert_eq!(&out[0].message.payload()[..], b"payload");

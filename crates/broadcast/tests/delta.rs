@@ -1,10 +1,10 @@
-//! Differential tests for the v3 delta wire codec: delivery under
+//! Differential tests for the delta wire codec: delivery under
 //! delta-compressed frames must be **bit-identical** to delivery under
 //! full frames, on every trace.
 //!
 //! Two replay paths share one arrival permutation:
 //!
-//! 1. *full* — every message ships as a standalone v3 full frame;
+//! 1. *full* — every message ships as a standalone full frame;
 //! 2. *delta* — every sender runs a [`DeltaEncoder`] (periodic full
 //!    stamps, deltas in between); the receiver's [`DeltaDecoder`]
 //!    reconstructs, falling back to an on-demand full frame whenever a
@@ -109,8 +109,12 @@ fn replay(
             Err(e) => panic!("decode failed: {e}"),
         };
         // Reconstruction is exact: the decoded message re-encodes to the
-        // same v2 bytes as the original.
-        assert_eq!(wire::encode(&decoded), wire::encode(&pool[i]), "lossy reconstruction");
+        // same full frame as the original.
+        assert_eq!(
+            wire::encode_full(&decoded),
+            wire::encode_full(&pool[i]),
+            "lossy reconstruction"
+        );
         for d in process.on_receive(decoded, t as u64) {
             order.push(d.message.id());
         }
@@ -127,7 +131,7 @@ fn delta_and_full_frames_deliver_bit_identically() {
             let senders = 2 + (seed as usize % 4);
             let (pool, arrival) = generate_pool(seed, senders, 8, space);
 
-            // Path 1: every arrival is a standalone v3 full frame.
+            // Path 1: every arrival is a standalone full frame.
             let full_order = replay(space, &pool, &arrival, |i| wire::encode_full(&pool[i]));
 
             // Path 2: per-sender delta chains encoded in send order
@@ -154,23 +158,6 @@ fn delta_and_full_frames_deliver_bit_identically() {
             assert_eq!(full_order.len(), pool.len(), "seed {seed}: everything delivers");
         }
     }
-}
-
-#[test]
-fn v2_and_v3_mixed_stream_decodes_identically() {
-    // A receiver upgraded mid-stream: odd frames arrive as v2, even as
-    // v3 (full or delta). The decoder must not care.
-    let space = KeySpace::new(16, 2).unwrap();
-    let (pool, arrival) = generate_pool(99, 3, 10, space);
-    let mut encoder = DeltaEncoder::new(4);
-    let frames: Vec<Bytes> = pool
-        .iter()
-        .enumerate()
-        .map(|(i, m)| if i % 2 == 1 { wire::encode(m) } else { encoder.encode(m) })
-        .collect();
-    let full_order = replay(space, &pool, &arrival, |i| wire::encode_full(&pool[i]));
-    let mixed_order = replay(space, &pool, &arrival, |i| frames[i].clone());
-    assert_eq!(full_order, mixed_order);
 }
 
 /// Builds a raw message with an arbitrary stamp — no protocol involved,
@@ -217,7 +204,7 @@ proptest! {
             let m = raw_message(7, seq as u64 + 1, entries.clone(), &keys);
             let frame = encoder.encode(&m);
             let back = decoder.decode(frame).expect("in-order chain always decodes");
-            prop_assert_eq!(wire::encode(&back), wire::encode(&m));
+            prop_assert_eq!(wire::encode_full(&back), wire::encode_full(&m));
         }
         // The cadence bound holds even under fallbacks: at least one full
         // frame per `full_every` frames.
@@ -249,7 +236,7 @@ proptest! {
         let mut decoder = DeltaDecoder::new();
         for (i, (m, frame)) in frames.iter().enumerate().skip(join_at) {
             match decoder.decode(frame.clone()) {
-                Ok(back) => prop_assert_eq!(wire::encode(&back), wire::encode(m)),
+                Ok(back) => prop_assert_eq!(wire::encode_full(&back), wire::encode_full(m)),
                 Err(WireError::MissingDeltaBase { .. }) => {
                     prop_assert!(
                         i == join_at && join_at > 0,
@@ -257,7 +244,7 @@ proptest! {
                     );
                     // Refetch: the standalone full frame re-seeds the chain.
                     let back = decoder.decode(wire::encode_full(m)).unwrap();
-                    prop_assert_eq!(wire::encode(&back), wire::encode(m));
+                    prop_assert_eq!(wire::encode_full(&back), wire::encode_full(m));
                 }
                 Err(e) => return Err(format!("decode failed: {e}")),
             }
@@ -288,7 +275,7 @@ proptest! {
             genuine_seq += 1;
             let m = raw_message(0, genuine_seq, vec![0, 0, genuine_seq, 0], &keys);
             let back = decoder.decode(encoder.encode(&m)).map_err(|e| format!("genuine: {e}"))?;
-            prop_assert_eq!(wire::encode(&back), wire::encode(&m));
+            prop_assert_eq!(wire::encode_full(&back), wire::encode_full(&m));
             Ok(())
         };
         genuine(&mut decoder)?;

@@ -175,7 +175,7 @@ fn random_traces_byte_identical_across_engines() {
                     .iter()
                     .map(|id| {
                         let m = arrivals.iter().find(|m| m.id() == *id).unwrap();
-                        wire::encode(m)
+                        wire::encode_full(m)
                     })
                     .collect::<Vec<_>>()
             };

@@ -1,5 +1,5 @@
 //! Fuzz-style hardening for the config-epoch plane's wire surface:
-//! v4 frames (non-zero config epoch) round-trip exactly, arbitrary
+//! frames at a non-zero config epoch round-trip exactly, arbitrary
 //! truncation and padding never panic, and an endpoint handed a frame
 //! from an epoch it neither runs nor drains — or a valid frame whose
 //! `(R, K)` is not its epoch's — refuses it with its state untouched.
@@ -16,8 +16,8 @@ fn keys(owner: usize) -> pcb_clock::KeySet {
     assigner.next_set().unwrap()
 }
 
-/// A valid v4 frame: a real broadcast re-stamped into a non-zero epoch.
-fn v4_frame(sender: usize, warmup: usize, payload: Vec<u8>, epoch: u64) -> Bytes {
+/// A valid frame in a non-zero epoch: a real broadcast re-stamped.
+fn epoch_frame(sender: usize, warmup: usize, payload: Vec<u8>, epoch: u64) -> Bytes {
     let mut process = PcbProcess::new(ProcessId::new(sender), keys(sender));
     for _ in 0..warmup {
         let _ = process.broadcast(Bytes::new());
@@ -26,10 +26,10 @@ fn v4_frame(sender: usize, warmup: usize, payload: Vec<u8>, epoch: u64) -> Bytes
 }
 
 proptest! {
-    /// Every non-zero epoch survives the v4 header round-trip, along
+    /// Every non-zero epoch survives the frame tag round-trip, along
     /// with the message identity it fences.
     #[test]
-    fn v4_frames_roundtrip(
+    fn epoch_frames_roundtrip(
         sender in 0usize..32,
         warmup in 0usize..16,
         payload in proptest::collection::vec(any::<u8>(), 0..64),
@@ -40,16 +40,16 @@ proptest! {
             let _ = process.broadcast(Bytes::new());
         }
         let message = process.broadcast(Bytes::from(payload)).with_epoch(epoch);
-        let back = decode(encode_full(&message)).expect("valid v4 frame must decode");
+        let back = decode(encode_full(&message)).expect("valid epoch frame must decode");
         prop_assert_eq!(back.epoch(), epoch);
         prop_assert_eq!(back.id(), message.id());
         prop_assert_eq!(back.payload(), message.payload());
     }
 
-    /// Truncating a v4 frame anywhere, or appending garbage, never
+    /// Truncating an epoch frame anywhere, or appending garbage, never
     /// panics; only the byte-identical frame may decode.
     #[test]
-    fn v4_truncation_and_padding_never_panic(
+    fn epoch_frame_truncation_and_padding_never_panic(
         sender in 0usize..32,
         warmup in 0usize..16,
         payload in proptest::collection::vec(any::<u8>(), 0..64),
@@ -57,7 +57,7 @@ proptest! {
         cut in any::<usize>(),
         tail in proptest::collection::vec(any::<u8>(), 0..16),
     ) {
-        let bytes = v4_frame(sender, warmup, payload, epoch);
+        let bytes = epoch_frame(sender, warmup, payload, epoch);
         let mut mutated = bytes.to_vec();
         mutated.truncate(1 + cut % mutated.len());
         mutated.extend_from_slice(&tail);

@@ -1,7 +1,7 @@
 //! Property-based tests for the protocol layer.
 
 use bytes::Bytes;
-use pcb_broadcast::{decode, encode, Message, MessageStore, PcbProcess, SyncRequest};
+use pcb_broadcast::{decode, encode_full, Message, MessageStore, PcbProcess, SyncRequest};
 use pcb_clock::{AssignmentPolicy, CausalRelation, KeyAssigner, KeySpace, ProcessId, VectorClock};
 use proptest::prelude::*;
 
@@ -197,7 +197,7 @@ proptest! {
             let _ = p.broadcast(Bytes::new());
         }
         let m = p.broadcast(Bytes::from(payload.clone()));
-        let decoded = decode(encode(&m)).unwrap();
+        let decoded = decode(encode_full(&m)).unwrap();
         prop_assert_eq!(decoded.id(), m.id());
         prop_assert_eq!(decoded.keys(), m.keys());
         prop_assert_eq!(decoded.timestamp(), m.timestamp());

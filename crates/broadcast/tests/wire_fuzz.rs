@@ -6,7 +6,7 @@
 
 use bytes::Bytes;
 use pcb_broadcast::wire::checksum64;
-use pcb_broadcast::{decode, encode, PcbProcess};
+use pcb_broadcast::{decode, encode_full, PcbProcess};
 use pcb_clock::{AssignmentPolicy, KeyAssigner, KeySpace, ProcessId};
 use proptest::prelude::*;
 
@@ -18,7 +18,7 @@ fn frame(sender: usize, warmup: usize, payload: Vec<u8>) -> (Bytes, pcb_broadcas
         let _ = process.broadcast(Bytes::new());
     }
     let m = process.broadcast(Bytes::from(payload));
-    (encode(&m), m.id())
+    (encode_full(&m), m.id())
 }
 
 /// `body` followed by its little-endian digest, as frames, fragments,
@@ -148,8 +148,8 @@ proptest! {
 use std::sync::Arc;
 
 use pcb_broadcast::{
-    decode_snapshot, encode_full, encode_snapshot, DeltaDecoder, DeltaEncoder, Message, MessageId,
-    PcbConfig, PrevEpochSnapshot, ProcessSnapshot, ProcessStats, WireError,
+    decode_snapshot, encode_snapshot, DeltaDecoder, DeltaEncoder, Message, MessageId, PcbConfig,
+    PrevEpochSnapshot, ProcessSnapshot, ProcessStats, WireError,
 };
 use pcb_clock::{ClusterConfig, KeySet, StampPool, Timestamp};
 
@@ -185,8 +185,6 @@ fn golden_messages(epoch: u64) -> Vec<Message<Bytes>> {
     ]
 }
 
-const GOLDEN_V2: &str =
-    "02030208020a000000000000000000000000000000000200ac020002000003706362e4e85834eab27d31";
 const GOLDEN_V3_FULL: &str =
     "0300030208020a000000000000000000000000000000000200ac02000200000370636234dfa12c095823f9";
 /// `DeltaEncoder::new(32)` over the three messages: full, delta, delta.
@@ -195,26 +193,30 @@ const GOLDEN_CHAIN: [&str; 3] = [
     "030103020103010101ac02010103706362774b23b71cc02315",
     "03010303020301010301010100aa1408e2b830bb53",
 ];
-/// The same chain at config epoch 7 (v4 frames).
+/// The same chain at config epoch 7: tags 14 (full) and 15 (delta), each
+/// frame one byte shorter than the retired `04 kind 07` header made it.
 const GOLDEN_CHAIN_EPOCH7: [&str; 3] = [
-    "040007030108020a00000000000000000000000000000000010000000100000161c9024ff1b4e17da4",
-    "04010703020103010101ac020101037063623957de4665b5a4d1",
-    "0401070303020301010301010100f6fe812146ed5365",
+    "030e030108020a000000000000000000000000000000000100000001000001614a9a9d38baf174a5",
+    "030f03020103010101ac020101037063623a514b8a25a35a78",
+    "030f0303020301010301010100128209c79058d3a6",
 ];
-const GOLDEN_SNAPSHOT_V1: &str = "010308020a00000000000000000000000000000007fa010308000300ac02000300010201020204060303000304010002058827020a2702030108020a00000000000000000000000000000000010000000100000161af7b6f21319db860142a02030208020a000000000000000000000000000000000200ac020002000003706362e4e85834eab27d314c031551c9ff287d";
-const GOLDEN_SNAPSHOT_V2: &str = "02030c020a00000000000000000000000000000007fa01030c000300ac0200030001000000000201020204060303000304010002058827020a280300030108020a00000000000000000000000000000000010000000100000161c40f3b1f4c47ad03142c040001030208020a000000000000000000000000000000000200ac020002000003706362dd15944f8bedfa140100010008020a00000000000000000000000000000008000300ac02000300014768d42c35a7c82b";
+/// A mid-reconfiguration snapshot: epoch 1 in force, the epoch-0 drain
+/// state kept, one stored message from each epoch.
+const GOLDEN_SNAPSHOT: &str = "03030c020a00000000000000000000000000000004fa01030c000300ac0200030001000000000201020204060303000304010002058827020a280300030108020a00000000000000000000000000000000010000000100000161c40f3b1f4c47ad03142b0302030208020a000000000000000000000000000000000200ac0200020000037063628085e2f16e4a56a40100010008020a00000000000000000000000000000008000300ac0200030001b3c8059049f1d8f7";
 
-fn golden_snapshots() -> [ProcessSnapshot<Bytes>; 2] {
+fn golden_snapshot() -> ProcessSnapshot<Bytes> {
     let space = KeySpace::new(8, 2).unwrap();
     let keys = KeySet::from_entries(space, &[1, 5]).unwrap();
     let (epoch0, epoch1) = (golden_messages(0), golden_messages(1));
-    let v1 = ProcessSnapshot {
+    let cluster = ClusterConfig::genesis(space).reconfigured(KeySpace::new(12, 2).unwrap());
+    let old_clock = Timestamp::from_entries(vec![0, 3, 0, 300, 0, 3, 0, 1]);
+    ProcessSnapshot {
         id: ProcessId::new(3),
-        keys: keys.clone(),
+        keys: cluster.migrate_keys(&keys).unwrap(),
         config: PcbConfig { recent_window: Some(250), trace_capacity: 0, estimators: false },
-        cluster: ClusterConfig::genesis(space),
-        prev: None,
-        clock: Timestamp::from_entries(vec![0, 3, 0, 300, 0, 3, 0, 1]),
+        cluster,
+        prev: Some(PrevEpochSnapshot { epoch: 0, keys, clock: old_clock }),
+        clock: Timestamp::from_entries(vec![0, 3, 0, 300, 0, 3, 0, 1, 0, 0, 0, 0]),
         seq: 3,
         seen: vec![(ProcessId::new(1), 2, vec![4, 6]), (ProcessId::new(3), 3, vec![])],
         stats: ProcessStats {
@@ -226,18 +228,8 @@ fn golden_snapshots() -> [ProcessSnapshot<Bytes>; 2] {
             max_pending: 5,
         },
         store_window: 5000,
-        store: vec![(10, epoch0[0].clone()), (20, epoch0[1].clone())],
-    };
-    let cluster = ClusterConfig::genesis(space).reconfigured(KeySpace::new(12, 2).unwrap());
-    let v2 = ProcessSnapshot {
-        keys: cluster.migrate_keys(&keys).unwrap(),
-        cluster,
-        clock: Timestamp::from_entries(vec![0, 3, 0, 300, 0, 3, 0, 1, 0, 0, 0, 0]),
-        prev: Some(PrevEpochSnapshot { epoch: 0, keys, clock: v1.clock.clone() }),
         store: vec![(10, epoch0[0].clone()), (20, epoch1[1].clone())],
-        ..v1.clone()
-    };
-    [v1, v2]
+    }
 }
 
 fn assert_is(got: &Message<Bytes>, want: &Message<Bytes>) {
@@ -248,16 +240,16 @@ fn assert_is(got: &Message<Bytes>, want: &Message<Bytes>) {
     assert_eq!(got.payload(), want.payload());
 }
 
-/// Bytes → message, pinned with the codec of the commit before the slice
-/// cursor (it produced every constant above and below, and every result
-/// asserted here): the encoders still emit exactly these bytes, and the
-/// decoders still read them — honest or forged — exactly as it did.
+/// Bytes → message. `GOLDEN_V3_FULL`, `GOLDEN_CHAIN` and every forged
+/// answer below were pinned with the codec of the commit before the slice
+/// cursor, and epoch-0 frames have not changed a byte since; the epoch-7
+/// chain and the snapshot were regenerated when each artefact went down
+/// to one format. The encoders emit exactly these bytes, and the decoders
+/// read them — honest or forged — exactly as pinned.
 #[test]
 fn golden_frames_encode_and_decode_as_before_the_cursor() {
     let plain = golden_messages(0);
-    assert_eq!(encode(&plain[1]), unhex(GOLDEN_V2));
     assert_eq!(encode_full(&plain[1]), unhex(GOLDEN_V3_FULL));
-    assert_is(&decode(unhex(GOLDEN_V2)).unwrap(), &plain[1]);
     assert_is(&decode(unhex(GOLDEN_V3_FULL)).unwrap(), &plain[1]);
     for (epoch, chain) in [(0, GOLDEN_CHAIN), (7, GOLDEN_CHAIN_EPOCH7)] {
         let messages = golden_messages(epoch);
@@ -309,36 +301,31 @@ fn golden_frames_encode_and_decode_as_before_the_cursor() {
     let trailing = [&full[..full.len() - 8], &[0xde, 0xad]].concat();
     assert_is(&decode(resealed(&trailing)).unwrap(), &plain[1]);
 
-    for (snapshot, blob) in golden_snapshots().iter().zip([GOLDEN_SNAPSHOT_V1, GOLDEN_SNAPSHOT_V2])
-    {
-        assert_eq!(encode_snapshot(snapshot), unhex(blob));
-        let back = decode_snapshot(unhex(blob)).unwrap();
-        assert_eq!(
-            (back.id, &back.keys, &back.config, back.cluster, &back.prev, &back.clock, back.seq),
-            (
-                snapshot.id,
-                &snapshot.keys,
-                &snapshot.config,
-                snapshot.cluster,
-                &snapshot.prev,
-                &snapshot.clock,
-                snapshot.seq
-            )
-        );
-        assert_eq!(
-            (&back.seen, back.stats, back.store_window),
-            (&snapshot.seen, snapshot.stats, 5000)
-        );
-        assert_eq!(back.store.len(), snapshot.store.len());
-        for ((at, got), (want_at, want)) in back.store.iter().zip(&snapshot.store) {
-            assert_eq!(at, want_at);
-            assert_is(got, want);
-        }
+    let snapshot = golden_snapshot();
+    assert_eq!(encode_snapshot(&snapshot), unhex(GOLDEN_SNAPSHOT));
+    let back = decode_snapshot(unhex(GOLDEN_SNAPSHOT)).unwrap();
+    assert_eq!(
+        (back.id, &back.keys, &back.config, back.cluster, &back.prev, &back.clock, back.seq),
+        (
+            snapshot.id,
+            &snapshot.keys,
+            &snapshot.config,
+            snapshot.cluster,
+            &snapshot.prev,
+            &snapshot.clock,
+            snapshot.seq
+        )
+    );
+    assert_eq!((&back.seen, back.stats, back.store_window), (&snapshot.seen, snapshot.stats, 5000));
+    assert_eq!(back.store.len(), snapshot.store.len());
+    for ((at, got), (want_at, want)) in back.store.iter().zip(&snapshot.store) {
+        assert_eq!(at, want_at);
+        assert_is(got, want);
     }
 }
 
-/// A chain of `count` frames from one sender at `epoch` (v3 at 0, v4
-/// above), the first full and the rest deltas, with its messages.
+/// A chain of `count` frames from one sender at `epoch`, the first full
+/// and the rest deltas, with its messages.
 fn chain(sender: usize, count: usize, epoch: u64, payload: &[u8]) -> Vec<(Message<Bytes>, Bytes)> {
     let space = KeySpace::new(32, 3).unwrap();
     let mut assigner = KeyAssigner::new(space, AssignmentPolicy::UniformRandom, sender as u64 + 1);
@@ -374,7 +361,7 @@ fn damaged(body: &[u8], xor: u8) -> Vec<Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Full, delta and v4 frames, damaged behind a valid checksum:
+    /// Full and delta frames at epoch 0 and above, damaged behind a valid checksum:
     /// decoding is total; a refusal leaves the decoder's reconstruction
     /// state as it was and hands the stamp it drew back to the pool; an
     /// acceptance has the stamp length of the space and a payload that
@@ -383,7 +370,7 @@ proptest! {
     fn resealed_damage_meets_the_cursors_own_bounds(
         sender in 0usize..40,
         length in 2usize..6,
-        // Half the cases at epoch 0 (v3 frames), half above (v4).
+        // Half the cases at epoch 0 (one-byte tags), half above.
         epoch in (0u64..600).prop_map(|pick| pick.saturating_sub(300)),
         payload in proptest::collection::vec(any::<u8>(), 0..24),
         xor in 1u8..=255,
@@ -432,15 +419,13 @@ proptest! {
         }
     }
 
-    /// Both snapshot formats, damaged behind a valid checksum: total.
+    /// The snapshot, damaged behind a valid checksum: total.
     #[test]
     fn resealed_snapshot_damage_is_refused_or_read_never_a_panic(xor in 1u8..=255) {
-        for blob in [GOLDEN_SNAPSHOT_V1, GOLDEN_SNAPSHOT_V2] {
-            let blob = unhex(blob);
-            for bad in damaged(&blob[..blob.len() - 8], xor) {
-                if let Ok(snapshot) = decode_snapshot(resealed(&bad)) {
-                    prop_assert!(snapshot.store.len() <= 2, "a count the input never paid for");
-                }
+        let blob = unhex(GOLDEN_SNAPSHOT);
+        for bad in damaged(&blob[..blob.len() - 8], xor) {
+            if let Ok(snapshot) = decode_snapshot(resealed(&bad)) {
+                prop_assert!(snapshot.store.len() <= 2, "a count the input never paid for");
             }
         }
     }

@@ -82,7 +82,7 @@ pub struct KeySpace {
 impl KeySpace {
     /// Architectural upper bound on `R`. The unranking path builds an
     /// `O(R²)` Pascal table, so `R` must be bounded for untrusted wire
-    /// bytes (join grants, v4 frames, replay steps) to be safe to
+    /// bytes (join grants, wire frames, replay steps) to be safe to
     /// decode: a forged multi-billion `R` would otherwise abort the
     /// process on table allocation. 2048 is an order of magnitude above
     /// every configuration in the paper's regime (`R ≈ 100`) and every

@@ -23,7 +23,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use pcb_runtime::json::{self, Value};
+use pcb_telemetry::json::{self, Value};
 
 const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 

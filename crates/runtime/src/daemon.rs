@@ -49,10 +49,10 @@ use pcb_sim::export::{
     encode_join_grant, encode_step, message_from_bytes, message_to_bytes, snapshot_from_wire,
     snapshot_to_wire, ExportError, NodeSpec,
 };
+use pcb_telemetry::json::{self, Value};
 use pcb_telemetry::prom::{PromWriter, Row, RowKind};
 use pcb_telemetry::{write_stamped, EntryHeatmap, StampedRecord};
 
-use crate::json::{self, Value};
 use crate::udp::{UdpConfig, UdpEvent, UdpTransport};
 
 /// How the daemon runs: a live cluster member or a certification replica.
@@ -806,15 +806,7 @@ impl Daemon {
                     let payload = *d.message.payload();
                     let digest = (d.message.id(), d.instant_alert, d.recent_alert, payload);
                     self.delivered_log.push(digest);
-                    let event = Value::object([
-                        ("event", Value::from("deliver")),
-                        ("sender", Value::from(d.message.id().sender().index() as u64)),
-                        ("seq", Value::from(d.message.id().seq())),
-                        ("payload", Value::from(payload)),
-                        ("instant", Value::from(d.instant_alert)),
-                        ("recent", Value::from(d.recent_alert)),
-                    ]);
-                    self.event_queue.push(event.to_json());
+                    self.event_queue.push(deliver_event(digest).to_json());
                 }
                 Output::SendFrame(message) => {
                     let wall = self.wall_us();
@@ -904,38 +896,14 @@ impl Daemon {
                 conn.subscribed = true;
                 // Replay the backlog so late subscribers still see the
                 // node's full delivery stream.
-                for (id, instant, recent, payload) in self.delivered_log.clone() {
-                    let event = Value::object([
-                        ("event", Value::from("deliver")),
-                        ("sender", Value::from(id.sender().index() as u64)),
-                        ("seq", Value::from(id.seq())),
-                        ("payload", Value::from(payload)),
-                        ("instant", Value::from(instant)),
-                        ("recent", Value::from(recent)),
-                    ]);
-                    conn.push_line(&event.to_json());
+                for &digest in &self.delivered_log {
+                    conn.push_line(&deliver_event(digest).to_json());
                 }
                 Value::object([("ok", Value::from(true)), ("subscribed", Value::from(true))])
             }
             "status" => {
                 let (rows, heatmap) = self.report();
-                let mut fields = vec![
-                    ("ok", Value::from(true)),
-                    ("node", Value::from(self.spec.node)),
-                    ("n", Value::from(self.spec.n)),
-                ];
-                fields.extend(rows.iter().map(|row| match row.kind {
-                    RowKind::Flag => (row.name, Value::from(row.value != 0.0)),
-                    RowKind::Counter | RowKind::Gauge => (row.name, Value::Number(row.value)),
-                }));
-                if let Some(heatmap) = &heatmap {
-                    fields.push(("heatmap_r", Value::from(heatmap.r())));
-                    fields.push((
-                        "heatmap_hits",
-                        Value::Array(heatmap.hits().iter().map(|&h| Value::from(h)).collect()),
-                    ));
-                }
-                Value::object(fields)
+                status_reply(self.spec.node, self.spec.n, &rows, heatmap.as_ref())
             }
             "crash" => {
                 self.apply_live(Input::Crash);
@@ -1094,6 +1062,36 @@ impl Daemon {
     }
 }
 
+/// One line of the `subscribe` stream.
+fn deliver_event((id, instant, recent, payload): (MessageId, bool, bool, u32)) -> Value {
+    Value::object([
+        ("event", Value::from("deliver")),
+        ("sender", Value::from(id.sender().index() as u64)),
+        ("seq", Value::from(id.seq())),
+        ("payload", Value::from(payload)),
+        ("instant", Value::from(instant)),
+        ("recent", Value::from(recent)),
+    ])
+}
+
+/// The `status` reply: one key per report row, plus the heatmap.
+fn status_reply(node: u32, n: u32, rows: &[Row], heatmap: Option<&EntryHeatmap>) -> Value {
+    let mut fields =
+        vec![("ok", Value::from(true)), ("node", Value::from(node)), ("n", Value::from(n))];
+    fields.extend(rows.iter().map(|row| match row.kind {
+        RowKind::Flag => (row.name, Value::from(row.value != 0.0)),
+        RowKind::Counter | RowKind::Gauge => (row.name, Value::Number(row.value)),
+    }));
+    if let Some(heatmap) = heatmap {
+        fields.push(("heatmap_r", Value::from(heatmap.r())));
+        fields.push((
+            "heatmap_hits",
+            Value::Array(heatmap.hits().iter().map(|&h| Value::from(h)).collect()),
+        ));
+    }
+    Value::object(fields)
+}
+
 fn rpc_error(message: &str) -> Value {
     Value::object([("ok", Value::from(false)), ("error", Value::from(message))])
 }
@@ -1106,11 +1104,13 @@ fn to_hex(bytes: &[u8]) -> String {
     out
 }
 
+/// Hex digits only, in pairs: `u8::from_str_radix` would also take a
+/// sign, reading `+f` as 0x0f.
 fn from_hex(text: &str) -> Option<Vec<u8>> {
-    if !text.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..text.len()).step_by(2).map(|i| u8::from_str_radix(text.get(i..i + 2)?, 16).ok()).collect()
+    let nibbles: Vec<u8> =
+        text.chars().map(|c| c.to_digit(16).map(|d| d as u8)).collect::<Option<_>>()?;
+    let pairs = nibbles.chunks_exact(2);
+    pairs.remainder().is_empty().then(|| pairs.map(|p| p[0] << 4 | p[1]).collect())
 }
 
 /// One RPC client connection: buffered reads, line framing, buffered
@@ -1293,6 +1293,68 @@ mod tests {
         // `listen.txt` is written right after the UDP bind.
         assert!(!dir.join("listen.txt").exists(), "refused before any socket was bound");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A version-1 snapshot blob (wire-v2 frames, no cluster tail), as the
+    /// codec before the single blob format wrote it.
+    const SNAPSHOT_V1: &str = "010308020a00000000000000000000000000000007fa010308000300ac02000300010201020204060303000304010002058827020a2702030108020a00000000000000000000000000000000010000000100000161af7b6f21319db860142a02030208020a000000000000000000000000000000000200ac020002000003706362e4e85834eab27d314c031551c9ff287d";
+
+    #[test]
+    fn resume_refuses_an_old_format_snapshot_by_name() {
+        let dir = temp_dir("snapshot-v1");
+        save_spec(&dir, &sample_spec()).unwrap();
+        std::fs::write(dir.join("snapshot.bin"), from_hex(SNAPSHOT_V1).unwrap()).unwrap();
+        let refused = load_snapshot(&dir).unwrap_err();
+        assert_eq!(refused.kind(), ErrorKind::InvalidData);
+        let why = refused.to_string();
+        assert!(why.contains("snapshot.bin") && why.contains("version 1"), "{why}");
+        let mut opts = DaemonOptions::new(dir.clone(), "127.0.0.1:0".parse().unwrap(), Mode::Live);
+        opts.resume = true;
+        let refused = run(opts).expect_err("an old-format snapshot must not boot from genesis");
+        assert_eq!(refused.to_string(), why);
+        assert!(!dir.join("listen.txt").exists(), "refused before any socket was bound");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hex_payloads_take_digit_pairs_only() {
+        assert_eq!(from_hex("00ff7A"), Some(vec![0x00, 0xff, 0x7a]));
+        assert_eq!(from_hex(""), Some(vec![]));
+        for bad in ["+f", "-1", " 1", "abc", "0g", "é0"] {
+            assert_eq!(from_hex(bad), None, "{bad:?}");
+        }
+        assert_eq!(from_hex(&to_hex(&[1, 2, 254])), Some(vec![1, 2, 254]));
+    }
+
+    #[test]
+    fn every_line_the_daemon_emits_is_json() {
+        let spec = sample_spec();
+        let config = PcbConfig { estimators: true, ..spec.pcb_config.clone() };
+        let mut ep = Endpoint::new(ProcessId::new(2), spec.keys.clone(), config, Some(spec.timing));
+        let _ = ep.handle(Input::Broadcast(7), 1_000);
+        let status = ep.status();
+        let mut rows = status.rows();
+        rows.extend(crate::udp::UdpStats::default().rows());
+        let heatmap = status.heatmap.as_ref();
+        assert!(heatmap.is_some(), "estimators on: the reply carries the heatmap");
+        let id = MessageId::new(ProcessId::new(u32::MAX as usize), 1 << 53);
+        let record = pcb_telemetry::TraceRecord {
+            time: 1 << 52,
+            node: 2,
+            event: pcb_telemetry::TraceEvent::Received { sender: 1, seq: 9 },
+        };
+        let trace = write_stamped(&StampedRecord { incarnation: 4, lsn: 11, record });
+        let replies = [
+            status_reply(2, 5, &rows, heatmap),
+            deliver_event((id, true, false, u32::MAX)),
+            rpc_error("unknown op \"\\u+041\"\n\u{1}"),
+            Value::object([("ok", Value::from(true)), ("grant", Value::from("00ff"))]),
+        ];
+        for reply in replies {
+            let line = reply.to_json();
+            assert_eq!(json::parse(&line).as_ref(), Ok(&reply), "{line}");
+        }
+        assert!(matches!(json::parse(&trace), Ok(Value::Object(_))), "{trace}");
     }
 
     #[test]

@@ -25,7 +25,6 @@
 pub mod certify;
 pub mod cluster;
 pub mod daemon;
-pub mod json;
 pub mod loopback;
 pub mod node;
 pub mod shim;
@@ -43,3 +42,5 @@ pub use udp::{UdpConfig, UdpEvent, UdpStats, UdpTransport};
 // fault-controller thread in wall-clock time.
 pub use pcb_sim::{FaultEvent, FaultKind, FaultPlan, LinkFaults};
 pub use transport::LatencyModel;
+// `ledger/` names this path; the codec itself is `pcb_telemetry::json`.
+pub use pcb_telemetry::json;

@@ -25,9 +25,9 @@ use std::time::{Duration, Instant};
 use pcb_broadcast::{PcbConfig, RecoveryTimingUs};
 use pcb_clock::{KeySet, KeySpace};
 use pcb_runtime::daemon::save_spec;
-use pcb_runtime::json::{self, Value};
 use pcb_sim::export::NodeSpec;
 use pcb_sim::StreamOracle;
+use pcb_telemetry::json::{self, Value};
 
 const N: usize = 3;
 /// Messages published per node; 1000 total.

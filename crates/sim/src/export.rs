@@ -14,8 +14,8 @@
 //!   per-node order is the only order the replay must preserve, and the
 //!   driver can pipeline nodes independently.
 //! * [`encode_step`]/[`decode_step`] give each `(now_us, Input)` a
-//!   self-contained byte form. Messages travel as standalone wire-v3
-//!   full frames ([`pcb_broadcast::wire`]), so the daemon reconstructs
+//!   self-contained byte form. Messages travel as standalone full wire
+//!   frames ([`pcb_broadcast::wire`]), so the daemon reconstructs
 //!   bit-identical stamps, key sets, and payloads from bytes alone.
 //! * [`encode_node_spec`]/[`decode_node_spec`] carry the constructor
 //!   arguments (keys, protocol config, recovery timing) to a process
@@ -201,7 +201,7 @@ pub fn message_from_bytes(message: Message<Bytes>) -> Result<Message<u32>, Expor
     Ok(message.map(move |_| u32::from_be_bytes(payload)))
 }
 
-/// Encodes a replayed message as a standalone wire-v3 full frame.
+/// Encodes a replayed message as a standalone full wire frame.
 #[must_use]
 pub fn message_to_wire(message: &Message<u32>) -> Bytes {
     wire::encode_full(&message_to_bytes(message))
@@ -303,8 +303,13 @@ fn put_config(out: &mut Vec<u8>, config: &ClusterConfig) {
     out.push(config.policy.wire_code());
 }
 
+/// Reads a cluster configuration. An epoch of 2⁶³ or more is refused:
+/// wire frames carry it as `epoch · 2 + kind` in a `u64`.
 fn read_config(r: &mut Reader<'_>) -> Result<ClusterConfig, ExportError> {
     let epoch = r.u64()?;
+    if epoch >= 1 << 63 {
+        return Err(ExportError::BadKind(STEP_RECONFIGURE));
+    }
     let space = KeySpace::new(r.u32()? as usize, r.u32()? as usize)
         .map_err(|_| ExportError::BadKind(STEP_RECONFIGURE))?;
     let policy =
@@ -710,6 +715,18 @@ mod tests {
         let mut bad = bytes.clone();
         bad[8] = 99; // unknown kind
         assert!(matches!(decode_step(&bad), Err(ExportError::BadKind(99))));
+    }
+
+    #[test]
+    fn config_epochs_a_frame_tag_cannot_carry_are_refused() {
+        let genesis = ClusterConfig::genesis(KeySpace::new(8, 2).unwrap());
+        for (epoch, fits) in [((1 << 63) - 1, true), (1 << 63, false), (u64::MAX, false)] {
+            let step = encode_step(1, &Input::Reconfigure(ClusterConfig { epoch, ..genesis }));
+            match decode_step(&step) {
+                Ok((_, Input::Reconfigure(back))) => assert!(fits && back.epoch == epoch),
+                other => assert!(!fits && matches!(other, Err(ExportError::BadKind(_))), "{epoch}"),
+            }
+        }
     }
 
     #[test]

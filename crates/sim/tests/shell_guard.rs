@@ -13,6 +13,11 @@
 //! (`pcb-broadcast`, `pcb-clock`) own no threads or channels, so a
 //! worker pool cannot grow back beside the one sequential ingest path.
 //! (Independent sweep points still parallelise in `sim::pool`.)
+//!
+//! A third rule keeps one codec per artefact: one JSON parser
+//! (`pcb_telemetry::json`), one LEB128 reader (`pcb_broadcast::wire`),
+//! and one format version each for wire frames and snapshots, so a
+//! second format cannot return unnoticed.
 
 use std::fs;
 use std::path::Path;
@@ -110,6 +115,97 @@ fn sans_io_crates_own_no_threads_or_channels() {
         offences.is_empty(),
         "a sans-IO crate mentions threads or channels — one node scales by one \
          endpoint per core, run by its shell:\n{}",
+        offences.join("\n")
+    );
+}
+
+/// Every `.rs` file under `crates/*/src`, recursively, as
+/// `(path relative to crates/, text)`.
+fn workspace_sources() -> Vec<(String, String)> {
+    fn walk(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut paths = Vec::new();
+    for krate in fs::read_dir(&crates).expect("read crates/") {
+        let src = krate.expect("dir entry").path().join("src");
+        if src.is_dir() {
+            walk(&src, &mut paths);
+        }
+    }
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|path| {
+            let rel = path.strip_prefix(&crates).expect("under crates/").display().to_string();
+            (rel, fs::read_to_string(&path).expect("read source"))
+        })
+        .collect()
+}
+
+/// Whether `line` masks a byte's seven value bits — the heart of any
+/// LEB128 reader (`& 0x7f`, not `& 0x7ff`).
+fn masks_seven_bits(line: &str) -> bool {
+    let line = line.to_ascii_lowercase();
+    line.match_indices("& 0x7f").any(|(at, token)| {
+        !line[at + token.len()..].starts_with(|c: char| c.is_ascii_hexdigit() || c == '_')
+    })
+}
+
+#[test]
+fn one_codec_per_artefact() {
+    let sources = workspace_sources();
+    let mut offences = Vec::new();
+    let mut seen = (false, false);
+    for (path, text) in &sources {
+        let (json, leb) = (path == "telemetry/src/json.rs", path == "broadcast/src/wire.rs");
+        for (lineno, line) in text.lines().enumerate() {
+            // A JSON parser dispatches on the byte (or char) that opens an object.
+            if line.contains("b'{'") || line.contains("'{' =>") {
+                seen.0 |= json;
+                if !json {
+                    offences.push(format!(
+                        "{path}:{}: a second JSON parser: {}",
+                        lineno + 1,
+                        line.trim()
+                    ));
+                }
+            }
+            if masks_seven_bits(line) {
+                seen.1 |= leb;
+                if !leb {
+                    offences.push(format!(
+                        "{path}:{}: a second LEB128 reader: {}",
+                        lineno + 1,
+                        line.trim()
+                    ));
+                }
+            }
+        }
+    }
+    assert!(seen.0 && seen.1, "the guard no longer finds the one JSON parser or LEB128 reader");
+    for file in ["broadcast/src/wire.rs", "broadcast/src/snapshot.rs"] {
+        let (_, text) = sources.iter().find(|(path, _)| path == file).expect("codec source");
+        let versions: Vec<&str> = text
+            .lines()
+            .map(|l| l.trim_start().trim_start_matches("pub(crate) ").trim_start_matches("pub "))
+            .filter(|l| l.starts_with("const ") && l.contains("VERSION"))
+            .collect();
+        if versions.len() != 1 {
+            offences.push(format!("{file}: {} version constants: {versions:?}", versions.len()));
+        }
+    }
+    assert!(
+        offences.is_empty(),
+        "one codec per artefact — decode through pcb_telemetry::json and \
+         pcb_broadcast::wire::take_uvar, and give each format one version:\n{}",
         offences.join("\n")
     );
 }

@@ -6,14 +6,21 @@
 //! {"time":2000,"node":1,"event":"Parked","sender":0,"seq":2,"entry":4,"threshold":2}
 //! ```
 //!
-//! The parser accepts the subset of JSON this writer produces — objects,
-//! arrays, strings with simple escapes, booleans, `null`, and
-//! *non-negative integers* (trace values are all unsigned; floats would
-//! silently lose `u64` precision, so they are rejected instead).
+//! Lines are read with the workspace's one JSON reader, [`crate::json`],
+//! and every integer field through [`Value::as_u64`]. Against the
+//! trace-only parser this module used to carry, that changes two
+//! answers:
+//!
+//! * an integer field now accepts an integral number written as a float
+//!   (`1.0` reads as 1);
+//! * an integer field now refuses values above 2⁵³, the last integer an
+//!   `f64` holds exactly, instead of reading any `u64`. Real traces stay
+//!   far below it (microsecond times, counters, sequence numbers).
 
 use std::fmt::Write as _;
 
 use crate::event::{TraceEvent, TraceRecord};
+use crate::json::{self, Value};
 
 /// A parse failure: the offending line (1-based) and what went wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,238 +114,46 @@ pub fn write_jsonl(records: &[TraceRecord]) -> String {
     s
 }
 
-// --- Minimal JSON value parser -----------------------------------------
-
-/// The JSON subset the trace format uses.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
-    Null,
-    Bool(bool),
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-/// Maximum nesting the parser accepts (trace lines nest two deep); a
-/// hostile line cannot recurse the stack away.
-const MAX_DEPTH: usize = 32;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
-        if depth > MAX_DEPTH {
-            return err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c.is_ascii_digit() => self.number(),
-            Some(c) => err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
-            None => err("unexpected end of input"),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
-            return err("floating-point numbers are not part of the trace format");
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        match text.parse::<u64>() {
-            Ok(v) => Ok(Json::Num(v)),
-            Err(_) => err(format!("number out of range at byte {start}")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| ParseError { line: 1, msg: "unterminated escape".into() })?;
-                    self.pos += 1;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        b'b' => '\u{8}',
-                        b'f' => '\u{c}',
-                        other => return err(format!("unsupported escape '\\{}'", other as char)),
-                    });
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences are
-                    // copied verbatim).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| ParseError { line: 1, msg: "invalid UTF-8".into() })?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
 // --- Record reconstruction ---------------------------------------------
 
-pub(crate) fn field<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, ParseError> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| ParseError { line: 1, msg: format!("missing field \"{key}\"") })
-}
-
-pub(crate) fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64, ParseError> {
-    match field(obj, key)? {
-        Json::Num(v) => Ok(*v),
-        _ => err(format!("field \"{key}\" must be an unsigned integer")),
+/// Parses one line into its JSON object (shared with the stamped-record
+/// parser in [`crate::viz`]).
+pub(crate) fn parse_object(line: &str) -> Result<Value, ParseError> {
+    match json::parse(line) {
+        Ok(object @ Value::Object(_)) => Ok(object),
+        Ok(_) => err("a trace line must be a JSON object"),
+        Err(e) => err(e.to_string()),
     }
 }
 
-fn get_u32(obj: &[(String, Json)], key: &str) -> Result<u32, ParseError> {
+fn field<'a>(obj: &'a Value, key: &str) -> Result<&'a Value, ParseError> {
+    obj.get(key).ok_or_else(|| ParseError { line: 1, msg: format!("missing field \"{key}\"") })
+}
+
+fn must_be(key: &str, what: &str) -> ParseError {
+    ParseError { line: 1, msg: format!("field \"{key}\" must be {what}") }
+}
+
+pub(crate) fn get_u64(obj: &Value, key: &str) -> Result<u64, ParseError> {
+    field(obj, key)?.as_u64().ok_or_else(|| must_be(key, "an unsigned integer"))
+}
+
+fn get_u32(obj: &Value, key: &str) -> Result<u32, ParseError> {
     u32::try_from(get_u64(obj, key)?)
         .map_err(|_| ParseError { line: 1, msg: format!("field \"{key}\" exceeds u32") })
 }
 
-fn get_bool(obj: &[(String, Json)], key: &str) -> Result<bool, ParseError> {
-    match field(obj, key)? {
-        Json::Bool(v) => Ok(*v),
-        _ => err(format!("field \"{key}\" must be a boolean")),
-    }
+fn get_bool(obj: &Value, key: &str) -> Result<bool, ParseError> {
+    field(obj, key)?.as_bool().ok_or_else(|| must_be(key, "a boolean"))
 }
 
-fn get_u64_array(obj: &[(String, Json)], key: &str) -> Result<Vec<u64>, ParseError> {
+fn get_u64_array(obj: &Value, key: &str) -> Result<Vec<u64>, ParseError> {
     match field(obj, key)? {
-        Json::Arr(items) => items
+        Value::Array(items) => items
             .iter()
-            .map(|item| match item {
-                Json::Num(v) => Ok(*v),
-                _ => err(format!("field \"{key}\" must hold unsigned integers")),
-            })
+            .map(|item| item.as_u64().ok_or_else(|| must_be(key, "unsigned integers")))
             .collect(),
-        _ => err(format!("field \"{key}\" must be an array")),
-    }
-}
-
-/// Parses one line into its raw key/value fields (shared with the
-/// stamped-record parser in [`crate::viz`]).
-pub(crate) fn parse_object(line: &str) -> Result<Vec<(String, Json)>, ParseError> {
-    let mut p = Parser::new(line);
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return err(format!("trailing garbage at byte {}", p.pos));
-    }
-    match value {
-        Json::Obj(obj) => Ok(obj),
-        _ => err("a trace line must be a JSON object"),
+        _ => Err(must_be(key, "an array")),
     }
 }
 
@@ -348,15 +163,15 @@ pub fn parse_line(line: &str) -> Result<TraceRecord, ParseError> {
     record_from_obj(&obj)
 }
 
-/// Rebuilds a [`TraceRecord`] from parsed fields, ignoring any keys the
+/// Rebuilds a [`TraceRecord`] from a parsed object, ignoring any keys the
 /// event does not use (stamped records carry extra correlation fields).
-pub(crate) fn record_from_obj(obj: &[(String, Json)]) -> Result<TraceRecord, ParseError> {
+pub(crate) fn record_from_obj(obj: &Value) -> Result<TraceRecord, ParseError> {
     let time = get_u64(obj, "time")?;
     let node = get_u32(obj, "node")?;
-    let Json::Str(tag) = field(obj, "event")? else {
-        return err("field \"event\" must be a string");
+    let Some(tag) = field(obj, "event")?.as_str() else {
+        return Err(must_be("event", "a string"));
     };
-    let event = match tag.as_str() {
+    let event = match tag {
         "Sent" => {
             let keys = get_u64_array(obj, "keys")?
                 .into_iter()
@@ -512,9 +327,11 @@ mod tests {
             assert!(e.msg.contains("nesting"), "{}", e.msg);
         }
         // The limit leaves ordinary nesting alone.
-        let nested = format!("{{\"t\":{}{}}}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let nested =
+            format!("{{\"t\":{}{}}}", "[".repeat(json::MAX_DEPTH), "]".repeat(json::MAX_DEPTH));
         assert!(parse_object(&nested).is_ok());
-        let over = format!("{{\"t\":{}{}}}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let over = "[".repeat(json::MAX_DEPTH + 1) + &"]".repeat(json::MAX_DEPTH + 1);
+        let over = format!("{{\"t\":{over}}}");
         assert!(parse_object(&over).is_err());
     }
 
@@ -527,8 +344,32 @@ mod tests {
     }
 
     #[test]
-    fn string_escapes_round_trip() {
-        let mut p = Parser::new(r#""a\"b\\c\nd""#);
-        assert_eq!(p.string().unwrap(), "a\"b\\c\nd");
+    fn integer_fields_read_through_as_u64() {
+        let line = |time: &str| format!(r#"{{"time":{time},"node":0,"event":"SnapshotTaken"}}"#);
+        assert_eq!(parse_line(&line("1.0")).unwrap().time, 1, "an integral float is accepted");
+        assert_eq!(parse_line(&line("9007199254740992")).unwrap().time, 1 << 53);
+        assert!(parse_line(&line("9007199254740994")).is_err(), "above 2^53 is refused");
+    }
+
+    #[test]
+    fn every_line_the_trace_writer_emits_is_json() {
+        let mut records = sample_records();
+        records.push(TraceRecord {
+            time: 1 << 52,
+            node: u32::MAX,
+            event: TraceEvent::Sent {
+                sender: u32::MAX,
+                seq: 1 << 52,
+                keys: vec![],
+                key_vals: vec![],
+            },
+        });
+        for (lsn, record) in records.into_iter().enumerate() {
+            let stamped = crate::viz::StampedRecord { incarnation: 3, lsn: lsn as u64, record };
+            for line in [write_record(&stamped.record), crate::viz::write_stamped(&stamped)] {
+                assert!(matches!(json::parse(&line), Ok(Value::Object(_))), "{line}");
+            }
+            assert_eq!(parse_line(&write_record(&stamped.record)).unwrap(), stamped.record);
+        }
     }
 }

@@ -11,6 +11,8 @@
 //! * [`ring`] — per-node fixed-capacity ring sinks ([`Tracer`]) with a
 //!   compile-time no-op path when the `trace` feature is disabled and a
 //!   single-branch path when disabled at runtime;
+//! * [`json`] — the workspace's one JSON reader/writer (RPC lines,
+//!   trace lines, ledger results);
 //! * [`jsonl`] — dependency-free JSONL serialization and parsing so
 //!   traces survive the process that produced them;
 //! * [`hist`] — log-bucketed, mergeable latency histograms (p50/p90/p99)
@@ -37,6 +39,7 @@ pub mod estimator;
 pub mod event;
 pub mod explain;
 pub mod hist;
+pub mod json;
 pub mod jsonl;
 pub mod prom;
 pub mod ring;

@@ -76,10 +76,10 @@ pub fn write_stamped_jsonl(records: &[StampedRecord]) -> String {
 
 /// Parses one stamped JSONL line.
 pub fn parse_stamped(line: &str) -> Result<StampedRecord, ParseError> {
-    let obj = jsonl::parse_object(line)?;
-    let incarnation = jsonl::get_u64(&obj, "incarnation")?;
-    let lsn = jsonl::get_u64(&obj, "lsn")?;
-    let record = jsonl::record_from_obj(&obj)?;
+    let object = jsonl::parse_object(line)?;
+    let incarnation = jsonl::get_u64(&object, "incarnation")?;
+    let lsn = jsonl::get_u64(&object, "lsn")?;
+    let record = jsonl::record_from_obj(&object)?;
     Ok(StampedRecord { incarnation, lsn, record })
 }
 

@@ -100,7 +100,7 @@ fn wire_codec_roundtrips_through_an_endpoint_conversation() {
     let mut delivered = 0;
     for i in 0..20u8 {
         let m = tx.broadcast(Bytes::from(vec![i; usize::from(i)]));
-        let frame = pcb::broadcast::encode(&m);
+        let frame = pcb::broadcast::encode_full(&m);
         let restored = pcb::broadcast::decode(frame).unwrap();
         delivered += rx.on_receive(restored, u64::from(i)).len();
     }
