@@ -9,6 +9,12 @@
 //! The datagrams are forged here from the layout `runtime::udp`
 //! documents, not with its builders, so the documentation is under test
 //! too.
+//!
+//! One frame a daemon reads off that transport is a peer's row of the
+//! stability matrix, `5 | uvar n | n × uvar`. Its decoding is total and
+//! held to the same ceiling; a decoded row counts only with one entry per
+//! member, and a merged row never lowers an entry, of the matrix or of
+//! the frontier it sets.
 
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, UdpSocket};
 
@@ -16,6 +22,7 @@ use bytes::Bytes;
 use pcb_bench::alloc::{counted, CountingAlloc};
 use pcb_broadcast::fragment;
 use pcb_broadcast::wire::checksum64;
+use pcb_runtime::daemon::{decode_msg, DaemonMsg, StabilityRows};
 use pcb_runtime::{UdpConfig, UdpEvent, UdpTransport};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -179,6 +186,66 @@ fn hostile(rng: &mut StdRng) -> Vec<u8> {
     raw
 }
 
+/// The daemon's row frame kind.
+const MSG_ROW: u8 = 5;
+/// Members of the cluster the forged rows are merged into.
+const MEMBERS: usize = 3;
+
+/// A row frame whose count may lie about its entries, then truncated, a
+/// bit flipped, or trailed by bytes nobody asked for.
+fn hostile_row(rng: &mut StdRng) -> Vec<u8> {
+    let entries = if rng.random_bool(0.5) { MEMBERS } else { rng.random_range(0..6usize) };
+    let mut raw = vec![MSG_ROW];
+    uvar(&mut raw, if rng.random_bool(0.8) { entries as u64 } else { number(rng) });
+    for _ in 0..entries {
+        uvar(&mut raw, number(rng));
+    }
+    match rng.random_range(0..4u32) {
+        0 => {}
+        1 => raw.truncate(rng.random_range(0..=raw.len())),
+        2 => {
+            let at = rng.random_range(0..raw.len());
+            raw[at] ^= 1 << rng.random_range(0..8u32);
+        }
+        _ => raw.extend(bytes(rng, 8)),
+    }
+    raw
+}
+
+/// Decodes `raw` with the counter armed and, if it is a row, merges it
+/// as a member drawn at random (or one past the last): refused unless it
+/// has one entry per member, and never lowering an entry.
+fn row_within_ceiling(
+    rows: &mut StabilityRows,
+    raw: &[u8],
+    rng: &mut StdRng,
+) -> Result<(), String> {
+    let frame = Bytes::from(raw.to_vec());
+    let (_, claimed, decoded) = counted(|| decode_msg(&frame));
+    let ceiling = CEILING_PER_BYTE * raw.len() as u64 + CEILING_FLAT;
+    if claimed > ceiling {
+        return Err(format!("a {}-byte row allocated {claimed} B: {raw:?}", raw.len()));
+    }
+    let Ok(DaemonMsg::Row(row)) = decoded else { return Ok(()) };
+    let member = rng.random_range(0..=MEMBERS);
+    let (before, frontier) = (rows.clone(), rows.frontier());
+    let accepted = rows.merge(member, &row);
+    if accepted != (member < MEMBERS && row.len() == MEMBERS) {
+        return Err(format!("member {member} row {row:?}: accepted = {accepted}"));
+    }
+    let rose = |old: &[u64], new: &[u64]| old.iter().zip(new).all(|(o, n)| n >= o);
+    for m in 0..MEMBERS {
+        let (old, new) = (before.row(m).expect("member"), rows.row(m).expect("member"));
+        if !rose(old, new) || (m != member && old != new) {
+            return Err(format!("row {m} went {old:?} -> {new:?} merging {row:?} as {member}"));
+        }
+    }
+    if !rose(&frontier, &rows.frontier()) {
+        return Err(format!("frontier fell: {frontier:?} -> {:?}", rows.frontier()));
+    }
+    Ok(())
+}
+
 /// Sends `raw` from `from` and polls the victim once with the counter
 /// armed. Loopback queues the datagram inside `send_to`, so one poll
 /// reads it.
@@ -276,5 +343,12 @@ proptest! {
             }
         }
         prop_assert!(seen, "an honest frame no longer gets through");
+
+        let mut rows = StabilityRows::new(MEMBERS);
+        for _ in 0..16 {
+            let raw = hostile_row(&mut rng);
+            let verdict = row_within_ceiling(&mut rows, &raw, &mut rng);
+            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
     }
 }

@@ -15,6 +15,9 @@ use rand::{RngExt, SeedableRng};
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// The step tag of [`Input::StableFrontier`].
+const STEP_STABLE_FRONTIER: u8 = 10;
+
 /// Heap bytes a decode may claim per input byte, plus a flat allowance.
 /// An honest step decodes into a few times its size (varint stamps widen
 /// to `u64`s, every message owns its key set); a forged count under the
@@ -60,17 +63,20 @@ fn windows(rng: &mut StdRng) -> SeenWindows {
         .collect()
 }
 
-/// A well-formed sync request or response, then damaged: left alone,
-/// truncated, a bit flipped, or four bytes overwritten with `0xff` —
-/// wherever that lands on a count, it announces four billion elements.
+/// A well-formed sync request, sync response or stability frontier,
+/// then damaged: left alone, truncated, a bit flipped, or four bytes
+/// overwritten with `0xff` — wherever that lands on a count, it announces
+/// four billion elements.
 fn hostile_step(rng: &mut StdRng) -> Vec<u8> {
-    let input = if rng.random_bool(0.5) {
-        Input::SyncRequest { from: ProcessId::new(1), windows: windows(rng) }
-    } else {
-        Input::SyncResponse {
+    let input = match rng.random_range(0..3u32) {
+        0 => Input::SyncRequest { from: ProcessId::new(1), windows: windows(rng) },
+        1 => Input::SyncResponse {
             messages: messages(rng.random_range(0..4usize)),
             config: ClusterConfig::genesis(space()),
-        }
+        },
+        _ => Input::StableFrontier(
+            (0..rng.random_range(0..6usize)).map(|_| rng.random_range(0..1_000u64)).collect(),
+        ),
     };
     let mut bytes = encode_step(rng.random_range(0..1_000_000u64), &input);
     match rng.random_range(0..4u32) {
@@ -88,8 +94,8 @@ fn hostile_step(rng: &mut StdRng) -> Vec<u8> {
     bytes
 }
 
-/// A sync request (17 bytes) or response (30) whose count field says
-/// `u32::MAX` with nothing behind it.
+/// A sync request (17 bytes), response (30) or stability frontier (13)
+/// whose count field says `u32::MAX` with nothing behind it.
 fn forged_count(input: &Input<u32>) -> Vec<u8> {
     let mut bytes = encode_step(0, input);
     let at = bytes.len() - 4;
@@ -119,15 +125,18 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut noise: Vec<u8> =
             (0..rng.random_range(0..200usize)).map(|_| rng.random_range(0..=u8::MAX)).collect();
-        // Steer a share of the noise into the two arms that read a count.
+        // Steer a share of the noise into the three arms that read a count.
         if noise.len() > 8 && rng.random_bool(0.5) {
-            noise[8] = rng.random_range(1..=2u8);
+            noise[8] = [1, 2, STEP_STABLE_FRONTIER][rng.random_range(0..3usize)];
         }
         let request = Input::SyncRequest { from: ProcessId::new(0), windows: vec![] };
         let response =
             Input::SyncResponse { messages: vec![], config: ClusterConfig::genesis(space()) };
-        let forged = [forged_count(&request), forged_count(&response)];
+        let frontier = Input::StableFrontier(vec![]);
+        let forged = [forged_count(&request), forged_count(&response), forged_count(&frontier)];
         prop_assert_eq!(forged[0].len(), 17);
+        prop_assert_eq!(forged[2].len(), 13);
+        prop_assert_eq!(forged[2][8], STEP_STABLE_FRONTIER);
         for bytes in &forged {
             prop_assert!(decode_step(bytes).is_err());
         }

@@ -71,7 +71,7 @@ use crate::dedup::SeenWindows;
 use crate::message::Message;
 use crate::pending::WakeupStats;
 use crate::process::{Delivery, PcbConfig, PcbProcess, ProcessStats};
-use crate::recovery::{Counters, MessageStore, SyncRequest};
+use crate::recovery::{is_stable, Counters, MessageStore, SyncRequest};
 use crate::snapshot::{PrevEpochSnapshot, ProcessSnapshot};
 use crate::wire::WireError;
 
@@ -165,6 +165,16 @@ pub enum Input<P> {
     /// and step codecs as every other stimulus (boxed: a grant embeds a
     /// full state-transfer snapshot).
     Join(Box<JoinGrant<P>>),
+    /// The durable stability frontier, indexed by sender: every member
+    /// has delivered that sender's messages up to this sequence number
+    /// *and* cut a snapshot that says so, so none of them can ever ask
+    /// for those messages again. They leave the store and the stable
+    /// snapshot's copy of it ([`MessageStore::prune`]); the store's time
+    /// window stays the fallback for a member that stopped reporting. A
+    /// frontier never falls: an entry below the one held is ignored. A
+    /// shell that cannot vouch for every member's durability never sends
+    /// this (the simulator does not).
+    StableFrontier(Vec<u64>),
 }
 
 /// Everything an endpoint wants *done*. Pure data — the shell routes
@@ -334,6 +344,12 @@ pub struct EndpointStatus {
     pub recommended_k: u32,
     /// Per-clock-entry collision heatmap, when estimators are enabled.
     pub heatmap: Option<pcb_telemetry::EntryHeatmap>,
+    /// Messages the anti-entropy store holds.
+    pub store_retained: usize,
+    /// Messages this endpoint has seen (own sends included) that the
+    /// stability frontier does not cover yet — what a frontier-driven
+    /// store still has to hold.
+    pub frontier_lag: u64,
 }
 
 impl EndpointStatus {
@@ -376,6 +392,8 @@ impl EndpointStatus {
             predicted_p_error,
             recommended_k,
             heatmap: _, // per-slot array; sinks render it in their own shape
+            store_retained,
+            frontier_lag,
         } = *self;
         let alert_rate = if delivered > 0 { instant_alerts as f64 / delivered as f64 } else { 0.0 };
         vec![
@@ -453,6 +471,16 @@ impl EndpointStatus {
             Row::gauge("predicted_p_error", "Model P_error(R, K, x_hat).", predicted_p_error),
             Row::gauge("observed_alert_rate", "Algorithm 4 alerts per delivery.", alert_rate),
             Row::gauge("recommended_k", "K minimizing P_error at x_hat.", f64::from(recommended_k)),
+            Row::gauge(
+                "store_retained",
+                "Messages the anti-entropy store holds.",
+                store_retained as f64,
+            ),
+            Row::gauge(
+                "frontier_lag",
+                "Seen messages the stability frontier does not cover yet.",
+                frontier_lag as f64,
+            ),
         ]
     }
 }
@@ -508,6 +536,8 @@ pub struct Endpoint<P> {
     geometry_refused: u64,
     /// Gracefully departed: terminally deaf, not restorable.
     left: bool,
+    /// The highest [`Input::StableFrontier`] received, per sender index.
+    frontier: Vec<u64>,
     /// Delivery buffer reused across arrivals (always left empty), so a
     /// stimulus allocates only the output vector it returns.
     deliveries: Vec<Delivery<P>>,
@@ -560,6 +590,7 @@ impl<P: Clone> Endpoint<P> {
             cross_epoch_refused: 0,
             geometry_refused: 0,
             left: false,
+            frontier: Vec::new(),
             deliveries: Vec::new(),
         }
     }
@@ -727,7 +758,23 @@ impl<P: Clone> Endpoint<P> {
             }
             Input::Restore => {} // not crashed: nothing to restore
             Input::Reconfigure(next) => self.reconfigure(next, now_us, out),
+            Input::StableFrontier(frontier) => self.advance_frontier(&frontier),
             Input::Leave | Input::Join(_) => unreachable!("handled before the crash gate"),
+        }
+    }
+
+    /// [`Input::StableFrontier`]: raises the held frontier entry by entry
+    /// and prunes the store and the stable snapshot's copy below it.
+    fn advance_frontier(&mut self, frontier: &[u64]) {
+        if self.frontier.len() < frontier.len() {
+            self.frontier.resize(frontier.len(), 0);
+        }
+        for (held, &offered) in self.frontier.iter_mut().zip(frontier) {
+            *held = (*held).max(offered);
+        }
+        self.store.prune(&self.frontier);
+        if let Some(stable) = &mut self.stable {
+            stable.store.retain(|(_, m)| !is_stable(&self.frontier, m.id()));
         }
     }
 
@@ -896,6 +943,17 @@ impl<P: Clone> Endpoint<P> {
             predicted_p_error,
             recommended_k,
             heatmap,
+            store_retained: self.store.len(),
+            frontier_lag: self
+                .process
+                .seen_windows()
+                .iter()
+                .map(|(sender, prefix, exceptions)| {
+                    let stable = self.frontier.get(sender.index()).copied().unwrap_or(0);
+                    prefix.saturating_sub(stable)
+                        + exceptions.iter().filter(|&&seq| seq > stable).count() as u64
+                })
+                .sum(),
         }
     }
 
@@ -2061,6 +2119,37 @@ mod tests {
         let outs = b.handle_wire(crate::wire::encode_full(&genuine), 50).expect("decodes");
         assert!(outs.iter().any(|o| matches!(o, Output::Deliver(_))));
         assert_eq!(b.store().get(genuine.id()).unwrap().timestamp(), genuine.timestamp());
+    }
+
+    #[test]
+    fn stable_frontier_prunes_the_store_and_the_stable_copy_and_never_falls() {
+        let t = timing();
+        let mut a = endpoint(0, &[0, 1]);
+        let mut b = endpoint(1, &[1, 2]);
+        let sent: Vec<_> =
+            (0..4).map(|i| frames(&a.handle(Input::Broadcast("m"), 10 + i)).remove(0)).collect();
+        for (i, m) in sent.iter().enumerate() {
+            let _ = b.handle(Input::FrameReceived(m.clone()), 20 + i as u64);
+        }
+        let _ = b.handle(Input::Tick, t.snapshot_every_us);
+        assert_eq!(b.stable_snapshot().expect("snapshot cut").store.len(), 4);
+        assert_eq!((b.status().store_retained, b.status().frontier_lag), (4, 4));
+
+        let _ = b.handle(Input::StableFrontier(vec![2]), t.snapshot_every_us + 1);
+        assert_eq!(b.store().len(), 2);
+        assert_eq!(b.stable_snapshot().unwrap().store.len(), 2);
+        assert_eq!((b.status().store_retained, b.status().frontier_lag), (2, 2));
+        // A lower entry, and one for a sender nobody heard of, change nothing.
+        let _ = b.handle(Input::StableFrontier(vec![1, 0, 9]), t.snapshot_every_us + 2);
+        assert_eq!(b.store().len(), 2);
+        // What left is still a duplicate, not a new message.
+        let outs = b.handle(Input::FrameReceived(sent[0].clone()), t.snapshot_every_us + 3);
+        assert!(!outs.iter().any(|o| matches!(o, Output::Deliver(_))));
+        // The restore path rebuilds the store from the pruned stable copy.
+        let _ = b.handle(Input::Crash, t.snapshot_every_us + 4);
+        let _ = b.handle(Input::Restore, t.snapshot_every_us + 5);
+        let kept: Vec<u64> = b.store().iter().map(|m| m.id().seq()).collect();
+        assert_eq!(kept, [3, 4]);
     }
 
     #[test]

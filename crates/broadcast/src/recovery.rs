@@ -219,22 +219,59 @@ impl<P> MessageStore<P> {
         store
     }
 
+    /// Drops every retained message at or below the stability
+    /// `frontier` ([`is_stable`]) — messages no member can ever ask for
+    /// again — keeping the rest in their order. The time window stays the
+    /// fallback for what the frontier cannot vouch for. Returns how many
+    /// messages left.
+    pub fn prune(&mut self, frontier: &[u64]) -> usize {
+        if !self.entries.iter().any(|(_, m)| is_stable(frontier, m.id())) {
+            return 0;
+        }
+        let before = self.entries.len();
+        for _ in 0..before {
+            let (at, m) = self.entries.pop_front().expect("one pop per entry held");
+            if is_stable(frontier, m.id()) {
+                self.index.remove(&m.id());
+                self.retire(m);
+            } else {
+                self.entries.push_back((at, m));
+            }
+        }
+        for (offset, (_, m)) in self.entries.iter().enumerate() {
+            self.index.insert(m.id(), self.base + offset as u64);
+        }
+        before - self.entries.len()
+    }
+
     fn evict(&mut self, now: u64) {
         let horizon = now.saturating_sub(self.window);
         while self.entries.front().is_some_and(|(t, _)| *t < horizon) {
             if let Some((_, m)) = self.entries.pop_front() {
                 self.index.remove(&m.id());
                 self.base += 1;
-                // Retire the stamp into the pool. At steady state the
-                // store holds the last live reference (deliveries were
-                // consumed, the codec's reconstruction stamp moved on),
-                // so the buffer recycles; a still-shared stamp is just
-                // dropped.
-                let (_, _, stamp, _) = m.into_parts();
-                self.pool.recycle(stamp);
+                self.retire(m);
             }
         }
     }
+
+    /// Retires a message's stamp into the pool. At steady state the store
+    /// holds the last live reference (deliveries were consumed, the
+    /// codec's reconstruction stamp moved on), so the buffer recycles; a
+    /// still-shared stamp is just dropped.
+    fn retire(&mut self, message: Message<P>) {
+        let (_, _, stamp, _) = message.into_parts();
+        self.pool.recycle(stamp);
+    }
+}
+
+/// Whether `id` is at or below the stability `frontier`: indexed by
+/// sender, the sequence number up to which every member has delivered
+/// that sender's messages and made them durable. A sender beyond the
+/// frontier's length has nothing stable.
+#[must_use]
+pub fn is_stable(frontier: &[u64], id: MessageId) -> bool {
+    frontier.get(id.sender().index()).is_some_and(|&stable| id.seq() <= stable)
 }
 
 /// Most messages one [`SyncResponse`] carries. A reply is one transport
@@ -526,6 +563,50 @@ mod tests {
             "steady-state decode must reuse evicted stamp buffers: {stats:?}"
         );
         assert!(stats.misses < 20, "only warm-up may allocate: {stats:?}");
+    }
+
+    #[test]
+    fn a_store_that_only_receives_holds_at_most_the_pool_cap() {
+        // Frames decoded against some other pool (the daemon's own chain
+        // decoder) still retire into this store's pool on eviction; the
+        // send path that would draw them back out never runs here.
+        let mut sender = proc(0, &[0, 1]);
+        let mut store: MessageStore<&'static str> = MessageStore::new(4);
+        for t in 0..100_000u64 {
+            store.insert(t, sender.broadcast("x"));
+        }
+        assert!(store.len() <= 5);
+        let pool = store.stamp_pool_mut();
+        assert_eq!(pool.len(), StampPool::MAX_FREE, "every stamp retired, at most the cap kept");
+        assert_eq!(pool.stats(), StampPoolStats::default(), "nothing was ever drawn");
+    }
+
+    #[test]
+    fn prune_drops_exactly_what_the_frontier_covers_and_keeps_the_index() {
+        let (mut a, mut b) = (proc(0, &[0, 1]), proc(1, &[1, 2]));
+        let mut store: MessageStore<&'static str> = MessageStore::new(1_000);
+        let mut ids = Vec::new();
+        for t in 0..6 {
+            let m = if t % 2 == 0 { a.broadcast("a") } else { b.broadcast("b") };
+            ids.push(m.id());
+            store.insert(t, m);
+        }
+        // Sender 0 sent seqs 1..=3, sender 1 seqs 1..=3; the frontier
+        // covers 0:≤2 and 1:≤1, and says nothing about sender 7.
+        assert_eq!(store.prune(&[2, 1]), 3);
+        assert_eq!(store.prune(&[2, 1]), 0, "pruning again finds nothing");
+        let left: Vec<_> = store.iter().map(|m| (m.id().sender().index(), m.id().seq())).collect();
+        assert_eq!(left, [(1, 2), (0, 3), (1, 3)], "survivors keep their order");
+        for id in &ids {
+            assert_eq!(store.get(*id).map(Message::id), (!is_stable(&[2, 1], *id)).then_some(*id));
+        }
+        // Positions stay consistent for what comes after.
+        let late = a.broadcast("late");
+        store.insert(7, late.clone());
+        assert_eq!(store.get(late.id()).unwrap().payload(), &"late");
+        assert!(!is_stable(&[], late.id()), "an empty frontier covers nothing");
+        assert_eq!(store.prune(&[u64::MAX; 2]), 4);
+        assert!(store.is_empty());
     }
 
     #[test]

@@ -12,16 +12,16 @@
 //! * the `handle_wire_batch` shim the frozen ledger links, which must be
 //!   nothing but `handle_wire` per frame.
 //!
-//! All three must emit the same outputs and report the same `status()`.
-//! The wire paths must hold identical stores; the `FrameReceived` twin
-//! holds the same messages except those still parked (only the wire path
-//! retains a frame while it waits).
+//! All three must emit the same outputs and report the same `status()`,
+//! store size aside. The wire paths must hold identical stores; the
+//! `FrameReceived` twin holds the same messages except those still
+//! parked (only the wire path retains a frame while it waits).
 //!
 //! A second test crashes a receiver in the middle of a delta stream:
 //! pre-crash reconstruction stamps must not decode post-restore deltas.
 
 use bytes::Bytes;
-use pcb_broadcast::endpoint::{Endpoint, Input, Output, RecoveryTimingUs};
+use pcb_broadcast::endpoint::{Endpoint, EndpointStatus, Input, Output, RecoveryTimingUs};
 use pcb_broadcast::{
     wire, DeltaDecoder, DeltaEncoder, MessageId, PcbConfig, PcbProcess, WireError,
 };
@@ -174,14 +174,11 @@ fn every_ingest_path_agrees_on_a_reordered_stream() {
             _ => None,
         }));
         wire_out.extend(digest(&outs));
-        assert_eq!(
-            format!("{:?}", plain.status()),
-            format!("{:?}", wire.status()),
-            "frame {index}"
-        );
+        assert_eq!(status_but_store(&plain), status_but_store(&wire), "frame {index}");
         // Same messages retained, except those still waiting: only the
         // wire path stores a frame before it delivers.
         assert_eq!(wire.store().len(), plain.store().len() + wire.pending_len(), "frame {index}");
+        assert_eq!(wire.status().store_retained, wire.store().len());
         most_waiting = most_waiting.max(wire.pending_len());
         if index % 64 == 0 || index + 1 == FRAMES {
             assert_eq!(
@@ -220,6 +217,12 @@ fn every_ingest_path_agrees_on_a_reordered_stream() {
     assert_eq!(errors, wire_errors);
     assert_eq!(format!("{:?}", shim.status()), format!("{:?}", wire.status()));
     assert_eq!(store_of(&shim), store_of(&wire));
+}
+
+/// Every status field but the store's size, which the ingest paths are
+/// allowed to disagree on while frames wait.
+fn status_but_store(ep: &Endpoint<Bytes>) -> String {
+    format!("{:?}", EndpointStatus { store_retained: 0, ..ep.status() })
 }
 
 /// `(id, instant_alert, recent_alert)` of every delivery in `outs`.

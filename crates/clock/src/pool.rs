@@ -8,10 +8,16 @@
 //! allocating. Shared stamps (still referenced by a pending queue, a
 //! detector list, an application) are simply dropped — recycling is an
 //! optimisation, never a semantic change.
+//!
+//! The free list is bounded by [`StampPool::MAX_FREE`]. A pool that is
+//! fed faster than it is drawn from — a message store retiring stamps
+//! that were decoded against another pool — would otherwise keep one
+//! stamp per message ever retired.
 
 use crate::Timestamp;
 
-/// A free list of uniquely-owned [`Timestamp`]s.
+/// A free list of at most [`StampPool::MAX_FREE`] uniquely-owned
+/// [`Timestamp`]s.
 ///
 /// ```
 /// use pcb_clock::{StampPool, Timestamp};
@@ -38,6 +44,11 @@ pub struct StampPoolStats {
 }
 
 impl StampPool {
+    /// Most recycled stamps the free list holds; a stamp retired beyond
+    /// it is dropped. Well above what any steady state keeps in flight
+    /// between its recycle and its reuse.
+    pub const MAX_FREE: usize = 256;
+
     /// An empty pool.
     #[must_use]
     pub fn new() -> Self {
@@ -104,11 +115,11 @@ impl StampPool {
         }
     }
 
-    /// Returns a stamp to the free list if this handle is its sole owner;
-    /// shared stamps are dropped (their storage dies when the last clone
-    /// does).
+    /// Returns a stamp to the free list if this handle is its sole owner
+    /// and the list has room; otherwise the stamp is dropped (a shared
+    /// one's storage dies when its last clone does).
     pub fn recycle(&mut self, ts: Timestamp) {
-        if ts.is_uniquely_owned() {
+        if ts.is_uniquely_owned() && self.free.len() < Self::MAX_FREE {
             self.free.push(ts);
         }
     }
@@ -190,6 +201,20 @@ mod tests {
             .unwrap();
         assert_eq!((ts.entries(), rest), (&[1, 12, 3][..], "rest"));
         assert_eq!(pool.stats(), StampPoolStats { hits: 2, misses: 0 });
+    }
+
+    #[test]
+    fn the_free_list_stops_at_its_cap() {
+        let mut pool = StampPool::new();
+        for round in 0..StampPool::MAX_FREE as u64 + 10 {
+            pool.recycle(Timestamp::from_entries(vec![round; 4]));
+        }
+        assert_eq!(pool.len(), StampPool::MAX_FREE);
+        // A full list still serves and refills.
+        let ts = pool.stamp_from(&[1, 2, 3, 4]);
+        pool.recycle(ts);
+        assert_eq!(pool.len(), StampPool::MAX_FREE);
+        assert_eq!(pool.stats(), StampPoolStats { hits: 1, misses: 0 });
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! membership plane, the pending-queue depth, the causal-health
 //! estimators (sliding-window X̂,
 //! the model's predicted `P_error(R, K, X̂)` next to the observed
-//! Algorithm-4 alert rate, and the `K_opt` recommendation), transport
-//! health (retransmits, unreachable peers, datagram bytes per frame
-//! sent, deltas dropped for a missing base), and a clock-entry occupancy
-//! sparkline from the collision heatmap.
+//! Algorithm-4 alert rate, and the `K_opt` recommendation), the
+//! anti-entropy store (messages retained, and how many seen messages the
+//! stability frontier does not cover yet), transport health
+//! (retransmits, unreachable peers, datagram bytes per frame sent, deltas
+//! dropped for a missing base), and a clock-entry occupancy sparkline
+//! from the collision heatmap.
 //!
 //! ```text
 //! pcb-top --rpc 127.0.0.1:9001 --rpc 127.0.0.1:9002 [--interval-ms N] [--once]
@@ -85,8 +87,8 @@ fn render(targets: &[SocketAddr], clear: bool) -> u32 {
         out.push_str("\x1b[2J\x1b[H");
     }
     out.push_str(&format!(
-        "{:<21} {:>3} {:>3} {:>3} {:>5} {:>9} {:>7} {:>9} {:>9} {:>5} {:>6} {:>5} {:>5} {:>5} \
-         {:>6}  {}\n",
+        "{:<21} {:>3} {:>3} {:>3} {:>5} {:>9} {:>7} {:>9} {:>9} {:>5} {:>7} {:>7} {:>6} {:>5} \
+         {:>5} {:>5} {:>6}  {}\n",
         "node (rpc)",
         "inc",
         "cfg",
@@ -97,6 +99,8 @@ fn render(targets: &[SocketAddr], clear: bool) -> u32 {
         "p_err",
         "alerts/d",
         "k_rec",
+        "store",
+        "f_lag",
         "rexmit",
         "down",
         "rstrt",
@@ -111,8 +115,8 @@ fn render(targets: &[SocketAddr], clear: bool) -> u32 {
                 let crashed = s.get("crashed").and_then(Value::as_bool).unwrap_or(false);
                 let left = s.get("left").and_then(Value::as_bool).unwrap_or(false);
                 out.push_str(&format!(
-                    "{:<21} {:>3} {:>3} {:>3} {:>5} {:>9} {:>7.2} {:>9.2e} {:>9.2e} {:>5} {:>6} \
-                     {:>5} {:>5} {:>5} {:>6}  {}{}\n",
+                    "{:<21} {:>3} {:>3} {:>3} {:>5} {:>9} {:>7.2} {:>9.2e} {:>9.2e} {:>5} {:>7} \
+                     {:>7} {:>6} {:>5} {:>5} {:>5} {:>6}  {}{}\n",
                     format!("{} ({addr})", u64_field(&s, "node")),
                     u64_field(&s, "endpoint_incarnation"),
                     u64_field(&s, "config_epoch"),
@@ -123,6 +127,8 @@ fn render(targets: &[SocketAddr], clear: bool) -> u32 {
                     f64_field(&s, "predicted_p_error"),
                     f64_field(&s, "observed_alert_rate"),
                     u64_field(&s, "recommended_k"),
+                    u64_field(&s, "store_retained"),
+                    u64_field(&s, "frontier_lag"),
                     u64_field(&s, "udp_retransmits"),
                     u64_field(&s, "udp_peer_down")
                         - u64_field(&s, "udp_peer_up").min(u64_field(&s, "udp_peer_down")),

@@ -31,7 +31,8 @@
 //! diff against the simulator.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::fs::File;
+use std::io::{BufReader, BufWriter, ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -126,6 +127,10 @@ const MSG_STOP: u8 = 3;
 /// Live broadcast: one wire frame of the sender's delta chain, full or
 /// delta, for the receiver's [`DeltaDecoder`].
 const MSG_FRAME: u8 = 4;
+/// Live: the sender's row of the stability matrix ([`StabilityRows`]),
+/// `uvar n | n × uvar`. The row names no member: it counts for whoever
+/// the transport says sent it.
+const MSG_ROW: u8 = 5;
 
 /// A decoded transport frame, shared between daemon and driver.
 #[derive(Debug)]
@@ -135,6 +140,8 @@ pub enum DaemonMsg {
     /// Live broadcast: a wire frame, still encoded — a delta only means
     /// something to the decoder that holds its base.
     Frame(Bytes),
+    /// Live: a peer's row of the stability matrix, per sender index.
+    Row(Vec<u64>),
     /// Replay: apply this recorded step.
     Step {
         /// Position in the node's recorded stream.
@@ -171,6 +178,35 @@ pub fn encode_frame_msg(wire: &Bytes) -> Bytes {
     out.push(MSG_FRAME);
     out.extend_from_slice(wire);
     Bytes::from(out)
+}
+
+/// Encodes this member's row of the stability matrix.
+#[must_use]
+pub fn encode_row_msg(row: &[u64]) -> Bytes {
+    let mut out = Vec::with_capacity(2 + 3 * row.len());
+    out.push(MSG_ROW);
+    wire::put_uvar(&mut out, row.len() as u64);
+    for &seq in row {
+        wire::put_uvar(&mut out, seq);
+    }
+    Bytes::from(out)
+}
+
+/// `uvar n | n × uvar` and nothing after: a count the bytes cannot hold
+/// (every entry takes at least one) is refused before anything is
+/// allocated for it.
+fn decode_row(mut cur: &[u8]) -> Result<Vec<u64>, ExportError> {
+    let len = wire::take_uvar(&mut cur).map_err(ExportError::Wire)?;
+    if len > cur.len() as u64 {
+        return Err(ExportError::Truncated);
+    }
+    let row = (0..len).map(|_| wire::take_uvar(&mut cur)).collect::<Result<Vec<u64>, _>>();
+    let row = row.map_err(ExportError::Wire)?;
+    if cur.is_empty() {
+        Ok(row)
+    } else {
+        Err(ExportError::Truncated)
+    }
 }
 
 /// Encodes a replay step message.
@@ -228,6 +264,7 @@ pub fn decode_msg(frame: &Bytes) -> Result<DaemonMsg, ExportError> {
         }
         MSG_STOP if rest.is_empty() => Ok(DaemonMsg::Stop),
         MSG_FRAME => Ok(DaemonMsg::Frame(frame.slice(1..))),
+        MSG_ROW => decode_row(rest).map(DaemonMsg::Row),
         other => Err(ExportError::BadKind(other)),
     }
 }
@@ -323,6 +360,140 @@ impl LiveFrames {
     /// a base for it, so the next frame stands alone for everyone.
     fn rejoin(&mut self) {
         self.encoder.force_full();
+    }
+}
+
+// ---- durable stability frontier ---------------------------------------
+
+/// What every member has made durable, as an `n × n` matrix: row `m`,
+/// entry `s` is the prefix of sender `s`'s messages that member `m`'s
+/// last *persisted* snapshot holds as delivered — Drummond & Barbosa's
+/// matrix clock, restricted to durable state. A member restarts from a
+/// snapshot at least as new as any row it sent, so a message at or below
+/// [`StabilityRows::frontier`] is one no member can ever ask for again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StabilityRows {
+    rows: Vec<Vec<u64>>,
+}
+
+impl StabilityRows {
+    /// All zeros for an `n`-member cluster: nothing is stable until
+    /// every member has reported.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        StabilityRows { rows: vec![vec![0; n]; n] }
+    }
+
+    /// Raises `member`'s row entry by entry to `row` — rows only ever
+    /// rise, so a reordered or replayed report cannot lower one. Refused
+    /// (`false`, nothing changes) unless `member` is a member and `row`
+    /// has one entry per member.
+    pub fn merge(&mut self, member: usize, row: &[u64]) -> bool {
+        let n = self.rows.len();
+        match self.rows.get_mut(member) {
+            Some(held) if row.len() == n => {
+                for (held, &offered) in held.iter_mut().zip(row) {
+                    *held = (*held).max(offered);
+                }
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// `member`'s row as held here.
+    #[must_use]
+    pub fn row(&self, member: usize) -> Option<&[u64]> {
+        self.rows.get(member).map(Vec::as_slice)
+    }
+
+    /// Per sender, the least entry over every member's row; a member not
+    /// heard from yet holds it at 0.
+    #[must_use]
+    pub fn frontier(&self) -> Vec<u64> {
+        (0..self.rows.len())
+            .map(|sender| self.rows.iter().map(|row| row[sender]).min().unwrap_or(0))
+            .collect()
+    }
+}
+
+/// A snapshot's row: per sender index below `n`, the contiguous prefix of
+/// its seen windows, own sends included. A snapshot takes still-pending
+/// messages out of `seen`, so the row claims deliveries only.
+fn snapshot_row(snapshot: &ProcessSnapshot<u32>, n: usize) -> Vec<u64> {
+    let mut row = vec![0; n];
+    for (sender, prefix, _) in &snapshot.seen {
+        if let Some(slot) = row.get_mut(sender.index()) {
+            *slot = *prefix;
+        }
+    }
+    row
+}
+
+// ---- the incarnation's delivery stream ---------------------------------
+
+/// One delivery as the `subscribe` stream reports it: id, the two alert
+/// flags, payload.
+type Digest = (MessageId, bool, bool, u32);
+
+/// Bytes of one [`DeliveredLog`] record: sender `u32`, seq `u64`, payload
+/// `u32`, flags `u8`, little endian.
+const DIGEST_BYTES: usize = 17;
+
+/// This incarnation's delivery stream, paged to `delivered.bin` in the
+/// state directory rather than held in memory, for `subscribe` to replay
+/// in full. The file is truncated at boot: a stream spans one
+/// incarnation, and the one before it died with its process.
+#[derive(Debug)]
+struct DeliveredLog {
+    path: PathBuf,
+    file: BufWriter<File>,
+    records: u64,
+    /// A write failed: the log stops there, and says so once.
+    broken: bool,
+}
+
+impl DeliveredLog {
+    fn create(dir: &Path) -> std::io::Result<Self> {
+        let path = dir.join("delivered.bin");
+        let file = BufWriter::new(File::create(&path)?);
+        Ok(DeliveredLog { path, file, records: 0, broken: false })
+    }
+
+    fn push(&mut self, (id, instant, recent, payload): Digest) {
+        if self.broken {
+            return;
+        }
+        let mut record = [0u8; DIGEST_BYTES];
+        record[..4].copy_from_slice(&id.sender().index_u32().to_le_bytes());
+        record[4..12].copy_from_slice(&id.seq().to_le_bytes());
+        record[12..16].copy_from_slice(&payload.to_le_bytes());
+        record[16] = u8::from(instant) | u8::from(recent) << 1;
+        match self.file.write_all(&record) {
+            Ok(()) => self.records += 1,
+            Err(e) => {
+                eprintln!(
+                    "pcb-daemon: delivery log write failed, later deliveries not replayed: {e}"
+                );
+                self.broken = true;
+            }
+        }
+    }
+
+    /// Hands `each` every delivery this incarnation logged, in order.
+    fn replay(&mut self, mut each: impl FnMut(Digest)) -> std::io::Result<()> {
+        self.file.flush()?;
+        let mut reader = BufReader::new(File::open(&self.path)?);
+        let mut record = [0u8; DIGEST_BYTES];
+        for _ in 0..self.records {
+            reader.read_exact(&mut record)?;
+            let sender = u32::from_le_bytes(record[..4].try_into().expect("4 bytes"));
+            let seq = u64::from_le_bytes(record[4..12].try_into().expect("8 bytes"));
+            let payload = u32::from_le_bytes(record[12..16].try_into().expect("4 bytes"));
+            let id = MessageId::new(ProcessId::new(sender as usize), seq);
+            each((id, record[16] & 1 != 0, record[16] & 2 != 0, payload));
+        }
+        Ok(())
     }
 }
 
@@ -464,11 +635,15 @@ struct Daemon {
     frames: LiveFrames,
     /// Index → address for live routing.
     peer_addrs: Vec<Option<SocketAddr>>,
+    /// Live: every member's durable row, this daemon's own included.
+    rows: StabilityRows,
+    /// The frontier last handed to the endpoint.
+    frontier: Vec<u64>,
     sync_round: u64,
     last_durable: u64,
     next_tick_us: u64,
     started: Instant,
-    delivered_log: Vec<(MessageId, bool, bool, u32)>,
+    delivered_log: DeliveredLog,
     /// Delivery event lines awaiting fan-out to subscribers.
     event_queue: Vec<String>,
     /// Replay mode, `trace_capacity > 0`: stamped viz-JSONL sink in the
@@ -553,19 +728,22 @@ pub fn run(opts: DaemonOptions) -> std::io::Result<()> {
         })
         .transpose()?;
     let trace_incarnation = endpoint.incarnation();
+    let delivered_log = DeliveredLog::create(&opts.state_dir)?;
     let mut daemon = Daemon {
         opts,
+        rows: StabilityRows::new(spec.n as usize),
         spec,
         incarnation,
         endpoint,
         transport,
         frames: LiveFrames::default(),
         peer_addrs,
+        frontier: Vec::new(),
         sync_round: 0,
         last_durable,
         next_tick_us: 0,
         started: Instant::now(),
-        delivered_log: Vec::new(),
+        delivered_log,
         event_queue: Vec::new(),
         trace_file,
         trace_incarnation,
@@ -601,19 +779,24 @@ impl Daemon {
     /// Persists WAL/snapshot state that changed during a `handle` call.
     /// Must run before the step is acked (replay) or the send effects
     /// are routed (live): that ordering is what makes a SIGKILL at any
-    /// point equivalent to the simulator's crash model.
-    fn persist_changes(&mut self, outputs: &[Output<u32>]) {
+    /// point equivalent to the simulator's crash model. Returns whether a
+    /// new snapshot reached the disk.
+    fn persist_changes(&mut self, outputs: &[Output<u32>]) -> bool {
         if self.endpoint.durable_seq() != self.last_durable {
             self.last_durable = self.endpoint.durable_seq();
             if let Err(e) = save_wal(&self.opts.state_dir, self.last_durable) {
                 eprintln!("pcb-daemon: wal write failed: {e}");
             }
         }
-        if outputs.iter().any(|o| matches!(o, Output::SnapshotReady { .. })) {
-            if let Some(snapshot) = self.endpoint.stable_snapshot() {
-                if let Err(e) = save_snapshot(&self.opts.state_dir, snapshot) {
-                    eprintln!("pcb-daemon: snapshot write failed: {e}");
-                }
+        if !outputs.iter().any(|o| matches!(o, Output::SnapshotReady { .. })) {
+            return false;
+        }
+        let Some(snapshot) = self.endpoint.stable_snapshot() else { return false };
+        match save_snapshot(&self.opts.state_dir, snapshot) {
+            Ok(()) => true,
+            Err(e) => {
+                eprintln!("pcb-daemon: snapshot write failed: {e}");
+                false
             }
         }
     }
@@ -741,22 +924,39 @@ impl Daemon {
             let events = self.transport.poll(wall);
             for event in events {
                 match event {
-                    UdpEvent::Frame { frame, .. } => match decode_msg(&frame) {
+                    UdpEvent::Frame { from, frame } => match decode_msg(&frame) {
                         Ok(DaemonMsg::Pcb(input)) => self.apply_live(input),
                         Ok(DaemonMsg::Frame(wire)) => {
                             if let Some(message) = self.frames.incoming(wire) {
                                 self.apply_live(Input::FrameReceived(message));
                             }
                         }
+                        Ok(DaemonMsg::Row(row)) => {
+                            // The row is the sending address's member's;
+                            // an address that is no peer has none.
+                            if let Some(member) = self.member_at(from) {
+                                self.rows.merge(member, &row);
+                            }
+                        }
                         Ok(_) | Err(_) => {}
                     },
-                    UdpEvent::Fenced(peer) => self.frames.fenced(peer),
+                    UdpEvent::Fenced(peer) => {
+                        self.frames.fenced(peer);
+                        // The peer may have restarted and forgotten every
+                        // row; ours may not change again for a long while.
+                        self.send_row(peer);
+                    }
                     UdpEvent::PeerDown(_) | UdpEvent::PeerUp(_) => {}
                 }
             }
 
             if now >= self.next_tick_us {
                 self.apply_live(Input::Tick);
+            }
+            let frontier = self.rows.frontier();
+            if frontier != self.frontier {
+                self.frontier.clone_from(&frontier);
+                self.apply_live(Input::StableFrontier(frontier));
             }
 
             if let Some(listener) = &rpc_listener {
@@ -775,9 +975,11 @@ impl Daemon {
                     conn.push_line(&line);
                 }
             }
-            for conn in &mut conns {
-                let _ = conn.flush();
-            }
+            // One write per connection per turn, replies and events
+            // together. A second small write while the first is still
+            // unacknowledged waits behind Nagle for the client's delayed
+            // ACK — about 40 ms, while the client waits for that write.
+            conns.retain_mut(RpcConn::flush);
 
             if let Some(listener) = &metrics_listener {
                 while let Ok((stream, _)) = listener.accept() {
@@ -797,7 +999,9 @@ impl Daemon {
     fn apply_live(&mut self, input: Input<u32>) {
         let now = Self::live_now_us();
         let outputs = self.endpoint.handle(input, now);
-        self.persist_changes(&outputs);
+        if self.persist_changes(&outputs) {
+            self.report_row();
+        }
         // Backstop cadence: never sleep past half a poll interval.
         self.next_tick_us = now + self.spec.timing.poll_every_us.max(2) / 2;
         for output in outputs {
@@ -847,20 +1051,42 @@ impl Daemon {
         }
     }
 
-    fn pump_rpc(&mut self, conns: &mut Vec<RpcConn>) {
-        let mut i = 0;
-        while i < conns.len() {
-            let alive = conns[i].fill();
-            let lines = conns[i].take_lines();
-            for line in lines {
-                let response = self.handle_rpc(&line, &mut conns[i]);
-                conns[i].push_line(&response.to_json());
-            }
-            let alive = alive && conns[i].flush();
-            if alive {
-                i += 1;
-            } else {
-                conns.swap_remove(i);
+    /// A snapshot just reached the disk: its row becomes this member's,
+    /// and every peer hears it if it rose. Only now — a restart resumes
+    /// from that snapshot or a later one, never from less than it claims.
+    fn report_row(&mut self) {
+        let Some(snapshot) = self.endpoint.stable_snapshot() else { return };
+        let row = snapshot_row(snapshot, self.spec.n as usize);
+        let me = self.spec.node as usize;
+        if self.rows.row(me) == Some(&row[..]) || !self.rows.merge(me, &row) {
+            return;
+        }
+        for peer in self.peer_addrs.clone().into_iter().flatten() {
+            self.send_row(peer);
+        }
+    }
+
+    /// Sends this member's row to `peer` over the reliable link.
+    fn send_row(&mut self, peer: SocketAddr) {
+        let Some(row) = self.rows.row(self.spec.node as usize) else { return };
+        let msg = encode_row_msg(row);
+        let wall = self.wall_us();
+        self.transport.send(peer, msg, wall);
+    }
+
+    /// The member whose transport address is `addr`.
+    fn member_at(&self, addr: SocketAddr) -> Option<usize> {
+        self.peer_addrs.iter().position(|peer| *peer == Some(addr))
+    }
+
+    /// Reads every connection and queues the answer to each complete
+    /// request line; the turn's single flush sends them.
+    fn pump_rpc(&mut self, conns: &mut [RpcConn]) {
+        for conn in conns {
+            conn.fill();
+            for line in conn.take_lines() {
+                let response = self.handle_rpc(&line, conn);
+                conn.push_line(&response.to_json());
             }
         }
     }
@@ -896,8 +1122,11 @@ impl Daemon {
                 conn.subscribed = true;
                 // Replay the backlog so late subscribers still see the
                 // node's full delivery stream.
-                for &digest in &self.delivered_log {
-                    conn.push_line(&deliver_event(digest).to_json());
+                let replayed = self
+                    .delivered_log
+                    .replay(|digest| conn.push_line(&deliver_event(digest).to_json()));
+                if let Err(e) = replayed {
+                    return rpc_error(&format!("delivery log unreadable: {e}"));
                 }
                 Value::object([("ok", Value::from(true)), ("subscribed", Value::from(true))])
             }
@@ -987,6 +1216,10 @@ impl Daemon {
                     self.peer_addrs.resize(id.index() + 1, None);
                 }
                 self.spec.n = self.spec.n.max(id.index() as u32 + 1);
+                // Nothing is stable for the newcomer until every member
+                // has reported to it.
+                self.rows = StabilityRows::new(self.spec.n as usize);
+                self.frontier.clear();
                 self.apply_live(Input::Tick);
                 Value::object([
                     ("ok", Value::from(true)),
@@ -1063,7 +1296,7 @@ impl Daemon {
 }
 
 /// One line of the `subscribe` stream.
-fn deliver_event((id, instant, recent, payload): (MessageId, bool, bool, u32)) -> Value {
+fn deliver_event((id, instant, recent, payload): Digest) -> Value {
     Value::object([
         ("event", Value::from("deliver")),
         ("sender", Value::from(id.sender().index() as u64)),
@@ -1134,28 +1367,18 @@ impl RpcConn {
         }
     }
 
-    /// Reads whatever is available; `false` once the peer is gone.
-    fn fill(&mut self) -> bool {
+    /// Reads whatever is available; marks the connection dead once the
+    /// peer is gone.
+    fn fill(&mut self) {
         let mut buf = [0u8; 4096];
-        loop {
+        while !self.dead {
             match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    self.dead = true;
-                    return false;
-                }
-                Ok(n) => {
-                    // Bound rogue clients: a "line" beyond 1 MiB is abuse.
-                    if self.inbuf.len() + n > 1 << 20 {
-                        self.dead = true;
-                        return false;
-                    }
+                // Bound rogue clients: a "line" beyond 1 MiB is abuse.
+                Ok(n) if n > 0 && self.inbuf.len() + n <= 1 << 20 => {
                     self.inbuf.extend_from_slice(&buf[..n]);
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
-                Err(_) => {
-                    self.dead = true;
-                    return false;
-                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Ok(_) | Err(_) => self.dead = true,
             }
         }
     }
@@ -1178,15 +1401,15 @@ impl RpcConn {
         self.outbuf.push_back(b'\n');
     }
 
-    /// Writes as much buffered output as the socket accepts; `false`
-    /// once the peer is gone.
+    /// Writes as much buffered output as the socket accepts, straight
+    /// from the ring buffer's two halves; `false` once the peer is gone.
     fn flush(&mut self) -> bool {
         if self.dead {
             return false;
         }
         while !self.outbuf.is_empty() {
-            let chunk: Vec<u8> = self.outbuf.iter().copied().take(4096).collect();
-            match self.stream.write(&chunk) {
+            let (front, back) = self.outbuf.as_slices();
+            match self.stream.write_vectored(&[IoSlice::new(front), IoSlice::new(back)]) {
                 Ok(0) => return false,
                 Ok(n) => {
                     self.outbuf.drain(..n);
@@ -1427,6 +1650,77 @@ mod tests {
         assert!(decode_msg(&Bytes::new()).is_err());
         assert!(decode_msg(&Bytes::from(vec![99u8])).is_err());
         assert!(decode_msg(&Bytes::from(vec![MSG_STEP, 1, 2])).is_err());
+    }
+
+    #[test]
+    fn rows_only_rise_need_one_entry_per_member_and_set_the_frontier() {
+        let mut rows = StabilityRows::new(3);
+        assert_eq!(rows.frontier(), [0, 0, 0]);
+        assert!(rows.merge(0, &[5, 2, 1]));
+        assert!(rows.merge(1, &[4, 3, 1]));
+        assert_eq!(rows.frontier(), [0, 0, 0], "member 2 has not reported: nothing is stable");
+        assert!(rows.merge(2, &[6, 1, 2]));
+        assert_eq!(rows.frontier(), [4, 1, 1]);
+        assert!(rows.merge(1, &[0, 9, 0]), "a partly lower row raises only what rose");
+        assert_eq!(rows.row(1), Some(&[4, 9, 1][..]));
+        assert!(!rows.merge(1, &[9, 9]), "one entry per member");
+        assert!(!rows.merge(1, &[9, 9, 9, 9]), "one entry per member");
+        assert!(!rows.merge(3, &[9, 9, 9]), "not a member");
+        assert_eq!(rows.frontier(), [4, 1, 1]);
+
+        // A snapshot's row: its own sends included, senders past `n` not.
+        let spec = sample_spec();
+        let mut ep =
+            Endpoint::new(ProcessId::new(2), spec.keys, spec.pcb_config, Some(spec.timing));
+        for payload in 0..3 {
+            let _ = ep.handle(Input::Broadcast(payload), 1_000);
+        }
+        let _ = ep.handle(Input::Tick, spec.timing.snapshot_every_us);
+        let snapshot = ep.stable_snapshot().expect("snapshot cut");
+        assert_eq!(snapshot_row(snapshot, 5), [0, 0, 3, 0, 0]);
+        assert_eq!(snapshot_row(snapshot, 2), [0, 0]);
+    }
+
+    #[test]
+    fn row_messages_round_trip_and_refuse_what_their_bytes_cannot_hold() {
+        for row in [vec![], vec![0, 1, u64::MAX]] {
+            match decode_msg(&encode_row_msg(&row)).unwrap() {
+                DaemonMsg::Row(back) => assert_eq!(back, row),
+                other => panic!("wrong decode: {other:?}"),
+            }
+        }
+        let mut forged = vec![MSG_ROW];
+        wire::put_uvar(&mut forged, u64::MAX); // and not one entry behind it
+        assert_eq!(decode_msg(&Bytes::from(forged)).unwrap_err(), ExportError::Truncated);
+        let mut trailing = encode_row_msg(&[1]).to_vec();
+        trailing.push(0);
+        assert!(decode_msg(&Bytes::from(trailing)).is_err());
+        let mut cut = encode_row_msg(&[300]).to_vec();
+        cut.pop();
+        assert!(decode_msg(&Bytes::from(cut)).is_err());
+    }
+
+    #[test]
+    fn delivered_log_replays_the_incarnation_in_order_and_starts_empty_at_boot() {
+        let dir = temp_dir("delivered");
+        let mut log = DeliveredLog::create(&dir).unwrap();
+        let digests = [
+            (MessageId::new(ProcessId::new(3), 9), true, false, 7),
+            (MessageId::new(ProcessId::new(u32::MAX as usize), u64::MAX), false, true, u32::MAX),
+        ];
+        let replayed = |log: &mut DeliveredLog| {
+            let mut back = Vec::new();
+            log.replay(|digest| back.push(digest)).unwrap();
+            back
+        };
+        log.push(digests[0]);
+        assert_eq!(replayed(&mut log), digests[..1]);
+        log.push(digests[1]);
+        assert_eq!(replayed(&mut log), digests, "a replay leaves the log appendable");
+        let mut next_boot = DeliveredLog::create(&dir).unwrap();
+        assert_eq!(replayed(&mut next_boot), []);
+        assert_eq!(std::fs::metadata(dir.join("delivered.bin")).unwrap().len(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// One directed link of a live cluster on a synthetic clock: a

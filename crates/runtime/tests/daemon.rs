@@ -13,6 +13,11 @@
 //! parse and agree with its `status` reply, and `pcb-top --once` must
 //! render one row per node.
 //!
+//! Two smaller clusters pin the daemon's capacity path: a closed loop of
+//! publishes must not stall on delayed ACKs, and the message store must
+//! follow the durable stability frontier while every member reports and
+//! fall back to its time window once one is killed.
+//!
 //! Skips (with a visible marker) when the environment forbids spawning
 //! subprocesses or binding sockets.
 
@@ -24,7 +29,8 @@ use std::time::{Duration, Instant};
 
 use pcb_broadcast::{PcbConfig, RecoveryTimingUs};
 use pcb_clock::{KeySet, KeySpace};
-use pcb_runtime::daemon::save_spec;
+use pcb_runtime::daemon::{encode_row_msg, save_spec};
+use pcb_runtime::{UdpConfig, UdpTransport};
 use pcb_sim::export::NodeSpec;
 use pcb_sim::StreamOracle;
 use pcb_telemetry::json::{self, Value};
@@ -37,12 +43,14 @@ fn daemon_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_pcb-daemon"))
 }
 
-/// Reserves `n` distinct free localhost `(udp, rpc, metrics)` port
-/// triples. All sockets are held until every triple is bound (so the
-/// kernel cannot hand the same port out twice), then released together;
-/// the tiny window before the daemons re-bind is an accepted test-only
-/// race.
-fn free_ports(n: usize) -> std::io::Result<Vec<(SocketAddr, SocketAddr, SocketAddr)>> {
+/// One daemon's `(udp, rpc, metrics)` addresses.
+type Ports = (SocketAddr, SocketAddr, SocketAddr);
+
+/// Reserves `n` distinct free localhost port triples. All sockets are
+/// held until every triple is bound (so the kernel cannot hand the same
+/// port out twice), then released together; the tiny window before the
+/// daemons re-bind is an accepted test-only race.
+fn free_ports(n: usize) -> std::io::Result<Vec<Ports>> {
     let mut hold = Vec::new();
     let mut addrs = Vec::new();
     for _ in 0..n {
@@ -226,33 +234,37 @@ fn spawn_live(
     cmd.spawn()
 }
 
-#[test]
-fn live_cluster_survives_sigkill_and_recovers_from_disk() {
+/// Recovery timing of every test cluster. The store window outlasts any
+/// test, so whatever leaves the store left it below the stability
+/// frontier.
+const TIMING: RecoveryTimingUs = RecoveryTimingUs {
+    stale_after_us: 60_000,
+    poll_every_us: 25_000,
+    store_window_us: u64::MAX / 2,
+    snapshot_every_us: 150_000,
+    sync_timeout_us: 150_000,
+};
+
+/// Spawns an `N`-daemon live cluster in a fresh work directory named
+/// after `tag`; `None`, with the SKIPPED marker printed, where this
+/// environment cannot spawn processes or bind sockets.
+fn spawn_cluster(tag: &str) -> Option<(Vec<Ports>, Vec<DaemonProc>)> {
     if Command::new(daemon_bin()).arg("--help").output().is_err() {
         eprintln!("SKIPPED: cannot spawn pcb-daemon in this environment");
-        return;
+        return None;
     }
     // Unique per run: a stale directory must never be shared with a
     // daemon that survived an earlier aborted run.
     let work_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("daemon-live-{}", std::process::id()));
+        .join(format!("daemon-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&work_dir);
 
     // Exact vector clocks: delivery completeness is deterministic, so
     // the oracle's final certification is a hard assertion.
     let space = KeySpace::vector(N).expect("vector space");
-    let timing = RecoveryTimingUs {
-        stale_after_us: 60_000,
-        poll_every_us: 25_000,
-        store_window_us: u64::MAX / 2,
-        snapshot_every_us: 150_000,
-        sync_timeout_us: 150_000,
-    };
-    let pcb_config = PcbConfig::default();
-
     let Ok(addrs) = free_ports(N) else {
         eprintln!("SKIPPED: cannot bind localhost sockets in this environment");
-        return;
+        return None;
     };
 
     let mut procs: Vec<DaemonProc> = Vec::new();
@@ -263,8 +275,8 @@ fn live_cluster_survives_sigkill_and_recovers_from_disk() {
             node: node as u32,
             n: N as u32,
             keys: KeySet::from_entries(space, &[node]).expect("vector key"),
-            pcb_config: pcb_config.clone(),
-            timing,
+            pcb_config: PcbConfig::default(),
+            timing: TIMING,
         };
         save_spec(&state_dir, &spec).expect("spec written");
         let peers: Vec<(usize, SocketAddr)> =
@@ -274,6 +286,185 @@ fn live_cluster_survives_sigkill_and_recovers_from_disk() {
             spawn_live(&state_dir, listen, rpc, metrics, &peers, false).expect("daemon spawns");
         procs.push(DaemonProc { child, state_dir, listen, rpc, metrics });
     }
+    Some((addrs, procs))
+}
+
+/// Asks every daemon to exit, SIGKILLing any that is still up after 5 s.
+fn shutdown(procs: &mut [DaemonProc]) {
+    for proc in procs {
+        let _ = rpc(proc.rpc, &Value::object([("op", Value::from("shutdown"))]));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match proc.child.try_wait() {
+                Ok(Some(_)) => break,
+                Ok(None) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(10))
+                }
+                _ => {
+                    let _ = proc.child.kill();
+                    let _ = proc.child.wait();
+                    break;
+                }
+            }
+        }
+    }
+}
+
+fn u64_of(status: &Value, key: &str) -> u64 {
+    status.get(key).and_then(Value::as_u64).unwrap_or_else(|| panic!("{key}: {}", status.to_json()))
+}
+
+/// A non-blocking line-JSON connection, polled the way a load generator
+/// polls it.
+struct LineConn {
+    stream: TcpStream,
+    inbuf: Vec<u8>,
+}
+
+impl LineConn {
+    fn new(stream: TcpStream) -> Self {
+        stream.set_nonblocking(true).expect("non-blocking");
+        LineConn { stream, inbuf: Vec::new() }
+    }
+
+    fn send(&mut self, request: &Value) {
+        // A request line is far below the socket buffer: one write.
+        self.stream.write_all(format!("{}\n", request.to_json()).as_bytes()).expect("sent");
+    }
+
+    /// The complete lines that have arrived.
+    fn poll(&mut self) -> Vec<Value> {
+        let mut buf = [0u8; 4096];
+        loop {
+            match self.stream.read(&mut buf) {
+                Ok(0) => panic!("daemon hung up"),
+                Ok(n) => self.inbuf.extend_from_slice(&buf[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("read: {e}"),
+            }
+        }
+        let mut lines = Vec::new();
+        while let Some(end) = self.inbuf.iter().position(|&b| b == b'\n') {
+            let line: Vec<u8> = self.inbuf.drain(..=end).collect();
+            lines.push(json::parse(String::from_utf8_lossy(&line).trim()).expect("line parses"));
+        }
+        lines
+    }
+}
+
+fn publish_request(payload: u32) -> Value {
+    Value::object([("op", Value::from("publish")), ("payload", Value::from(payload))])
+}
+
+/// A closed loop through two daemons: publish on daemon 0, read the
+/// `deliver` event on daemon 1's subscription, repeat. That subscriber
+/// also keeps one publish of its own outstanding, as the benchmark's
+/// client does, so its connection carries small replies and small
+/// events. A daemon that wrote such a socket twice in one loop turn left
+/// the second write behind Nagle until the client's delayed ACK
+/// (≈ 40 ms, while the client waited for that very write): 200 round
+/// trips took ≈ 4.5 s on a 2-core host, against ≈ 0.4 s with one write
+/// per turn.
+#[test]
+fn round_trips_do_not_wait_on_delayed_acks() {
+    const ROUNDS: u64 = 200;
+    let Some((_, mut procs)) = spawn_cluster("nagle") else { return };
+    let (sub, _) = subscribe(procs[1].rpc);
+    let mut subscriber = LineConn::new(sub.into_inner());
+    status(procs[0].rpc); // daemon 0 is up
+    let mut publisher = LineConn::new(TcpStream::connect(procs[0].rpc).expect("rpc connects"));
+    subscriber.send(&publish_request(0));
+
+    let started = Instant::now();
+    let deadline = started + Duration::from_secs(30);
+    for round in 1..=ROUNDS {
+        publisher.send(&publish_request(round as u32));
+        let mut delivered = false;
+        while !delivered {
+            assert!(Instant::now() < deadline, "stuck in round {round}");
+            for line in publisher.poll() {
+                assert_eq!(line.get("ok").and_then(Value::as_bool), Some(true), "{line:?}");
+            }
+            for line in subscriber.poll() {
+                match parse_event(&line) {
+                    Some(event) => delivered |= event == (0, round),
+                    None => subscriber.send(&publish_request(0)),
+                }
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
+    let elapsed = started.elapsed();
+    shutdown(&mut procs);
+    assert!(elapsed < Duration::from_secs(2), "{ROUNDS} round trips took {elapsed:?}");
+}
+
+/// While every member reports its durable row, the store empties behind
+/// the stability frontier; once one member dies, the frontier stops at
+/// its last row and the store's time window — which here outlasts the
+/// test — keeps everything published after.
+#[test]
+fn store_follows_the_frontier_and_falls_back_to_its_window_when_a_member_dies() {
+    const BURST: u32 = 300;
+    let Some((_, mut procs)) = spawn_cluster("frontier") else { return };
+    let field = |proc: &DaemonProc, key: &str| u64_of(&status(proc.rpc), key);
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !done() {
+            assert!(Instant::now() < deadline, "never: {what}");
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    };
+
+    for k in 0..BURST {
+        publish(procs[0].rpc, k);
+    }
+    wait_for("every store empties behind the frontier", &|| {
+        procs.iter().all(|p| field(p, "store_retained") == 0 && field(p, "frontier_lag") == 0)
+    });
+    assert_eq!(field(&procs[2], "delivered"), u64::from(BURST));
+
+    let victim = procs.pop().expect("three daemons");
+    drop(victim); // SIGKILL, reaped
+
+    // A row counts for the member at the address that sent it. One from
+    // an address that is no member's — claiming everything stable, with
+    // one entry per member — counts for nobody, the dead member included.
+    let any: SocketAddr = "127.0.0.1:0".parse().expect("address");
+    let mut stranger = UdpTransport::bind(any, 1, UdpConfig::default(), 0).expect("bind");
+    for proc in &procs {
+        stranger.send(proc.listen, encode_row_msg(&[u64::MAX; N]), 0);
+    }
+    let sent_at = Instant::now();
+    // Each survivor acknowledges the row once its loop has read it.
+    while stranger.stats().0.datagrams_received < procs.len() as u64 {
+        assert!(sent_at.elapsed() < Duration::from_secs(10), "the forged rows were never read");
+        let now_us = sent_at.elapsed().as_micros() as u64;
+        stranger.flush(now_us);
+        let _ = stranger.poll(now_us);
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    for k in BURST..2 * BURST {
+        publish(procs[0].rpc, k);
+    }
+    wait_for("the survivor delivers the second burst", &|| {
+        field(&procs[1], "delivered") == u64::from(2 * BURST)
+    });
+    // Several snapshot rounds later, nothing past the dead member's last
+    // row has left either survivor's store.
+    std::thread::sleep(Duration::from_millis(4 * TIMING.snapshot_every_us / 1_000));
+    for proc in &procs {
+        let s = status(proc.rpc);
+        assert!(u64_of(&s, "store_retained") >= u64::from(BURST), "{}", s.to_json());
+        assert!(u64_of(&s, "frontier_lag") >= u64::from(BURST), "{}", s.to_json());
+    }
+    shutdown(&mut procs);
+}
+
+#[test]
+fn live_cluster_survives_sigkill_and_recovers_from_disk() {
+    let Some((addrs, mut procs)) = spawn_cluster("live") else { return };
 
     // The victim's delivery log dies with its process; keep a live
     // subscription so the pre-kill stream is still observable.
@@ -449,6 +640,8 @@ fn live_cluster_survives_sigkill_and_recovers_from_disk() {
             "frames_delta_sent",
             "frames_full_sent",
             "delta_missing_base",
+            "store_retained",
+            "frontier_lag",
         ] {
             assert!(after.get(key).is_some(), "status lacks {key}: {}", after.to_json());
             let family = format!("# TYPE pcb_daemon_{key}");
@@ -469,21 +662,5 @@ fn live_cluster_survives_sigkill_and_recovers_from_disk() {
         assert!(frame.contains(&format!("{node} ({})", proc.rpc)), "no row for {node}:\n{frame}");
     }
 
-    for proc in &mut procs {
-        let _ = rpc(proc.rpc, &Value::object([("op", Value::from("shutdown"))]));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match proc.child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(10))
-                }
-                _ => {
-                    let _ = proc.child.kill();
-                    let _ = proc.child.wait();
-                    break;
-                }
-            }
-        }
-    }
+    shutdown(&mut procs);
 }

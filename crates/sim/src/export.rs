@@ -288,6 +288,7 @@ const STEP_RESTORE: u8 = 6;
 const STEP_RECONFIGURE: u8 = 7;
 const STEP_LEAVE: u8 = 8;
 const STEP_JOIN: u8 = 9;
+const STEP_STABLE_FRONTIER: u8 = 10;
 
 /// Fewest bytes one window of a sync request occupies: sender, prefix,
 /// exception count.
@@ -372,6 +373,13 @@ pub fn encode_step(now_us: u64, input: &Input<u32>) -> Vec<u8> {
             out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
             out.extend_from_slice(&blob);
         }
+        Input::StableFrontier(frontier) => {
+            out.push(STEP_STABLE_FRONTIER);
+            out.extend_from_slice(&(frontier.len() as u32).to_le_bytes());
+            for seq in frontier {
+                out.extend_from_slice(&seq.to_le_bytes());
+            }
+        }
     }
     out
 }
@@ -444,6 +452,14 @@ pub fn decode_step(bytes: &[u8]) -> Result<(u64, Input<u32>), ExportError> {
             let len = r.u32()? as usize;
             let blob = r.take(len)?;
             Input::Join(Box::new(decode_join_grant(blob)?))
+        }
+        STEP_STABLE_FRONTIER => {
+            let count = r.u32()? as usize;
+            let mut frontier = Vec::with_capacity(r.capacity(count, 8));
+            for _ in 0..count {
+                frontier.push(r.u64()?);
+            }
+            Input::StableFrontier(frontier)
         }
         other => return Err(ExportError::BadKind(other)),
     };
@@ -696,6 +712,8 @@ mod tests {
                     .join_grant(ProcessId::new(11), KeySet::from_entries(space, &[1, 4]).unwrap());
                 Input::Join(Box::new(grant))
             }),
+            (12, Input::StableFrontier(vec![])),
+            (13, Input::StableFrontier(vec![4, 0, u64::MAX])),
         ];
         for (now, input) in steps {
             let bytes = encode_step(now, &input);

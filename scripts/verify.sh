@@ -136,15 +136,19 @@ stage_equiv() {
 # of the seeded chaos plans (including lossy-shim seeds 1 and 5) replays
 # against real pcb-daemon OS processes — recorded crashes as actual
 # SIGKILLs, restarts from snapshot + WAL — plus the live-mode 3-process
-# kill -9 integration test, and two 6 s runs of the benchmark (the
+# kill -9 integration test, and three 6 s runs of the benchmark (the
 # ledger exits non-zero unless every message arrived everywhere): the
 # crash workload (SIGKILL + `--resume` of one of three daemons under
-# load), of which the lines that say how the restart went are shown, and
-# the steady workload, of which the lines that say what a publish costs
-# on the wire are — ≈ 440 B and ≈ 4.4 packets on a quiet loopback; the
+# load), of which the lines that say how the restart went are shown; the
+# steady workload, of which the lines that say what a publish costs on
+# the wire are — ≈ 440 B and ≈ 4.4 packets on a quiet loopback; the
 # counters are the `lo` interface's, so anything else talking on it is
-# in them. Environments that forbid fork/exec print an explicit SKIPPED
-# marker instead of failing.
+# in them; and the saturate workload, of which capacity, latency and
+# memory are shown — ≈ 3 000 deliveries/s at ≈ 1.7 ms p50 and ≈ 4.4 MB
+# on 2 cores; ≈ 160/s at ≈ 42 ms means RPC writes are stalling behind
+# delayed ACKs, and tens of MB means the store no longer follows the
+# stability frontier. Environments that forbid fork/exec print an
+# explicit SKIPPED marker instead of failing.
 stage_daemon() {
     run cargo build --release -p pcb-runtime --bins
     if can_spawn_daemon; then
@@ -158,6 +162,9 @@ stage_daemon() {
         echo "==> bash ledger/run.sh --workload daemon-steady --seed 1 --seconds 6 --trace 0"
         bash ledger/run.sh --workload daemon-steady --seed 1 --seconds 6 --trace 0 |
             grep -E "wire_bytes_per_msg  |lo packets per message|failed_ops|verdict"
+        echo "==> bash ledger/run.sh --workload daemon-saturate --seed 1 --seconds 6 --trace 0"
+        bash ledger/run.sh --workload daemon-saturate --seed 1 --seconds 6 --trace 0 |
+            grep -E "deliveries_per_s  |deliver_p50_ms  |peak_rss_mb  |failed_ops|verdict"
     fi
 }
 
