@@ -7,8 +7,8 @@
 //! cargo run --release -p pcb-bench --bin chaos_soak -- [seed [n [duration_ms]]] [--threads T]
 //! ```
 //!
-//! Every run prints the plan in its replayable text form; to re-run a
-//! failing plan bit-identically, pass the same seed again (or use
+//! Every run prints the plan as text for reading; to re-run a failing
+//! plan bit-identically, pass the same seed again (or use
 //! `scripts/replay.sh <seed>`). With no arguments the soak sweeps a
 //! small fixed seed set — the `scripts/verify.sh --chaos` stage.
 

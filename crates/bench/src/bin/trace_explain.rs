@@ -7,7 +7,7 @@
 //! ```
 //!
 //! * File mode replays an existing JSONL trace (from
-//!   `simulate_traced` or `Cluster::drain_traces`) and prints the causal
+//!   `simulate_traced` or `Endpoint::drain_trace`) and prints the causal
 //!   story of every exact-checker violation — or, with `--alerts`, of
 //!   every Algorithm 4 alert, including false alarms.
 //! * `--seed` re-runs the seeded chaos workload with tracing on (same

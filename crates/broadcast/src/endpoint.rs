@@ -14,8 +14,9 @@
 //! * the **discrete-event simulator** (`pcb-sim`), which schedules the
 //!   outputs as virtual-time events and checks them against the exact
 //!   causal oracle, and
-//! * the **threaded live runtime** (`pcb-runtime`), which routes them
-//!   over real channels on wall-clock time.
+//! * the **`pcb-daemon` process** (`pcb-runtime`), which routes them
+//!   over real UDP sockets on wall-clock time and persists its
+//!   snapshots to disk.
 //!
 //! Because both shells drive this one type, the chaos engine and the
 //! exact checker certify the code that serves live traffic — not a
@@ -24,8 +25,8 @@
 //! # Time
 //!
 //! All times are **microseconds** on whatever monotone clock the shell
-//! chooses (virtual time in the simulator, time since an epoch in the
-//! live runtime). The unit is in every name (`now_us`,
+//! chooses (virtual time in the simulator, time since the Unix epoch in
+//! the daemon). The unit is in every name (`now_us`,
 //! [`RecoveryTimingUs`]); shells convert exactly once, at the boundary.
 //!
 //! # Driving the machine
@@ -105,7 +106,8 @@ pub struct RecoveryTimingUs {
 }
 
 impl Default for RecoveryTimingUs {
-    /// Mirrors the live runtime's `RecoveryConfig` defaults.
+    /// Defaults for a live cluster whose propagation delays are well
+    /// under the 100 ms staleness threshold.
     fn default() -> Self {
         Self {
             stale_after_us: 100_000,
@@ -178,8 +180,8 @@ pub enum Input<P> {
 }
 
 /// Everything an endpoint wants *done*. Pure data — the shell routes
-/// each one (or deliberately ignores it, e.g. a thread-based shell that
-/// has its own timer needs no [`Output::ScheduleTick`]).
+/// each one (or deliberately ignores it, e.g. a shell that keeps no
+/// oracle needs no [`Output::SnapshotReady`]).
 #[derive(Debug, Clone)]
 pub enum Output<P> {
     /// Hand this message to the application (already inserted into the
@@ -189,7 +191,7 @@ pub enum Output<P> {
     /// Broadcast this frame to every peer.
     SendFrame(Message<P>),
     /// Ask a peer for anything outside `windows`. Peer choice is the
-    /// shell's (the live router rotates; the simulator rotates
+    /// shell's (the simulator and the daemon rotate through the peers
     /// deterministically).
     RequestSync {
         /// Everything this endpoint has seen, as dedup windows: per
@@ -277,7 +279,7 @@ enum Via {
 }
 
 /// A point-in-time health report: what every shell hands its operators
-/// (`NodeHandle::status`, the daemon's `status` RPC and `/metrics`), with
+/// (the daemon's `status` RPC and `/metrics`, `pcb-top`), with
 /// [`EndpointStatus::rows`] as the one list of names they render.
 #[derive(Debug, Clone)]
 pub struct EndpointStatus {

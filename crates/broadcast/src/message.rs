@@ -221,4 +221,24 @@ mod tests {
     fn into_payload_extracts() {
         assert_eq!(sample().into_payload(), "hello");
     }
+
+    #[test]
+    fn fanout_shares_one_stamp_and_payload() {
+        // A shell fans one broadcast out by cloning it per receiver; every
+        // copy must point at the stamp and the payload bytes the sender
+        // handed over, so a broadcast materializes each exactly once.
+        let stamp = Timestamp::from_entries(vec![3, 1, 4, 1]);
+        let payload = bytes::Bytes::from(vec![0xAB; 64]);
+        let keys = Arc::new(KeySet::from_entries(KeySpace::new(4, 2).unwrap(), &[0, 2]).unwrap());
+        let m = Message::new(
+            MessageId::new(ProcessId::new(0), 1),
+            keys,
+            stamp.clone(),
+            payload.clone(),
+        );
+        for copy in (0..4).map(|_| m.clone()) {
+            assert!(copy.timestamp().shares_storage_with(&stamp), "stamp was deep-copied");
+            assert_eq!(copy.payload().as_ptr(), payload.as_ptr(), "payload was copied");
+        }
+    }
 }

@@ -4,8 +4,9 @@
 //! `f(p_i)`, the `R`-entry clock, an entry-indexed pending set of
 //! received-but-not-yet-deliverable messages ([`crate::pending`]),
 //! bounded duplicate suppression ([`crate::dedup`]), and the two
-//! delivery-error detectors. Transports (the simulator, the threaded
-//! runtime, or a real network) move [`Message`]s between endpoints.
+//! delivery-error detectors. Transports (the simulator, the daemon's UDP
+//! links, or a caller routing by hand) move [`Message`]s between
+//! endpoints.
 
 use std::sync::Arc;
 

@@ -1,7 +1,7 @@
 //! The `pcb-daemon` process shell: one protocol endpoint per OS process.
 //!
 //! Everything before this module runs the protocol inside one address
-//! space — simulator, thread cluster, loopback replays. The daemon is
+//! space — simulator, loopback replays. The daemon is
 //! the missing shell: a standalone process owning an
 //! [`Endpoint`](pcb_broadcast::Endpoint), a real [`UdpTransport`] to its
 //! peers, crash-durable state on disk, and an operator surface. It runs

@@ -1,21 +1,28 @@
-//! Live threaded runtime for probabilistic causal broadcast.
+//! The live leg of probabilistic causal broadcast: one
+//! [`pcb_broadcast::Endpoint`] per OS process.
 //!
-//! Where `pcb-sim` evaluates the protocol under a controlled virtual
-//! clock, this crate runs it for real: each node is a thread owning a
-//! [`pcb_broadcast::PcbProcess`], connected through an in-memory transport
-//! whose router injects the paper's Gaussian delay + skew model into
-//! actual wall-clock scheduling. Use it to demo applications (chat,
-//! collaborative editing) on top of the causal ordering layer.
+//! `pcb-sim` runs the protocol under the paper's delay model in virtual
+//! time; this crate runs the same state machine for real. [`daemon`] is
+//! the `pcb-daemon` process shell — one single-threaded poll loop
+//! around the endpoint, a reliable [`udp`] transport to its peers,
+//! crash-durable state on disk, a JSON RPC socket and a `/metrics`
+//! page. [`certify`] replays seeded simulator chaos runs through real
+//! daemon processes and diffs their delivery streams bit for bit;
+//! [`shim`] injects the plan's link faults at the socket; and
+//! [`LoopbackCluster`] replays a recorded input log in-process, so the
+//! construction path is diffed without any IO:
 //!
-//! ```no_run
-//! use pcb_runtime::{Cluster, ClusterConfig};
+//! ```
+//! use pcb_clock::{AssignmentPolicy, KeySpace};
+//! use pcb_runtime::LoopbackCluster;
+//! use pcb_sim::{chaos_config, record_endpoint_chaos};
 //!
-//! // Four nodes with exact (vector-equivalent) clocks.
-//! let cluster = Cluster::<String>::start(ClusterConfig::exact(4))?;
-//! cluster.node(0).broadcast("first".to_string()).unwrap();
-//! let d = cluster.node(2).deliveries().recv()?;
-//! println!("node 2 got {:?}", d.message.payload());
-//! cluster.shutdown();
+//! // A seeded 4-node run with a crash, a partition and a link-fault window.
+//! let (config, space) = (chaos_config(1, 4, 1_000.0), KeySpace::vector(4)?);
+//! let record = record_endpoint_chaos(&config, space, AssignmentPolicy::RoundRobin)?;
+//! let mut cluster = LoopbackCluster::new(&record.keys, &record.pcb_config, record.timing);
+//! cluster.replay(record.inputs.iter().cloned());
+//! assert_eq!(cluster.deliveries(), record.deliveries.as_slice());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -23,24 +30,17 @@
 #![warn(missing_docs)]
 
 pub mod certify;
-pub mod cluster;
 pub mod daemon;
 pub mod loopback;
-pub mod node;
 pub mod shim;
-pub mod transport;
 pub mod udp;
 
 pub use certify::{certify_record, CertifyError, CertifyOptions, CertifyStats};
-pub use cluster::{Cluster, ClusterConfig, ClusterError, MetricsDump};
 pub use loopback::LoopbackCluster;
-pub use node::{NodeHandle, RecoveryConfig};
 pub use shim::{SocketShim, Verdict};
 pub use udp::{UdpConfig, UdpEvent, UdpStats, UdpTransport};
-// Chaos plans are shared with the simulator: the same `FaultPlan` drives
-// the sim engine's event loop in virtual time and this crate's
-// fault-controller thread in wall-clock time.
-pub use pcb_sim::{FaultEvent, FaultKind, FaultPlan, LinkFaults};
-pub use transport::LatencyModel;
+// The shim draws its verdicts from the simulator's link-fault rates, and
+// `CertifyOptions` takes them in that type.
+pub use pcb_sim::LinkFaults;
 // `ledger/` names this path; the codec itself is `pcb_telemetry::json`.
 pub use pcb_telemetry::json;

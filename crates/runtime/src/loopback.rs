@@ -2,7 +2,7 @@
 //!
 //! A [`LoopbackCluster`] hosts one production
 //! [`Endpoint`](pcb_broadcast::Endpoint) per node — the same sans-IO
-//! state machine [`crate::node`] wraps with threads and channels — but
+//! state machine [`crate::daemon`] wraps with sockets and a disk — but
 //! drives them synchronously from an explicit input log instead of live
 //! IO. Feeding it the `(time, node, input)` log captured by a simulator
 //! chaos run (`pcb_sim::record_endpoint_chaos`) replays the exact same
@@ -25,8 +25,8 @@ pub struct LoopbackCluster {
 
 impl LoopbackCluster {
     /// Builds one endpoint per entry of `keys`, all sharing `config` and
-    /// `timing` — the same constructor arguments the live node loop and
-    /// the simulator's chaos driver use.
+    /// `timing` — the same constructor arguments the daemon and the
+    /// simulator's chaos driver use.
     #[must_use]
     pub fn new(keys: &[KeySet], config: &PcbConfig, timing: RecoveryTimingUs) -> Self {
         let nodes: Vec<Endpoint<u32>> = keys

@@ -1,10 +1,9 @@
 //! Deterministic socket-level fault shim.
 //!
-//! The simulator injects link faults at its virtual router; the live
-//! runtime injects them at its in-memory transport. Real UDP has no such
-//! seam — short of iptables rules (root, global, flaky to clean up) there
-//! is no way to ask the kernel to drop 10% of one flow. So the transport
-//! offers its own seam: every outbound datagram passes through a
+//! The simulator injects link faults at its virtual router. Real UDP has
+//! no such seam — short of iptables rules (root, global, flaky to clean
+//! up) there is no way to ask the kernel to drop 10% of one flow. So the
+//! transport offers its own seam: every outbound datagram passes through a
 //! [`SocketShim`] that returns a deterministic *verdict* — deliver now,
 //! drop, duplicate, or delay — computed from a seeded generator.
 //!

@@ -1,7 +1,6 @@
 //! Real-socket UDP transport with reliable in-order frame delivery.
 //!
-//! The in-memory [`crate::transport`] router moves frames between
-//! threads; this module moves them between *processes*, over actual
+//! This module moves frames between *processes*, over actual
 //! `UdpSocket`s. UDP gives us datagram boundaries and nothing else, so
 //! the transport layers the minimum machinery the protocol needs on top:
 //!

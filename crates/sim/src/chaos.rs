@@ -3,8 +3,8 @@
 //!
 //! Fault-plan runs do not use the lean [`crate::engine`] disciplines.
 //! Instead every simulated process hosts a real
-//! [`pcb_broadcast::Endpoint`] — the same sans-IO state machine the live
-//! runtime's `pcb-runtime::node` wraps — and this module is nothing but a
+//! [`pcb_broadcast::Endpoint`] — the same sans-IO state machine every
+//! `pcb-daemon` process runs — and this module is nothing but a
 //! discrete-event *shell* around it. The shell owns exactly three things:
 //!
 //! 1. **Event scheduling** — endpoint [`Output`]s become heap events

@@ -1,13 +1,14 @@
 //! Deterministic fault plans for chaos runs.
 //!
-//! A [`FaultPlan`] is a seedable, serializable schedule of fault events —
-//! crashes, recoveries, network partitions, and link-level misbehaviour
-//! (burst loss, duplication, reordering, corruption). The simulation
-//! engine interprets the plan inside its event loop; the live runtime
-//! replays the same plan through a fault-controller thread driving the
-//! transport router. Because plans serialize to a small text format and
-//! generate deterministically from a seed, any failing chaos run can be
-//! replayed bit-identically from its seed alone (`scripts/replay.sh`).
+//! A [`FaultPlan`] is a seedable schedule of fault events — crashes,
+//! recoveries, network partitions, link-level misbehaviour (burst loss,
+//! duplication, reordering, corruption) and membership churn. The
+//! simulation engine interprets the plan inside its event loop; the
+//! daemon certification harness replays a recorded run of it against
+//! real processes. Plans generate deterministically from a seed, so any
+//! failing chaos run replays bit-identically from its seed alone
+//! (`scripts/replay.sh`); [`FaultPlan::to_text`] renders one for people
+//! to read.
 
 use serde::{Deserialize, Serialize};
 
@@ -124,23 +125,6 @@ pub struct FaultPlan {
     /// after a partition heals takes a bounded number of these rounds.
     pub sync_interval_ms: f64,
 }
-
-/// A parse failure in [`FaultPlan::from_text`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanParseError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// What was wrong with it.
-    pub reason: String,
-}
-
-impl std::fmt::Display for PlanParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "fault plan line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for PlanParseError {}
 
 impl FaultPlan {
     /// An empty plan with the given snapshot and sync periods.
@@ -418,9 +402,8 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Renders the plan in the line-oriented text format
-    /// [`Self::from_text`] parses — the interchange format logged by the
-    /// chaos soak and consumed by `scripts/replay.sh`.
+    /// Renders the plan as one line per event, for logs: the chaos soak
+    /// prints it beside each seed. Replay is by seed, not by this text.
     #[must_use]
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
@@ -473,130 +456,6 @@ impl FaultPlan {
         }
         out
     }
-
-    /// Parses the text format produced by [`Self::to_text`]. Blank lines
-    /// and `#` comments are ignored.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanParseError`] pointing at the first malformed line.
-    pub fn from_text(text: &str) -> Result<Self, PlanParseError> {
-        let err = |line: usize, reason: &str| PlanParseError { line, reason: reason.into() };
-        let parse_f64 = |line: usize, s: &str| {
-            s.parse::<f64>().map_err(|_| err(line, &format!("bad number {s:?}")))
-        };
-        let parse_usize = |line: usize, s: &str| {
-            s.parse::<usize>().map_err(|_| err(line, &format!("bad node index {s:?}")))
-        };
-        let mut plan = Self::new(0.0, 0.0);
-        let mut saw_header = false;
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if !saw_header {
-                if line != "faultplan v1" {
-                    return Err(err(lineno, "expected header `faultplan v1`"));
-                }
-                saw_header = true;
-                continue;
-            }
-            // `<verb> [args] @ <time>` or a `<key> <value>` parameter.
-            let (head, at_ms) = match line.rsplit_once('@') {
-                Some((head, t)) => (head.trim(), Some(parse_f64(lineno, t.trim())?)),
-                None => (line, None),
-            };
-            let mut words = head.split_whitespace();
-            let verb = words.next().ok_or_else(|| err(lineno, "empty statement"))?;
-            match (verb, at_ms) {
-                ("snapshot_every_ms", None) => {
-                    let v = words.next().ok_or_else(|| err(lineno, "missing value"))?;
-                    plan.snapshot_every_ms = parse_f64(lineno, v)?;
-                }
-                ("sync_interval_ms", None) => {
-                    let v = words.next().ok_or_else(|| err(lineno, "missing value"))?;
-                    plan.sync_interval_ms = parse_f64(lineno, v)?;
-                }
-                ("crash", Some(at)) => {
-                    let node = words.next().ok_or_else(|| err(lineno, "crash needs a node"))?;
-                    let kind = FaultKind::Crash { node: parse_usize(lineno, node)? };
-                    plan.events.push(FaultEvent { at_ms: at, kind });
-                }
-                ("recover", Some(at)) => {
-                    let node = words.next().ok_or_else(|| err(lineno, "recover needs a node"))?;
-                    let kind = FaultKind::Recover { node: parse_usize(lineno, node)? };
-                    plan.events.push(FaultEvent { at_ms: at, kind });
-                }
-                ("partition", Some(at)) => {
-                    let spec = words.next().ok_or_else(|| err(lineno, "partition needs groups"))?;
-                    let mut groups = Vec::new();
-                    for group in spec.split('|') {
-                        let members: Result<Vec<usize>, PlanParseError> =
-                            group.split(',').map(|m| parse_usize(lineno, m.trim())).collect();
-                        groups.push(members?);
-                    }
-                    plan.events
-                        .push(FaultEvent { at_ms: at, kind: FaultKind::PartitionStart { groups } });
-                }
-                ("heal", Some(at)) => {
-                    plan.events.push(FaultEvent { at_ms: at, kind: FaultKind::PartitionEnd });
-                }
-                ("linkfault", Some(at)) => {
-                    let mut faults = LinkFaults::default();
-                    for pair in words {
-                        let (key, value) = pair.split_once('=').ok_or_else(|| {
-                            err(lineno, &format!("expected key=value, got {pair:?}"))
-                        })?;
-                        let v = parse_f64(lineno, value)?;
-                        match key {
-                            "drop" => faults.drop = v,
-                            "dup" => faults.dup = v,
-                            "reorder" => faults.reorder = v,
-                            "reorder_ms" => faults.reorder_extra_ms = v,
-                            "corrupt" => faults.corrupt = v,
-                            _ => return Err(err(lineno, &format!("unknown rate {key:?}"))),
-                        }
-                    }
-                    plan.events
-                        .push(FaultEvent { at_ms: at, kind: FaultKind::LinkFaultStart { faults } });
-                }
-                ("linkclear", Some(at)) => {
-                    plan.events.push(FaultEvent { at_ms: at, kind: FaultKind::LinkFaultEnd });
-                }
-                ("join", Some(at)) => {
-                    let node = words.next().ok_or_else(|| err(lineno, "join needs a node"))?;
-                    let sponsor =
-                        words.next().ok_or_else(|| err(lineno, "join needs a sponsor"))?;
-                    let kind = FaultKind::Join {
-                        node: parse_usize(lineno, node)?,
-                        sponsor: parse_usize(lineno, sponsor)?,
-                    };
-                    plan.events.push(FaultEvent { at_ms: at, kind });
-                }
-                ("leave", Some(at)) => {
-                    let node = words.next().ok_or_else(|| err(lineno, "leave needs a node"))?;
-                    let kind = FaultKind::Leave { node: parse_usize(lineno, node)? };
-                    plan.events.push(FaultEvent { at_ms: at, kind });
-                }
-                ("reconfigure", Some(at)) => {
-                    let r = words.next().ok_or_else(|| err(lineno, "reconfigure needs R"))?;
-                    let k = words.next().ok_or_else(|| err(lineno, "reconfigure needs K"))?;
-                    let kind = FaultKind::Reconfigure {
-                        r: parse_usize(lineno, r)?,
-                        k: parse_usize(lineno, k)?,
-                    };
-                    plan.events.push(FaultEvent { at_ms: at, kind });
-                }
-                _ => return Err(err(lineno, &format!("unknown statement {verb:?}"))),
-            }
-        }
-        if !saw_header {
-            return Err(err(1, "empty plan: expected header `faultplan v1`"));
-        }
-        Ok(plan)
-    }
 }
 
 #[cfg(test)]
@@ -624,12 +483,19 @@ mod tests {
     }
 
     #[test]
-    fn text_roundtrip_is_identity() {
-        let plan = sample();
-        let text = plan.to_text();
-        let back = FaultPlan::from_text(&text).unwrap();
-        assert_eq!(plan, back);
-        assert_eq!(back.to_text(), text);
+    fn to_text_renders_one_line_per_event() {
+        let plan = sample()
+            .with_event(3100.0, FaultKind::Join { node: 9, sponsor: 1 })
+            .with_event(3200.0, FaultKind::Reconfigure { r: 64, k: 3 })
+            .with_event(3300.0, FaultKind::Leave { node: 0 });
+        assert_eq!(
+            plan.to_text(),
+            "faultplan v1\nsnapshot_every_ms 250\nsync_interval_ms 200\n\
+             linkfault drop=0.1 dup=0.05 reorder=0 reorder_ms=50 corrupt=0 @ 500\n\
+             linkclear @ 900\ncrash 3 @ 1000\npartition 0,1,2|4,5|6,7,8 @ 2000\n\
+             recover 3 @ 2500\nheal @ 3000\njoin 9 1 @ 3100\nreconfigure 64 3 @ 3200\n\
+             leave 0 @ 3300\n"
+        );
     }
 
     #[test]
@@ -639,8 +505,6 @@ mod tests {
             let b = FaultPlan::random(seed, 9, 500.0, 8000.0);
             assert_eq!(a, b, "seed {seed} must reproduce the plan");
             a.validate(9, 8000.0).unwrap();
-            let rt = FaultPlan::from_text(&a.to_text()).unwrap();
-            assert_eq!(a, rt, "seed {seed} plan must survive the text codec");
         }
         assert_ne!(FaultPlan::random(1, 9, 500.0, 8000.0), FaultPlan::random(2, 9, 500.0, 8000.0));
     }
@@ -671,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn churn_verbs_round_trip_and_validate() {
+    fn churn_verbs_validate_and_grow_the_run() {
         let plan = FaultPlan::new(250.0, 200.0)
             .with_event(100.0, FaultKind::Join { node: 4, sponsor: 1 })
             .with_event(200.0, FaultKind::Reconfigure { r: 64, k: 3 })
@@ -680,11 +544,6 @@ mod tests {
             .with_event(500.0, FaultKind::Recover { node: 4 });
         assert_eq!(plan.n_total(4), 5, "the join grows the run by one slot");
         plan.validate(4, 1000.0).unwrap();
-        let text = plan.to_text();
-        assert!(text.contains("join 4 1 @ 100"));
-        assert!(text.contains("leave 0 @ 300"));
-        assert!(text.contains("reconfigure 64 3 @ 200"));
-        assert_eq!(FaultPlan::from_text(&text).unwrap(), plan);
     }
 
     #[test]
@@ -719,7 +578,6 @@ mod tests {
         assert_eq!(a, FaultPlan::churn_storm(7, 10, 40.0, 500.0, 9_500.0));
         a.validate(10, 10_000.0).unwrap();
         assert!(a.events.iter().any(|e| matches!(e.kind, FaultKind::Join { .. })));
-        assert_eq!(FaultPlan::from_text(&a.to_text()).unwrap(), a);
 
         let fc = FaultPlan::flash_crowd(5, 100, 1_000.0, 2_000.0);
         fc.validate(5, 10_000.0).unwrap();
@@ -738,13 +596,5 @@ mod tests {
         all.sort_unstable();
         assert_eq!(all, (0..9).collect::<Vec<_>>());
         assert_eq!(FaultPlan::split_groups(5, 2).concat().len(), 5);
-    }
-
-    #[test]
-    fn parse_errors_carry_line_numbers() {
-        let err = FaultPlan::from_text("faultplan v1\ncrash x @ 5").unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(FaultPlan::from_text("").is_err());
-        assert!(FaultPlan::from_text("not a plan").is_err());
     }
 }

@@ -55,7 +55,7 @@ pub use export::{
     encode_digests, encode_node_spec, encode_step, message_from_wire, message_to_wire,
     snapshot_from_wire, snapshot_to_wire, ExportError, NodeSpec, ReplayScript,
 };
-pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkFaults, PlanParseError};
+pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkFaults};
 pub use metrics::RunMetrics;
 pub use oracle::{EpsilonEstimator, EpsilonOutcome, ExactChecker, StreamOracle, StreamViolation};
 pub use report::{render_csv, render_latency_table, render_table};

@@ -41,6 +41,27 @@ fn same_seed_replays_bit_identically() {
     }
 }
 
+/// The control for every recovery assertion below: a plan with no fault
+/// events loses nothing, so anti-entropy may probe but never re-fetches.
+/// Every hop takes exactly 10 ms here. With random delays a probe's
+/// reply can overtake a frame still on the wire and re-fetch it (the
+/// frame then arrives as a duplicate); at a fixed delay a reply never
+/// arrives before a frame its replier held when the probe came in.
+#[test]
+fn fault_free_plan_refetches_nothing() {
+    let config = SimConfig {
+        latency_mean_ms: 10.0,
+        latency_sigma_ms: 0.0,
+        skew_sigma_ms: 0.0,
+        ..chaos_base(6, 4000.0, 5, FaultPlan::new(250.0, 200.0))
+    };
+    let m = simulate_prob(&config, space()).unwrap();
+    assert!(m.deliveries > 0 && m.recovery.sync_requests > 0, "{m:?}");
+    assert_eq!(m.recovery.refetched, 0, "nothing was lost, so nothing is re-fetched: {m:?}");
+    assert_eq!(m.undelivered, 0, "{m:?}");
+    assert_eq!(m.stuck, 0, "{m:?}");
+}
+
 /// Crash → restore-from-snapshot → anti-entropy catch-up, end to end:
 /// the run converges (nothing undelivered, nothing stuck) and the
 /// recovery machinery demonstrably did the work.

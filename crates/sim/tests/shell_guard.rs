@@ -1,9 +1,11 @@
 //! Shell-purity guard: the sans-IO refactor moved the whole per-process
 //! protocol — dedup, snapshots, anti-entropy policy, sync backoff — into
-//! `pcb-broadcast::Endpoint`. The shells (the simulator's event loop and
-//! the runtime's node loop) must never grow it back: any reference to the
-//! protocol's internals from a shell source file means the chaos
-//! certificates and the live path have started to diverge again.
+//! `pcb-broadcast::Endpoint`. The in-memory shells (the simulator's event
+//! loops and the runtime's loopback replayer) must never grow it back:
+//! any reference to the protocol's internals from a shell source file
+//! means the chaos certificates and the shell have started to diverge
+//! again. The daemon persists snapshots, so it names those internals by
+//! necessity; `daemon-equiv` certifies it against the simulator instead.
 //!
 //! This is a source-text guard on purpose. The tokens below are internal
 //! identifiers a shell has no legitimate reason to even *mention*; an
@@ -12,7 +14,9 @@
 //! A second rule guards the other direction: the sans-IO crates
 //! (`pcb-broadcast`, `pcb-clock`) own no threads or channels, so a
 //! worker pool cannot grow back beside the one sequential ingest path.
-//! (Independent sweep points still parallelise in `sim::pool`.)
+//! (Independent sweep points still parallelise in `sim::pool`.) The
+//! runtime crate spawns no thread either: each process is one poll loop
+//! around one endpoint.
 //!
 //! A third rule keeps one codec per artefact: one JSON parser
 //! (`pcb_telemetry::json`), one LEB128 reader (`pcb_broadcast::wire`),
@@ -30,13 +34,17 @@ const FORBIDDEN: &[&str] =
 
 /// Shell sources, relative to this crate's manifest dir. These files own
 /// scheduling, IO/fault interpretation, and oracles — nothing else.
-const SHELLS: &[&str] =
-    &["src/engine.rs", "src/chaos.rs", "../runtime/src/node.rs", "../runtime/src/loopback.rs"];
+const SHELLS: &[&str] = &["src/engine.rs", "src/chaos.rs", "../runtime/src/loopback.rs"];
 
 /// Source directories of the sans-IO crates, and what none of their
 /// files may mention.
 const SANS_IO: &[&str] = &["../broadcast/src", "../clock/src"];
 const CONCURRENCY: &[&str] = &["std::thread", "mpsc", "crossbeam"];
+
+/// What no file of the runtime crate (`bin/` included) may mention: it
+/// may sleep, but it may not start a second thread of control.
+const SPAWNING: &[&str] =
+    &["thread::spawn", "thread::Builder", "thread::scope", "mpsc", "crossbeam"];
 
 /// Every `.rs` file directly under `dir`, as `(path, text)`.
 fn sources(dir: &Path) -> Vec<(String, String)> {
@@ -148,6 +156,25 @@ fn workspace_sources() -> Vec<(String, String)> {
             (rel, fs::read_to_string(&path).expect("read source"))
         })
         .collect()
+}
+
+#[test]
+fn runtime_is_one_poll_loop_per_process() {
+    let runtime: Vec<_> = workspace_sources()
+        .into_iter()
+        .filter(|(path, _)| path.starts_with("runtime/src/"))
+        .collect();
+    assert!(
+        runtime.iter().any(|(path, _)| path == "runtime/src/daemon.rs"),
+        "guard lost the daemon"
+    );
+    let offences = mentions(&runtime, SPAWNING);
+    assert!(
+        offences.is_empty(),
+        "the runtime starts a thread or a channel — every runtime process is one \
+         poll loop around one endpoint:\n{}",
+        offences.join("\n")
+    );
 }
 
 /// Whether `line` masks a byte's seven value bits — the heart of any

@@ -116,8 +116,8 @@ impl TraceEvent {
 /// A timestamped event at a node.
 ///
 /// `time` is whatever clock the emitting layer runs on — virtual
-/// microseconds in the simulator, wall-clock milliseconds since the
-/// cluster epoch in the live runtime. Merged traces must be sorted by
+/// microseconds in the simulator, wall-clock microseconds since the
+/// Unix epoch in the daemon. Merged traces must be sorted by
 /// `time` with each node's emission order preserved on ties.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {

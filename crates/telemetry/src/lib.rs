@@ -29,7 +29,7 @@
 //!   count `X` at that instant.
 //!
 //! The crate is deliberately leaf-level (no dependencies): every layer of
-//! the stack — protocol core, simulator, live runtime, benches — can
+//! the stack — protocol core, simulator, daemon, benches — can
 //! instrument itself without cycles.
 
 #![forbid(unsafe_code)]

@@ -1,4 +1,4 @@
-//! Lossy network + anti-entropy recovery, live.
+//! Lossy network + anti-entropy recovery.
 //!
 //! Run with:
 //! ```text
@@ -7,95 +7,65 @@
 //!
 //! The paper assumes a recovery procedure exists (§4.2, "e.g.,
 //! anti-entropy") and contributes the detectors that bound when it must
-//! run. This demo shows the full loop on the threaded runtime: a
-//! transport that drops 30% of deliveries, nodes that notice stale
-//! pending messages, sync requests answered from peers' recent-message
-//! stores, and a cluster that converges to complete causal delivery
-//! anyway — with a metrics-dump thread exposing the recovery churn as
-//! Prometheus text along the way.
-
-use std::time::{Duration, Instant};
+//! run. This demo shows the full loop in the deterministic simulator,
+//! around the production `Endpoint`: a fault plan opens a window in
+//! which every link drops 30% of frames, nodes notice stale pending
+//! messages, sync requests are answered from peers' recent-message
+//! stores, and the cluster converges to complete causal delivery anyway.
+//! The same seed prints the same numbers every run. A live `pcb-daemon`
+//! exposes these counters on its `/metrics` page.
 
 use pcb::prelude::*;
+use pcb::sim::{FaultKind, FaultPlan, LinkFaults};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 5;
-    let per_node = 12u64;
     let loss = 0.30;
+    let (open_ms, close_ms, duration_ms) = (200.0, 3_000.0, 4_000.0);
 
-    println!("cluster of {n} nodes, {:.0}% delivery loss, anti-entropy enabled", loss * 100.0);
-    let cluster =
-        Cluster::<String>::start(pcb::runtime::ClusterConfig::lossy_with_recovery(n, loss))?;
-
-    // Periodic Prometheus exposition: keep the latest page (a real
-    // deployment would serve it over HTTP or append it to a file).
-    let latest_page = std::sync::Arc::new(std::sync::Mutex::new(String::new()));
-    let sink_page = std::sync::Arc::clone(&latest_page);
-    let dump = cluster.spawn_metrics_dump(Duration::from_millis(100), move |page| {
-        *sink_page.lock().unwrap() = page;
-    });
-
-    for k in 0..per_node {
-        for i in 0..n {
-            cluster.node(i).broadcast(format!("msg {k} from node {i}"))?;
-        }
-    }
-    let expected = per_node * (n as u64 - 1);
-    println!("broadcast {} messages; each node should deliver {expected}", per_node * n as u64);
-
-    // Wait for convergence.
-    let start = Instant::now();
-    loop {
-        let delivered: Vec<u64> =
-            (0..n).map(|i| cluster.node(i).status().map_or(0, |s| s.stats.delivered)).collect();
-        if delivered.iter().all(|&d| d >= expected) {
-            println!("converged in {:?}", start.elapsed());
-            break;
-        }
-        if start.elapsed() > Duration::from_secs(30) {
-            println!("did not converge: {delivered:?}");
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-
-    println!();
+    let plan = FaultPlan::new(250.0, 200.0)
+        .with_event(
+            open_ms,
+            FaultKind::LinkFaultStart {
+                faults: LinkFaults { drop: loss, ..LinkFaults::default() },
+            },
+        )
+        .with_event(close_ms, FaultKind::LinkFaultEnd);
+    let config = SimConfig {
+        n,
+        mean_send_interval_ms: 250.0,
+        duration_ms,
+        warmup_ms: 0.0,
+        seed: 1,
+        track_epsilon: false,
+        faults: Some(plan),
+        ..SimConfig::default()
+    };
     println!(
-        "{:>6} {:>10} {:>9} {:>14} {:>10}",
-        "node", "delivered", "pending", "sync requests", "recovered"
+        "{n} nodes, {:.0}% frame loss from {open_ms} to {close_ms} ms of a {duration_ms} ms run, \
+         anti-entropy enabled",
+        loss * 100.0
     );
-    let mut total_recovered = 0;
-    for i in 0..n {
-        let s = cluster.node(i).status().ok_or("node down")?;
-        println!(
-            "{:>6} {:>10} {:>9} {:>14} {:>10}",
-            i, s.stats.delivered, s.pending, s.recovery.sync_requests, s.recovered
-        );
-        total_recovered += s.recovered;
-    }
-    let totals = cluster.recovery_totals();
-    dump.stop();
+    let m = simulate_prob(&config, KeySpace::new(16, 2)?)?;
 
     println!();
-    println!("last Prometheus scrape (recovery lines):");
-    for line in latest_page.lock().unwrap().lines() {
-        if line.contains("sync") || line.contains("refetched") {
-            println!("  {line}");
-        }
-    }
-    println!(
-        "cluster totals: {} sync requests, {} served, {} messages re-fetched",
-        totals.sync_requests, totals.sync_served, totals.refetched
-    );
-    cluster.shutdown();
+    println!("broadcasts            {:>6}", m.sent);
+    println!("deliveries            {:>6}", m.deliveries);
+    println!("frames dropped        {:>6}", m.link_dropped);
+    println!("sync requests         {:>6}", m.recovery.sync_requests);
+    println!("sync requests served  {:>6}", m.recovery.sync_served);
+    println!("messages re-fetched   {:>6}", m.recovery.refetched);
+    println!("undelivered           {:>6}", m.undelivered);
+    println!("stuck                 {:>6}", m.stuck);
 
+    if m.undelivered != 0 || m.stuck != 0 {
+        return Err(format!("did not converge: {m:?}").into());
+    }
     println!();
     println!(
-        "~{:.0} deliveries were dropped by the wire; anti-entropy replays unblocked \
-         {total_recovered} deliveries (replayed messages plus the pending cascades they \
-         released). Causal order held throughout: the pending buffer blocked successors of \
-         lost messages until recovery supplied them.",
-        expected as f64 * n as f64 * loss
+        "Every frame the wire dropped reached its receiver through anti-entropy. Causal order \
+         held throughout: the pending buffer blocked successors of lost messages until \
+         recovery supplied them."
     );
     Ok(())
 }

@@ -125,8 +125,9 @@ stage_perf() {
 # recorded by the simulator's endpoint driver and replayed through the
 # runtime's loopback cluster must match bit-for-bit (delivery order,
 # alert flags, recovery counters) — plus the shell-purity guard that
-# fails if `sim::engine`/`sim::chaos` or `runtime::node` regrow protocol
-# logic that belongs inside `pcb-broadcast::Endpoint`.
+# fails if `sim::engine`/`sim::chaos` or `runtime::loopback` regrow
+# protocol logic that belongs inside `pcb-broadcast::Endpoint`, or if
+# the runtime crate starts a thread.
 stage_equiv() {
     run cargo test -p pcb-runtime --test equivalence -q
     run cargo test -p pcb-sim --test shell_guard -q

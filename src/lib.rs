@@ -26,7 +26,7 @@
 //! | [`clock`](pcb_clock) | key sets, Algorithm 3 unranking, the `(R,K)` clock, Lamport/plausible/vector instantiations |
 //! | [`broadcast`](pcb_broadcast) | the endpoint ([`PcbProcess`]), Algorithms 1–5, baselines, membership |
 //! | [`sim`](pcb_sim) | the paper's event-driven evaluation (§5.4), ground-truth oracle, figure sweeps |
-//! | [`runtime`](pcb_runtime) | live threaded cluster over crossbeam channels |
+//! | [`runtime`](pcb_runtime) | the `pcb-daemon` process shell: reliable UDP transport, crash-durable state, RPC and `/metrics`, multi-process certification |
 //! | [`analysis`](pcb_analysis) | `P_error(R,K,X)`, `K_min = ln2·R/X`, parameter planning |
 //! | [`telemetry`](pcb_telemetry) | lifecycle traces, alert explanation, latency histograms, Prometheus text |
 //!
@@ -76,7 +76,6 @@ pub mod prelude {
         VectorClock,
     };
     pub use pcb_crdt::{Counter, OrSet, Replica, Rga};
-    pub use pcb_runtime::{Cluster, ClusterConfig, LatencyModel};
     pub use pcb_sim::{simulate_prob, RunMetrics, SimConfig};
 }
 

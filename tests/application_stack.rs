@@ -1,10 +1,9 @@
 //! Full-stack integration: the paper's motivating application
 //! (collaborative editing over CRDTs) running on the complete system —
-//! planner-dimensioned clocks, causal broadcast endpoints, the live
-//! threaded cluster, and the wire codec.
+//! planner-dimensioned clocks, sans-IO endpoints routed by hand, and the
+//! wire codec.
 
-use std::time::Duration;
-
+use pcb::broadcast::{Endpoint, Input, Output};
 use pcb::crdt::{Rga, RgaOp, HEAD};
 use pcb::prelude::*;
 
@@ -15,49 +14,77 @@ fn op_id(op: &RgaOp) -> pcb::crdt::ElemId {
     }
 }
 
+/// Feeds `input` to `editor` and applies every delivery to its document;
+/// returns the frames the endpoint wants broadcast. An op the RGA has to
+/// park as an orphan arrived before its parent: a causal violation.
+fn step(
+    editor: &mut Endpoint<RgaOp>,
+    doc: &mut Rga,
+    input: Input<RgaOp>,
+    now_us: u64,
+) -> Vec<Message<RgaOp>> {
+    let mut frames = Vec::new();
+    for output in editor.handle(input, now_us) {
+        match output {
+            Output::Deliver(d) => assert!(doc.apply(d.message.payload()), "orphaned delivery"),
+            Output::SendFrame(m) => frames.push(m),
+            _ => {}
+        }
+    }
+    frames
+}
+
 #[test]
-fn collaborative_editor_over_live_cluster() {
-    // Three editors on the live runtime with exact (vector-equivalent)
-    // clocks; each applies deliveries to a local RGA. All documents must
-    // converge with zero orphans.
+fn collaborative_editor_converges_when_ops_arrive_reordered() {
+    // Three editors on exact (3, 1) clocks, one entry each, so causal
+    // delivery is certain; every frame is routed by hand. Editor 2 gets
+    // editor 0's second keystroke before its first and must hold it back.
     let n = 3;
-    let cluster = Cluster::<RgaOp>::start(pcb::runtime::ClusterConfig::exact(n)).unwrap();
+    let space = KeySpace::vector(n).unwrap();
+    let mut editors: Vec<Endpoint<RgaOp>> = (0..n)
+        .map(|i| {
+            let keys = KeySet::from_entries(space, &[i]).unwrap();
+            Endpoint::new(ProcessId::new(i), keys, PcbConfig::default(), None)
+        })
+        .collect();
     let mut docs: Vec<Rga> = (0..n).map(|i| Rga::new(i as u64 + 1)).collect();
 
-    // Editor 0 types "hi"; the others extend after seeing it.
+    // Editor 0 types "hi": 'i' is inserted after 'h', its causal parent.
     let op1 = docs[0].insert_after(HEAD, 'h').unwrap();
-    cluster.node(0).broadcast(op1.clone()).unwrap();
+    let m1 = step(&mut editors[0], &mut docs[0], Input::Broadcast(op1.clone()), 10).remove(0);
     let op2 = docs[0].insert_after(op_id(&op1), 'i').unwrap();
-    cluster.node(0).broadcast(op2.clone()).unwrap();
+    let m2 = step(&mut editors[0], &mut docs[0], Input::Broadcast(op2), 20).remove(0);
 
-    // Editors 1 and 2 wait for both ops, apply them, then append.
-    for (editor, doc) in docs.iter_mut().enumerate().skip(1) {
-        for _ in 0..2 {
-            let d =
-                cluster.node(editor).deliveries().recv_timeout(Duration::from_secs(10)).unwrap();
-            doc.apply(d.message.payload());
-        }
+    step(&mut editors[1], &mut docs[1], Input::FrameReceived(m1.clone()), 30);
+    step(&mut editors[1], &mut docs[1], Input::FrameReceived(m2.clone()), 40);
+    step(&mut editors[2], &mut docs[2], Input::FrameReceived(m2), 30);
+    assert_eq!(docs[2].text(), "", "op2 must wait for op1");
+    step(&mut editors[2], &mut docs[2], Input::FrameReceived(m1), 40);
+    for doc in &docs[1..] {
         assert_eq!(doc.text(), "hi");
-        let tail = doc.text().chars().count();
-        let op = doc.delete_at(tail - 1).expect("there is a character to delete");
-        let _ = op; // editor 1 deletes 'i'; editor 2 deletes whatever is last
-        cluster
-            .node(editor)
-            .broadcast(doc.insert_after(HEAD, char::from(b'0' + editor as u8)).unwrap())
-            .unwrap();
     }
 
-    // Editor 0 consumes everything the others broadcast (2 messages).
-    for _ in 0..2 {
-        let d = cluster.node(0).deliveries().recv_timeout(Duration::from_secs(10)).unwrap();
-        docs[0].apply(d.message.payload());
+    // Editors 1 and 2 then type concurrently at the front; every frame
+    // reaches every other editor.
+    let mut frames = Vec::new();
+    for (editor, (endpoint, doc)) in editors.iter_mut().zip(&mut docs).enumerate().skip(1) {
+        let op = doc.insert_after(HEAD, char::from(b'0' + editor as u8)).unwrap();
+        frames.extend(step(endpoint, doc, Input::Broadcast(op), 50));
     }
-    // All replicas that saw the same set of ops have zero orphans — the
-    // causal transport never admitted a child before its parent.
-    for (i, doc) in docs.iter().enumerate() {
+    for frame in frames {
+        let from = frame.sender().index();
+        for (to, (endpoint, doc)) in editors.iter_mut().zip(&mut docs).enumerate() {
+            if to != from {
+                step(endpoint, doc, Input::FrameReceived(frame.clone()), 60);
+            }
+        }
+    }
+    for (i, (endpoint, doc)) in editors.iter().zip(&docs).enumerate() {
+        assert_eq!(doc.text(), docs[0].text(), "editor {i} diverged");
         assert_eq!(doc.orphan_count(), 0, "editor {i} saw a causal violation");
+        assert_eq!(endpoint.pending_len(), 0, "editor {i} still holds a message");
     }
-    cluster.shutdown();
+    assert_eq!(docs[0].text().chars().count(), 4);
 }
 
 #[test]
