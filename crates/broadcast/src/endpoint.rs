@@ -72,12 +72,19 @@ use crate::dedup::SeenWindows;
 use crate::message::Message;
 use crate::pending::WakeupStats;
 use crate::process::{Delivery, PcbConfig, PcbProcess, ProcessStats};
-use crate::recovery::{is_stable, Counters, MessageStore, SyncRequest};
+use crate::recovery::{is_stable, Counters, MessageStore, SyncRequest, SYNC_REPLY_MAX};
 use crate::snapshot::{PrevEpochSnapshot, ProcessSnapshot};
 use crate::wire::WireError;
 
 /// Store retention when no recovery timing is configured (5 s).
 const DEFAULT_STORE_WINDOW_US: u64 = 5_000_000;
+
+/// Messages sent or delivered since the last snapshot that cut the next
+/// one before `snapshot_every_us` has passed: a quarter of one
+/// anti-entropy reply. A shell that prunes its store at a durable
+/// stability frontier raises that frontier with each snapshot, so this
+/// is what keeps the store the same size at any message rate.
+const SNAPSHOT_EVERY_MSGS: u64 = (SYNC_REPLY_MAX / 4) as u64;
 
 /// Consecutive unanswered sync probes before the endpoint reports
 /// [`EndpointStatus::peer_unreachable`]. Probing continues — an
@@ -512,6 +519,8 @@ pub struct Endpoint<P> {
     stable: Option<ProcessSnapshot<P>>,
     durable_seq: u64,
     next_snapshot_us: u64,
+    /// Messages sent or delivered since the last snapshot was cut.
+    since_snapshot: u64,
     backoff_resets: u64,
     /// High-water mark of `now_us` across every stimulus. All timer
     /// arithmetic assumes a monotone shell clock; a rewound `now_us` is
@@ -582,6 +591,7 @@ impl<P: Clone> Endpoint<P> {
             stable: None,
             durable_seq: 0,
             next_snapshot_us,
+            since_snapshot: 0,
             backoff_resets: 0,
             last_now_us: 0,
             incarnation: 0,
@@ -752,6 +762,7 @@ impl<P: Clone> Endpoint<P> {
                     .broadcast_pooled(payload, self.store.stamp_pool_mut())
                     .with_epoch(self.cluster.epoch);
                 self.store.insert(now_us, message.clone());
+                self.since_snapshot += 1;
                 out.push(Output::SendFrame(message));
             }
             Input::Crash => {
@@ -1096,6 +1107,7 @@ impl<P: Clone> Endpoint<P> {
     fn emit(&mut self, delivery: Delivery<P>, via: Via, now_us: u64, out: &mut Vec<Output<P>>) {
         self.store.insert_ref(now_us, &delivery.message);
         self.recovered += u64::from(via == Via::Sync);
+        self.since_snapshot += 1;
         let (sender, seq) = (delivery.message.id().sender(), delivery.message.id().seq());
         let (instant, recent) = (delivery.instant_alert, delivery.recent_alert);
         out.push(Output::Deliver(delivery));
@@ -1226,9 +1238,10 @@ impl<P: Clone> Endpoint<P> {
 
     fn maybe_snapshot(&mut self, now_us: u64, out: &mut Vec<Output<P>>) {
         let Some(timing) = self.timing else { return };
-        if now_us < self.next_snapshot_us {
+        if now_us < self.next_snapshot_us && self.since_snapshot < SNAPSHOT_EVERY_MSGS {
             return;
         }
+        self.since_snapshot = 0;
         let mut snapshot = self.process.snapshot(&self.store);
         // The process fills genesis; the endpoint owns the config plane.
         snapshot.cluster = self.cluster;
@@ -1562,6 +1575,30 @@ mod tests {
             None,
         );
         assert!(no_recovery.handle(Input::Tick, 100).is_empty(), "no timing, no chain");
+    }
+
+    #[test]
+    fn snapshots_are_cut_on_message_count_as_well_as_on_time() {
+        // A snapshot timer that never fires inside the test.
+        let t = RecoveryTimingUs { snapshot_every_us: u64::MAX / 2, ..timing() };
+        let keys = |entries: &[usize]| KeySet::from_entries(space(), entries).unwrap();
+        let mut a = Endpoint::new(ProcessId::new(0), keys(&[0, 1]), PcbConfig::default(), Some(t));
+        let mut b = Endpoint::new(ProcessId::new(1), keys(&[1, 2]), PcbConfig::default(), Some(t));
+        let cuts = |outs: &[Output<&str>]| {
+            outs.iter().filter(|o| matches!(o, Output::SnapshotReady { .. })).count()
+        };
+        // Half the count sent by `b`, half delivered to it: nothing yet.
+        let mut now = 10;
+        for _ in 0..SNAPSHOT_EVERY_MSGS / 2 {
+            assert_eq!(cuts(&b.handle(Input::Broadcast("own"), now)), 0);
+            let m = frames(&a.handle(Input::Broadcast("peer"), now)).remove(0);
+            assert_eq!(cuts(&b.handle(Input::FrameReceived(m), now)), 0);
+            now += 10;
+        }
+        // The next stimulus finds the count reached and cuts.
+        assert_eq!(cuts(&b.handle(Input::Tick, now)), 1);
+        assert_eq!(b.stable_snapshot().map(|s| s.seq), Some(SNAPSHOT_EVERY_MSGS / 2));
+        assert_eq!(cuts(&b.handle(Input::Tick, now + 1)), 0, "the count starts over");
     }
 
     #[test]

@@ -39,6 +39,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::net::SocketAddr;
+use std::os::fd::AsRawFd;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -49,6 +50,7 @@ use pcb_sim::export::ReplayScript;
 use pcb_sim::{ChaosRecord, LinkFaults, StreamOracle};
 
 use crate::daemon::{self, decode_msg, encode_step_msg, encode_stop_msg, DaemonMsg};
+use crate::ready;
 use crate::udp::{UdpConfig, UdpEvent, UdpTransport};
 
 /// How the certification driver runs the daemons.
@@ -355,18 +357,26 @@ fn replay_node(
             continue;
         }
 
-        // Window flow control.
-        while sent.len() - acked.len() >= opts.window {
-            pump(&mut transport, &mut acked, &sent, started, &mut last_progress);
-            if last_progress.elapsed() > stall {
-                return Err(stalled(node, &acked, &sent));
+        // Window flow control. A full window refills once half of it is
+        // acknowledged, so steps leave in batches that share datagrams:
+        // refilled one ack at a time, every step went alone, and a step
+        // costs the daemon less than a datagram does.
+        if sent.len() - acked.len() >= opts.window {
+            while sent.len() - acked.len() > opts.window / 2 {
+                if last_progress.elapsed() > stall {
+                    return Err(stalled(node, &acked, &sent));
+                }
+                wait_for_daemon(
+                    &mut transport,
+                    started,
+                    stall.saturating_sub(last_progress.elapsed()),
+                );
+                pump(&mut transport, &mut acked, &sent, started, &mut last_progress);
             }
-            std::thread::sleep(Duration::from_micros(100));
         }
         transport.send(daemon_addr, encode_step_msg(idx, *now_us, input), wall(started));
         sent.insert(idx);
         stats.steps += 1;
-        pump(&mut transport, &mut acked, &sent, started, &mut last_progress);
     }
 
     drain_acks(&mut transport, &mut acked, &sent, started, &mut last_progress, stall).map_err(
@@ -384,7 +394,8 @@ fn replay_node(
         match child.try_wait() {
             Ok(Some(_)) => break,
             Ok(None) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(5));
+                // An exit is no socket event: look again every 5 ms.
+                wait_for_daemon(&mut transport, started, Duration::from_millis(5));
             }
             _ => {
                 let _ = child.kill();
@@ -435,13 +446,26 @@ fn drain_acks(
     stall: Duration,
 ) -> Result<(), ()> {
     while acked.len() < sent.len() {
-        pump(transport, acked, sent, started, last_progress);
         if last_progress.elapsed() > stall {
             return Err(());
         }
-        std::thread::sleep(Duration::from_micros(200));
+        wait_for_daemon(transport, started, stall.saturating_sub(last_progress.elapsed()));
+        pump(transport, acked, sent, started, last_progress);
     }
     Ok(())
+}
+
+/// Ships what the driver sent, then blocks until a datagram arrives, the
+/// transport has timed work to do, or `limit` has passed. A failed wait
+/// only ends early: every caller pumps and checks its stall budget
+/// again after it.
+fn wait_for_daemon(transport: &mut UdpTransport, started: Instant, limit: Duration) {
+    let now_us = wall(started);
+    transport.flush(now_us);
+    let due = transport
+        .next_deadline_us()
+        .map_or(limit, |at| limit.min(Duration::from_micros(at.saturating_sub(now_us))));
+    let _ = ready::wait([(transport.as_raw_fd(), false)], Some(due));
 }
 
 fn stalled(

@@ -25,15 +25,18 @@
 //!   between steps restarts into exactly the state the simulator's
 //!   crash model prescribes.
 //!
-//! The event loop is deliberately single-threaded: UDP, RPC, metrics and
-//! timers are all polled non-blocking from one loop, which keeps the
+//! The event loop is deliberately single-threaded, which keeps the
 //! endpoint free of locks and the whole process deterministic enough to
-//! diff against the simulator.
+//! diff against the simulator. A turn drains every socket non-blocking —
+//! UDP, RPC and metrics — and runs the timers that fell due; then the
+//! loop blocks in one `poll(2)` ([`crate::ready::wait`]) until a socket
+//! is ready or the next timer is due.
 
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -54,6 +57,7 @@ use pcb_telemetry::json::{self, Value};
 use pcb_telemetry::prom::{PromWriter, Row, RowKind};
 use pcb_telemetry::{write_stamped, EntryHeatmap, StampedRecord};
 
+use crate::ready;
 use crate::udp::{UdpConfig, UdpEvent, UdpTransport};
 
 /// How the daemon runs: a live cluster member or a certification replica.
@@ -887,7 +891,10 @@ impl Daemon {
                     Ok(_) | Err(_) => {}
                 }
             }
-            std::thread::sleep(Duration::from_micros(200));
+            let wall = self.wall_us();
+            self.transport.flush(wall);
+            let timeout = self.transport.next_deadline_us().map(|at| at.saturating_sub(wall));
+            ready::wait([(self.transport.as_raw_fd(), false)], timeout.map(Duration::from_micros))?;
         }
     }
 
@@ -961,7 +968,11 @@ impl Daemon {
 
             if let Some(listener) = &rpc_listener {
                 while let Ok((stream, _)) = listener.accept() {
-                    if stream.set_nonblocking(true).is_ok() {
+                    // Turns follow each other as fast as traffic comes, so
+                    // two writes to one connection inside the client's
+                    // delayed-ACK interval are the normal case; under
+                    // Nagle the second would wait for that ACK.
+                    if stream.set_nonblocking(true).is_ok() && stream.set_nodelay(true).is_ok() {
                         conns.push(RpcConn::new(stream));
                     }
                 }
@@ -975,10 +986,12 @@ impl Daemon {
                     conn.push_line(&line);
                 }
             }
+            // Frames before replies: a publish is acknowledged only once
+            // its frames have left the process, so a SIGKILL after the
+            // ack cannot strand a WAL'd height no peer ever received.
+            self.transport.flush(self.wall_us());
             // One write per connection per turn, replies and events
-            // together. A second small write while the first is still
-            // unacknowledged waits behind Nagle for the client's delayed
-            // ACK — about 40 ms, while the client waits for that write.
+            // together: one segment where there would be several.
             conns.retain_mut(RpcConn::flush);
 
             if let Some(listener) = &metrics_listener {
@@ -988,8 +1001,27 @@ impl Daemon {
                 }
             }
 
-            std::thread::sleep(Duration::from_micros(500));
+            self.wait_for_work([&rpc_listener, &metrics_listener], &conns)?;
         }
+        Ok(())
+    }
+
+    /// Blocks until a socket needs the loop — a datagram, a connection
+    /// to accept, a request line, room to write a connection's pending
+    /// output — or the next protocol tick or transport deadline is due.
+    fn wait_for_work(
+        &self,
+        listeners: [&Option<TcpListener>; 2],
+        conns: &[RpcConn],
+    ) -> std::io::Result<()> {
+        let tick_in = self.next_tick_us.saturating_sub(Self::live_now_us());
+        let wall = self.wall_us();
+        let udp_in =
+            self.transport.next_deadline_us().map_or(u64::MAX, |at| at.saturating_sub(wall));
+        let fds = std::iter::once((self.transport.as_raw_fd(), false))
+            .chain(listeners.into_iter().flatten().map(|l| (l.as_raw_fd(), false)))
+            .chain(conns.iter().map(|c| (c.stream.as_raw_fd(), !c.outbuf.is_empty())));
+        ready::wait(fds, Some(Duration::from_micros(tick_in.min(udp_in))))?;
         Ok(())
     }
 
@@ -1295,16 +1327,22 @@ impl Daemon {
     }
 }
 
-/// One line of the `subscribe` stream.
+/// One line of the `subscribe` stream. An alert flag is there only when
+/// it is raised — absent means false — which keeps the line that almost
+/// every delivery sends short.
 fn deliver_event((id, instant, recent, payload): Digest) -> Value {
-    Value::object([
+    let mut fields = vec![
         ("event", Value::from("deliver")),
         ("sender", Value::from(id.sender().index() as u64)),
         ("seq", Value::from(id.seq())),
         ("payload", Value::from(payload)),
-        ("instant", Value::from(instant)),
-        ("recent", Value::from(recent)),
-    ])
+    ];
+    for (flag, raised) in [("instant", instant), ("recent", recent)] {
+        if raised {
+            fields.push((flag, Value::from(true)));
+        }
+    }
+    Value::object(fields)
 }
 
 /// The `status` reply: one key per report row, plus the heatmap.
@@ -1578,6 +1616,9 @@ mod tests {
             assert_eq!(json::parse(&line).as_ref(), Ok(&reply), "{line}");
         }
         assert!(matches!(json::parse(&trace), Ok(Value::Object(_))), "{trace}");
+        // A flag that is not raised is not on the line at all.
+        let quiet = deliver_event((id, false, false, 7)).to_json();
+        assert!(!quiet.contains("instant") && !quiet.contains("recent"), "{quiet}");
     }
 
     #[test]

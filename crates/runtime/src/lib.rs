@@ -8,7 +8,8 @@
 //! crash-durable state on disk, a JSON RPC socket and a `/metrics`
 //! page. [`certify`] replays seeded simulator chaos runs through real
 //! daemon processes and diffs their delivery streams bit for bit;
-//! [`shim`] injects the plan's link faults at the socket; and
+//! [`shim`] injects the plan's link faults at the socket; [`ready`] is
+//! the `poll(2)` wait every loop blocks in between turns; and
 //! [`LoopbackCluster`] replays a recorded input log in-process, so the
 //! construction path is diffed without any IO:
 //!
@@ -26,12 +27,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
+// One foreign call, `poll(2)` in `ready`, allows itself; nothing else may.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod certify;
 pub mod daemon;
 pub mod loopback;
+pub mod ready;
 pub mod shim;
 pub mod udp;
 

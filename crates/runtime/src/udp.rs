@@ -14,8 +14,8 @@
 //!   capped exponential backoff until a cumulative ack covers the frame.
 //! - **Acks ride along** — every datagram, whatever its kind, names the
 //!   highest in-order sequence number received on the reverse stream. A
-//!   standalone [`KIND_ACK`] leaves only when no datagram did within a
-//!   quarter of `rto_initial_us` (counted from the poll before the one
+//!   standalone [`KIND_ACK`] leaves only when no datagram did within
+//!   half of `rto_initial_us` (counted from the poll before the one
 //!   that read the frame, so a stalled owner adds nothing to it), on
 //!   every second unacknowledged frame, and at once on a duplicate, a
 //!   gap — open or just closed — or an epoch change, so neither loss
@@ -63,10 +63,15 @@
 //! [`UdpTransport::poll`] with the current monotonic time and receives
 //! the frames that completed plus peer health transitions. That keeps
 //! the transport single-threaded and testable with synthetic clocks.
+//! Frames sent between two polls share datagrams; they leave at the
+//! next [`UdpTransport::flush`] or poll, whichever comes first, so an
+//! owner flushes before it waits ([`crate::ready::wait`]) and nothing is
+//! held across the wait.
 
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
+use std::os::fd::{AsRawFd, RawFd};
 
 use bytes::Bytes;
 use pcb_broadcast::wire::{checksum64, put_uvar, take_uvar};
@@ -98,7 +103,7 @@ pub struct UdpConfig {
     /// Maximum datagram size put on the wire, bytes. Frames larger than
     /// this (minus overhead) are fragmented.
     pub mtu: usize,
-    /// First retransmit timeout, µs. A quarter of it is the longest an
+    /// First retransmit timeout, µs. Half of it is the longest an
     /// acknowledgement waits for a datagram to ride on.
     pub rto_initial_us: u64,
     /// Backoff cap for the retransmit timeout, µs.
@@ -111,13 +116,6 @@ pub struct UdpConfig {
     /// How long a partially reassembled frame may wait for its missing
     /// fragments, µs.
     pub reassembly_timeout_us: u64,
-    /// How long a small frame may linger in the per-peer coalescing
-    /// buffer waiting for companions, µs. Buffered frames flush early
-    /// whenever the next frame would overflow the MTU budget (the size
-    /// trigger); this deadline bounds the latency a lone frame pays.
-    /// `0` disables coalescing — every frame ships immediately in a
-    /// datagram of its own.
-    pub coalesce_delay_us: u64,
 }
 
 impl Default for UdpConfig {
@@ -129,7 +127,6 @@ impl Default for UdpConfig {
             max_retries: 8,
             window: 64,
             reassembly_timeout_us: 2_000_000,
-            coalesce_delay_us: 500,
         }
     }
 }
@@ -304,14 +301,12 @@ struct PeerState {
     /// A duplicate, a gap or an epoch change was seen: the sender is
     /// retransmitting or renumbering, so the ack leaves with this poll.
     ack_now: bool,
-    // Coalescing buffer: whole frames awaiting the size-or-deadline
-    // flush, as `(seq, frame)`.
+    // Coalescing buffer: whole frames sent since the last flush, as
+    // `(seq, frame)`, awaiting that flush or the size trigger.
     pending: Vec<(u64, Bytes)>,
     /// Coalesced body bytes `pending` would occupy (entry overheads
     /// included), checked against the MTU budget by the size trigger.
     pending_bytes: usize,
-    /// When the oldest buffered frame entered `pending` (deadline base).
-    pending_since_us: u64,
 }
 
 impl PeerState {
@@ -332,7 +327,6 @@ impl PeerState {
             ack_now: false,
             pending: Vec::new(),
             pending_bytes: 0,
-            pending_since_us: 0,
         }
     }
 
@@ -472,6 +466,13 @@ pub struct UdpTransport {
     last_poll_us: u64,
 }
 
+/// The socket, for an owner to wait on ([`crate::ready::wait`]).
+impl AsRawFd for UdpTransport {
+    fn as_raw_fd(&self) -> RawFd {
+        self.socket.as_raw_fd()
+    }
+}
+
 impl UdpTransport {
     /// Binds a non-blocking socket on `addr`. `incarnation` must grow by
     /// one each time the owning process restarts (persisted by the
@@ -534,7 +535,7 @@ impl UdpTransport {
 
     /// The longest an owed ack waits for a datagram to ride on.
     fn ack_delay_us(&self) -> u64 {
-        self.cfg.rto_initial_us / 4
+        self.cfg.rto_initial_us / 2
     }
 
     /// Queues `frame` for reliable in-order delivery to `peer`. A frame
@@ -558,10 +559,10 @@ impl UdpTransport {
     }
 
     /// Drives the transport: releases shim-delayed datagrams, drains the
-    /// socket, flushes coalescing buffers past their deadline,
-    /// retransmits overdue frames, promotes queued traffic into freed
-    /// windows, and sends the acks nothing carried. Returns completed
-    /// frames and health transitions.
+    /// socket, ships what was sent since the last flush, retransmits
+    /// overdue frames, promotes queued traffic into freed windows, and
+    /// sends the acks nothing carried. Returns completed frames and
+    /// health transitions.
     pub fn poll(&mut self, now_us: u64) -> Vec<UdpEvent> {
         let mut events = Vec::new();
         self.poll_into(now_us, &mut events);
@@ -575,7 +576,8 @@ impl UdpTransport {
         events.clear();
         self.flush_delayed(now_us);
         self.drain_socket(now_us, events);
-        self.flush_due_coalesced(now_us);
+        // After the drain, so these datagrams acknowledge what it read.
+        self.flush(now_us);
         self.retransmit_overdue(now_us, events);
         self.promote_queued(now_us);
         // Last: whatever left for a peer above took its ack along.
@@ -583,9 +585,9 @@ impl UdpTransport {
         self.last_poll_us = now_us;
     }
 
-    /// Flushes every peer's coalescing buffer immediately, regardless of
-    /// deadline — owners call this at the end of a send burst when they
-    /// know no companions are coming.
+    /// Ships every peer's coalescing buffer now. Owners call this at the
+    /// end of a turn, once every frame the turn produced was sent, and
+    /// before they wait.
     pub fn flush(&mut self, now_us: u64) {
         let mut addrs = std::mem::take(&mut self.addr_scratch);
         addrs.extend(self.peers.iter().filter(|(_, s)| !s.pending.is_empty()).map(|(a, _)| *a));
@@ -597,7 +599,7 @@ impl UdpTransport {
     }
 
     /// Earliest time at which [`Self::poll`] has timed work to do, if
-    /// any — the owner can sleep until then.
+    /// any — after a [`Self::flush`], the owner can wait until then.
     pub fn next_deadline_us(&self) -> Option<u64> {
         let delayed = self.delayed.peek().map(|d| d.due_us);
         let retry = self
@@ -606,19 +608,13 @@ impl UdpTransport {
             .flat_map(|p| p.unacked.values())
             .map(|f| f.sent_at_us + f.rto_us)
             .min();
-        let coalesce = self
-            .peers
-            .values()
-            .filter(|p| !p.pending.is_empty())
-            .map(|p| p.pending_since_us + self.cfg.coalesce_delay_us)
-            .min();
         let ack = self
             .peers
             .values()
             .filter(|p| p.ack_owed > 0)
             .map(|p| p.ack_since_us + self.ack_delay_us())
             .min();
-        [delayed, retry, coalesce, ack].into_iter().flatten().min()
+        [delayed, retry, ack].into_iter().flatten().min()
     }
 
     fn flush_delayed(&mut self, now_us: u64) {
@@ -866,14 +862,14 @@ impl UdpTransport {
     /// Retransmits and promotions go through [`Self::transmit_frame`]
     /// and ship at once, one frame per datagram.
     fn transmit_first(&mut self, to: SocketAddr, seq: u64, frame: Bytes, now_us: u64) {
-        if self.cfg.coalesce_delay_us == 0 || frame.len() > self.whole_frame_max() {
+        if frame.len() > self.whole_frame_max() {
             // A multi-fragment frame already fills datagrams on its own;
             // coalescing could only split or overflow it.
             self.transmit_frame(to, seq, &frame, now_us);
             return;
         }
         // Small frame: park it in the peer's coalescing buffer until the
-        // size trigger or the deadline flushes it.
+        // size trigger or the next flush ships it.
         let entry = COALESCE_ENTRY_OVERHEAD + frame.len();
         let budget = self.whole_frame_max();
         let state = self.peers.get_mut(&to).expect("send created the peer");
@@ -881,9 +877,6 @@ impl UdpTransport {
             self.flush_coalesced(to, now_us);
         }
         let state = self.peers.get_mut(&to).expect("send created the peer");
-        if state.pending.is_empty() {
-            state.pending_since_us = now_us;
-        }
         state.pending.push((seq, frame));
         state.pending_bytes += entry;
     }
@@ -912,29 +905,6 @@ impl UdpTransport {
                 state.pending = entries;
             }
         }
-    }
-
-    /// Flushes every coalescing buffer whose oldest frame has waited at
-    /// least the configured delay.
-    fn flush_due_coalesced(&mut self, now_us: u64) {
-        let delay = self.cfg.coalesce_delay_us;
-        if delay == 0 {
-            return;
-        }
-        let mut due = std::mem::take(&mut self.addr_scratch);
-        due.extend(
-            self.peers
-                .iter()
-                .filter(|(_, s)| {
-                    !s.pending.is_empty() && now_us.saturating_sub(s.pending_since_us) >= delay
-                })
-                .map(|(addr, _)| *addr),
-        );
-        for &addr in &due {
-            self.flush_coalesced(addr, now_us);
-        }
-        due.clear();
-        self.addr_scratch = due;
     }
 
     /// Puts frame `seq` on the wire by itself: whole in one datagram when
@@ -1236,23 +1206,23 @@ mod tests {
     }
 
     #[test]
-    fn give_up_drops_parked_coalesced_frames_with_the_dead_epoch() {
+    fn give_up_drops_queued_frames_with_the_dead_epoch() {
         let cfg = UdpConfig {
             rto_initial_us: 2_000,
             rto_max_us: 8_000,
             max_retries: 3,
-            // Park small frames essentially forever so the coalescing
-            // buffer is guaranteed non-empty when the give-up fires.
-            coalesce_delay_us: 60_000_000,
+            // One frame in flight, so the two behind it are guaranteed
+            // to be still queued when the give-up fires.
+            window: 1,
             ..UdpConfig::default()
         };
         let (mut a, mut b, _, addr_b) = pair(cfg);
-        // A multi-fragment frame bypasses the coalescing buffer, ships
-        // immediately, and exhausts its retries while b stays silent.
-        a.send(addr_b, Bytes::from(vec![0xAB; 5_000]), 0);
-        // Two small frames sit parked behind it.
+        // One frame ships and exhausts its retries while b stays silent.
+        a.send(addr_b, Bytes::from(vec![b'X']), 0);
+        // Two more wait behind it for the window.
         a.send(addr_b, Bytes::from(vec![b'Y']), 0);
         a.send(addr_b, Bytes::from(vec![b'Z']), 0);
+        a.flush(0);
 
         let start = std::time::Instant::now();
         let mut down = false;
@@ -1272,10 +1242,10 @@ mod tests {
         }
 
         // The revived peer gets fresh traffic under the bumped epoch.
-        // The frames parked at give-up time belonged to the dead epoch
+        // The frames queued at give-up time belonged to the dead epoch
         // and must never surface — anti-entropy owns that gap.
         let now_us = start.elapsed().as_micros() as u64;
-        a.send(addr_b, Bytes::from(vec![b'W'; 5_000]), now_us);
+        a.send(addr_b, Bytes::from(vec![b'W']), now_us);
         let start2 = std::time::Instant::now();
         let mut got = Vec::new();
         while start2.elapsed().as_millis() < 3_000 {
@@ -1286,18 +1256,15 @@ mod tests {
                     got.push(frame);
                 }
             }
-            if got.iter().any(|f| f.as_ref() == [b'W'; 5_000]) {
+            if got.iter().any(|f| f.as_ref() == [b'W']) {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_micros(300));
         }
-        assert!(
-            got.iter().any(|f| f.as_ref() == [b'W'; 5_000]),
-            "post-recovery frame should arrive"
-        );
+        assert!(got.iter().any(|f| f.as_ref() == [b'W']), "post-recovery frame should arrive");
         assert!(
             !got.iter().any(|f| f.as_ref() == [b'Y'] || f.as_ref() == [b'Z']),
-            "frames parked at give-up time leaked into the new incarnation"
+            "frames queued at give-up time leaked into the new epoch"
         );
     }
 
@@ -1449,12 +1416,13 @@ mod tests {
 
     #[test]
     fn reordered_stale_ack_does_not_fence() {
-        let cfg = UdpConfig { coalesce_delay_us: 0, ..UdpConfig::default() };
-        let (mut a, mut b, addr_a, addr_b) = pair(cfg);
+        let (mut a, mut b, addr_a, addr_b) = pair(UdpConfig::default());
         b.send(addr_a, Bytes::from_static(b"hello"), 0);
+        b.flush(0);
         for frame in byte_frames(0..5) {
             a.send(addr_b, frame, 0);
         }
+        a.flush(0);
         let (_, at_b) = settle(&mut a, &mut b, 0, |a, _, at_a, _| {
             !at_a.is_empty() && outstanding(a, addr_b) == 0
         });
@@ -1463,6 +1431,7 @@ mod tests {
         for frame in byte_frames(5..7) {
             a.send(addr_b, frame, 0);
         }
+        a.flush(0);
         // Acks B sent early in this epoch ("nothing of yours delivered
         // yet", then "three delivered") surface late, after the ack for
         // all five. They look exactly like a restarted listener's — which
@@ -1495,7 +1464,6 @@ mod tests {
             rto_initial_us: 1_000,
             rto_max_us: 1_000,
             max_retries: 2,
-            coalesce_delay_us: 0,
             ..UdpConfig::default()
         };
         let (mut a, mut b, addr_a, addr_b) = pair(cfg);
@@ -1505,6 +1473,8 @@ mod tests {
             a.send(addr_b, Bytes::from(vec![b'a', tag]), 0);
             b.send(addr_a, Bytes::from(vec![b'b', tag]), 0);
         }
+        a.flush(0);
+        b.flush(0);
         let (at_a, at_b) = settle(&mut a, &mut b, 0, |a, b, _, _| {
             outstanding(a, addr_b) == 0 && outstanding(b, addr_a) == 0
         });
@@ -1513,6 +1483,7 @@ mod tests {
         // B stops reading; A's frame exhausts its retries on the
         // synthetic clock and A fences its send side by itself.
         a.send(addr_b, Bytes::from_static(b"lost"), 0);
+        a.flush(0);
         let mut now_us = 0;
         let mut down = false;
         while !down && now_us < 100_000 {
@@ -1533,6 +1504,8 @@ mod tests {
             a.send(addr_b, Bytes::from(vec![b'a', round]), now_us);
             b.send(addr_a, Bytes::from(vec![b'b', round]), now_us);
         }
+        a.flush(now_us);
+        b.flush(now_us);
         let (at_a, at_b) = settle(&mut a, &mut b, now_us, |a, b, _, _| {
             outstanding(a, addr_b) == 0 && outstanding(b, addr_a) == 0
         });
@@ -1620,12 +1593,11 @@ mod tests {
 
     #[test]
     fn explicit_flush_ships_buffered_frames_without_waiting() {
-        let cfg = UdpConfig { coalesce_delay_us: 60_000_000, ..UdpConfig::default() };
-        let (mut a, mut b, _, addr_b) = pair(cfg);
+        let (mut a, mut b, _, addr_b) = pair(UdpConfig::default());
         for i in 0..5u32 {
             a.send(addr_b, Bytes::from(i.to_be_bytes().to_vec()), 0);
         }
-        // With an hour-long deadline nothing would ship on its own.
+        assert_eq!(a.stats().0.bytes_sent, 0, "nothing leaves before the flush");
         a.flush(0);
         let got = pump(&mut a, &mut b, 5, 2_000);
         assert_eq!(got.len(), 5);
@@ -1635,20 +1607,25 @@ mod tests {
 
     #[test]
     fn coalescing_and_plain_peers_interoperate_both_ways() {
-        // `coalesce_delay_us: 0` never packs: one frame per datagram.
-        let old = UdpConfig { coalesce_delay_us: 0, ..UdpConfig::default() };
-        let mut plain = UdpTransport::bind(loopback(), 0, old, 11).expect("bind plain");
+        let mut plain =
+            UdpTransport::bind(loopback(), 0, UdpConfig::default(), 11).expect("bind plain");
         let mut packed =
             UdpTransport::bind(loopback(), 0, UdpConfig::default(), 12).expect("bind packed");
         let addr_plain = plain.local_addr().expect("addr");
         let addr_packed = packed.local_addr().expect("addr");
 
+        // A sender that flushes after every frame never packs: one frame
+        // per datagram, as a transport before coalescing sent them.
         for i in 0..30u32 {
             plain.send(addr_packed, Bytes::from(i.to_be_bytes().to_vec()), 0);
+            plain.flush(0);
             packed.send(addr_plain, Bytes::from((100 + i).to_be_bytes().to_vec()), 0);
         }
-        let to_packed = pump(&mut plain, &mut packed, 30, 3_000);
-        let to_plain = pump(&mut packed, &mut plain, 30, 3_000);
+        packed.flush(0);
+        let (to_plain, to_packed) =
+            settle(&mut plain, &mut packed, 0, |_, _, to_plain, to_packed| {
+                to_plain.len() == 30 && to_packed.len() == 30
+            });
         assert_eq!(to_packed.len(), 30);
         assert_eq!(to_plain.len(), 30);
         for (i, frame) in to_packed.iter().enumerate() {
@@ -1658,7 +1635,8 @@ mod tests {
             assert_eq!(frame.as_ref(), (100 + i as u32).to_be_bytes());
         }
         let (plain_stats, _) = plain.stats();
-        assert_eq!(plain_stats.coalesced_sent, 0, "a zero-delay sender never packs");
+        assert_eq!(plain_stats.coalesced_sent, 0, "a sender flushing every frame never packs");
+        assert!(packed.stats().0.coalesced_sent > 0, "one flush after thirty frames packs");
     }
 
     #[test]
@@ -1787,7 +1765,7 @@ mod tests {
     #[test]
     fn one_way_traffic_acks_every_second_frame_or_after_the_delay() {
         let cfg = UdpConfig::default();
-        let delay = cfg.rto_initial_us / 4;
+        let delay = cfg.rto_initial_us / 2;
         let (mut a, mut b, _, addr_b) = pair(cfg);
         const FRAMES: u64 = 20;
         for i in 0..FRAMES {
@@ -1816,7 +1794,7 @@ mod tests {
         assert_eq!(b.next_deadline_us(), None);
         let _ = settle(&mut a, &mut b, t0 + delay, |a, _, _, _| outstanding(a, addr_b) == 0);
         assert_eq!(outstanding(&a, addr_b), 0);
-        assert_eq!(a.stats().0.retransmits, 0, "the delay is a quarter of the first timeout");
+        assert_eq!(a.stats().0.retransmits, 0, "the delay is half of the first timeout");
 
         // An owner that was away for most of the sender's timeout does not
         // add the delay on top: the frame may have been waiting in the
@@ -1869,14 +1847,13 @@ mod tests {
     #[test]
     fn one_way_burst_never_waits_on_the_ack_timer() {
         let cfg = UdpConfig::default();
-        let delay = cfg.rto_initial_us / 4;
+        let delay = cfg.rto_initial_us / 2;
         let (mut a, mut b, _, addr_b) = pair(cfg);
         const BURST: usize = 2_000;
         for i in 0..BURST as u32 {
             a.send(addr_b, Bytes::from(i.to_be_bytes().to_vec()), 0);
         }
-        // The clock creeps one microsecond a round and the owner flushes
-        // by hand: neither the coalescing deadline nor the ack delay ever
+        // The clock creeps one microsecond a round: the ack delay never
         // comes, so every window that opens was opened by an ack sent for
         // the frames themselves.
         let mut got = Vec::new();

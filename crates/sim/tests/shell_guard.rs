@@ -22,6 +22,11 @@
 //! (`pcb_telemetry::json`), one LEB128 reader (`pcb_broadcast::wire`),
 //! and one format version each for wire frames and snapshots, so a
 //! second format cannot return unnoticed.
+//!
+//! A fourth pins how the daemon waits and what may be `unsafe`: its loop
+//! blocks in `poll(2)`, never in a sleep, and that one foreign call
+//! (`runtime::ready`) and the benchmark's counting allocator are the
+//! only `unsafe` code under `crates/*/src`.
 
 use std::fs;
 use std::path::Path;
@@ -173,6 +178,63 @@ fn runtime_is_one_poll_loop_per_process() {
         offences.is_empty(),
         "the runtime starts a thread or a channel — every runtime process is one \
          poll loop around one endpoint:\n{}",
+        offences.join("\n")
+    );
+}
+
+/// The daemon's loop blocks in `poll(2)` until a socket or a timer needs
+/// it; a fixed sleep per turn is what it replaced.
+#[test]
+fn daemon_waits_on_readiness_never_on_a_sleep() {
+    let sources = workspace_sources();
+    let (_, daemon) =
+        sources.iter().find(|(path, _)| path == "runtime/src/daemon.rs").expect("daemon source");
+    let offences =
+        mentions(&[("runtime/src/daemon.rs".into(), daemon.clone())], &["thread::sleep"]);
+    assert!(
+        offences.is_empty(),
+        "the daemon sleeps — wait in `ready::wait` on its sockets and next deadline:\n{}",
+        offences.join("\n")
+    );
+}
+
+/// The files that may use the `unsafe` keyword: the `poll(2)` binding
+/// and the benchmark's counting allocator.
+const UNSAFE_HOMES: &[&str] = &["bench/src/alloc.rs", "runtime/src/ready.rs"];
+
+/// Whether `line` uses the `unsafe` keyword — a block, fn, impl or
+/// extern — rather than naming the `unsafe_code` lint or the word.
+fn uses_unsafe(line: &str) -> bool {
+    line.match_indices("unsafe").any(|(at, token)| {
+        let before = line[..at].chars().next_back();
+        let after = line[at + token.len()..].chars().next();
+        !before.is_some_and(|c| c.is_alphanumeric() || c == '_' || c == '-')
+            && after.is_some_and(|c| c == ' ' || c == '{')
+    })
+}
+
+#[test]
+fn unsafe_code_lives_in_two_files() {
+    let mut offences = Vec::new();
+    let mut seen = Vec::new();
+    for (path, text) in workspace_sources() {
+        for (lineno, line) in text.lines().enumerate() {
+            if !uses_unsafe(line) {
+                continue;
+            }
+            if UNSAFE_HOMES.contains(&path.as_str()) {
+                seen.push(path.clone());
+            } else {
+                offences.push(format!("{path}:{}: {}", lineno + 1, line.trim()));
+            }
+        }
+    }
+    for home in UNSAFE_HOMES {
+        assert!(seen.iter().any(|p| p == home), "the guard no longer finds the unsafe in {home}");
+    }
+    assert!(
+        offences.is_empty(),
+        "`unsafe` outside {UNSAFE_HOMES:?} — keep foreign calls behind `ready`:\n{}",
         offences.join("\n")
     );
 }

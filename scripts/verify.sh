@@ -142,14 +142,16 @@ stage_equiv() {
 # crash workload (SIGKILL + `--resume` of one of three daemons under
 # load), of which the lines that say how the restart went are shown; the
 # steady workload, of which the lines that say what a publish costs on
-# the wire are — ≈ 440 B and ≈ 4.4 packets on a quiet loopback; the
+# the wire are — ≈ 517 B and ≈ 6.6 packets on a quiet loopback; the
 # counters are the `lo` interface's, so anything else talking on it is
 # in them; and the saturate workload, of which capacity, latency and
-# memory are shown — ≈ 3 000 deliveries/s at ≈ 1.7 ms p50 and ≈ 4.4 MB
-# on 2 cores; ≈ 160/s at ≈ 42 ms means RPC writes are stalling behind
-# delayed ACKs, and tens of MB means the store no longer follows the
-# stability frontier. Environments that forbid fork/exec print an
-# explicit SKIPPED marker instead of failing.
+# memory are shown — ≈ 10 800 deliveries/s at ≈ 0.18 ms p50 and
+# ≈ 3.7 MB on 2 cores; ≈ 3 000/s at ≈ 1.5 ms means the loop sleeps
+# between turns again, a p50 of ≈ 20 ms that RPC writes wait behind
+# Nagle (`TCP_NODELAY` off), and ≈ 7 MB or more that snapshots no
+# longer follow the message count, so the store outgrows the stability
+# frontier. Environments that forbid fork/exec print an explicit
+# SKIPPED marker instead of failing.
 stage_daemon() {
     run cargo build --release -p pcb-runtime --bins
     if can_spawn_daemon; then
