@@ -43,7 +43,7 @@ fn repeated(open: &str, item: &str, sep: &str, close: &str, n: usize) -> String 
 /// noise and a damaged real RPC line.
 fn hostile_lines(rng: &mut StdRng, n: usize) -> Vec<String> {
     let keys: String = (0..n / 8).map(|i| format!("\"k{i}\":{i},")).collect();
-    let mut rpc = r#"{"op":"join","grant":"00ff","payload":12,"r":100,"k":4}"#.as_bytes().to_vec();
+    let mut rpc = r#"{"op":"publish","payload":12}"#.as_bytes().to_vec();
     let at = rng.random_range(0..rpc.len());
     rpc[at] = ALPHABET[rng.random_range(0..ALPHABET.len())];
     rpc.truncate(rng.random_range(0..=rpc.len()));

@@ -882,15 +882,6 @@ impl<P: Clone> Endpoint<P> {
         self.cluster
     }
 
-    /// Seeds the cluster configuration. For shells that boot an endpoint
-    /// directly into a non-genesis epoch (the daemon resuming into a
-    /// reconfigured cluster); the config's space must match the keys the
-    /// endpoint was constructed with.
-    pub fn set_cluster(&mut self, cluster: ClusterConfig) {
-        debug_assert_eq!(cluster.space, self.keys.space(), "config space must match keys");
-        self.cluster = cluster;
-    }
-
     /// This endpoint's key set in the current epoch's space.
     #[must_use]
     pub fn keys(&self) -> &KeySet {

@@ -4,7 +4,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use pcb_clock::{KeySet, ProcessId, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// Unique identity of a broadcast message: sender plus per-sender sequence
 /// number (1-based; assigned by the sender in send order).
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let id = MessageId::new(ProcessId::new(2), 5);
 /// assert_eq!(id.to_string(), "p2#5");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MessageId {
     sender: ProcessId,
     seq: u64,

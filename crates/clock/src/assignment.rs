@@ -11,12 +11,11 @@ use std::collections::HashSet;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::keys::{KeyError, KeySet, KeySpace};
 
 /// How key sets are handed out to processes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AssignmentPolicy {
     /// The paper's policy: each process draws `set_id` uniformly at random;
     /// two processes may collide on the exact same set.

@@ -28,8 +28,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::assignment::AssignmentPolicy;
 use crate::keys::{KeyError, KeySet, KeySpace};
 
@@ -45,7 +43,7 @@ use crate::keys::{KeyError, KeySet, KeySpace};
 /// assert_eq!(grown.space.r(), 12);
 /// # Ok::<(), pcb_clock::KeyError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClusterConfig {
     /// Monotone configuration version; 0 is the genesis configuration.
     pub epoch: u64,

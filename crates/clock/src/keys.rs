@@ -7,9 +7,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
-use crate::combinatorics::{binomial, rank, unrank, BinomialTable, CombinatoricsError};
+use crate::combinatorics::{binomial, rank, unrank, CombinatoricsError};
 
 /// Errors raised when constructing key spaces or key sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +71,7 @@ impl From<CombinatoricsError> for KeyError {
 /// assert_eq!(space.combination_count(), 3_921_225);
 /// # Ok::<(), pcb_clock::KeyError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KeySpace {
     r: usize,
     k: usize,
@@ -152,12 +150,6 @@ impl KeySpace {
     pub fn combination_count(&self) -> u128 {
         binomial(self.r as u64, self.k as u64).unwrap_or(u128::MAX)
     }
-
-    /// Builds a Pascal table sized for this space, for hot-path unranking.
-    #[must_use]
-    pub fn binomial_table(&self) -> BinomialTable {
-        BinomialTable::new(self.r)
-    }
 }
 
 impl fmt::Display for KeySpace {
@@ -177,7 +169,7 @@ impl fmt::Display for KeySpace {
 /// assert_eq!(keys.set_id(), 1);
 /// # Ok::<(), pcb_clock::KeyError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KeySet {
     space: KeySpace,
     entries: Vec<u32>,

@@ -5,8 +5,6 @@
 //! (1, 1)` instantiation of [`crate::ProbClock`]; the equivalence is
 //! checked by tests here.
 
-use serde::{Deserialize, Serialize};
-
 /// A scalar logical clock (Lamport 1978).
 ///
 /// ```
@@ -17,9 +15,7 @@ use serde::{Deserialize, Serialize};
 /// b.observe(t1);
 /// assert!(b.tick() > t1);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LamportClock {
     counter: u64,
 }

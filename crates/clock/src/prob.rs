@@ -14,8 +14,6 @@
 //! The coverage test of Algorithm 4 ([`ProbClock::is_covered`]) is also
 //! here because it reads only the local vector.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{KeySet, StampPool, Timestamp};
 
 /// Why a message is (or is not) deliverable, as reported by
@@ -28,7 +26,7 @@ use crate::{KeySet, StampPool, Timestamp};
 /// so re-checking a blocked message can resume the scan from the last
 /// blocking entry instead of restarting at zero
 /// ([`ProbClock::deliverability_gap_from`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gap {
     /// Every entry satisfies the Algorithm 2 wait-condition.
     Ready,
@@ -66,7 +64,7 @@ impl Gap {
 /// assert_eq!(ts.entries(), &[1, 1, 0, 0]); // paper Figure 1
 /// # Ok::<(), pcb_clock::KeyError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbClock {
     // Struct-of-arrays: the local vector is a plain contiguous `u64`
     // slice, not a shared `Timestamp`. Algorithm 2's guard and the gap

@@ -4,8 +4,6 @@ use std::fmt;
 use std::ops::Index;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// The vector of integer counters attached to every broadcast message.
 ///
 /// Unlike a classical vector clock, entries do not map one-to-one to
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ts[1], 2);
 /// assert_eq!(ts.to_string(), "[1,2,0,0]");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Timestamp {
     entries: Arc<Vec<u64>>,
 }

@@ -9,8 +9,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ProcessId;
 
 /// Outcome of comparing two vector timestamps under Lamport's
@@ -51,7 +49,7 @@ impl fmt::Display for CausalRelation {
 /// let ts2 = b.stamp_send(ProcessId::new(1));
 /// assert_eq!(ts1.compare(&ts2), CausalRelation::Before);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VectorClock {
     counters: Vec<u64>,
 }

@@ -4,10 +4,8 @@
 //! honest: causal ordering is a per-datatype requirement, not a blanket
 //! one (paper §1's applications differ in exactly this way).
 
-use serde::{Deserialize, Serialize};
-
 /// Counter operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterOp {
     /// Add `1..` to the counter.
     Increment(u64),

@@ -10,13 +10,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 /// A unique tag: (replica id, per-replica counter).
 pub type Tag = (u64, u64);
 
 /// OR-Set operations, broadcast to all replicas.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OrSetOp<E> {
     /// Insert `element` with a fresh unique tag.
     Add {

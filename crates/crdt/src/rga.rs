@@ -10,8 +10,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Identity of one inserted element: (replica, counter). Ordered so
 /// concurrent siblings sort deterministically (newer-first, then replica).
 pub type ElemId = (u64, u64);
@@ -20,7 +18,7 @@ pub type ElemId = (u64, u64);
 pub const HEAD: ElemId = (0, 0);
 
 /// RGA operations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RgaOp {
     /// Insert `ch` after the element `parent`.
     Insert {

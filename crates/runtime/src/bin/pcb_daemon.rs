@@ -2,16 +2,17 @@
 //!
 //! ```text
 //! pcb-daemon --state-dir DIR --listen ADDR --mode live|replay
-//!            [--resume] [--next-step N] [--shim-seed N] [--mtu N]
-//!            [--rpc ADDR] [--metrics ADDR] [--peer IDX=ADDR]...
-//!            [--rto-initial-us N] [--rto-max-us N] [--max-retries N]
+//!            [--resume] [--next-step N] [--rpc ADDR] [--metrics ADDR]
+//!            [--peer IDX=ADDR]... [--rto-max-us N]
 //! ```
 //!
 //! The state directory must contain `spec.bin` (written with
 //! `pcb_runtime::daemon::save_spec`) describing the node's identity,
 //! key set, protocol config, and recovery timing. `--resume` rebuilds
 //! from `snapshot.bin` + `wal.bin` after a crash; without it the node
-//! starts from genesis.
+//! starts from genesis. In live mode every `--peer` is a member: peer
+//! traffic from any other address is dropped, and the RPC socket takes
+//! the ops `publish`, `subscribe`, `status`, `restore` and `shutdown`.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -23,9 +24,8 @@ fn usage(error: &str) -> ExitCode {
     eprintln!("pcb-daemon: {error}");
     eprintln!(
         "usage: pcb-daemon --state-dir DIR --listen ADDR --mode live|replay \
-         [--resume] [--next-step N] [--shim-seed N] [--mtu N] [--rpc ADDR] \
-         [--metrics ADDR] [--peer IDX=ADDR]... [--rto-initial-us N] \
-         [--rto-max-us N] [--max-retries N]"
+         [--resume] [--next-step N] [--rpc ADDR] [--metrics ADDR] \
+         [--peer IDX=ADDR]... [--rto-max-us N]"
     );
     ExitCode::from(2)
 }
@@ -37,7 +37,6 @@ fn main() -> ExitCode {
     let mut mode: Option<Mode> = None;
     let mut opts_resume = false;
     let mut next_step = 0u64;
-    let mut shim_seed = 0u64;
     let mut rpc = None;
     let mut metrics = None;
     let mut peers = Vec::new();
@@ -69,25 +68,9 @@ fn main() -> ExitCode {
                 Ok(v) => next_step = v,
                 Err(e) => return usage(&format!("bad --next-step: {e}")),
             },
-            "--shim-seed" => match next_value!("--shim-seed").parse() {
-                Ok(seed) => shim_seed = seed,
-                Err(e) => return usage(&format!("bad --shim-seed: {e}")),
-            },
-            "--mtu" => match next_value!("--mtu").parse() {
-                Ok(mtu) => udp.mtu = mtu,
-                Err(e) => return usage(&format!("bad --mtu: {e}")),
-            },
-            "--rto-initial-us" => match next_value!("--rto-initial-us").parse() {
-                Ok(v) => udp.rto_initial_us = v,
-                Err(e) => return usage(&format!("bad --rto-initial-us: {e}")),
-            },
             "--rto-max-us" => match next_value!("--rto-max-us").parse() {
                 Ok(v) => udp.rto_max_us = v,
                 Err(e) => return usage(&format!("bad --rto-max-us: {e}")),
-            },
-            "--max-retries" => match next_value!("--max-retries").parse() {
-                Ok(v) => udp.max_retries = v,
-                Err(e) => return usage(&format!("bad --max-retries: {e}")),
             },
             "--rpc" => match next_value!("--rpc").parse() {
                 Ok(addr) => rpc = Some(addr),
@@ -117,7 +100,6 @@ fn main() -> ExitCode {
     let mut opts = DaemonOptions::new(state_dir, listen, mode);
     opts.resume = opts_resume;
     opts.next_step = next_step;
-    opts.shim_seed = shim_seed;
     opts.udp = udp;
     opts.rpc = rpc;
     opts.metrics = metrics;

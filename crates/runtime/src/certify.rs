@@ -5,9 +5,8 @@
 //! chaos driver and the in-process loopback cluster — against each
 //! other. This module adds the third and harshest leg: every node of a
 //! recorded run is hosted by a **separate OS process**, reached over a
-//! real UDP socket through the deterministic fault shim, and (when
-//! [`CertifyOptions::real_kill`] is set) crashed with an actual
-//! `SIGKILL` and restarted from its on-disk snapshot + WAL.
+//! real UDP socket through the deterministic fault shim, crashed with an
+//! actual `SIGKILL` and restarted from its on-disk snapshot + WAL.
 //!
 //! The driver exploits the replay-equivalence property the export
 //! module's tests prove: an endpoint is a pure function of its own
@@ -20,10 +19,10 @@
 //! 2. streams the node's recorded steps over the reliable UDP channel
 //!    (optionally through shim-injected loss/dup/reorder/corruption),
 //!    windowed, collecting per-step delivery digests from the acks,
-//! 3. on a recorded `Crash` (real-kill mode): waits until every sent
-//!    step is acked — the daemon persists before acking, so at that
-//!    point its disk state *is* the simulator's crash-model state —
-//!    then `SIGKILL`s the process,
+//! 3. on a recorded `Crash`: waits until every sent step is acked — the
+//!    daemon persists before acking, so at that point its disk state
+//!    *is* the simulator's crash-model state — then `SIGKILL`s the
+//!    process,
 //! 4. skips the crash window's `Tick` steps (a dead process has no
 //!    timer; the recorded ticks only nudged the crashed endpoint's
 //!    monotone clock clamp, which the `Restore` timestamp supersedes),
@@ -53,6 +52,12 @@ use crate::daemon::{self, decode_msg, encode_step_msg, encode_stop_msg, DaemonMs
 use crate::ready;
 use crate::udp::{UdpConfig, UdpEvent, UdpTransport};
 
+/// How long the driver waits without ack progress before it declares a
+/// daemon wedged.
+const STALL_TIMEOUT: Duration = Duration::from_secs(10);
+/// Most unacknowledged steps in flight per daemon.
+const WINDOW: usize = 32;
+
 /// How the certification driver runs the daemons.
 #[derive(Debug, Clone)]
 pub struct CertifyOptions {
@@ -60,38 +65,18 @@ pub struct CertifyOptions {
     pub daemon_bin: PathBuf,
     /// Scratch directory for per-node state dirs.
     pub work_dir: PathBuf,
-    /// Replace recorded `Crash` inputs with a real `SIGKILL` and
-    /// recorded `Restore` inputs with a respawn from disk. When false,
-    /// crash and restore stream as ordinary steps (soft crash, exactly
-    /// like the sim and the loopback cluster).
-    pub real_kill: bool,
     /// Deterministic link faults injected at the driver's socket shim
     /// for the whole replay (burst loss / dup / reorder / corruption on
     /// the real datagram path; the reliable channel must absorb it all).
     pub shim_faults: Option<LinkFaults>,
-    /// Transport tuning for the driver side.
-    pub udp: UdpConfig,
-    /// How long to wait without ack progress before declaring the
-    /// daemon wedged, in milliseconds.
-    pub stall_timeout_ms: u64,
-    /// Maximum unacked steps in flight per daemon.
-    pub window: usize,
 }
 
 impl CertifyOptions {
-    /// Defaults around a daemon binary path and a scratch directory:
-    /// real kills, no shim faults, stock transport tuning.
+    /// Defaults around a daemon binary path and a scratch directory: no
+    /// shim faults.
     #[must_use]
     pub fn new(daemon_bin: PathBuf, work_dir: PathBuf) -> Self {
-        CertifyOptions {
-            daemon_bin,
-            work_dir,
-            real_kill: true,
-            shim_faults: None,
-            udp: UdpConfig::default(),
-            stall_timeout_ms: 10_000,
-            window: 32,
-        }
+        CertifyOptions { daemon_bin, work_dir, shim_faults: None }
     }
 }
 
@@ -302,7 +287,7 @@ fn replay_node(
     let mut transport = UdpTransport::bind(
         "127.0.0.1:0".parse().expect("loopback literal"),
         0,
-        opts.udp.clone(),
+        UdpConfig::default(),
         0xace0_0000 + node as u64,
     )?;
     transport.set_faults(opts.shim_faults);
@@ -313,7 +298,6 @@ fn replay_node(
     let mut sent: HashSet<u64> = HashSet::new();
     let mut killed = false;
     let mut last_progress = Instant::now();
-    let stall = Duration::from_millis(opts.stall_timeout_ms);
 
     for (i, (now_us, input)) in steps.iter().enumerate() {
         let idx = i as u64;
@@ -336,7 +320,7 @@ fn replay_node(
                 continue;
             }
         }
-        if opts.real_kill && matches!(input, Input::Crash) {
+        if matches!(input, Input::Crash) {
             // Stream the recorded Crash step itself before the kill:
             // crash-edge effects — a snapshot falling due exactly at the
             // crash timestamp, and its trace events — must land on disk
@@ -348,7 +332,7 @@ fn replay_node(
             transport.send(daemon_addr, encode_step_msg(idx, *now_us, input), wall(started));
             sent.insert(idx);
             stats.steps += 1;
-            drain_acks(&mut transport, &mut acked, &sent, started, &mut last_progress, stall)
+            drain_acks(&mut transport, &mut acked, &sent, started, &mut last_progress)
                 .map_err(|()| stalled(node, &acked, &sent))?;
             child.kill()?;
             let _ = child.wait();
@@ -361,15 +345,15 @@ fn replay_node(
         // acknowledged, so steps leave in batches that share datagrams:
         // refilled one ack at a time, every step went alone, and a step
         // costs the daemon less than a datagram does.
-        if sent.len() - acked.len() >= opts.window {
-            while sent.len() - acked.len() > opts.window / 2 {
-                if last_progress.elapsed() > stall {
+        if sent.len() - acked.len() >= WINDOW {
+            while sent.len() - acked.len() > WINDOW / 2 {
+                if last_progress.elapsed() > STALL_TIMEOUT {
                     return Err(stalled(node, &acked, &sent));
                 }
                 wait_for_daemon(
                     &mut transport,
                     started,
-                    stall.saturating_sub(last_progress.elapsed()),
+                    STALL_TIMEOUT.saturating_sub(last_progress.elapsed()),
                 );
                 pump(&mut transport, &mut acked, &sent, started, &mut last_progress);
             }
@@ -379,12 +363,10 @@ fn replay_node(
         stats.steps += 1;
     }
 
-    drain_acks(&mut transport, &mut acked, &sent, started, &mut last_progress, stall).map_err(
-        |()| {
-            let _ = child.kill();
-            stalled(node, &acked, &sent)
-        },
-    )?;
+    drain_acks(&mut transport, &mut acked, &sent, started, &mut last_progress).map_err(|()| {
+        let _ = child.kill();
+        stalled(node, &acked, &sent)
+    })?;
 
     // Ask the daemon to exit; give it a moment, then make sure.
     transport.send(daemon_addr, encode_stop_msg(), wall(started));
@@ -443,13 +425,12 @@ fn drain_acks(
     sent: &HashSet<u64>,
     started: Instant,
     last_progress: &mut Instant,
-    stall: Duration,
 ) -> Result<(), ()> {
     while acked.len() < sent.len() {
-        if last_progress.elapsed() > stall {
+        if last_progress.elapsed() > STALL_TIMEOUT {
             return Err(());
         }
-        wait_for_daemon(transport, started, stall.saturating_sub(last_progress.elapsed()));
+        wait_for_daemon(transport, started, STALL_TIMEOUT.saturating_sub(last_progress.elapsed()));
         pump(transport, acked, sent, started, last_progress);
     }
     Ok(())

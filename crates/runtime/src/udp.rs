@@ -36,7 +36,8 @@
 //!   lost across a reset are recovered by the protocol's own
 //!   anti-entropy (§4.2), not the transport.
 //! - **Liveness** — a frame that exhausts its retries marks the peer
-//!   unreachable, surfaces a [`UdpEvent::PeerDown`] and fences the send
+//!   unreachable (counted in [`UdpStats::peer_down`], and in
+//!   [`UdpStats::peer_up`] when it answers again) and fences the send
 //!   side the same way, except that the outstanding queue is abandoned
 //!   (again: anti-entropy owns the gap).
 //! - **Fault injection** — every outbound datagram passes through a
@@ -61,7 +62,8 @@
 //!
 //! The API is a poll loop, not callbacks: the owner calls
 //! [`UdpTransport::poll`] with the current monotonic time and receives
-//! the frames that completed plus peer health transitions. That keeps
+//! two kinds of [`UdpEvent`]: the frames that completed, and the links
+//! that fenced. Peer health is a counter, not an event. That keeps
 //! the transport single-threaded and testable with synthetic clocks.
 //! Frames sent between two polls share datagrams; they leave at the
 //! next [`UdpTransport::flush`] or poll, whichever comes first, so an
@@ -142,11 +144,6 @@ pub enum UdpEvent {
         /// [`UdpTransport::send`].
         frame: Bytes,
     },
-    /// A frame to `peer` exhausted its retries; outstanding traffic to
-    /// it was abandoned.
-    PeerDown(SocketAddr),
-    /// A previously unreachable peer answered again.
-    PeerUp(SocketAddr),
     /// The send side towards this peer opened a new epoch — a give-up,
     /// or the peer restarted. Frames sent before may never have arrived
     /// (or arrived at a process that no longer exists), so state the
@@ -523,11 +520,6 @@ impl UdpTransport {
         (self.stats, self.shim.stats())
     }
 
-    /// True if `peer` is currently considered unreachable.
-    pub fn unreachable(&self, peer: SocketAddr) -> bool {
-        self.peers.get(&peer).is_some_and(|p| p.unreachable)
-    }
-
     /// The largest frame one datagram carries whole.
     fn whole_frame_max(&self) -> usize {
         self.cfg.mtu - OUTER_OVERHEAD
@@ -562,7 +554,7 @@ impl UdpTransport {
     /// socket, ships what was sent since the last flush, retransmits
     /// overdue frames, promotes queued traffic into freed windows, and
     /// sends the acks nothing carried. Returns completed frames and
-    /// health transitions.
+    /// fenced links.
     pub fn poll(&mut self, now_us: u64) -> Vec<UdpEvent> {
         let mut events = Vec::new();
         self.poll_into(now_us, &mut events);
@@ -667,7 +659,6 @@ impl UdpTransport {
         if state.unreachable {
             state.unreachable = false;
             self.stats.peer_up += 1;
-            events.push(UdpEvent::PeerUp(from));
         }
 
         // Who is speaking. Only a restart takes the peer's receive state
@@ -820,7 +811,6 @@ impl UdpTransport {
                 if !state.unreachable {
                     state.unreachable = true;
                     self.stats.peer_down += 1;
-                    events.push(UdpEvent::PeerDown(addr));
                 }
             }
         }
@@ -1166,14 +1156,13 @@ mod tests {
         // b never polls: a's retries exhaust.
         a.send(addr_b, Bytes::from(vec![1, 2, 3]), 0);
         let start = std::time::Instant::now();
-        let mut down = false;
-        while !down && start.elapsed().as_millis() < 3_000 {
+        while a.stats().0.peer_down == 0 && start.elapsed().as_millis() < 3_000 {
             let now_us = start.elapsed().as_micros() as u64;
-            down = a.poll(now_us).iter().any(|e| matches!(e, UdpEvent::PeerDown(_)));
+            let _ = a.poll(now_us);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        assert!(down, "peer should be declared unreachable");
-        assert!(a.unreachable(addr_b));
+        assert_eq!(a.stats().0.peer_down, 1, "peer should be declared unreachable");
+        assert!(a.peers[&addr_b].unreachable);
 
         // Drain the retransmits that accumulated in b's kernel buffer
         // while it was "dead" — they belong to the abandoned epoch.
@@ -1188,10 +1177,10 @@ mod tests {
         a.send(addr_b, Bytes::from(vec![9, 9]), now_us);
         let start2 = std::time::Instant::now();
         let mut got = Vec::new();
-        let mut up = false;
-        while got.is_empty() && start2.elapsed().as_millis() < 3_000 {
+        let revived = |a: &UdpTransport| a.stats().0.peer_up > 0;
+        while (got.is_empty() || !revived(&a)) && start2.elapsed().as_millis() < 3_000 {
             let now_us = start.elapsed().as_micros() as u64;
-            up |= a.poll(now_us).iter().any(|e| matches!(e, UdpEvent::PeerUp(_)));
+            let _ = a.poll(now_us);
             for ev in b.poll(now_us) {
                 if let UdpEvent::Frame { frame, .. } = ev {
                     got.push(frame);
@@ -1201,8 +1190,8 @@ mod tests {
         }
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].as_ref(), [9, 9]);
-        assert!(up, "ack from the revived peer should raise PeerUp");
-        assert!(!a.unreachable(addr_b));
+        assert_eq!(a.stats().0.peer_up, 1, "ack from the revived peer should count it up");
+        assert!(!a.peers[&addr_b].unreachable);
     }
 
     #[test]
@@ -1225,13 +1214,12 @@ mod tests {
         a.flush(0);
 
         let start = std::time::Instant::now();
-        let mut down = false;
-        while !down && start.elapsed().as_millis() < 3_000 {
+        while a.stats().0.peer_down == 0 && start.elapsed().as_millis() < 3_000 {
             let now_us = start.elapsed().as_micros() as u64;
-            down = a.poll(now_us).iter().any(|e| matches!(e, UdpEvent::PeerDown(_)));
+            let _ = a.poll(now_us);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        assert!(down, "peer should be declared unreachable");
+        assert_eq!(a.stats().0.peer_down, 1, "peer should be declared unreachable");
         assert!(a.stats().0.give_ups >= 1);
 
         // Drain the dead-epoch retransmits from b's kernel buffer.
@@ -1485,12 +1473,11 @@ mod tests {
         a.send(addr_b, Bytes::from_static(b"lost"), 0);
         a.flush(0);
         let mut now_us = 0;
-        let mut down = false;
-        while !down && now_us < 100_000 {
+        while a.stats().0.peer_down == 0 && now_us < 100_000 {
             now_us += 1_000;
-            down = a.poll(now_us).iter().any(|e| matches!(e, UdpEvent::PeerDown(_)));
+            let _ = a.poll(now_us);
         }
-        assert!(down);
+        assert_eq!(a.stats().0.peer_down, 1);
         let fenced = a.peers[&addr_b].send_epoch;
         assert_eq!(incarnation_of(fenced), incarnation_of(fenced - 1), "a fence, not a restart");
 

@@ -20,6 +20,11 @@
 //! publish acknowledged just before a `SIGKILL` must still reach the
 //! survivors, and an idle daemon must wait rather than spin.
 //!
+//! Single daemons of a two-member cluster pin what a live daemon
+//! accepts: peer traffic only from a member's address, and from it only
+//! anti-entropy; five RPC ops; `/metrics` connections that never hold the
+//! loop. The member is either down or a socket of the test itself.
+//!
 //! Skips (with a visible marker) when the environment forbids spawning
 //! subprocesses or binding sockets.
 
@@ -29,11 +34,13 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use pcb_broadcast::{PcbConfig, RecoveryTimingUs};
-use pcb_clock::{KeySet, KeySpace};
-use pcb_runtime::daemon::{encode_row_msg, save_spec};
+use bytes::Bytes;
+use pcb_broadcast::endpoint::{Input, Output};
+use pcb_broadcast::{wire, DeltaEncoder, Endpoint, Message, PcbConfig, RecoveryTimingUs};
+use pcb_clock::{KeySet, KeySpace, ProcessId};
+use pcb_runtime::daemon::{encode_frame_msg, encode_pcb_msg, encode_row_msg, save_spec};
 use pcb_runtime::{UdpConfig, UdpTransport};
-use pcb_sim::export::NodeSpec;
+use pcb_sim::export::{encode_join_grant, message_to_bytes, NodeSpec};
 use pcb_sim::StreamOracle;
 use pcb_telemetry::json::{self, Value};
 
@@ -247,48 +254,72 @@ const TIMING: RecoveryTimingUs = RecoveryTimingUs {
     sync_timeout_us: 150_000,
 };
 
-/// Spawns an `N`-daemon live cluster in a fresh work directory named
-/// after `tag`; `None`, with the SKIPPED marker printed, where this
-/// environment cannot spawn processes or bind sockets.
-fn spawn_cluster(tag: &str) -> Option<(Vec<Ports>, Vec<DaemonProc>)> {
+/// `n` free port triples and a fresh work directory named after `tag`;
+/// `None`, with the SKIPPED marker printed, where this environment
+/// cannot spawn processes or bind sockets.
+fn prepare(tag: &str, n: usize) -> Option<(PathBuf, Vec<Ports>)> {
     if Command::new(daemon_bin()).arg("--help").output().is_err() {
         eprintln!("SKIPPED: cannot spawn pcb-daemon in this environment");
         return None;
     }
+    let Ok(addrs) = free_ports(n) else {
+        eprintln!("SKIPPED: cannot bind localhost sockets in this environment");
+        return None;
+    };
     // Unique per run: a stale directory must never be shared with a
     // daemon that survived an earlier aborted run.
     let work_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("daemon-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&work_dir);
+    Some((work_dir, addrs))
+}
 
-    // Exact vector clocks: delivery completeness is deterministic, so
-    // the oracle's final certification is a hard assertion.
-    let space = KeySpace::vector(N).expect("vector space");
-    let Ok(addrs) = free_ports(N) else {
-        eprintln!("SKIPPED: cannot bind localhost sockets in this environment");
-        return None;
+/// Spawns member `node` of an `n`-member cluster on `ports`, with a
+/// fresh state directory under `work_dir`. Exact vector clocks: delivery
+/// completeness is deterministic, so stream certification is a hard
+/// assertion.
+fn spawn_member(
+    work_dir: &Path,
+    node: usize,
+    n: usize,
+    (listen, rpc, metrics): Ports,
+    peers: &[(usize, SocketAddr)],
+) -> DaemonProc {
+    let space = KeySpace::vector(n).expect("vector space");
+    let state_dir = work_dir.join(format!("node-{node}"));
+    std::fs::create_dir_all(&state_dir).expect("state dir");
+    let spec = NodeSpec {
+        node: node as u32,
+        n: n as u32,
+        keys: KeySet::from_entries(space, &[node]).expect("vector key"),
+        pcb_config: PcbConfig::default(),
+        timing: TIMING,
     };
+    save_spec(&state_dir, &spec).expect("spec written");
+    let child = spawn_live(&state_dir, listen, rpc, metrics, peers, false).expect("daemon spawns");
+    DaemonProc { child, state_dir, listen, rpc, metrics }
+}
 
-    let mut procs: Vec<DaemonProc> = Vec::new();
-    for node in 0..N {
-        let state_dir = work_dir.join(format!("node-{node}"));
-        std::fs::create_dir_all(&state_dir).expect("state dir");
-        let spec = NodeSpec {
-            node: node as u32,
-            n: N as u32,
-            keys: KeySet::from_entries(space, &[node]).expect("vector key"),
-            pcb_config: PcbConfig::default(),
-            timing: TIMING,
-        };
-        save_spec(&state_dir, &spec).expect("spec written");
-        let peers: Vec<(usize, SocketAddr)> =
-            (0..N).filter(|j| *j != node).map(|j| (j, addrs[j].0)).collect();
-        let (listen, rpc, metrics) = addrs[node];
-        let child =
-            spawn_live(&state_dir, listen, rpc, metrics, &peers, false).expect("daemon spawns");
-        procs.push(DaemonProc { child, state_dir, listen, rpc, metrics });
-    }
+/// Spawns an `N`-daemon live cluster (see [`prepare`]).
+fn spawn_cluster(tag: &str) -> Option<(Vec<Ports>, Vec<DaemonProc>)> {
+    let (work_dir, addrs) = prepare(tag, N)?;
+    let procs = (0..N)
+        .map(|node| {
+            let peers: Vec<(usize, SocketAddr)> =
+                (0..N).filter(|j| *j != node).map(|j| (j, addrs[j].0)).collect();
+            spawn_member(&work_dir, node, N, addrs[node], &peers)
+        })
+        .collect();
     Some((addrs, procs))
+}
+
+/// Spawns member 0 of a two-member cluster whose member 1 is at
+/// `member`, or, given `None`, at an address nobody listens on: a member
+/// that is down.
+fn spawn_half_pair(tag: &str, member: Option<SocketAddr>) -> Option<DaemonProc> {
+    let (work_dir, addrs) = prepare(tag, 2)?;
+    let member = member.unwrap_or(addrs[1].0);
+    Some(spawn_member(&work_dir, 0, 2, addrs[0], &[(1, member)]))
 }
 
 /// Asks every daemon to exit, SIGKILLing any that is still up after 5 s.
@@ -553,6 +584,231 @@ fn an_idle_daemon_waits_instead_of_spinning() {
         assert!(rate < 400.0, "node {node} woke {rate:.0} times a second while idle");
     }
     shutdown(&mut procs);
+}
+
+/// A test socket that speaks the daemons' transport: a stranger, or the
+/// member that a daemon's `--peer` names.
+struct Speaker {
+    transport: UdpTransport,
+    clock: Instant,
+}
+
+impl Speaker {
+    fn bind() -> Self {
+        let any: SocketAddr = "127.0.0.1:0".parse().expect("address");
+        let transport = UdpTransport::bind(any, 1, UdpConfig::default(), 0).expect("bind");
+        Speaker { transport, clock: Instant::now() }
+    }
+
+    fn addr(&self) -> SocketAddr {
+        self.transport.local_addr().expect("bound")
+    }
+
+    /// Sends `msg` to `daemon` and returns the daemon's status once its
+    /// loop has taken the frame. A turn applies the frames it reads
+    /// before it answers RPCs, so the status already shows their effect.
+    fn say(&mut self, daemon: &DaemonProc, msg: Bytes) -> Value {
+        let taken = |s: &Value| u64_of(s, "udp_frames_received");
+        let want = taken(&status(daemon.rpc)) + 1;
+        let now_us = || self.clock.elapsed().as_micros() as u64;
+        self.transport.send(daemon.listen, msg, now_us());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            self.transport.flush(now_us());
+            let _ = self.transport.poll(now_us());
+            let s = status(daemon.rpc);
+            if taken(&s) >= want {
+                return s;
+            }
+            assert!(Instant::now() < deadline, "the daemon never read the datagram");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+}
+
+/// Member 1's endpoint in the two-member clusters below, and its next
+/// broadcast.
+fn member_one() -> Endpoint<u32> {
+    let keys = KeySet::from_entries(KeySpace::vector(2).expect("space"), &[1]).expect("key");
+    Endpoint::new(ProcessId::new(1), keys, PcbConfig::default(), None)
+}
+
+fn broadcast(endpoint: &mut Endpoint<u32>, payload: u32) -> Message<u32> {
+    let outputs = endpoint.handle(Input::Broadcast(payload), 1_000);
+    outputs
+        .into_iter()
+        .find_map(|o| match o {
+            Output::SendFrame(message) => Some(message),
+            _ => None,
+        })
+        .expect("a broadcast sends a frame")
+}
+
+/// The payloads of every delivery the daemon has logged, in order: the
+/// backlog a `subscribe` replays before its reply.
+fn delivered_payloads(addr: SocketAddr) -> Vec<u64> {
+    let request = format!("{}\n", Value::object([("op", Value::from("subscribe"))]).to_json());
+    let mut stream = TcpStream::connect(addr).expect("rpc connects");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout set");
+    stream.write_all(request.as_bytes()).expect("sent");
+    let mut payloads = Vec::new();
+    for line in BufReader::new(stream).lines() {
+        let v = json::parse(line.expect("backlog line").trim()).expect("line parses");
+        match v.get("payload").and_then(Value::as_u64) {
+            Some(payload) => payloads.push(payload),
+            None => return payloads, // the op's reply closes the backlog
+        }
+    }
+    panic!("the daemon hung up during the backlog")
+}
+
+/// One datagram from any address carrying `MSG_PCB(Input::Leave)` used
+/// to retire a live daemon for good.
+#[test]
+fn a_strangers_leave_does_not_retire_the_daemon() {
+    let Some(daemon) = spawn_half_pair("leave", None) else { return };
+    publish(daemon.rpc, 1);
+    let after = Speaker::bind().say(&daemon, encode_pcb_msg(&Input::Leave));
+    assert_eq!(after.get("left"), Some(&Value::from(false)), "a stranger's Leave retired it");
+    publish(daemon.rpc, 2);
+    assert_eq!(u64_of(&status(daemon.rpc), "sent"), 2, "the daemon still publishes");
+}
+
+/// A stranger's `StableFrontier` used to empty the store while member 1
+/// was down, so that member could not be served on its return.
+#[test]
+fn a_strangers_frontier_leaves_the_store_alone_while_a_member_is_down() {
+    let Some(daemon) = spawn_half_pair("frontier-forged", None) else { return };
+    for k in 0..5 {
+        publish(daemon.rpc, k);
+    }
+    assert_eq!(u64_of(&status(daemon.rpc), "store_retained"), 5);
+    let forged = encode_pcb_msg(&Input::StableFrontier(vec![u64::MAX; 2]));
+    let after = Speaker::bind().say(&daemon, forged);
+    assert_eq!(u64_of(&after, "store_retained"), 5, "a stranger's frontier pruned the store");
+    publish(daemon.rpc, 5);
+    assert_eq!(u64_of(&status(daemon.rpc), "store_retained"), 6);
+}
+
+/// A `join` RPC with a well-formed grant for id `u32::MAX - 1` used to
+/// grow the peer table to that many slots and abort the daemon on the
+/// allocation.
+#[test]
+fn the_join_rpc_is_an_unknown_op() {
+    let Some(daemon) = spawn_half_pair("join", None) else { return };
+    let keys = KeySet::from_entries(KeySpace::vector(2).expect("space"), &[1]).expect("key");
+    let grant = member_one().join_grant(ProcessId::new(u32::MAX as usize - 1), keys);
+    let hex: String = encode_join_grant(&grant).iter().map(|b| format!("{b:02x}")).collect();
+    let request =
+        Value::object([("op", Value::from("join")), ("grant", Value::from(hex.as_str()))]);
+    let reply = rpc(daemon.rpc, &request);
+    assert_eq!(reply.get("ok"), Some(&Value::from(false)), "{}", reply.to_json());
+    let why = reply.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(why.starts_with("unknown op"), "{}", reply.to_json());
+    status(daemon.rpc);
+}
+
+/// Every accepted `/metrics` socket used to be read blocking with a
+/// 300 ms timeout inside the loop: five that sent nothing held a publish
+/// for ≈ 1.5 s, and UDP acks and retransmits with it.
+#[test]
+fn idle_metrics_connections_do_not_stall_the_loop() {
+    let Some(daemon) = spawn_half_pair("metrics-idle", None) else { return };
+    status(daemon.rpc);
+    let idle: Vec<TcpStream> =
+        (0..5).map(|_| TcpStream::connect(daemon.metrics).expect("metrics accepts")).collect();
+    // The loop wakes for them before the publish below arrives.
+    std::thread::sleep(Duration::from_millis(20));
+    let started = Instant::now();
+    publish(daemon.rpc, 1);
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(100), "a publish round trip took {elapsed:?}");
+    // A scrape that does send its request is answered while they idle.
+    pcb_telemetry::validate(&scrape(daemon.metrics)).expect("the page parses");
+    drop(idle);
+}
+
+/// Every `Input` variant as `MSG_PCB`, from a stranger and then from the
+/// member's own address: nothing an operator watches moves, and the
+/// only input that reaches the endpoint is the member's probe in its own
+/// name, which the daemon serves.
+#[test]
+fn only_a_members_own_probes_and_replies_reach_the_endpoint() {
+    let mut member = Speaker::bind();
+    let Some(daemon) = spawn_half_pair("msg-pcb", Some(member.addr())) else { return };
+    for k in 0..5 {
+        publish(daemon.rpc, k); // the store holds them: member 1 never reports
+    }
+    let mut sponsor = member_one();
+    let config = sponsor.cluster();
+    let keys = KeySet::from_entries(config.space, &[0]).expect("key");
+    let grant = sponsor.join_grant(ProcessId::new(0), keys);
+    let probe = |from| Input::SyncRequest { from: ProcessId::new(from), windows: Vec::new() };
+    let inputs = [
+        ("Crash", Input::Crash),
+        ("Restore", Input::Restore),
+        ("Tick", Input::Tick),
+        ("Broadcast", Input::Broadcast(7)),
+        ("Reconfigure", Input::Reconfigure(config.reconfigured(config.space))),
+        ("Leave", Input::Leave),
+        ("Join", Input::Join(Box::new(grant))),
+        ("StableFrontier", Input::StableFrontier(vec![u64::MAX; 2])),
+        ("FrameReceived", Input::FrameReceived(broadcast(&mut sponsor, 9))),
+        ("SyncRequest in its own name", probe(1)),
+        ("SyncRequest in member 0's name", probe(0)),
+        ("SyncResponse", Input::SyncResponse { messages: Vec::new(), config }),
+    ];
+    let watched = [
+        "left",
+        "crashed",
+        "sent",
+        "delivered",
+        "config_epoch",
+        "endpoint_incarnation",
+        "store_retained",
+    ];
+    let mut stranger = Speaker::bind();
+    let mut before = status(daemon.rpc);
+    for (who, speaker) in [("stranger", &mut stranger), ("member", &mut member)] {
+        for (name, input) in &inputs {
+            let after = speaker.say(&daemon, encode_pcb_msg(input));
+            for key in watched {
+                assert_eq!(after.get(key), before.get(key), "{who}'s {name} moved {key}");
+            }
+            let served = u64_of(&after, "sync_served") - u64_of(&before, "sync_served");
+            let own_probe = who == "member" && *name == "SyncRequest in its own name";
+            assert_eq!(served, u64::from(own_probe), "{who}'s {name}: sync_served");
+            before = after;
+        }
+    }
+}
+
+/// A stranger's full frame that claims member 1's next message used to
+/// be delivered and to become the base for member 1's next delta, which
+/// then missed its own base and was dropped.
+#[test]
+fn a_strangers_frame_in_a_members_name_leaves_its_chain_alone() {
+    let mut member = Speaker::bind();
+    let Some(daemon) = spawn_half_pair("chain-forged", Some(member.addr())) else { return };
+    let (mut real, mut forger) = (member_one(), member_one());
+    let mut chain = DeltaEncoder::default();
+    let mut next = |speaker: &mut Speaker, payload| {
+        let frame = chain.encode(&message_to_bytes(&broadcast(&mut real, payload)));
+        speaker.say(&daemon, encode_frame_msg(&frame))
+    };
+    next(&mut member, 10);
+    next(&mut member, 11);
+    // The forger's third message has member 1's next sequence number and
+    // stamp, and a payload of its own.
+    for payload in [90, 91] {
+        broadcast(&mut forger, payload);
+    }
+    let forged = wire::encode_full(&message_to_bytes(&broadcast(&mut forger, 99)));
+    Speaker::bind().say(&daemon, encode_frame_msg(&forged));
+    next(&mut member, 12);
+    let after = next(&mut member, 13);
+    assert_eq!(u64_of(&after, "delta_missing_base"), 0, "a member's delta lost its base");
+    assert_eq!(delivered_payloads(daemon.rpc), [10, 11, 12, 13]);
 }
 
 #[test]

@@ -469,8 +469,8 @@ pub fn decode_step(bytes: &[u8]) -> Result<(u64, Input<u32>), ExportError> {
 
 // ---- join grant codec -------------------------------------------------
 
-/// Serializes a snapshot-assisted join grant so a sponsor daemon can
-/// hand it to a newcomer process (the `join_grant`/`join` RPC legs).
+/// Serializes a snapshot-assisted join grant, as the step codec carries
+/// it inside `Input::Join`.
 #[must_use]
 pub fn encode_join_grant(grant: &JoinGrant<u32>) -> Vec<u8> {
     let mut out = Vec::with_capacity(128);
@@ -609,34 +609,6 @@ pub fn decode_digests(bytes: &[u8]) -> Result<Vec<(MessageId, bool, bool)>, Expo
     }
     r.done()?;
     Ok(out)
-}
-
-/// Serializes recovery counters (for the daemon `status` leg).
-#[must_use]
-pub fn encode_counters(c: &Counters) -> Vec<u8> {
-    let mut out = Vec::with_capacity(40);
-    for v in [c.sync_requests, c.sync_served, c.refetched, c.snapshots_taken, c.snapshot_restores] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Deserializes recovery counters.
-///
-/// # Errors
-///
-/// [`ExportError::Truncated`] on malformed bytes.
-pub fn decode_counters(bytes: &[u8]) -> Result<Counters, ExportError> {
-    let mut r = Reader(bytes);
-    let c = Counters {
-        sync_requests: r.u64()?,
-        sync_served: r.u64()?,
-        refetched: r.u64()?,
-        snapshots_taken: r.u64()?,
-        snapshot_restores: r.u64()?,
-    };
-    r.done()?;
-    Ok(c)
 }
 
 #[cfg(test)]
@@ -865,21 +837,13 @@ mod tests {
     }
 
     #[test]
-    fn digest_and_counter_codecs_round_trip() {
+    fn digest_codec_round_trips() {
         let digests = vec![
             (MessageId::new(ProcessId::new(0), 1), false, false),
             (MessageId::new(ProcessId::new(3), 77), true, false),
             (MessageId::new(ProcessId::new(8), 2), true, true),
         ];
         assert_eq!(decode_digests(&encode_digests(&digests)).unwrap(), digests);
-        let c = Counters {
-            sync_requests: 1,
-            sync_served: 2,
-            refetched: 3,
-            snapshots_taken: 4,
-            snapshot_restores: 5,
-        };
-        assert_eq!(decode_counters(&encode_counters(&c)).unwrap(), c);
     }
 
     /// The design lynchpin of the multi-process harness: replaying each

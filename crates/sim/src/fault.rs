@@ -10,14 +10,12 @@
 //! (`scripts/replay.sh`); [`FaultPlan::to_text`] renders one for people
 //! to read.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::{derive_seed, SimRng};
 
 /// Link-level fault rates, applied per transmission while a
 /// [`FaultKind::LinkFaultStart`] window is open. All probabilities are
 /// independent per frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFaults {
     /// Probability a frame is dropped outright (burst loss).
     pub drop: f64,
@@ -42,7 +40,7 @@ impl Default for LinkFaults {
 }
 
 /// One kind of injected fault.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
     /// The node halts: it loses its in-memory state (pending queue,
     /// anything past its last snapshot) and stops receiving.
@@ -104,7 +102,7 @@ pub enum FaultKind {
 }
 
 /// A fault at a point in virtual (sim) or wall-clock (runtime) time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
     /// When the fault fires, in milliseconds from run start.
     pub at_ms: f64,
@@ -113,7 +111,7 @@ pub struct FaultEvent {
 }
 
 /// A full, deterministic schedule of faults for one chaos run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// The fault events, sorted by [`FaultEvent::at_ms`].
     pub events: Vec<FaultEvent>,

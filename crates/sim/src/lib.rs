@@ -51,9 +51,9 @@ pub use engine::{
     simulate_prob_traced, simulate_traced, simulate_vector, SimError,
 };
 pub use export::{
-    decode_counters, decode_digests, decode_node_spec, decode_step, encode_counters,
-    encode_digests, encode_node_spec, encode_step, message_from_wire, message_to_wire,
-    snapshot_from_wire, snapshot_to_wire, ExportError, NodeSpec, ReplayScript,
+    decode_digests, decode_node_spec, decode_step, encode_digests, encode_node_spec, encode_step,
+    message_from_wire, message_to_wire, snapshot_from_wire, snapshot_to_wire, ExportError,
+    NodeSpec, ReplayScript,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkFaults};
 pub use metrics::RunMetrics;

@@ -399,13 +399,6 @@ impl StreamOracle {
         self.nodes[receiver].redelivered
     }
 
-    /// Distinct messages of `sender`'s stream delivered at `receiver`
-    /// across all incarnations.
-    #[must_use]
-    pub fn delivered_unique(&self, receiver: usize, sender: usize) -> u64 {
-        self.nodes[receiver].all[sender].len() as u64
-    }
-
     /// Whether `receiver` delivered `(sender, seq)` in any incarnation —
     /// the per-message query behind membership-aware convergence checks
     /// (a joiner is only required to hold messages sent after its join;

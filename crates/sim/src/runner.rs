@@ -54,20 +54,6 @@ impl Default for SweepOptions {
     }
 }
 
-impl SweepOptions {
-    /// Options with everything defaulted except the scale.
-    #[must_use]
-    pub fn with_scale(scale: f64) -> Self {
-        Self { scale, ..Self::default() }
-    }
-
-    /// These options with the given worker-thread count.
-    #[must_use]
-    pub fn with_threads(self, threads: usize) -> Self {
-        Self { threads, ..self }
-    }
-}
-
 fn base_config(opts: SweepOptions) -> SimConfig {
     SimConfig {
         warmup_ms: 1000.0,

@@ -261,7 +261,7 @@ impl<T> std::fmt::Debug for TimingWheel<T> {
 }
 
 /// Which event-queue implementation a simulation runs on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Scheduler {
     /// Hierarchical timing wheel with capacity-recycled slot arrays
     /// (default).

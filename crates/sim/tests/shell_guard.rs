@@ -24,9 +24,9 @@
 //! second format cannot return unnoticed.
 //!
 //! A fourth pins how the daemon waits and what may be `unsafe`: its loop
-//! blocks in `poll(2)`, never in a sleep, and that one foreign call
-//! (`runtime::ready`) and the benchmark's counting allocator are the
-//! only `unsafe` code under `crates/*/src`.
+//! blocks in `poll(2)`, never in a sleep or on one socket, and that one
+//! foreign call (`runtime::ready`) and the benchmark's counting
+//! allocator are the only `unsafe` code under `crates/*/src`.
 
 use std::fs;
 use std::path::Path;
@@ -194,6 +194,26 @@ fn daemon_waits_on_readiness_never_on_a_sleep() {
     assert!(
         offences.is_empty(),
         "the daemon sleeps — wait in `ready::wait` on its sockets and next deadline:\n{}",
+        offences.join("\n")
+    );
+}
+
+/// Nor does the daemon block on one socket: every connection stays
+/// non-blocking and waits in the same `poll(2)`. A `/metrics` socket
+/// read blocking with a timeout held the whole loop for that timeout.
+#[test]
+fn daemon_never_blocks_on_one_socket() {
+    let sources = workspace_sources();
+    let (_, daemon) =
+        sources.iter().find(|(path, _)| path == "runtime/src/daemon.rs").expect("daemon source");
+    let offences = mentions(
+        &[("runtime/src/daemon.rs".into(), daemon.clone())],
+        &["set_nonblocking(false)", "set_read_timeout", "set_write_timeout"],
+    );
+    assert!(
+        offences.is_empty(),
+        "the daemon blocks on a socket — keep it non-blocking and let `ready::wait` \
+         say when it is ready:\n{}",
         offences.join("\n")
     );
 }

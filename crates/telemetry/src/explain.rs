@@ -99,14 +99,6 @@ pub struct Explanation {
     pub inflight_x: u32,
 }
 
-impl Explanation {
-    /// Total covering messages across all missing predecessors.
-    #[must_use]
-    pub fn covering_total(&self) -> usize {
-        self.missing.iter().map(|m| m.covering.len()).sum()
-    }
-}
-
 impl fmt::Display for Explanation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut flags = Vec::new();

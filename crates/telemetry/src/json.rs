@@ -2,8 +2,8 @@
 //! line-delimited RPC, the trace JSONL of [`crate::jsonl`] and
 //! [`crate::viz`], and the ledger's result lines all go through it.
 //!
-//! The workspace builds offline against a stub `serde`, so nothing can
-//! derive serializers; every document here is small and flat (objects of
+//! The workspace builds offline without `serde`, so nothing can derive
+//! serializers; every document here is small and flat (objects of
 //! numbers, strings, booleans, short arrays), so a hand-rolled codec is
 //! the honest cost. Parsing is total: malformed input yields a
 //! [`JsonError`], never a panic; depth is bounded so hostile nesting
