@@ -1165,7 +1165,8 @@ impl<P: Clone> Endpoint<P> {
     /// partition is exactly that — must not re-arm their probes onto the
     /// same schedule, or every backoff round arrives as a synchronized
     /// request storm. Pure state, no wall clock or RNG: the simulator,
-    /// loopback replay, and real daemons all compute the same offsets.
+    /// the certification harness, and real daemons all compute the same
+    /// offsets.
     fn jitter_us(&self, span_us: u64, nonce: u64) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for b in (self.id.index() as u64).to_le_bytes().into_iter().chain(nonce.to_le_bytes()) {

@@ -1,8 +1,8 @@
 //! `pcb-daemon`: one causal-broadcast node as a standalone OS process.
 //!
 //! ```text
-//! pcb-daemon --state-dir DIR --listen ADDR --mode live|replay
-//!            [--resume] [--next-step N] [--rpc ADDR] [--metrics ADDR]
+//! pcb-daemon --state-dir DIR --listen ADDR --mode live
+//!            [--resume] [--rpc ADDR] [--metrics ADDR]
 //!            [--peer IDX=ADDR]... [--rto-max-us N]
 //! ```
 //!
@@ -10,21 +10,22 @@
 //! `pcb_runtime::daemon::save_spec`) describing the node's identity,
 //! key set, protocol config, and recovery timing. `--resume` rebuilds
 //! from `snapshot.bin` + `wal.bin` after a crash; without it the node
-//! starts from genesis. In live mode every `--peer` is a member: peer
-//! traffic from any other address is dropped, and the RPC socket takes
-//! the ops `publish`, `subscribe`, `status`, `restore` and `shutdown`.
+//! starts from genesis. Every `--peer` is a member: peer traffic from any
+//! other address is dropped, and the RPC socket takes the ops `publish`,
+//! `subscribe`, `status`, `restore` and `shutdown`. `live` is the only
+//! mode.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pcb_runtime::daemon::{run, DaemonOptions, Mode};
+use pcb_runtime::daemon::{run, DaemonOptions};
 
 fn usage(error: &str) -> ExitCode {
     eprintln!("pcb-daemon: {error}");
     eprintln!(
-        "usage: pcb-daemon --state-dir DIR --listen ADDR --mode live|replay \
-         [--resume] [--next-step N] [--rpc ADDR] [--metrics ADDR] \
+        "usage: pcb-daemon --state-dir DIR --listen ADDR --mode live \
+         [--resume] [--rpc ADDR] [--metrics ADDR] \
          [--peer IDX=ADDR]... [--rto-max-us N]"
     );
     ExitCode::from(2)
@@ -34,9 +35,8 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut state_dir: Option<PathBuf> = None;
     let mut listen: Option<SocketAddr> = None;
-    let mut mode: Option<Mode> = None;
+    let mut live = false;
     let mut opts_resume = false;
-    let mut next_step = 0u64;
     let mut rpc = None;
     let mut metrics = None;
     let mut peers = Vec::new();
@@ -59,15 +59,10 @@ fn main() -> ExitCode {
                 Err(e) => return usage(&format!("bad --listen address: {e}")),
             },
             "--mode" => match next_value!("--mode").as_str() {
-                "live" => mode = Some(Mode::Live),
-                "replay" => mode = Some(Mode::Replay),
+                "live" => live = true,
                 other => return usage(&format!("bad --mode {other:?}")),
             },
             "--resume" => opts_resume = true,
-            "--next-step" => match next_value!("--next-step").parse() {
-                Ok(v) => next_step = v,
-                Err(e) => return usage(&format!("bad --next-step: {e}")),
-            },
             "--rto-max-us" => match next_value!("--rto-max-us").parse() {
                 Ok(v) => udp.rto_max_us = v,
                 Err(e) => return usage(&format!("bad --rto-max-us: {e}")),
@@ -94,12 +89,11 @@ fn main() -> ExitCode {
         }
     }
 
-    let (Some(state_dir), Some(listen), Some(mode)) = (state_dir, listen, mode) else {
-        return usage("--state-dir, --listen and --mode are required");
+    let (Some(state_dir), Some(listen), true) = (state_dir, listen, live) else {
+        return usage("--state-dir, --listen and --mode live are required");
     };
-    let mut opts = DaemonOptions::new(state_dir, listen, mode);
+    let mut opts = DaemonOptions::new(state_dir, listen);
     opts.resume = opts_resume;
-    opts.next_step = next_step;
     opts.udp = udp;
     opts.rpc = rpc;
     opts.metrics = metrics;

@@ -1,41 +1,34 @@
 //! The `pcb-daemon` process shell: one protocol endpoint per OS process.
 //!
-//! Everything before this module runs the protocol inside one address
-//! space — simulator, loopback replays. The daemon is
-//! the missing shell: a standalone process owning an
+//! The simulator runs the protocol inside one address space. The daemon
+//! is the live shell: a standalone process owning an
 //! [`Endpoint`](pcb_broadcast::Endpoint), a real [`UdpTransport`] to its
-//! peers, crash-durable state on disk, and an operator surface. It runs
-//! in one of two modes:
+//! peers, crash-durable state on disk, and an operator surface. N
+//! daemons form a localhost cluster. A broadcast leaves as the next
+//! frame of this daemon's delta chain (`LiveFrames`), anti-entropy
+//! probes and replies as self-contained [`pcb_sim::export`] steps, both
+//! over the reliable UDP channel; applications publish and subscribe
+//! over a line-delimited JSON RPC socket; Prometheus text metrics are
+//! served over HTTP. `kill -9` at any moment loses nothing durable: the
+//! send WAL is persisted before a broadcast's frames leave the process,
+//! the snapshot on every [`Output::SnapshotReady`], and a restart with
+//! `--resume` rebuilds from disk and catches up via anti-entropy.
 //!
-//! * **Live** — N daemons form a localhost cluster. A broadcast leaves
-//!   as the next frame of this daemon's delta chain (`LiveFrames`),
-//!   anti-entropy probes and replies as self-contained
-//!   [`pcb_sim::export`] steps, both over the reliable UDP channel;
-//!   applications publish and subscribe over a
-//!   line-delimited JSON RPC socket; Prometheus text metrics are served
-//!   over HTTP. `kill -9` at any moment loses nothing durable: the send
-//!   WAL is persisted before a broadcast's frames leave the process, the
-//!   snapshot on every [`Output::SnapshotReady`], and a restart with
-//!   `--resume` rebuilds from disk and catches up via anti-entropy.
+//! A daemon accepts only what its callers send. Peer traffic counts only
+//! from a *member* (an address given with `--peer`; a daemon sends from
+//! its `--listen` address): chain frames in that member's own name,
+//! stability rows, and `MSG_PCB` carrying an anti-entropy probe in the
+//! member's own name or a reply. Anything else from anyone is dropped
+//! before it is applied. The RPC plane has five ops: `publish`,
+//! `subscribe`, `status`, `restore`, `shutdown`.
 //!
-//!   A live daemon accepts only what its callers send. Peer traffic
-//!   counts only from a *member* (an address given with `--peer`; a
-//!   daemon sends from its `--listen` address): chain frames, stability
-//!   rows, and `MSG_PCB` carrying an anti-entropy probe in the
-//!   member's own name or a reply. Anything else from anyone is dropped
-//!   before it is decoded or applied. The RPC plane has five ops:
-//!   `publish`, `subscribe`, `status`, `restore`, `shutdown`.
-//! * **Replay** — the daemon hosts one node of a recorded chaos run for
-//!   the certification harness (`certify`). A driver streams the node's
-//!   recorded input steps over UDP; the daemon applies each at its
-//!   *recorded* virtual time and acks with the resulting delivery
-//!   digests. Persistence runs before every ack, so a real SIGKILL
-//!   between steps restarts into exactly the state the simulator's
-//!   crash model prescribes.
+//! Booting from the state directory ([`start_node`]) and persisting what
+//! one input changed ([`persist_changes`]) are functions of their own:
+//! the certification harness (`tests/equivalence.rs`) replays recorded
+//! simulator runs through them, each recorded crash a restart from disk.
 //!
 //! The event loop is deliberately single-threaded, which keeps the
-//! endpoint free of locks and the whole process deterministic enough to
-//! diff against the simulator. A turn drains every socket non-blocking —
+//! endpoint free of locks. A turn drains every socket non-blocking —
 //! UDP, RPC and metrics — and runs the timers that fell due; then the
 //! loop blocks in one `poll(2)` ([`crate::ready::wait`]) until a socket
 //! is ready or the next timer is due.
@@ -57,24 +50,15 @@ use pcb_broadcast::{
 };
 use pcb_clock::ProcessId;
 use pcb_sim::export::{
-    decode_digests, decode_node_spec, decode_step, encode_digests, encode_step, message_from_bytes,
-    message_to_bytes, snapshot_from_wire, snapshot_to_wire, ExportError, NodeSpec,
+    decode_node_spec, decode_step, encode_step, message_from_bytes, message_to_bytes,
+    snapshot_from_wire, snapshot_to_wire, ExportError, NodeSpec,
 };
 use pcb_telemetry::json::{self, Value};
 use pcb_telemetry::prom::{PromWriter, Row, RowKind};
-use pcb_telemetry::{write_stamped, EntryHeatmap, StampedRecord};
+use pcb_telemetry::EntryHeatmap;
 
 use crate::ready;
 use crate::udp::{UdpConfig, UdpEvent, UdpTransport};
-
-/// How the daemon runs: a live cluster member or a certification replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Real protocol traffic between peer daemons, RPC + metrics served.
-    Live,
-    /// Recorded steps streamed by a certification driver.
-    Replay,
-}
 
 /// Everything the binary parses from its command line.
 #[derive(Debug, Clone)]
@@ -84,35 +68,26 @@ pub struct DaemonOptions {
     pub state_dir: PathBuf,
     /// UDP bind address for protocol traffic.
     pub listen: SocketAddr,
-    /// Live or replay.
-    pub mode: Mode,
     /// Rebuild from on-disk snapshot + WAL instead of starting fresh.
     pub resume: bool,
-    /// Replay mode: the first step index this incarnation will accept.
-    /// The driver sets it on respawn so stale duplicates of
-    /// already-applied steps (e.g. shim-delayed copies from the previous
-    /// incarnation's channel) are re-acked, never re-applied.
-    pub next_step: u64,
     /// Transport tuning.
     pub udp: UdpConfig,
-    /// Live mode: TCP address for the line-JSON RPC socket.
+    /// TCP address for the line-JSON RPC socket.
     pub rpc: Option<SocketAddr>,
-    /// Live mode: TCP address for the Prometheus text endpoint.
+    /// TCP address for the Prometheus text endpoint.
     pub metrics: Option<SocketAddr>,
-    /// Live mode: `(node index, udp address)` for every peer.
+    /// `(node index, udp address)` for every peer.
     pub peers: Vec<(u32, SocketAddr)>,
 }
 
 impl DaemonOptions {
     /// Options with everything defaulted except the two required paths.
     #[must_use]
-    pub fn new(state_dir: PathBuf, listen: SocketAddr, mode: Mode) -> Self {
+    pub fn new(state_dir: PathBuf, listen: SocketAddr) -> Self {
         DaemonOptions {
             state_dir,
             listen,
-            mode,
             resume: false,
-            next_step: 0,
             udp: UdpConfig::default(),
             rpc: None,
             metrics: None,
@@ -123,55 +98,31 @@ impl DaemonOptions {
 
 // ---- transport message envelope ---------------------------------------
 
-/// Live protocol traffic that stands alone: an encoded `Input` for the
-/// receiving endpoint. The codec takes any input (replay steps share
-/// it); a live daemon applies only what `member_input` lets through.
+/// Protocol traffic that stands alone: an encoded `Input` for the
+/// receiving endpoint. The codec takes any input; a daemon applies only
+/// what `member_input` lets through.
 const MSG_PCB: u8 = 0;
-/// Replay: one recorded step, `u64` index + encoded `(now, Input)`.
-const MSG_STEP: u8 = 1;
-/// Replay: ack for a step, `u64` index + encoded delivery digests.
-const MSG_ACK: u8 = 2;
-/// Replay: the driver is done; exit cleanly.
-const MSG_STOP: u8 = 3;
-/// Live broadcast: one wire frame of the sender's delta chain, full or
+/// A broadcast: one wire frame of the sender's delta chain, full or
 /// delta, for the receiver's [`DeltaDecoder`].
 const MSG_FRAME: u8 = 4;
-/// Live: the sender's row of the stability matrix ([`StabilityRows`]),
+/// The sender's row of the stability matrix ([`StabilityRows`]),
 /// `uvar n | n × uvar`. The row names no member: it counts for whoever
 /// the transport says sent it.
 const MSG_ROW: u8 = 5;
 
-/// A decoded transport frame, shared between daemon and driver.
+/// A decoded transport frame.
 #[derive(Debug)]
 pub enum DaemonMsg {
-    /// Live traffic: apply this input at the receiver's clock.
+    /// Apply this input at the receiver's clock.
     Pcb(Input<u32>),
-    /// Live broadcast: a wire frame, still encoded — a delta only means
+    /// A broadcast: a wire frame, still encoded — a delta only means
     /// something to the decoder that holds its base.
     Frame(Bytes),
-    /// Live: a peer's row of the stability matrix, per sender index.
+    /// A peer's row of the stability matrix, per sender index.
     Row(Vec<u64>),
-    /// Replay: apply this recorded step.
-    Step {
-        /// Position in the node's recorded stream.
-        idx: u64,
-        /// Recorded virtual time of the step.
-        now_us: u64,
-        /// The recorded input.
-        input: Input<u32>,
-    },
-    /// Replay: digests produced by step `idx`.
-    Ack {
-        /// Echoed step position.
-        idx: u64,
-        /// Deliveries `(id, instant_alert, recent_alert)` the step caused.
-        digests: Vec<(MessageId, bool, bool)>,
-    },
-    /// Replay: shut down.
-    Stop,
 }
 
-/// Encodes live protocol traffic that stands alone.
+/// Encodes protocol traffic that stands alone.
 #[must_use]
 pub fn encode_pcb_msg(input: &Input<u32>) -> Bytes {
     let mut out = vec![MSG_PCB];
@@ -179,7 +130,7 @@ pub fn encode_pcb_msg(input: &Input<u32>) -> Bytes {
     Bytes::from(out)
 }
 
-/// Wraps one wire frame of a live delta chain: the kind byte, nothing
+/// Wraps one wire frame of a delta chain: the kind byte, nothing
 /// else — the frame carries its own checksum.
 #[must_use]
 pub fn encode_frame_msg(wire: &Bytes) -> Bytes {
@@ -218,30 +169,6 @@ fn decode_row(mut cur: &[u8]) -> Result<Vec<u64>, ExportError> {
     }
 }
 
-/// Encodes a replay step message.
-#[must_use]
-pub fn encode_step_msg(idx: u64, now_us: u64, input: &Input<u32>) -> Bytes {
-    let mut out = vec![MSG_STEP];
-    out.extend_from_slice(&idx.to_le_bytes());
-    out.extend_from_slice(&encode_step(now_us, input));
-    Bytes::from(out)
-}
-
-/// Encodes a replay step ack.
-#[must_use]
-pub fn encode_ack_msg(idx: u64, digests: &[(MessageId, bool, bool)]) -> Bytes {
-    let mut out = vec![MSG_ACK];
-    out.extend_from_slice(&idx.to_le_bytes());
-    out.extend_from_slice(&encode_digests(digests));
-    Bytes::from(out)
-}
-
-/// Encodes the replay stop marker.
-#[must_use]
-pub fn encode_stop_msg() -> Bytes {
-    Bytes::from(vec![MSG_STOP])
-}
-
 /// Decodes any transport frame.
 ///
 /// # Errors
@@ -255,23 +182,6 @@ pub fn decode_msg(frame: &Bytes) -> Result<DaemonMsg, ExportError> {
             let (_, input) = decode_step(rest)?;
             Ok(DaemonMsg::Pcb(input))
         }
-        MSG_STEP => {
-            if rest.len() < 8 {
-                return Err(ExportError::Truncated);
-            }
-            let idx = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
-            let (now_us, input) = decode_step(&rest[8..])?;
-            Ok(DaemonMsg::Step { idx, now_us, input })
-        }
-        MSG_ACK => {
-            if rest.len() < 8 {
-                return Err(ExportError::Truncated);
-            }
-            let idx = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
-            let digests = decode_digests(&rest[8..])?;
-            Ok(DaemonMsg::Ack { idx, digests })
-        }
-        MSG_STOP if rest.is_empty() => Ok(DaemonMsg::Stop),
         MSG_FRAME => Ok(DaemonMsg::Frame(frame.slice(1..))),
         MSG_ROW => decode_row(rest).map(DaemonMsg::Row),
         other => Err(ExportError::BadKind(other)),
@@ -303,10 +213,15 @@ struct ChainStats {
 /// of message `n` seeds the same base the delta of `n` would have left.
 /// A delta that arrives without its base is dropped and counted;
 /// anti-entropy, whose replies are self-contained, fetches the message.
+///
+/// Each member's chain has a decoder of its own, and a frame counts only
+/// in its sender's name: a daemon's chain carries nothing but its own
+/// broadcasts, so a member's frame naming another sender is forged.
 #[derive(Debug, Default)]
 struct LiveFrames {
     encoder: DeltaEncoder,
-    decoder: DeltaDecoder,
+    /// Per member index, the decoder of that member's chain.
+    decoders: Vec<DeltaDecoder>,
     /// Peers whose link was fenced since the last broadcast.
     restart: Vec<SocketAddr>,
     stats: ChainStats,
@@ -346,10 +261,17 @@ impl LiveFrames {
         self.restart.clear();
     }
 
-    /// Decodes a peer's chain frame; `None` for one that cannot be used.
-    fn incoming(&mut self, frame: Bytes) -> Option<Message<u32>> {
-        match self.decoder.decode(frame) {
-            Ok(message) => message_from_bytes(message).ok(),
+    /// Decodes a frame of `member`'s chain; `None` for one that cannot be
+    /// used, or that claims another sender.
+    fn incoming(&mut self, member: usize, frame: Bytes) -> Option<Message<u32>> {
+        if self.decoders.len() <= member {
+            self.decoders.resize_with(member + 1, DeltaDecoder::default);
+        }
+        match self.decoders[member].decode(frame) {
+            Ok(message) if message.id().sender().index() == member => {
+                message_from_bytes(message).ok()
+            }
+            Ok(_) => None,
             Err(WireError::MissingDeltaBase { .. }) => {
                 self.stats.missing_base += 1;
                 None
@@ -626,6 +548,69 @@ pub fn load_spec(dir: &Path) -> std::io::Result<NodeSpec> {
     decode_node_spec(&bytes).map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))
 }
 
+// ---- the shared start-up and persist steps ------------------------------
+
+/// Boots a node from its state directory: the spec in `spec.bin`, the
+/// next boot counter, and an endpoint. Without `resume` the endpoint is
+/// fresh; with it, it is rebuilt from `snapshot.bin` + `wal.bin` and
+/// starts crashed, recovering when it is fed [`Input::Restore`]. Every
+/// boot after the first is such a restore, so a resumed endpoint counts
+/// one restore fewer than the lives before this boot: the pending
+/// `Restore` adds it, exactly as an in-process restore does.
+///
+/// # Errors
+///
+/// Filesystem errors; with `resume`, `InvalidData` naming a state file
+/// that exists but is corrupt — booting past it would restart from
+/// genesis and reissue stamp heights.
+pub fn start_node(dir: &Path, resume: bool) -> std::io::Result<(NodeSpec, u64, Endpoint<u32>)> {
+    let spec = load_spec(dir)?;
+    let incarnation = bump_incarnation(dir)?;
+    let (id, keys, config) =
+        (ProcessId::new(spec.node as usize), spec.keys.clone(), spec.pcb_config.clone());
+    let endpoint = if resume {
+        let stable = load_snapshot(dir)?;
+        let durable = load_wal(dir)?.unwrap_or(0);
+        let mut endpoint = Endpoint::resume(id, keys, config, Some(spec.timing), stable, durable);
+        endpoint.set_incarnation(incarnation.saturating_sub(2));
+        endpoint
+    } else {
+        Endpoint::new(id, keys, config, Some(spec.timing))
+    };
+    Ok((spec, incarnation, endpoint))
+}
+
+/// Persists what one `handle` call changed: the send-WAL mark once it
+/// moved past `*last_durable`, the stable snapshot when `outputs`
+/// announce a new one. A shell runs this before it routes any send
+/// effect: that order is what makes a SIGKILL at any point equivalent to
+/// the simulator's crash model. Returns whether a new snapshot reached
+/// the disk.
+pub fn persist_changes(
+    dir: &Path,
+    endpoint: &Endpoint<u32>,
+    last_durable: &mut u64,
+    outputs: &[Output<u32>],
+) -> bool {
+    if endpoint.durable_seq() != *last_durable {
+        *last_durable = endpoint.durable_seq();
+        if let Err(e) = save_wal(dir, *last_durable) {
+            eprintln!("pcb-daemon: wal write failed: {e}");
+        }
+    }
+    if !outputs.iter().any(|o| matches!(o, Output::SnapshotReady { .. })) {
+        return false;
+    }
+    let Some(snapshot) = endpoint.stable_snapshot() else { return false };
+    match save_snapshot(dir, snapshot) {
+        Ok(()) => true,
+        Err(e) => {
+            eprintln!("pcb-daemon: snapshot write failed: {e}");
+            false
+        }
+    }
+}
+
 // ---- the daemon itself ------------------------------------------------
 
 /// One running daemon: endpoint + transport + durable state + operators.
@@ -636,9 +621,9 @@ struct Daemon {
     endpoint: Endpoint<u32>,
     transport: UdpTransport,
     frames: LiveFrames,
-    /// Index → address for live routing.
+    /// Index → address for routing.
     peer_addrs: Vec<Option<SocketAddr>>,
-    /// Live: every member's durable row, this daemon's own included.
+    /// Every member's durable row, this daemon's own included.
     rows: StabilityRows,
     /// The frontier last handed to the endpoint.
     frontier: Vec<u64>,
@@ -649,18 +634,10 @@ struct Daemon {
     delivered_log: DeliveredLog,
     /// Delivery event lines awaiting fan-out to subscribers.
     event_queue: Vec<String>,
-    /// Replay mode, `trace_capacity > 0`: stamped viz-JSONL sink in the
-    /// state directory (append — the stream spans incarnations).
-    trace_file: Option<std::fs::File>,
-    /// Incarnation the current `trace_lsn` run belongs to.
-    trace_incarnation: u64,
-    /// Next per-`(node, incarnation)` log sequence number.
-    trace_lsn: u64,
     shutdown: bool,
 }
 
-/// Runs a daemon to completion (replay: driver stop or kill; live:
-/// `shutdown` RPC or kill).
+/// Runs a daemon until the `shutdown` RPC or a kill.
 ///
 /// # Errors
 ///
@@ -669,52 +646,12 @@ struct Daemon {
 /// before any socket is bound. Loop errors on individual connections are
 /// absorbed, not fatal.
 pub fn run(opts: DaemonOptions) -> std::io::Result<()> {
-    let spec = load_spec(&opts.state_dir)?;
-    let incarnation = bump_incarnation(&opts.state_dir)?;
-    let (mut endpoint, last_durable) = if opts.resume {
-        let stable = load_snapshot(&opts.state_dir)?;
-        let durable = load_wal(&opts.state_dir)?.unwrap_or(0);
-        (
-            Endpoint::resume(
-                ProcessId::new(spec.node as usize),
-                spec.keys.clone(),
-                spec.pcb_config.clone(),
-                Some(spec.timing),
-                stable,
-                durable,
-            ),
-            durable,
-        )
-    } else {
-        (
-            Endpoint::new(
-                ProcessId::new(spec.node as usize),
-                spec.keys.clone(),
-                spec.pcb_config.clone(),
-                Some(spec.timing),
-            ),
-            0,
-        )
-    };
-    // Align the endpoint's incarnation with the boot counter so
-    // cross-process trace stamps agree with the simulator's count:
-    // * replay: the driver respawns us *between* a recorded Crash and
-    //   its Restore step, so the pending `restore()` bump must land on
-    //   `incarnation - 1` — the number of restores the simulated node
-    //   has been through;
-    // * live: every `--resume` boot is itself the restore, so the
-    //   incarnation is simply the number of previous lives.
-    if opts.resume {
-        endpoint.set_incarnation(match opts.mode {
-            Mode::Replay => incarnation.saturating_sub(2),
-            Mode::Live => incarnation.saturating_sub(1),
-        });
-    }
+    let (spec, incarnation, endpoint) = start_node(&opts.state_dir, opts.resume)?;
     // A daemon installs no link faults: its shim passes everything, and
     // the seed of a stream nothing draws from is moot.
     let transport = UdpTransport::bind(opts.listen, incarnation, opts.udp.clone(), 0)?;
-    // Publish the bound address (port 0 resolves at bind time) so a
-    // driver that spawned us can find the socket.
+    // Publish the bound address (port 0 resolves at bind time) so
+    // whoever spawned us can find the socket.
     let bound = transport.local_addr()?;
     write_atomic(&opts.state_dir.join("listen.txt"), bound.to_string().as_bytes())?;
     let mut peer_addrs = vec![None; spec.n as usize];
@@ -723,42 +660,26 @@ pub fn run(opts: DaemonOptions) -> std::io::Result<()> {
             *slot = Some(*addr);
         }
     }
-    let mode = opts.mode;
-    let trace_file = (mode == Mode::Replay && spec.pcb_config.trace_capacity > 0)
-        .then(|| {
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(opts.state_dir.join("trace.jsonl"))
-        })
-        .transpose()?;
-    let trace_incarnation = endpoint.incarnation();
     let delivered_log = DeliveredLog::create(&opts.state_dir)?;
     let mut daemon = Daemon {
         opts,
         rows: StabilityRows::new(spec.n as usize),
         spec,
         incarnation,
+        last_durable: endpoint.durable_seq(),
         endpoint,
         transport,
         frames: LiveFrames::default(),
         peer_addrs,
         frontier: Vec::new(),
         sync_round: 0,
-        last_durable,
         next_tick_us: 0,
         started: Instant::now(),
         delivered_log,
         event_queue: Vec::new(),
-        trace_file,
-        trace_incarnation,
-        trace_lsn: 0,
         shutdown: false,
     };
-    match mode {
-        Mode::Replay => daemon.run_replay(),
-        Mode::Live => daemon.run_live(),
-    }
+    daemon.run_live()
 }
 
 impl Daemon {
@@ -773,133 +694,13 @@ impl Daemon {
     }
 
     /// Microseconds on a clock that survives restarts and is shared by
-    /// every daemon on the host — the live cluster's protocol clock.
+    /// every daemon on the host — the cluster's protocol clock.
     fn live_now_us() -> u64 {
         std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_micros() as u64)
             .unwrap_or(0)
     }
-
-    /// Persists WAL/snapshot state that changed during a `handle` call.
-    /// Must run before the step is acked (replay) or the send effects
-    /// are routed (live): that ordering is what makes a SIGKILL at any
-    /// point equivalent to the simulator's crash model. Returns whether a
-    /// new snapshot reached the disk.
-    fn persist_changes(&mut self, outputs: &[Output<u32>]) -> bool {
-        if self.endpoint.durable_seq() != self.last_durable {
-            self.last_durable = self.endpoint.durable_seq();
-            if let Err(e) = save_wal(&self.opts.state_dir, self.last_durable) {
-                eprintln!("pcb-daemon: wal write failed: {e}");
-            }
-        }
-        if !outputs.iter().any(|o| matches!(o, Output::SnapshotReady { .. })) {
-            return false;
-        }
-        let Some(snapshot) = self.endpoint.stable_snapshot() else { return false };
-        match save_snapshot(&self.opts.state_dir, snapshot) {
-            Ok(()) => true,
-            Err(e) => {
-                eprintln!("pcb-daemon: snapshot write failed: {e}");
-                false
-            }
-        }
-    }
-
-    /// Drains the endpoint's trace ring into the stamped viz-JSONL file,
-    /// assigning `(incarnation, lsn)` exactly as the simulator's chaos
-    /// shell does: the stamp is the endpoint's own restore count, lsn
-    /// restarts at 0 whenever it changes. Synced before the step ack so
-    /// a SIGKILL cannot lose lines for steps the driver saw acked.
-    fn flush_replay_trace(&mut self) {
-        let Some(file) = &mut self.trace_file else { return };
-        let incarnation = self.endpoint.incarnation();
-        if incarnation != self.trace_incarnation {
-            self.trace_incarnation = incarnation;
-            self.trace_lsn = 0;
-        }
-        let records = self.endpoint.drain_trace();
-        if records.is_empty() {
-            return;
-        }
-        let mut out = String::new();
-        for record in records {
-            let stamped = StampedRecord { incarnation, lsn: self.trace_lsn, record };
-            self.trace_lsn += 1;
-            out.push_str(&write_stamped(&stamped));
-            out.push('\n');
-        }
-        if let Err(e) = file.write_all(out.as_bytes()).and_then(|()| file.sync_data()) {
-            eprintln!("pcb-daemon: trace write failed: {e}");
-        }
-    }
-
-    // ---- replay mode ---------------------------------------------------
-
-    fn run_replay(&mut self) -> std::io::Result<()> {
-        // The first index this incarnation may apply; everything below it
-        // was applied (and persisted) by a previous incarnation and must
-        // only ever be re-acked.
-        let mut next_expected = self.opts.next_step;
-        // Digests of steps applied *by this incarnation*, for idempotent
-        // re-acks when our ack datagram was lost.
-        let mut acked: std::collections::HashMap<u64, Vec<(MessageId, bool, bool)>> =
-            std::collections::HashMap::new();
-        loop {
-            let wall = self.wall_us();
-            let events = self.transport.poll(wall);
-            for event in events {
-                let UdpEvent::Frame { from, frame } = event else { continue };
-                match decode_msg(&frame) {
-                    Ok(DaemonMsg::Step { idx, now_us, input }) => {
-                        if idx > next_expected {
-                            // Cannot happen through the in-order channel;
-                            // drop rather than apply out of order.
-                            continue;
-                        }
-                        if idx < next_expected {
-                            // Duplicate of an already-applied step: the
-                            // driver has its digests (it never re-sends a
-                            // step it saw acked), so an empty fallback is
-                            // safe.
-                            let digests = acked.get(&idx).cloned().unwrap_or_default();
-                            let ack = encode_ack_msg(idx, &digests);
-                            let wall = self.wall_us();
-                            self.transport.send(from, ack, wall);
-                            continue;
-                        }
-                        // Recorded virtual time, not wall time: replay
-                        // equivalence is against the simulator's clock.
-                        let outputs = self.endpoint.handle(input, now_us);
-                        let mut digests = Vec::new();
-                        for output in &outputs {
-                            if let Output::Deliver(d) = output {
-                                digests.push((d.message.id(), d.instant_alert, d.recent_alert));
-                            }
-                        }
-                        // Durability before the ack: a SIGKILL after the
-                        // ack leaves disk exactly at the simulator's
-                        // crash-model state for this step.
-                        self.persist_changes(&outputs);
-                        self.flush_replay_trace();
-                        let ack = encode_ack_msg(idx, &digests);
-                        acked.insert(idx, digests);
-                        next_expected = idx + 1;
-                        let wall = self.wall_us();
-                        self.transport.send(from, ack, wall);
-                    }
-                    Ok(DaemonMsg::Stop) => return Ok(()),
-                    Ok(_) | Err(_) => {}
-                }
-            }
-            let wall = self.wall_us();
-            self.transport.flush(wall);
-            let timeout = self.transport.next_deadline_us().map(|at| at.saturating_sub(wall));
-            ready::wait([(self.transport.as_raw_fd(), false)], timeout.map(Duration::from_micros))?;
-        }
-    }
-
-    // ---- live mode -----------------------------------------------------
 
     fn run_live(&mut self) -> std::io::Result<()> {
         let rpc_listener = match self.opts.rpc {
@@ -944,14 +745,14 @@ impl Daemon {
                                 }
                             }
                             Ok(DaemonMsg::Frame(wire)) => {
-                                if let Some(message) = self.frames.incoming(wire) {
+                                if let Some(message) = self.frames.incoming(member, wire) {
                                     self.apply_live(Input::FrameReceived(message));
                                 }
                             }
                             Ok(DaemonMsg::Row(row)) => {
                                 self.rows.merge(member, &row);
                             }
-                            Ok(_) | Err(_) => {}
+                            Err(_) => {}
                         }
                     }
                     UdpEvent::Fenced(peer) if self.member_at(peer).is_some() => {
@@ -1050,7 +851,7 @@ impl Daemon {
     fn apply_live(&mut self, input: Input<u32>) {
         let now = Self::live_now_us();
         let outputs = self.endpoint.handle(input, now);
-        if self.persist_changes(&outputs) {
+        if persist_changes(&self.opts.state_dir, &self.endpoint, &mut self.last_durable, &outputs) {
             self.report_row();
         }
         // Backstop cadence: never sleep past half a poll interval.
@@ -1464,7 +1265,7 @@ mod tests {
         let mut wal = std::fs::read(dir.join("wal.bin")).unwrap();
         wal[0] ^= 1;
         std::fs::write(dir.join("wal.bin"), &wal).unwrap();
-        let mut opts = DaemonOptions::new(dir.clone(), "127.0.0.1:0".parse().unwrap(), Mode::Live);
+        let mut opts = DaemonOptions::new(dir.clone(), "127.0.0.1:0".parse().unwrap());
         opts.resume = true;
         let refused = run(opts).expect_err("a flipped WAL byte must not boot from genesis");
         assert_eq!(refused.kind(), ErrorKind::InvalidData);
@@ -1491,7 +1292,7 @@ mod tests {
         assert_eq!(refused.kind(), ErrorKind::InvalidData);
         let why = refused.to_string();
         assert!(why.contains("snapshot.bin") && why.contains("version 1"), "{why}");
-        let mut opts = DaemonOptions::new(dir.clone(), "127.0.0.1:0".parse().unwrap(), Mode::Live);
+        let mut opts = DaemonOptions::new(dir.clone(), "127.0.0.1:0".parse().unwrap());
         opts.resume = true;
         let refused = run(opts).expect_err("an old-format snapshot must not boot from genesis");
         assert_eq!(refused.to_string(), why);
@@ -1511,12 +1312,6 @@ mod tests {
         let heatmap = status.heatmap.as_ref();
         assert!(heatmap.is_some(), "estimators on: the reply carries the heatmap");
         let id = MessageId::new(ProcessId::new(u32::MAX as usize), 1 << 53);
-        let record = pcb_telemetry::TraceRecord {
-            time: 1 << 52,
-            node: 2,
-            event: pcb_telemetry::TraceEvent::Received { sender: 1, seq: 9 },
-        };
-        let trace = write_stamped(&StampedRecord { incarnation: 4, lsn: 11, record });
         let replies = [
             status_reply(2, 5, &rows, heatmap),
             deliver_event((id, true, false, u32::MAX)),
@@ -1526,7 +1321,6 @@ mod tests {
             let line = reply.to_json();
             assert_eq!(json::parse(&line).as_ref(), Ok(&reply), "{line}");
         }
-        assert!(matches!(json::parse(&trace), Ok(Value::Object(_))), "{trace}");
         // A flag that is not raised is not on the line at all.
         let quiet = deliver_event((id, false, false, 7)).to_json();
         assert!(!quiet.contains("instant") && !quiet.contains("recent"), "{quiet}");
@@ -1561,6 +1355,9 @@ mod tests {
         assert_eq!(back.seq, snapshot.seq);
         assert_eq!(back.clock, snapshot.clock);
         assert_eq!(back.store.len(), snapshot.store.len());
+        // The dedup windows a restarted node probes with and rows report.
+        assert!(!snapshot.seen.is_empty(), "own sends are seen");
+        assert_eq!(back.seen, snapshot.seen);
         // A truncated blob is refused, naming the file.
         let blob = std::fs::read(dir.join("snapshot.bin")).unwrap();
         std::fs::write(dir.join("snapshot.bin"), &blob[..blob.len() - 1]).unwrap();
@@ -1572,25 +1369,6 @@ mod tests {
 
     #[test]
     fn envelope_codec_round_trips_and_rejects_garbage() {
-        let step = encode_step_msg(7, 1234, &Input::Broadcast(42));
-        match decode_msg(&step).unwrap() {
-            DaemonMsg::Step { idx, now_us, input } => {
-                assert_eq!(idx, 7);
-                assert_eq!(now_us, 1234);
-                assert!(matches!(input, Input::Broadcast(42)));
-            }
-            other => panic!("wrong decode: {other:?}"),
-        }
-        let digests = vec![(MessageId::new(ProcessId::new(3), 9), true, false)];
-        let ack = encode_ack_msg(9, &digests);
-        match decode_msg(&ack).unwrap() {
-            DaemonMsg::Ack { idx, digests: d } => {
-                assert_eq!(idx, 9);
-                assert_eq!(d, digests);
-            }
-            other => panic!("wrong decode: {other:?}"),
-        }
-        assert!(matches!(decode_msg(&encode_stop_msg()).unwrap(), DaemonMsg::Stop));
         let pcb = encode_pcb_msg(&Input::Tick);
         assert!(matches!(decode_msg(&pcb).unwrap(), DaemonMsg::Pcb(Input::Tick)));
         let wire = Bytes::from_static(b"any bytes: the decoder judges them");
@@ -1600,8 +1378,11 @@ mod tests {
         }
 
         assert!(decode_msg(&Bytes::new()).is_err());
-        assert!(decode_msg(&Bytes::from(vec![99u8])).is_err());
-        assert!(decode_msg(&Bytes::from(vec![MSG_STEP, 1, 2])).is_err());
+        // Kinds 1 to 3 are unassigned.
+        for kind in [1u8, 2, 3, 99] {
+            assert!(decode_msg(&Bytes::from(vec![kind])).is_err(), "kind {kind}");
+        }
+        assert!(decode_msg(&Bytes::from(vec![MSG_PCB, 1, 2])).is_err());
     }
 
     #[test]
@@ -1743,7 +1524,7 @@ mod tests {
                     let Ok(DaemonMsg::Frame(wire)) = decode_msg(&frame) else {
                         panic!("only chain frames travel here");
                     };
-                    delivered.extend(self.into.incoming(wire).map(|m| *m.payload()));
+                    delivered.extend(self.into.incoming(2, wire).map(|m| *m.payload()));
                 }
                 if self.b.stats().0.datagrams_received >= want {
                     break;

@@ -6,24 +6,50 @@
 //! the `pcb-daemon` process shell — one single-threaded poll loop
 //! around the endpoint, a reliable [`udp`] transport to its peers,
 //! crash-durable state on disk, a JSON RPC socket and a `/metrics`
-//! page. [`certify`] replays seeded simulator chaos runs through real
-//! daemon processes and diffs their delivery streams bit for bit;
-//! [`shim`] injects the plan's link faults at the socket; [`ready`] is
-//! the `poll(2)` wait every loop blocks in between turns; and
-//! [`LoopbackCluster`] replays a recorded input log in-process, so the
-//! construction path is diffed without any IO:
+//! page; [`shim`] is the transport's socket fault shim; [`ready`] is
+//! the `poll(2)` wait every loop blocks in between turns.
+//!
+//! A node boots from its state directory and persists what each input
+//! changed through two functions the certification harness
+//! (`tests/equivalence.rs`) shares, so a recorded simulator run replays
+//! through them, a crash a restart from disk:
 //!
 //! ```
+//! use pcb_broadcast::endpoint::{Input, Output};
 //! use pcb_clock::{AssignmentPolicy, KeySpace};
-//! use pcb_runtime::LoopbackCluster;
-//! use pcb_sim::{chaos_config, record_endpoint_chaos};
+//! use pcb_runtime::daemon::{persist_changes, save_spec, start_node};
+//! use pcb_sim::{chaos_config, record_endpoint_chaos, NodeSpec};
 //!
 //! // A seeded 4-node run with a crash, a partition and a link-fault window.
 //! let (config, space) = (chaos_config(1, 4, 1_000.0), KeySpace::vector(4)?);
 //! let record = record_endpoint_chaos(&config, space, AssignmentPolicy::RoundRobin)?;
-//! let mut cluster = LoopbackCluster::new(&record.keys, &record.pcb_config, record.timing);
-//! cluster.replay(record.inputs.iter().cloned());
-//! assert_eq!(cluster.deliveries(), record.deliveries.as_slice());
+//! let dir = std::env::temp_dir().join(format!("pcb-doc-{}", std::process::id()));
+//! std::fs::create_dir_all(&dir)?;
+//! let spec = NodeSpec {
+//!     node: 0,
+//!     n: 4,
+//!     keys: record.keys[0].clone(),
+//!     pcb_config: record.pcb_config.clone(),
+//!     timing: record.timing,
+//! };
+//! save_spec(&dir, &spec)?;
+//! let (_, _, mut node) = start_node(&dir, false)?;
+//! let mut durable = node.durable_seq();
+//! let mut delivered = Vec::new();
+//! for (now, _, input) in record.inputs.iter().filter(|(_, p, _)| *p == 0) {
+//!     if matches!(input, Input::Restore) && node.crashed() {
+//!         (_, _, node) = start_node(&dir, true)?; // the crash was a restart from disk
+//!     }
+//!     let outputs = node.handle(input.clone(), *now);
+//!     persist_changes(&dir, &node, &mut durable, &outputs);
+//!     for output in outputs {
+//!         if let Output::Deliver(d) = output {
+//!             delivered.push((d.message.id(), d.instant_alert, d.recent_alert));
+//!         }
+//!     }
+//! }
+//! assert_eq!(delivered, record.deliveries[0]);
+//! # std::fs::remove_dir_all(&dir)?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -31,19 +57,12 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod certify;
 pub mod daemon;
-pub mod loopback;
 pub mod ready;
 pub mod shim;
 pub mod udp;
 
-pub use certify::{certify_record, CertifyError, CertifyOptions, CertifyStats};
-pub use loopback::LoopbackCluster;
 pub use shim::{SocketShim, Verdict};
 pub use udp::{UdpConfig, UdpEvent, UdpStats, UdpTransport};
-// The shim draws its verdicts from the simulator's link-fault rates, and
-// `CertifyOptions` takes them in that type.
-pub use pcb_sim::LinkFaults;
 // `ledger/` names this path; the codec itself is `pcb_telemetry::json`.
 pub use pcb_telemetry::json;

@@ -7,12 +7,10 @@
 //! [`SocketShim`] that returns a deterministic *verdict* — deliver now,
 //! drop, duplicate, or delay — computed from a seeded generator.
 //!
-//! Determinism matters more than realism here. The chaos certification
-//! harness replays a recorded fault plan against real daemon processes
-//! and diffs delivery streams bit-for-bit against the simulator; a shim
-//! that consulted `/dev/urandom` would make every run unique and every
-//! failure unreproducible. With a seeded shim, `--seed 7` tortures the
-//! cluster the same way every time.
+//! Determinism matters more than realism here: a shim that consulted
+//! `/dev/urandom` would make every lossy-link test run unique and every
+//! failure unreproducible. With a seeded shim, the same seed tortures a
+//! link the same way every time.
 //!
 //! The shim judges *datagrams*, not frames: a fragmented frame whose
 //! middle datagram is dropped exercises the reassembly timeout path,
@@ -54,8 +52,8 @@ impl Verdict {
 /// Deterministic per-datagram fault injector.
 ///
 /// Holds a seeded [`StdRng`] and the currently active fault rates.
-/// Rates default to `None` (pass everything); the chaos driver installs
-/// and clears [`LinkFaults`] windows as the recorded plan dictates.
+/// Rates default to `None` (pass everything); a test installs and clears
+/// [`LinkFaults`] windows through [`crate::UdpTransport::set_faults`].
 #[derive(Debug)]
 pub struct SocketShim {
     rng: StdRng,

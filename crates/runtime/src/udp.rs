@@ -41,8 +41,10 @@
 //!   side the same way, except that the outstanding queue is abandoned
 //!   (again: anti-entropy owns the gap).
 //! - **Fault injection** — every outbound datagram passes through a
-//!   [`SocketShim`], so a recorded chaos plan can drop, duplicate, delay
-//!   or corrupt traffic deterministically without touching iptables.
+//!   [`SocketShim`]. A daemon's passes everything; tests install link
+//!   faults on it to drop, duplicate, delay or corrupt traffic
+//!   deterministically, whole frames and single fragments alike, without
+//!   touching iptables.
 //!
 //! Every datagram has the same header and trailer (`uvar` is a LEB128
 //! varint, an epoch is two of them, incarnation then fences):
@@ -1134,14 +1136,27 @@ mod tests {
             reorder_extra_ms: 2.0,
             corrupt: 0.10,
         }));
+        // Every fifth frame is three MTUs long, the size of a sync reply
+        // or a join grant: each of its fragments is dropped, duplicated,
+        // delayed or corrupted on its own, and the frame must still
+        // reassemble, in its place in the stream.
+        let frame = |i: u32| -> Bytes {
+            if i.is_multiple_of(5) {
+                let large = (0..3 * pcb_broadcast::DEFAULT_MTU).map(|j| (i as usize + j) as u8);
+                Bytes::from(large.collect::<Vec<u8>>())
+            } else {
+                Bytes::from(i.to_be_bytes().to_vec())
+            }
+        };
         for i in 0..80u32 {
-            a.send(addr_b, Bytes::from(i.to_be_bytes().to_vec()), 0);
+            a.send(addr_b, frame(i), 0);
         }
         let got = pump(&mut a, &mut b, 80, 8_000);
         assert_eq!(got.len(), 80, "lossy link must still deliver everything");
-        for (i, frame) in got.iter().enumerate() {
-            assert_eq!(frame.as_ref(), (i as u32).to_be_bytes(), "order broken at {i}");
+        for (i, got) in got.iter().enumerate() {
+            assert_eq!(*got, frame(i as u32), "order broken at {i}");
         }
+        assert_eq!(b.stats().0.frames_reassembled, 16, "every large frame, reassembled once");
     }
 
     #[test]

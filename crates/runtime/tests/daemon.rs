@@ -20,10 +20,11 @@
 //! publish acknowledged just before a `SIGKILL` must still reach the
 //! survivors, and an idle daemon must wait rather than spin.
 //!
-//! Single daemons of a two-member cluster pin what a live daemon
-//! accepts: peer traffic only from a member's address, and from it only
-//! anti-entropy; five RPC ops; `/metrics` connections that never hold the
-//! loop. The member is either down or a socket of the test itself.
+//! Single daemons of a two- or three-member cluster pin what a live
+//! daemon accepts: peer traffic only from a member's address, and from
+//! it only anti-entropy and that member's own chain; five RPC ops;
+//! `/metrics` connections that never hold the loop. The other members
+//! are either down or sockets of the test itself.
 //!
 //! Skips (with a visible marker) when the environment forbids spawning
 //! subprocesses or binding sockets.
@@ -808,6 +809,36 @@ fn a_strangers_frame_in_a_members_name_leaves_its_chain_alone() {
     next(&mut member, 12);
     let after = next(&mut member, 13);
     assert_eq!(u64_of(&after, "delta_missing_base"), 0, "a member's delta lost its base");
+    assert_eq!(delivered_payloads(daemon.rpc), [10, 11, 12, 13]);
+}
+
+/// The same forgery from a member: every member's chain used to feed one
+/// decoder, and nothing compared a frame's sender with the member whose
+/// link carried it, so member 2 could deliver a message in member 1's
+/// name.
+#[test]
+fn a_members_frame_in_another_members_name_leaves_its_chain_alone() {
+    let (mut one, mut two) = (Speaker::bind(), Speaker::bind());
+    let Some((work_dir, addrs)) = prepare("chain-impostor", 3) else { return };
+    let daemon = spawn_member(&work_dir, 0, 3, addrs[0], &[(1, one.addr()), (2, two.addr())]);
+    let keys = KeySet::from_entries(KeySpace::vector(3).expect("space"), &[1]).expect("key");
+    let member_one = || Endpoint::new(ProcessId::new(1), keys.clone(), PcbConfig::default(), None);
+    let (mut real, mut forger) = (member_one(), member_one());
+    let mut chain = DeltaEncoder::default();
+    let mut next = |payload| {
+        let frame = chain.encode(&message_to_bytes(&broadcast(&mut real, payload)));
+        one.say(&daemon, encode_frame_msg(&frame))
+    };
+    next(10);
+    next(11);
+    for payload in [90, 91] {
+        broadcast(&mut forger, payload);
+    }
+    let forged = wire::encode_full(&message_to_bytes(&broadcast(&mut forger, 99)));
+    two.say(&daemon, encode_frame_msg(&forged));
+    next(12);
+    let after = next(13);
+    assert_eq!(u64_of(&after, "delta_missing_base"), 0, "member 1's delta lost its base");
     assert_eq!(delivered_payloads(daemon.rpc), [10, 11, 12, 13]);
 }
 

@@ -62,9 +62,9 @@ pub struct ChaosRecord {
     pub deliveries: Vec<Vec<(MessageId, bool, bool)>>,
     /// Per-node recovery counters at the end of the run.
     pub counters: Vec<Counters>,
-    /// Per-node exact-checker verdicts in delivery order. Replay legs
-    /// that host endpoints without oracles (the daemon harness) graft
-    /// these onto their `Delivered` trace records so both legs emit
+    /// Per-node exact-checker verdicts in delivery order. A replay that
+    /// hosts endpoints without oracles (the certification harness) grafts
+    /// these onto its `Delivered` trace records so both sides emit
     /// byte-identical viz streams.
     pub verdicts: Vec<Vec<bool>>,
 }
@@ -110,7 +110,8 @@ pub fn record_endpoint_chaos(
 /// **stamped** viz streams: every endpoint-emitted trace record tagged
 /// with `(epoch, lsn)` at drain time, `Delivered` verdicts patched from
 /// the oracle. The streams are the sim leg of the shared viz-JSON schema;
-/// a same-seed daemon replay must reproduce them byte-identically.
+/// a same-seed replay through the daemon's start-up and persist code must
+/// reproduce them byte-identically.
 ///
 /// # Errors
 ///
@@ -240,8 +241,10 @@ struct Driver<'c> {
 }
 
 /// Per-node stamped trace streams, drained eagerly after every input so
-/// `(epoch, lsn)` stamps are assigned in endpoint-emission order.
-struct VizCapture {
+/// `(epoch, lsn)` stamps are assigned in endpoint-emission order. Any
+/// shell that drains its endpoints through it emits the simulator's
+/// stamps.
+pub struct VizCapture {
     /// Last stamped epoch per node; an epoch change restarts the lsn.
     epochs: Vec<u64>,
     /// Next lsn per node, within the current epoch.
@@ -250,8 +253,34 @@ struct VizCapture {
 }
 
 impl VizCapture {
-    fn new(n: usize) -> Self {
+    /// Empty streams for `n` nodes.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
         Self { epochs: vec![0; n], lsns: vec![0; n], streams: vec![Vec::new(); n] }
+    }
+
+    /// Moves `ep`'s freshly emitted trace records into `node`'s stream,
+    /// stamping each with the endpoint's current incarnation and a
+    /// per-incarnation log sequence number. Draining after every input
+    /// keeps stamps in emission order and out of the ring's drop-oldest
+    /// policy.
+    pub fn drain(&mut self, node: usize, ep: &mut Endpoint<u32>) {
+        let incarnation = ep.incarnation();
+        if incarnation != self.epochs[node] {
+            self.epochs[node] = incarnation;
+            self.lsns[node] = 0;
+        }
+        for record in ep.drain_trace() {
+            let lsn = self.lsns[node];
+            self.lsns[node] += 1;
+            self.streams[node].push(StampedRecord { incarnation, lsn, record });
+        }
+    }
+
+    /// The per-node streams, in node order.
+    #[must_use]
+    pub fn into_streams(self) -> Vec<Vec<StampedRecord>> {
+        self.streams
     }
 }
 
@@ -277,28 +306,8 @@ impl Driver<'_> {
         for output in outputs {
             self.route(p, output, now);
         }
-        if self.viz.is_some() {
-            self.drain_viz(p);
-        }
-    }
-
-    /// Moves `p`'s freshly emitted trace records into its viz stream,
-    /// stamping each with the endpoint's current incarnation and a
-    /// per-incarnation log sequence number. Draining eagerly (after
-    /// every input) keeps stamps in emission order and out of the ring's
-    /// drop-oldest policy.
-    fn drain_viz(&mut self, p: u32) {
-        let Some(viz) = &mut self.viz else { return };
-        let pi = p as usize;
-        let incarnation = self.procs[pi].ep.incarnation();
-        if incarnation != viz.epochs[pi] {
-            viz.epochs[pi] = incarnation;
-            viz.lsns[pi] = 0;
-        }
-        for record in self.procs[pi].ep.drain_trace() {
-            let lsn = viz.lsns[pi];
-            viz.lsns[pi] += 1;
-            viz.streams[pi].push(StampedRecord { incarnation, lsn, record });
+        if let Some(viz) = &mut self.viz {
+            viz.drain(p as usize, &mut self.procs[p as usize].ep);
         }
     }
 
@@ -887,7 +896,7 @@ fn run(
         counters: Vec::new(),
         verdicts: Vec::new(),
     });
-    let mut viz_out = driver.viz.take().map(|v| v.streams);
+    let mut viz_out = driver.viz.take().map(VizCapture::into_streams);
     for (pi, sh) in driver.procs.iter_mut().enumerate() {
         let mut t = sh.ep.drain_trace();
         let mut vi = sh.verdicts.len();

@@ -1,41 +1,24 @@
-//! Replay-script export: everything a *separate OS process* needs to
-//! re-run one node of a recorded chaos run, serialized.
+//! Byte forms for what crosses a process boundary around one node: a
+//! step (`(now_us, Input)`), a join grant, a node spec, and the `u32`
+//! payload rewrites the wire and snapshot codecs need.
 //!
-//! The in-process differential harness hands a
-//! [`ChaosRecord`](crate::chaos::ChaosRecord) straight to the loopback
-//! cluster. The multi-process harness cannot: each node lives in its own
-//! `pcb-daemon` process, reached over a real UDP socket, and a SIGKILLed
-//! node restarts from nothing but its on-disk state. This module
-//! flattens the record into that world:
-//!
-//! * [`ReplayScript::from_record`] splits the chronological input log
-//!   into **per-node step streams**. An endpoint is a pure function of
-//!   its own input sequence — inputs to different nodes commute — so
-//!   per-node order is the only order the replay must preserve, and the
-//!   driver can pipeline nodes independently.
 //! * [`encode_step`]/[`decode_step`] give each `(now_us, Input)` a
 //!   self-contained byte form. Messages travel as standalone full wire
-//!   frames ([`pcb_broadcast::wire`]), so the daemon reconstructs
-//!   bit-identical stamps, key sets, and payloads from bytes alone.
+//!   frames ([`pcb_broadcast::wire`]), so a receiver reconstructs
+//!   bit-identical stamps, key sets, and payloads from bytes alone. The
+//!   daemon's anti-entropy probes and replies travel in this form.
 //! * [`encode_node_spec`]/[`decode_node_spec`] carry the constructor
-//!   arguments (keys, protocol config, recovery timing) to a process
-//!   that shares no memory with the driver.
-//! * [`encode_digests`]/[`decode_digests`] carry delivery digests —
-//!   `(id, instant_alert, recent_alert)`, the equivalence currency —
-//!   back from daemon to driver.
+//!   arguments (keys, protocol config, recovery timing) into a node's
+//!   state directory, for a process that shares no memory with whoever
+//!   wrote it.
 //!
 //! Everything decodes totally: corrupt or truncated bytes produce an
 //! [`ExportError`], never a panic.
 
 use bytes::Bytes;
 use pcb_broadcast::endpoint::{Input, RecoveryTimingUs};
-use pcb_broadcast::{
-    wire, Counters, JoinGrant, Message, MessageId, PcbConfig, ProcessSnapshot, SeenWindows,
-    WireError,
-};
+use pcb_broadcast::{wire, JoinGrant, Message, PcbConfig, ProcessSnapshot, SeenWindows, WireError};
 use pcb_clock::{AssignmentPolicy, ClusterConfig, KeySet, KeySpace, ProcessId};
-
-use crate::chaos::ChaosRecord;
 
 /// Errors decoding exported bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,7 +48,7 @@ impl std::fmt::Display for ExportError {
 
 impl std::error::Error for ExportError {}
 
-/// Constructor arguments for one replayed node, in serializable form.
+/// Constructor arguments for one node, in serializable form.
 #[derive(Debug, Clone)]
 pub struct NodeSpec {
     /// This node's index.
@@ -78,60 +61,6 @@ pub struct NodeSpec {
     pub pcb_config: PcbConfig,
     /// Recovery/anti-entropy timing.
     pub timing: RecoveryTimingUs,
-}
-
-/// A chaos record flattened for multi-process replay.
-#[derive(Debug)]
-pub struct ReplayScript {
-    /// Cluster size.
-    pub n: usize,
-    /// Recovery timing every node was built with.
-    pub timing: RecoveryTimingUs,
-    /// Protocol configuration every node was built with.
-    pub pcb_config: PcbConfig,
-    /// Per-node key sets.
-    pub keys: Vec<KeySet>,
-    /// Per-node input streams, each in its recorded order.
-    pub steps: Vec<Vec<(u64, Input<u32>)>>,
-    /// Per-node delivery digests the replay must reproduce exactly.
-    pub expected: Vec<Vec<(MessageId, bool, bool)>>,
-    /// Per-node recovery counters at the end of the recorded run.
-    pub expected_counters: Vec<Counters>,
-}
-
-impl ReplayScript {
-    /// Splits `record` into per-node streams. Per-node order equals the
-    /// chronological order restricted to that node, which is all an
-    /// endpoint can observe.
-    #[must_use]
-    pub fn from_record(record: &ChaosRecord) -> Self {
-        let n = record.keys.len();
-        let mut steps = vec![Vec::new(); n];
-        for (now_us, node, input) in &record.inputs {
-            steps[*node as usize].push((*now_us, input.clone()));
-        }
-        Self {
-            n,
-            timing: record.timing,
-            pcb_config: record.pcb_config.clone(),
-            keys: record.keys.clone(),
-            steps,
-            expected: record.deliveries.clone(),
-            expected_counters: record.counters.clone(),
-        }
-    }
-
-    /// The [`NodeSpec`] for `node`.
-    #[must_use]
-    pub fn spec(&self, node: usize) -> NodeSpec {
-        NodeSpec {
-            node: node as u32,
-            n: self.n as u32,
-            keys: self.keys[node].clone(),
-            pcb_config: self.pcb_config.clone(),
-            timing: self.timing,
-        }
-    }
 }
 
 // ---- primitive readers ------------------------------------------------
@@ -577,48 +506,10 @@ pub fn decode_node_spec(bytes: &[u8]) -> Result<NodeSpec, ExportError> {
     })
 }
 
-// ---- digest codec -----------------------------------------------------
-
-/// Serializes delivery digests (`(id, instant_alert, recent_alert)`).
-#[must_use]
-pub fn encode_digests(digests: &[(MessageId, bool, bool)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + digests.len() * 13);
-    out.extend_from_slice(&(digests.len() as u32).to_le_bytes());
-    for (id, instant, recent) in digests {
-        out.extend_from_slice(&(id.sender().index() as u32).to_le_bytes());
-        out.extend_from_slice(&id.seq().to_le_bytes());
-        out.push(u8::from(*instant) | (u8::from(*recent) << 1));
-    }
-    out
-}
-
-/// Deserializes delivery digests.
-///
-/// # Errors
-///
-/// [`ExportError::Truncated`] on malformed bytes.
-pub fn decode_digests(bytes: &[u8]) -> Result<Vec<(MessageId, bool, bool)>, ExportError> {
-    let mut r = Reader(bytes);
-    let count = r.u32()? as usize;
-    let mut out = Vec::with_capacity(r.capacity(count, 4 + 8 + 1));
-    for _ in 0..count {
-        let sender = ProcessId::new(r.u32()? as usize);
-        let seq = r.u64()?;
-        let flags = r.u8()?;
-        out.push((MessageId::new(sender, seq), flags & 1 != 0, flags & 2 != 0));
-    }
-    r.done()?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pcb_broadcast::Endpoint;
-    use pcb_clock::AssignmentPolicy;
-
-    use crate::chaos::record_endpoint_chaos;
-    use crate::runner::chaos_config;
 
     fn sample_message() -> Message<u32> {
         let space = KeySpace::new(16, 2).unwrap();
@@ -833,50 +724,6 @@ mod tests {
         assert_eq!(back.timing, spec.timing);
         for cut in 0..bytes.len() {
             assert!(decode_node_spec(&bytes[..cut]).is_err(), "cut={cut}");
-        }
-    }
-
-    #[test]
-    fn digest_codec_round_trips() {
-        let digests = vec![
-            (MessageId::new(ProcessId::new(0), 1), false, false),
-            (MessageId::new(ProcessId::new(3), 77), true, false),
-            (MessageId::new(ProcessId::new(8), 2), true, true),
-        ];
-        assert_eq!(decode_digests(&encode_digests(&digests)).unwrap(), digests);
-    }
-
-    /// The design lynchpin of the multi-process harness: replaying each
-    /// node's stream **independently** (through the step codec, as the
-    /// daemons will) reproduces the recorded digests bit-for-bit —
-    /// endpoints observe only their own input order.
-    #[test]
-    fn per_node_replay_through_the_codec_matches_the_record() {
-        let cfg = chaos_config(5, 5, 800.0);
-        let space = KeySpace::new(16, 2).unwrap();
-        let record = record_endpoint_chaos(&cfg, space, AssignmentPolicy::RoundRobin).unwrap();
-        let script = ReplayScript::from_record(&record);
-        for node in 0..script.n {
-            let spec = script.spec(node);
-            let spec = decode_node_spec(&encode_node_spec(&spec)).unwrap();
-            let mut ep = Endpoint::new(
-                ProcessId::new(spec.node as usize),
-                spec.keys,
-                spec.pcb_config,
-                Some(spec.timing),
-            );
-            let mut digests = Vec::new();
-            for (now, input) in &script.steps[node] {
-                let bytes = encode_step(*now, input);
-                let (now, input) = decode_step(&bytes).unwrap();
-                for out in ep.handle(input, now) {
-                    if let pcb_broadcast::Output::Deliver(d) = out {
-                        digests.push((d.message.id(), d.instant_alert, d.recent_alert));
-                    }
-                }
-            }
-            assert_eq!(digests, script.expected[node], "node {node}");
-            assert_eq!(ep.recovery_counters(), script.expected_counters[node], "node {node}");
         }
     }
 }

@@ -44,6 +44,7 @@ pub mod wheel;
 
 pub use chaos::{
     record_endpoint_chaos, record_endpoint_chaos_viz, simulate_endpoint_chaos, ChaosRecord,
+    VizCapture,
 };
 pub use config::{Dissemination, LatencyDistribution, LossModel, SimConfig};
 pub use engine::{
@@ -51,9 +52,8 @@ pub use engine::{
     simulate_prob_traced, simulate_traced, simulate_vector, SimError,
 };
 pub use export::{
-    decode_digests, decode_node_spec, decode_step, encode_digests, encode_node_spec, encode_step,
-    message_from_wire, message_to_wire, snapshot_from_wire, snapshot_to_wire, ExportError,
-    NodeSpec, ReplayScript,
+    decode_node_spec, decode_step, encode_node_spec, encode_step, message_from_wire,
+    message_to_wire, snapshot_from_wire, snapshot_to_wire, ExportError, NodeSpec,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkFaults};
 pub use metrics::RunMetrics;

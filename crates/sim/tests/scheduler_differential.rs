@@ -1,8 +1,9 @@
 //! Differential gate for the timing-wheel kernel and the pooled hot
 //! path: the wheel scheduler must drive the chaos engine to
 //! **bit-identical** behaviour against the binary-heap baseline across
-//! the full 24-seed differential corpus (the same traces
-//! `runtime/tests/equivalence.rs` replays through the loopback cluster),
+//! the 24 chaos seeds of the certification corpus (the traces
+//! `runtime/tests/equivalence.rs` replays through the daemon's start-up
+//! and persist code),
 //! including the crash/restore seeds — a recycled stamp, message-arena
 //! slot, or event node leaking state across an endpoint incarnation
 //! would diverge one of the digests below.

@@ -1,10 +1,10 @@
 //! The stamped viz-JSONL stream: schema round-trip, ordering invariants
 //! of the merged timeline, and a golden file pinning the wire format.
 //!
-//! The golden file is the contract between the simulator's chaos shell,
-//! the daemon's replay trace sink, and `trace-merge`: all three speak
-//! this exact byte format, and `daemon-equiv --viz-json` byte-compares
-//! the first two. Regenerate after an intentional schema change with
+//! The golden file is the contract of the simulator's chaos shell, whose
+//! stamper the certification harness (`runtime/tests/equivalence.rs`)
+//! drains its replayed endpoints through before it byte-compares the two
+//! merged timelines. Regenerate after an intentional schema change with
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p pcb-sim --test viz_timeline

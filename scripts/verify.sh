@@ -11,8 +11,8 @@
 #   scripts/verify.sh --chaos  # a deterministic chaos soak
 #   scripts/verify.sh --trace  # the observability gate
 #   scripts/verify.sh --perf   # allocation + work-counter gates, ledger smokes + layer table
-#   scripts/verify.sh --equiv  # the sim/runtime differential gate
-#   scripts/verify.sh --daemon # the real-process replay leg + the ledger's crash and steady smokes
+#   scripts/verify.sh --equiv  # the certification harness: recorded chaos runs through the daemon's start-up and persist code
+#   scripts/verify.sh --daemon # real pcb-daemon processes: the live tests + the ledger's crash, steady and saturate smokes
 #   scripts/verify.sh --obs    # the causal-health plane gate
 #   scripts/verify.sh --churn  # the dynamic-membership gate
 #
@@ -94,9 +94,8 @@ stage_trace() {
 #     allocations per steady-state cycle (differential method: the same
 #     workload at T and 3T, so setup cancels). The sim leg must be
 #     allocation-free per delivery (≤ 0.01, i.e. recycling-only); the
-#     runtime leg's strict-zero check prints an explicit SKIPPED marker
-#     (delivered frames are owned buffers by design) and enforces a
-#     fixed per-cycle budget instead; the endpoint leg allows
+#     UDP leg, whose delivered frames are owned buffers by design, must
+#     stay within a fixed per-cycle budget; the endpoint leg allows
 #     `handle_wire` its returned output vector and nothing else — one
 #     allocation per arrival that delivers, none for one that parks.
 # (2) work counters under the optimizer — the wake-up engine's reversed
@@ -121,28 +120,30 @@ stage_perf() {
     run bash ledger/run.sh layers
 }
 
-# Equivalence stage: the differential harness — seeded chaos traces
-# recorded by the simulator's endpoint driver and replayed through the
-# runtime's loopback cluster must match bit-for-bit (delivery order,
-# alert flags, recovery counters) — plus the shell-purity guard that
-# fails if `sim::engine`/`sim::chaos` or `runtime::loopback` regrow
-# protocol logic that belongs inside `pcb-broadcast::Endpoint`, or if
-# the runtime crate starts a thread.
+# Equivalence stage: the certification harness — 31 seeded chaos runs
+# recorded by the simulator's endpoint driver, replayed node by node
+# through the daemon's own start-up and persist code, every recorded
+# crash a restart from a real state directory, must match the record
+# bit for bit (delivery order, alert flags, recovery counters summed
+# over incarnations) and the pinned per-seed checksums, with a clean
+# stream oracle — plus the shell-purity guard that fails if
+# `sim::engine`/`sim::chaos` regrow protocol logic that belongs inside
+# `pcb-broadcast::Endpoint`, or if the runtime crate starts a thread.
 stage_equiv() {
     run cargo test -p pcb-runtime --test equivalence -q
     run cargo test -p pcb-sim --test shell_guard -q
 }
 
-# Daemon stage: the process-level leg of the differential gate. A subset
-# of the seeded chaos plans (including lossy-shim seeds 1 and 5) replays
-# against real pcb-daemon OS processes — recorded crashes as actual
-# SIGKILLs, restarts from snapshot + WAL — plus the live-mode 3-process
-# kill -9 integration test, and three 6 s runs of the benchmark (the
-# ledger exits non-zero unless every message arrived everywhere): the
-# crash workload (SIGKILL + `--resume` of one of three daemons under
-# load), of which the lines that say how the restart went are shown; the
-# steady workload, of which the lines that say what a publish costs on
-# the wire are — ≈ 517 B and ≈ 6.6 packets on a quiet loopback; the
+# Daemon stage: real pcb-daemon OS processes. The live tests — a
+# 3-process cluster with one node SIGKILLed and restarted from its
+# snapshot + WAL, a publish acknowledged just before a SIGKILL, and what
+# a daemon accepts from strangers and members — and three 6 s runs of
+# the benchmark (the ledger exits non-zero unless every message arrived
+# everywhere): the crash workload (SIGKILL + `--resume` of one of three
+# daemons under load), of which the lines that say how the restart went
+# are shown; the steady workload, of which the lines that say what a
+# publish costs on the wire are — ≈ 517 B and ≈ 6.6 packets on a quiet
+# loopback; the
 # counters are the `lo` interface's, so anything else talking on it is
 # in them; and the saturate workload, of which capacity, latency and
 # memory are shown — ≈ 10 800 deliveries/s at ≈ 0.18 ms p50 and
@@ -155,9 +156,6 @@ stage_equiv() {
 stage_daemon() {
     run cargo build --release -p pcb-runtime --bins
     if can_spawn_daemon; then
-        run ./target/release/daemon-equiv --daemon ./target/release/pcb-daemon \
-            --work-dir target/daemon-equiv --seeds 6
-        run cargo test -p pcb-runtime --test daemon_replay -q
         run cargo test -p pcb-runtime --test daemon -q
         echo "==> bash ledger/run.sh --workload daemon-crash --seed 1 --seconds 6 --trace 0"
         bash ledger/run.sh --workload daemon-crash --seed 1 --seconds 6 --trace 0 |
@@ -178,22 +176,18 @@ stage_daemon() {
 # realized violation rate on a fig3-style grid; (2) the stamped
 # viz-JSONL schema must round-trip, keep causal/per-node order, and
 # match the checked-in golden timeline; (3) the full estimator path
-# must fit the ≤5% telemetry budget; (4) sim and real-process legs of
-# seeded chaos runs must emit byte-identical merged viz timelines;
+# must fit the ≤5% telemetry budget; (4) the simulator and the
+# certification harness, which restarts crashed nodes from disk, must
+# emit byte-identical merged viz timelines on four seeded chaos runs;
 # (5) a live 3-daemon cluster's `/metrics` pages must parse and agree
 # with the `status` RPC, and `pcb-top --once` must render every node.
 stage_obs() {
     run cargo test -p pcb-sim --test estimators -q
     run cargo test -p pcb-sim --test viz_timeline -q
     run cargo run --release -p pcb-bench --bin telemetry_overhead
+    run cargo test -p pcb-runtime --test equivalence merged_viz_timelines -q
     run cargo build --release -p pcb-runtime --bins
     if can_spawn_daemon; then
-        run ./target/release/daemon-equiv --daemon ./target/release/pcb-daemon \
-            --work-dir target/daemon-equiv-viz --seeds 4 --viz-json target/viz-json
-        run ./target/release/trace-merge \
-            target/daemon-equiv-viz/seed-2/node-0/trace.jsonl \
-            target/daemon-equiv-viz/seed-2/node-1/trace.jsonl \
-            -o target/viz-json/seed-2/two-node-merge.jsonl
         run cargo test -p pcb-runtime --test daemon -q
     fi
 }
@@ -203,18 +197,13 @@ stage_obs() {
 # online (R, K) reconfiguration through the real endpoint across
 # 4 seeds × both clock disciplines and exits nonzero unless every gated
 # cell converges with 0 undetected violations and 0 lost streams;
-# (2) the membership-plane unit/integration suites (sim chaos churn
-# scenarios, loopback churn equivalence) re-run explicitly; (3) when
-# the environment allows fork/exec, one churn plan replays through real
-# pcb-daemon processes bit-identically.
+# (2) the membership-plane suites re-run explicitly: the simulator's
+# chaos churn scenarios, and the seven churn plans of the certification
+# harness, replayed through the daemon's start-up and persist code.
 stage_churn() {
     run cargo run --release -p pcb-bench --bin churn_experiment
     run cargo test -p pcb-sim --test chaos -q
-    run cargo test -p pcb-runtime --test equivalence -q
-    run cargo build --release -p pcb-runtime --bins
-    if can_spawn_daemon; then
-        run cargo test -p pcb-runtime --test daemon_replay churn_seed -q
-    fi
+    run cargo test -p pcb-runtime --test equivalence churn -q
 }
 
 # Runs every stage to the end, whatever fails, and prints the table.

@@ -26,7 +26,7 @@
 //! | [`clock`](pcb_clock) | key sets, Algorithm 3 unranking, the `(R,K)` clock, Lamport/plausible/vector instantiations |
 //! | [`broadcast`](pcb_broadcast) | the endpoint ([`PcbProcess`]), Algorithms 1–5, baselines, membership |
 //! | [`sim`](pcb_sim) | the paper's event-driven evaluation (§5.4), ground-truth oracle, figure sweeps |
-//! | [`runtime`](pcb_runtime) | the `pcb-daemon` process shell: reliable UDP transport, crash-durable state, RPC and `/metrics`, multi-process certification |
+//! | [`runtime`](pcb_runtime) | the `pcb-daemon` process shell: reliable UDP transport, crash-durable state (the start-up and persist steps the certification harness replays through), RPC and `/metrics` |
 //! | [`analysis`](pcb_analysis) | `P_error(R,K,X)`, `K_min = ln2·R/X`, parameter planning |
 //! | [`telemetry`](pcb_telemetry) | lifecycle traces, alert explanation, latency histograms, Prometheus text |
 //!
