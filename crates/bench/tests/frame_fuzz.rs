@@ -1,8 +1,9 @@
-//! Forged counts behind a valid checksum, at the frame and snapshot
-//! decoders. The slice cursor bounds every count by the bytes left before
-//! anything is sized by it, so a body that announces four billion stamp
-//! entries, delta changes, dedup windows or stored messages must be
-//! refused without claiming memory its few bytes never paid for.
+//! Forged counts and random bytes behind a valid checksum, at the frame
+//! and snapshot decoders. The slice cursor bounds every count by the bytes
+//! left before anything is sized by it, so a body that announces four
+//! billion stamp entries, delta changes, dedup windows or stored messages
+//! — or whose tail is noise — must be refused or read without claiming
+//! memory its few bytes never paid for.
 
 use bytes::Bytes;
 use pcb_bench::alloc::{counted, CountingAlloc};
@@ -74,28 +75,38 @@ proptest! {
     fn a_forged_count_claims_nothing_the_input_does_not_pay_for(
         sender in 0usize..64,
         payload in proptest::collection::vec(any::<u8>(), 0..40),
+        noise in proptest::collection::vec(any::<u8>(), 0..256),
+        keep in any::<usize>(),
     ) {
         let (full, delta, snapshot) = artefacts(sender, &payload);
         let mut primed = DeltaDecoder::new();
         primed.decode(full.clone()).expect("own full frame decodes");
-        // Every field of every body in turn says four billion, the rest
-        // of the body left as it was, then everything behind it cut off.
+        let check = |what: &str, forged: &Bytes| match what {
+            "snapshot" => within_ceiling(what, forged, decode_snapshot),
+            "full" => within_ceiling(what, forged, decode),
+            _ => {
+                let mut decoder = primed.clone();
+                within_ceiling(what, forged, move |frame| decoder.decode(frame))
+            }
+        };
         for (what, artefact) in [("full", &full), ("delta", &delta), ("snapshot", &snapshot)] {
             let body = &artefact[..artefact.len() - 8];
+            // Every field of every body in turn says four billion, the
+            // rest of the body left as it was, then everything behind it
+            // cut off.
             for at in 1..body.len() {
                 for rest in [&body[at + 1..], &[][..]] {
                     let forged = resealed(&[&body[..at], &FOUR_BILLION, rest].concat());
-                    let verdict = match what {
-                        "snapshot" => within_ceiling(what, &forged, decode_snapshot),
-                        "full" => within_ceiling(what, &forged, decode),
-                        _ => {
-                            let mut decoder = primed.clone();
-                            within_ceiling(what, &forged, move |frame| decoder.decode(frame))
-                        }
-                    };
+                    let verdict = check(what, &forged);
                     prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
                 }
             }
+            // Random bytes behind a real prefix of the body (none of it,
+            // some, or all), resealed: the decoders, the delta one holding
+            // a base, meet arbitrary input from any point of a valid one.
+            let prefix = &body[..keep % (body.len() + 1)];
+            let verdict = check(what, &resealed(&[prefix, &noise].concat()));
+            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
         }
     }
 }

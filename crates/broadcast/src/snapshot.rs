@@ -84,10 +84,10 @@ pub struct ProcessSnapshot<P> {
     pub store: Vec<(u64, Message<P>)>,
 }
 
-/// The blob format. Bytes 1 (wire-v2 frames, no cluster tail) and 2 (the
-/// tail only while the config plane was active) are retired and refuse
-/// as [`WireError::BadVersion`].
-const BLOB_VERSION: u8 = 3;
+/// The blob format. Bytes 1 (wire-v2 frames, no cluster tail), 2 (the
+/// tail only while the config plane was active) and 3 (wire-v3 frames in
+/// the store) are retired and refuse as [`WireError::BadVersion`].
+const BLOB_VERSION: u8 = 4;
 /// The one flag bit: a `recent_window` follows. Any other set bit refuses.
 const FLAG_RECENT_WINDOW: u8 = 0b100;
 
@@ -365,7 +365,7 @@ mod tests {
     fn retired_versions_refuse_before_the_checksum() {
         let (b, store) = populated();
         let blob = encode_snapshot(&b.snapshot(&store));
-        for version in [1u8, 2] {
+        for version in [1u8, 2, 3] {
             let mut old = blob.to_vec();
             old[0] = version;
             let err = decode_snapshot(Bytes::from(old)).unwrap_err();

@@ -425,26 +425,37 @@ impl DeliveredLog {
 // ---- crash-durable state directory ------------------------------------
 
 /// Writes `bytes` to `path` atomically (temp file + rename), fsyncing
-/// the data file so a crash right after the ack cannot lose it.
+/// the data file and then the directory that holds the new name, so a
+/// crash right after the ack can lose neither the bytes nor the rename.
 fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
-        let mut f = std::fs::File::create(&tmp)?;
+        let mut f = File::create(&tmp)?;
         f.write_all(bytes)?;
         f.sync_all()?;
     }
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    let parent = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+    File::open(parent.unwrap_or(Path::new(".")))?.sync_all()
 }
 
-/// Persists the send-WAL high-water mark (checksummed `u64`).
+/// The `wal.bin` layout: `u8 2 | u64 durable_seq | u64 checksum`, the
+/// checksum over the first nine bytes. Version 1 was the same record
+/// without the version byte (16 bytes); it refuses by name.
+const WAL_VERSION: u8 = 2;
+const WAL_LEN: usize = 17;
+
+/// Persists the send-WAL high-water mark (versioned, checksummed `u64`).
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
 pub fn save_wal(dir: &Path, durable_seq: u64) -> std::io::Result<()> {
-    let mut out = durable_seq.to_le_bytes().to_vec();
-    let sum = checksum64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
+    let mut out = [0u8; WAL_LEN];
+    out[0] = WAL_VERSION;
+    out[1..9].copy_from_slice(&durable_seq.to_le_bytes());
+    let sum = checksum64(&out[..9]);
+    out[9..].copy_from_slice(&sum.to_le_bytes());
     write_atomic(&dir.join("wal.bin"), &out)
 }
 
@@ -468,17 +479,22 @@ fn corrupt(path: &Path, why: impl std::fmt::Display) -> std::io::Error {
 ///
 /// # Errors
 ///
-/// Filesystem errors, or `InvalidData` naming the file when it has the
-/// wrong length or a bad checksum.
+/// Filesystem errors, or `InvalidData` naming the file when it holds
+/// another WAL version, has the wrong length or a bad checksum.
 pub fn load_wal(dir: &Path) -> std::io::Result<Option<u64>> {
     let path = dir.join("wal.bin");
     let Some(bytes) = read_state(&path)? else { return Ok(None) };
-    let Ok(bytes) = <[u8; 16]>::try_from(bytes) else {
-        return Err(corrupt(&path, "not a 16-byte WAL record"));
+    let version = match bytes.len() {
+        16 => 1,
+        WAL_LEN => bytes[0],
+        len => return Err(corrupt(&path, format!("{len} bytes is no WAL record"))),
     };
-    let value = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-    let sum = u64::from_le_bytes(bytes[8..].try_into().expect("8 bytes"));
-    if checksum64(&bytes[..8]) != sum {
+    if version != WAL_VERSION {
+        return Err(corrupt(&path, format!("unsupported WAL version {version}")));
+    }
+    let value = u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes"));
+    let sum = u64::from_le_bytes(bytes[9..].try_into().expect("8 bytes"));
+    if checksum64(&bytes[..9]) != sum {
         return Err(corrupt(&path, "checksum mismatch"));
     }
     Ok(Some(value))
@@ -1263,13 +1279,13 @@ mod tests {
         save_spec(&dir, &sample_spec()).unwrap();
         save_wal(&dir, 41).unwrap();
         let mut wal = std::fs::read(dir.join("wal.bin")).unwrap();
-        wal[0] ^= 1;
+        wal[1] ^= 1;
         std::fs::write(dir.join("wal.bin"), &wal).unwrap();
         let mut opts = DaemonOptions::new(dir.clone(), "127.0.0.1:0".parse().unwrap());
         opts.resume = true;
         let refused = run(opts).expect_err("a flipped WAL byte must not boot from genesis");
         assert_eq!(refused.kind(), ErrorKind::InvalidData);
-        assert!(refused.to_string().contains("wal.bin"), "{refused}");
+        assert!(refused.to_string().contains("wal.bin: checksum mismatch"), "{refused}");
         // `listen.txt` is written right after the UDP bind.
         assert!(!dir.join("listen.txt").exists(), "refused before any socket was bound");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1278,25 +1294,55 @@ mod tests {
     /// A version-1 snapshot blob (wire-v2 frames, no cluster tail), as the
     /// codec before the single blob format wrote it.
     const SNAPSHOT_V1: &str = "010308020a00000000000000000000000000000007fa010308000300ac02000300010201020204060303000304010002058827020a2702030108020a00000000000000000000000000000000010000000100000161af7b6f21319db860142a02030208020a000000000000000000000000000000000200ac020002000003706362e4e85834eab27d314c031551c9ff287d";
+    /// A version-3 snapshot blob (wire-v3 frames in the store), as the
+    /// codec before the one-byte delta change list wrote it.
+    const SNAPSHOT_V3: &str = "03030c020a00000000000000000000000000000004fa01030c000300ac0200030001000000000201020204060303000304010002058827020a280300030108020a00000000000000000000000000000000010000000100000161c40f3b1f4c47ad03142b0302030208020a000000000000000000000000000000000200ac0200020000037063628085e2f16e4a56a40100010008020a00000000000000000000000000000008000300ac0200030001b3c8059049f1d8f7";
+
+    /// Runs a resuming daemon on `dir`: it must refuse with the same
+    /// error `load` gave, naming `file` and `version`, before binding.
+    fn refuses_before_binding(dir: &Path, load: std::io::Error, file: &str, version: u8) {
+        assert_eq!(load.kind(), ErrorKind::InvalidData);
+        let why = load.to_string();
+        assert!(why.contains(file) && why.contains(&format!("version {version}")), "{why}");
+        let mut opts = DaemonOptions::new(dir.to_path_buf(), "127.0.0.1:0".parse().unwrap());
+        opts.resume = true;
+        let refused = run(opts).expect_err("an old-format state file must not boot from genesis");
+        assert_eq!(refused.to_string(), why);
+        assert!(!dir.join("listen.txt").exists(), "refused before any socket was bound");
+    }
 
     #[test]
     fn resume_refuses_an_old_format_snapshot_by_name() {
-        let dir = temp_dir("snapshot-v1");
+        for (version, hex) in [(1, SNAPSHOT_V1), (3, SNAPSHOT_V3)] {
+            let dir = temp_dir(&format!("snapshot-v{version}"));
+            save_spec(&dir, &sample_spec()).unwrap();
+            let blob: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|at| u8::from_str_radix(&hex[at..at + 2], 16).unwrap())
+                .collect();
+            std::fs::write(dir.join("snapshot.bin"), blob).unwrap();
+            refuses_before_binding(&dir, load_snapshot(&dir).unwrap_err(), "snapshot.bin", version);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn resume_refuses_an_unversioned_wal_by_name() {
+        // The 16-byte record written before `wal.bin` had a version byte:
+        // `u64 durable_seq | u64 checksum`, intact.
+        let dir = temp_dir("wal-v1");
         save_spec(&dir, &sample_spec()).unwrap();
-        let blob: Vec<u8> = (0..SNAPSHOT_V1.len())
-            .step_by(2)
-            .map(|at| u8::from_str_radix(&SNAPSHOT_V1[at..at + 2], 16).unwrap())
-            .collect();
-        std::fs::write(dir.join("snapshot.bin"), blob).unwrap();
-        let refused = load_snapshot(&dir).unwrap_err();
-        assert_eq!(refused.kind(), ErrorKind::InvalidData);
-        let why = refused.to_string();
-        assert!(why.contains("snapshot.bin") && why.contains("version 1"), "{why}");
-        let mut opts = DaemonOptions::new(dir.clone(), "127.0.0.1:0".parse().unwrap());
-        opts.resume = true;
-        let refused = run(opts).expect_err("an old-format snapshot must not boot from genesis");
-        assert_eq!(refused.to_string(), why);
-        assert!(!dir.join("listen.txt").exists(), "refused before any socket was bound");
+        let mut old = 41u64.to_le_bytes().to_vec();
+        old.extend_from_slice(&checksum64(&old).to_le_bytes());
+        std::fs::write(dir.join("wal.bin"), &old).unwrap();
+        refuses_before_binding(&dir, load_wal(&dir).unwrap_err(), "wal.bin", 1);
+        // A record of today's length with another version byte, too.
+        save_wal(&dir, 41).unwrap();
+        let mut wal = std::fs::read(dir.join("wal.bin")).unwrap();
+        assert_eq!((wal.len(), wal[0]), (17, 2));
+        wal[0] = 3;
+        std::fs::write(dir.join("wal.bin"), &wal).unwrap();
+        refuses_before_binding(&dir, load_wal(&dir).unwrap_err(), "wal.bin", 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
