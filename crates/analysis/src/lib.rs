@@ -4,8 +4,7 @@
 //! * [`error_model`] — the Bloom-filter-style covering probability
 //!   `P_error(R, K, X)` and the optimal `K = ln(2)·R/X`;
 //! * [`planner`] — dimensioning `(R, K)` for a target error rate;
-//! * [`stats`] — Welford accumulators, Wilson intervals, quantiles,
-//!   histograms.
+//! * [`stats`] — Wilson intervals for measured rates.
 //!
 //! ```
 //! use pcb_analysis::{error_probability, optimal_k};
@@ -31,4 +30,4 @@ pub use pnc::{
     causal_reorder_probability, erf, expected_reorder_rate, normal_cdf, predicted_violation_rate,
     reorder_probability,
 };
-pub use stats::{quantile, wilson_interval, Histogram, Welford};
+pub use stats::wilson_interval;

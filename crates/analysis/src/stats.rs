@@ -1,108 +1,4 @@
-//! Streaming statistics used by the simulator's metric collection.
-
-/// Online mean/variance accumulator (Welford's algorithm) — numerically
-/// stable over the hundreds of millions of samples a long simulation
-/// produces.
-///
-/// ```
-/// use pcb_analysis::stats::Welford;
-/// let mut w = Welford::new();
-/// for x in [1.0, 2.0, 3.0, 4.0] { w.push(x); }
-/// assert_eq!(w.mean(), 2.5);
-/// assert!((w.sample_variance() - 5.0 / 3.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    /// An empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { count: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples seen.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (0 with fewer than two samples).
-    #[must_use]
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    #[must_use]
-    pub fn stddev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
-    /// Smallest sample (`+inf` when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample (`-inf` when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel sweeps).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+//! Interval statistics the simulator reports violation rates with.
 
 /// Wilson score interval for a binomial proportion — the error bars the
 /// experiment reports attach to measured violation rates.
@@ -128,137 +24,9 @@ pub fn wilson_interval(successes: u64, trials: u64, z: f64) -> (f64, f64) {
     ((center - margin).max(0.0), (center + margin).min(1.0))
 }
 
-/// Exact quantile of a sample by sorting (nearest-rank). Suitable for the
-/// tens of thousands of latency samples a run retains.
-///
-/// # Panics
-///
-/// Panics if `q` is outside `[0, 1]`.
-#[must_use]
-pub fn quantile(samples: &mut [f64], q: f64) -> Option<f64> {
-    assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-    if samples.is_empty() {
-        return None;
-    }
-    samples.sort_by(f64::total_cmp);
-    let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-    Some(samples[rank - 1])
-}
-
-/// Fixed-bucket histogram for delivery-delay distributions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    bucket_width: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram of `buckets` buckets of `bucket_width` each,
-    /// starting at zero; larger samples land in the overflow bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width <= 0` or `buckets == 0`.
-    #[must_use]
-    pub fn new(bucket_width: f64, buckets: usize) -> Self {
-        assert!(bucket_width > 0.0, "bucket width must be positive");
-        assert!(buckets > 0, "need at least one bucket");
-        Self { bucket_width, buckets: vec![0; buckets], overflow: 0, count: 0 }
-    }
-
-    /// Records a (non-negative) sample; negatives clamp to bucket 0.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let idx = (x.max(0.0) / self.bucket_width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Bucket counts (excluding overflow).
-    #[must_use]
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Samples beyond the last bucket.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_naive() {
-        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &data {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        let naive_var = data.iter().map(|x| (x - 5.0) * (x - 5.0)).sum::<f64>() / 7.0;
-        assert!((w.sample_variance() - naive_var).abs() < 1e-12);
-        assert_eq!(w.min(), 2.0);
-        assert_eq!(w.max(), 9.0);
-    }
-
-    #[test]
-    fn welford_empty_and_single() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
-        let mut w = Welford::new();
-        w.push(3.0);
-        assert_eq!(w.mean(), 3.0);
-        assert_eq!(w.stddev(), 0.0);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        let mut all = Welford::new();
-        for i in 0..100 {
-            let x = (i as f64).sin() * 10.0;
-            if i % 2 == 0 {
-                a.push(x);
-            } else {
-                b.push(x);
-            }
-            all.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-10);
-        assert!((a.sample_variance() - all.sample_variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn welford_merge_with_empty() {
-        let mut a = Welford::new();
-        a.push(1.0);
-        let before = a;
-        a.merge(&Welford::new());
-        assert_eq!(a, before);
-        let mut empty = Welford::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
 
     #[test]
     fn wilson_interval_contains_point_estimate() {
@@ -280,25 +48,5 @@ mod tests {
     #[test]
     fn wilson_zero_trials() {
         assert_eq!(wilson_interval(0, 0, 1.96), (0.0, 1.0));
-    }
-
-    #[test]
-    fn quantile_nearest_rank() {
-        let mut data = vec![5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(quantile(&mut data, 0.5), Some(3.0));
-        assert_eq!(quantile(&mut data, 1.0), Some(5.0));
-        assert_eq!(quantile(&mut data, 0.0), Some(1.0));
-        assert_eq!(quantile(&mut [], 0.5), None);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(10.0, 3);
-        for x in [0.0, 5.0, 15.0, 25.0, 99.0, -1.0] {
-            h.record(x);
-        }
-        assert_eq!(h.buckets(), &[3, 1, 1]);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 6);
     }
 }

@@ -4,19 +4,18 @@
 //! A single sender's FIFO chain of `P` messages arrives fully reversed,
 //! so every message except the chain head blocks. The cascade is then
 //! triggered by delivering the head: each delivery unblocks exactly the
-//! next message. The naive restart-scan engine pays `O(P)` per delivery
-//! (`O(P²)` per cascade); the wake-up index pays `O(1)` amortized wake
-//! work per delivery. Both engines are preloaded once and cloned per
-//! iteration so setup cost (itself quadratic for the naive queue) stays
-//! out of the measurement.
+//! next message. The paper's front-to-back rescan (`pcb_clock::spec`)
+//! pays `O(P)` per delivery (`O(P²)` per cascade); the wake-up index pays
+//! `O(1)` amortized wake work per delivery. Both are preloaded once and
+//! cloned per iteration so setup cost (itself quadratic for the rescan)
+//! stays out of the measurement.
 
 use std::hint::black_box;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use pcb_broadcast::pending::naive::NaiveQueue;
 use pcb_broadcast::{Message, MessageId, WakeupIndex};
-use pcb_clock::{KeySet, KeySpace, ProbClock, ProcessId};
+use pcb_clock::{spec, KeySet, KeySpace, ProbClock, ProcessId};
 
 const R: usize = 32;
 const K: usize = 2;
@@ -33,18 +32,20 @@ fn chain(space: KeySpace, count: usize) -> Vec<Message<()>> {
         .collect()
 }
 
-/// Preloads the naive queue with the chain minus its head (all blocked),
-/// returning the queue, the receiver clock, and the head message.
-fn preload_naive(space: KeySpace, count: usize) -> (NaiveQueue<()>, ProbClock, Message<()>) {
-    let mut msgs = chain(space, count);
-    let head = msgs.remove(0);
-    msgs.reverse();
-    let mut clock = ProbClock::new(space);
-    let mut queue = NaiveQueue::new();
-    for m in msgs {
-        assert!(queue.on_receive(m, &mut clock).is_empty(), "preload must stay blocked");
+/// Preloads the specification's rescan with the chain minus its head
+/// (all blocked), returning the receiver and the head's stamp.
+fn preload_rescan(space: KeySpace, count: usize) -> (spec::Process<u64>, Vec<u64>) {
+    let mut stamps: Vec<Vec<u64>> =
+        chain(space, count).iter().map(|m| m.timestamp().entries().to_vec()).collect();
+    let head = stamps.remove(0);
+    let mut receiver = spec::Process::new(R, &[], None);
+    for (seq, stamp) in stamps.into_iter().enumerate().rev() {
+        assert!(
+            receiver.receive(seq as u64 + 2, stamp, &[0, 1], 0).is_empty(),
+            "preload must stay blocked"
+        );
     }
-    (queue, clock, head)
+    (receiver, head)
 }
 
 /// Same preload through the wake-up index.
@@ -78,12 +79,12 @@ fn bench_unblock_cascade(c: &mut Criterion) {
     let mut group = c.benchmark_group("pending/unblock_cascade");
     group.measurement_time(Duration::from_secs(2));
     for &p in &[100usize, 1_000, 10_000] {
-        let naive_seed = preload_naive(space, p);
-        group.bench_function(&format!("naive/{p}"), |b| {
+        let rescan_seed = preload_rescan(space, p);
+        group.bench_function(&format!("rescan/{p}"), |b| {
             b.iter_batched(
-                || naive_seed.clone(),
-                |(mut queue, mut clock, head)| {
-                    let delivered = queue.on_receive(head, &mut clock).len();
+                || rescan_seed.clone(),
+                |(mut receiver, head)| {
+                    let delivered = receiver.receive(1, head, &[0, 1], 0).len();
                     assert_eq!(delivered, black_box(p), "cascade must fully drain");
                 },
                 BatchSize::LargeInput,

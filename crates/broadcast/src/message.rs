@@ -123,12 +123,6 @@ impl<P> Message<P> {
         &self.payload
     }
 
-    /// Consumes the message, yielding the payload.
-    #[must_use]
-    pub fn into_payload(self) -> P {
-        self.payload
-    }
-
     /// Decomposes the message into its parts. The main consumer is stamp
     /// recycling: a store evicting an aged-out message hands the
     /// timestamp back to a [`pcb_clock::StampPool`] instead of dropping
@@ -214,11 +208,6 @@ mod tests {
         assert_eq!(*m.payload(), 5);
         assert_eq!(m.sender(), ProcessId::new(1));
         assert_eq!(m.to_string(), "p1#3@[1,1,0,0]");
-    }
-
-    #[test]
-    fn into_payload_extracts() {
-        assert_eq!(sample().into_payload(), "hello");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Entry-indexed wake-up engine for the pending queue.
 //!
-//! The seed implementation rescanned the whole pending queue after every
-//! delivery (`O(P)` per delivery, `O(P²)` per cascade). This module
-//! replaces the rescan with an index keyed by what each blocked message
-//! is actually waiting for:
+//! The paper's pending list is rescanned from the front after every
+//! delivery (`O(P)` per delivery, `O(P²)` per cascade; `pcb_clock::spec`
+//! keeps that rescan as the specification). This module replaces the
+//! rescan with an index keyed by what each blocked message is actually
+//! waiting for:
 //!
 //! * Every blocked message is registered on exactly **one** clock entry —
 //!   the first entry whose Algorithm 2 wait-condition fails — together
@@ -18,12 +19,12 @@
 //!   local clock), re-registering on the next blocked entry or moving to
 //!   the ready heap.
 //! * The ready heap is ordered by arrival ticket, which reproduces the
-//!   naive scan's delivery order exactly: the linear rescan always
-//!   delivered the lowest-queue-index deliverable message, and since
-//!   deliverability is monotone both engines repeatedly pick the
-//!   minimum-arrival deliverable message. The differential test in
-//!   `tests/differential.rs` replays identical traces through both paths
-//!   and asserts identical delivery orders.
+//!   rescan's delivery order exactly: the rescan always delivers the
+//!   lowest-queue-index deliverable message, and since deliverability is
+//!   monotone both repeatedly pick the minimum-arrival deliverable
+//!   message. The differential test in `tests/differential.rs` replays
+//!   identical traces through the specification and this index and
+//!   asserts identical delivery orders.
 //!
 //! Per-message cost across its whole pending lifetime: one `O(R)` gap
 //! scan amortized over all re-checks (the scan cursor only moves right),
@@ -44,8 +45,8 @@ use crate::message::Message;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WakeupStats {
     /// Gap evaluations performed (insert + every wake re-check). The
-    /// naive engine's equivalent is its deliverability scans; the ratio
-    /// of the two is the measured speedup.
+    /// rescan's equivalent is its guard evaluations; the ratio of the two
+    /// is the measured speedup.
     pub gap_checks: u64,
     /// Waiters popped from entry heaps by clock advances.
     pub wakeups: u64,
@@ -269,7 +270,7 @@ impl<P> WakeupIndex<P> {
     }
 
     /// Removes and returns the ready message with the smallest arrival
-    /// ticket — the exact message the naive front-to-back rescan would
+    /// ticket — the exact message the paper's front-to-back rescan would
     /// deliver next. Deliverability is monotone, so ready entries never
     /// need re-validation.
     pub fn pop_ready(&mut self) -> Option<Message<P>> {
@@ -300,87 +301,6 @@ impl<P> WakeupIndex<P> {
                 slot.scan_from = 0;
                 self.classify(index, clock);
             }
-        }
-    }
-}
-
-/// The seed's linear-rescan delivery engine, kept verbatim for
-/// differential testing and benchmarking against the index. Tracks its
-/// deliverability-scan count so work ratios can be asserted
-/// deterministically.
-#[cfg(any(test, feature = "naive"))]
-pub mod naive {
-    use std::collections::VecDeque;
-
-    use pcb_clock::ProbClock;
-
-    use crate::message::Message;
-
-    /// A pending queue driven by the original restart-scan loop.
-    #[derive(Debug, Clone)]
-    pub struct NaiveQueue<P> {
-        pending: VecDeque<Message<P>>,
-        /// Number of `is_deliverable` evaluations performed.
-        pub scan_steps: u64,
-    }
-
-    impl<P> Default for NaiveQueue<P> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl<P> NaiveQueue<P> {
-        /// An empty queue.
-        #[must_use]
-        pub fn new() -> Self {
-            Self { pending: VecDeque::new(), scan_steps: 0 }
-        }
-
-        /// Messages still blocked.
-        #[must_use]
-        pub fn len(&self) -> usize {
-            self.pending.len()
-        }
-
-        /// Whether nothing is pending.
-        #[must_use]
-        pub fn is_empty(&self) -> bool {
-            self.pending.is_empty()
-        }
-
-        /// Buffers an arrival and runs the seed's delivery loop: scan
-        /// front-to-back, deliver the first ready message (recording it
-        /// on `clock`), restart from the front, stop at a full pass with
-        /// no delivery. Returns the delivered messages in order.
-        pub fn on_receive(
-            &mut self,
-            message: Message<P>,
-            clock: &mut ProbClock,
-        ) -> Vec<Message<P>> {
-            self.pending.push_back(message);
-            self.drain(clock)
-        }
-
-        /// The seed's restart-scan loop (without the dead outer
-        /// `delivered_any` loop — the inner `i = 0` restart already
-        /// reaches the fixpoint; see the drain rewrite notes).
-        pub fn drain(&mut self, clock: &mut ProbClock) -> Vec<Message<P>> {
-            let mut out = Vec::new();
-            let mut i = 0;
-            while i < self.pending.len() {
-                self.scan_steps += 1;
-                let msg = &self.pending[i];
-                if clock.is_deliverable(msg.timestamp(), msg.keys()) {
-                    let msg = self.pending.remove(i).expect("index in bounds");
-                    clock.record_delivery(msg.keys());
-                    out.push(msg);
-                    i = 0;
-                } else {
-                    i += 1;
-                }
-            }
-            out
         }
     }
 }
@@ -501,42 +421,5 @@ mod tests {
         clock.reset_to(pcb_clock::Timestamp::from_entries(vec![0, 1, 1, 0]));
         index.rebuild(&clock);
         assert!(index.pop_ready().is_some(), "rebuild sees the new vector");
-    }
-
-    #[test]
-    fn naive_queue_matches_index_on_small_trace() {
-        let f_a = KeySet::from_entries(space(), &[0, 1]).unwrap();
-        let f_b = KeySet::from_entries(space(), &[1, 2]).unwrap();
-        let mut a = ProbClock::new(space());
-        let mut b = ProbClock::new(space());
-        let m1 = a.stamp_send(&f_a);
-        b.record_delivery(&f_a);
-        let m2 = b.stamp_send(&f_b);
-
-        let arrivals = vec![msg(1, 1, &[1, 2], m2), msg(0, 1, &[0, 1], m1)];
-
-        let mut naive_clock = ProbClock::new(space());
-        let mut naive = naive::NaiveQueue::new();
-        let mut naive_order = Vec::new();
-        for m in arrivals.clone() {
-            for d in naive.on_receive(m, &mut naive_clock) {
-                naive_order.push(d.id());
-            }
-        }
-
-        let mut clock = ProbClock::new(space());
-        let mut index = WakeupIndex::new(4);
-        let mut indexed_order = Vec::new();
-        for m in arrivals {
-            index.insert(0, m, &clock);
-            while let Some(d) = index.pop_ready() {
-                clock.record_delivery(d.keys());
-                let keys: Vec<usize> = d.keys().iter().collect();
-                indexed_order.push(d.id());
-                index.on_clock_advance(keys, &clock);
-            }
-        }
-        assert_eq!(naive_order, indexed_order);
-        assert_eq!(naive_order.len(), 2);
     }
 }

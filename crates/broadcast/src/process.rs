@@ -555,7 +555,7 @@ impl<P> PcbProcess<P> {
     /// satisfied, and queues any of them that became fully ready — so the
     /// cascade costs `O(unblocked · (log W + K))`, not `O(P)` per
     /// delivery. Delivery order (ready tickets = arrival order) matches
-    /// the old front-to-back rescan exactly; see `tests/differential.rs`.
+    /// the paper's front-to-back rescan exactly; see `tests/differential.rs`.
     fn drain_into(&mut self, now: u64, out: &mut Vec<Delivery<P>>) {
         while let Some((arrived, message)) = self.pending.pop_ready_entry() {
             let delivery = self.deliver(message, now, now.saturating_sub(arrived));

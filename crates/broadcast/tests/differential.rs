@@ -1,21 +1,23 @@
-//! Differential test: the entry-indexed wake-up engine must reproduce
-//! the seed's linear-rescan delivery order *exactly*.
+//! Differential test against the paper: [`pcb_clock::spec`] writes
+//! Algorithms 1–5 out literally, with the pending list rescanned from the
+//! front after every delivery, and the tuned code must agree with it.
 //!
-//! Identical arrival traces are replayed through three paths —
+//! A causal history is generated with the specification and
+//! [`PcbProcess`] in lockstep: every sender exists twice, both sides
+//! deliver what the sender catches up on, and every Algorithm 1 stamp the
+//! endpoint attaches must equal the specification's. A random arrival
+//! permutation of the history is then replayed through three receivers —
 //!
-//! 1. [`pcb_broadcast::pending::naive::NaiveQueue`], the seed's
-//!    front-to-back restart scan (compiled in via the `naive` feature),
-//! 2. [`pcb_broadcast::WakeupIndex`] driven directly, and
-//! 3. a full [`pcb_broadcast::PcbProcess`] endpoint —
+//! 1. the specification,
+//! 2. a bare [`WakeupIndex`], and
+//! 3. a [`PcbProcess`] with an Algorithm 5 window —
 //!
-//! and the delivery orders are asserted identical, down to the encoded
-//! wire bytes of each delivered message. A proptest property then checks
-//! order invariance across randomly generated causal histories and
-//! arrival permutations.
+//! and the delivery order, and each delivery's Algorithm 4 and
+//! Algorithm 5 verdicts, must equal the specification's.
 
 use bytes::Bytes;
-use pcb_broadcast::pending::naive::NaiveQueue;
-use pcb_broadcast::{wire, Message, MessageId, PcbProcess, WakeupIndex, WakeupStats};
+use pcb_broadcast::{Message, MessageId, PcbConfig, PcbProcess, WakeupIndex, WakeupStats};
+use pcb_clock::spec::{self, Delivery};
 use pcb_clock::{KeySet, KeySpace, ProbClock, ProcessId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -41,11 +43,23 @@ fn shuffle<T>(rng: &mut StdRng, items: &mut [T]) {
     }
 }
 
+/// Hands `m` to the specification's process `p` at time `now`.
+fn spec_receive<P>(
+    p: &mut spec::Process<MessageId>,
+    m: &Message<P>,
+    now: u64,
+) -> Vec<Delivery<MessageId>> {
+    let f_j: Vec<usize> = m.keys().iter().collect();
+    p.receive(m.id(), m.timestamp().entries().to_vec(), &f_j, now)
+}
+
 /// Generates a causally rich message pool: `senders` endpoints with
 /// random (possibly colliding) key sets broadcast `per_sender` messages
 /// each; before each send the sender catches up on a random prefix of
 /// the messages broadcast so far, so stamps carry genuine cross-sender
-/// dependencies. The pool is returned in a random arrival permutation.
+/// dependencies. Each endpoint runs in lockstep with its specification,
+/// which must deliver the same messages and attach the same stamps. The
+/// pool is returned in a random arrival permutation.
 fn generate_trace(
     seed: u64,
     senders: usize,
@@ -55,6 +69,10 @@ fn generate_trace(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut procs: Vec<PcbProcess<Bytes>> = (0..senders)
         .map(|i| PcbProcess::new(ProcessId::new(i), random_keys(&mut rng, space.r(), space.k())))
+        .collect();
+    let mut specs: Vec<spec::Process<MessageId>> = procs
+        .iter()
+        .map(|p| spec::Process::new(space.r(), &p.keys().iter().collect::<Vec<_>>(), None))
         .collect();
     let mut pool: Vec<Message<Bytes>> = Vec::new();
     let mut caught_up = vec![0usize; senders];
@@ -68,26 +86,41 @@ fn generate_trace(
         while caught_up[s] < pool.len() && rng.random_bool(0.7) {
             let m = pool[caught_up[s]].clone();
             caught_up[s] += 1;
-            let _ = procs[s].on_receive(m, step as u64);
+            if m.sender().index() == s {
+                continue; // delivered to itself when it was sent
+            }
+            let expected = spec_receive(&mut specs[s], &m, step as u64);
+            let delivered: Vec<MessageId> =
+                procs[s].on_receive(m, step as u64).iter().map(|d| d.message.id()).collect();
+            assert_eq!(delivered, expected.iter().map(|d| d.id).collect::<Vec<_>>());
+            assert_eq!(procs[s].clock().entries(), specs[s].clock(), "Algorithm 2 record");
         }
         let payload = Bytes::from((step as u64).to_be_bytes().to_vec());
-        pool.push(procs[s].broadcast(payload));
+        let m = procs[s].broadcast(payload);
+        assert_eq!(
+            m.timestamp().entries(),
+            specs[s].broadcast(),
+            "Algorithm 1 stamp of {}",
+            m.id()
+        );
+        pool.push(m);
     }
     shuffle(&mut rng, &mut pool);
     pool
 }
 
-/// The seed's restart-scan path.
-fn replay_naive(space: KeySpace, arrivals: &[Message<Bytes>]) -> (Vec<MessageId>, u64) {
-    let mut clock = ProbClock::new(space);
-    let mut queue = NaiveQueue::new();
-    let mut order = Vec::new();
-    for m in arrivals {
-        for d in queue.on_receive(m.clone(), &mut clock) {
-            order.push(d.id());
-        }
+/// The specification's receiver, with arrival `t` at time `t`.
+fn replay_spec(
+    space: KeySpace,
+    window: Option<u64>,
+    arrivals: &[Message<Bytes>],
+) -> (Vec<Delivery<MessageId>>, u64) {
+    let mut receiver = spec::Process::new(space.r(), &[], window);
+    let mut out = Vec::new();
+    for (t, m) in arrivals.iter().enumerate() {
+        out.extend(spec_receive(&mut receiver, m, t as u64));
     }
-    (order, queue.scan_steps)
+    (out, receiver.guard_evaluations())
 }
 
 /// The wake-up index driven bare (no dedup, no detectors).
@@ -107,23 +140,54 @@ fn replay_indexed(space: KeySpace, arrivals: &[Message<Bytes>]) -> (Vec<MessageI
     (order, index.stats())
 }
 
-/// A full endpoint (dedup and detectors at their defaults).
-fn replay_process(space: KeySpace, arrivals: &[Message<Bytes>]) -> Vec<MessageId> {
+/// A full endpoint with an Algorithm 5 window, arrival `t` at time `t`.
+fn replay_process(
+    space: KeySpace,
+    window: u64,
+    arrivals: &[Message<Bytes>],
+) -> Vec<Delivery<MessageId>> {
     let keys = KeySet::from_entries(space, &(0..space.k()).collect::<Vec<_>>()).unwrap();
-    let mut process: PcbProcess<Bytes> = PcbProcess::new(ProcessId::new(u32::MAX as usize), keys);
-    let mut order = Vec::new();
+    let config = PcbConfig { recent_window: Some(window), ..PcbConfig::default() };
+    let mut process: PcbProcess<Bytes> =
+        PcbProcess::with_config(ProcessId::new(u32::MAX as usize), keys, config);
+    let mut out = Vec::new();
     for (t, m) in arrivals.iter().enumerate() {
-        for d in process.on_receive(m.clone(), t as u64) {
-            order.push(d.message.id());
-        }
+        out.extend(process.on_receive(m.clone(), t as u64).into_iter().map(|d| Delivery {
+            id: d.message.id(),
+            alert4: d.instant_alert,
+            alert5: d.recent_alert,
+        }));
     }
-    order
+    out
+}
+
+fn ids(deliveries: &[Delivery<MessageId>]) -> Vec<MessageId> {
+    deliveries.iter().map(|d| d.id).collect()
+}
+
+/// Replays `arrivals` through all three receivers and asserts that they
+/// agree with the specification; returns its deliveries.
+fn assert_matches_spec(
+    space: KeySpace,
+    window: u64,
+    arrivals: &[Message<Bytes>],
+) -> Vec<Delivery<MessageId>> {
+    let (expected, _) = replay_spec(space, Some(window), arrivals);
+    assert_eq!(expected.len(), arrivals.len(), "every message is eventually deliverable");
+    let (indexed, _) = replay_indexed(space, arrivals);
+    assert_eq!(indexed, ids(&expected), "the wake-up index diverges from the specification");
+    let process = replay_process(space, window, arrivals);
+    for (at, (got, want)) in process.iter().zip(&expected).enumerate() {
+        assert_eq!(got, want, "delivery {at}: the endpoint diverges from the specification");
+    }
+    assert_eq!(process.len(), expected.len());
+    expected
 }
 
 #[test]
-fn reversed_fifo_chain_all_engines_agree() {
-    // Single-sender FIFO chain arriving fully reversed: the naive
-    // engine's worst case (every arrival rescans the whole queue).
+fn reversed_fifo_chain_matches_the_spec() {
+    // Single-sender FIFO chain arriving fully reversed: the rescan's
+    // worst case (every arrival rescans the whole list).
     let space = KeySpace::new(8, 2).unwrap();
     let mut sender: PcbProcess<Bytes> =
         PcbProcess::new(ProcessId::new(0), KeySet::from_entries(space, &[1, 5]).unwrap());
@@ -131,69 +195,47 @@ fn reversed_fifo_chain_all_engines_agree() {
         (0..50u64).map(|i| sender.broadcast(Bytes::from(i.to_be_bytes().to_vec()))).collect();
     arrivals.reverse();
 
-    let (naive_order, scans) = replay_naive(space, &arrivals);
+    let (expected, scans) = replay_spec(space, None, &arrivals);
     let (indexed_order, stats) = replay_indexed(space, &arrivals);
-    assert_eq!(naive_order, indexed_order);
-    assert_eq!(naive_order.len(), 50, "fixpoint delivers the whole chain");
-    let seqs: Vec<u64> = naive_order.iter().map(|id| id.seq()).collect();
+    assert_eq!(ids(&expected), indexed_order);
+    let seqs: Vec<u64> = indexed_order.iter().map(|id| id.seq()).collect();
     assert_eq!(seqs, (1..=50).collect::<Vec<_>>(), "FIFO order restored");
     // The index wakes exactly one waiter per delivery on this trace while
-    // the naive path rescans the queue; the work gap is quadratic.
+    // the specification rescans the list; the work gap is quadratic.
     assert_eq!(stats.max_wake_fanout, 1);
-    assert!(
-        scans > 2 * stats.gap_checks,
-        "naive {scans} scans vs {} indexed gap checks",
-        stats.gap_checks
-    );
+    assert!(scans > 2 * stats.gap_checks, "{scans} rescans vs {} gap checks", stats.gap_checks);
 }
 
 #[test]
-fn random_traces_byte_identical_across_engines() {
-    // Both a colliding space (r=6, k=2 over up to 5 senders) and a
-    // roomier one: delivery order must match byte-for-byte either way.
+fn random_traces_match_the_spec() {
+    // A colliding space (r=6, k=2 over up to 5 senders) and a roomier
+    // one, each under a short and a long Algorithm 5 window.
+    let (mut alert4, mut alert5) = (0, 0);
     for (r, k) in [(6, 2), (16, 2)] {
         let space = KeySpace::new(r, k).unwrap();
         for seed in 0..20u64 {
             let senders = 2 + (seed as usize % 4);
             let arrivals = generate_trace(seed, senders, 6, space);
-            let (naive_order, _) = replay_naive(space, &arrivals);
-            let (indexed_order, _) = replay_indexed(space, &arrivals);
-            let process_order = replay_process(space, &arrivals);
-
-            assert_eq!(
-                naive_order.len(),
-                arrivals.len(),
-                "seed {seed}: every message is eventually deliverable"
-            );
-            assert_eq!(naive_order, indexed_order, "seed {seed}: raw engines diverge");
-            assert_eq!(naive_order, process_order, "seed {seed}: endpoint diverges");
-
-            // "Byte-identical": re-encode each delivered message in naive
-            // order and in indexed order; the frames must match exactly.
-            let by_id = |order: &[MessageId]| -> Vec<Bytes> {
-                order
-                    .iter()
-                    .map(|id| {
-                        let m = arrivals.iter().find(|m| m.id() == *id).unwrap();
-                        wire::encode_full(m)
-                    })
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(by_id(&naive_order), by_id(&indexed_order));
+            for window in [2, 12] {
+                let expected = assert_matches_spec(space, window, &arrivals);
+                alert4 += expected.iter().filter(|d| d.alert4).count();
+                alert5 += expected.iter().filter(|d| d.alert5).count();
+            }
         }
     }
+    // The verdict comparison above means something only if both fire.
+    assert!(alert4 > alert5 && alert5 > 0, "alerts: Algorithm 4 {alert4}, Algorithm 5 {alert5}");
 }
 
 #[test]
 fn interleaved_drain_points_do_not_change_order() {
-    // The naive queue drains after every arrival; make sure the index
-    // gives the same answer when drained only once at the end (tickets,
-    // not drain timing, decide the order among simultaneously-ready
-    // messages).
+    // The specification drains after every arrival; the index gives the
+    // same answer when drained only once at the end (tickets, not drain
+    // timing, decide the order among simultaneously-ready messages).
     let space = KeySpace::new(6, 2).unwrap();
     for seed in 100..110u64 {
         let arrivals = generate_trace(seed, 3, 5, space);
-        let (naive_order, _) = replay_naive(space, &arrivals);
+        let (expected, _) = replay_spec(space, None, &arrivals);
 
         let mut clock = ProbClock::new(space);
         let mut index = WakeupIndex::new(clock.len());
@@ -207,23 +249,21 @@ fn interleaved_drain_points_do_not_change_order() {
             batched_order.push(d.id());
             index.on_clock_advance(advanced, &clock);
         }
-        assert_eq!(naive_order, batched_order, "seed {seed}");
+        assert_eq!(ids(&expected), batched_order, "seed {seed}");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
     #[test]
-    fn delivery_order_invariant_under_rewrite(
+    fn random_histories_match_the_spec(
         seed in 0u64..u64::MAX / 2,
         senders in 2usize..6,
         per_sender in 1usize..8,
+        window in 0u64..16,
     ) {
         let space = KeySpace::new(6, 2).unwrap();
         let arrivals = generate_trace(seed, senders, per_sender, space);
-        let (naive_order, _) = replay_naive(space, &arrivals);
-        let (indexed_order, _) = replay_indexed(space, &arrivals);
-        prop_assert_eq!(&naive_order, &indexed_order);
-        prop_assert_eq!(naive_order.len(), arrivals.len());
+        assert_matches_spec(space, window, &arrivals);
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! | Clock | `(N, R, K)` | Type |
 //! |---|---|---|
-//! | Lamport | `(N, 1, 1)` | [`LamportClock`] or [`ProbClock`] with [`KeySpace::lamport`] |
+//! | Lamport | `(N, 1, 1)` | [`ProbClock`] with [`KeySpace::lamport`] |
 //! | Plausible (Torres-Rojas & Ahamad) | `(N, R, 1)` | [`ProbClock`] with [`KeySpace::plausible`] |
 //! | Vector (Fidge/Mattern) | `(N, N, 1)` | [`VectorClock`], or [`ProbClock`] with [`KeySpace::vector`] |
 //! | **Probabilistic (this paper)** | `(N, R, K)` | [`ProbClock`] with a general [`KeySpace`] |
@@ -42,9 +42,9 @@ pub mod combinatorics;
 pub mod compare;
 pub mod id;
 pub mod keys;
-pub mod lamport;
 pub mod pool;
 pub mod prob;
+pub mod spec;
 pub mod timestamp;
 pub mod vector;
 
@@ -54,7 +54,6 @@ pub use combinatorics::{binomial, rank, unrank, BinomialTable, CombinatoricsErro
 pub use compare::{judge, JudgmentQuality};
 pub use id::ProcessId;
 pub use keys::{KeyError, KeySet, KeySpace};
-pub use lamport::LamportClock;
 pub use pool::{StampPool, StampPoolStats};
 pub use prob::{Gap, ProbClock};
 pub use timestamp::Timestamp;

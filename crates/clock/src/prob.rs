@@ -194,14 +194,6 @@ impl ProbClock {
         guard_gap(&self.entries, ts.entries(), sender_keys.entries(), start)
     }
 
-    /// Diagnostic version of the guard: every blocked `(entry, required)`
-    /// pair, not just the first. Useful for stats and tests; the hot path
-    /// uses [`ProbClock::deliverability_gap`].
-    #[must_use]
-    pub fn blocked_entries(&self, ts: &Timestamp, sender_keys: &KeySet) -> Vec<(usize, u64)> {
-        blocked_walk(&self.entries, ts.entries(), sender_keys.entries(), 0).collect()
-    }
-
     /// **Algorithm 2 (post).** Records a delivery from a sender with keys
     /// `sender_keys` by incrementing those entries in the local vector.
     ///
@@ -602,25 +594,6 @@ mod tests {
             }
         }
         assert_eq!(rx.deliverability_gap(&ts, &sender), Gap::Ready);
-    }
-
-    #[test]
-    fn blocked_entries_lists_every_violation() {
-        let space = space4x2();
-        let f = keys(&[1, 2]);
-        let mut sender = ProbClock::new(space);
-        let _ = sender.stamp_send(&f);
-        let ts2 = sender.stamp_send(&f); // [0,2,2,0]
-
-        let rx = ProbClock::new(space);
-        assert_eq!(rx.blocked_entries(&ts2, &f), vec![(1, 1), (2, 1)]);
-        assert!(
-            rx.blocked_entries(&ts2, &f)
-                .first()
-                .map(|&(e, r)| rx.deliverability_gap(&ts2, &f)
-                    == Gap::Blocked { entry: e, required: r })
-                .unwrap_or(false)
-        );
     }
 
     #[test]

@@ -1,27 +1,23 @@
-//! The Algorithm 2 guard kernel against the merged walk it replaced.
+//! The Algorithm 2 guard kernel against the specification.
 //!
-//! `reference_gap` is the pre-kernel `deliverability_gap_from`, kept here
-//! verbatim as the specification: one branch per entry, sender entries
-//! marked by a merged walk over the sorted key set. The kernel must return
-//! the identical [`Gap`] — entry *and* required value — on every input,
-//! including the ones its fast path has to hand to the exact walk.
+//! The expected [`Gap`] is derived from `pcb_clock::spec`, which states
+//! Algorithm 2's wait condition one entry at a time: the first entry at or
+//! after `start` whose local value is below the specification's bound
+//! blocks, with that bound as the value it must reach. The kernel must
+//! return the identical verdict — entry *and* required value — on every
+//! input, including the ones its fast path has to hand to the exact walk.
 
-use pcb_clock::{Gap, KeySet, KeySpace, ProbClock, Timestamp};
+use pcb_clock::{spec, Gap, KeySet, KeySpace, ProbClock, Timestamp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-fn reference_gap(local: &[u64], remote: &[u64], sender_keys: &KeySet, start: usize) -> Gap {
-    let mut keys = sender_keys.iter().peekable();
-    while keys.next_if(|&k| k < start).is_some() {}
-    for (index, (&mine, &theirs)) in local.iter().zip(remote).enumerate().skip(start) {
-        let is_sender_entry = keys.next_if(|&k| k == index).is_some();
-        let required = if is_sender_entry { theirs.saturating_sub(1) } else { theirs };
-        if mine < required {
-            return Gap::Blocked { entry: index, required };
-        }
-    }
-    Gap::Ready
+/// The verdict the specification gives a scan that starts at `start`.
+fn expected_gap(local: &[u64], remote: &[u64], f_j: &[usize], start: usize) -> Gap {
+    let required = |x| spec::bound(remote, f_j, x);
+    (start..local.len())
+        .find(|&x| local[x] < required(x))
+        .map_or(Gap::Ready, |x| Gap::Blocked { entry: x, required: required(x) })
 }
 
 /// `k` strictly increasing entries of `0..r` that include both ends of
@@ -43,21 +39,12 @@ fn edge_keys(rng: &mut StdRng, r: usize, k: usize) -> KeySet {
         .expect("strictly increasing, in range")
 }
 
-/// What Algorithm 2 asks of the local value at `entry`.
-fn required_at(keys: &KeySet, remote: &[u64], entry: usize) -> u64 {
-    if keys.contains(entry) {
-        remote[entry].saturating_sub(1)
-    } else {
-        remote[entry]
-    }
-}
-
 /// A stamp and a local vector that satisfies it, then `blocked` entries
 /// pulled below what they must reach. `huge` plants values at and above
 /// 2⁶³, where the sign-bit test stops being the comparison.
 fn vectors(
     rng: &mut StdRng,
-    keys: &KeySet,
+    f_j: &[usize],
     r: usize,
     blocked: usize,
     huge: bool,
@@ -70,14 +57,14 @@ fn vectors(
         }
     }
     let mut local: Vec<u64> = (0..r)
-        .map(|entry| required_at(keys, &remote, entry).saturating_add(rng.random_range(0..3u64)))
+        .map(|entry| spec::bound(&remote, f_j, entry).saturating_add(rng.random_range(0..3u64)))
         .collect();
     if huge && rng.random_bool(0.5) {
         local[rng.random_range(0..r)] = u64::MAX; // far ahead of a small stamp entry
     }
     for _ in 0..blocked {
         let entry = rng.random_range(0..r);
-        let required = required_at(keys, &remote, entry);
+        let required = spec::bound(&remote, f_j, entry);
         if required > 0 {
             // One short, far short, or — for a stamp entry above 2⁶³ — a
             // small value whose wrapped difference has a clear sign bit.
@@ -95,7 +82,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
     #[test]
-    fn kernel_matches_the_merged_walk(
+    fn kernel_matches_the_spec(
         r in 1usize..=257,
         k in 1usize..=8,
         blocked in 0usize..=6,
@@ -105,9 +92,10 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let keys = edge_keys(&mut rng, r, k.min(r));
+        let f_j: Vec<usize> = keys.iter().collect();
         // Half the cases block nothing, so Ready is as common as Blocked.
         let blocked = blocked.saturating_sub(3);
-        let (mut local, remote) = vectors(&mut rng, &keys, r, blocked, huge == 0);
+        let (mut local, remote) = vectors(&mut rng, &f_j, r, blocked, huge == 0);
         let stamp = Timestamp::from_entries(remote.clone());
         let start = match start_kind {
             0 => 0,
@@ -118,11 +106,8 @@ proptest! {
 
         let clock = ProbClock::from_vector(Timestamp::from_entries(local.clone()));
         let verdict = clock.deliverability_gap_from(&stamp, &keys, start);
-        prop_assert_eq!(verdict, reference_gap(&local, &remote, &keys, start));
-        prop_assert_eq!(
-            clock.is_deliverable(&stamp, &keys),
-            reference_gap(&local, &remote, &keys, 0).is_ready()
-        );
+        prop_assert_eq!(verdict, expected_gap(&local, &remote, &f_j, start));
+        prop_assert_eq!(clock.is_deliverable(&stamp, &keys), spec::deliverable(&local, &remote, &f_j));
 
         // Resuming from each verdict agrees with a scan from entry 0 while
         // the local clock climbs to the stamp, one blocked entry at a time.
@@ -130,13 +115,8 @@ proptest! {
         for _ in 0..=r {
             let clock = ProbClock::from_vector(Timestamp::from_entries(local.clone()));
             let from_zero = clock.deliverability_gap(&stamp, &keys);
-            prop_assert_eq!(from_zero, reference_gap(&local, &remote, &keys, 0));
+            prop_assert_eq!(from_zero, expected_gap(&local, &remote, &f_j, 0));
             prop_assert_eq!(clock.deliverability_gap_from(&stamp, &keys, resume), from_zero);
-            let all: Vec<(usize, u64)> = clock.blocked_entries(&stamp, &keys);
-            prop_assert_eq!(all.first().copied(), match from_zero {
-                Gap::Blocked { entry, required } => Some((entry, required)),
-                _ => None,
-            });
             let Gap::Blocked { entry, required } = from_zero else { break };
             prop_assert!(entry >= resume, "the first blocked entry moved left");
             resume = entry;

@@ -165,12 +165,6 @@ impl SimConfig {
         self.aggregate_rate_per_sec() * self.latency_mean_ms / 1000.0
     }
 
-    /// Expected number of messages sent during the measured window.
-    #[must_use]
-    pub fn expected_messages(&self) -> f64 {
-        self.aggregate_rate_per_sec() * (self.duration_ms - self.warmup_ms) / 1000.0
-    }
-
     /// Validates parameter sanity.
     ///
     /// # Errors
@@ -277,12 +271,5 @@ mod tests {
             ..ok
         };
         assert!(loss_on_gossip.validate().is_err());
-    }
-
-    #[test]
-    fn expected_messages_counts_window() {
-        let c = SimConfig::default();
-        // 200 msg/s for 19 measured seconds.
-        assert!((c.expected_messages() - 3800.0).abs() < 1e-9);
     }
 }

@@ -58,7 +58,7 @@ pub use export::{
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkFaults};
 pub use metrics::RunMetrics;
 pub use oracle::{EpsilonEstimator, EpsilonOutcome, ExactChecker, StreamOracle, StreamViolation};
-pub use report::{render_csv, render_latency_table, render_table};
+pub use report::{render_csv, render_table};
 pub use runner::{
     chaos_config, chaos_run, chaos_run_vector, churn_config, epsilon_validation, figure3,
     figure3_defaults, figure4, figure4_defaults, figure5, figure5_defaults, figure6,

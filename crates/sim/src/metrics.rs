@@ -143,16 +143,6 @@ impl RunMetrics {
         ratio(self.control_bytes, self.sent)
     }
 
-    /// Simulated deliveries per wall-clock second (throughput diagnostic).
-    #[must_use]
-    pub fn deliveries_per_wall_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.deliveries as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-
     /// Folds another run's counters into this one — used to aggregate
     /// replications of the same configuration under different seeds.
     pub fn merge(&mut self, other: &RunMetrics) {
@@ -237,6 +227,5 @@ mod tests {
         let m = RunMetrics::default();
         assert_eq!(m.violation_rate(), 0.0);
         assert_eq!(m.control_bytes_per_message(), 0.0);
-        assert_eq!(m.deliveries_per_wall_sec(), 0.0);
     }
 }

@@ -38,46 +38,6 @@ pub fn render_table(
     out
 }
 
-/// Renders the latency distributions of sweep points: one row per point
-/// with p50/p90/p99/max of end-to-end delay and pending-queue blocking,
-/// from the log-bucketed histograms in `RunMetrics`.
-///
-/// `label` names the swept axis and `axis` extracts its display value.
-#[must_use]
-pub fn render_latency_table(
-    title: &str,
-    label: &str,
-    points: &[SweepPoint],
-    axis: impl Fn(&SweepPoint) -> String,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# {title} — latency quantiles (ms)");
-    let _ = writeln!(
-        out,
-        "{label:>10} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "K", "dly_p50", "dly_p90", "dly_p99", "dly_max", "blk_p50", "blk_p90", "blk_p99", "blk_max"
-    );
-    for p in points {
-        let d = &p.metrics.delay_ms;
-        let b = &p.metrics.blocking_ms;
-        let _ = writeln!(
-            out,
-            "{:>10} {:>8} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
-            axis(p),
-            p.k,
-            d.p50(),
-            d.p90(),
-            d.p99(),
-            d.max(),
-            b.p50(),
-            b.p90(),
-            b.p99(),
-            b.max(),
-        );
-    }
-    out
-}
-
 /// Renders sweep points as CSV with a fixed header.
 #[must_use]
 pub fn render_csv(points: &[SweepPoint]) -> String {
@@ -190,36 +150,12 @@ mod tests {
     }
 
     #[test]
-    fn latency_table_golden() {
-        let table = render_latency_table("Demo", "N", &[fixed_point()], |p| p.n.to_string());
-        let mut lines = table.lines();
-        assert_eq!(lines.next().unwrap(), "# Demo — latency quantiles (ms)");
-        let header = lines.next().unwrap();
-        for col in ["dly_p50", "dly_p99", "blk_p50", "blk_max"] {
-            assert!(header.contains(col), "missing column {col}");
-        }
-        let row = lines.next().unwrap();
-        let fields: Vec<&str> = row.split_whitespace().collect();
-        assert_eq!(fields.len(), 10);
-        assert_eq!(fields[0], "8");
-        assert_eq!(fields[1], "2");
-        let dly: Vec<f64> = fields[2..6].iter().map(|f| f.parse().unwrap()).collect();
-        assert!(dly.windows(2).all(|w| w[0] <= w[1]), "delay quantiles monotone: {dly:?}");
-        // blocking = delay / 4, bucket error is multiplicative, so the
-        // ratio survives rendering.
-        let blk_max: f64 = fields[9].parse().unwrap();
-        assert!((blk_max - dly[3] / 4.0).abs() < 0.5, "blk_max {blk_max} vs dly_max/4");
-    }
-
-    #[test]
     fn empty_histograms_render_as_zero() {
         let mut p = fixed_point();
         p.metrics.delay_ms = pcb_telemetry::Hist::new();
         p.metrics.blocking_ms = pcb_telemetry::Hist::new();
-        let csv = render_csv(&[p.clone()]);
+        let csv = render_csv(&[p]);
         let row: Vec<&str> = csv.lines().nth(1).unwrap().split(',').collect();
         assert_eq!(&row[12..18], &["0", "0", "0", "0", "0", "0"]);
-        let table = render_latency_table("Empty", "N", &[p], |p| p.n.to_string());
-        assert!(table.lines().count() == 3);
     }
 }

@@ -28,6 +28,11 @@
 //! blocks in `poll(2)`, never in a sleep or on one socket, and that one
 //! foreign call (`runtime::ready`) and the benchmark's counting
 //! allocator are the only `unsafe` code under `crates/*/src`.
+//!
+//! A fifth keeps the specification (`pcb_clock::spec`) apart in both
+//! directions: it names nothing of its own crate, so a bug in the tuned
+//! code cannot leak into the oracle it is tested against, and no source
+//! under `crates/*/src` calls it, so production never runs it.
 
 use std::fs;
 use std::path::Path;
@@ -316,6 +321,21 @@ fn one_codec_per_artefact() {
         offences.is_empty(),
         "one codec per artefact — decode through pcb_telemetry::json and \
          pcb_broadcast::wire::take_uvar, and give each format one version:\n{}",
+        offences.join("\n")
+    );
+}
+
+#[test]
+fn the_spec_and_production_do_not_meet() {
+    const SPEC: &str = "clock/src/spec.rs";
+    let (spec, others): (Vec<_>, Vec<_>) =
+        workspace_sources().into_iter().partition(|(path, _)| path == SPEC);
+    assert_eq!(spec.len(), 1, "the guard lost {SPEC}");
+    let mut offences = mentions(&spec, &["crate::", "super::"]);
+    offences.extend(mentions(&others, &["spec::"]));
+    assert!(
+        offences.is_empty(),
+        "the specification must use only std, and only tests and benches may call it:\n{}",
         offences.join("\n")
     );
 }

@@ -9,10 +9,6 @@
 //! running sum, so results are bit-deterministic for a given sample
 //! sequence and [`Hist::merge`] is exact (element-wise bucket addition).
 //!
-//! The accessor surface is a superset of the `Welford` accumulator it
-//! replaces (`push`/`count`/`mean`/`min`/`max`/`merge`), so call sites
-//! only change where they want quantiles.
-//!
 //! ```
 //! use pcb_telemetry::Hist;
 //! let mut h = Hist::new();

@@ -82,13 +82,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arrival = [m3, m2, m1];
 
     println!("== Replica applying in raw arrival order (no causal broadcast) ==");
-    let mut naive = Document::default();
+    let mut unordered = Document::default();
     for m in &arrival {
         let (parent, text) = m.payload();
-        naive.apply(parent, text);
+        unordered.apply(parent, text);
     }
-    print!("{}", naive.show());
-    assert!(!naive.orphans.is_empty(), "raw order must corrupt the document");
+    print!("{}", unordered.show());
+    assert!(!unordered.orphans.is_empty(), "raw order must corrupt the document");
 
     println!();
     println!("== Replica applying through probabilistic causal broadcast ==");

@@ -1,14 +1,22 @@
 #!/usr/bin/env bash
-# Mutation check of the restart path. Each file under
-# scripts/mutants/restart/ is a one-line mutant of the code a restarted
-# node runs: booting from its state directory, persisting, the WAL and
-# snapshot codecs, the endpoint's resume and restore. The script copies
-# the working tree into SCRATCH_DIR, applies one mutant at a time, and
-# runs the certification harness (`runtime/tests/equivalence.rs`) on it,
-# then, for a mutant the harness misses, the runtime crate's unit tests.
-# It never touches the tree it runs from.
+# Mutation check. Each file under scripts/mutants/SET/ is a one-line
+# mutant; the script copies the working tree into SCRATCH_DIR, applies
+# one mutant at a time, and runs the set's suites on it in order until
+# one fails. It never touches the tree it runs from.
 #
-#   scripts/mutants.sh SCRATCH_DIR
+#   scripts/mutants.sh restart SCRATCH_DIR
+#   scripts/mutants.sh core SCRATCH_DIR
+#
+# restart  mutants of the code a restarted node runs: booting from its
+#          state directory, persisting, the WAL and snapshot codecs, the
+#          endpoint's resume and restore. Suites: the certification
+#          harness (`runtime/tests/equivalence.rs`), then the runtime
+#          crate's unit tests.
+# core     mutants of the protocol core: the Algorithm 1 stamp, the
+#          Algorithm 2 guard kernel and record rule, Algorithm 3's
+#          unranking, the Algorithm 4/5 detectors and the wake-up index.
+#          Suites: the four that compare the core with the specification
+#          (`pcb_clock::spec`), then every clock and broadcast test.
 #
 # Prints one line per mutant — which suite killed it, or `SURVIVED` —
 # and exits non-zero if any survived. The copy builds into
@@ -17,7 +25,29 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-scratch=${1:?usage: scripts/mutants.sh SCRATCH_DIR}
+usage="usage: scripts/mutants.sh restart|core SCRATCH_DIR"
+set_name=${1:?$usage}
+scratch=${2:?$usage}
+# Each suite is "label|cargo test arguments".
+case "$set_name" in
+restart)
+    suites=("equivalence|-p pcb-runtime --test equivalence" "unit tests|-p pcb-runtime --lib")
+    ;;
+core)
+    suites=(
+        "guard_equivalence|-p pcb-clock --test guard_equivalence"
+        "spec_conformance|-p pcb-clock --test spec_conformance"
+        "differential|-p pcb-broadcast --test differential"
+        "work_ratio|-p pcb-broadcast --test work_ratio"
+        "other tests|-p pcb-clock -p pcb-broadcast"
+    )
+    ;;
+*)
+    echo "$usage" >&2
+    exit 2
+    ;;
+esac
+
 mkdir -p "$scratch"
 scratch=$(cd "$scratch" && pwd)
 copy="$scratch/tree"
@@ -28,12 +58,14 @@ mkdir -p "$copy"
 tar --exclude=./.git --exclude=./target --exclude=./ledger/target -cf - . | tar -xmf - -C "$copy"
 export CARGO_TARGET_DIR="$scratch/target"
 
-# Runs one suite of the runtime crate on the mutated copy. A mutant can
-# make the simulator's own record grow without bound (09 reissues stamp
-# heights); 4 GiB of address space and 15 minutes end such a run as a
-# failure instead of taking the host's memory.
+# Runs one suite on the mutated copy. A mutant can make the simulator's
+# own record grow without bound (restart 09 reissues stamp heights);
+# 4 GiB of address space and 15 minutes end such a run as a failure
+# instead of taking the host's memory.
 suite() {
-    local args=(cargo test --release --offline -q -p pcb-runtime "$@")
+    local args
+    read -ra args <<<"$1"
+    args=(cargo test --release --offline -q "${args[@]}")
     if ! (cd "$copy" && "${args[@]}" --no-run) >>"$log" 2>&1; then
         echo "$name does not build: see $log" >&2
         exit 2
@@ -42,19 +74,20 @@ suite() {
 }
 
 survived=0
-for mutant in scripts/mutants/restart/*.patch; do
+for mutant in scripts/mutants/"$set_name"/*.patch; do
     name=$(basename "$mutant" .patch)
     log="$scratch/$name.log"
     : >"$log"
     patch -s -p1 -d "$copy" <"$mutant"
-    if ! suite --test equivalence; then
-        echo "killed by equivalence  $name"
-    elif ! suite --lib; then
-        echo "killed by unit tests   $name"
-    else
-        echo "SURVIVED               $name"
-        survived=$((survived + 1))
-    fi
+    verdict="SURVIVED            "
+    for entry in "${suites[@]}"; do
+        if ! suite "${entry#*|}"; then
+            verdict=$(printf 'killed by %-18s' "${entry%%|*}")
+            break
+        fi
+    done
+    echo "$verdict $name"
+    [[ "$verdict" == SURVIVED* ]] && survived=$((survived + 1))
     patch -s -R -p1 -d "$copy" <"$mutant"
 done
 [[ "$survived" -eq 0 ]]
