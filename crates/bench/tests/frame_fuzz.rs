@@ -2,16 +2,20 @@
 //! and snapshot decoders. The slice cursor bounds every count by the bytes
 //! left before anything is sized by it, so a body that announces four
 //! billion stamp entries, delta changes, dedup windows or stored messages
-//! — or whose tail is noise — must be refused or read without claiming
-//! memory its few bytes never paid for.
+//! — or whose tail is noise, or whose Rice-coded change list runs on or
+//! stops short — must be refused or read without claiming memory its few
+//! bytes never paid for.
 
 use bytes::Bytes;
 use pcb_bench::alloc::{counted, CountingAlloc};
 use pcb_broadcast::wire::checksum64;
+use std::sync::Arc;
+
 use pcb_broadcast::{
-    decode, decode_snapshot, encode_snapshot, DeltaDecoder, DeltaEncoder, MessageStore, PcbProcess,
+    decode, decode_snapshot, encode_snapshot, DeltaDecoder, DeltaEncoder, Message, MessageId,
+    MessageStore, PcbProcess,
 };
-use pcb_clock::{KeySet, KeySpace, ProcessId};
+use pcb_clock::{KeySet, KeySpace, ProcessId, Timestamp};
 use proptest::prelude::*;
 
 #[global_allocator]
@@ -30,6 +34,33 @@ fn resealed(body: &[u8]) -> Bytes {
     let mut out = body.to_vec();
     out.extend_from_slice(&checksum64(body).to_le_bytes());
     Bytes::from(out)
+}
+
+/// A full frame of sender 7 with every entry at 0, and a delta on it
+/// that raises all 16 entries by up to `2^scale`: a change list with a
+/// remainder in every field and quotients of every length.
+fn rice_artefacts(seed: u64, scale: u32) -> (Bytes, Bytes) {
+    let space = KeySpace::new(16, 1).expect("valid space");
+    let keys = Arc::new(KeySet::from_entries(space, &[0]).expect("keys"));
+    let message = |seq: u64, entries: Vec<u64>| {
+        Message::new(
+            MessageId::new(ProcessId::new(7), seq),
+            Arc::clone(&keys),
+            Timestamp::from_entries(entries),
+            Bytes::new(),
+        )
+    };
+    let mut state = seed | 1;
+    let rises = (0..16)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            1 + (state >> (64 - scale))
+        })
+        .collect();
+    let mut encoder = DeltaEncoder::new(64);
+    (encoder.encode(&message(1, vec![0; 16])), encoder.encode(&message(2, rises)))
 }
 
 /// A full frame, a delta on it, and a snapshot holding both messages.
@@ -107,6 +138,24 @@ proptest! {
             let prefix = &body[..keep % (body.len() + 1)];
             let verdict = check(what, &resealed(&[prefix, &noise].concat()));
             prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
+        // A Rice change list of every shape behind a real delta header:
+        // the real list, then noise, a unary run of zeros to the end, and
+        // all ones (every quotient and parameter 0), each from any byte
+        // of the list on.
+        let (full, delta) = rice_artefacts(keep as u64, 1 + keep as u32 % 60);
+        let mut primed = DeltaDecoder::new();
+        primed.decode(full).expect("own full frame decodes");
+        primed.clone().decode(delta.clone()).expect("own delta decodes");
+        let body = &delta[..delta.len() - 8];
+        // 06 01 | sender | seq | back | count: the list starts at byte 6.
+        for at in 6..body.len() {
+            for tail in [&noise[..], &[0x00; 64][..], &[0xff; 64][..]] {
+                let forged = resealed(&[&body[..at], tail].concat());
+                let mut decoder = primed.clone();
+                let verdict = within_ceiling("rice", &forged, move |frame| decoder.decode(frame));
+                prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+            }
         }
     }
 }

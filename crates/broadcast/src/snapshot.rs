@@ -85,9 +85,10 @@ pub struct ProcessSnapshot<P> {
 }
 
 /// The blob format. Bytes 1 (wire-v2 frames, no cluster tail), 2 (the
-/// tail only while the config plane was active) and 3 (wire-v3 frames in
-/// the store) are retired and refuse as [`WireError::BadVersion`].
-const BLOB_VERSION: u8 = 4;
+/// tail only while the config plane was active), 3 (wire-v3 frames in
+/// the store) and 4 (wire-v5 frames) are retired and refuse as
+/// [`WireError::BadVersion`].
+const BLOB_VERSION: u8 = 5;
 /// The one flag bit: a `recent_window` follows. Any other set bit refuses.
 const FLAG_RECENT_WINDOW: u8 = 0b100;
 
@@ -365,7 +366,7 @@ mod tests {
     fn retired_versions_refuse_before_the_checksum() {
         let (b, store) = populated();
         let blob = encode_snapshot(&b.snapshot(&store));
-        for version in [1u8, 2, 3] {
+        for version in [1u8, 2, 3, 4] {
             let mut old = blob.to_vec();
             old[0] = version;
             let err = decode_snapshot(Bytes::from(old)).unwrap_err();

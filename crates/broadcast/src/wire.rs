@@ -5,7 +5,7 @@
 //! frame layout, in two kinds:
 //!
 //! ```text
-//! u8 5 | uvar tag | body | u64 checksum      tag = config_epoch · 2 + kind
+//! u8 6 | uvar tag | body | u64 checksum      tag = config_epoch · 2 + kind
 //!
 //! full body (kind 0): standalone, self-describing
 //!   uvar sender | uvar seq | uvar R | uvar K
@@ -15,22 +15,32 @@
 //!
 //! delta body (kind 1): relative to the sender's frame `base_seq = seq − back`
 //!   uvar sender | uvar seq | uvar back | uvar count   -- 1 ≤ back ≤ seq
-//!   change × count                        -- one byte each, below
+//!   change list, when count > 0           -- bits, below
 //!   uvar payload_len, payload
 //!
-//! change: u8 (increase − 1) << 5 | gap    -- gap = entries skipped since
-//!   [uvar gap − 31]                       --   the last change; only when
-//!   [uvar increase − 8]                   --   its field is all ones
+//! change list: bits, low bit of each byte first, zero-padded to a byte.
+//! Change i has a gap g_i (entries skipped since the previous change)
+//! and a rise r_i (its increase − 1), each Golomb–Rice coded:
+//!   unary k_gap | unary k_rise            -- ⌊log2 mean⌋ of this frame's
+//!                                         --   gaps / rises, 0 below 1
+//!   count × (g_i mod 2^k_gap : k_gap bits | r_i mod 2^k_rise : k_rise bits)
+//!   count × (unary g_i >> k_gap | unary r_i >> k_rise)
+//! unary q: q zeros, then a one
 //! ```
 //!
 //! The checksum is [`checksum64`] over every preceding byte. With fresh
 //! clocks a full frame's stamp costs ~1 byte per entry, approaching the
 //! paper's "few integer timestamps"; entries grow logarithmically with
 //! traffic. Decoding recomputes the key set from `set_id` via Algorithm 3.
-//! A delta's change costs one byte while the gap is below 31 and the
-//! increase at most 7, which is nearly every change of a live chain: the
-//! sender's own `K` entries grow by one per send, and what it delivered in
-//! between by one per delivery.
+//! A delta's change list costs what its changes carry: the Rice
+//! parameters follow each frame's own mean gap and rise, so a live chain
+//! — the sender's own `K` entries up by one per send, what it delivered
+//! in between by one per delivery — pays five to six bits a change at
+//! 28 changes in `R = 100`, and a chain whose entries rise by 8 or more
+//! between sends pays a few bits more, not an escape varint per change.
+//! The remainders sit at fixed offsets and the quotients in one bit
+//! vector, so the decoder reads the quotients by set-bit iteration, a
+//! word at a time, instead of bit by bit.
 //!
 //! A *delta* exists because Algorithm 1 changes only the sender's `K`
 //! entries between consecutive sends (plus whatever its delivery rule
@@ -45,7 +55,7 @@
 //! those), which is also how late joiners bootstrap. [`DeltaEncoder`]
 //! emits a full frame periodically and whenever a delta could be larger
 //! or the stamp or sequence number regressed (e.g. after a
-//! crash-restore). Version bytes 2, 3 and 4 are retired layouts and
+//! crash-restore). Version bytes 2, 3, 4 and 5 are retired layouts and
 //! refuse as [`WireError::BadVersion`].
 //!
 //! The tag's *config epoch* names the `(R, K)` configuration the stamp was
@@ -77,15 +87,10 @@ use pcb_clock::{KeySet, KeySpace, ProcessId, StampPool, Timestamp};
 use crate::idmap::IdMap;
 use crate::message::{Message, MessageId};
 
-const FRAME_VERSION: u8 = 5;
+const FRAME_VERSION: u8 = 6;
 const KIND_FULL: u64 = 0;
 const KIND_DELTA: u64 = 1;
 const CHECKSUM_LEN: usize = 8;
-/// A change byte's low five bits: the gap, or all ones for `31 + uvar`.
-const GAP_FIELD: u8 = 0x1f;
-/// A change byte's high three bits: `increase − 1`, or all ones for
-/// `7 + uvar`.
-const RISE_FIELD: u8 = 0x07;
 
 /// Errors decoding a wire frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -429,29 +434,366 @@ fn delta_header(cur: &mut &[u8]) -> Result<(usize, u64, u64), WireError> {
     Ok((sender, seq, seq - back))
 }
 
-/// Appends one change: `gap` entries skipped since the previous change,
-/// the entry grown by `increase ≥ 1`. One byte unless a field escapes.
-fn put_change(buf: &mut BytesMut, gap: u64, increase: u64) {
-    let gap_field = gap.min(u64::from(GAP_FIELD));
-    let rise_field = (increase - 1).min(u64::from(RISE_FIELD));
-    buf.put_u8((rise_field << 5 | gap_field) as u8);
-    if gap_field == u64::from(GAP_FIELD) {
-        put_uvar(buf, gap - gap_field);
+/// The largest Rice parameter: a value's remainder is at most a `u64`'s
+/// 64 bits less one, since a parameter is `⌊log2 mean⌋` of `u64`s.
+const MAX_PARAMETER: u64 = 63;
+
+/// The Rice parameter of values summing to `sum` over `count > 0` of
+/// them: `⌊log2 mean⌋`, or 0 when the mean is below 1 — the largest `k`
+/// with `count · 2^k ≤ sum`, found without a 128-bit division. Below 64,
+/// since every value fits a `u64`.
+fn rice_parameter(sum: u128, count: usize) -> u32 {
+    let count = count as u128;
+    if sum < count {
+        return 0;
     }
-    if rise_field == u64::from(RISE_FIELD) {
-        put_uvar(buf, increase - 1 - rise_field);
+    let k = sum.ilog2() - count.ilog2();
+    if count << k > sum {
+        k - 1
+    } else {
+        k
     }
 }
 
-/// A change byte's field read in full: below all ones it is the value,
-/// at all ones a varint carrying the excess follows. `None` when the sum
-/// does not fit a `u64`.
-#[inline]
-fn field_value(field: u8, all_ones: u8, cur: &mut &[u8]) -> Result<Option<u64>, WireError> {
-    if field < all_ones {
-        return Ok(Some(u64::from(field)));
+/// Writes bits low first into zeroed bytes, a register's worth at a time,
+/// so no byte is read back while a write to it is still in flight.
+struct BitSink<'a> {
+    out: &'a mut [u8],
+    /// Bytes written out so far, eight at a time.
+    done: usize,
+    /// The `len < 64` bits not yet written out.
+    acc: u64,
+    len: u32,
+}
+
+impl<'a> BitSink<'a> {
+    fn new(out: &'a mut [u8]) -> Self {
+        Self { out, done: 0, acc: 0, len: 0 }
     }
-    Ok(take_uvar(cur)?.checked_add(u64::from(all_ones)))
+
+    /// Appends the `width ≤ ONE_LOAD_BITS` low bits of `value`; any bit
+    /// above them must be clear.
+    #[inline]
+    fn put(&mut self, value: u64, width: u32) {
+        self.acc |= value << self.len;
+        self.len += width;
+        if self.len >= 64 {
+            self.flush_word();
+            self.len -= 64;
+            // The bits the shift above pushed out of the register.
+            self.acc = value >> (width - self.len);
+        }
+    }
+
+    /// Appends `q` zeros.
+    #[inline]
+    fn skip(&mut self, q: u64) {
+        let mut left = q;
+        while u64::from(self.len) + left >= 64 {
+            left -= u64::from(64 - self.len);
+            self.flush_word();
+            self.acc = 0;
+            self.len = 0;
+        }
+        self.len += left as u32;
+    }
+
+    fn flush_word(&mut self) {
+        self.out[self.done..self.done + 8].copy_from_slice(&self.acc.to_le_bytes());
+        self.done += 8;
+    }
+
+    /// Writes out the last bits; returns the bytes the stream took.
+    fn finish(self) -> usize {
+        let tail = self.len.div_ceil(8) as usize;
+        self.out[self.done..self.done + tail].copy_from_slice(&self.acc.to_le_bytes()[..tail]);
+        self.done + tail
+    }
+}
+
+/// Appends the change list of `changed`, `(index, increase ≥ 1)` pairs
+/// in index order: each change's gap (entries skipped since the previous
+/// change) and rise (`increase − 1`) Golomb–Rice coded with the frame's
+/// own parameters, remainders first at fixed offsets, then every
+/// quotient in unary (module docs). Nothing for an empty list.
+fn put_changes(buf: &mut BytesMut, changed: &[(usize, u64)]) {
+    let Some(&(last, _)) = changed.last() else { return };
+    let count = changed.len();
+    // The gaps and the changes together cover entries 0..=last.
+    let gaps = (last + 1 - count) as u128;
+    let rises: u128 = changed.iter().map(|&(_, increase)| u128::from(increase - 1)).sum();
+    let (k_gap, k_rise) = (rice_parameter(gaps, count), rice_parameter(rises, count));
+    let coded = || {
+        let mut next = 0;
+        changed.iter().map(move |&(index, increase)| {
+            let gap = (index - next) as u64;
+            next = index + 1;
+            (gap, increase - 1)
+        })
+    };
+    // Each kind's quotients sum to below 2·count, since 2^(k + 1)
+    // exceeds the mean: two stop bits and four quotient bits a change
+    // bound the unary part.
+    let start = buf.len();
+    let most = (k_gap + k_rise + 2) as usize + count * (k_gap + k_rise + 6) as usize;
+    buf.resize(start + most.div_ceil(8), 0);
+    let mut bits = BitSink::new(&mut buf[start..]);
+    for k in [k_gap, k_rise] {
+        bits.skip(u64::from(k));
+        bits.put(1, 1);
+    }
+    // The low `k ≤ 63` bits of `value`.
+    let low = |value: u64, k: u32| value & ((1 << k) - 1);
+    for (gap, rise) in coded() {
+        if k_gap + k_rise <= ONE_LOAD_BITS {
+            bits.put(low(gap, k_gap) | low(rise, k_rise) << k_gap, k_gap + k_rise);
+        } else {
+            for (value, k) in [(gap, k_gap), (rise, k_rise)] {
+                let half = k.min(32);
+                bits.put(low(value, half), half);
+                bits.put(low(value, k) >> half, k - half);
+            }
+        }
+    }
+    for (gap, rise) in coded() {
+        for q in [gap >> k_gap, rise >> k_rise] {
+            bits.skip(q);
+            bits.put(1, 1);
+        }
+    }
+    let used = bits.finish();
+    buf.truncate(start + used);
+}
+
+/// The eight bytes of `bytes` from byte `from` on, little-endian; bytes
+/// past the end read as zero.
+#[inline]
+fn word_at(bytes: &[u8], from: usize) -> u64 {
+    match bytes.get(from..from + 8) {
+        Some(word) => u64::from_le_bytes(word.try_into().expect("8 bytes")),
+        // Gathered byte by byte: a call here would cost the callers'
+        // loops their registers.
+        None => bytes.iter().skip(from).rev().fold(0, |word, &byte| word << 8 | u64::from(byte)),
+    }
+}
+
+/// The widest field one [`word_at`] load always holds whole: a field
+/// starts anywhere in its first byte.
+const ONE_LOAD_BITS: u32 = 57;
+
+/// The `width ≤ 64` bits of `bytes` from bit `at` on, low bit first: one
+/// load up to `ONE_LOAD_BITS`, two past it.
+fn bits_at(bytes: &[u8], at: usize, width: u32) -> u64 {
+    let load = |at: usize, width: u32| (word_at(bytes, at / 8) >> (at % 8)) & ((1 << width) - 1);
+    if width <= ONE_LOAD_BITS {
+        load(at, width)
+    } else {
+        load(at, 32) | load(at + 32, width - 32) << 32
+    }
+}
+
+/// The unary quotients of a change list, read a 64-bit word at a time:
+/// each quotient ends at the word's lowest set bit, which is then
+/// cleared.
+struct Quotients<'a> {
+    bytes: &'a [u8],
+    /// Bit offset in `bytes` of `word`'s bit 0, a byte boundary.
+    base: usize,
+    /// The bits from `base` on that no quotient has consumed yet.
+    word: u64,
+    /// Bit offset where the next quotient's zeros start.
+    next: usize,
+}
+
+impl<'a> Quotients<'a> {
+    fn new(bytes: &'a [u8], start: usize) -> Self {
+        let base = start / 8 * 8;
+        let word = word_at(bytes, start / 8) >> (start % 8) << (start % 8);
+        Self { bytes, base, word, next: start }
+    }
+
+    /// The next quotient: the zeros up to the next set bit; `None` when
+    /// no set bit is left in `bytes`.
+    #[inline]
+    fn take(&mut self) -> Option<u64> {
+        while self.word == 0 {
+            self.base += 64;
+            if self.base >= self.bytes.len() * 8 {
+                return None;
+            }
+            self.word = word_at(self.bytes, self.base / 8);
+        }
+        let at = self.base + self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        let q = at - self.next;
+        self.next = at + 1;
+        Some(q as u64)
+    }
+
+    /// Bytes the change list took: up to its last stop bit, rounded up.
+    fn bytes_read(&self) -> usize {
+        self.next.div_ceil(8)
+    }
+}
+
+/// A delta's change list, its parameters read and its size checked
+/// against the bytes left, before any stamp is drawn for it.
+#[derive(Clone, Copy)]
+struct ChangeList {
+    count: usize,
+    k_gap: u32,
+    k_rise: u32,
+}
+
+/// Why a change list does not apply — without the allocation a
+/// [`WireError`]'s message needs, so the decode loop carries none.
+enum Refusal {
+    Truncated,
+    IncreaseOverflow,
+    PastR(u64),
+    CounterOverflow,
+}
+
+impl Refusal {
+    fn named(self, r: usize) -> WireError {
+        let bad = |why: String| WireError::BadDelta(why);
+        match self {
+            Self::Truncated => WireError::Truncated,
+            Self::IncreaseOverflow => bad("entry increase overflow".into()),
+            Self::PastR(index) => bad(format!("entry {index} past R = {r}")),
+            Self::CounterOverflow => bad("entry counter overflow".into()),
+        }
+    }
+}
+
+impl ChangeList {
+    /// Reads the parameters of `count ≤ r` changes at the front of `list`.
+    /// A gap parameter the encoder cannot have chosen — it is at most
+    /// `⌊log2 R⌋`, a mean gap being below `R` — and a list that cannot
+    /// fit the bytes left (every change takes its two remainders and two
+    /// stop bits at least) refuse.
+    fn open(list: &[u8], count: usize, r: usize) -> Result<Self, WireError> {
+        if count == 0 {
+            return Ok(Self { count, k_gap: 0, k_rise: 0 });
+        }
+        let mut params = Quotients::new(list, 0);
+        let mut parameter = || match params.take() {
+            None => Err(WireError::Truncated),
+            Some(k) if k > MAX_PARAMETER => {
+                Err(WireError::BadDelta(format!("rice parameter {k} past {MAX_PARAMETER}")))
+            }
+            Some(k) => Ok(k as u32),
+        };
+        let (k_gap, k_rise) = (parameter()?, parameter()?);
+        if 1 << k_gap > r {
+            return Err(WireError::BadDelta(format!("gap parameter {k_gap} for R = {r}")));
+        }
+        let least = (k_gap + k_rise + 2) as usize + count * (k_gap + k_rise + 2) as usize;
+        if least > list.len() * 8 {
+            return Err(WireError::Truncated);
+        }
+        Ok(Self { count, k_gap, k_rise })
+    }
+
+    /// Adds each change's increase to its entry of `entries`; returns the
+    /// bytes of `list` the changes took.
+    #[inline]
+    fn apply(self, list: &[u8], entries: &mut [u64]) -> Result<usize, Refusal> {
+        let width = (self.k_gap + self.k_rise) as usize;
+        // The last change's remainders start at bit 2 + (count − 1) · width.
+        let last_load = (2 + self.count * width) / 8 + 8;
+        if width <= ONE_LOAD_BITS as usize && last_load <= list.len() {
+            self.apply_with::<true>(list, entries)
+        } else {
+            self.apply_with::<false>(list, entries)
+        }
+    }
+
+    /// [`ChangeList::apply`], compiled once for the common list (`FAST`),
+    /// whose two remainders share one load and whose remainder block
+    /// ends at least eight bytes before the frame does, so no load runs
+    /// off the end, and once for every other list.
+    #[inline]
+    fn apply_with<const FAST: bool>(
+        self,
+        list: &[u8],
+        entries: &mut [u64],
+    ) -> Result<usize, Refusal> {
+        let Self { count, k_gap, k_rise } = self;
+        if count == 0 {
+            return Ok(0);
+        }
+        let width = (k_gap + k_rise) as usize;
+        // Remainders start behind the two parameters' unary codes.
+        let mut at = width + 2;
+        let mut unary = Quotients::new(list, at + count * width);
+        let rise_limit = u64::MAX >> k_rise;
+        let (gap_scale, rise_scale) = (1 << k_gap, 1 << k_rise);
+        // Index of the next entry a zero gap would name.
+        let mut next = 0u64;
+        // The reader's state stays in locals through the loop: a change's
+        // two stop bits are nearly always both in the word at hand, and
+        // only when they are not does the state go through `unary`, one
+        // quotient at a time. Kept in `unary` throughout, it stayed in
+        // memory and cost the loop a sixth of its time.
+        let (mut word, mut base, mut stop) = (unary.word, unary.base, unary.next);
+        let (mut ahead, mut held) = (0u64, 0usize);
+        for _ in 0..count {
+            let rest = word & word.wrapping_sub(1);
+            let (gap_q, rise_q) = if rest != 0 {
+                let gap_stop = base + word.trailing_zeros() as usize;
+                let rise_stop = base + rest.trailing_zeros() as usize;
+                word = rest & (rest - 1);
+                let pair = ((gap_stop - stop) as u64, (rise_stop - gap_stop - 1) as u64);
+                stop = rise_stop + 1;
+                pair
+            } else {
+                (unary.word, unary.base, unary.next) = (word, base, stop);
+                let pair = (unary.take(), unary.take());
+                (word, base, stop) = (unary.word, unary.base, unary.next);
+                (pair.0.ok_or(Refusal::Truncated)?, pair.1.ok_or(Refusal::Truncated)?)
+            };
+            let (gap_low, rise_low) = if FAST {
+                // Remainders are read ahead, 57 bits or more per load.
+                if held < width {
+                    let bytes = &list[at / 8..at / 8 + 8];
+                    ahead = u64::from_le_bytes(bytes.try_into().expect("8 bytes")) >> (at % 8);
+                    held = 64 - at % 8;
+                }
+                let lows = ahead & ((1 << width) - 1);
+                ahead >>= width;
+                held -= width;
+                (lows & ((1 << k_gap) - 1), lows >> k_gap)
+            } else {
+                let rise_at = at + k_gap as usize;
+                (bits_at(list, at, k_gap), bits_at(list, rise_at, k_rise))
+            };
+            at += width;
+            if rise_q > rise_limit {
+                return Err(Refusal::IncreaseOverflow);
+            }
+            // `R` is at most `KeySpace::MAX_R` = 2¹¹, and so is `2^k_gap`:
+            // with a quotient below the list's length in bits the index
+            // cannot overflow, and one past `R` is refused below.
+            let index = next + gap_q * gap_scale + gap_low;
+            let rise = rise_q * rise_scale + rise_low;
+            let Some(entry) = entries.get_mut(index as usize) else {
+                return Err(Refusal::PastR(index));
+            };
+            // `entry + rise + 1` fits a `u64` exactly when this holds.
+            if rise >= !*entry {
+                return Err(if rise == u64::MAX {
+                    Refusal::IncreaseOverflow
+                } else {
+                    Refusal::CounterOverflow
+                });
+            }
+            *entry += rise + 1;
+            next = index + 1;
+        }
+        unary.next = stop;
+        Ok(unary.bytes_read())
+    }
 }
 
 /// Per-sender stateful encoder producing delta chains.
@@ -550,9 +892,10 @@ impl Default for DeltaEncoder {
 /// not: `uvar R` and `uvar K` (a byte each at least) and the 16-byte
 /// `set_id`. Both kinds share the header, sender, seq, payload and
 /// checksum, so a delta whose `back`, `count` and change list fit in
-/// `R + FULL_FLOOR` bytes is never the larger frame. At one byte per
-/// change that holds for every delta up to all `R` entries changed; only
-/// a list heavy with escaped fields falls back.
+/// `R + FULL_FLOOR` bytes is never the larger frame. A change costs its
+/// remainders, two stop bits and its quotients — a byte or less until
+/// its rise reaches the hundreds — so deltas fit up to all `R` entries
+/// changed, and only a list of large rises falls back.
 /// `tests::delta_fallback_is_sized_against_the_full_frame` pins both
 /// sides.
 const FULL_FLOOR: usize = 18;
@@ -589,11 +932,7 @@ fn encode_delta(
     let own = buf.len();
     put_uvar(&mut buf, seq - base_seq);
     put_uvar(&mut buf, changed.len() as u64);
-    let mut next = 0;
-    for &(index, increase) in changed.iter() {
-        put_change(&mut buf, (index - next) as u64, increase);
-        next = index + 1;
-    }
+    put_changes(&mut buf, changed);
     if buf.len() - own > ts.len() + FULL_FLOOR {
         return None;
     }
@@ -729,34 +1068,13 @@ impl DeltaDecoder {
         if count > r {
             return Err(WireError::BadDelta(format!("{count} changes for R = {r}")));
         }
-        // Every change is at least one byte: a count the frame cannot
-        // hold is refused before a stamp is drawn for it.
-        if count > cur.len() {
-            return Err(WireError::Truncated);
-        }
+        let list = ChangeList::open(cur, count, r)?;
         // One copy of the base into a pooled stamp, increments applied
         // where they land; any error hands the buffer back to the pool.
         let (stamp, payload) = pool.stamp_with(r, |entries| {
             entries.copy_from_slice(base.stamp.entries());
-            // Index of the next entry a zero gap would name.
-            let mut next = 0u64;
-            for _ in 0..count {
-                let [byte] = take_array(&mut cur)?;
-                let index = field_value(byte & GAP_FIELD, GAP_FIELD, &mut cur)?
-                    .and_then(|gap| gap.checked_add(next))
-                    .ok_or_else(|| WireError::BadDelta("entry index overflow".into()))?;
-                let increase = field_value(byte >> 5, RISE_FIELD, &mut cur)?
-                    .and_then(|rise| rise.checked_add(1))
-                    .ok_or_else(|| WireError::BadDelta("entry increase overflow".into()))?;
-                let Some(entry) = usize::try_from(index).ok().and_then(|at| entries.get_mut(at))
-                else {
-                    return Err(WireError::BadDelta(format!("entry {index} past R = {r}")));
-                };
-                *entry = entry
-                    .checked_add(increase)
-                    .ok_or_else(|| WireError::BadDelta("entry counter overflow".into()))?;
-                next = index + 1;
-            }
+            let read = list.apply(cur, entries).map_err(|refusal| refusal.named(r))?;
+            cur = &cur[read..];
             take_len_prefixed(body, &mut cur)
         })?;
         base.seq = seq;
@@ -842,10 +1160,11 @@ mod tests {
     #[test]
     fn retired_versions_refuse_before_the_checksum() {
         // Bytes 2 (the old full-only frame), 3 (two varints per delta
-        // change, and `base_seq` itself) and 4 (the old epoch frame) are
-        // foreign formats now, whatever follows and however sealed.
+        // change, and `base_seq` itself), 4 (the old epoch frame) and 5
+        // (one byte per delta change) are foreign formats now, whatever
+        // follows and however sealed.
         let frame = encode_full(&sample(b"old"));
-        for version in [2u8, 3, 4] {
+        for version in [2u8, 3, 4, 5] {
             let mut old = frame.to_vec();
             old[0] = version;
             let mut resealed = BytesMut::new();
@@ -1231,16 +1550,16 @@ mod tests {
     #[test]
     fn steady_state_delta_meets_the_size_budget() {
         // Acceptance bar: amortized wire size at (R=100, K=4) steady
-        // state against the full-vector frame. It reads 0.195 with one
-        // byte per change (0.237 at two varints per change); the bar is
-        // that plus 0.03.
+        // state against the full-vector frame. It reads 0.192 with
+        // Rice-coded changes (0.195 at one byte per change, 0.237 at two
+        // varints per change); the bar is that plus 0.03.
         let originals = stream(256);
         let mut enc = DeltaEncoder::default();
         let steady = &originals[64..];
         let chain: usize = steady.iter().map(|m| enc.encode(m).len()).sum();
         let full: usize = steady.iter().map(|m| encode_full(m).len()).sum();
         let ratio = chain as f64 / full as f64;
-        assert!(ratio <= 0.225, "amortized delta ratio {ratio:.3} must be ≤ 0.225");
+        assert!(ratio <= 0.222, "amortized delta ratio {ratio:.3} must be ≤ 0.222");
     }
 
     /// Sender 3's message `seq` with an arbitrary stamp and no payload.
@@ -1271,55 +1590,126 @@ mod tests {
     }
 
     #[test]
-    fn a_change_is_one_byte_until_a_field_escapes() {
-        // 28 changes (a mesh delta's shape), gaps 0–30, increases 1–7.
+    fn a_change_list_costs_its_rice_code() {
+        // 28 changes (a mesh delta's shape): gap 30, then 27 gaps of 1
+        // (mean 2.0: k_gap 1), increases 1–7 (rises 0–6, mean 3.0:
+        // k_rise 1). 4 parameter bits, 56 remainder bits, 56 stop bits,
+        // 15 gap and 36 rise quotient bits: 167 bits, 21 bytes (28 at one
+        // byte per change).
         let mut next = vec![5u64; 100];
         for i in 0..28 {
             next[30 + 2 * i] += 1 + i as u64 % 7;
         }
-        assert_eq!(change_list_bytes(&[5; 100], &next), 28);
+        assert_eq!(change_list_bytes(&[5; 100], &next), 21);
         assert_eq!(second_frame(&[5; 100], &next).0, KIND_DELTA);
-        // 8 changes (a daemon delta's shape): 8 bytes.
+        // 8 changes (a daemon delta's shape): gaps 3 then 10 (mean 9.1:
+        // k_gap 3), every rise 0 (k_rise 0): 5 parameter bits, 3
+        // remainder and 2 stop bits a change, and a quotient bit for each
+        // gap of 10: 52 bits, 7 bytes.
         let mut next = vec![0u64; 100];
         for i in 0..8 {
             next[3 + 11 * i] = 1;
         }
-        assert_eq!(change_list_bytes(&[0; 100], &next), 8);
-        // A gap of 31 and an increase of 8 each add their escape varint;
-        // a gap of 31 + 128 takes two varint bytes.
+        assert_eq!(change_list_bytes(&[0; 100], &next), 7);
+        // One change: two parameter and two stop bits, so one byte with
+        // room for four more. Gap 2 and rise 2 (k 1 each) take 10 bits,
+        // gap 199 (k_gap 7) 19, and a rise of u64::MAX − 1 (k_rise 63,
+        // quotient 1) 131: 65 of them the parameters' unary codes.
         let one = |at: usize, by: u64| {
             let mut next = vec![0u64; 200];
             next[at] = by;
             change_list_bytes(&[0; 200], &next)
         };
-        assert_eq!([one(30, 7), one(31, 1), one(0, 8), one(31, 8), one(159, 1)], [1, 2, 2, 3, 3]);
-        // Each escape round-trips, up to the largest increase a u64 holds.
-        for (at, by) in [(31, 1), (0, 8), (31, 8), (159, 9), (199, u64::MAX)] {
+        let sizes = [one(0, 1), one(1, 1), one(2, 1), one(0, 4), one(2, 3), one(199, 1)];
+        assert_eq!(sizes, [1, 1, 1, 1, 2, 3]);
+        assert_eq!(one(0, u64::MAX), 17);
+        // Each round-trips, up to the largest increase a u64 holds, and
+        // on either side of the one-load remainder width.
+        for (at, by) in [
+            (0, 1),
+            (31, 1),
+            (0, 8),
+            (31, 8),
+            (159, 9),
+            (199, u64::MAX),
+            (0, 1 << 63),
+            (0, (1 << 63) + 1),
+            (7, 1 << 57),
+            (7, (1 << 58) + 3),
+        ] {
             let mut next = vec![0u64; 200];
             next[at] = by;
             assert_eq!(second_frame(&[0; 200], &next).0, KIND_DELTA, "{at} by {by}");
         }
     }
 
+    /// Sender 0 of `n` over (100, 4), delivering `n − 1` messages of
+    /// random other senders before each of its `sends` sends, through a
+    /// default `DeltaEncoder` and back: (full frames, deltas, bytes of
+    /// change list in all the deltas).
+    fn density(n: usize, sends: usize) -> (u64, u64, usize) {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let space = KeySpace::new(100, 4).unwrap();
+        let mut assigner = KeyAssigner::new(space, AssignmentPolicy::UniformRandom, n as u64);
+        let mut procs: Vec<crate::PcbProcess<Bytes>> = (0..n)
+            .map(|i| crate::PcbProcess::new(ProcessId::new(i), assigner.next_set().unwrap()))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let (mut encoder, mut decoder) = (DeltaEncoder::default(), DeltaDecoder::new());
+        let mut list_bytes = 0;
+        for _ in 0..sends {
+            for _ in 1..n {
+                let m = procs[rng.random_range(1..n)].broadcast(Bytes::new());
+                let _ = procs[0].on_receive(m, 0);
+            }
+            let m = procs[0].broadcast(Bytes::new());
+            let frame = encoder.encode(&m);
+            assert_same(&decoder.decode(frame.clone()).unwrap(), &m);
+            if kind(&frame) == KIND_DELTA {
+                // Behind the header: the list, `uvar 0` (the payload
+                // length) and the checksum.
+                let mut cur = &frame[1..];
+                for _ in 0..5 {
+                    take_uvar(&mut cur).unwrap();
+                }
+                list_bytes += cur.len() - 1 - CHECKSUM_LEN;
+            }
+        }
+        (encoder.fulls_emitted(), encoder.deltas_emitted(), list_bytes)
+    }
+
+    #[test]
+    fn change_lists_follow_the_density_of_their_changes() {
+        // Bytes of change list per delta, by senders: 8.2 at 3, 20.6 at
+        // 16 and 68.0 at 200; one byte per change took 9.7 and 34.3, and
+        // at 200 a full frame every time (203 B a frame against 86 B
+        // now): most entries rise by 8 or more between two sends, and
+        // each such rise cost an escape varint.
+        for (n, list_bytes) in [(3, 510), (16, 1275), (200, 4214)] {
+            assert_eq!(density(n, 64), (2, 62, list_bytes), "{n} senders");
+        }
+    }
+
     #[test]
     fn delta_fallback_is_sized_against_the_full_frame() {
-        // At one byte per change, even a delta with every entry changed
-        // is shorter than the full frame, so it goes out as a delta
-        // (the old rule sent a full frame past R / 2 changes).
+        // Every entry of R = 100 up by one: 2 + 100 · 2 bits, 26 bytes
+        // of changes against the full frame's 100 of entries alone.
         let (kind_all, delta_len, full_len) = second_frame(&[0; 100], &[1; 100]);
         assert_eq!(kind_all, KIND_DELTA);
-        assert!(delta_len < full_len, "{delta_len} B against {full_len} B");
-        // R = 16, every entry up by 8 (an escape each): back, count and
-        // changes fill exactly R + FULL_FLOOR = 34 bytes, the full
-        // frame's floor, and the delta is no longer than the full frame.
-        let (kind_at, delta_len, full_len) = second_frame(&[0; 16], &[8; 16]);
+        assert_eq!(full_len - delta_len, 100 + 18 - 2 - 26);
+        // R = 16, every entry up by 2¹² + 1: rises 2¹² (k_rise 12,
+        // quotient 1), gaps 0: 14 + 16 · 15 bits, 32 bytes. With `back`
+        // and `count` that is R + FULL_FLOOR = 34 bytes exactly, so the
+        // delta still goes out, shorter than its full frame (whose
+        // entries take two bytes each).
+        let (kind_at, delta_len, full_len) = second_frame(&[0; 16], &[4097; 16]);
         assert_eq!(kind_at, KIND_DELTA);
-        assert_eq!(delta_len, full_len, "at the floor the two frames tie");
-        // One byte more — an increase needing a two-byte escape — and the
-        // delta could outgrow the full frame: it falls back.
-        let mut over = [8u64; 16];
-        over[0] = 8 + 128;
-        assert_eq!(second_frame(&[0; 16], &over).0, KIND_FULL);
+        assert_eq!(full_len - delta_len, 16 + 18 + 16 - 34);
+        // Up by 2¹³ + 1: one more remainder bit a change, 34 bytes of
+        // changes, and the delta could outgrow the full frame: it falls
+        // back.
+        assert_eq!(second_frame(&[0; 16], &[8193; 16]).0, KIND_FULL);
         // A sequence number not past the base falls back too: a delta
         // can only point backwards.
         let mut encoder = DeltaEncoder::new(1000);
@@ -1340,7 +1730,9 @@ mod tests {
         let forged = |seq: u64, back: u64| {
             let mut buf = BytesMut::new();
             put_header(&mut buf, 0, KIND_DELTA);
-            buf.put_slice(&[3, seq as u8, back as u8, 1, 0x20, 0]);
+            // One change: parameters 0 and 0 (bits 0 and 1), then gap 0
+            // (bit 2) and rise 1 (a zero, bit 4): entry 0 up by 2.
+            buf.put_slice(&[3, seq as u8, back as u8, 1, 0x17, 0]);
             seal(buf)
         };
         for (seq, back) in [(4, 0), (4, 5), (0, 1)] {

@@ -211,6 +211,46 @@ proptest! {
         prop_assert!(encoder.fulls_emitted() >= 1);
     }
 
+    /// Any change set round-trips: a base of up to 2 000 entries of any
+    /// size, any share of them changed, each by up to `u64::MAX − base`
+    /// (with the largest increase drawn below `2^scale`, so small and huge
+    /// Rice parameters both come up). The frame the encoder picks is never
+    /// longer than the message's full frame.
+    #[test]
+    fn any_change_set_roundtrips_and_never_outgrows_its_full_frame(
+        r in 1usize..=2000,
+        seed in any::<u64>(),
+        percent in 0u64..=100,
+        scale in 1u32..=64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let space = KeySpace::new(r, 1).unwrap();
+        let keys = Arc::new(KeySet::from_entries(space, &[0]).unwrap());
+        let base: Vec<u64> =
+            (0..r).map(|_| rng.random::<u64>() >> rng.random_range(0..=64u32).min(63)).collect();
+        let next: Vec<u64> = base
+            .iter()
+            .map(|&old| {
+                let room = (u64::MAX - old).min(u64::MAX >> (64 - scale));
+                if room == 0 || rng.random_range(0..100u64) >= percent {
+                    old
+                } else {
+                    old + rng.random_range(1..=room)
+                }
+            })
+            .collect();
+        let mut encoder = DeltaEncoder::new(u64::MAX);
+        let mut decoder = DeltaDecoder::new();
+        for (seq, entries) in [(1, base), (2, next)] {
+            let m = raw_message(5, seq, entries, &keys);
+            let frame = encoder.encode(&m);
+            let full = wire::encode_full(&m);
+            prop_assert!(frame.len() <= full.len(), "{} B against {} B", frame.len(), full.len());
+            let back = decoder.decode(frame).expect("in-order chain always decodes");
+            prop_assert_eq!(wire::encode_full(&back), full);
+        }
+    }
+
     /// A decoder joining the chain late decodes nothing until a full
     /// frame arrives, then tracks the stream exactly.
     #[test]

@@ -186,42 +186,44 @@ fn golden_messages(epoch: u64) -> Vec<Message<Bytes>> {
 }
 
 const GOLDEN_FULL: &str =
-    "0500030208020a000000000000000000000000000000000200ac020002000003706362354d4d7cfb4114f3";
+    "0600030208020a000000000000000000000000000000000200ac0200020000037063625c6241c343e97a05";
 /// `DeltaEncoder::new(32)` over the three messages: full, delta, delta.
-/// The first delta's changes read `01 e1 a4 02 01`: entry 1 up by 1, then
-/// entry 3 up by 300 (gap 1, increase field all ones, varint 292), then
-/// entry 5 up by 1; the second's `01 03 01`: entries 1, 5 and 7 up by 1.
+/// The first delta's change list reads `81 c0 0a 58 68`, low bit first:
+/// parameters `1` (k_gap 0) and `0000001` (k_rise 6); remainders
+/// `000000`, `110101` (299 mod 64 = 43) and `000000`; quotients `01 1`,
+/// `01 00001` (299 >> 6 = 4) and `01 1`: entries 1, 3 and 5 up by 1, 300
+/// and 1. The second's `1b 1b`: parameters `1 1`, quotients `01 1`,
+/// `0001 1` and `01 1`: entries 1, 5 and 7 up by 1.
 const GOLDEN_CHAIN: [&str; 3] = [
+    "0600030108020a000000000000000000000000000000000100000001000001611ab54987a0dcd264",
+    "06010302010381c00a58680370636200007a542dd67ddf",
+    "0601030301031b1b000391ab166c99d4fc",
+];
+/// The same chain at config epoch 7: tags 14 (full) and 15 (delta).
+const GOLDEN_CHAIN_EPOCH7: [&str; 3] = [
+    "060e030108020a00000000000000000000000000000000010000000100000161faf298323959361f",
+    "060f0302010381c00a5868037063628ccd2b6e96ab65d5",
+    "060f030301031b1b00242861abe3a3be2b",
+];
+/// A mid-reconfiguration snapshot: epoch 1 in force, the epoch-0 drain
+/// state kept, one stored message from each epoch.
+const GOLDEN_SNAPSHOT: &str = "05030c020a00000000000000000000000000000004fa01030c000300ac0200030001000000000201020204060303000304010002058827020a280600030108020a000000000000000000000000000000000100000001000001611ab54987a0dcd264142b0602030208020a000000000000000000000000000000000200ac020002000003706362e44c37e1b1001b1f0100010008020a00000000000000000000000000000008000300ac02000300011501c9f7504b93fa";
+
+/// The same artefacts as the version-5 codec wrote them (one byte per
+/// delta change): every one refuses by its version.
+const V5_FULL: &str =
+    "0500030208020a000000000000000000000000000000000200ac020002000003706362354d4d7cfb4114f3";
+const V5_CHAIN: [&str; 3] = [
     "0500030108020a00000000000000000000000000000000010000000100000161109f4a78cb635d69",
     "05010302010301e1a4020103706362f72ea760302311de",
     "0501030301030103010089b500c9c3ce5d63",
 ];
-/// The same chain at config epoch 7: tags 14 (full) and 15 (delta), each
-/// frame one byte shorter than the retired `04 kind 07` header made it.
-const GOLDEN_CHAIN_EPOCH7: [&str; 3] = [
+const V5_CHAIN_EPOCH7: [&str; 3] = [
     "050e030108020a00000000000000000000000000000000010000000100000161a49ce02e7916738c",
     "050f0302010301e1a4020103706362bc40694f0ba13a29",
     "050f0303010301030100f70169fe5af72b32",
 ];
-/// A mid-reconfiguration snapshot: epoch 1 in force, the epoch-0 drain
-/// state kept, one stored message from each epoch.
-const GOLDEN_SNAPSHOT: &str = "04030c020a00000000000000000000000000000004fa01030c000300ac0200030001000000000201020204060303000304010002058827020a280500030108020a00000000000000000000000000000000010000000100000161109f4a78cb635d69142b0502030208020a000000000000000000000000000000000200ac0200020000037063625fd2991e5bbf4cdb0100010008020a00000000000000000000000000000008000300ac0200030001fe8c4002bcb2d3c7";
-
-/// The same artefacts as the version-3 codec wrote them (two varints per
-/// delta change, `base_seq` itself): every one refuses by its version.
-const V3_FULL: &str =
-    "0300030208020a000000000000000000000000000000000200ac02000200000370636234dfa12c095823f9";
-const V3_CHAIN: [&str; 3] = [
-    "0300030108020a00000000000000000000000000000000010000000100000161c40f3b1f4c47ad03",
-    "030103020103010101ac02010103706362774b23b71cc02315",
-    "03010303020301010301010100aa1408e2b830bb53",
-];
-const V3_CHAIN_EPOCH7: [&str; 3] = [
-    "030e030108020a000000000000000000000000000000000100000001000001614a9a9d38baf174a5",
-    "030f03020103010101ac020101037063623a514b8a25a35a78",
-    "030f0303020301010301010100128209c79058d3a6",
-];
-const V3_SNAPSHOT: &str = "03030c020a00000000000000000000000000000004fa01030c000300ac0200030001000000000201020204060303000304010002058827020a280300030108020a00000000000000000000000000000000010000000100000161c40f3b1f4c47ad03142b0302030208020a000000000000000000000000000000000200ac0200020000037063628085e2f16e4a56a40100010008020a00000000000000000000000000000008000300ac0200030001b3c8059049f1d8f7";
+const V5_SNAPSHOT: &str = "04030c020a00000000000000000000000000000004fa01030c000300ac0200030001000000000201020204060303000304010002058827020a280500030108020a00000000000000000000000000000000010000000100000161109f4a78cb635d69142b0502030208020a000000000000000000000000000000000200ac0200020000037063625fd2991e5bbf4cdb0100010008020a00000000000000000000000000000008000300ac0200030001fe8c4002bcb2d3c7";
 
 fn golden_snapshot() -> ProcessSnapshot<Bytes> {
     let space = KeySpace::new(8, 2).unwrap();
@@ -259,18 +261,42 @@ fn assert_is(got: &Message<Bytes>, want: &Message<Bytes>) {
     assert_eq!(got.payload(), want.payload());
 }
 
+/// A change list written field by field, low bit first: `(value, width)`
+/// pairs, each value below `2^width`.
+fn bits(fields: &[(u64, u32)]) -> Vec<u8> {
+    let (mut out, mut acc, mut len) = (Vec::new(), 0u128, 0);
+    for &(value, width) in fields {
+        acc |= u128::from(value) << len;
+        len += width;
+        while len >= 8 {
+            out.push(acc as u8);
+            acc >>= 8;
+            len -= 8;
+        }
+    }
+    if len > 0 {
+        out.push(acc as u8);
+    }
+    out
+}
+
+/// `q ≤ 63` in unary: `q` zeros, then a one.
+fn unary(q: u32) -> (u64, u32) {
+    (1 << q, q + 1)
+}
+
 /// Bytes → message. The vectors were re-pinned when the delta change list
-/// went to one byte per change (frames version 5, snapshots version 4);
-/// a full frame's body has not changed a byte since the slice cursor. The
+/// went to Golomb–Rice codes (frames version 6, snapshots version 5); a
+/// full frame's body has not changed a byte since the slice cursor. The
 /// encoders emit exactly these bytes, and the decoders read them — honest
-/// or forged — exactly as pinned. The version-3 vectors refuse.
+/// or forged — exactly as pinned. The version-5 vectors refuse.
 #[test]
 fn golden_frames_encode_and_decode_as_pinned() {
-    for frame in [V3_FULL].iter().chain(&V3_CHAIN).chain(&V3_CHAIN_EPOCH7) {
-        assert_eq!(decode(unhex(frame)).unwrap_err(), WireError::BadVersion(3));
-        assert_eq!(DeltaDecoder::new().decode(unhex(frame)).unwrap_err(), WireError::BadVersion(3));
+    for frame in [V5_FULL].iter().chain(&V5_CHAIN).chain(&V5_CHAIN_EPOCH7) {
+        assert_eq!(decode(unhex(frame)).unwrap_err(), WireError::BadVersion(5));
+        assert_eq!(DeltaDecoder::new().decode(unhex(frame)).unwrap_err(), WireError::BadVersion(5));
     }
-    assert_eq!(decode_snapshot(unhex(V3_SNAPSHOT)).unwrap_err(), WireError::BadVersion(3));
+    assert_eq!(decode_snapshot(unhex(V5_SNAPSHOT)).unwrap_err(), WireError::BadVersion(4));
 
     let plain = golden_messages(0);
     assert_eq!(encode_full(&plain[1]), unhex(GOLDEN_FULL));
@@ -290,7 +316,8 @@ fn golden_frames_encode_and_decode_as_pinned() {
     }
 
     // Forged bodies under a valid checksum, each against a decoder that
-    // holds frame 1 of the chain: `(body, what it decoded to)`.
+    // holds frame 1 of the chain, stamp [0, 1, 0, 0, 0, 1, 0, 0]:
+    // `(body, what it decoded to)`.
     let after_first = |body: &[u8]| {
         let mut decoder = DeltaDecoder::new();
         decoder.decode(unhex(GOLDEN_CHAIN[0])).unwrap();
@@ -305,51 +332,84 @@ fn golden_frames_encode_and_decode_as_pinned() {
         body[at] = byte;
         body
     };
-    // The body: 05 01 | sender 03 | seq 02 | back 01 | count 03 | changes
-    // 01 e1 a4 02 01 | payload 03 "pcb". A padded varint (seq as 0x82
-    // 0x00) is read like the canonical one.
+    // The body: 06 01 | sender 03 | seq 02 | back 01 | count 03 | changes
+    // 81 c0 0a 58 68 | payload 03 "pcb". The `bits` helper writes that
+    // change list field by field. A padded varint (seq as 0x82 0x00) is
+    // read like the canonical one.
+    let list = |gap_quotients: [u32; 3]| {
+        let [a, b, c] = gap_quotients;
+        let remainders = [(0, 6), (43, 6), (0, 6)];
+        let quotients = [unary(a), unary(0), unary(b), unary(4), unary(c), unary(0)];
+        bits(&[&[unary(0), unary(6)][..], &remainders, &quotients].concat())
+    };
+    assert_eq!(list([1, 1, 1]), delta[6..11]);
     let padded = [&delta[..3], &[0x82, 0x00], &delta[4..]].concat();
     assert_eq!(after_first(&padded), Ok((2, vec![0, 2, 0, 300, 0, 2, 0, 0], b"pcb".to_vec())));
     // No changes at all: the base's stamp under a new sequence number,
     // eight behind it.
     assert_eq!(
-        after_first(&[5, 1, 3, 9, 8, 0, 1, b'z']),
+        after_first(&[6, 1, 3, 9, 8, 0, 1, b'z']),
         Ok((9, vec![0, 1, 0, 0, 0, 1, 0, 0], b"z".to_vec()))
     );
     // A forged gap that stays inside R moves the increases with it …
+    let head = [6, 1, 3, 2, 1];
+    let forged = |count: u8, list: &[u8], tail: &[u8]| [&head[..], &[count], list, tail].concat();
     assert_eq!(
-        after_first(&with(7, 0xe0)),
-        Ok((2, vec![0, 2, 300, 0, 1, 1, 0, 0], b"pcb".to_vec()))
+        after_first(&forged(3, &list([2, 1, 1]), b"\x03pcb")),
+        Ok((2, vec![0, 1, 1, 0, 300, 1, 1, 0], b"pcb".to_vec()))
     );
-    // … one that leaves R, a count above R, a count above the bytes left,
-    // a base that is not behind the frame and a payload length the frame
-    // does not hold are refused.
-    assert_eq!(after_first(&with(7, 0xe7)), Err(WireError::BadDelta("entry 9 past R = 8".into())));
-    let escaped_gap = [&delta[..7], &[0xff, 0x00], &delta[9..]].concat();
-    assert_eq!(after_first(&escaped_gap), Err(WireError::BadDelta("entry 33 past R = 8".into())));
+    // … one that leaves R, a count above R, a count above what the bytes
+    // left can hold, a base that is not behind the frame and a payload
+    // length the frame does not hold are refused.
+    let past_r = WireError::BadDelta("entry 9 past R = 8".into());
+    assert_eq!(after_first(&forged(3, &list([1, 1, 5]), b"\x03pcb")), Err(past_r));
     assert_eq!(after_first(&with(5, 9)), Err(WireError::BadDelta("9 changes for R = 8".into())));
-    assert_eq!(after_first(&[5, 1, 3, 2, 1, 5, 1, 1, 0]), Err(WireError::Truncated));
+    assert_eq!(after_first(&forged(8, &[0x03], &[0])), Err(WireError::Truncated));
     assert_eq!(after_first(&with(4, 0)), Err(WireError::BadDelta("back 0 out of 1..=2".into())));
     assert_eq!(after_first(&with(4, 3)), Err(WireError::BadDelta("back 3 out of 1..=2".into())));
     assert_eq!(after_first(&with(delta.len() - 4, 4)), Err(WireError::Truncated));
-    // One change, its escape varints forged: cut short, past 64 bits, and
-    // an index, increase or counter that a u64 cannot hold.
-    let head = [5, 1, 3, 2, 1, 1];
-    assert_eq!(after_first(&[&head[..], &[0xe1, 0x80]].concat()), Err(WireError::Truncated));
-    assert_eq!(after_first(&[&head[..], &[0x1f, 0x80]].concat()), Err(WireError::Truncated));
-    let one_change = |change: &[u8]| after_first(&[&head[..], change, &[0]].concat());
-    let u64_max = [&[0xff; 9][..], &[0x01]].concat();
-    assert_eq!(one_change(&[&[0x1f][..], &[0xff; 10]].concat()), Err(WireError::VarintOverflow));
-    let index_overflow = WireError::BadDelta("entry index overflow".into());
-    assert_eq!(one_change(&[&[0x1f][..], &u64_max].concat()), Err(index_overflow));
+
+    // One change, its Rice fields forged. A unary run — a parameter's or
+    // a quotient's — that reaches the end of the frame, and a remainder
+    // the frame cuts short, are truncated.
+    let one_change = |fields: &[(u64, u32)]| after_first(&forged(1, &bits(fields), &[0]));
+    assert_eq!(after_first(&forged(1, &[0x00; 12], &[])), Err(WireError::Truncated));
+    assert_eq!(after_first(&forged(1, &[0x03, 0x00, 0x00], &[])), Err(WireError::Truncated));
+    let cut = after_first(&forged(1, &bits(&[unary(0), unary(40), (0, 20)]), &[]));
+    assert_eq!(cut, Err(WireError::Truncated));
+    // A parameter past 63, and a gap parameter past ⌊log2 R⌋ (63
+    // included), name themselves.
+    let parameter = |k: u32| one_change(&[(0, k), (1, 1), unary(0), unary(0), unary(0)]);
+    let past_63 = WireError::BadDelta("rice parameter 64 past 63".into());
+    assert_eq!(parameter(64), Err(past_63));
+    for k in [4, 63] {
+        let refused = WireError::BadDelta(format!("gap parameter {k} for R = 8"));
+        assert_eq!(parameter(k), Err(refused));
+    }
+    // Rise parameter 63: a remainder of 63 bits under a quotient of 1 is
+    // the largest rise a u64 holds, read in full on entry 0 (holding 0);
+    // a quotient of 2 leaves the u64, and so does a rise of u64::MAX
+    // once it becomes an increase.
+    let rise = |gap: u32, q: u32, low: u64| {
+        one_change(&[unary(0), unary(63), (low, 63), unary(gap), unary(q)])
+    };
+    assert_eq!(rise(0, 1, 5), Ok((2, vec![(1 << 63) + 6, 1, 0, 0, 0, 1, 0, 0], vec![])));
+    assert_eq!(rise(0, 1, (1 << 63) - 2), Ok((2, vec![u64::MAX, 1, 0, 0, 0, 1, 0, 0], vec![])));
     let increase_overflow = WireError::BadDelta("entry increase overflow".into());
-    assert_eq!(one_change(&[&[0xe1][..], &u64_max].concat()), Err(increase_overflow));
-    // Entry 1 holds 1: the largest increase, u64::MAX − 8 + 8, overflows it.
-    let rise = [&[0xe1][..], &[0xf7], &[0xff; 8], &[0x01]].concat();
-    assert_eq!(one_change(&rise), Err(WireError::BadDelta("entry counter overflow".into())));
-    // … and the same escape on entry 0, which holds 0, is read in full.
-    let rise = [&[0xe0][..], &rise[1..]].concat();
-    assert_eq!(one_change(&rise), Ok((2, vec![u64::MAX, 1, 0, 0, 0, 1, 0, 0], vec![])));
+    assert_eq!(rise(0, 2, 0), Err(increase_overflow.clone()));
+    assert_eq!(rise(0, 1, (1 << 63) - 1), Err(increase_overflow));
+    // Rise parameter 57, the widest remainder one load reads, behind
+    // enough payload that the decoder reads it ahead of the frame's end.
+    let low = (1 << 57) - 3;
+    let fields = [unary(0), unary(57), (low, 57), unary(0), unary(1)];
+    let payload = [&[16][..], &[7; 16]].concat();
+    assert_eq!(
+        after_first(&forged(1, &bits(&fields), &payload)),
+        Ok((2, vec![(1 << 58) - 2, 1, 0, 0, 0, 1, 0, 0], vec![7; 16]))
+    );
+    // Entry 1 holds 1: the largest increase, u64::MAX, overflows it.
+    let counter_overflow = WireError::BadDelta("entry counter overflow".into());
+    assert_eq!(rise(1, 1, (1 << 63) - 2), Err(counter_overflow));
     // Bytes behind the payload of a full frame are ignored, as ever.
     let full = unhex(GOLDEN_FULL);
     let trailing = [&full[..full.len() - 8], &[0xde, 0xad]].concat();
@@ -396,10 +456,11 @@ fn chain(sender: usize, count: usize, epoch: u64, payload: &[u8]) -> Vec<(Messag
 
 /// Every truncation of `body` and, at every position, the substitutions
 /// that matter to a varint reader (zero, the largest single byte, a bare
-/// continuation bit, all ones) and to a change byte (the gap field all
-/// ones, the increase field all ones, both), plus one random `xor` — so
-/// every count, gap, increase, escape and payload length in the body
-/// gets forged in turn.
+/// continuation bit, all ones) and to a change list's bits (eight zeros
+/// that lengthen a unary run or empty a remainder, runs of ones that end
+/// quotients early), plus one random `xor` — so every count, parameter,
+/// remainder, quotient and payload length in the body gets forged in
+/// turn.
 fn damaged(body: &[u8], xor: u8) -> Vec<Vec<u8>> {
     let mut out: Vec<Vec<u8>> = (0..body.len()).map(|len| body[..len].to_vec()).collect();
     for at in 0..body.len() {

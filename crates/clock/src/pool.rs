@@ -96,17 +96,22 @@ impl StampPool {
         // reuse only through external cloning of the pool's own handle,
         // which nothing does — but stay defensive and drop any stamp that
         // is no longer uniquely owned.
-        let mut ts = loop {
-            let Some(mut ts) = self.free.pop() else {
-                self.stats.misses += 1;
-                break Timestamp::zero(len);
-            };
-            if ts.resize_unique(len) {
-                self.stats.hits += 1;
-                break ts;
-            }
-        };
-        match fill(ts.entries_mut()) {
+        while let Some(mut ts) = self.free.pop() {
+            let Some(slots) = ts.unique_entries(len) else { continue };
+            self.stats.hits += 1;
+            let filled = fill(slots);
+            return self.settle(ts, filled);
+        }
+        self.stats.misses += 1;
+        let mut entries = vec![0; len];
+        let filled = fill(&mut entries);
+        self.settle(Timestamp::from_entries(entries), filled)
+    }
+
+    /// The stamp beside what its fill produced, or — the fill failed —
+    /// the stamp back on the free list and the error.
+    fn settle<T, E>(&mut self, ts: Timestamp, filled: Result<T, E>) -> Result<(Timestamp, T), E> {
+        match filled {
             Ok(extra) => Ok((ts, extra)),
             Err(error) => {
                 self.free.push(ts);

@@ -125,18 +125,16 @@ impl Timestamp {
         Arc::strong_count(&self.entries) == 1 && Arc::weak_count(&self.entries) == 0
     }
 
-    /// Sets the length to `len` in place when this handle uniquely owns
-    /// the allocation, keeping its storage (no heap traffic when the
-    /// length already matches; old values stay in the slots). Returns
-    /// `false` — leaving `self` untouched — if the allocation is shared.
-    pub(crate) fn resize_unique(&mut self, len: usize) -> bool {
-        match Arc::get_mut(&mut self.entries) {
-            Some(own) => {
-                own.resize(len, 0);
-                true
-            }
-            None => false,
-        }
+    /// The entries, resized to `len` in place, for writing — when this
+    /// handle uniquely owns the allocation, which keeps its storage (no
+    /// heap traffic when the length already matches; old values stay in
+    /// the slots). One uniqueness check, `Arc::get_mut`, covers both the
+    /// resize and the writes. `None` — leaving `self` untouched — if the
+    /// allocation is shared.
+    pub(crate) fn unique_entries(&mut self, len: usize) -> Option<&mut [u64]> {
+        let own = Arc::get_mut(&mut self.entries)?;
+        own.resize(len, 0);
+        Some(own)
     }
 }
 

@@ -1297,6 +1297,9 @@ mod tests {
     /// A version-3 snapshot blob (wire-v3 frames in the store), as the
     /// codec before the one-byte delta change list wrote it.
     const SNAPSHOT_V3: &str = "03030c020a00000000000000000000000000000004fa01030c000300ac0200030001000000000201020204060303000304010002058827020a280300030108020a00000000000000000000000000000000010000000100000161c40f3b1f4c47ad03142b0302030208020a000000000000000000000000000000000200ac0200020000037063628085e2f16e4a56a40100010008020a00000000000000000000000000000008000300ac0200030001b3c8059049f1d8f7";
+    /// A version-4 snapshot blob (wire-v5 frames in the store), as the
+    /// codec before the Rice-coded delta change list wrote it.
+    const SNAPSHOT_V4: &str = "04030c020a00000000000000000000000000000004fa01030c000300ac0200030001000000000201020204060303000304010002058827020a280500030108020a00000000000000000000000000000000010000000100000161109f4a78cb635d69142b0502030208020a000000000000000000000000000000000200ac0200020000037063625fd2991e5bbf4cdb0100010008020a00000000000000000000000000000008000300ac0200030001fe8c4002bcb2d3c7";
 
     /// Runs a resuming daemon on `dir`: it must refuse with the same
     /// error `load` gave, naming `file` and `version`, before binding.
@@ -1313,7 +1316,7 @@ mod tests {
 
     #[test]
     fn resume_refuses_an_old_format_snapshot_by_name() {
-        for (version, hex) in [(1, SNAPSHOT_V1), (3, SNAPSHOT_V3)] {
+        for (version, hex) in [(1, SNAPSHOT_V1), (3, SNAPSHOT_V3), (4, SNAPSHOT_V4)] {
             let dir = temp_dir(&format!("snapshot-v{version}"));
             save_spec(&dir, &sample_spec()).unwrap();
             let blob: Vec<u8> = (0..hex.len())

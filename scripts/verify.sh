@@ -144,7 +144,7 @@ stage_equiv() {
 # everywhere): the crash workload (SIGKILL + `--resume` of one of three
 # daemons under load), of which the lines that say how the restart went
 # are shown; the steady workload, of which the lines that say what a
-# publish costs on the wire are — ≈ 517 B and ≈ 6.6 packets on a quiet
+# publish costs on the wire are — ≈ 498 B and ≈ 6.6 packets on a quiet
 # loopback; the
 # counters are the `lo` interface's, so anything else talking on it is
 # in them; and the saturate workload, of which capacity, latency and
