@@ -214,7 +214,8 @@ fn hostile_row(rng: &mut StdRng) -> Vec<u8> {
 
 /// Decodes `raw` with the counter armed and, if it is a row, merges it
 /// as a member drawn at random (or one past the last): refused unless it
-/// has one entry per member, and never lowering an entry.
+/// has one entry per member, never lowering an entry, and reporting a
+/// rise exactly when an entry rose.
 fn row_within_ceiling(
     rows: &mut StabilityRows,
     raw: &[u8],
@@ -229,9 +230,12 @@ fn row_within_ceiling(
     let Ok(DaemonMsg::Row(row)) = decoded else { return Ok(()) };
     let member = rng.random_range(0..=MEMBERS);
     let (before, frontier) = (rows.clone(), rows.frontier());
-    let accepted = rows.merge(member, &row);
-    if accepted != (member < MEMBERS && row.len() == MEMBERS) {
-        return Err(format!("member {member} row {row:?}: accepted = {accepted}"));
+    let reported = rows.merge(member, &row);
+    let accepted = member < MEMBERS && row.len() == MEMBERS;
+    let raises =
+        accepted && row.iter().zip(before.row(member).expect("member")).any(|(n, o)| n > o);
+    if reported != raises || (!accepted && before != *rows) {
+        return Err(format!("member {member} row {row:?}: merge reported a rise = {reported}"));
     }
     let rose = |old: &[u64], new: &[u64]| old.iter().zip(new).all(|(o, n)| n >= o);
     for m in 0..MEMBERS {

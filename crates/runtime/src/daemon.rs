@@ -28,16 +28,19 @@
 //! simulator runs through them, each recorded crash a restart from disk.
 //!
 //! The event loop is deliberately single-threaded, which keeps the
-//! endpoint free of locks. A turn drains every socket non-blocking —
-//! UDP, RPC and metrics — and runs the timers that fell due; then the
-//! loop blocks in one `poll(2)` ([`crate::ready::wait`]) until a socket
-//! is ready or the next timer is due.
+//! endpoint free of locks. The loop blocks in one `poll(2)`
+//! ([`crate::ready::wait`]) until a socket is ready or the next timer is
+//! due. The turn that follows reads only the sockets that wait named —
+//! the UDP socket, a listener, an RPC or metrics connection — each until
+//! it would block, plus any connection it accepts; the timers, and the
+//! transport's retransmits, acks and deadlines, run every turn.
 
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -310,17 +313,20 @@ impl StabilityRows {
     }
 
     /// Raises `member`'s row entry by entry to `row` — rows only ever
-    /// rise, so a reordered or replayed report cannot lower one. Refused
-    /// (`false`, nothing changes) unless `member` is a member and `row`
-    /// has one entry per member.
+    /// rise, so a reordered or replayed report cannot lower one. Returns
+    /// whether any entry rose: only then can [`Self::frontier`] have
+    /// moved. Refused (`false`, nothing changes) unless `member` is a
+    /// member and `row` has one entry per member.
     pub fn merge(&mut self, member: usize, row: &[u64]) -> bool {
         let n = self.rows.len();
         match self.rows.get_mut(member) {
             Some(held) if row.len() == n => {
+                let mut rose = false;
                 for (held, &offered) in held.iter_mut().zip(row) {
+                    rose |= offered > *held;
                     *held = (*held).max(offered);
                 }
-                true
+                rose
             }
             _ => false,
         }
@@ -445,18 +451,40 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 const WAL_VERSION: u8 = 2;
 const WAL_LEN: usize = 17;
 
-/// Persists the send-WAL high-water mark (versioned, checksummed `u64`).
+/// Persists the send-WAL high-water mark (versioned, checksummed `u64`)
+/// by rewriting `wal.bin` in place: one write of the whole record at
+/// offset 0, then `fdatasync`. The record never changes length, so that
+/// flushes the one data block and no metadata; only the call that
+/// creates the file also syncs the directory that names it. A SIGKILL
+/// cannot tear the page cache, so a crash leaves the old mark or the new
+/// one; a power loss that tears the one sector-sized write anyway leaves
+/// a record whose checksum refuses by name on `--resume`, never a mark
+/// silently lower than a height that left.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors.
+/// Filesystem errors, naming the file.
 pub fn save_wal(dir: &Path, durable_seq: u64) -> std::io::Result<()> {
     let mut out = [0u8; WAL_LEN];
     out[0] = WAL_VERSION;
     out[1..9].copy_from_slice(&durable_seq.to_le_bytes());
     let sum = checksum64(&out[..9]);
     out[9..].copy_from_slice(&sum.to_le_bytes());
-    write_atomic(&dir.join("wal.bin"), &out)
+    let path = dir.join("wal.bin");
+    let named = |e| at_path(&path, e);
+    let (file, created) = match File::options().write(true).open(&path) {
+        Ok(file) => (file, false),
+        Err(e) if e.kind() == ErrorKind::NotFound => {
+            (File::options().write(true).create_new(true).open(&path).map_err(named)?, true)
+        }
+        Err(e) => return Err(named(e)),
+    };
+    file.write_all_at(&out, 0).and_then(|()| file.sync_data()).map_err(named)?;
+    if created {
+        let dir = if dir.as_os_str().is_empty() { Path::new(".") } else { dir };
+        File::open(dir).and_then(|d| d.sync_all()).map_err(named)?;
+    }
+    Ok(())
 }
 
 /// Reads a state file; `Ok(None)` only if it does not exist.
@@ -466,6 +494,11 @@ fn read_state(path: &Path) -> std::io::Result<Option<Vec<u8>>> {
         Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
         Err(e) => Err(e),
     }
+}
+
+/// `e`, naming the state file it happened to.
+fn at_path(path: &Path, e: std::io::Error) -> std::io::Error {
+    std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
 /// The error for a state file that exists but does not hold what this
@@ -568,7 +601,10 @@ pub fn load_spec(dir: &Path) -> std::io::Result<NodeSpec> {
 
 /// Boots a node from its state directory: the spec in `spec.bin`, the
 /// next boot counter, and an endpoint. Without `resume` the endpoint is
-/// fresh; with it, it is rebuilt from `snapshot.bin` + `wal.bin` and
+/// fresh, and a `wal.bin` left by an earlier life is removed: the fresh
+/// node's first publish creates its own, of the one length
+/// [`save_wal`] rewrites in place. With `resume` the endpoint is
+/// rebuilt from `snapshot.bin` + `wal.bin` and
 /// starts crashed, recovering when it is fed [`Input::Restore`]. Every
 /// boot after the first is such a restore, so a resumed endpoint counts
 /// one restore fewer than the lives before this boot: the pending
@@ -591,6 +627,11 @@ pub fn start_node(dir: &Path, resume: bool) -> std::io::Result<(NodeSpec, u64, E
         endpoint.set_incarnation(incarnation.saturating_sub(2));
         endpoint
     } else {
+        let wal = dir.join("wal.bin");
+        match std::fs::remove_file(&wal) {
+            Err(e) if e.kind() != ErrorKind::NotFound => return Err(at_path(&wal, e)),
+            _ => {}
+        }
         Endpoint::new(id, keys, config, Some(spec.timing))
     };
     Ok((spec, incarnation, endpoint))
@@ -601,28 +642,33 @@ pub fn start_node(dir: &Path, resume: bool) -> std::io::Result<(NodeSpec, u64, E
 /// announce a new one. A shell runs this before it routes any send
 /// effect: that order is what makes a SIGKILL at any point equivalent to
 /// the simulator's crash model. Returns whether a new snapshot reached
-/// the disk.
+/// the disk. A failed snapshot write is a warning — no send waits on it.
+///
+/// # Errors
+///
+/// A failed WAL write, naming `wal.bin`. The shell must then stop
+/// before any of `outputs` leaves: a height it stamped is durable
+/// nowhere, and only while it never left the process may a `--resume`
+/// issue it again.
 pub fn persist_changes(
     dir: &Path,
     endpoint: &Endpoint<u32>,
     last_durable: &mut u64,
     outputs: &[Output<u32>],
-) -> bool {
+) -> std::io::Result<bool> {
     if endpoint.durable_seq() != *last_durable {
+        save_wal(dir, endpoint.durable_seq())?;
         *last_durable = endpoint.durable_seq();
-        if let Err(e) = save_wal(dir, *last_durable) {
-            eprintln!("pcb-daemon: wal write failed: {e}");
-        }
     }
     if !outputs.iter().any(|o| matches!(o, Output::SnapshotReady { .. })) {
-        return false;
+        return Ok(false);
     }
-    let Some(snapshot) = endpoint.stable_snapshot() else { return false };
+    let Some(snapshot) = endpoint.stable_snapshot() else { return Ok(false) };
     match save_snapshot(dir, snapshot) {
-        Ok(()) => true,
+        Ok(()) => Ok(true),
         Err(e) => {
             eprintln!("pcb-daemon: snapshot write failed: {e}");
-            false
+            Ok(false)
         }
     }
 }
@@ -641,6 +687,8 @@ struct Daemon {
     peer_addrs: Vec<Option<SocketAddr>>,
     /// Every member's durable row, this daemon's own included.
     rows: StabilityRows,
+    /// A row rose since the frontier was last computed.
+    rows_rose: bool,
     /// The frontier last handed to the endpoint.
     frontier: Vec<u64>,
     sync_round: u64,
@@ -659,8 +707,9 @@ struct Daemon {
 ///
 /// Propagates startup IO failures (bad state dir, bind failures); with
 /// `resume`, a state file that exists but is corrupt refuses the start
-/// before any socket is bound. Loop errors on individual connections are
-/// absorbed, not fatal.
+/// before any socket is bound. A failed WAL write stops the daemon
+/// before the turn's frames leave ([`persist_changes`]). Loop errors on
+/// individual connections are absorbed, not fatal.
 pub fn run(opts: DaemonOptions) -> std::io::Result<()> {
     let (spec, incarnation, endpoint) = start_node(&opts.state_dir, opts.resume)?;
     // A daemon installs no link faults: its shim passes everything, and
@@ -680,6 +729,7 @@ pub fn run(opts: DaemonOptions) -> std::io::Result<()> {
     let mut daemon = Daemon {
         opts,
         rows: StabilityRows::new(spec.n as usize),
+        rows_rose: true,
         spec,
         incarnation,
         last_durable: endpoint.durable_seq(),
@@ -737,18 +787,22 @@ impl Daemon {
         };
         let mut conns: Vec<RpcConn> = Vec::new();
         let mut scrapes: Vec<RpcConn> = Vec::new();
+        let mut events = Vec::new();
+        // What the last wait named: the UDP socket, then each listener.
+        // The first turn reads everything.
+        let mut readable = [true; 3];
 
         // Kick the protocol timers: the first Tick arms the endpoint's
         // own schedule; afterwards we obey its ScheduleTick outputs with
         // a poll-cadence floor as a backstop.
-        self.apply_live(Input::Tick);
+        self.apply_live(Input::Tick)?;
 
         while !self.shutdown {
             let wall = self.wall_us();
             let now = Self::live_now_us();
 
-            let events = self.transport.poll(wall);
-            for event in events {
+            self.transport.poll_ready_into(wall, readable[0], &mut events);
+            for event in events.drain(..) {
                 match event {
                     UdpEvent::Frame { from, frame } => {
                         // Peer traffic counts only from a member's
@@ -757,16 +811,16 @@ impl Daemon {
                         match decode_msg(&frame) {
                             Ok(DaemonMsg::Pcb(input)) => {
                                 if let Some(input) = member_input(input, member) {
-                                    self.apply_live(input);
+                                    self.apply_live(input)?;
                                 }
                             }
                             Ok(DaemonMsg::Frame(wire)) => {
                                 if let Some(message) = self.frames.incoming(member, wire) {
-                                    self.apply_live(Input::FrameReceived(message));
+                                    self.apply_live(Input::FrameReceived(message))?;
                                 }
                             }
                             Ok(DaemonMsg::Row(row)) => {
-                                self.rows.merge(member, &row);
+                                self.rows_rose |= self.rows.merge(member, &row);
                             }
                             Err(_) => {}
                         }
@@ -782,15 +836,17 @@ impl Daemon {
             }
 
             if now >= self.next_tick_us {
-                self.apply_live(Input::Tick);
+                self.apply_live(Input::Tick)?;
             }
-            let frontier = self.rows.frontier();
-            if frontier != self.frontier {
-                self.frontier.clone_from(&frontier);
-                self.apply_live(Input::StableFrontier(frontier));
+            if std::mem::take(&mut self.rows_rose) {
+                let frontier = self.rows.frontier();
+                if frontier != self.frontier {
+                    self.frontier.clone_from(&frontier);
+                    self.apply_live(Input::StableFrontier(frontier))?;
+                }
             }
 
-            if let Some(listener) = &rpc_listener {
+            if let Some(listener) = rpc_listener.as_ref().filter(|_| readable[1]) {
                 while let Ok((stream, _)) = listener.accept() {
                     // Turns follow each other as fast as traffic comes, so
                     // two writes to one connection inside the client's
@@ -801,7 +857,7 @@ impl Daemon {
                     }
                 }
             }
-            self.pump_rpc(&mut conns);
+            self.pump_rpc(&mut conns)?;
 
             // Fan delivery events out to subscribers (deliveries can
             // originate from UDP traffic, ticks, or RPC publishes alike).
@@ -821,14 +877,14 @@ impl Daemon {
             // A scrape is a connection of the same non-blocking kind,
             // answered once its request line is in and closed once the
             // answer is out: a client that sends nothing holds no turn.
-            if let Some(listener) = &metrics_listener {
+            if let Some(listener) = metrics_listener.as_ref().filter(|_| readable[2]) {
                 while let Ok((stream, _)) = listener.accept() {
                     if stream.set_nonblocking(true).is_ok() {
                         scrapes.push(RpcConn::new(stream));
                     }
                 }
             }
-            for scrape in &mut scrapes {
+            for scrape in scrapes.iter_mut().filter(|s| s.readable) {
                 scrape.fill();
                 if !scrape.closing && scrape.inbuf.contains(&b'\n') {
                     scrape.outbuf.extend(http_page(&self.metrics_text()).as_bytes());
@@ -837,7 +893,8 @@ impl Daemon {
             }
             scrapes.retain_mut(RpcConn::flush);
 
-            self.wait_for_work([&rpc_listener, &metrics_listener], conns.iter().chain(&scrapes))?;
+            readable =
+                self.wait_for_work([&rpc_listener, &metrics_listener], &mut conns, &mut scrapes)?;
         }
         Ok(())
     }
@@ -845,29 +902,40 @@ impl Daemon {
     /// Blocks until a socket needs the loop — a datagram, a connection
     /// to accept, a request line, room to write a connection's pending
     /// output — or the next protocol tick or transport deadline is due.
-    fn wait_for_work<'a>(
+    /// Marks each connection readable or not, and returns whether the
+    /// UDP socket and each listener are.
+    fn wait_for_work(
         &self,
         listeners: [&Option<TcpListener>; 2],
-        conns: impl Iterator<Item = &'a RpcConn>,
-    ) -> std::io::Result<()> {
+        conns: &mut [RpcConn],
+        scrapes: &mut [RpcConn],
+    ) -> std::io::Result<[bool; 3]> {
         let tick_in = self.next_tick_us.saturating_sub(Self::live_now_us());
         let wall = self.wall_us();
         let udp_in =
             self.transport.next_deadline_us().map_or(u64::MAX, |at| at.saturating_sub(wall));
+        // An absent listener keeps its slot with a descriptor `poll` skips.
         let fds = std::iter::once((self.transport.as_raw_fd(), false))
-            .chain(listeners.into_iter().flatten().map(|l| (l.as_raw_fd(), false)))
-            .chain(conns.map(|c| (c.stream.as_raw_fd(), !c.outbuf.is_empty())));
-        ready::wait(fds, Some(Duration::from_micros(tick_in.min(udp_in))))?;
-        Ok(())
+            .chain(listeners.map(|l| (l.as_ref().map_or(-1, AsRawFd::as_raw_fd), false)))
+            .chain(
+                conns.iter().chain(&*scrapes).map(|c| (c.stream.as_raw_fd(), !c.outbuf.is_empty())),
+            );
+        let readable = ready::wait(fds, Some(Duration::from_micros(tick_in.min(udp_in))))?;
+        for (conn, &named) in conns.iter_mut().chain(scrapes).zip(&readable[3..]) {
+            conn.readable = named;
+        }
+        Ok([readable[0], readable[1], readable[2]])
     }
 
     /// Feeds one input to the endpoint at live time and routes every
     /// output: WAL before wire, frames to peers, deliveries to
-    /// subscribers, snapshots to disk, ticks to the timer.
-    fn apply_live(&mut self, input: Input<u32>) {
+    /// subscribers, snapshots to disk, ticks to the timer. A failed WAL
+    /// write returns before anything is routed.
+    fn apply_live(&mut self, input: Input<u32>) -> std::io::Result<()> {
         let now = Self::live_now_us();
         let outputs = self.endpoint.handle(input, now);
-        if persist_changes(&self.opts.state_dir, &self.endpoint, &mut self.last_durable, &outputs) {
+        if persist_changes(&self.opts.state_dir, &self.endpoint, &mut self.last_durable, &outputs)?
+        {
             self.report_row();
         }
         // Backstop cadence: never sleep past half a poll interval.
@@ -917,6 +985,7 @@ impl Daemon {
                 Output::Alert { .. } | Output::SnapshotReady { .. } => {}
             }
         }
+        Ok(())
     }
 
     /// A snapshot just reached the disk: its row becomes this member's,
@@ -925,10 +994,10 @@ impl Daemon {
     fn report_row(&mut self) {
         let Some(snapshot) = self.endpoint.stable_snapshot() else { return };
         let row = snapshot_row(snapshot, self.spec.n as usize);
-        let me = self.spec.node as usize;
-        if self.rows.row(me) == Some(&row[..]) || !self.rows.merge(me, &row) {
+        if !self.rows.merge(self.spec.node as usize, &row) {
             return;
         }
+        self.rows_rose = true;
         for peer in self.peer_addrs.clone().into_iter().flatten() {
             self.send_row(peer);
         }
@@ -947,40 +1016,38 @@ impl Daemon {
         self.peer_addrs.iter().position(|peer| *peer == Some(addr))
     }
 
-    /// Reads every connection and queues the answer to each complete
-    /// request line; the turn's single flush sends them.
-    fn pump_rpc(&mut self, conns: &mut [RpcConn]) {
-        for conn in conns {
+    /// Reads every readable connection and queues the answer to each
+    /// complete request line; the turn's single flush sends them.
+    fn pump_rpc(&mut self, conns: &mut [RpcConn]) -> std::io::Result<()> {
+        for conn in conns.iter_mut().filter(|c| c.readable) {
             conn.fill();
             for line in conn.take_lines() {
-                let response = self.handle_rpc(&line, conn);
+                let response = self.handle_rpc(&line, conn)?;
                 conn.push_line(&response.to_json());
             }
         }
+        Ok(())
     }
 
-    fn handle_rpc(&mut self, line: &str, conn: &mut RpcConn) -> Value {
+    /// The answer to one request line; `Err` only where the daemon must
+    /// stop ([`Self::apply_live`]).
+    fn handle_rpc(&mut self, line: &str, conn: &mut RpcConn) -> std::io::Result<Value> {
         let request = match json::parse(line) {
             Ok(v) => v,
-            Err(e) => {
-                return Value::object([
-                    ("ok", Value::from(false)),
-                    ("error", Value::from(e.to_string().as_str())),
-                ])
-            }
+            Err(e) => return Ok(rpc_error(&e.to_string())),
         };
         let op = request.get("op").and_then(Value::as_str).unwrap_or("");
-        match op {
+        let reply = match op {
             "publish" => {
                 let Some(payload) = request.get("payload").and_then(Value::as_u64) else {
-                    return rpc_error("publish needs a numeric payload");
+                    return Ok(rpc_error("publish needs a numeric payload"));
                 };
                 let Ok(payload) = u32::try_from(payload) else {
-                    return rpc_error("payload out of u32 range");
+                    return Ok(rpc_error("payload out of u32 range"));
                 };
                 // Route through the normal live path so WAL-before-wire
                 // ordering holds for RPC-driven sends too.
-                self.apply_live(Input::Broadcast(payload));
+                self.apply_live(Input::Broadcast(payload))?;
                 Value::object([
                     ("ok", Value::from(true)),
                     ("sent", Value::from(self.endpoint.stats().sent)),
@@ -994,7 +1061,7 @@ impl Daemon {
                     .delivered_log
                     .replay(|digest| conn.push_line(&deliver_event(digest).to_json()));
                 if let Err(e) = replayed {
-                    return rpc_error(&format!("delivery log unreadable: {e}"));
+                    return Ok(rpc_error(&format!("delivery log unreadable: {e}")));
                 }
                 Value::object([("ok", Value::from(true)), ("subscribed", Value::from(true))])
             }
@@ -1003,7 +1070,7 @@ impl Daemon {
                 status_reply(self.spec.node, self.spec.n, &rows, heatmap.as_ref())
             }
             "restore" => {
-                self.apply_live(Input::Restore);
+                self.apply_live(Input::Restore)?;
                 Value::object([("ok", Value::from(true)), ("crashed", Value::from(false))])
             }
             "shutdown" => {
@@ -1011,7 +1078,8 @@ impl Daemon {
                 Value::object([("ok", Value::from(true)), ("bye", Value::from(true))])
             }
             other => rpc_error(&format!("unknown op {other:?}")),
-        }
+        };
+        Ok(reply)
     }
 
     /// Everything this daemon reports, declared once for both sinks (the
@@ -1136,6 +1204,9 @@ struct RpcConn {
     dead: bool,
     /// The last bytes are queued: the connection closes once they leave.
     closing: bool,
+    /// The last wait named it, or it was accepted this turn: a read may
+    /// find bytes. Any other read would only meet `EAGAIN`.
+    readable: bool,
 }
 
 impl RpcConn {
@@ -1147,6 +1218,7 @@ impl RpcConn {
             subscribed: false,
             dead: false,
             closing: false,
+            readable: true,
         }
     }
 
@@ -1270,6 +1342,74 @@ mod tests {
         let refused = bump_incarnation(&dir).unwrap_err();
         assert_eq!(refused.kind(), ErrorKind::InvalidData);
         assert!(refused.to_string().contains("incarnation.bin"), "{refused}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wal_is_rewritten_in_place() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = temp_dir("wal-in-place");
+        save_wal(&dir, 1).unwrap();
+        let inode = std::fs::metadata(dir.join("wal.bin")).unwrap().ino();
+        for seq in [2, 3, u64::MAX] {
+            save_wal(&dir, seq).unwrap();
+            let meta = std::fs::metadata(dir.join("wal.bin")).unwrap();
+            assert_eq!((meta.ino(), meta.len()), (inode, WAL_LEN as u64), "seq {seq}");
+            assert_eq!(load_wal(&dir).unwrap(), Some(seq));
+        }
+        assert!(!dir.join("wal.tmp").exists(), "no temp file, no rename");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_fresh_boot_over_a_version_one_wal_leaves_a_readable_record() {
+        let dir = temp_dir("wal-fresh-over-v1");
+        save_spec(&dir, &sample_spec()).unwrap();
+        let mut old = 41u64.to_le_bytes().to_vec();
+        old.extend_from_slice(&checksum64(&old).to_le_bytes());
+        std::fs::write(dir.join("wal.bin"), &old).unwrap();
+        let (_, _, mut node) = start_node(&dir, false).unwrap();
+        let mut durable = node.durable_seq();
+        let outputs = node.handle(Input::Broadcast(7), 1_000);
+        assert!(!persist_changes(&dir, &node, &mut durable, &outputs).unwrap());
+        assert_eq!(load_wal(&dir).unwrap(), Some(1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_wal_write_is_an_error_naming_the_file() {
+        let dir = temp_dir("wal-fails");
+        save_spec(&dir, &sample_spec()).unwrap();
+        let (_, _, mut node) = start_node(&dir, false).unwrap();
+        std::fs::create_dir(dir.join("wal.bin")).unwrap();
+        let mut durable = node.durable_seq();
+        let outputs = node.handle(Input::Broadcast(7), 1_000);
+        assert!(outputs.iter().any(|o| matches!(o, Output::SendFrame(_))));
+        let failed = persist_changes(&dir, &node, &mut durable, &outputs)
+            .expect_err("a directory takes no WAL record");
+        assert!(failed.to_string().contains("wal.bin"), "{failed}");
+        assert_eq!(durable, 0, "the mark moves only once it is on disk");
+        // A fresh boot over it refuses too, naming it.
+        let refused = start_node(&dir, false).expect_err("a directory is no leftover record");
+        assert!(refused.to_string().contains("wal.bin"), "{refused}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_snapshot_write_is_only_a_warning() {
+        let dir = temp_dir("snapshot-fails");
+        let spec = sample_spec();
+        save_spec(&dir, &spec).unwrap();
+        // `snapshot.tmp` cannot be renamed over a directory that holds a file.
+        std::fs::create_dir_all(dir.join("snapshot.bin/occupied")).unwrap();
+        let (_, _, mut node) = start_node(&dir, false).unwrap();
+        let mut durable = 0;
+        let outputs = node.handle(Input::Broadcast(7), 1_000);
+        assert!(!persist_changes(&dir, &node, &mut durable, &outputs).unwrap());
+        let outputs = node.handle(Input::Tick, spec.timing.snapshot_every_us);
+        assert!(outputs.iter().any(|o| matches!(o, Output::SnapshotReady { .. })));
+        assert!(!persist_changes(&dir, &node, &mut durable, &outputs).unwrap());
+        assert_eq!(load_wal(&dir).unwrap(), Some(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1449,6 +1589,10 @@ mod tests {
         assert!(!rows.merge(1, &[9, 9, 9, 9]), "one entry per member");
         assert!(!rows.merge(3, &[9, 9, 9]), "not a member");
         assert_eq!(rows.frontier(), [4, 1, 1]);
+        // Accepted, but nothing rose: the frontier cannot have moved.
+        assert!(!rows.merge(1, &[4, 9, 1]), "a replayed row");
+        assert!(!rows.merge(2, &[0, 0, 0]), "a lower row");
+        assert_eq!(rows.row(2), Some(&[6, 1, 2][..]));
 
         // A snapshot's row: its own sends included, senders past `n` not.
         let spec = sample_spec();

@@ -41,7 +41,7 @@
 //!         (_, _, node) = start_node(&dir, true)?; // the crash was a restart from disk
 //!     }
 //!     let outputs = node.handle(input.clone(), *now);
-//!     persist_changes(&dir, &node, &mut durable, &outputs);
+//!     persist_changes(&dir, &node, &mut durable, &outputs)?; // WAL before any send
 //!     for output in outputs {
 //!         if let Output::Deliver(d) = output {
 //!             delivered.push((d.message.id(), d.instant_alert, d.recent_alert));

@@ -567,9 +567,19 @@ impl UdpTransport {
     /// first), so a steady-state poll loop reuses one event buffer
     /// instead of allocating per pass.
     pub fn poll_into(&mut self, now_us: u64, events: &mut Vec<UdpEvent>) {
+        self.poll_ready_into(now_us, true, events);
+    }
+
+    /// [`Self::poll_into`] for an owner whose wait ([`crate::ready::wait`])
+    /// said whether the socket has anything to read: unless `readable`,
+    /// the drain is skipped — it would only meet `EAGAIN` — and the timed
+    /// work runs as ever.
+    pub fn poll_ready_into(&mut self, now_us: u64, readable: bool, events: &mut Vec<UdpEvent>) {
         events.clear();
         self.flush_delayed(now_us);
-        self.drain_socket(now_us, events);
+        if readable {
+            self.drain_socket(now_us, events);
+        }
         // After the drain, so these datagrams acknowledge what it read.
         self.flush(now_us);
         self.retransmit_overdue(now_us, events);
@@ -1113,6 +1123,22 @@ mod tests {
         for (i, frame) in got.iter().enumerate() {
             assert_eq!(frame.as_ref(), (i as u32).to_be_bytes());
         }
+    }
+
+    #[test]
+    fn a_poll_told_the_socket_is_not_readable_leaves_it_alone() {
+        let (mut a, mut b, _, addr_b) = pair(UdpConfig::default());
+        a.send(addr_b, Bytes::from_static(b"hello"), 0);
+        a.flush(0);
+        let mut events = Vec::new();
+        let ready = crate::ready::wait([(b.as_raw_fd(), false)], None).expect("wait");
+        assert_eq!(ready, [true]);
+        b.poll_ready_into(0, false, &mut events);
+        assert!(events.is_empty());
+        assert_eq!(b.stats().0.datagrams_received, 0, "not read");
+        // It is still there for the poll that is told to read.
+        b.poll_ready_into(0, true, &mut events);
+        assert!(matches!(&events[..], [UdpEvent::Frame { frame, .. }] if frame == &b"hello"[..]));
     }
 
     #[test]

@@ -23,8 +23,10 @@
 //! Single daemons of a two- or three-member cluster pin what a live
 //! daemon accepts: peer traffic only from a member's address, and from
 //! it only anti-entropy and that member's own chain; five RPC ops;
-//! `/metrics` connections that never hold the loop. The other members
-//! are either down or sockets of the test itself.
+//! `/metrics` connections, and an RPC client holding half a request
+//! line, that never hold the loop; a failed WAL write that stops the
+//! daemon before a publish's frame or ack leaves. The other members are
+//! either down or sockets of the test itself.
 //!
 //! Skips (with a visible marker) when the environment forbids spawning
 //! subprocesses or binding sockets.
@@ -39,8 +41,10 @@ use bytes::Bytes;
 use pcb_broadcast::endpoint::{Input, Output};
 use pcb_broadcast::{wire, DeltaEncoder, Endpoint, Message, PcbConfig, RecoveryTimingUs};
 use pcb_clock::{KeySet, KeySpace, ProcessId};
-use pcb_runtime::daemon::{encode_frame_msg, encode_pcb_msg, encode_row_msg, save_spec};
-use pcb_runtime::{UdpConfig, UdpTransport};
+use pcb_runtime::daemon::{
+    decode_msg, encode_frame_msg, encode_pcb_msg, encode_row_msg, save_spec, DaemonMsg,
+};
+use pcb_runtime::{UdpConfig, UdpEvent, UdpTransport};
 use pcb_sim::export::{encode_join_grant, message_to_bytes, NodeSpec};
 use pcb_sim::StreamOracle;
 use pcb_telemetry::json::{self, Value};
@@ -707,6 +711,97 @@ fn the_join_rpc_is_an_unknown_op() {
     let why = reply.get("error").and_then(Value::as_str).unwrap_or("");
     assert!(why.starts_with("unknown op"), "{}", reply.to_json());
     status(daemon.rpc);
+}
+
+/// A WAL write that fails stops the daemon before the publish's frame
+/// leaves or its ack is sent: the height it stamped is durable nowhere,
+/// so it must never have left the process. The daemon used to print a
+/// warning and send the frame anyway.
+#[test]
+fn a_failed_wal_write_stops_the_daemon_before_its_frames_leave() {
+    let mut member = Speaker::bind();
+    let Some(mut daemon) = spawn_half_pair("wal-fails", Some(member.addr())) else { return };
+    status(daemon.rpc); // booted: a fresh boot clears any `wal.bin`
+    std::fs::create_dir(daemon.state_dir.join("wal.bin")).expect("a directory in its place");
+
+    let mut stream = TcpStream::connect(daemon.rpc).expect("rpc connects");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout set");
+    stream.write_all(format!("{}\n", publish_request(1).to_json()).as_bytes()).expect("sent");
+    let mut reply = String::new();
+    let _ = BufReader::new(stream).read_line(&mut reply);
+    assert_eq!(reply, "", "the publish was acknowledged");
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let exit = loop {
+        if let Some(exit) = daemon.child.try_wait().expect("wait") {
+            break exit;
+        }
+        assert!(Instant::now() < deadline, "the daemon kept running");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(!exit.success(), "{exit:?}");
+    let stderr = std::fs::read_to_string(daemon.state_dir.join("stderr.log")).expect("stderr");
+    assert!(stderr.contains("wal.bin"), "{stderr}");
+
+    // Whatever the daemon sent its member before it stopped, no frame of
+    // its chain was among it.
+    let mut frames = 0;
+    for _ in 0..50 {
+        let now_us = member.clock.elapsed().as_micros() as u64;
+        for event in member.transport.poll(now_us) {
+            if let UdpEvent::Frame { frame, .. } = event {
+                frames += u32::from(matches!(decode_msg(&frame), Ok(DaemonMsg::Frame(_))));
+            }
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(frames, 0, "a frame left before its height was durable");
+}
+
+/// A turn reads only the connections its wait named. One that holds half
+/// a request line is not named again until more of it arrives; the other
+/// clients are served meanwhile, and it is answered once its line is in.
+#[test]
+fn a_half_sent_request_holds_no_other_client() {
+    const PUBLISHES: u32 = 200;
+    let Some(daemon) = spawn_half_pair("half-line", None) else { return };
+    status(daemon.rpc);
+    let line = format!("{}\n", publish_request(0).to_json());
+    let (head, tail) = line.split_at(line.len() / 2);
+    let mut a = LineConn::new(TcpStream::connect(daemon.rpc).expect("rpc connects"));
+    a.stream.write_all(head.as_bytes()).expect("half a line sent");
+    let mut b = LineConn::new(TcpStream::connect(daemon.rpc).expect("rpc connects"));
+
+    // Liveness, not latency: the deadline is generous.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut acked = 0;
+    for payload in 1..=PUBLISHES {
+        b.send(&publish_request(payload));
+        loop {
+            let lines = b.poll();
+            assert!(lines.len() <= 1, "one request, one reply: {lines:?}");
+            if let Some(reply) = lines.first() {
+                assert_eq!(reply.get("ok"), Some(&Value::from(true)), "{reply:?}");
+                acked += 1;
+                break;
+            }
+            assert!(Instant::now() < deadline, "publish {payload} never acknowledged");
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        assert!(a.poll().is_empty(), "half a line answered");
+    }
+    assert_eq!(acked, PUBLISHES);
+
+    a.stream.write_all(tail.as_bytes()).expect("the rest of the line");
+    let reply = loop {
+        if let Some(reply) = a.poll().pop() {
+            break reply;
+        }
+        assert!(Instant::now() < deadline, "the completed line was never answered");
+        std::thread::sleep(Duration::from_micros(100));
+    };
+    assert_eq!(reply.get("ok"), Some(&Value::from(true)), "{reply:?}");
+    assert_eq!(u64_of(&status(daemon.rpc), "sent"), u64::from(PUBLISHES) + 1);
 }
 
 /// Every accepted `/metrics` socket used to be read blocking with a

@@ -317,7 +317,8 @@ fn replay(
         walk.step(p, now, &input);
         let crash = matches!(input, Input::Crash);
         let outputs = endpoint.handle(input, now);
-        persist_changes(&node.dir, endpoint, &mut node.last_durable, &outputs);
+        persist_changes(&node.dir, endpoint, &mut node.last_durable, &outputs)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         for output in &outputs {
             if let Output::Deliver(d) = output {
                 out.deliveries[p].push((d.message.id(), d.instant_alert, d.recent_alert));

@@ -7,7 +7,9 @@
 #   scripts/profile.sh <workload> [seed]      # e.g. scripts/profile.sh endpoint-mesh 1
 #
 # Samples a 12 s run, the ledger's main thread only — the in-process workloads are
-# single-threaded; for the daemon workloads that is the load generator.
+# single-threaded; for the daemon workloads that is the load generator. For
+# the daemons' side of those, scripts/daemon_cpu.sh reads each pcb-daemon's
+# user/sys CPU and context switches from /proc.
 # A diagnostic, not a gate: needs x86-64 Linux, addr2line and the right to
 # ptrace a child (root, or kernel.yama.ptrace_scope <= 1); prints SKIPPED
 # otherwise.
