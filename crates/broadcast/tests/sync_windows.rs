@@ -3,8 +3,9 @@
 //! had ever seen, expanded from those same windows; that form survives
 //! here, as the reference the window filter must agree with — the same
 //! messages in the same order — on random stores and random requesters,
-//! including a second (drain) filter joined in, empty requests, and
-//! forged windows claiming sequence numbers near `u64::MAX`.
+//! including a second (drain) filter joined in, empty requests, forged
+//! windows claiming sequence numbers near `u64::MAX`, and forged windows
+//! naming senders the store never heard of.
 
 use std::collections::HashSet;
 
@@ -45,7 +46,9 @@ fn random_store(rng: &mut StdRng, senders: usize) -> MessageStore<u32> {
     let space = KeySpace::new(8, 2).expect("valid space");
     let mut all = Vec::new();
     for sender in 0..senders {
-        let keys = KeySet::from_entries(space, &[sender % 8, (sender + 3) % 8]).expect("keys");
+        let mut entries = [sender % 8, (sender + 3) % 8];
+        entries.sort_unstable();
+        let keys = KeySet::from_entries(space, &entries).expect("keys");
         let mut process: PcbProcess<u32> = PcbProcess::new(ProcessId::new(sender), keys);
         let sent = rng.random_range(0..=MAX_SEQ);
         all.extend((0..sent).map(|_| process.broadcast(0)));
@@ -130,6 +133,54 @@ proptest! {
             .collect();
         let known = expand(&windows);
         prop_assert_eq!(reply_ids(&store, windows), id_list_sync(&store, &known));
+    }
+
+    #[test]
+    fn forged_sender_windows_filter_like_their_expansion(
+        seed in any::<u64>(),
+        senders in 1usize..120,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Up to 119 senders of up to 40 messages, so that some stores
+        // outgrow the reply cap.
+        let store = random_store(&mut rng, senders);
+        // Windows in exported form (senders strictly ascending) naming
+        // some real senders, some just past the cluster, and ids far
+        // above it, up to `u32::MAX`, the largest the step codec
+        // decodes. Every window carries a prefix and exceptions, so the
+        // senders that do not exist carry exception lists too.
+        let mut ids: Vec<usize> = (0..senders).filter(|_| rng.random_bool(0.5)).collect();
+        ids.extend((senders..senders + 4).filter(|_| rng.random_bool(0.5)));
+        for _ in 0..rng.random_range(0..4u32) {
+            ids.push(rng.random_range(1 << 16..=u32::MAX as usize));
+        }
+        if rng.random_bool(0.5) {
+            ids.push(u32::MAX as usize);
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        let windows: SeenWindows = ids
+            .into_iter()
+            .map(|sender| {
+                let prefix = rng.random_range(0..=SEEN_MAX);
+                let mut exceptions: Vec<u64> = (0..rng.random_range(0..4u32))
+                    .map(|_| {
+                        if rng.random_bool(0.5) {
+                            rng.random_range(prefix + 1..=prefix + MAX_SEQ)
+                        } else {
+                            rng.random_range(prefix + 1..=u64::MAX)
+                        }
+                    })
+                    .collect();
+                exceptions.sort_unstable();
+                exceptions.dedup();
+                (ProcessId::new(sender), prefix, exceptions)
+            })
+            .collect();
+        let known = expand(&windows);
+        let reply = reply_ids(&store, windows);
+        prop_assert!(reply.len() <= SYNC_REPLY_MAX, "reply of {} messages", reply.len());
+        prop_assert_eq!(reply, id_list_sync(&store, &known));
     }
 }
 

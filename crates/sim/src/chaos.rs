@@ -31,7 +31,7 @@ use pcb_broadcast::{
     Counters, Delivery, Endpoint, Message, MessageId, PcbConfig, RecoveryTimingUs, SeenWindows,
 };
 use pcb_clock::{AssignmentPolicy, ClusterConfig, KeyAssigner, KeySet, KeySpace, ProcessId};
-use pcb_telemetry::{patch_stamped_verdicts, StampedRecord, TraceEvent, TraceRecord};
+use pcb_telemetry::{TraceEvent, TraceRecord};
 
 use crate::config::SimConfig;
 use crate::engine::{ms_to_us, SimError, MICROS_PER_MS};
@@ -62,11 +62,21 @@ pub struct ChaosRecord {
     pub deliveries: Vec<Vec<(MessageId, bool, bool)>>,
     /// Per-node recovery counters at the end of the run.
     pub counters: Vec<Counters>,
-    /// Per-node exact-checker verdicts in delivery order. A replay that
-    /// hosts endpoints without oracles (the certification harness) grafts
-    /// these onto its `Delivered` trace records so both sides emit
-    /// byte-identical viz streams.
-    pub verdicts: Vec<Vec<bool>>,
+    /// Per-node trace as each endpoint emitted it, drained after every
+    /// input by [`drain_node_trace`] (empty unless
+    /// [`SimConfig::trace_capacity`] is set). `Delivered` records keep the
+    /// endpoint's own `violation: false`: no oracle verdict is patched in.
+    pub traces: Vec<Vec<(u64, TraceRecord)>>,
+}
+
+/// Moves `ep`'s freshly emitted trace records onto `trace`, each paired
+/// with the endpoint's incarnation at drain time. Draining after every
+/// input keeps the records in emission order and out of the ring's
+/// drop-oldest policy; any shell that drains its endpoints this way
+/// reproduces the simulator's per-node traces.
+pub fn drain_node_trace(ep: &mut Endpoint<u32>, trace: &mut Vec<(u64, TraceRecord)>) {
+    let incarnation = ep.incarnation();
+    trace.extend(ep.drain_trace().into_iter().map(|record| (incarnation, record)));
 }
 
 /// Runs `config` (which must carry a fault plan) with every process
@@ -82,12 +92,13 @@ pub fn simulate_endpoint_chaos(
     space: KeySpace,
     policy: AssignmentPolicy,
 ) -> Result<(RunMetrics, Vec<TraceRecord>), SimError> {
-    let (metrics, trace, _, _) = run(config, space, policy, false, false)?;
+    let (metrics, trace, _) = run(config, space, policy, false)?;
     Ok((metrics, trace))
 }
 
 /// [`simulate_endpoint_chaos`] that additionally records the full input
-/// log and delivery digests for the differential harness.
+/// log, delivery digests and per-node traces for the differential
+/// harness.
 ///
 /// # Errors
 ///
@@ -97,34 +108,13 @@ pub fn record_endpoint_chaos(
     space: KeySpace,
     policy: AssignmentPolicy,
 ) -> Result<ChaosRecord, SimError> {
-    let (metrics, _, record, _) = run(config, space, policy, true, false)?;
+    let (metrics, _, record) = run(config, space, policy, true)?;
     Ok(record
         .map(|mut r| {
             r.metrics = metrics;
             r
         })
         .expect("recording was requested"))
-}
-
-/// [`record_endpoint_chaos`] that additionally captures per-node
-/// **stamped** viz streams: every endpoint-emitted trace record tagged
-/// with `(epoch, lsn)` at drain time, `Delivered` verdicts patched from
-/// the oracle. The streams are the sim leg of the shared viz-JSON schema;
-/// a same-seed replay through the daemon's start-up and persist code must
-/// reproduce them byte-identically.
-///
-/// # Errors
-///
-/// See [`simulate_endpoint_chaos`].
-pub fn record_endpoint_chaos_viz(
-    config: &SimConfig,
-    space: KeySpace,
-    policy: AssignmentPolicy,
-) -> Result<(ChaosRecord, Vec<Vec<StampedRecord>>), SimError> {
-    let (metrics, _, record, viz) = run(config, space, policy, true, true)?;
-    let mut record = record.expect("recording was requested");
-    record.metrics = metrics;
-    Ok((record, viz.expect("viz capture was requested")))
 }
 
 enum Kind {
@@ -191,9 +181,11 @@ struct Shadow {
     /// Exact-checker verdict per delivery, in delivery order — used to
     /// patch the endpoint-emitted `Delivered` trace records (the endpoint
     /// cannot know ground truth).
-    verdicts: Vec<bool>,
+    violations: Vec<bool>,
     /// Delivery digests for the differential harness (recording only).
     digests: Vec<(MessageId, bool, bool)>,
+    /// The endpoint's trace, drained after every input (recording only).
+    trace: Vec<(u64, TraceRecord)>,
 }
 
 struct Driver<'c> {
@@ -237,51 +229,6 @@ struct Driver<'c> {
     /// post-heal convergence.
     horizon_us: u64,
     log: Option<Vec<(u64, u32, Input<u32>)>>,
-    viz: Option<VizCapture>,
-}
-
-/// Per-node stamped trace streams, drained eagerly after every input so
-/// `(epoch, lsn)` stamps are assigned in endpoint-emission order. Any
-/// shell that drains its endpoints through it emits the simulator's
-/// stamps.
-pub struct VizCapture {
-    /// Last stamped epoch per node; an epoch change restarts the lsn.
-    epochs: Vec<u64>,
-    /// Next lsn per node, within the current epoch.
-    lsns: Vec<u64>,
-    streams: Vec<Vec<StampedRecord>>,
-}
-
-impl VizCapture {
-    /// Empty streams for `n` nodes.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        Self { epochs: vec![0; n], lsns: vec![0; n], streams: vec![Vec::new(); n] }
-    }
-
-    /// Moves `ep`'s freshly emitted trace records into `node`'s stream,
-    /// stamping each with the endpoint's current incarnation and a
-    /// per-incarnation log sequence number. Draining after every input
-    /// keeps stamps in emission order and out of the ring's drop-oldest
-    /// policy.
-    pub fn drain(&mut self, node: usize, ep: &mut Endpoint<u32>) {
-        let incarnation = ep.incarnation();
-        if incarnation != self.epochs[node] {
-            self.epochs[node] = incarnation;
-            self.lsns[node] = 0;
-        }
-        for record in ep.drain_trace() {
-            let lsn = self.lsns[node];
-            self.lsns[node] += 1;
-            self.streams[node].push(StampedRecord { incarnation, lsn, record });
-        }
-    }
-
-    /// The per-node streams, in node order.
-    #[must_use]
-    pub fn into_streams(self) -> Vec<Vec<StampedRecord>> {
-        self.streams
-    }
 }
 
 impl Driver<'_> {
@@ -306,8 +253,9 @@ impl Driver<'_> {
         for output in outputs {
             self.route(p, output, now);
         }
-        if let Some(viz) = &mut self.viz {
-            viz.drain(p as usize, &mut self.procs[p as usize].ep);
+        if self.log.is_some() {
+            let sh = &mut self.procs[p as usize];
+            drain_node_trace(&mut sh.ep, &mut sh.trace);
         }
     }
 
@@ -378,7 +326,7 @@ impl Driver<'_> {
         for (mine, &theirs) in sh.true_vc.iter_mut().zip(tvc.iter()) {
             *mine = (*mine).max(theirs);
         }
-        sh.verdicts.push(violation);
+        sh.violations.push(violation);
         if self.log.is_some() {
             sh.digests.push((d.message.id(), d.instant_alert, d.recent_alert));
         }
@@ -709,17 +657,15 @@ impl Driver<'_> {
     }
 }
 
+type ChaosRun = (RunMetrics, Vec<TraceRecord>, Option<ChaosRecord>);
+
 /// The shared implementation behind the public entry points.
 #[allow(clippy::too_many_lines)]
-type ChaosRun =
-    (RunMetrics, Vec<TraceRecord>, Option<ChaosRecord>, Option<Vec<Vec<StampedRecord>>>);
-
 fn run(
     config: &SimConfig,
     space: KeySpace,
     policy: AssignmentPolicy,
     record: bool,
-    viz: bool,
 ) -> Result<ChaosRun, SimError> {
     config.validate().map_err(SimError::InvalidConfig)?;
     let Some(plan) = config.faults.as_ref() else {
@@ -769,8 +715,9 @@ fn run(
             exact: config.track_exact.then(|| ExactChecker::new(n_total)),
             eps: config.track_epsilon.then(|| EpsilonEstimator::new(n_total)),
             cp: None,
-            verdicts: Vec::new(),
+            violations: Vec::new(),
             digests: Vec::new(),
+            trace: Vec::new(),
         })
         .collect();
 
@@ -796,7 +743,6 @@ fn run(
         warmup_us: ms_to_us(config.warmup_ms),
         horizon_us: duration_us + 12 * sync_us,
         log: record.then(Vec::new),
-        viz: viz.then(|| VizCapture::new(n_total)),
     };
 
     for p in 0..n as u32 {
@@ -884,7 +830,8 @@ fn run(
     // Merge the endpoint-emitted traces, patching each `Delivered` record
     // with the oracle's verdict. Verdicts align from the END: if a ring
     // overflowed it dropped the *oldest* records, so the tail still
-    // matches the tail of the verdict list.
+    // matches the tail of the verdict list. A recording run drained its
+    // traces after every input, so there is nothing left to merge.
     let mut trace: Vec<TraceRecord> = Vec::new();
     let mut record_out = record.then(|| ChaosRecord {
         metrics: RunMetrics::default(),
@@ -894,32 +841,26 @@ fn run(
         inputs: driver.log.take().unwrap_or_default(),
         deliveries: Vec::new(),
         counters: Vec::new(),
-        verdicts: Vec::new(),
+        traces: Vec::new(),
     });
-    let mut viz_out = driver.viz.take().map(VizCapture::into_streams);
-    for (pi, sh) in driver.procs.iter_mut().enumerate() {
+    for sh in &mut driver.procs {
         let mut t = sh.ep.drain_trace();
-        let mut vi = sh.verdicts.len();
+        let mut vi = sh.violations.len();
         for r in t.iter_mut().rev() {
             if let TraceEvent::Delivered { violation, .. } = &mut r.event {
                 if vi > 0 {
                     vi -= 1;
-                    *violation = sh.verdicts[vi];
+                    *violation = sh.violations[vi];
                 }
             }
         }
         trace.extend(t);
-        if let Some(streams) = &mut viz_out {
-            // Viz mode drained eagerly, so `t` above was empty; the
-            // verdicts patch the stamped stream instead.
-            patch_stamped_verdicts(&mut streams[pi], &sh.verdicts);
-        }
         if let Some(out) = &mut record_out {
             out.deliveries.push(std::mem::take(&mut sh.digests));
             out.counters.push(sh.ep.recovery_counters());
-            out.verdicts.push(std::mem::take(&mut sh.verdicts));
+            out.traces.push(std::mem::take(&mut sh.trace));
         }
     }
     trace.sort_by_key(|r| r.time);
-    Ok((metrics, trace, record_out, viz_out))
+    Ok((metrics, trace, record_out))
 }

@@ -42,10 +42,7 @@ pub mod runner;
 pub mod wake;
 pub mod wheel;
 
-pub use chaos::{
-    record_endpoint_chaos, record_endpoint_chaos_viz, simulate_endpoint_chaos, ChaosRecord,
-    VizCapture,
-};
+pub use chaos::{drain_node_trace, record_endpoint_chaos, simulate_endpoint_chaos, ChaosRecord};
 pub use config::{Dissemination, LatencyDistribution, LossModel, SimConfig};
 pub use engine::{
     simulate, simulate_fifo, simulate_immediate, simulate_prob, simulate_prob_detecting,

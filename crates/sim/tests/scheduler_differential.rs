@@ -23,8 +23,9 @@ fn record(seed: u64, space: KeySpace, policy: AssignmentPolicy, sch: Scheduler) 
 
 /// Every observable artefact of the run must match: the input log the
 /// engine fed each endpoint (event order is the scheduler's output),
-/// per-node delivery digests with alert flags, recovery counters,
-/// exact-checker verdicts, and the aggregate metrics.
+/// per-node delivery digests with alert flags, recovery counters, and
+/// the aggregate metrics (the exact checker's violation counts among
+/// them).
 fn assert_bit_identical(seed: u64, space: KeySpace, policy: AssignmentPolicy) -> ChaosRecord {
     let mut wheel = record(seed, space, policy, Scheduler::Wheel);
     let mut heap = record(seed, space, policy, Scheduler::Heap);
@@ -41,7 +42,6 @@ fn assert_bit_identical(seed: u64, space: KeySpace, policy: AssignmentPolicy) ->
         "seed {seed}: delivery order / alert flags diverged"
     );
     assert_eq!(wheel.counters, heap.counters, "seed {seed}: recovery counters diverged");
-    assert_eq!(wheel.verdicts, heap.verdicts, "seed {seed}: exact-checker verdicts diverged");
     assert_eq!(
         format!("{:?}", wheel.metrics),
         format!("{:?}", heap.metrics),

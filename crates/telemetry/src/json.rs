@@ -1,6 +1,6 @@
 //! The workspace's one JSON reader and writer: the daemon's
-//! line-delimited RPC, the trace JSONL of [`crate::jsonl`] and
-//! [`crate::viz`], and the ledger's result lines all go through it.
+//! line-delimited RPC, the trace JSONL of [`crate::jsonl`], and the
+//! ledger's result lines all go through it.
 //!
 //! The workspace builds offline without `serde`, so nothing can derive
 //! serializers; every document here is small and flat (objects of

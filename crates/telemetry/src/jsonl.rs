@@ -116,9 +116,8 @@ pub fn write_jsonl(records: &[TraceRecord]) -> String {
 
 // --- Record reconstruction ---------------------------------------------
 
-/// Parses one line into its JSON object (shared with the stamped-record
-/// parser in [`crate::viz`]).
-pub(crate) fn parse_object(line: &str) -> Result<Value, ParseError> {
+/// Parses one line into its JSON object.
+fn parse_object(line: &str) -> Result<Value, ParseError> {
     match json::parse(line) {
         Ok(object @ Value::Object(_)) => Ok(object),
         Ok(_) => err("a trace line must be a JSON object"),
@@ -134,7 +133,7 @@ fn must_be(key: &str, what: &str) -> ParseError {
     ParseError { line: 1, msg: format!("field \"{key}\" must be {what}") }
 }
 
-pub(crate) fn get_u64(obj: &Value, key: &str) -> Result<u64, ParseError> {
+fn get_u64(obj: &Value, key: &str) -> Result<u64, ParseError> {
     field(obj, key)?.as_u64().ok_or_else(|| must_be(key, "an unsigned integer"))
 }
 
@@ -164,8 +163,8 @@ pub fn parse_line(line: &str) -> Result<TraceRecord, ParseError> {
 }
 
 /// Rebuilds a [`TraceRecord`] from a parsed object, ignoring any keys the
-/// event does not use (stamped records carry extra correlation fields).
-pub(crate) fn record_from_obj(obj: &Value) -> Result<TraceRecord, ParseError> {
+/// event does not use.
+fn record_from_obj(obj: &Value) -> Result<TraceRecord, ParseError> {
     let time = get_u64(obj, "time")?;
     let node = get_u32(obj, "node")?;
     let Some(tag) = field(obj, "event")?.as_str() else {
@@ -364,12 +363,10 @@ mod tests {
                 key_vals: vec![],
             },
         });
-        for (lsn, record) in records.into_iter().enumerate() {
-            let stamped = crate::viz::StampedRecord { incarnation: 3, lsn: lsn as u64, record };
-            for line in [write_record(&stamped.record), crate::viz::write_stamped(&stamped)] {
-                assert!(matches!(json::parse(&line), Ok(Value::Object(_))), "{line}");
-            }
-            assert_eq!(parse_line(&write_record(&stamped.record)).unwrap(), stamped.record);
+        for record in records {
+            let line = write_record(&record);
+            assert!(matches!(json::parse(&line), Ok(Value::Object(_))), "{line}");
+            assert_eq!(parse_line(&line).unwrap(), record);
         }
     }
 }

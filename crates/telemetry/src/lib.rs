@@ -21,8 +21,6 @@
 //! * [`estimator`] — online causal-health estimators: the sliding-window
 //!   in-flight (`X̂`) estimator and the per-clock-entry collision
 //!   heatmap that feed live `P_error` prediction;
-//! * [`viz`] — `(node, epoch, lsn)`-stamped records, the shared
-//!   `--viz-json` stream format, and the cross-process timeline merge;
 //! * [`explain`] — replays a trace and reconstructs, for each flagged
 //!   delivery, the causal story: the missing predecessor, the concurrent
 //!   messages whose `K`-entry increments covered it, and the in-flight
@@ -43,7 +41,6 @@ pub mod json;
 pub mod jsonl;
 pub mod prom;
 pub mod ring;
-pub mod viz;
 
 pub use estimator::{CausalHealth, EntryHeatmap, XEstimator, HEATMAP_SLOTS, X_WINDOW};
 pub use event::{TraceEvent, TraceRecord};
@@ -52,7 +49,3 @@ pub use hist::Hist;
 pub use jsonl::{parse_jsonl, parse_line, write_jsonl, write_record, ParseError};
 pub use prom::{validate, PromWriter, Row, RowKind};
 pub use ring::Tracer;
-pub use viz::{
-    merge_timelines, message_id, parse_stamped, parse_stamped_jsonl, patch_stamped_verdicts,
-    patch_verdicts, write_stamped, write_stamped_jsonl, StampedRecord,
-};

@@ -6,6 +6,7 @@
 #
 #   scripts/mutants.sh restart SCRATCH_DIR
 #   scripts/mutants.sh core SCRATCH_DIR
+#   scripts/mutants.sh wire SCRATCH_DIR
 #
 # restart  mutants of the code a restarted node runs: booting from its
 #          state directory, persisting, the WAL and snapshot codecs, the
@@ -17,6 +18,11 @@
 #          unranking, the Algorithm 4/5 detectors and the wake-up index.
 #          Suites: the four that compare the core with the specification
 #          (`pcb_clock::spec`), then every clock and broadcast test.
+# wire     mutants of the frame codec (`broadcast/src/wire.rs`): the
+#          Golomb–Rice parameters on either side, the delta base, the
+#          frame checksum. Suites: the delta codec's differential and
+#          round-trip tests, the wire fuzz and golden-frame tests, then
+#          the forged-count fuzz of `bench/tests/frame_fuzz.rs`.
 #
 # Prints one line per mutant — which suite killed it, or `SURVIVED` —
 # and exits non-zero if any survived. The copy builds into
@@ -25,7 +31,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage="usage: scripts/mutants.sh restart|core SCRATCH_DIR"
+usage="usage: scripts/mutants.sh restart|core|wire SCRATCH_DIR"
 set_name=${1:?$usage}
 scratch=${2:?$usage}
 # Each suite is "label|cargo test arguments".
@@ -40,6 +46,13 @@ core)
         "differential|-p pcb-broadcast --test differential"
         "work_ratio|-p pcb-broadcast --test work_ratio"
         "other tests|-p pcb-clock -p pcb-broadcast"
+    )
+    ;;
+wire)
+    suites=(
+        "delta|-p pcb-broadcast --test delta"
+        "wire_fuzz|-p pcb-broadcast --test wire_fuzz"
+        "frame_fuzz|-p pcb-bench --test frame_fuzz"
     )
     ;;
 *)

@@ -17,7 +17,8 @@
 #   scripts/verify.sh --churn  # the dynamic-membership gate
 #
 # `--all` does not stop at a failing stage: it runs them all and ends
-# with one counted PASS / SKIPPED / FAIL table. A stage that printed a
+# with one line naming the environment (cores, compiler, file systems,
+# whether pcb-daemon spawns) and one counted PASS / SKIPPED / FAIL table. A stage that printed a
 # `SKIPPED` marker is counted as skipped, not passed; the exit status is
 # non-zero iff a stage failed.
 set -euo pipefail
@@ -30,11 +31,19 @@ run() {
     "$@"
 }
 
-# Whether this environment may fork/exec the daemon binary (it exits 2
-# on `--help`); prints the SKIPPED marker when it may not.
-can_spawn_daemon() {
+# The exit status of `pcb-daemon --help`: 2 (usage) means it ran, above
+# 2 that this environment may not fork/exec it.
+daemon_help_rc() {
     local rc=0
     ./target/release/pcb-daemon --help >/dev/null 2>&1 || rc=$?
+    echo "$rc"
+}
+
+# Whether this environment may fork/exec the daemon binary; prints the
+# SKIPPED marker when it may not.
+can_spawn_daemon() {
+    local rc
+    rc=$(daemon_help_rc)
     if [[ "$rc" -gt 2 ]]; then
         echo "==> SKIPPED: cannot spawn pcb-daemon in this environment (exit $rc)"
         return 1
@@ -171,23 +180,21 @@ stage_daemon() {
     fi
 }
 
-# Observability-plane stage: the causal-health estimators and
-# cross-process trace correlation. (1) X̂ must converge to the true
-# in-flight concurrency and the live predicted P_error(R, K, X̂) must
-# track the Algorithm-4 alert rate within 2× while bounding the
-# realized violation rate on a fig3-style grid; (2) the stamped
-# viz-JSONL schema must round-trip, keep causal/per-node order, and
-# match the checked-in golden timeline; (3) the full estimator path
-# must fit the ≤5% telemetry budget; (4) the simulator and the
-# certification harness, which restarts crashed nodes from disk, must
-# emit byte-identical merged viz timelines on four seeded chaos runs;
-# (5) a live 3-daemon cluster's `/metrics` pages must parse and agree
-# with the `status` RPC, and `pcb-top --once` must render every node.
+# Observability-plane stage: the causal-health estimators and the
+# traces. (1) X̂ must converge to the true in-flight concurrency and the
+# live predicted P_error(R, K, X̂) must track the Algorithm-4 alert rate
+# within 2× while bounding the realized violation rate on a fig3-style
+# grid; (2) the full estimator path must fit the ≤5% telemetry budget;
+# (3) with tracing on, the certification harness, which restarts
+# crashed nodes from disk, must emit each node's trace exactly as the
+# simulator's endpoint did, record for record and incarnation for
+# incarnation, on all 31 seeded chaos runs; (4) a live 3-daemon
+# cluster's `/metrics` pages must parse and agree with the `status`
+# RPC, and `pcb-top --once` must render every node.
 stage_obs() {
     run cargo test -p pcb-sim --test estimators -q
-    run cargo test -p pcb-sim --test viz_timeline -q
     run cargo run --release -p pcb-bench --bin telemetry_overhead
-    run cargo test -p pcb-runtime --test equivalence merged_viz_timelines -q
+    run cargo test -p pcb-runtime --test equivalence per_node_traces -q
     run cargo build --release -p pcb-runtime --bins
     if can_spawn_daemon; then
         run cargo test -p pcb-runtime --test daemon -q
@@ -206,6 +213,21 @@ stage_churn() {
     run cargo run --release -p pcb-bench --bin churn_experiment
     run cargo test -p pcb-sim --test chaos -q
     run cargo test -p pcb-runtime --test equivalence churn -q
+}
+
+# One line naming what the stages ran on: cores, compiler, the file
+# systems under the tests' state directories (the harness and the live
+# daemon tests use target/tmp, unit tests the temp directory), and
+# whether pcb-daemon could be spawned.
+print_env() {
+    local rc spawn fs_state fs_tmp tmp=${TMPDIR:-/tmp}
+    rc=$(daemon_help_rc)
+    spawn=yes
+    [[ "$rc" -gt 2 ]] && spawn="no (exit $rc)"
+    fs_state=$(stat -f -c %T target/tmp 2>/dev/null || echo unknown)
+    fs_tmp=$(stat -f -c %T "$tmp" 2>/dev/null || echo unknown)
+    echo "==== env: nproc $(nproc), $(rustc --version), target/tmp on $fs_state," \
+        "$tmp on $fs_tmp, pcb-daemon spawns: $spawn"
 }
 
 # Runs every stage to the end, whatever fails, and prints the table.
@@ -237,6 +259,7 @@ run_all() {
         table+="$(printf '%-7s %5ds  %s' "$stage" $((SECONDS - started)) "$status")"$'\n'
     done
     rm -f "$log"
+    print_env
     echo "==== verify --all: $pass PASS, $skipped SKIPPED, $failed FAIL (${SECONDS}s)"
     printf '%s' "$table"
     [[ "$failed" -eq 0 ]]
