@@ -10,8 +10,15 @@
 //!   [`pcb_broadcast::fragment`] and reassembled per peer
 //!   ([`KIND_FRAGMENT`]).
 //! - **Reliability** — every frame gets a per-peer sequence number;
-//!   receivers hold back out-of-order frames; senders retransmit on a
-//!   capped exponential backoff until a cumulative ack covers the frame.
+//!   receivers hold back out-of-order frames, so only the oldest
+//!   unacknowledged frame of a link can move its stream on, and that
+//!   head frame is the only one a sender retransmits, on a capped
+//!   exponential backoff until a cumulative ack covers it. While it is
+//!   being retransmitted (the peer let a whole timeout pass in silence)
+//!   nothing else goes to that peer: further frames queue, the ack that
+//!   releases the head reopens the window in the same poll, and a frame
+//!   behind it whose timer ran out meanwhile is the next head and leaves
+//!   at once.
 //! - **Acks ride along** — every datagram, whatever its kind, names the
 //!   highest in-order sequence number received on the reverse stream. A
 //!   standalone [`KIND_ACK`] leaves only when no datagram did within
@@ -35,11 +42,14 @@
 //!   stream (a delta chain) has to start over on that link. Messages
 //!   lost across a reset are recovered by the protocol's own
 //!   anti-entropy (§4.2), not the transport.
-//! - **Liveness** — a frame that exhausts its retries marks the peer
-//!   unreachable (counted in [`UdpStats::peer_down`], and in
+//! - **Liveness** — a head frame that exhausts its retries marks the
+//!   peer unreachable (counted in [`UdpStats::peer_down`], and in
 //!   [`UdpStats::peer_up`] when it answers again) and fences the send
 //!   side the same way, except that the outstanding queue is abandoned
-//!   (again: anti-entropy owns the gap).
+//!   (again: anti-entropy owns the gap). A dead peer is probed, not
+//!   flooded: it costs one datagram per timeout until the give-up, and
+//!   one per timeout of the next epoch's head after it, whatever the
+//!   owner keeps sending it.
 //! - **Fault injection** — every outbound datagram passes through a
 //!   [`SocketShim`]. A daemon's passes everything; tests install link
 //!   faults on it to drop, duplicate, delay or corrupt traffic
@@ -264,7 +274,8 @@ impl UdpStats {
     }
 }
 
-/// A frame awaiting acknowledgement.
+/// A frame awaiting acknowledgement. Only a peer's oldest one is ever
+/// retransmitted, so `retries` is non-zero on that head frame alone.
 #[derive(Debug)]
 struct OutFrame {
     frame: Bytes,
@@ -351,6 +362,15 @@ impl PeerState {
         } else {
             self.queued.clear();
         }
+    }
+
+    /// Whether a frame may go out to this peer now: the window has room,
+    /// and the head frame is not being retransmitted. A peer that let a
+    /// whole timeout pass in silence is probed with that one frame, and
+    /// the ack that releases it reopens the window.
+    fn may_send(&self, window: usize) -> bool {
+        self.unacked.len() < window
+            && self.unacked.first_key_value().is_none_or(|(_, head)| head.retries == 0)
     }
 
     /// Numbers `frame` as the next one of the current send epoch and
@@ -532,10 +552,12 @@ impl UdpTransport {
         self.cfg.rto_initial_us / 2
     }
 
-    /// Queues `frame` for reliable in-order delivery to `peer`. A frame
-    /// too large to fragment is refused and counted
-    /// ([`UdpStats::oversize_refused`]): numbered, it could never leave,
-    /// and would stall everything behind it until the give-up.
+    /// Queues `frame` for reliable in-order delivery to `peer`: numbered
+    /// and parked for the next flush while the window is open, held in
+    /// the queue while it is full or the peer's head frame is being
+    /// retransmitted. A frame too large to fragment is refused and
+    /// counted ([`UdpStats::oversize_refused`]): numbered, it could never
+    /// leave, and would stall everything behind it until the give-up.
     pub fn send(&mut self, peer: SocketAddr, frame: Bytes, now_us: u64) {
         if frame.len() > max_frame_len(self.whole_frame_max()) {
             self.stats.oversize_refused += 1;
@@ -544,7 +566,7 @@ impl UdpTransport {
         self.stats.frames_sent += 1;
         let state =
             self.peers.entry(peer).or_insert_with(|| PeerState::new(self.epoch_base, &self.cfg));
-        if state.queued.is_empty() && state.unacked.len() < self.cfg.window {
+        if state.queued.is_empty() && state.may_send(self.cfg.window) {
             let seq = state.number(frame.clone(), now_us, self.cfg.rto_initial_us);
             self.transmit_first(peer, seq, frame, now_us);
         } else {
@@ -554,8 +576,8 @@ impl UdpTransport {
 
     /// Drives the transport: releases shim-delayed datagrams, drains the
     /// socket, ships what was sent since the last flush, retransmits
-    /// overdue frames, promotes queued traffic into freed windows, and
-    /// sends the acks nothing carried. Returns completed frames and
+    /// overdue head frames, promotes queued traffic into freed windows,
+    /// and sends the acks nothing carried. Returns completed frames and
     /// fenced links.
     pub fn poll(&mut self, now_us: u64) -> Vec<UdpEvent> {
         let mut events = Vec::new();
@@ -606,11 +628,14 @@ impl UdpTransport {
     /// any — after a [`Self::flush`], the owner can wait until then.
     pub fn next_deadline_us(&self) -> Option<u64> {
         let delayed = self.delayed.peek().map(|d| d.due_us);
+        // Only a head frame's timer is live (see `retransmit_overdue`):
+        // one behind it may be long expired, and would make this a
+        // deadline in the past, turning the owner's wait into a spin.
         let retry = self
             .peers
             .values()
-            .flat_map(|p| p.unacked.values())
-            .map(|f| f.sent_at_us + f.rto_us)
+            .filter_map(|p| p.unacked.first_key_value())
+            .map(|(_, f)| f.sent_at_us + f.rto_us)
             .min();
         let ack = self
             .peers
@@ -791,39 +816,38 @@ impl UdpTransport {
         }
     }
 
+    /// Retransmits each peer's oldest unacknowledged frame once its timer
+    /// has run out. The receiver holds back everything behind a hole, so
+    /// that frame is the only one that can move its stream on; the frames
+    /// behind it wait for the ack that releases it, and one whose timer
+    /// ran out meanwhile is the next head and leaves at once. A head that
+    /// exhausts its retries gives up on the peer.
     fn retransmit_overdue(&mut self, now_us: u64, events: &mut Vec<UdpEvent>) {
         let mut addrs = std::mem::take(&mut self.addr_scratch);
         addrs.extend(self.peers.keys().copied());
         for &addr in &addrs {
             let state = self.peers.get_mut(&addr).expect("known peer");
-            let mut gave_up = false;
-            let mut resend: Vec<(u64, Bytes)> = Vec::new();
-            for (&seq, out) in &mut state.unacked {
-                if now_us < out.sent_at_us + out.rto_us {
-                    continue;
-                }
-                if out.retries >= self.cfg.max_retries {
-                    gave_up = true;
-                    break;
-                }
+            let Some(mut head) = state.unacked.first_entry() else { continue };
+            let seq = *head.key();
+            let out = head.get_mut();
+            if now_us < out.sent_at_us + out.rto_us {
+                continue;
+            }
+            if out.retries < self.cfg.max_retries {
                 out.retries += 1;
                 out.sent_at_us = now_us;
                 out.rto_us = (out.rto_us * 2).min(self.cfg.rto_max_us);
                 self.stats.retransmits += 1;
-                resend.push((seq, out.frame.clone()));
-            }
-            for (seq, frame) in resend {
+                let frame = out.frame.clone();
                 self.transmit_frame(addr, seq, &frame, now_us);
+                continue;
             }
-            if gave_up {
-                self.stats.give_ups += 1;
-                let state = self.peers.get_mut(&addr).expect("known peer");
-                state.fence(false);
-                events.push(UdpEvent::Fenced(addr));
-                if !state.unreachable {
-                    state.unreachable = true;
-                    self.stats.peer_down += 1;
-                }
+            self.stats.give_ups += 1;
+            state.fence(false);
+            events.push(UdpEvent::Fenced(addr));
+            if !state.unreachable {
+                state.unreachable = true;
+                self.stats.peer_down += 1;
             }
         }
         addrs.clear();
@@ -836,7 +860,7 @@ impl UdpTransport {
         for &addr in &addrs {
             loop {
                 let state = self.peers.get_mut(&addr).expect("known peer");
-                if state.unacked.len() >= self.cfg.window {
+                if !state.may_send(self.cfg.window) {
                     break;
                 }
                 let Some(frame) = state.queued.pop_front() else { break };
@@ -1295,6 +1319,118 @@ mod tests {
             !got.iter().any(|f| f.as_ref() == [b'Y'] || f.as_ref() == [b'Z']),
             "frames queued at give-up time leaked into the new epoch"
         );
+    }
+
+    /// A timeout and retry budget short enough for a synthetic clock.
+    fn probing_cfg() -> UdpConfig {
+        UdpConfig {
+            rto_initial_us: 2_000,
+            rto_max_us: 8_000,
+            max_retries: 3,
+            ..UdpConfig::default()
+        }
+    }
+
+    /// Polls `a` every millisecond of the synthetic clock from `from_us`
+    /// until `done`, checking after every poll that the next deadline is
+    /// still ahead; returns the clock at the end.
+    fn step_until(
+        a: &mut UdpTransport,
+        from_us: u64,
+        mut done: impl FnMut(&UdpTransport) -> bool,
+    ) -> u64 {
+        let mut now_us = from_us;
+        while !done(a) {
+            assert!(now_us < 1_000_000, "never done");
+            now_us += 1_000;
+            let _ = a.poll(now_us);
+            if let Some(deadline) = a.next_deadline_us() {
+                assert!(deadline > now_us, "a deadline already past: {deadline} at {now_us}");
+            }
+        }
+        now_us
+    }
+
+    #[test]
+    fn a_silent_peer_gets_one_retransmit_per_timeout_not_a_window() {
+        let cfg = probing_cfg();
+        let (mut a, _b, _, addr_b) = pair(cfg.clone());
+        // A full window in flight to a peer that never reads.
+        for frame in byte_frames(0..cfg.window as u8) {
+            a.send(addr_b, frame, 0);
+        }
+        a.flush(0);
+        assert_eq!(a.peers[&addr_b].unacked.len(), cfg.window);
+        step_until(&mut a, 0, |a| a.stats().0.give_ups > 0);
+        // Retransmitting every frame on its own timer cost window ×
+        // max_retries here (192): the receiver can only take the head.
+        let (stats, _) = a.stats();
+        assert_eq!(stats.retransmits, u64::from(cfg.max_retries));
+        assert_eq!((stats.give_ups, stats.peer_down), (1, 1));
+        assert!(a.peers[&addr_b].unacked.is_empty(), "the give-up fence abandons the window");
+    }
+
+    /// Two frames in flight to a silent `b` and the head retransmitted
+    /// once: the peer let a whole timeout pass. Returns the clock.
+    fn head_retrying(a: &mut UdpTransport, addr_b: SocketAddr) -> u64 {
+        for frame in byte_frames(0..2) {
+            a.send(addr_b, frame, 0);
+        }
+        a.flush(0);
+        let now_us = step_until(a, 0, |a| a.stats().0.retransmits == 1);
+        assert_eq!(
+            a.peers[&addr_b].unacked.values().map(|f| f.retries).collect::<Vec<_>>(),
+            [1, 0]
+        );
+        now_us
+    }
+
+    #[test]
+    fn while_the_head_retries_new_frames_wait_in_the_queue() {
+        let cfg = probing_cfg();
+        let (mut a, _b, _, addr_b) = pair(cfg.clone());
+        let t = head_retrying(&mut a, addr_b);
+        let sent = a.stats().0.bytes_sent;
+        for frame in byte_frames(2..5) {
+            a.send(addr_b, frame, t);
+        }
+        a.flush(t);
+        let _ = a.poll(t);
+        assert_eq!(a.stats().0.bytes_sent, sent, "nothing new left for a silent peer");
+        assert_eq!((a.peers[&addr_b].unacked.len(), a.peers[&addr_b].queued.len()), (2, 3));
+        // The frame behind the head timed out long ago; the deadline is
+        // the head's, doubled once, not that one's.
+        assert_eq!(a.next_deadline_us(), Some(t + 2 * cfg.rto_initial_us));
+        // Through the give-up the queue is held, the head alone retried.
+        step_until(&mut a, t, |a| a.stats().0.give_ups > 0);
+        assert_eq!(a.stats().0.retransmits, u64::from(cfg.max_retries));
+    }
+
+    #[test]
+    fn the_ack_that_releases_the_head_sends_the_queue_in_the_same_poll() {
+        let (mut a, mut b, _, addr_b) = pair(probing_cfg());
+        let t = head_retrying(&mut a, addr_b);
+        for frame in byte_frames(2..6) {
+            a.send(addr_b, frame, t);
+        }
+        // The peer answers: it reads both frames (one coalesced datagram)
+        // and the retransmission, and acknowledges them at once.
+        let at_b = read_datagrams(&mut b, t, 2);
+        assert_eq!(at_b.len(), 2);
+        assert_eq!(b.stats().0.acks_sent, 1);
+        // One poll reads the ack and ships all four queued frames.
+        let _ = read_datagrams(&mut a, t, 1);
+        assert!(a.peers[&addr_b].queued.is_empty());
+        assert_eq!(a.peers[&addr_b].unacked.keys().copied().collect::<Vec<_>>(), [3, 4, 5, 6]);
+        let frames = read_datagrams(&mut b, t, 6)
+            .into_iter()
+            .filter_map(|e| match e {
+                UdpEvent::Frame { frame, .. } => Some(frame),
+                UdpEvent::Fenced(_) => None,
+            })
+            .collect::<Vec<_>>();
+        assert_eq!(frames, byte_frames(2..6), "in order, each once");
+        assert_eq!(a.stats().0.retransmits, 1);
     }
 
     #[test]

@@ -16,6 +16,10 @@
 #   scripts/verify.sh --obs    # the causal-health plane gate
 #   scripts/verify.sh --churn  # the dynamic-membership gate
 #
+# A stage does not stop at a failing step either: every step runs, each
+# one that fails prints `==> FAILED: <step>`, and the stage returns
+# non-zero at its end.
+#
 # `--all` does not stop at a failing stage: it runs them all and ends
 # with one line naming the environment (cores, compiler, file systems,
 # whether pcb-daemon spawns) and one counted PASS / SKIPPED / FAIL table. A stage that printed a
@@ -26,9 +30,33 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+# How many steps of the current stage failed.
+failed_steps=0
+
+failed() {
+    echo "==> FAILED: $1"
+    failed_steps=$((failed_steps + 1))
+}
+
+# One step: shown, run, and recorded if it fails, without ending the stage.
 run() {
     echo "==> $*"
-    "$@"
+    "$@" || failed "$*"
+}
+
+# The end of a stage: non-zero iff a step of it failed.
+end_stage() {
+    local n=$failed_steps
+    failed_steps=0
+    [[ "$n" -eq 0 ]]
+}
+
+# One 6 s benchmark run of workload $1 (seed 1, no tracing), showing only
+# its lines that match the extended regex $2.
+ledger_lines() {
+    local cmd=(bash ledger/run.sh --workload "$1" --seed 1 --seconds 6 --trace 0)
+    echo "==> ${cmd[*]}"
+    "${cmd[@]}" | grep -E "$2" || failed "${cmd[*]}"
 }
 
 # The exit status of `pcb-daemon --help`: 2 (usage) means it ran, above
@@ -51,13 +79,18 @@ can_spawn_daemon() {
 }
 
 # Tier-1 gate (ROADMAP.md): release build + default-package tests.
-stage_tier1() {
+tier1_steps() {
     run cargo build --release
     run cargo test -q
 }
 
+stage_tier1() {
+    tier1_steps
+    end_stage
+}
+
 stage_base() {
-    stage_tier1
+    tier1_steps
 
     # Every crate's unit, integration, property, and doc tests.
     run cargo test --workspace -q
@@ -74,6 +107,7 @@ stage_base() {
     else
         echo "==> SKIPPED: cargo clippy unavailable"
     fi
+    end_stage
 }
 
 # Chaos stage: short deterministic fault-injection soak over a fixed
@@ -81,6 +115,7 @@ stage_base() {
 # scripts/replay.sh <seed>.
 stage_chaos() {
     run cargo run --release -p pcb-bench --bin chaos_soak
+    end_stage
 }
 
 # Observability stage: (1) every exact-checker violation in a seeded
@@ -95,6 +130,7 @@ stage_trace() {
     run cargo run --release -p pcb-bench --bin trace_explain -- --verify
     run cargo run --release -p pcb-bench --bin telemetry_overhead
     run cargo test -p pcb-telemetry --no-default-features -q
+    end_stage
 }
 
 # Perf stage. Wall-clock numbers live on the repo's benchmark (`ledger/`,
@@ -129,6 +165,7 @@ stage_perf() {
         run bash ledger/run.sh --workload "$workload" --seed 1 --seconds 3 --trace 0
     done
     run bash ledger/run.sh layers
+    end_stage
 }
 
 # Equivalence stage: the certification harness — 31 seeded chaos runs
@@ -143,6 +180,7 @@ stage_perf() {
 stage_equiv() {
     run cargo test -p pcb-runtime --test equivalence -q
     run cargo test -p pcb-sim --test shell_guard -q
+    end_stage
 }
 
 # Daemon stage: real pcb-daemon OS processes. The live tests — a
@@ -152,14 +190,17 @@ stage_equiv() {
 # the benchmark (the ledger exits non-zero unless every message arrived
 # everywhere): the crash workload (SIGKILL + `--resume` of one of three
 # daemons under load), of which the lines that say how the restart went
-# are shown; the steady workload, of which the lines that say what a
-# publish costs on the wire are — ≈ 498 B and ≈ 6.6 packets on a quiet
-# loopback; the
-# counters are the `lo` interface's, so anything else talking on it is
-# in them; and the saturate workload, of which capacity, latency and
-# memory are shown — ≈ 10 800 deliveries/s at ≈ 0.18 ms p50 and
-# ≈ 3.7 MB on 2 cores; ≈ 3 000/s at ≈ 1.5 ms means the loop sleeps
-# between turns again, a p50 of ≈ 20 ms that RPC writes wait behind
+# and what the outage cost on the wire are shown — ≈ 4 ms catch-up,
+# ≈ 300 ms p90, ≈ 525 B and ≈ 6.8 packets a publish; ≈ 646 B and
+# ≈ 8.1 packets mean the survivors retransmit every frame in flight to
+# the dead daemon again, not only the oldest; the steady workload, of
+# which the lines that say what a publish costs on the wire are —
+# ≈ 497 B and ≈ 6.6 packets on a quiet loopback (the counters are the
+# `lo` interface's, so anything else talking on it is in them); and the
+# saturate workload, of which capacity, latency and memory are shown —
+# ≈ 10 600 deliveries/s at ≈ 0.18 ms p50 and ≈ 3.6 MB on 2 cores (one
+# run of each after head-only retransmission, seed 1); ≈ 3 000/s at
+# ≈ 1.5 ms means the loop sleeps between turns again, a p50 of ≈ 20 ms that RPC writes wait behind
 # Nagle (`TCP_NODELAY` off), and ≈ 7 MB or more that snapshots no
 # longer follow the message count, so the store outgrows the stability
 # frontier. Environments that forbid fork/exec print an explicit
@@ -168,16 +209,13 @@ stage_daemon() {
     run cargo build --release -p pcb-runtime --bins
     if can_spawn_daemon; then
         run cargo test -p pcb-runtime --test daemon -q
-        echo "==> bash ledger/run.sh --workload daemon-crash --seed 1 --seconds 6 --trace 0"
-        bash ledger/run.sh --workload daemon-crash --seed 1 --seconds 6 --trace 0 |
-            grep -E "restart catch-up|deliver_p90_ms  |failed_ops|verdict"
-        echo "==> bash ledger/run.sh --workload daemon-steady --seed 1 --seconds 6 --trace 0"
-        bash ledger/run.sh --workload daemon-steady --seed 1 --seconds 6 --trace 0 |
-            grep -E "wire_bytes_per_msg  |lo packets per message|failed_ops|verdict"
-        echo "==> bash ledger/run.sh --workload daemon-saturate --seed 1 --seconds 6 --trace 0"
-        bash ledger/run.sh --workload daemon-saturate --seed 1 --seconds 6 --trace 0 |
-            grep -E "deliveries_per_s  |deliver_p50_ms  |peak_rss_mb  |failed_ops|verdict"
+        ledger_lines daemon-crash \
+            "restart catch-up|deliver_p90_ms  |wire_bytes_per_msg  |lo packets per message|failed_ops|verdict"
+        ledger_lines daemon-steady "wire_bytes_per_msg  |lo packets per message|failed_ops|verdict"
+        ledger_lines daemon-saturate \
+            "deliveries_per_s  |deliver_p50_ms  |peak_rss_mb  |failed_ops|verdict"
     fi
+    end_stage
 }
 
 # Observability-plane stage: the causal-health estimators and the
@@ -199,6 +237,7 @@ stage_obs() {
     if can_spawn_daemon; then
         run cargo test -p pcb-runtime --test daemon -q
     fi
+    end_stage
 }
 
 # Churn stage: the config-epoch plane end to end. (1) The churn
@@ -213,6 +252,7 @@ stage_churn() {
     run cargo run --release -p pcb-bench --bin churn_experiment
     run cargo test -p pcb-sim --test chaos -q
     run cargo test -p pcb-runtime --test equivalence churn -q
+    end_stage
 }
 
 # One line naming what the stages ran on: cores, compiler, the file
