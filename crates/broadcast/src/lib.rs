@@ -66,4 +66,7 @@ pub use pending::{InsertVerdict, WakeupIndex, WakeupStats};
 pub use process::{Delivery, PcbConfig, PcbProcess, ProcessStats};
 pub use recovery::{Counters, MessageStore, SyncRequest, SyncResponse, SYNC_REPLY_MAX};
 pub use snapshot::{decode_snapshot, encode_snapshot, PrevEpochSnapshot, ProcessSnapshot};
-pub use wire::{decode, encode_full, DeltaDecoder, DeltaEncoder, WireError};
+pub use wire::{
+    decode, encode_full, DeltaDecoder, DeltaEncoder, ListReader, ListWriter, WireError,
+    LIST_ENTRIES_PER_BYTE,
+};

@@ -27,9 +27,12 @@
 //! For byte payloads the snapshot has a wire encoding ([`encode_snapshot`]
 //! / [`decode_snapshot`]) with the same hardening as message frames:
 //! version byte, trailing [`crate::wire::checksum64`], total decoding.
-//! There is one blob layout; stored messages are full wire frames, and
-//! the cluster tail (epoch, assignment policy, previous-epoch drain
-//! state) is always written, genesis included.
+//! There is one blob layout. The stored messages are one self-contained
+//! wire list ([`crate::wire::ListWriter`]): each sender's first stored
+//! message a full frame, its later ones deltas against the one before,
+//! so a store costs what its stamps changed. The cluster tail (epoch,
+//! assignment policy, previous-epoch drain state) is always written,
+//! genesis included.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use pcb_clock::{AssignmentPolicy, ClusterConfig, KeySet, KeySpace, ProcessId, Timestamp};
@@ -86,9 +89,14 @@ pub struct ProcessSnapshot<P> {
 
 /// The blob format. Bytes 1 (wire-v2 frames, no cluster tail), 2 (the
 /// tail only while the config plane was active), 3 (wire-v3 frames in
-/// the store) and 4 (wire-v5 frames) are retired and refuse as
+/// the store), 4 (wire-v5 frames) and 5 (wire-v6 frames, each stored
+/// message a full frame) are retired and refuse as
 /// [`WireError::BadVersion`].
-const BLOB_VERSION: u8 = 5;
+const BLOB_VERSION: u8 = 6;
+/// Fewest bytes a stored message takes: its time and length varints, and
+/// the smallest frame (version, tag, sender, seq, back, count, payload
+/// length and checksum — a delta with no changes and no payload).
+const STORED_MIN_BYTES: usize = 2 + 15;
 /// The one flag bit: a `recent_window` follows. Any other set bit refuses.
 const FLAG_RECENT_WINDOW: u8 = 0b100;
 
@@ -125,9 +133,10 @@ pub fn encode_snapshot(snapshot: &ProcessSnapshot<Bytes>) -> Bytes {
     wire::put_uvar(&mut buf, s.max_pending as u64);
     wire::put_uvar(&mut buf, snapshot.store_window);
     wire::put_uvar(&mut buf, snapshot.store.len() as u64);
+    let mut list = wire::ListWriter::default();
     for (at, message) in &snapshot.store {
         wire::put_uvar(&mut buf, *at);
-        let frame = wire::encode_full(message);
+        let frame = list.encode(message);
         wire::put_uvar(&mut buf, frame.len() as u64);
         buf.put_slice(&frame);
     }
@@ -254,13 +263,17 @@ pub fn decode_snapshot(blob: Bytes) -> Result<ProcessSnapshot<Bytes>, WireError>
     if store_count > cur.len() {
         return Err(WireError::Truncated);
     }
-    let mut store = Vec::with_capacity(store_count);
+    // Room for no more messages than the bytes left could hold: a forged
+    // count would otherwise claim a message slot, tens of bytes, per
+    // byte behind it.
+    let mut store = Vec::with_capacity(store_count.min(cur.len() / STORED_MIN_BYTES));
+    let mut list = wire::ListReader::default();
     for _ in 0..store_count {
         let at = wire::take_uvar(&mut cur)?;
         // One new sharer of the blob per stored message: the handle the
         // frame decoder narrows to the payload.
         let frame = blob.slice(wire::take_len_prefixed(body, &mut cur)?);
-        store.push((at, wire::decode(frame)?));
+        store.push((at, list.decode(frame)?));
     }
     let epoch = take_epoch(&mut cur)?;
     let [code] = wire::take_array(&mut cur)?;
@@ -366,7 +379,7 @@ mod tests {
     fn retired_versions_refuse_before_the_checksum() {
         let (b, store) = populated();
         let blob = encode_snapshot(&b.snapshot(&store));
-        for version in [1u8, 2, 3, 4] {
+        for version in [1u8, 2, 3, 4, 5] {
             let mut old = blob.to_vec();
             old[0] = version;
             let err = decode_snapshot(Bytes::from(old)).unwrap_err();

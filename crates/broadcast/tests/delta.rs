@@ -5,8 +5,8 @@
 //! Two replay paths share one arrival permutation:
 //!
 //! 1. *full* — every message ships as a standalone full frame;
-//! 2. *delta* — every sender runs a [`DeltaEncoder`] (periodic full
-//!    stamps, deltas in between); the receiver's [`DeltaDecoder`]
+//! 2. *delta* — every sender runs a [`DeltaEncoder`] (a full stamp at
+//!    every forced restart, deltas in between); the receiver's [`DeltaDecoder`]
 //!    reconstructs, falling back to an on-demand full frame whenever a
 //!    permuted arrival references a base it has not decoded yet —
 //!    exactly the refetch/late-joiner path.
@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use pcb_broadcast::wire::{DeltaDecoder, DeltaEncoder};
+use pcb_broadcast::wire::{DeltaDecoder, DeltaEncoder, ListReader, ListWriter};
 use pcb_broadcast::{wire, Message, MessageId, PcbProcess, WireError};
 use pcb_clock::{KeySet, KeySpace, ProcessId, Timestamp};
 use proptest::prelude::*;
@@ -136,18 +136,21 @@ fn delta_and_full_frames_deliver_bit_identically() {
 
             // Path 2: per-sender delta chains encoded in send order
             // (frames fixed before the permutation is applied).
-            let mut encoders: std::collections::HashMap<usize, DeltaEncoder> =
+            // Each chain restarts with a full frame every fourth message.
+            let mut encoders: std::collections::HashMap<usize, (DeltaEncoder, u64)> =
                 std::collections::HashMap::new();
             let frames: Vec<Bytes> = pool
                 .iter()
                 .map(|m| {
-                    encoders
-                        .entry(m.sender().index())
-                        .or_insert_with(|| DeltaEncoder::new(4))
-                        .encode(m)
+                    let (encoder, sent) = encoders.entry(m.sender().index()).or_default();
+                    if *sent % 4 == 0 {
+                        encoder.force_full();
+                    }
+                    *sent += 1;
+                    encoder.encode(m)
                 })
                 .collect();
-            let deltas: u64 = encoders.values().map(DeltaEncoder::deltas_emitted).sum();
+            let deltas: u64 = encoders.values().map(|(encoder, _)| encoder.deltas_emitted()).sum();
             assert!(deltas > 0, "seed {seed}: the chain must actually emit deltas");
             let delta_order = replay(space, &pool, &arrival, |i| frames[i].clone());
 
@@ -188,9 +191,10 @@ proptest! {
     ) {
         let space = KeySpace::new(r, 1).unwrap();
         let keys = Arc::new(KeySet::from_entries(space, &[0]).unwrap());
-        let mut encoder = DeltaEncoder::new(full_every);
+        let mut encoder = DeltaEncoder::default();
         let mut decoder = DeltaDecoder::new();
         let mut entries = vec![0u64; r];
+        let frames = steps.len() as u64;
         for (seq, (noise, force)) in steps.into_iter().enumerate() {
             // Mutate some prefix of the stamp: absolute overwrites, so
             // values can regress as well as jump — both must fall back
@@ -198,7 +202,8 @@ proptest! {
             for (e, v) in entries.iter_mut().zip(noise) {
                 *e = v;
             }
-            if force {
+            // A restart every `full_every` frames, and at random.
+            if force || (seq as u64).is_multiple_of(full_every) {
                 encoder.force_full();
             }
             let m = raw_message(7, seq as u64 + 1, entries.clone(), &keys);
@@ -206,9 +211,8 @@ proptest! {
             let back = decoder.decode(frame).expect("in-order chain always decodes");
             prop_assert_eq!(wire::encode_full(&back), wire::encode_full(&m));
         }
-        // The cadence bound holds even under fallbacks: at least one full
-        // frame per `full_every` frames.
-        prop_assert!(encoder.fulls_emitted() >= 1);
+        // Every restart is a full frame, fallbacks come on top.
+        prop_assert!(encoder.fulls_emitted() >= frames.div_ceil(full_every));
     }
 
     /// Any change set round-trips: a base of up to 2 000 entries of any
@@ -239,7 +243,7 @@ proptest! {
                 }
             })
             .collect();
-        let mut encoder = DeltaEncoder::new(u64::MAX);
+        let mut encoder = DeltaEncoder::default();
         let mut decoder = DeltaDecoder::new();
         for (seq, entries) in [(1, base), (2, next)] {
             let m = raw_message(5, seq, entries, &keys);
@@ -249,6 +253,43 @@ proptest! {
             let back = decoder.decode(frame).expect("in-order chain always decodes");
             prop_assert_eq!(wire::encode_full(&back), full);
         }
+    }
+
+    /// Up to four senders' messages interleaved in any order, each
+    /// sender's own in send order with any entries rising between them,
+    /// round-trip through `ListWriter`/`ListReader` — a list as a sync
+    /// reply or a snapshot's store carries it — with exactly one full
+    /// frame per sender: its first in the list.
+    #[test]
+    fn interleaved_lists_roundtrip_with_one_chain_per_sender(
+        r in 2usize..24,
+        picks in proptest::collection::vec(
+            (0usize..4, proptest::collection::vec((0usize..24, 1u64..1 << 20), 0..6)),
+            1..64,
+        ),
+    ) {
+        let space = KeySpace::new(r, 1).unwrap();
+        let keys = Arc::new(KeySet::from_entries(space, &[0]).unwrap());
+        let (mut stamps, mut seqs) = (vec![vec![0u64; r]; 4], [0u64; 4]);
+        let list: Vec<Message<Bytes>> = picks
+            .into_iter()
+            .map(|(sender, rises)| {
+                for (entry, rise) in rises {
+                    stamps[sender][entry % r] += rise;
+                }
+                seqs[sender] += 1;
+                raw_message(sender, seqs[sender], stamps[sender].clone(), &keys)
+            })
+            .collect();
+        let mut writer = ListWriter::default();
+        let frames: Vec<Bytes> = list.iter().map(|m| writer.encode(m)).collect();
+        let mut reader = ListReader::default();
+        for (message, frame) in list.iter().zip(&frames) {
+            let back = reader.decode(frame.clone()).map_err(|e| format!("listed: {e}"))?;
+            prop_assert_eq!(wire::encode_full(&back), wire::encode_full(message));
+        }
+        let fulls = frames.iter().filter(|frame| frame[1] & 1 == 0).count();
+        prop_assert_eq!(fulls, seqs.iter().filter(|&&sent| sent > 0).count());
     }
 
     /// A decoder joining the chain late decodes nothing until a full
@@ -262,7 +303,7 @@ proptest! {
         let join_at = join_at % n;
         let space = KeySpace::new(r, 1).unwrap();
         let keys = Arc::new(KeySet::from_entries(space, &[0]).unwrap());
-        let mut encoder = DeltaEncoder::new(u64::MAX); // one full, then deltas forever
+        let mut encoder = DeltaEncoder::default(); // one full, then deltas forever
         let mut entries = vec![0u64; r];
         let frames: Vec<(Message<Bytes>, Bytes)> = (0..n)
             .map(|seq| {
@@ -309,7 +350,7 @@ proptest! {
         let space = KeySpace::new(4, 1).unwrap();
         let keys = Arc::new(KeySet::from_entries(space, &[2]).unwrap());
         let mut decoder = DeltaDecoder::new();
-        let mut encoder = DeltaEncoder::new(u64::MAX); // one full, then deltas forever
+        let mut encoder = DeltaEncoder::default(); // one full, then deltas forever
         let mut genuine_seq = 0u64;
         let mut genuine = |decoder: &mut DeltaDecoder| {
             genuine_seq += 1;
@@ -332,7 +373,7 @@ proptest! {
         // Past the cap a new sender seeded no base: its delta is a
         // refetch, not a reconstruction against someone else's stamp.
         let late = raw_message(first + (FORGED - 1) * stride, 2, vec![2, 0, 0, 0], &keys);
-        let mut late_encoder = DeltaEncoder::new(u64::MAX);
+        let mut late_encoder = DeltaEncoder::default();
         let _ = late_encoder.encode(&raw_message(late.sender().index(), 1, vec![1, 0, 0, 0], &keys));
         let delta = late_encoder.encode(&late);
         prop_assert!(matches!(decoder.decode(delta), Err(WireError::MissingDeltaBase { .. })));

@@ -60,7 +60,9 @@ fn receiver(keys: &KeySet) -> Endpoint<Bytes> {
 fn trace(keys: &[KeySet]) -> Vec<(u64, Bytes)> {
     let mut senders: Vec<PcbProcess<Bytes>> =
         (0..SENDERS).map(|i| PcbProcess::new(ProcessId::new(i), keys[i].clone())).collect();
-    let mut encoders: Vec<DeltaEncoder> = (0..SENDERS).map(|_| DeltaEncoder::new(8)).collect();
+    let mut encoders: Vec<DeltaEncoder> = (0..SENDERS).map(|_| DeltaEncoder::default()).collect();
+    // Each chain restarts with a full frame every eighth message.
+    let mut sent = [0u64; SENDERS];
     let mut rng = 0x9E37_79B9_7F4A_7C15u64;
     let mut next = move || {
         rng ^= rng << 13;
@@ -86,6 +88,10 @@ fn trace(keys: &[KeySet]) -> Vec<(u64, Bytes)> {
                 assert_eq!(other.on_receive(message.clone(), step).len(), 1);
             }
         }
+        if sent[s] % 8 == 0 {
+            encoders[s].force_full();
+        }
+        sent[s] += 1;
         let frame = encoders[s].encode(&message);
         let arrival = step + LAGS[s];
         let is_full = frame[1] == 0;
@@ -241,7 +247,7 @@ fn crash_mid_delta_stream_restores_bit_identically() {
     // at the cadence boundary — the stream crossing the crash is deltas.
     let keys = key_sets();
     let mut sender = PcbProcess::<Bytes>::new(ProcessId::new(0), keys[0].clone());
-    let mut enc = DeltaEncoder::new(100); // frame 0 full, the rest deltas
+    let mut enc = DeltaEncoder::default(); // frame 0 full, the rest deltas
     let pool: Vec<_> =
         (0..11).map(|i| sender.broadcast(Bytes::from(format!("m{i}").into_bytes()))).collect();
     let frames: Vec<Bytes> = pool.iter().map(|m| enc.encode(m)).collect();

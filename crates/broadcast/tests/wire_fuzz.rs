@@ -187,7 +187,7 @@ fn golden_messages(epoch: u64) -> Vec<Message<Bytes>> {
 
 const GOLDEN_FULL: &str =
     "0600030208020a000000000000000000000000000000000200ac0200020000037063625c6241c343e97a05";
-/// `DeltaEncoder::new(32)` over the three messages: full, delta, delta.
+/// `DeltaEncoder::default()` over the three messages: full, delta, delta.
 /// The first delta's change list reads `81 c0 0a 58 68`, low bit first:
 /// parameters `1` (k_gap 0) and `0000001` (k_rise 6); remainders
 /// `000000`, `110101` (299 mod 64 = 43) and `000000`; quotients `01 1`,
@@ -206,8 +206,15 @@ const GOLDEN_CHAIN_EPOCH7: [&str; 3] = [
     "060f030301031b1b00242861abe3a3be2b",
 ];
 /// A mid-reconfiguration snapshot: epoch 1 in force, the epoch-0 drain
-/// state kept, one stored message from each epoch.
-const GOLDEN_SNAPSHOT: &str = "05030c020a00000000000000000000000000000004fa01030c000300ac0200030001000000000201020204060303000304010002058827020a280600030108020a000000000000000000000000000000000100000001000001611ab54987a0dcd264142b0602030208020a000000000000000000000000000000000200ac020002000003706362e44c37e1b1001b1f0100010008020a00000000000000000000000000000008000300ac02000300011501c9f7504b93fa";
+/// state kept, stored messages from both epochs. The store is one list:
+/// sender 3's epoch-0 message and its first epoch-1 message are full
+/// frames (another epoch starts another chain), the second epoch-1 one
+/// is `GOLDEN_CHAIN[2]`'s delta at tag 3 (`1e 11 06 03 03 03 01 03 1b1b
+/// 00 …`: stored at 30, 17 bytes).
+const GOLDEN_SNAPSHOT: &str = "06030c020a00000000000000000000000000000004fa01030c000300ac0200030001000000000201020204060303000304010002058827030a280600030108020a000000000000000000000000000000000100000001000001611ab54987a0dcd264142b0602030208020a000000000000000000000000000000000200ac020002000003706362e44c37e1b1001b1f1e110603030301031b1b00c9e0469b7c730a440100010008020a00000000000000000000000000000008000300ac020003000126d05d3a9184d980";
+/// The two-message snapshot as blob version 5 wrote it, every stored
+/// message a full frame: refuses by its version.
+const SNAPSHOT_V5: &str = "05030c020a00000000000000000000000000000004fa01030c000300ac0200030001000000000201020204060303000304010002058827020a280600030108020a000000000000000000000000000000000100000001000001611ab54987a0dcd264142b0602030208020a000000000000000000000000000000000200ac020002000003706362e44c37e1b1001b1f0100010008020a00000000000000000000000000000008000300ac02000300011501c9f7504b93fa";
 
 /// The same artefacts as the version-5 codec wrote them (one byte per
 /// delta change): every one refuses by its version.
@@ -249,7 +256,7 @@ fn golden_snapshot() -> ProcessSnapshot<Bytes> {
             max_pending: 5,
         },
         store_window: 5000,
-        store: vec![(10, epoch0[0].clone()), (20, epoch1[1].clone())],
+        store: vec![(10, epoch0[0].clone()), (20, epoch1[1].clone()), (30, epoch1[2].clone())],
     }
 }
 
@@ -285,11 +292,13 @@ fn unary(q: u32) -> (u64, u32) {
     (1 << q, q + 1)
 }
 
-/// Bytes → message. The vectors were re-pinned when the delta change list
-/// went to Golomb–Rice codes (frames version 6, snapshots version 5); a
-/// full frame's body has not changed a byte since the slice cursor. The
-/// encoders emit exactly these bytes, and the decoders read them — honest
-/// or forged — exactly as pinned. The version-5 vectors refuse.
+/// Bytes → message. The frame vectors were re-pinned when the delta
+/// change list went to Golomb–Rice codes (frames version 6); a full
+/// frame's body has not changed a byte since the slice cursor. The
+/// snapshot was re-pinned when its store became a chained list
+/// (snapshots version 6). The encoders emit exactly these bytes, and the
+/// decoders read them — honest or forged — exactly as pinned. The older
+/// vectors refuse by their version.
 #[test]
 fn golden_frames_encode_and_decode_as_pinned() {
     for frame in [V5_FULL].iter().chain(&V5_CHAIN).chain(&V5_CHAIN_EPOCH7) {
@@ -297,13 +306,14 @@ fn golden_frames_encode_and_decode_as_pinned() {
         assert_eq!(DeltaDecoder::new().decode(unhex(frame)).unwrap_err(), WireError::BadVersion(5));
     }
     assert_eq!(decode_snapshot(unhex(V5_SNAPSHOT)).unwrap_err(), WireError::BadVersion(4));
+    assert_eq!(decode_snapshot(unhex(SNAPSHOT_V5)).unwrap_err(), WireError::BadVersion(5));
 
     let plain = golden_messages(0);
     assert_eq!(encode_full(&plain[1]), unhex(GOLDEN_FULL));
     assert_is(&decode(unhex(GOLDEN_FULL)).unwrap(), &plain[1]);
     for (epoch, chain) in [(0, GOLDEN_CHAIN), (7, GOLDEN_CHAIN_EPOCH7)] {
         let messages = golden_messages(epoch);
-        let (mut encoder, mut decoder) = (DeltaEncoder::new(32), DeltaDecoder::new());
+        let (mut encoder, mut decoder) = (DeltaEncoder::default(), DeltaDecoder::new());
         for (message, frame) in messages.iter().zip(chain) {
             assert_eq!(encoder.encode(message), unhex(frame));
             assert_is(&decoder.decode(unhex(frame)).unwrap(), message);
@@ -444,7 +454,7 @@ fn chain(sender: usize, count: usize, epoch: u64, payload: &[u8]) -> Vec<(Messag
     let space = KeySpace::new(32, 3).unwrap();
     let mut assigner = KeyAssigner::new(space, AssignmentPolicy::UniformRandom, sender as u64 + 1);
     let mut process = PcbProcess::new(ProcessId::new(sender), assigner.next_set().unwrap());
-    let mut encoder = DeltaEncoder::new(64);
+    let mut encoder = DeltaEncoder::default();
     (0..count)
         .map(|_| {
             let message = process.broadcast(Bytes::from(payload.to_vec())).with_epoch(epoch);
@@ -544,7 +554,7 @@ proptest! {
         let blob = unhex(GOLDEN_SNAPSHOT);
         for bad in damaged(&blob[..blob.len() - 8], xor) {
             if let Ok(snapshot) = decode_snapshot(resealed(&bad)) {
-                prop_assert!(snapshot.store.len() <= 2, "a count the input never paid for");
+                prop_assert!(snapshot.store.len() <= 3, "a count the input never paid for");
             }
         }
     }

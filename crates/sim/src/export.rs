@@ -3,10 +3,13 @@
 //! payload rewrites the wire and snapshot codecs need.
 //!
 //! * [`encode_step`]/[`decode_step`] give each `(now_us, Input)` a
-//!   self-contained byte form. Messages travel as standalone full wire
-//!   frames ([`pcb_broadcast::wire`]), so a receiver reconstructs
-//!   bit-identical stamps, key sets, and payloads from bytes alone. The
-//!   daemon's anti-entropy probes and replies travel in this form.
+//!   self-contained byte form. A received frame travels as a standalone
+//!   full wire frame ([`pcb_broadcast::wire`]), and a sync reply's
+//!   messages as one wire list ([`wire::ListWriter`]): per sender a full
+//!   frame, then deltas against that sender's previous message in the
+//!   reply. Either way a receiver reconstructs bit-identical stamps, key
+//!   sets, and payloads from the step's bytes alone. The daemon's
+//!   anti-entropy probes and replies travel in this form.
 //! * [`encode_node_spec`]/[`decode_node_spec`] carry the constructor
 //!   arguments (keys, protocol config, recovery timing) into a node's
 //!   state directory, for a process that shares no memory with whoever
@@ -17,7 +20,9 @@
 
 use bytes::Bytes;
 use pcb_broadcast::endpoint::{Input, RecoveryTimingUs};
-use pcb_broadcast::{wire, JoinGrant, Message, PcbConfig, ProcessSnapshot, SeenWindows, WireError};
+use pcb_broadcast::{
+    wire, JoinGrant, Message, PcbConfig, ProcessSnapshot, SeenWindows, WireError, SYNC_REPLY_MAX,
+};
 use pcb_clock::{AssignmentPolicy, ClusterConfig, KeySet, KeySpace, ProcessId};
 
 /// Errors decoding exported bytes.
@@ -38,6 +43,9 @@ pub enum ExportError {
     /// strictly ascending, each exception list strictly ascending and
     /// beyond its prefix.
     BadWindows,
+    /// A sync reply of more messages than a store ever answers with
+    /// ([`SYNC_REPLY_MAX`]).
+    LongReply(usize),
 }
 
 impl std::fmt::Display for ExportError {
@@ -247,10 +255,9 @@ fn read_config(r: &mut Reader<'_>) -> Result<ClusterConfig, ExportError> {
     Ok(ClusterConfig { epoch, space, policy })
 }
 
-fn put_frame(out: &mut Vec<u8>, message: &Message<u32>) {
-    let frame = message_to_wire(message);
+fn put_frame(out: &mut Vec<u8>, frame: &[u8]) {
     out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame);
+    out.extend_from_slice(frame);
 }
 
 /// Serializes one replay step.
@@ -261,7 +268,7 @@ pub fn encode_step(now_us: u64, input: &Input<u32>) -> Vec<u8> {
     match input {
         Input::FrameReceived(message) => {
             out.push(STEP_FRAME);
-            put_frame(&mut out, message);
+            put_frame(&mut out, &message_to_wire(message));
         }
         Input::SyncRequest { from, windows } => {
             out.push(STEP_SYNC_REQUEST);
@@ -280,8 +287,9 @@ pub fn encode_step(now_us: u64, input: &Input<u32>) -> Vec<u8> {
             out.push(STEP_SYNC_RESPONSE);
             put_config(&mut out, config);
             out.extend_from_slice(&(messages.len() as u32).to_le_bytes());
+            let mut list = wire::ListWriter::default();
             for message in messages {
-                put_frame(&mut out, message);
+                put_frame(&mut out, &list.encode(&message_to_bytes(message)));
             }
         }
         Input::Tick => out.push(STEP_TICK),
@@ -341,10 +349,9 @@ fn read_windows(r: &mut Reader<'_>) -> Result<SeenWindows, ExportError> {
     Ok(windows)
 }
 
-fn read_frame(r: &mut Reader<'_>) -> Result<Message<u32>, ExportError> {
+fn read_frame(r: &mut Reader<'_>) -> Result<Bytes, ExportError> {
     let len = r.u32()? as usize;
-    let frame = Bytes::from(r.take(len)?);
-    message_from_wire(frame)
+    Ok(Bytes::from(r.take(len)?))
 }
 
 /// Deserializes one replay step.
@@ -357,7 +364,7 @@ pub fn decode_step(bytes: &[u8]) -> Result<(u64, Input<u32>), ExportError> {
     let now_us = r.u64()?;
     let kind = r.u8()?;
     let input = match kind {
-        STEP_FRAME => Input::FrameReceived(read_frame(&mut r)?),
+        STEP_FRAME => Input::FrameReceived(message_from_wire(read_frame(&mut r)?)?),
         STEP_SYNC_REQUEST => {
             let from = ProcessId::new(r.u32()? as usize);
             Input::SyncRequest { from, windows: read_windows(&mut r)? }
@@ -365,9 +372,14 @@ pub fn decode_step(bytes: &[u8]) -> Result<(u64, Input<u32>), ExportError> {
         STEP_SYNC_RESPONSE => {
             let config = read_config(&mut r)?;
             let count = r.u32()? as usize;
+            if count > SYNC_REPLY_MAX {
+                return Err(ExportError::LongReply(count));
+            }
             let mut messages = Vec::with_capacity(r.capacity(count, FRAME_MIN_BYTES));
+            let mut list = wire::ListReader::default();
             for _ in 0..count {
-                messages.push(read_frame(&mut r)?);
+                let message = list.decode(read_frame(&mut r)?).map_err(ExportError::Wire)?;
+                messages.push(message_from_bytes(message)?);
             }
             Input::SyncResponse { messages, config }
         }
@@ -585,6 +597,63 @@ mod tests {
             // Inputs lack PartialEq; compare via a second encode.
             assert_eq!(bytes, encode_step(now2, &input2), "{input:?}");
         }
+    }
+
+    /// A full reply from one sender at R = 100 — each message stamped
+    /// after a delivery from another node, so the stamps move outside
+    /// the sender's own keys too — is one full frame and 1 023 deltas.
+    #[test]
+    fn a_reply_is_one_chain_per_sender() {
+        let space = KeySpace::new(100, 4).unwrap();
+        let keys = |entries| KeySet::from_entries(space, entries).unwrap();
+        let mut a =
+            Endpoint::new(ProcessId::new(0), keys(&[3, 9, 40, 77]), PcbConfig::default(), None);
+        let mut b =
+            Endpoint::new(ProcessId::new(1), keys(&[1, 4, 52, 98]), PcbConfig::default(), None);
+        let sent = |ep: &mut Endpoint<u32>, payload: u32| {
+            ep.handle(Input::Broadcast(payload), 1_000)
+                .into_iter()
+                .find_map(|o| match o {
+                    pcb_broadcast::Output::SendFrame(m) => Some(m),
+                    _ => None,
+                })
+                .expect("broadcast emits a frame")
+        };
+        let messages: Vec<Message<u32>> = (0..SYNC_REPLY_MAX as u32)
+            .map(|i| {
+                let from_b = sent(&mut b, i);
+                let _ = a.handle(Input::FrameReceived(from_b), 1_000);
+                sent(&mut a, i)
+            })
+            .collect();
+        let config = ClusterConfig::genesis(space);
+        let step = encode_step(0, &Input::SyncResponse { messages: messages.clone(), config });
+        // now_us, kind, config (17 bytes), count; then `u32 len | frame`.
+        let mut frames = &step[8 + 1 + 17 + 4..];
+        let mut kinds = Vec::new();
+        while !frames.is_empty() {
+            let len = u32::from_le_bytes(frames[..4].try_into().unwrap()) as usize;
+            kinds.push(frames[5] & 1);
+            frames = &frames[4 + len..];
+        }
+        assert_eq!(kinds.len(), SYNC_REPLY_MAX);
+        assert_eq!(kinds.iter().filter(|&&kind| kind == 0).count(), 1, "one full frame");
+        // 31 bytes a message, length prefix included; as standalone full
+        // frames it was ≈ 150.
+        assert!(step.len() < 32 * SYNC_REPLY_MAX, "{} bytes", step.len());
+        let Ok((_, Input::SyncResponse { messages: back, .. })) = decode_step(&step) else {
+            panic!("a reply decodes");
+        };
+        for (got, want) in back.iter().zip(&messages) {
+            assert_eq!(
+                (got.id(), got.timestamp(), got.payload()),
+                (want.id(), want.timestamp(), want.payload())
+            );
+        }
+        // One message more than a store answers with is refused.
+        let mut long = step.clone();
+        long[26..30].copy_from_slice(&(SYNC_REPLY_MAX as u32 + 1).to_le_bytes());
+        assert_eq!(decode_step(&long).err(), Some(ExportError::LongReply(SYNC_REPLY_MAX + 1)));
     }
 
     #[test]

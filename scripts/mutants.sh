@@ -20,7 +20,8 @@
 #          (`pcb_clock::spec`), then every clock and broadcast test.
 # wire     mutants of the frame codec (`broadcast/src/wire.rs`): the
 #          Golomb–Rice parameters on either side, the delta base, the
-#          frame checksum. Suites: the delta codec's differential and
+#          frame checksum, the list codec's entry budget and per-sender
+#          chains. Suites: the delta codec's differential and
 #          round-trip tests, the wire fuzz and golden-frame tests, then
 #          the forged-count fuzz of `bench/tests/frame_fuzz.rs`.
 #

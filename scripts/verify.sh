@@ -191,15 +191,18 @@ stage_equiv() {
 # everywhere): the crash workload (SIGKILL + `--resume` of one of three
 # daemons under load), of which the lines that say how the restart went
 # and what the outage cost on the wire are shown — ≈ 4 ms catch-up,
-# ≈ 300 ms p90, ≈ 525 B and ≈ 6.8 packets a publish; ≈ 646 B and
-# ≈ 8.1 packets mean the survivors retransmit every frame in flight to
-# the dead daemon again, not only the oldest; the steady workload, of
-# which the lines that say what a publish costs on the wire are —
-# ≈ 497 B and ≈ 6.6 packets on a quiet loopback (the counters are the
-# `lo` interface's, so anything else talking on it is in them); and the
-# saturate workload, of which capacity, latency and memory are shown —
-# ≈ 10 600 deliveries/s at ≈ 0.18 ms p50 and ≈ 3.6 MB on 2 cores (one
-# run of each after head-only retransmission, seed 1); ≈ 3 000/s at
+# ≈ 300 ms p90, ≈ 485 B and ≈ 6.7 packets a publish; ≈ 525 B means sync
+# replies and snapshots are full frames again, not per-sender chains,
+# and ≈ 646 B and ≈ 8.1 packets that the survivors retransmit every
+# frame in flight to the dead daemon again, not only the oldest; the
+# steady workload, of which the lines that say what a publish costs on
+# the wire are — ≈ 476 B and ≈ 6.5 packets on a quiet loopback (the
+# counters are the `lo` interface's, so anything else talking on it is
+# in them; ≈ 497 B means the periodic full frames or the long publish
+# reply are back); and the saturate workload, of which capacity,
+# latency and memory are shown — ≈ 9 950 deliveries/s at ≈ 0.19 ms p50
+# and ≈ 3.6 MB on 2 cores (one run of each after chained lists, seed 1,
+# on a busy host); ≈ 3 000/s at
 # ≈ 1.5 ms means the loop sleeps between turns again, a p50 of ≈ 20 ms that RPC writes wait behind
 # Nagle (`TCP_NODELAY` off), and ≈ 7 MB or more that snapshots no
 # longer follow the message count, so the store outgrows the stability
