@@ -29,11 +29,12 @@
 //! * `endpoint` — one `Endpoint::handle_wire` arrival, measured twice: a
 //!   sender's delta chain arriving in order, where the returned output
 //!   vector is the one allocation an arrival may make (decode draws its
-//!   stamp from the store's pool, a chain's periodic full frames share
-//!   the key set already held, deliveries pass through a reused buffer),
-//!   and two senders' chains reordered so that every other arrival parks
-//!   and returns nothing — the gate there is still one allocation per
-//!   arrival that delivers, i.e. zero for the arrival that parked.
+//!   stamp from the store's pool, a full frame that restarts a chain
+//!   shares the key set already held, deliveries pass through a reused
+//!   buffer), and two senders' chains reordered so that every other
+//!   arrival parks and returns nothing — the gate there is still one
+//!   allocation per arrival that delivers, i.e. zero for the arrival
+//!   that parked.
 //!
 //! With `--check`, a violated gate exits non-zero (the `scripts/verify.sh
 //! --perf` hook). Set `AG_TRACE=1` to print a sampled backtrace for one
