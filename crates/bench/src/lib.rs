@@ -14,6 +14,7 @@
 use std::path::PathBuf;
 
 pub mod alloc;
+pub mod forge;
 
 /// Scale factor from `PCB_SCALE` (default 0.25).
 #[must_use]

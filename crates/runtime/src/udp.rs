@@ -34,13 +34,17 @@
 //!   is never confused with the dead one's. If the *incarnation* rose —
 //!   on any datagram, a lone ack included — the peer also lost what it
 //!   had received from us, so the send side is fenced too: a new send
-//!   epoch, numbering from 1 again, and every frame still outstanding or
-//!   queued offered again under it — the restarted peer would otherwise
+//!   epoch, numbering from 1 again — the restarted peer would otherwise
 //!   hold everything back, waiting for a sequence number 1 that was
-//!   acknowledged to its previous life. Every fence is surfaced as
-//!   [`UdpEvent::Fenced`]: whatever the owner layered on the in-order
-//!   stream (a delta chain) has to start over on that link. Messages
-//!   lost across a reset are recovered by the protocol's own
+//!   acknowledged to its previous life. What was still outstanding or
+//!   queued goes with the old epoch if the peer acknowledged any of it:
+//!   those frames continue a stream whose start died with that process,
+//!   which is no use to an owner that chains state from frame to frame
+//!   (a delta chain). An epoch held from its first frame, nothing of it
+//!   acknowledged, is offered again whole under the new numbering. Every
+//!   fence is surfaced as [`UdpEvent::Fenced`]: whatever the owner
+//!   layered on the in-order stream has to start over on that link.
+//!   Messages lost across a reset are recovered by the protocol's own
 //!   anti-entropy (§4.2), not the transport.
 //! - **Liveness** — a head frame that exhausts its retries marks the
 //!   peer unreachable (counted in [`UdpStats::peer_down`], and in
@@ -159,7 +163,9 @@ pub enum UdpEvent {
     /// The send side towards this peer opened a new epoch — a give-up,
     /// or the peer restarted. Frames sent before may never have arrived
     /// (or arrived at a process that no longer exists), so state the
-    /// owner chained from frame to frame on this link starts over.
+    /// owner chained from frame to frame on this link starts over: the
+    /// frames it sends from now on are the new epoch's, and only an
+    /// epoch the peer had acknowledged none of is offered to it again.
     Fenced(SocketAddr),
 }
 
@@ -345,10 +351,8 @@ impl PeerState {
     /// in the coalescing buffer, which holds in-flight frames — leaves
     /// it. With `reoffer` those frames go back to the head of the queue
     /// in send order, for the next `promote_queued` to ship under the
-    /// new numbering (the peer restarted: it wants them, and dedup
-    /// absorbs any it already had); without, they and the queue behind
-    /// them are abandoned (the peer is unreachable: anti-entropy owns
-    /// the gap).
+    /// new numbering; without, they and the queue behind them are
+    /// abandoned (anti-entropy owns the gap).
     fn fence(&mut self, reoffer: bool) {
         self.send_epoch += 1;
         self.next_seq = 1;
@@ -713,7 +717,10 @@ impl UdpTransport {
             state.remote_incarnation = incarnation;
             if known && state.next_seq > 1 {
                 self.stats.peer_restarts += 1;
-                state.fence(true);
+                // Re-offered only whole: behind a frame the dead process
+                // acknowledged, the rest continue what it took with it.
+                let whole = state.unacked.first_key_value().is_some_and(|(&seq, _)| seq == 1);
+                state.fence(whole);
                 events.push(UdpEvent::Fenced(from));
             }
         }
@@ -1566,17 +1573,59 @@ mod tests {
         b2.send(addr_a, Bytes::from_static(b"back"), 0);
         b2.flush(0);
         a.send(addr_b, Bytes::from(vec![12]), 0);
-        let (at_a, at_b) = settle(&mut a, &mut b2, 0, |_, _, _, at_b| at_b.len() >= 7);
+        let (at_a, at_b) = settle(&mut a, &mut b2, 0, |a, _, at_a, _| {
+            !at_a.is_empty() && outstanding(a, addr_b) == 0
+        });
         assert_eq!(at_a, [Bytes::from_static(b"back")]);
-        assert_eq!(at_b, byte_frames(6..13), "everything outstanding, in order, nothing twice");
+        // B's previous life acknowledged frames 1–6: the seven behind
+        // them continue a stream whose start it took with it, and go with
+        // the old epoch from every send-side state alike.
+        assert!(at_b.is_empty(), "frames of the old stream surfaced: {at_b:?}");
         let (stats, _) = a.stats();
         assert_eq!(stats.peer_restarts, 1);
         assert_eq!((stats.give_ups, stats.retransmits), (0, 0), "the clock never moved");
         assert_eq!(a.peers[&addr_b].send_epoch, a.epoch_base + 1);
-        // Nothing further is in flight, and nothing arrives a second time.
-        let (_, more) = settle(&mut a, &mut b2, 0, |a, _, _, _| outstanding(a, addr_b) == 0);
-        assert!(more.is_empty(), "re-offered frames arrived twice: {more:?}");
-        assert_eq!(b2.stats().0.frames_received, 7);
+        // The new epoch numbers from 1, and B′ takes it from there.
+        for frame in byte_frames(13..15) {
+            a.send(addr_b, frame, 0);
+        }
+        a.flush(0);
+        let (_, at_b) = settle(&mut a, &mut b2, 0, |a, _, _, _| outstanding(a, addr_b) == 0);
+        assert_eq!(at_b, byte_frames(13..15));
+        assert_eq!(b2.stats().0.frames_received, 2);
+    }
+
+    #[test]
+    fn restart_after_a_give_up_is_offered_the_whole_new_epoch() {
+        let cfg = probing_cfg();
+        let (mut a, mut b, addr_a, addr_b) = pair(cfg.clone());
+        // B is known to A (it spoke once), then dies.
+        b.send(addr_a, Bytes::from_static(b"hello"), 0);
+        b.flush(0);
+        let _ = read_datagrams(&mut a, 0, 1);
+        drop(b);
+        // A frame to the dead B exhausts its retries. The three sent
+        // after the give-up open the next epoch at 1, and the dead B
+        // acknowledged none of them.
+        a.send(addr_b, Bytes::from_static(b"lost"), 0);
+        a.flush(0);
+        let t = step_until(&mut a, 0, |a| a.stats().0.give_ups == 1);
+        for frame in byte_frames(1..4) {
+            a.send(addr_b, frame, t);
+        }
+        a.flush(t);
+
+        // B′ speaks, and gets that epoch whole, in order, once.
+        let mut b2 = UdpTransport::bind(addr_b, 1, cfg, 3).expect("rebind b");
+        b2.send(addr_a, Bytes::from_static(b"back"), t);
+        b2.flush(t);
+        let (at_a, at_b) = settle(&mut a, &mut b2, t, |a, _, _, at_b| {
+            at_b.len() >= 3 && outstanding(a, addr_b) == 0
+        });
+        assert_eq!(at_a, [Bytes::from_static(b"back")]);
+        assert_eq!(at_b, byte_frames(1..4));
+        assert_eq!(a.stats().0.peer_restarts, 1);
+        assert_eq!(b2.stats().0.frames_received, 3);
     }
 
     #[test]
@@ -1850,16 +1899,24 @@ mod tests {
         let mut b2 = UdpTransport::bind(addr_b, 1, cfg, 3).expect("rebind b");
         // The next frame reaches B′ numbered 7 where it expects 1: held
         // back, and acknowledged at once as the gap it is. That ack is
-        // B′'s first word, its incarnation is higher, and A renumbers
-        // everything outstanding in the same poll.
+        // B′'s first word, its incarnation is higher, and A fences in the
+        // same poll. What it held follows frames 1–4, which B's previous
+        // life acknowledged, so it goes with the old epoch.
         a.send(addr_b, Bytes::from(vec![6]), 0);
         a.flush(0);
         let (_, at_b) = settle(&mut a, &mut b2, 0, |a, _, _, _| outstanding(a, addr_b) == 0);
-        assert_eq!(at_b, byte_frames(4..7), "everything outstanding, in order, nothing twice");
+        assert!(at_b.is_empty(), "frames of the old stream surfaced: {at_b:?}");
         let (stats, _) = a.stats();
         assert_eq!(stats.peer_restarts, 1);
         assert_eq!((stats.give_ups, stats.retransmits), (0, 0), "the clock never moved");
         assert_eq!(a.peers[&addr_b].send_epoch, a.epoch_base + 1);
+        // The new epoch reaches B′ from 1.
+        for frame in byte_frames(7..9) {
+            a.send(addr_b, frame, 0);
+        }
+        a.flush(0);
+        let (_, at_b) = settle(&mut a, &mut b2, 0, |a, _, _, _| outstanding(a, addr_b) == 0);
+        assert_eq!(at_b, byte_frames(7..9));
         assert_eq!(b2.stats().0.frames_sent, 0, "B′ never said anything but acks");
     }
 
