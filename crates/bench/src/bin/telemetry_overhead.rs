@@ -9,7 +9,7 @@
 //! messages, every one blocked until the chain head lands) through the
 //! wake-up engine three ways: the untraced entry points
 //! (`insert`/`on_clock_advance`/`pop_ready`), the hooked ones
-//! (`insert_tracked`/`on_clock_advance_with`/`pop_ready_entry`) feeding
+//! (`insert`/`on_clock_advance_with`/`pop_ready_entry`) feeding
 //! a **disabled** [`Tracer`], and the hooked ones with the causal-health
 //! estimators on. Each round times four cascades — the untraced one
 //! twice, then the two hooked ones — in an order that rotates from round
@@ -91,7 +91,7 @@ fn cascade_hooked(
     head: Message<()>,
     tracer: &mut Tracer,
 ) -> usize {
-    match index.insert_tracked(0, head, &clock) {
+    match index.insert(0, head, &clock) {
         InsertVerdict::Ready => {}
         InsertVerdict::Parked { entry, required } => {
             tracer.emit(|| TraceEvent::Parked {
@@ -103,7 +103,7 @@ fn cascade_hooked(
         }
     }
     let mut delivered = 0;
-    while let Some((arrived, m)) = index.pop_ready_entry() {
+    while let Some((arrived, m, _)) = index.pop_ready_entry() {
         clock.record_delivery(m.keys());
         let (sender, seq) = (m.id().sender().index_u32(), m.id().seq());
         tracer.emit(|| TraceEvent::Delivered {
@@ -135,7 +135,7 @@ fn cascade_estimated(
     tracer: &mut Tracer,
     health: &mut CausalHealth,
 ) -> usize {
-    if let InsertVerdict::Parked { entry, required } = index.insert_tracked(0, head, &clock) {
+    if let InsertVerdict::Parked { entry, required } = index.insert(0, head, &clock) {
         tracer.emit(|| TraceEvent::Parked {
             sender: 0,
             seq: 1,
@@ -144,7 +144,7 @@ fn cascade_estimated(
         });
     }
     let mut delivered = 0;
-    while let Some((arrived, m)) = index.pop_ready_entry() {
+    while let Some((arrived, m, _)) = index.pop_ready_entry() {
         health.observe_delivery(m.keys().iter().map(|entry| {
             let sent = m.timestamp().get(entry).unwrap_or(0);
             let local = clock.entries().get(entry).copied().unwrap_or(0);

@@ -9,8 +9,7 @@
 
 use bytes::Bytes;
 use pcb_bench::alloc::{counted, CountingAlloc};
-use pcb_bench::forge::wide_chain;
-use pcb_broadcast::wire::{self, checksum64};
+use pcb_bench::forge::{resealed, snapshot_holding, wide_chain};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use pcb_broadcast::{
@@ -31,12 +30,6 @@ const CEILING_FLAT: u64 = 16 * 1024;
 
 /// LEB128 of `u32::MAX`: what a forged count, length or index says.
 const FOUR_BILLION: [u8; 5] = [0xff, 0xff, 0xff, 0xff, 0x0f];
-
-fn resealed(body: &[u8]) -> Bytes {
-    let mut out = body.to_vec();
-    out.extend_from_slice(&checksum64(body).to_le_bytes());
-    Bytes::from(out)
-}
 
 /// A full frame of sender 7 with every entry at 0, and a delta on it
 /// that raises all 16 entries by up to `2^scale`: a change list with a
@@ -83,34 +76,13 @@ fn artefacts(sender: usize, payload: &[u8]) -> (Bytes, Bytes, Bytes) {
     (full, delta, encode_snapshot(&process.snapshot(&store)))
 }
 
-/// A snapshot blob whose store count says `count` and whose store list
-/// holds `frames`, each stored at time 0: the blob of an empty store with
-/// the list spliced in front of its three-byte genesis tail.
-fn snapshot_holding(frames: &[Bytes], count: u64) -> Bytes {
-    let space = KeySpace::new(16, 2).expect("valid space");
-    let keys = KeySet::from_entries(space, &[3, 9]).expect("keys");
-    let process: PcbProcess<Bytes> = PcbProcess::new(ProcessId::new(1), keys);
-    let empty = encode_snapshot(&process.snapshot(&MessageStore::new(1_000)));
-    let body = &empty[..empty.len() - 8];
-    // … | uvar store count (0) | uvar epoch (0) | policy | no prev epoch
-    let (head, tail) = body.split_at(body.len() - 4);
-    assert_eq!(tail[0], 0, "an empty store");
-    let mut forged = head.to_vec();
-    wire::put_uvar(&mut forged, count);
-    for frame in frames {
-        forged.push(0);
-        wire::put_uvar(&mut forged, frame.len() as u64);
-        forged.extend_from_slice(frame);
-    }
-    forged.extend_from_slice(&tail[1..]);
-    resealed(&forged)
-}
-
 /// Forged chained stores, each with whether it decodes: a `MAX_R` full
 /// frame and minimal deltas behind it, cut after every frame up to the
 /// twelfth and at 1 001 (a full frame pays for itself and five such
-/// deltas at six stamp entries a byte), and a delta whose sender has no
-/// frame earlier in the list.
+/// deltas at six stamp entries a byte), a delta whose sender has no
+/// frame earlier in the list, and a chain restarted by a full frame at a
+/// seq it already stored (the store keeps no index by id, so each copy
+/// would be held and served).
 fn forged_stores() -> Vec<(String, Bytes, bool)> {
     let chain = wide_chain(5, 1_001, &Bytes::new());
     let mut stores: Vec<(String, Bytes, bool)> = (1..=12)
@@ -129,6 +101,12 @@ fn forged_stores() -> Vec<(String, Bytes, bool)> {
     stores.push((
         "a delta with no base".into(),
         snapshot_holding(&[chain[0].clone(), stranger], 2),
+        false,
+    ));
+    let restarted = [chain[0].clone(), chain[1].clone(), chain[0].clone()];
+    stores.push((
+        "a chain restarted at a stored seq".into(),
+        snapshot_holding(&restarted, 3),
         false,
     ));
     stores

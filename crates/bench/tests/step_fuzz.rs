@@ -7,11 +7,11 @@ use std::sync::{Mutex, PoisonError};
 
 use bytes::Bytes;
 use pcb_bench::alloc::{counted, CountingAlloc};
-use pcb_bench::forge::wide_chain;
+use pcb_bench::forge::{snapshot_holding, wide_chain};
 use pcb_broadcast::endpoint::{Endpoint, Input, Output};
-use pcb_broadcast::{Message, PcbConfig, SeenWindows, SYNC_REPLY_MAX};
+use pcb_broadcast::{encode_snapshot, Message, PcbConfig, SeenWindows, SYNC_REPLY_MAX};
 use pcb_clock::{ClusterConfig, KeySet, KeySpace, ProcessId};
-use pcb_sim::export::{decode_step, encode_step, ExportError};
+use pcb_sim::export::{decode_step, encode_join_grant, encode_step, snapshot_to_wire, ExportError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -121,12 +121,33 @@ fn reply_of(frames: &[Bytes], count: usize) -> Vec<u8> {
     bytes
 }
 
+/// A join step whose grant carries `blob` as its snapshot: a real grant's
+/// step with the blob swapped in and both length fields fixed.
+fn join_holding(blob: &Bytes) -> Vec<u8> {
+    let keys = KeySet::from_entries(space(), &[3, 9]).expect("keys");
+    let sponsor: Endpoint<u32> =
+        Endpoint::new(ProcessId::new(2), keys.clone(), PcbConfig::default(), None);
+    let grant = sponsor.join_grant(ProcessId::new(4), keys);
+    let own = encode_snapshot(&snapshot_to_wire(&grant.snapshot));
+    let body = encode_join_grant(&grant);
+    let step = encode_step(0, &Input::Join(Box::new(grant)));
+    let mut forged_grant = body[..body.len() - own.len() - 4].to_vec();
+    forged_grant.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+    forged_grant.extend_from_slice(blob);
+    let mut forged = step[..step.len() - body.len() - 4].to_vec();
+    forged.extend_from_slice(&(forged_grant.len() as u32).to_le_bytes());
+    forged.extend_from_slice(&forged_grant);
+    forged
+}
+
 /// Forged chained replies, each with whether it decodes: a `MAX_R` full
 /// frame and minimal deltas behind it, cut after every frame up to the
 /// twelfth and at 1 001 (a full frame pays for itself and five such
 /// deltas at six stamp entries a byte); a delta whose sender has no
-/// frame earlier in the list; and a reply one message longer than a
-/// store answers with.
+/// frame earlier in the list; a reply one message longer than a store
+/// answers with; and a join grant whose snapshot stores a chain, then the
+/// same chain restarted by a full frame at a seq it already stored (the
+/// store keeps no index by id, so each copy would be held and served).
 fn forged_lists() -> Vec<(String, Vec<u8>, bool)> {
     let payload = Bytes::from_static(&[0, 0, 0, 1]);
     let chain = wide_chain(5, 1_001, &payload);
@@ -140,6 +161,10 @@ fn forged_lists() -> Vec<(String, Vec<u8>, bool)> {
     let config = ClusterConfig::genesis(space());
     let long = Input::SyncResponse { messages: messages(SYNC_REPLY_MAX + 1), config };
     lists.push(("a long reply".into(), encode_step(0, &long), false));
+    let stored = snapshot_holding(&chain[..2], 2);
+    lists.push(("a join storing one chain".into(), join_holding(&stored), true));
+    let restarted = snapshot_holding(&[chain[0].clone(), chain[1].clone(), chain[0].clone()], 3);
+    lists.push(("a join storing a chain restarted".into(), join_holding(&restarted), false));
     lists
 }
 
@@ -202,6 +227,6 @@ fn a_forged_chained_list_is_refused_within_the_ceiling() {
         }
         assert_eq!(decode_step(bytes).is_ok(), *decodes, "{what}");
     }
-    let long = &lists.last().expect("lists").1;
+    let (_, long, _) = lists.iter().find(|(what, _, _)| what == "a long reply").expect("listed");
     assert_eq!(decode_step(long).err(), Some(ExportError::LongReply(SYNC_REPLY_MAX + 1)));
 }

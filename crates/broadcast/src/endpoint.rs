@@ -276,9 +276,8 @@ struct PrevEpoch<P> {
 enum Via {
     /// [`Input::FrameReceived`]: retained for anti-entropy once delivered.
     Frame,
-    /// A decoded wire frame ([`Endpoint::handle_wire`]): also retained
-    /// while it waits, from its arrival time, so a parked message is
-    /// re-servable to peers.
+    /// A decoded wire frame ([`Endpoint::handle_wire`]): retained from
+    /// its arrival, so a parked message is re-servable to peers.
     Wire,
     /// An anti-entropy re-fetch ([`Input::SyncResponse`]); its deliveries
     /// count as recovered.
@@ -551,7 +550,7 @@ pub struct Endpoint<P> {
     frontier: Vec<u64>,
     /// Delivery buffer reused across arrivals (always left empty), so a
     /// stimulus allocates only the output vector it returns.
-    deliveries: Vec<Delivery<P>>,
+    deliveries: Vec<(Delivery<P>, bool)>,
 }
 
 impl<P: Clone> Endpoint<P> {
@@ -848,8 +847,8 @@ impl<P: Clone> Endpoint<P> {
         self.recovered
     }
 
-    /// The anti-entropy message store (delivered + own messages within
-    /// the retention window).
+    /// The anti-entropy message store (delivered + own messages, and wire
+    /// frames from their arrival, within the retention window).
     #[must_use]
     pub fn store(&self) -> &MessageStore<P> {
         &self.store
@@ -1002,10 +1001,10 @@ impl<P: Clone> Endpoint<P> {
             return false;
         }
         if epoch == self.cluster.epoch {
-            return self.accept(message, via, now_us, out);
+            return self.accept(message, via, false, now_us, out);
         }
         if self.prev.as_ref().is_some_and(|prev| prev.config.epoch == epoch) {
-            return self.drain_prev(message, via, now_us, out);
+            return self.accept(message, via, true, now_us, out);
         }
         self.cross_epoch_refused += 1;
         if epoch > self.cluster.epoch {
@@ -1019,95 +1018,81 @@ impl<P: Clone> Endpoint<P> {
         false
     }
 
-    /// Delivers `message` (and whatever it unblocks), inserting each
-    /// delivery into the store and emitting `Deliver` plus detector
-    /// `Alert`s; a wire frame that has to wait is stored as it parks.
-    /// Returns whether anything was delivered.
+    /// Delivers `message` (and whatever it unblocks) through the current
+    /// process, or through the old-epoch one when `drain` is set, each
+    /// drained delivery then folded into the current clock
+    /// ([`PcbProcess::absorb_external_delivery`]) with whatever that
+    /// unblocks. Emits each delivery's `Deliver` plus detector `Alert`s
+    /// and stores it, a wire frame as it is accepted and anything else
+    /// as it delivers. Returns whether anything was delivered.
     fn accept(
         &mut self,
         message: Message<P>,
         via: Via,
+        drain: bool,
         now_us: u64,
         out: &mut Vec<Output<P>>,
     ) -> bool {
         let mut deliveries = std::mem::take(&mut self.deliveries);
+        let process = match &mut self.prev {
+            Some(prev) if drain => &mut prev.process,
+            _ => &mut self.process,
+        };
         let store = &mut self.store;
-        self.process.on_receive_into(message, now_us, &mut deliveries, |parked| {
-            if via == Via::Wire {
-                store.insert_ref(now_us, parked);
+        process.on_receive_into(message, now_us, &mut deliveries, |accepted| {
+            via == Via::Wire && {
+                store.insert(now_us, accepted.clone());
+                true
             }
         });
         let any = !deliveries.is_empty();
-        for delivery in deliveries.drain(..) {
-            self.emit(delivery, via, now_us, out);
+        if drain {
+            // Each drained delivery, then what it unblocks once folded into
+            // the current clock: its sender's entries, projected into this
+            // space (fold-sum: `entry mod R'`), advance as if delivered here.
+            let mut folded = Vec::with_capacity(deliveries.len());
+            for (delivery, stored) in deliveries.drain(..) {
+                let entries: Vec<usize> = delivery
+                    .message
+                    .keys()
+                    .entries()
+                    .iter()
+                    .map(|&entry| self.cluster.project_entry(entry as usize))
+                    .collect();
+                let (id, instant, recent) =
+                    (delivery.message.id(), delivery.instant_alert, delivery.recent_alert);
+                folded.push((delivery, stored));
+                self.process.absorb_external_delivery_into(
+                    id,
+                    &entries,
+                    instant,
+                    recent,
+                    now_us,
+                    &mut folded,
+                );
+            }
+            deliveries = folded;
+        }
+        for (delivery, stored) in deliveries.drain(..) {
+            // One insert a message: where it arrived, unless it waited
+            // longer than the window and aged out meanwhile.
+            if !stored || delivery.blocked_for > self.store.window() {
+                self.store.insert(now_us, delivery.message.clone());
+            }
+            self.recovered += u64::from(via == Via::Sync);
+            self.since_snapshot += 1;
+            let (sender, seq) = (delivery.message.id().sender(), delivery.message.id().seq());
+            let (instant, recent) = (delivery.instant_alert, delivery.recent_alert);
+            out.push(Output::Deliver(delivery));
+            if instant {
+                out.push(Output::Alert { alg: 4, sender, seq });
+            }
+            if recent {
+                out.push(Output::Alert { alg: 5, sender, seq });
+            }
         }
         self.deliveries = deliveries;
         any
-    }
-
-    /// Delivers a previous-epoch frame through the drain process and
-    /// folds each resulting delivery into the current clock
-    /// ([`PcbProcess::absorb_external_delivery`]), emitting both the
-    /// drained deliveries and anything in the current epoch they unblock.
-    fn drain_prev(
-        &mut self,
-        message: Message<P>,
-        via: Via,
-        now_us: u64,
-        out: &mut Vec<Output<P>>,
-    ) -> bool {
-        let mut deliveries = Vec::new();
-        let prev = self.prev.as_mut().expect("routed to an existing drain");
-        let store = &mut self.store;
-        prev.process.on_receive_into(message, now_us, &mut deliveries, |parked| {
-            if via == Via::Wire {
-                store.insert_ref(now_us, parked);
-            }
-        });
-        let any = !deliveries.is_empty();
-        for delivery in deliveries {
-            // Project the sender's old-geometry entries into the current
-            // space (fold-sum: `entry mod R'`) and advance our clock as
-            // if we had delivered the message here.
-            let entries: Vec<usize> = delivery
-                .message
-                .keys()
-                .entries()
-                .iter()
-                .map(|&entry| self.cluster.project_entry(entry as usize))
-                .collect();
-            let woken = self.process.absorb_external_delivery(
-                delivery.message.id(),
-                &entries,
-                delivery.instant_alert,
-                delivery.recent_alert,
-                now_us,
-            );
-            self.emit(delivery, via, now_us, out);
-            for unblocked in woken {
-                self.emit(unblocked, via, now_us, out);
-            }
-        }
-        any
-    }
-
-    /// Retains one delivery in the store — the single insert of a message
-    /// that was deliverable on arrival, a lookup for one stored when it
-    /// parked (or a re-insert, had it aged out while waiting) — and emits
-    /// its `Deliver` + `Alert`s.
-    fn emit(&mut self, delivery: Delivery<P>, via: Via, now_us: u64, out: &mut Vec<Output<P>>) {
-        self.store.insert_ref(now_us, &delivery.message);
-        self.recovered += u64::from(via == Via::Sync);
-        self.since_snapshot += 1;
-        let (sender, seq) = (delivery.message.id().sender(), delivery.message.id().seq());
-        let (instant, recent) = (delivery.instant_alert, delivery.recent_alert);
-        out.push(Output::Deliver(delivery));
-        if instant {
-            out.push(Output::Alert { alg: 4, sender, seq });
-        }
-        if recent {
-            out.push(Output::Alert { alg: 5, sender, seq });
-        }
     }
 
     /// [`Input::Join`] behind [`Endpoint::join`]: rebuilds this endpoint
@@ -1411,9 +1396,9 @@ impl Endpoint<Bytes> {
     /// [`crate::wire`]) through the store's long-lived per-sender delta
     /// codec and feeds the message through the [`Endpoint::handle`] state
     /// machine. Unlike a bare [`Input::FrameReceived`], an accepted frame
-    /// that has to wait is retained in the store from its arrival, so
-    /// peers can re-fetch it while it is parked here; a frame the router
-    /// refuses (unknown epoch, wrong `(R, K)`) is never stored.
+    /// is retained in the store from its arrival, so peers can re-fetch
+    /// it while it is parked here; a frame the router refuses (unknown
+    /// epoch, wrong `(R, K)`) or a duplicate is never stored.
     ///
     /// A crashed endpoint returns `Ok` with no outputs **without touching
     /// the codec**: frames at a dead process fall on the floor before

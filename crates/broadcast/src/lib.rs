@@ -62,7 +62,7 @@ pub use fragment::{
 };
 pub use membership::{Group, MemberState};
 pub use message::{Message, MessageId};
-pub use pending::{InsertVerdict, WakeupIndex, WakeupStats};
+pub use pending::{Admission, InsertVerdict, WakeupIndex, WakeupStats};
 pub use process::{Delivery, PcbConfig, PcbProcess, ProcessStats};
 pub use recovery::{Counters, MessageStore, SyncRequest, SyncResponse, SYNC_REPLY_MAX};
 pub use snapshot::{decode_snapshot, encode_snapshot, PrevEpochSnapshot, ProcessSnapshot};

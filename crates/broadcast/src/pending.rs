@@ -31,7 +31,9 @@
 //! plus `O(log W)` heap traffic per re-registration, where `W` is the
 //! number of waiters on one entry. A delivery's wake-up cost is
 //! proportional to the number of *actually unblocked* waiters on its `K`
-//! entries, not to the pending-queue length.
+//! entries, not to the pending-queue length. An arrival deliverable where
+//! it lands, with nothing older ready, pays one gap scan and nothing else
+//! ([`WakeupIndex::admit`]): no slot, no ticket, no ready-heap traffic.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -58,7 +60,7 @@ pub struct WakeupStats {
     pub max_pending: usize,
 }
 
-/// Where [`WakeupIndex::insert_tracked`] routed a new arrival — the
+/// Where [`WakeupIndex::insert`] routed a new arrival — the
 /// observable fact a tracer wants: did the message wait, and if so on
 /// which clock entry and for which local value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +76,15 @@ pub enum InsertVerdict {
     },
 }
 
+/// What [`WakeupIndex::admit`] did with an arrival.
+#[derive(Debug)]
+pub enum Admission<P> {
+    /// Deliverable with nothing older ready: the caller delivers it now.
+    Deliver(Message<P>),
+    /// Indexed, as [`WakeupIndex::insert`] reports it.
+    Indexed(InsertVerdict),
+}
+
 /// A pending message plus its bookkeeping.
 #[derive(Debug, Clone)]
 struct Slot<P> {
@@ -82,6 +93,8 @@ struct Slot<P> {
     /// Resume point for the gap scan; strictly increases across
     /// re-registrations, bounding total scan work at `O(R)` per message.
     scan_from: usize,
+    /// The caller's flag from [`WakeupIndex::admit`].
+    retained: bool,
     message: Message<P>,
 }
 
@@ -152,54 +165,65 @@ impl<P> WakeupIndex<P> {
     /// Indexes a newly arrived message, classifying it against `clock`:
     /// deliverable messages go to the ready heap (pop them with
     /// [`WakeupIndex::pop_ready`]), blocked ones onto their first blocked
-    /// entry's waiter heap.
-    pub fn insert(&mut self, arrived: u64, message: Message<P>, clock: &ProbClock) {
-        let _ = self.insert_tracked(arrived, message, clock);
+    /// entry's waiter heap. Reports which, so tracers can emit `Parked {
+    /// entry, threshold }` events without re-deriving the gap.
+    pub fn insert(&mut self, at: u64, message: Message<P>, clock: &ProbClock) -> InsertVerdict {
+        self.queue(at, false, message, clock)
     }
 
-    /// [`WakeupIndex::insert`] that also reports where the message went —
-    /// ready heap or a specific entry's waiter heap — so tracers can emit
-    /// `Parked { entry, threshold }` events without re-deriving the gap.
-    pub fn insert_tracked(
+    /// [`WakeupIndex::insert`] for a caller that delivers a ready arrival
+    /// itself: with nothing older ready, a deliverable arrival comes back
+    /// unindexed (no slot, ticket or ready-heap traffic) and a blocked one
+    /// parks on the entry its one guard call named. `retained` rides in
+    /// the slot until [`WakeupIndex::pop_ready_entry`] hands it back.
+    pub fn admit(
         &mut self,
-        arrived: u64,
+        at: u64,
         message: Message<P>,
+        retained: bool,
         clock: &ProbClock,
-    ) -> InsertVerdict {
-        self.insert_with(arrived, message, clock, |_| {})
+    ) -> Admission<P> {
+        if !self.ready.is_empty() {
+            // Behind the older ready messages: ticket order is delivery order.
+            return Admission::Indexed(self.queue(at, retained, message, clock));
+        }
+        self.stats.gap_checks += 1;
+        match clock.deliverability_gap_from(message.timestamp(), message.keys(), 0) {
+            Gap::Ready => {
+                self.stats.ready_on_arrival += 1;
+                self.stats.max_pending = self.stats.max_pending.max(self.len + 1);
+                Admission::Deliver(message)
+            }
+            Gap::Blocked { entry, required } => {
+                let ticket = self.next_ticket;
+                let index = self.occupy(at, entry, retained, message);
+                self.waiters[entry].push(Reverse((required, ticket, index)));
+                Admission::Indexed(InsertVerdict::Parked { entry, required })
+            }
+            Gap::Never => unreachable!("probabilistic guard never yields Never"),
+        }
     }
 
-    /// [`WakeupIndex::insert_tracked`] with a callback for the blocked
-    /// case: `on_parked` sees the message where it now waits, so a caller
-    /// that keeps parked messages elsewhere too (the endpoint's store)
-    /// clones only those.
-    pub fn insert_with(
-        &mut self,
-        arrived: u64,
-        message: Message<P>,
-        clock: &ProbClock,
-        on_parked: impl FnOnce(&Message<P>),
-    ) -> InsertVerdict {
-        let ticket = self.next_ticket;
+    /// Puts a new arrival in a free slot under the next ticket.
+    fn occupy(&mut self, at: u64, scan_from: usize, retained: bool, message: Message<P>) -> usize {
+        let slot = Slot { arrived: at, ticket: self.next_ticket, scan_from, retained, message };
         self.next_ticket += 1;
-        let slot = Slot { arrived, ticket, scan_from: 0, message };
-        let index = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(slot);
-                i
-            }
-            None => {
-                self.slots.push(Some(slot));
-                self.slots.len() - 1
-            }
-        };
+        let index = self.free.pop().unwrap_or(self.slots.len());
+        if index == self.slots.len() {
+            self.slots.push(None);
+        }
+        self.slots[index] = Some(slot);
         self.len += 1;
         self.stats.max_pending = self.stats.max_pending.max(self.len);
+        index
+    }
+
+    /// Indexes a new arrival under the next ticket, from a full gap scan.
+    fn queue(&mut self, at: u64, kept: bool, m: Message<P>, clock: &ProbClock) -> InsertVerdict {
+        let index = self.occupy(at, 0, kept, m);
         let verdict = self.classify(index, clock);
         if verdict == InsertVerdict::Ready {
             self.stats.ready_on_arrival += 1;
-        } else {
-            on_parked(&self.slots[index].as_ref().expect("parked slot is live").message);
         }
         verdict
     }
@@ -274,17 +298,18 @@ impl<P> WakeupIndex<P> {
     /// deliver next. Deliverability is monotone, so ready entries never
     /// need re-validation.
     pub fn pop_ready(&mut self) -> Option<Message<P>> {
-        self.pop_ready_entry().map(|(_, message)| message)
+        self.pop_ready_entry().map(|(_, message, _)| message)
     }
 
     /// [`WakeupIndex::pop_ready`] that also returns the message's arrival
-    /// time, so callers can report how long it sat blocked.
-    pub fn pop_ready_entry(&mut self) -> Option<(u64, Message<P>)> {
+    /// time, so callers can report how long it sat blocked, and the
+    /// `retained` flag it was admitted with.
+    pub fn pop_ready_entry(&mut self) -> Option<(u64, Message<P>, bool)> {
         let Reverse((_, index)) = self.ready.pop()?;
         let slot = self.slots[index].take().expect("ready slot is live");
         self.free.push(index);
         self.len -= 1;
-        Some((slot.arrived, slot.message))
+        Some((slot.arrived, slot.message, slot.retained))
     }
 
     /// Throws away all index structure and re-classifies every pending
@@ -339,6 +364,42 @@ mod tests {
         assert!(index.pop_ready().is_some());
         assert!(index.is_empty());
         assert_eq!(index.stats().ready_on_arrival, 1);
+    }
+
+    #[test]
+    fn admit_delivers_in_place_only_when_nothing_older_is_ready() {
+        let clock = ProbClock::new(space());
+        let mut sender = ProbClock::new(space());
+        let f = KeySet::from_entries(space(), &[0, 1]).unwrap();
+        let (ts1, ts2) = (sender.stamp_send(&f), sender.stamp_send(&f));
+        let g = KeySet::from_entries(space(), &[2, 3]).unwrap();
+        let other = ProbClock::new(space()).stamp_send(&g);
+
+        let mut index = WakeupIndex::new(4);
+        // Nothing ready: a deliverable arrival comes straight back, a
+        // blocked one parks, and both count as pending for their instant.
+        assert!(matches!(
+            index.admit(0, msg(0, 1, &[0, 1], ts1), true, &clock),
+            Admission::Deliver(_)
+        ));
+        let parked = index.admit(1, msg(0, 2, &[0, 1], ts2), true, &clock);
+        assert!(matches!(parked, Admission::Indexed(InsertVerdict::Parked { .. })));
+        assert_eq!(
+            (index.len(), index.stats().max_pending, index.stats().ready_on_arrival),
+            (1, 1, 1)
+        );
+
+        // An older message waiting on the ready heap: a ready arrival
+        // queues behind it instead of overtaking it.
+        let mut index = WakeupIndex::new(4);
+        index.insert(0, msg(2, 1, &[2, 3], other.clone()), &clock);
+        let queued = index.admit(1, msg(3, 1, &[2, 3], other), true, &clock);
+        assert!(matches!(queued, Admission::Indexed(InsertVerdict::Ready)));
+        let order: Vec<_> = std::iter::from_fn(|| index.pop_ready_entry())
+            .map(|(_, m, retained)| (m.id().sender().index(), retained))
+            .collect();
+        assert_eq!(order, [(2, false), (3, true)], "ticket order, each with its flag");
+        assert_eq!(index.stats().ready_on_arrival, 2);
     }
 
     #[test]

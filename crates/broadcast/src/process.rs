@@ -16,7 +16,7 @@ use pcb_telemetry::{CausalHealth, TraceEvent, TraceRecord, Tracer};
 use crate::dedup::{DedupFilter, SeenWindows};
 use crate::detector::{instant_alert, RecentListDetector};
 use crate::message::{Message, MessageId};
-use crate::pending::{InsertVerdict, WakeupIndex, WakeupStats};
+use crate::pending::{Admission, InsertVerdict, WakeupIndex, WakeupStats};
 
 /// Tuning knobs for a [`PcbProcess`]. Algorithm 4 and duplicate
 /// suppression are not among them: every delivery is checked and every
@@ -298,20 +298,21 @@ impl<P> PcbProcess<P> {
     /// versa, so zero, one, or many deliveries can result.
     pub fn on_receive(&mut self, message: Message<P>, now: u64) -> Vec<Delivery<P>> {
         let mut out = Vec::new();
-        self.on_receive_into(message, now, &mut out, |_| {});
-        out
+        self.on_receive_into(message, now, &mut out, |_| false);
+        out.into_iter().map(|(delivery, _)| delivery).collect()
     }
 
     /// [`PcbProcess::on_receive`] appending the deliveries to a
     /// caller-owned buffer (reused across arrivals, so the receive path
-    /// allocates nothing of its own). `on_parked` sees the arrival if it
-    /// has to wait — the endpoint retains exactly those for anti-entropy.
-    pub fn on_receive_into(
+    /// allocates nothing of its own). `on_accepted` sees an arrival that
+    /// passed duplicate suppression and says whether the caller kept a
+    /// copy; each delivery comes out with that flag.
+    pub(crate) fn on_receive_into(
         &mut self,
         message: Message<P>,
         now: u64,
-        out: &mut Vec<Delivery<P>>,
-        on_parked: impl FnOnce(&Message<P>),
+        out: &mut Vec<(Delivery<P>, bool)>,
+        on_accepted: impl FnOnce(&Message<P>) -> bool,
     ) {
         self.tracer.advance(now);
         if !self.seen.insert(message.id()) {
@@ -320,16 +321,21 @@ impl<P> PcbProcess<P> {
         }
         let (sender, seq) = (message.id().sender().index_u32(), message.id().seq());
         self.tracer.emit(|| TraceEvent::Received { sender, seq });
-        let verdict = self.pending.insert_with(now, message, &self.clock, on_parked);
-        if let InsertVerdict::Parked { entry, required } = verdict {
-            self.tracer.emit(|| TraceEvent::Parked {
-                sender,
-                seq,
-                entry: entry as u32,
-                threshold: required,
-            });
+        let retained = on_accepted(&message);
+        // Pending for this instant, even when it delivers where it lands.
+        self.stats.max_pending = self.stats.max_pending.max(self.pending.len() + 1);
+        match self.pending.admit(now, message, retained, &self.clock) {
+            Admission::Deliver(message) => out.push((self.deliver(message, now, 0), retained)),
+            Admission::Indexed(InsertVerdict::Parked { entry, required }) => {
+                self.tracer.emit(|| TraceEvent::Parked {
+                    sender,
+                    seq,
+                    entry: entry as u32,
+                    threshold: required,
+                });
+            }
+            Admission::Indexed(InsertVerdict::Ready) => {}
         }
-        self.stats.max_pending = self.stats.max_pending.max(self.pending.len());
         self.drain_into(now, out);
     }
 
@@ -396,8 +402,11 @@ impl<P> PcbProcess<P> {
         let clock = ProbClock::from_vector(snapshot.clock);
         let pending = WakeupIndex::new(clock.len());
         let recent = snapshot.config.recent_window.map(RecentListDetector::new);
-        let store =
-            crate::recovery::MessageStore::from_entries(snapshot.store_window, snapshot.store);
+        // What the seen-set does not claim was pending at the cut, stored
+        // as it parked: its re-fetch stores it again.
+        let seen = DedupFilter::from_windows(snapshot.seen);
+        let kept = snapshot.store.into_iter().filter(|(_, m)| seen.contains(m.id()));
+        let store = crate::recovery::MessageStore::from_entries(snapshot.store_window, kept);
         let tracer = Tracer::ring(snapshot.id.index_u32(), snapshot.config.trace_capacity);
         let health = snapshot.config.estimators.then(|| {
             Box::new(CausalHealth::new(clock.len() as u32, snapshot.keys.entries().len() as u32))
@@ -408,7 +417,7 @@ impl<P> PcbProcess<P> {
             clock,
             seq: snapshot.seq,
             pending,
-            seen: DedupFilter::from_windows(snapshot.seen),
+            seen,
             recent,
             config: snapshot.config,
             stats: snapshot.stats,
@@ -469,18 +478,30 @@ impl<P> PcbProcess<P> {
         recent_alert: bool,
         now: u64,
     ) -> Vec<Delivery<P>> {
+        let mut out = Vec::new();
+        self.absorb_external_delivery_into(id, entries, instant_alert, recent_alert, now, &mut out);
+        out.into_iter().map(|(delivery, _)| delivery).collect()
+    }
+
+    /// [`PcbProcess::absorb_external_delivery`] into a buffer that keeps
+    /// each delivery's flag from [`PcbProcess::on_receive_into`].
+    pub(crate) fn absorb_external_delivery_into(
+        &mut self,
+        id: MessageId,
+        entries: &[usize],
+        instant_alert: bool,
+        recent_alert: bool,
+        now: u64,
+        out: &mut Vec<(Delivery<P>, bool)>,
+    ) {
         self.tracer.advance(now);
         self.seen.insert(id);
         self.clock.record_delivery_entries(entries.iter().copied());
         self.stats.delivered += 1;
         self.stats.instant_alerts += u64::from(instant_alert);
         self.stats.recent_alerts += u64::from(recent_alert);
-        let tracer = &mut self.tracer;
-        self.pending.on_clock_advance_with(entries.iter().copied(), &self.clock, |woken, entry| {
-            let (sender, seq) = (woken.id().sender().index_u32(), woken.id().seq());
-            tracer.emit(|| TraceEvent::Woken { sender, seq, entry: entry as u32 });
-        });
-        self.drain(now)
+        self.wake(entries.iter().copied());
+        self.drain_into(now, out);
     }
 
     /// Rebuilds an old-epoch *drain* process after a crash mid-migration:
@@ -546,7 +567,7 @@ impl<P> PcbProcess<P> {
     fn drain(&mut self, now: u64) -> Vec<Delivery<P>> {
         let mut out = Vec::new();
         self.drain_into(now, &mut out);
-        out
+        out.into_iter().map(|(delivery, _)| delivery).collect()
     }
 
     /// Delivers everything the index has marked ready. Each delivery
@@ -556,24 +577,26 @@ impl<P> PcbProcess<P> {
     /// cascade costs `O(unblocked · (log W + K))`, not `O(P)` per
     /// delivery. Delivery order (ready tickets = arrival order) matches
     /// the paper's front-to-back rescan exactly; see `tests/differential.rs`.
-    fn drain_into(&mut self, now: u64, out: &mut Vec<Delivery<P>>) {
-        while let Some((arrived, message)) = self.pending.pop_ready_entry() {
-            let delivery = self.deliver(message, now, now.saturating_sub(arrived));
-            // Disjoint-field borrow: the wake callback writes the tracer
-            // while the index iterates its own heaps.
-            let tracer = &mut self.tracer;
-            self.pending.on_clock_advance_with(
-                delivery.message.keys().iter(),
-                &self.clock,
-                |woken, entry| {
-                    let (sender, seq) = (woken.id().sender().index_u32(), woken.id().seq());
-                    tracer.emit(|| TraceEvent::Woken { sender, seq, entry: entry as u32 });
-                },
-            );
-            out.push(delivery);
+    fn drain_into(&mut self, now: u64, out: &mut Vec<(Delivery<P>, bool)>) {
+        while let Some((arrived, message, retained)) = self.pending.pop_ready_entry() {
+            out.push((self.deliver(message, now, now.saturating_sub(arrived)), retained));
         }
     }
 
+    /// Tells the index the clock advanced on `entries`, tracing each
+    /// waiter that wakes.
+    fn wake(&mut self, entries: impl IntoIterator<Item = usize>) {
+        // Disjoint-field borrow: the wake callback writes the tracer
+        // while the index iterates its own heaps.
+        let tracer = &mut self.tracer;
+        self.pending.on_clock_advance_with(entries, &self.clock, |woken, entry| {
+            let (sender, seq) = (woken.id().sender().index_u32(), woken.id().seq());
+            tracer.emit(|| TraceEvent::Woken { sender, seq, entry: entry as u32 });
+        });
+    }
+
+    /// Delivers `message`, then wakes the waiters its clock advance
+    /// satisfied.
     fn deliver(&mut self, message: Message<P>, now: u64, blocked_for: u64) -> Delivery<P> {
         let instant = instant_alert(&self.clock, message.timestamp(), message.keys());
         let recent = match &mut self.recent {
@@ -615,6 +638,7 @@ impl<P> PcbProcess<P> {
         if recent {
             self.tracer.emit(|| TraceEvent::Alert { alg: 5, sender, seq, suspects });
         }
+        self.wake(message.keys().iter());
         Delivery { message, instant_alert: instant, recent_alert: recent, blocked_for }
     }
 }

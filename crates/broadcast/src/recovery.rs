@@ -13,14 +13,12 @@
 //! Replaying the response through `PcbProcess::on_receive` is idempotent
 //! thanks to duplicate suppression.
 
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 use bytes::Bytes;
 use pcb_clock::{StampPool, StampPoolStats};
 
 use crate::dedup::{windows_contain, DedupFilter, SeenWindows};
-use crate::idmap::IdMap;
 use crate::message::{Message, MessageId};
 use crate::wire::{DeltaDecoder, WireError};
 
@@ -66,17 +64,14 @@ impl Counters {
 }
 
 /// Bounded store of recently seen messages, retained for `window` time
-/// units, used to answer anti-entropy requests. Lookups by id are `O(1)`:
-/// an id → absolute-position map rides alongside the deque, with a base
-/// offset advanced as old entries are evicted from the front.
+/// units, used to answer anti-entropy requests. It keeps no index by id:
+/// its callers insert each message once (the endpoint stores a message
+/// at its delivery, or when it arrives off the wire), and a sync reply
+/// reads it front to back anyway.
 #[derive(Debug)]
 pub struct MessageStore<P> {
     window: u64,
     entries: VecDeque<(u64, Message<P>)>,
-    /// Absolute position (monotone since store creation) of each retained
-    /// id; subtract `base` to index `entries`.
-    index: IdMap<MessageId, u64>,
-    base: u64,
     /// Per-sender reconstruction stamps for the delta wire format: the
     /// store is the long-lived per-node receive state, so it is where
     /// delta chains are resolved (see [`MessageStore::decode_pooled`]).
@@ -97,8 +92,6 @@ impl<P: Clone> Clone for MessageStore<P> {
         Self {
             window: self.window,
             entries: self.entries.clone(),
-            index: self.index.clone(),
-            base: self.base,
             codec: self.codec.clone(),
             pool: StampPool::new(),
         }
@@ -113,8 +106,6 @@ impl<P> MessageStore<P> {
         Self {
             window,
             entries: VecDeque::new(),
-            index: IdMap::default(),
-            base: 0,
             codec: DeltaDecoder::new(),
             pool: StampPool::new(),
         }
@@ -149,27 +140,13 @@ impl<P> MessageStore<P> {
         self.codec.clear();
     }
 
-    /// Records a message (own broadcasts *and* deliveries both belong
-    /// here — a peer may be missing either). Idempotent by id: re-inserting
-    /// a retained message (e.g. a re-fetched duplicate) is a no-op.
+    /// Evicts what `now` has aged out, then records a message (own
+    /// broadcasts *and* deliveries both belong here — a peer may be
+    /// missing either). Not idempotent: a caller inserts each message
+    /// once, or the store holds (and serves) it once per insert.
     pub fn insert(&mut self, now: u64, message: Message<P>) {
-        if self.claim(now, message.id()) {
-            self.entries.push_back((now, message));
-        }
-    }
-
-    /// Evicts what `now` has aged out, then reserves the next position
-    /// for `id`; `false` (nothing reserved) if `id` is already retained.
-    fn claim(&mut self, now: u64, id: MessageId) -> bool {
         self.evict(now);
-        let position = self.base + self.entries.len() as u64;
-        match self.index.entry(id) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(slot) => {
-                slot.insert(position);
-                true
-            }
-        }
+        self.entries.push_back((now, message));
     }
 
     /// Number of retained messages (after the last eviction).
@@ -184,11 +161,10 @@ impl<P> MessageStore<P> {
         self.entries.is_empty()
     }
 
-    /// Looks up one message by id in `O(1)`.
-    #[must_use]
-    pub fn get(&self, id: MessageId) -> Option<&Message<P>> {
-        let pos = *self.index.get(&id)?;
-        self.entries.get((pos - self.base) as usize).map(|(_, m)| m)
+    /// The retained message with `id`, by a scan (tests only).
+    #[cfg(test)]
+    pub(crate) fn get(&self, id: MessageId) -> Option<&Message<P>> {
+        self.iter().find(|m| m.id() == id)
     }
 
     /// Iterates over retained messages, oldest first.
@@ -209,7 +185,8 @@ impl<P> MessageStore<P> {
     }
 
     /// Rebuilds a store from snapshotted [`MessageStore::entries`] (which
-    /// are in insertion order; the index is reconstructed).
+    /// are in insertion order). A repeated id is kept as often as it is
+    /// listed: the snapshot decoder refuses such a list.
     #[must_use]
     pub fn from_entries(window: u64, entries: impl IntoIterator<Item = (u64, Message<P>)>) -> Self {
         let mut store = Self::new(window);
@@ -232,14 +209,10 @@ impl<P> MessageStore<P> {
         for _ in 0..before {
             let (at, m) = self.entries.pop_front().expect("one pop per entry held");
             if is_stable(frontier, m.id()) {
-                self.index.remove(&m.id());
                 self.retire(m);
             } else {
                 self.entries.push_back((at, m));
             }
-        }
-        for (offset, (_, m)) in self.entries.iter().enumerate() {
-            self.index.insert(m.id(), self.base + offset as u64);
         }
         before - self.entries.len()
     }
@@ -248,8 +221,6 @@ impl<P> MessageStore<P> {
         let horizon = now.saturating_sub(self.window);
         while self.entries.front().is_some_and(|(t, _)| *t < horizon) {
             if let Some((_, m)) = self.entries.pop_front() {
-                self.index.remove(&m.id());
-                self.base += 1;
                 self.retire(m);
             }
         }
@@ -329,14 +300,6 @@ impl MessageStore<Bytes> {
 }
 
 impl<P: Clone> MessageStore<P> {
-    /// [`MessageStore::insert`] by reference: clones `message` only when
-    /// it is not already retained.
-    pub fn insert_ref(&mut self, now: u64, message: &Message<P>) {
-        if self.claim(now, message.id()) {
-            self.entries.push_back((now, message.clone()));
-        }
-    }
-
     /// Answers a [`SyncRequest`] from this store: the retained messages
     /// outside the requester's windows, oldest first, at most
     /// [`SYNC_REPLY_MAX`] of them.
@@ -384,31 +347,30 @@ mod tests {
     }
 
     #[test]
-    fn insert_is_idempotent_and_index_tracks_eviction() {
+    fn every_insert_is_retained_until_its_time_ages_out() {
         let mut a = proc(0, &[0, 1]);
         let mut store: MessageStore<&'static str> = MessageStore::new(10);
         let m1 = a.broadcast("one");
         store.insert(0, m1.clone());
         store.insert(3, m1.clone());
-        assert_eq!(store.len(), 1, "re-inserting a retained id is a no-op");
-        // Push the window forward so m1 evicts; the index must follow and
-        // positions of later entries must stay correct.
+        let held = |store: &MessageStore<&'static str>| {
+            store.entries().map(|(t, m)| (t, m.id().seq())).collect::<Vec<_>>()
+        };
+        assert_eq!(held(&store), [(0, 1), (3, 1)], "no dedup by id: one copy per insert");
+        // Push the window forward: each copy leaves at its own time.
         let m2 = a.broadcast("two");
-        let m3 = a.broadcast("three");
-        store.insert(5, m2.clone());
-        store.insert(20, m3.clone());
-        assert!(store.get(m1.id()).is_none());
-        assert_eq!(store.get(m2.id()).map(Message::id), None, "t=5 expired at t=20");
-        assert_eq!(store.get(m3.id()).unwrap().payload(), &"three");
-        // An evicted id may be re-inserted (e.g. re-fetched via sync).
+        store.insert(11, m2.clone());
+        assert_eq!(held(&store), [(3, 1), (11, 2)], "t=0 aged out at t=11, t=3 did not");
+        store.insert(20, a.broadcast("three"));
+        assert_eq!(held(&store), [(11, 2), (20, 3)]);
+        // An evicted id may be inserted again (e.g. re-fetched via sync).
         store.insert(21, m1.clone());
         assert_eq!(store.get(m1.id()).unwrap().payload(), &"one");
         let roundtrip = MessageStore::from_entries(
             store.window(),
             store.entries().map(|(t, m)| (t, m.clone())).collect::<Vec<_>>(),
         );
-        assert_eq!(roundtrip.len(), store.len());
-        assert_eq!(roundtrip.get(m1.id()).unwrap().payload(), &"one");
+        assert_eq!(held(&roundtrip), held(&store), "a restore keeps every entry and its time");
     }
 
     #[test]
@@ -530,10 +492,11 @@ mod tests {
         for (t, frame) in frames.iter().enumerate().skip(1) {
             let m = store.decode_pooled(frame.clone()).unwrap();
             assert_eq!(wire::encode_full(&m), wire::encode_full(&msgs[t]));
-            store.insert_ref(t as u64, &m);
-            store.insert_ref(t as u64, &m);
+            store.insert(t as u64, m);
         }
-        assert_eq!(store.len(), msgs.len() - 1, "insert_ref is idempotent by id");
+        let held: Vec<(u64, u64)> = store.entries().map(|(t, m)| (t, m.id().seq())).collect();
+        let inserted: Vec<(u64, u64)> = (1..msgs.len() as u64).map(|t| (t, t + 1)).collect();
+        assert_eq!(held, inserted, "one entry per insert, in insert order, at its time");
         assert_eq!(store.codec().tracked_senders(), 1);
         assert_eq!(store.get(msgs[5].id()).unwrap().timestamp(), msgs[5].timestamp());
     }

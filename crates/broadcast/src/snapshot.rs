@@ -38,7 +38,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use pcb_clock::{AssignmentPolicy, ClusterConfig, KeySet, KeySpace, ProcessId, Timestamp};
 
 use crate::dedup::SeenWindows;
-use crate::message::Message;
+use crate::message::{Message, MessageId};
 use crate::process::{PcbConfig, ProcessStats};
 use crate::wire::{self, WireError};
 
@@ -274,6 +274,13 @@ pub fn decode_snapshot(blob: Bytes) -> Result<ProcessSnapshot<Bytes>, WireError>
         // frame decoder narrows to the payload.
         let frame = blob.slice(wire::take_len_prefixed(body, &mut cur)?);
         store.push((at, list.decode(frame)?));
+    }
+    // The store keeps no index by id: an id listed twice would be held,
+    // and served, twice.
+    let mut ids: Vec<MessageId> = store.iter().map(|(_, m)| m.id()).collect();
+    ids.sort_unstable();
+    if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
+        return Err(WireError::BadDelta(format!("stored message {:?} repeats", pair[0])));
     }
     let epoch = take_epoch(&mut cur)?;
     let [code] = wire::take_array(&mut cur)?;

@@ -51,6 +51,16 @@ end_stage() {
     [[ "$n" -eq 0 ]]
 }
 
+# Runs a cargo command, failing on a compiler warning as on an error
+# (cargo replays a cached crate's warnings, so a warm build still shows
+# them).
+warning_free() {
+    local log status=0
+    log=$("$@" 2>&1) || status=$?
+    echo "$log"
+    [[ "$status" -eq 0 ]] && ! grep -q '^warning' <<<"$log"
+}
+
 # One 6 s benchmark run of workload $1 (seed 1, no tracing), showing only
 # its lines that match the extended regex $2.
 ledger_lines() {
@@ -129,7 +139,7 @@ stage_chaos() {
 stage_trace() {
     run cargo run --release -p pcb-bench --bin trace_explain -- --verify
     run cargo run --release -p pcb-bench --bin telemetry_overhead
-    run cargo test -p pcb-telemetry --no-default-features -q
+    run warning_free cargo test -p pcb-telemetry --no-default-features -q
     end_stage
 }
 
