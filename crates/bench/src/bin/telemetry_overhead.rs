@@ -45,7 +45,7 @@ const BUDGET: f64 = 1.05;
 /// The sender's FIFO chain: `count` messages stamped in sequence
 /// (mirrors `benches/pending_wakeup.rs`).
 fn chain(space: KeySpace, count: usize) -> Vec<Message<()>> {
-    let keys = std::sync::Arc::new(KeySet::from_entries(space, &[0, 1]).expect("entries in range"));
+    let keys = std::rc::Rc::new(KeySet::from_entries(space, &[0, 1]).expect("entries in range"));
     let mut sender = ProbClock::new(space);
     (0..count)
         .map(|i| {

@@ -1,6 +1,6 @@
 //! Inputs the decoder fuzz suites forge (`step_fuzz`, `frame_fuzz`).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use pcb_broadcast::wire::{self, checksum64};
@@ -15,7 +15,7 @@ use pcb_clock::{KeySet, KeySpace, ProcessId, Timestamp};
 #[must_use]
 pub fn wide_chain(sender: usize, count: u64, payload: &Bytes) -> Vec<Bytes> {
     let space = KeySpace::new(KeySpace::MAX_R, 1).expect("valid space");
-    let keys = Arc::new(KeySet::from_entries(space, &[0]).expect("keys"));
+    let keys = Rc::new(KeySet::from_entries(space, &[0]).expect("keys"));
     let mut encoder = DeltaEncoder::default();
     (1..=count)
         .map(|seq| {
@@ -23,7 +23,7 @@ pub fn wide_chain(sender: usize, count: u64, payload: &Bytes) -> Vec<Bytes> {
             entries[0] = seq;
             encoder.encode(&Message::new(
                 MessageId::new(ProcessId::new(sender), seq),
-                Arc::clone(&keys),
+                Rc::clone(&keys),
                 Timestamp::from_entries(entries),
                 payload.clone(),
             ))

@@ -10,7 +10,8 @@
 use bytes::Bytes;
 use pcb_bench::alloc::{counted, CountingAlloc};
 use pcb_bench::forge::{resealed, snapshot_holding, wide_chain};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::rc::Rc;
+use std::sync::{Mutex, PoisonError};
 
 use pcb_broadcast::{
     decode, decode_snapshot, encode_snapshot, DeltaDecoder, DeltaEncoder, Message, MessageId,
@@ -36,11 +37,11 @@ const FOUR_BILLION: [u8; 5] = [0xff, 0xff, 0xff, 0xff, 0x0f];
 /// remainder in every field and quotients of every length.
 fn rice_artefacts(seed: u64, scale: u32) -> (Bytes, Bytes) {
     let space = KeySpace::new(16, 1).expect("valid space");
-    let keys = Arc::new(KeySet::from_entries(space, &[0]).expect("keys"));
+    let keys = Rc::new(KeySet::from_entries(space, &[0]).expect("keys"));
     let message = |seq: u64, entries: Vec<u64>| {
         Message::new(
             MessageId::new(ProcessId::new(7), seq),
-            Arc::clone(&keys),
+            Rc::clone(&keys),
             Timestamp::from_entries(entries),
             Bytes::new(),
         )

@@ -1,7 +1,7 @@
 //! Broadcast messages and their control information.
 
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use pcb_clock::{KeySet, ProcessId, Timestamp};
 
@@ -50,12 +50,30 @@ impl fmt::Display for MessageId {
 ///
 /// Control information is the probabilistic timestamp (`R` integers) plus
 /// the sender's key set (recoverable from a 16-byte `set_id`); payloads are
-/// generic. The key set is shared behind an [`Arc`] because in a broadcast
+/// generic. The key set is shared behind an [`Rc`] because in a broadcast
 /// every receiver sees the same copy.
+///
+/// Like [`Timestamp`]'s, the key set's count is non-atomic on purpose:
+/// each shell owns its endpoints on one thread, and the simulator's
+/// `pool::run_indexed` jobs build theirs inside the job, so a message
+/// never crosses threads.
+///
+/// ```compile_fail
+/// use bytes::Bytes;
+/// use pcb_broadcast::{Message, MessageId};
+/// use pcb_clock::{KeySet, KeySpace, ProcessId, Timestamp};
+/// use std::rc::Rc;
+/// let keys = Rc::new(KeySet::from_entries(KeySpace::new(4, 1).unwrap(), &[0]).unwrap());
+/// let id = MessageId::new(ProcessId::new(0), 1);
+/// let message = Message::new(id, keys, Timestamp::zero(4), Bytes::new());
+/// // What a thread spawn demands of what it moves: `Send + 'static`.
+/// fn hand_to_another_thread<T: Send + 'static>(_: T) {}
+/// hand_to_another_thread(message);
+/// ```
 #[derive(Debug, Clone)]
 pub struct Message<P> {
     id: MessageId,
-    keys: Arc<KeySet>,
+    keys: Rc<KeySet>,
     timestamp: Timestamp,
     epoch: u64,
     payload: P,
@@ -66,7 +84,7 @@ impl<P> Message<P> {
     /// Carries config epoch 0 — the genesis configuration — unless
     /// re-stamped with [`Message::with_epoch`].
     #[must_use]
-    pub fn new(id: MessageId, keys: Arc<KeySet>, timestamp: Timestamp, payload: P) -> Self {
+    pub fn new(id: MessageId, keys: Rc<KeySet>, timestamp: Timestamp, payload: P) -> Self {
         Self { id, keys, timestamp, epoch: 0, payload }
     }
 
@@ -107,8 +125,8 @@ impl<P> Message<P> {
 
     /// Shared handle to the sender's key set.
     #[must_use]
-    pub fn keys_arc(&self) -> Arc<KeySet> {
-        Arc::clone(&self.keys)
+    pub fn keys_shared(&self) -> Rc<KeySet> {
+        Rc::clone(&self.keys)
     }
 
     /// The probabilistic timestamp `m.V`.
@@ -128,7 +146,7 @@ impl<P> Message<P> {
     /// timestamp back to a [`pcb_clock::StampPool`] instead of dropping
     /// it (a no-op if the stamp is still shared).
     #[must_use]
-    pub fn into_parts(self) -> (MessageId, Arc<KeySet>, Timestamp, P) {
+    pub fn into_parts(self) -> (MessageId, Rc<KeySet>, Timestamp, P) {
         (self.id, self.keys, self.timestamp, self.payload)
     }
 
@@ -167,7 +185,7 @@ mod tests {
 
     fn sample() -> Message<&'static str> {
         let space = KeySpace::new(4, 2).unwrap();
-        let keys = Arc::new(KeySet::from_entries(space, &[0, 1]).unwrap());
+        let keys = Rc::new(KeySet::from_entries(space, &[0, 1]).unwrap());
         Message::new(
             MessageId::new(ProcessId::new(1), 3),
             keys,
@@ -217,7 +235,7 @@ mod tests {
         // handed over, so a broadcast materializes each exactly once.
         let stamp = Timestamp::from_entries(vec![3, 1, 4, 1]);
         let payload = bytes::Bytes::from(vec![0xAB; 64]);
-        let keys = Arc::new(KeySet::from_entries(KeySpace::new(4, 2).unwrap(), &[0, 2]).unwrap());
+        let keys = Rc::new(KeySet::from_entries(KeySpace::new(4, 2).unwrap(), &[0, 2]).unwrap());
         let m = Message::new(
             MessageId::new(ProcessId::new(0), 1),
             keys,

@@ -334,7 +334,7 @@ impl<P> WakeupIndex<P> {
 mod tests {
     use super::*;
     use pcb_clock::{KeySet, KeySpace, ProcessId};
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     use crate::message::MessageId;
 
@@ -345,7 +345,7 @@ mod tests {
     fn msg(sender: usize, seq: u64, keys: &[usize], ts: pcb_clock::Timestamp) -> Message<()> {
         Message::new(
             MessageId::new(ProcessId::new(sender), seq),
-            Arc::new(KeySet::from_entries(space(), keys).unwrap()),
+            Rc::new(KeySet::from_entries(space(), keys).unwrap()),
             ts,
             (),
         )

@@ -8,7 +8,7 @@
 //! links, or a caller routing by hand) move [`Message`]s between
 //! endpoints.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use pcb_clock::{KeySet, ProbClock, ProcessId};
 use pcb_telemetry::{CausalHealth, TraceEvent, TraceRecord, Tracer};
@@ -111,7 +111,7 @@ impl ProcessStats {
 #[derive(Debug, Clone)]
 pub struct PcbProcess<P> {
     id: ProcessId,
-    keys: Arc<KeySet>,
+    keys: Rc<KeySet>,
     clock: ProbClock,
     seq: u64,
     pending: WakeupIndex<P>,
@@ -142,7 +142,7 @@ impl<P> PcbProcess<P> {
             .then(|| Box::new(CausalHealth::new(clock.len() as u32, keys.entries().len() as u32)));
         Self {
             id,
-            keys: Arc::new(keys),
+            keys: Rc::new(keys),
             clock,
             seq: 0,
             pending,
@@ -288,7 +288,7 @@ impl<P> PcbProcess<P> {
             keys: keys.entries().to_vec(),
             key_vals: keys.iter().map(|entry| ts[entry]).collect(),
         });
-        Message::new(id, Arc::clone(&self.keys), ts, payload)
+        Message::new(id, Rc::clone(&self.keys), ts, payload)
     }
 
     /// **Algorithm 2.** Handles a message arriving from the transport at
@@ -413,7 +413,7 @@ impl<P> PcbProcess<P> {
         });
         let process = Self {
             id: snapshot.id,
-            keys: Arc::new(snapshot.keys),
+            keys: Rc::new(snapshot.keys),
             clock,
             seq: snapshot.seq,
             pending,
@@ -451,7 +451,7 @@ impl<P> PcbProcess<P> {
         });
         Self {
             id: self.id,
-            keys: Arc::new(new_keys),
+            keys: Rc::new(new_keys),
             clock,
             seq: self.seq,
             pending,
@@ -524,7 +524,7 @@ impl<P> PcbProcess<P> {
         let tracer = Tracer::ring(id.index_u32(), config.trace_capacity);
         Self {
             id,
-            keys: Arc::new(keys),
+            keys: Rc::new(keys),
             clock,
             seq: 0,
             pending,

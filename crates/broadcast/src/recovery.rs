@@ -85,8 +85,8 @@ pub struct MessageStore<P> {
 
 impl<P: Clone> Clone for MessageStore<P> {
     /// Clones the retained messages and codec state. The stamp pool does
-    /// **not** travel: cloning would alias its free buffers (every stamp
-    /// `Arc` would gain a sharer, defeating in-place reuse on both sides),
+    /// **not** travel: cloning would alias its free buffers (every recycled
+    /// stamp would gain a sharer, defeating in-place reuse on both sides),
     /// so the clone starts with an empty pool and re-warms on its own.
     fn clone(&self) -> Self {
         Self {

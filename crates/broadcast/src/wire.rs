@@ -90,7 +90,7 @@
 //! either yield a well-formed message or a [`WireError`], never a panic.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pcb_clock::{KeySet, KeySpace, ProcessId, StampPool, Timestamp};
@@ -390,9 +390,9 @@ fn decode_full_body(
     let space = KeySpace::new(r, k).map_err(|e| WireError::BadKeys(e.to_string()))?;
     let keys = match known.get(&sender) {
         Some(base) if base.keys.space() == space && base.keys.set_id() == set_id => {
-            Arc::clone(&base.keys)
+            Rc::clone(&base.keys)
         }
-        _ => Arc::new(
+        _ => Rc::new(
             KeySet::from_set_id(space, set_id).map_err(|e| WireError::BadKeys(e.to_string()))?,
         ),
     };
@@ -934,7 +934,7 @@ struct Reconstruction {
     seq: u64,
     epoch: u64,
     stamp: Timestamp,
-    keys: Arc<KeySet>,
+    keys: Rc<KeySet>,
 }
 
 /// Stateful decoder for delta chains (also accepts full frames, which
@@ -1023,7 +1023,7 @@ impl DeltaDecoder {
                 seq: message.id().seq(),
                 epoch: message.epoch(),
                 stamp: message.timestamp().clone(),
-                keys: message.keys_arc(),
+                keys: message.keys_shared(),
             },
         );
     }
@@ -1067,7 +1067,7 @@ impl DeltaDecoder {
         base.stamp = stamp.clone();
         Ok(Message::new(
             MessageId::new(ProcessId::new(sender), seq),
-            Arc::clone(&base.keys),
+            Rc::clone(&base.keys),
             stamp,
             payload,
         )
@@ -1670,7 +1670,7 @@ mod tests {
     /// Sender 3's message `seq` with an arbitrary stamp and no payload.
     fn raw(seq: u64, entries: &[u64]) -> Message<Bytes> {
         let space = KeySpace::new(entries.len(), 1).unwrap();
-        let keys = Arc::new(KeySet::from_entries(space, &[0]).unwrap());
+        let keys = Rc::new(KeySet::from_entries(space, &[0]).unwrap());
         let id = MessageId::new(ProcessId::new(3), seq);
         Message::new(id, keys, Timestamp::from_entries(entries.to_vec()), Bytes::new())
     }
@@ -2009,7 +2009,7 @@ mod tests {
         let message = |sender: usize, seq: u64| {
             let m = rising(seq);
             let id = MessageId::new(ProcessId::new(sender), seq);
-            Message::new(id, m.keys_arc(), m.timestamp().clone(), Bytes::new())
+            Message::new(id, m.keys_shared(), m.timestamp().clone(), Bytes::new())
         };
         let list: Vec<Message<Bytes>> =
             (1..=2).flat_map(|seq| (0..senders).map(move |s| message(s, seq))).collect();

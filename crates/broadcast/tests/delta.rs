@@ -17,7 +17,7 @@
 //! and regressions that force the full-frame fallback — through the
 //! codec pair.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use pcb_broadcast::wire::{DeltaDecoder, DeltaEncoder, ListReader, ListWriter};
@@ -165,10 +165,10 @@ fn delta_and_full_frames_deliver_bit_identically() {
 
 /// Builds a raw message with an arbitrary stamp — no protocol involved,
 /// so sequences can jump, stall, or regress at will.
-fn raw_message(sender: usize, seq: u64, entries: Vec<u64>, keys: &Arc<KeySet>) -> Message<Bytes> {
+fn raw_message(sender: usize, seq: u64, entries: Vec<u64>, keys: &Rc<KeySet>) -> Message<Bytes> {
     Message::new(
         MessageId::new(ProcessId::new(sender), seq),
-        Arc::clone(keys),
+        Rc::clone(keys),
         Timestamp::from_entries(entries),
         Bytes::from(seq.to_be_bytes().to_vec()),
     )
@@ -190,7 +190,7 @@ proptest! {
         ),
     ) {
         let space = KeySpace::new(r, 1).unwrap();
-        let keys = Arc::new(KeySet::from_entries(space, &[0]).unwrap());
+        let keys = Rc::new(KeySet::from_entries(space, &[0]).unwrap());
         let mut encoder = DeltaEncoder::default();
         let mut decoder = DeltaDecoder::new();
         let mut entries = vec![0u64; r];
@@ -229,7 +229,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let space = KeySpace::new(r, 1).unwrap();
-        let keys = Arc::new(KeySet::from_entries(space, &[0]).unwrap());
+        let keys = Rc::new(KeySet::from_entries(space, &[0]).unwrap());
         let base: Vec<u64> =
             (0..r).map(|_| rng.random::<u64>() >> rng.random_range(0..=64u32).min(63)).collect();
         let next: Vec<u64> = base
@@ -269,7 +269,7 @@ proptest! {
         ),
     ) {
         let space = KeySpace::new(r, 1).unwrap();
-        let keys = Arc::new(KeySet::from_entries(space, &[0]).unwrap());
+        let keys = Rc::new(KeySet::from_entries(space, &[0]).unwrap());
         let (mut stamps, mut seqs) = (vec![vec![0u64; r]; 4], [0u64; 4]);
         let list: Vec<Message<Bytes>> = picks
             .into_iter()
@@ -302,7 +302,7 @@ proptest! {
     ) {
         let join_at = join_at % n;
         let space = KeySpace::new(r, 1).unwrap();
-        let keys = Arc::new(KeySet::from_entries(space, &[0]).unwrap());
+        let keys = Rc::new(KeySet::from_entries(space, &[0]).unwrap());
         let mut encoder = DeltaEncoder::default(); // one full, then deltas forever
         let mut entries = vec![0u64; r];
         let frames: Vec<(Message<Bytes>, Bytes)> = (0..n)
@@ -348,7 +348,7 @@ proptest! {
     ) {
         const FORGED: usize = 100_000;
         let space = KeySpace::new(4, 1).unwrap();
-        let keys = Arc::new(KeySet::from_entries(space, &[2]).unwrap());
+        let keys = Rc::new(KeySet::from_entries(space, &[2]).unwrap());
         let mut decoder = DeltaDecoder::new();
         let mut encoder = DeltaEncoder::default(); // one full, then deltas forever
         let mut genuine_seq = 0u64;

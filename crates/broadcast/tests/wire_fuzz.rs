@@ -145,7 +145,7 @@ proptest! {
 // Below, the damaged body is re-sealed with a valid digest: what refuses
 // (or accepts) it is the decoders' own bounds logic on the slice cursor.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use pcb_broadcast::{
     decode_snapshot, encode_snapshot, DeltaDecoder, DeltaEncoder, Message, MessageId, PcbConfig,
@@ -168,11 +168,11 @@ fn unhex(hex: &str) -> Bytes {
 /// the frames below can be checked against the bytes by eye.
 fn golden_messages(epoch: u64) -> Vec<Message<Bytes>> {
     let space = KeySpace::new(8, 2).unwrap();
-    let keys = Arc::new(KeySet::from_entries(space, &[1, 5]).unwrap());
+    let keys = Rc::new(KeySet::from_entries(space, &[1, 5]).unwrap());
     let message = |seq: u64, stamp: [u64; 8], payload: &'static [u8]| {
         Message::new(
             MessageId::new(ProcessId::new(3), seq),
-            Arc::clone(&keys),
+            Rc::clone(&keys),
             Timestamp::from_entries(stamp.to_vec()),
             Bytes::from_static(payload),
         )

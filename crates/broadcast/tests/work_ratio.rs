@@ -7,7 +7,7 @@
 //! Criterion benchmark `pending_wakeup` measures the corresponding
 //! wall-clock gap.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use pcb_broadcast::{Message, MessageId, WakeupIndex};
 use pcb_clock::{spec, KeySet, KeySpace, ProbClock, ProcessId};
@@ -22,7 +22,7 @@ const P: usize = 10_000;
 /// delivery.
 fn reversed_chain() -> Vec<Message<()>> {
     let space = KeySpace::new(R, K).expect("space");
-    let keys = Arc::new(KeySet::from_entries(space, &[0, 1]).expect("entries in range"));
+    let keys = Rc::new(KeySet::from_entries(space, &[0, 1]).expect("entries in range"));
     let mut sender = ProbClock::new(space);
     let mut msgs: Vec<Message<()>> = (0..P)
         .map(|i| {

@@ -3,7 +3,7 @@
 //! Every Algorithm 1 send snapshots the local vector into a fresh
 //! [`Timestamp`]; at steady state those snapshots are dropped again as
 //! soon as the message is fully delivered. A [`StampPool`] closes that
-//! loop: delivered stamps whose `Arc` is no longer shared go back on a
+//! loop: delivered stamps whose entries are no longer shared go back on a
 //! free list, and the next send overwrites a recycled buffer instead of
 //! allocating. Shared stamps (still referenced by a pending queue, a
 //! detector list, an application) are simply dropped — recycling is an

@@ -2,7 +2,7 @@
 
 use std::fmt;
 use std::ops::Index;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The vector of integer counters attached to every broadcast message.
 ///
@@ -10,11 +10,24 @@ use std::sync::Arc;
 /// processes: with the probabilistic clock, each entry is shared by many
 /// processes and each process owns several entries.
 ///
-/// Entries live behind an `Arc` with copy-on-write semantics: cloning a
+/// Entries live behind an `Rc` with copy-on-write semantics: cloning a
 /// timestamp (attaching it to a message, fanning it out to N receivers)
 /// is a reference-count bump, and the single mutation site per send
 /// (`ProbClock::stamp_send` / `record_delivery`) pays the O(R) copy only
 /// when the vector is actually shared.
+///
+/// The count is non-atomic on purpose, so a timestamp never leaves the
+/// thread that made it. Every owner already lives on one thread: each
+/// shell (the daemon's loop, the simulator, a hand-routed mesh) owns its
+/// endpoints on one thread, and the simulator's `pool::run_indexed` jobs
+/// build theirs inside the job. An atomic count would buy nothing but a
+/// lock-prefixed read-modify-write on every clone and drop.
+///
+/// ```compile_fail
+/// // What a thread spawn demands of what it moves: `Send + 'static`.
+/// fn hand_to_another_thread<T: Send + 'static>(_: T) {}
+/// hand_to_another_thread(pcb_clock::Timestamp::zero(4));
+/// ```
 ///
 /// ```
 /// use pcb_clock::Timestamp;
@@ -25,27 +38,27 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Timestamp {
-    entries: Arc<Vec<u64>>,
+    entries: Rc<Vec<u64>>,
 }
 
 impl Timestamp {
     /// An all-zero timestamp of length `r` (the initial-state vector).
     #[must_use]
     pub fn zero(r: usize) -> Self {
-        Self { entries: Arc::new(vec![0; r]) }
+        Self { entries: Rc::new(vec![0; r]) }
     }
 
     /// Wraps raw entries.
     #[must_use]
     pub fn from_entries(entries: Vec<u64>) -> Self {
-        Self { entries: Arc::new(entries) }
+        Self { entries: Rc::new(entries) }
     }
 
     /// Whether `self` and `other` share one entry allocation — true after
     /// a clone until either side mutates. Exposed for sharing assertions.
     #[must_use]
     pub fn shares_storage_with(&self, other: &Timestamp) -> bool {
-        Arc::ptr_eq(&self.entries, &other.entries)
+        Rc::ptr_eq(&self.entries, &other.entries)
     }
 
     /// Number of entries, `R`.
@@ -114,7 +127,7 @@ impl Timestamp {
     pub(crate) fn entries_mut(&mut self) -> &mut [u64] {
         // Copy-on-write: unshare only if another handle still points at
         // this allocation (the one O(R) copy per Algorithm 1 mutation).
-        Arc::make_mut(&mut self.entries).as_mut_slice()
+        Rc::make_mut(&mut self.entries).as_mut_slice()
     }
 
     /// Whether this handle is the only owner of the entry allocation —
@@ -122,17 +135,17 @@ impl Timestamp {
     /// without observable aliasing.
     #[must_use]
     pub fn is_uniquely_owned(&self) -> bool {
-        Arc::strong_count(&self.entries) == 1 && Arc::weak_count(&self.entries) == 0
+        Rc::strong_count(&self.entries) == 1 && Rc::weak_count(&self.entries) == 0
     }
 
     /// The entries, resized to `len` in place, for writing — when this
     /// handle uniquely owns the allocation, which keeps its storage (no
     /// heap traffic when the length already matches; old values stay in
-    /// the slots). One uniqueness check, `Arc::get_mut`, covers both the
+    /// the slots). One uniqueness check, `Rc::get_mut`, covers both the
     /// resize and the writes. `None` — leaving `self` untouched — if the
     /// allocation is shared.
     pub(crate) fn unique_entries(&mut self, len: usize) -> Option<&mut [u64]> {
-        let own = Arc::get_mut(&mut self.entries)?;
+        let own = Rc::get_mut(&mut self.entries)?;
         own.resize(len, 0);
         Some(own)
     }
@@ -161,7 +174,7 @@ impl fmt::Display for Timestamp {
 
 impl FromIterator<u64> for Timestamp {
     fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
-        Self { entries: Arc::new(iter.into_iter().collect()) }
+        Self { entries: Rc::new(iter.into_iter().collect()) }
     }
 }
 

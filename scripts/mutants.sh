@@ -15,7 +15,8 @@
 #          crate's unit tests.
 # core     mutants of the protocol core: the Algorithm 1 stamp, the
 #          Algorithm 2 guard kernel and record rule, Algorithm 3's
-#          unranking, the Algorithm 4/5 detectors and the wake-up index.
+#          unranking, the Algorithm 4/5 detectors, the wake-up index
+#          and the stamp pool.
 #          Suites: the four that compare the core with the specification
 #          (`pcb_clock::spec`), then every clock and broadcast test.
 # wire     mutants of the frame codec (`broadcast/src/wire.rs`): the
