@@ -269,14 +269,17 @@ impl ProbClock {
 ///
 /// The count pass adds up, without a branch, how many entries of
 /// `local[start..]` are below `remote[start..]`: the sign bit of the
-/// wrapping difference `local − remote`, which is the comparison exactly
-/// while both values are below 2⁶³ (the difference then fits an `i64`). An
-/// OR over everything read notices any value at or above 2⁶³ and hands the
-/// whole verdict to the exact walk. Of the counted entries, the sender's
-/// own (at most `K`) may legitimately be exactly one behind; those are
-/// taken off. Nothing left means [`Gap::Ready`] — the common verdict, and
-/// the only one that never needs an entry named. Otherwise the exact walk
-/// names the first blocked entry.
+/// wrapping difference `local − remote`. While `remote` is below 2⁶³ that
+/// bit is set for every `local < remote` (the difference lies in
+/// `(−2⁶³, 0)`), so no behind entry is missed; it is also set for a
+/// `local` 2⁶³ or more above `remote` (a merge ablation can grow one that
+/// far), but such a false count can only keep the verdict from the fast
+/// path, never admit a message. An OR over the stamp's values notices any
+/// at or above 2⁶³ and hands the whole verdict to the exact walk. Of the
+/// counted entries, the sender's own (at most `K`) may legitimately be
+/// exactly one behind; those are taken off. Nothing left means
+/// [`Gap::Ready`] — the common verdict, and the only one that never needs
+/// an entry named. Otherwise the exact walk names the first blocked entry.
 ///
 /// **Precondition:** `local` and `remote` have one length and
 /// `sender_entries` index inside it; otherwise the verdict is meaningless.
@@ -287,7 +290,7 @@ pub fn guard_gap(local: &[u64], remote: &[u64], sender_entries: &[u32], start: u
     let mut seen = 0u64;
     for (&mine, &theirs) in local[from..].iter().zip(&remote[from..]) {
         behind += mine.wrapping_sub(theirs) >> 63;
-        seen |= mine | theirs;
+        seen |= theirs;
     }
     if seen >> 63 == 0 {
         for entry in sender_entries.iter().map(|&e| e as usize).filter(|&e| e >= start) {

@@ -1,8 +1,9 @@
 //! `unrank` (Algorithm 3), `ProbClock`'s Algorithm 1 stamp and its
 //! Algorithm 4 coverage test against the specification, `pcb_clock::spec`.
-//! (The Algorithm 2 guard has its own suite, `guard_equivalence.rs`.)
+//! (The Algorithm 2 guard has its own suite, `guard_equivalence.rs`; the
+//! one fixed guard case here pins local entries past 2⁶³.)
 
-use pcb_clock::{binomial, spec, unrank, KeySet, KeySpace, ProbClock, StampPool, Timestamp};
+use pcb_clock::{binomial, spec, unrank, Gap, KeySet, KeySpace, ProbClock, StampPool, Timestamp};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -17,6 +18,36 @@ fn unrank_enumerates_every_set_id_as_the_spec_does() {
                     "{s} of {r}C{k}"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn local_entries_past_two_to_the_63_ahead_of_a_small_stamp() {
+    // A merge ablation can grow a local entry to 2⁶³ or more. Against a
+    // small stamp entry its wrapped difference can have the sign bit set,
+    // so the guard's count pass reads it as behind; the verdict must still
+    // be the specification's, with and without a real blocked entry.
+    let f_j = [1usize, 2];
+    let keys = KeySet::from_entries(KeySpace::new(5, 2).expect("2 <= 5"), &f_j).expect("keys");
+    let remote = [3u64, 4, 1, 2, 5];
+    let stamp = Timestamp::from_entries(remote.to_vec());
+    for far in [1u64 << 63, (1 << 63) + 3, u64::MAX] {
+        for (ahead, blocked) in [(0, None), (2, None), (3, Some(4)), (0, Some(1))] {
+            // Meets every bound, with sender entries 1 and 2 one behind.
+            let mut local = vec![3u64, 3, 0, 2, 5];
+            local[ahead] = far;
+            if let Some(entry) = blocked {
+                local[entry] = remote[entry] - 2;
+            }
+            let required = |x| spec::bound(&remote, &f_j, x);
+            let expected = (0..local.len())
+                .find(|&x| local[x] < required(x))
+                .map_or(Gap::Ready, |x| Gap::Blocked { entry: x, required: required(x) });
+            assert_eq!(expected == Gap::Ready, blocked.is_none());
+            assert_eq!(expected == Gap::Ready, spec::deliverable(&local, &remote, &f_j));
+            let clock = ProbClock::from_vector(Timestamp::from_entries(local.clone()));
+            assert_eq!(clock.deliverability_gap(&stamp, &keys), expected, "{local:?}");
         }
     }
 }

@@ -7,6 +7,7 @@
 #   scripts/mutants.sh restart SCRATCH_DIR
 #   scripts/mutants.sh core SCRATCH_DIR
 #   scripts/mutants.sh wire SCRATCH_DIR
+#   scripts/mutants.sh sim SCRATCH_DIR
 #
 # restart  mutants of the code a restarted node runs: booting from its
 #          state directory, persisting, the WAL and snapshot codecs, the
@@ -25,6 +26,12 @@
 #          chains. Suites: the delta codec's differential and
 #          round-trip tests, the wire fuzz and golden-frame tests, then
 #          the forged-count fuzz of `bench/tests/frame_fuzz.rs`.
+# sim      mutants of the simulator's timing wheel (`sim/src/wheel.rs`):
+#          a drained tick left unsorted, a push into the draining tick
+#          appended instead of inserted, equal-tick candidates resolved
+#          to the lower level. Suites: the wheel's unit tests against the
+#          heap, the chaos scheduler differential, then the engine's
+#          wheel-versus-heap run.
 #
 # Prints one line per mutant — which suite killed it, or `SURVIVED` —
 # and exits non-zero if any survived. The copy builds into
@@ -33,7 +40,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage="usage: scripts/mutants.sh restart|core|wire SCRATCH_DIR"
+usage="usage: scripts/mutants.sh restart|core|wire|sim SCRATCH_DIR"
 set_name=${1:?$usage}
 scratch=${2:?$usage}
 # Each suite is "label|cargo test arguments".
@@ -55,6 +62,13 @@ wire)
         "delta|-p pcb-broadcast --test delta"
         "wire_fuzz|-p pcb-broadcast --test wire_fuzz"
         "frame_fuzz|-p pcb-bench --test frame_fuzz"
+    )
+    ;;
+sim)
+    suites=(
+        "wheel tests|-p pcb-sim --lib wheel::"
+        "scheduler_differential|-p pcb-sim --test scheduler_differential"
+        "engine|-p pcb-sim --lib wheel_and_heap_schedulers_are_bit_identical"
     )
     ;;
 *)
