@@ -189,7 +189,7 @@ pub fn fragment_into(
 }
 
 /// In-progress frame: which fragments arrived and their payloads.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Partial {
     first_seen_us: u64,
     count: u64,
@@ -199,7 +199,7 @@ struct Partial {
 
 /// Per-peer reassembly buffer: feed datagrams in any order (duplicated,
 /// reordered, interleaved across frames) and get whole frames back.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Reassembler {
     timeout_us: u64,
     max_partials: usize,

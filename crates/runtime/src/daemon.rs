@@ -516,7 +516,7 @@ fn corrupt(path: &Path, why: impl std::fmt::Display) -> std::io::Error {
 ///
 /// Filesystem errors, or `InvalidData` naming the file when it holds
 /// another WAL version, has the wrong length or a bad checksum.
-pub fn load_wal(dir: &Path) -> std::io::Result<Option<u64>> {
+fn load_wal(dir: &Path) -> std::io::Result<Option<u64>> {
     let path = dir.join("wal.bin");
     let Some(bytes) = read_state(&path)? else { return Ok(None) };
     let version = match bytes.len() {
@@ -567,7 +567,7 @@ pub fn load_snapshot(dir: &Path) -> std::io::Result<Option<ProcessSnapshot<u32>>
 ///
 /// Filesystem errors, or `InvalidData` naming the file when an existing
 /// counter is not 8 bytes.
-pub fn bump_incarnation(dir: &Path) -> std::io::Result<u64> {
+fn bump_incarnation(dir: &Path) -> std::io::Result<u64> {
     let path = dir.join("incarnation.bin");
     let prev = match read_state(&path)? {
         None => 0,
@@ -594,7 +594,7 @@ pub fn save_spec(dir: &Path, spec: &NodeSpec) -> std::io::Result<()> {
 /// # Errors
 ///
 /// IO errors, or [`ExportError`] rendered as `InvalidData`.
-pub fn load_spec(dir: &Path) -> std::io::Result<NodeSpec> {
+fn load_spec(dir: &Path) -> std::io::Result<NodeSpec> {
     let bytes = std::fs::read(dir.join("spec.bin"))?;
     decode_node_spec(&bytes).map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))
 }
@@ -700,6 +700,7 @@ struct Daemon {
     delivered_log: DeliveredLog,
     /// Delivery event lines awaiting fan-out to subscribers.
     event_queue: Vec<String>,
+    rpc: RpcTotals,
     shutdown: bool,
 }
 
@@ -714,8 +715,6 @@ struct Daemon {
 /// individual connections are absorbed, not fatal.
 pub fn run(opts: DaemonOptions) -> std::io::Result<()> {
     let (spec, incarnation, endpoint) = start_node(&opts.state_dir, opts.resume)?;
-    // A daemon installs no link faults: its shim passes everything, and
-    // the seed of a stream nothing draws from is moot.
     let transport = UdpTransport::bind(opts.listen, incarnation, opts.udp.clone(), 0)?;
     // Publish the bound address (port 0 resolves at bind time) so
     // whoever spawned us can find the socket.
@@ -745,6 +744,7 @@ pub fn run(opts: DaemonOptions) -> std::io::Result<()> {
         started: Instant::now(),
         delivered_log,
         event_queue: Vec::new(),
+        rpc: RpcTotals::default(),
         shutdown: false,
     };
     daemon.run_live()
@@ -874,7 +874,7 @@ impl Daemon {
             self.transport.flush(self.wall_us());
             // One write per connection per turn, replies and events
             // together: one segment where there would be several.
-            conns.retain_mut(RpcConn::flush);
+            conns.retain_mut(|conn| conn.flush(&mut self.rpc));
 
             // A scrape is a connection of the same non-blocking kind,
             // answered once its request line is in and closed once the
@@ -886,14 +886,16 @@ impl Daemon {
                     }
                 }
             }
+            // Scrapes are not the RPC plane: their bytes are not counted.
+            let mut uncounted = RpcTotals::default();
             for scrape in scrapes.iter_mut().filter(|s| s.readable) {
-                scrape.fill();
+                scrape.fill(&mut uncounted);
                 if !scrape.closing && scrape.inbuf.contains(&b'\n') {
                     scrape.outbuf.extend(http_page(&self.metrics_text()).as_bytes());
                     scrape.closing = true;
                 }
             }
-            scrapes.retain_mut(RpcConn::flush);
+            scrapes.retain_mut(|scrape| scrape.flush(&mut uncounted));
 
             readable =
                 self.wait_for_work([&rpc_listener, &metrics_listener], &mut conns, &mut scrapes)?;
@@ -1022,7 +1024,7 @@ impl Daemon {
     /// complete request line; the turn's single flush sends them.
     fn pump_rpc(&mut self, conns: &mut [RpcConn]) -> std::io::Result<()> {
         for conn in conns.iter_mut().filter(|c| c.readable) {
-            conn.fill();
+            conn.fill(&mut self.rpc);
             for line in conn.take_lines() {
                 let response = self.handle_rpc(&line, conn)?;
                 conn.push_line(&response.to_json());
@@ -1089,7 +1091,7 @@ impl Daemon {
     #[allow(clippy::cast_precision_loss)] // levels are far below 2^52
     fn report(&self) -> (Vec<Row>, Option<EntryHeatmap>) {
         let status = self.endpoint.status();
-        let (udp, _) = self.transport.stats();
+        let (udp,) = self.transport.stats();
         let ChainStats { deltas_sent, fulls_sent, missing_base } = self.frames.stats;
         let mut rows = vec![
             Row::gauge(
@@ -1121,6 +1123,12 @@ impl Daemon {
         ];
         rows.extend(status.rows());
         rows.extend(udp.rows());
+        let RpcTotals { writes, bytes_written, bytes_read } = self.rpc;
+        rows.extend([
+            Row::counter("rpc_writes", "Writes to RPC connections.", writes),
+            Row::counter("rpc_bytes_written", "Bytes written to RPC connections.", bytes_written),
+            Row::counter("rpc_bytes_read", "Bytes read from RPC connections.", bytes_read),
+        ]);
         (rows, status.heatmap)
     }
 
@@ -1194,6 +1202,15 @@ fn rpc_error(message: &str) -> Value {
     Value::object([("ok", Value::from(false)), ("error", Value::from(message))])
 }
 
+/// What the RPC plane cost on its sockets, over every connection it
+/// served: beside `udp_bytes_sent`, the rest of a publish's bytes.
+#[derive(Debug, Default, Clone, Copy)]
+struct RpcTotals {
+    writes: u64,
+    bytes_written: u64,
+    bytes_read: u64,
+}
+
 /// One client connection, RPC or `/metrics` scrape: buffered reads, line
 /// framing, buffered writes that tolerate partial non-blocking progress.
 struct RpcConn {
@@ -1222,14 +1239,15 @@ impl RpcConn {
         }
     }
 
-    /// Reads whatever is available; marks the connection dead once the
-    /// peer is gone.
-    fn fill(&mut self) {
+    /// Reads whatever is available, counting it into `totals`; marks the
+    /// connection dead once the peer is gone.
+    fn fill(&mut self, totals: &mut RpcTotals) {
         let mut buf = [0u8; 4096];
         while !self.dead {
             match self.stream.read(&mut buf) {
                 // Bound rogue clients: a "line" beyond 1 MiB is abuse.
                 Ok(n) if n > 0 && self.inbuf.len() + n <= 1 << 20 => {
+                    totals.bytes_read += n as u64;
                     self.inbuf.extend_from_slice(&buf[..n]);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
@@ -1257,9 +1275,10 @@ impl RpcConn {
     }
 
     /// Writes as much buffered output as the socket accepts, straight
-    /// from the ring buffer's two halves; `false` once the peer is gone,
-    /// or the last bytes of a closing connection have left.
-    fn flush(&mut self) -> bool {
+    /// from the ring buffer's two halves, counting it into `totals`;
+    /// `false` once the peer is gone, or the last bytes of a closing
+    /// connection have left.
+    fn flush(&mut self, totals: &mut RpcTotals) -> bool {
         if self.dead {
             return false;
         }
@@ -1268,6 +1287,8 @@ impl RpcConn {
             match self.stream.write_vectored(&[IoSlice::new(front), IoSlice::new(back)]) {
                 Ok(0) => return false,
                 Ok(n) => {
+                    totals.writes += 1;
+                    totals.bytes_written += n as u64;
                     self.outbuf.drain(..n);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
@@ -1292,7 +1313,9 @@ mod tests {
     use super::*;
     use pcb_broadcast::{PcbConfig, RecoveryTimingUs};
     use pcb_clock::{ClusterConfig, KeySet, KeySpace};
-    use pcb_sim::LinkFaults;
+
+    use crate::link::net::{Net, Weather, A, B};
+    use crate::link::Event;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1656,34 +1679,29 @@ mod tests {
     }
 
     /// One directed link of a live cluster on a synthetic clock: a
-    /// publishing endpoint and its chain at `a`, a receiving chain at
-    /// `b`, real loopback transports between them. `pump` is `run_live`'s
-    /// event handling, nothing more.
-    struct Link {
-        a: UdpTransport,
-        b: UdpTransport,
-        addr_b: SocketAddr,
+    /// publishing endpoint and its chain at end `A` of the test network,
+    /// a receiving chain at `B`. `pump` is `run_live`'s event handling,
+    /// nothing more.
+    struct Chain {
+        net: Net,
         publisher: Endpoint<u32>,
         out: LiveFrames,
         into: LiveFrames,
-        now_us: u64,
     }
 
-    fn link_cfg() -> UdpConfig {
-        UdpConfig {
-            rto_initial_us: 1_000,
-            rto_max_us: 1_000,
-            max_retries: 2,
-            ..UdpConfig::default()
-        }
+    /// The address `A`'s chain knows `B` by.
+    fn addr_b() -> SocketAddr {
+        "127.0.0.1:9002".parse().unwrap()
     }
 
-    impl Link {
+    impl Chain {
         fn new() -> Self {
-            let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
-            let a = UdpTransport::bind(any, 1, link_cfg(), 1).expect("bind a");
-            let b = UdpTransport::bind(any, 1, link_cfg(), 2).expect("bind b");
-            let addr_b = b.local_addr().expect("addr b");
+            let net = Net::new(UdpConfig {
+                rto_initial_us: 1_000,
+                rto_max_us: 1_000,
+                max_retries: 2,
+                ..UdpConfig::default()
+            });
             let spec = sample_spec();
             let publisher = Endpoint::new(
                 ProcessId::new(spec.node as usize),
@@ -1691,43 +1709,37 @@ mod tests {
                 spec.pcb_config.clone(),
                 None,
             );
-            let (out, into) = (LiveFrames::default(), LiveFrames::default());
-            Link { a, b, addr_b, publisher, out, into, now_us: 0 }
+            Chain { net, publisher, out: LiveFrames::default(), into: LiveFrames::default() }
         }
 
         fn publish(&mut self, payload: u32) {
-            for output in self.publisher.handle(Input::Broadcast(payload), self.now_us) {
+            for output in self.publisher.handle(Input::Broadcast(payload), self.net.now_us) {
                 if let Output::SendFrame(message) = output {
-                    let (a, now_us) = (&mut self.a, self.now_us);
-                    self.out.outgoing(&message, [self.addr_b].into_iter(), |to, frame| {
-                        a.send(to, frame, now_us);
+                    let net = &mut self.net;
+                    self.out.outgoing(&message, [addr_b()].into_iter(), |_, frame| {
+                        net.send(A, frame);
                     });
                 }
             }
-            self.a.flush(self.now_us);
+            self.net.flush(A);
         }
 
-        /// Polls both ends until `b` has read `datagrams` more; returns
-        /// the payloads `b`'s chain decoded, in order.
-        fn pump(&mut self, datagrams: u64) -> Vec<u32> {
-            let want = self.b.stats().0.datagrams_received + datagrams;
+        /// Both ends take turns until nothing is in flight; returns the
+        /// payloads `B`'s chain decoded, in order.
+        fn pump(&mut self) -> Vec<u32> {
+            self.net.settle();
+            for event in std::mem::take(&mut self.net.ends[A].events) {
+                if event == Event::Fenced {
+                    self.out.fenced(addr_b());
+                }
+            }
             let mut delivered = Vec::new();
-            for _ in 0..100_000 {
-                for event in self.a.poll(self.now_us) {
-                    if let UdpEvent::Fenced(peer) = event {
-                        self.out.fenced(peer);
-                    }
-                }
-                for event in self.b.poll(self.now_us) {
-                    let UdpEvent::Frame { frame, .. } = event else { continue };
-                    let Ok(DaemonMsg::Frame(wire)) = decode_msg(&frame) else {
-                        panic!("only chain frames travel here");
-                    };
-                    delivered.extend(self.into.incoming(2, wire).map(|m| *m.payload()));
-                }
-                if self.b.stats().0.datagrams_received >= want {
-                    break;
-                }
+            for event in std::mem::take(&mut self.net.ends[B].events) {
+                let Event::Frame(frame) = event else { continue };
+                let Ok(DaemonMsg::Frame(wire)) = decode_msg(&frame) else {
+                    panic!("only chain frames travel here");
+                };
+                delivered.extend(self.into.incoming(2, wire).map(|m| *m.payload()));
             }
             delivered
         }
@@ -1735,36 +1747,36 @@ mod tests {
 
     #[test]
     fn chain_restarts_with_a_full_frame_after_a_give_up() {
-        let mut link = Link::new();
+        let mut chain = Chain::new();
         for payload in 0..3 {
-            link.publish(payload);
+            chain.publish(payload);
         }
-        assert_eq!(link.pump(3), [0, 1, 2]);
-        assert_eq!(link.out.stats, ChainStats { deltas_sent: 2, fulls_sent: 1, missing_base: 0 });
+        assert_eq!(chain.pump(), [0, 1, 2]);
+        assert_eq!(chain.out.stats, ChainStats { deltas_sent: 2, fulls_sent: 1, missing_base: 0 });
 
         // Two deltas leave into a dead link and exhaust their retries:
         // the transport abandons them and says so.
-        link.a.set_faults(Some(LinkFaults { drop: 1.0, ..LinkFaults::default() }));
-        link.publish(3);
-        link.publish(4);
-        while link.a.stats().0.give_ups == 0 {
-            link.now_us += 1_000;
-            assert!(link.now_us < 100_000, "no give-up");
-            let _ = link.pump(0);
+        chain.net.weather[B] = Weather::Cut;
+        chain.publish(3);
+        chain.publish(4);
+        while chain.net.stats(A).give_ups == 0 {
+            chain.net.now_us += 1_000;
+            assert!(chain.net.now_us < 100_000, "no give-up");
+            let _ = chain.pump();
         }
-        link.a.set_faults(None);
-        assert_eq!(link.out.restart, [link.addr_b]);
+        chain.net.weather[B] = Weather::Clear;
+        assert_eq!(chain.out.restart, [addr_b()]);
 
-        // The encoder would chain message 5 to message 4, which `b` never
+        // The encoder would chain message 5 to message 4, which `B` never
         // saw; the link's flag makes this one frame stand alone, and the
         // chain goes on from it.
         for payload in 5..8 {
-            link.publish(payload);
+            chain.publish(payload);
         }
-        assert_eq!(link.pump(3), [5, 6, 7]);
-        assert_eq!(link.out.encoder.fulls_emitted(), 1, "the encoder itself never restarted");
-        assert_eq!(link.out.stats, ChainStats { deltas_sent: 6, fulls_sent: 2, missing_base: 0 });
-        assert_eq!(link.into.stats.missing_base, 0);
+        assert_eq!(chain.pump(), [5, 6, 7]);
+        assert_eq!(chain.out.encoder.fulls_emitted(), 1, "the encoder itself never restarted");
+        assert_eq!(chain.out.stats, ChainStats { deltas_sent: 6, fulls_sent: 2, missing_base: 0 });
+        assert_eq!(chain.into.stats.missing_base, 0);
     }
 
     #[test]
@@ -1798,41 +1810,37 @@ mod tests {
 
     #[test]
     fn chain_restarts_with_a_full_frame_after_a_peer_restart() {
-        let mut link = Link::new();
+        let mut chain = Chain::new();
         for payload in 0..3 {
-            link.publish(payload);
+            chain.publish(payload);
         }
-        assert_eq!(link.pump(3), [0, 1, 2]);
+        assert_eq!(chain.pump(), [0, 1, 2]);
 
-        // `b` dies with two deltas in flight and comes back on the same
-        // address, next incarnation, empty decoder. Its first word fences
-        // the link, and the two deltas — against a base only the dead
-        // process held — go with the old epoch instead of to the new one.
-        let addr_a = link.a.local_addr().unwrap();
-        let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
-        link.b = UdpTransport::bind(any, 1, link_cfg(), 9).unwrap(); // frees the port
-        link.publish(3);
-        link.publish(4);
-        link.b = UdpTransport::bind(link.addr_b, 2, link_cfg(), 3).expect("rebind b");
-        link.into = LiveFrames::default();
-        link.b.send(addr_a, encode_pcb_msg(&Input::Tick), link.now_us);
-        link.b.flush(link.now_us);
-        let fenced = (0..100_000).any(|_| {
-            assert_eq!(link.pump(0), [] as [u32; 0]);
-            link.a.stats().0.peer_restarts == 1
-        });
-        assert!(fenced, "the restart went unnoticed");
-        assert_eq!(link.out.restart, [link.addr_b]);
+        // `B` dies with two deltas in flight and comes back, next
+        // incarnation, empty decoder. Its first word fences the link, and
+        // the two deltas — against a base only the dead process held — go
+        // with the old epoch instead of to the new one.
+        chain.net.weather[B] = Weather::Cut;
+        chain.publish(3);
+        chain.publish(4);
+        chain.net.restart(B);
+        chain.net.weather[B] = Weather::Clear;
+        chain.into = LiveFrames::default();
+        chain.net.send(B, encode_pcb_msg(&Input::Tick));
+        chain.net.flush(B);
+        assert_eq!(chain.pump(), [] as [u32; 0]);
+        assert_eq!(chain.net.stats(A).peer_restarts, 1, "the restart went unnoticed");
+        assert_eq!(chain.out.restart, [addr_b()]);
 
         // The first frame of the link's new life stands alone; nothing
         // after it is dropped for a missing base.
         for payload in 5..8 {
-            link.publish(payload);
+            chain.publish(payload);
         }
-        assert_eq!(link.pump(3), [5, 6, 7]);
-        assert_eq!(link.into.stats.missing_base, 0, "no frame of the old chain reached b");
-        assert_eq!(link.out.stats.fulls_sent, 2);
-        assert_eq!(link.a.stats().0.give_ups, 0);
+        assert_eq!(chain.pump(), [5, 6, 7]);
+        assert_eq!(chain.into.stats.missing_base, 0, "no frame of the old chain reached b");
+        assert_eq!(chain.out.stats.fulls_sent, 2);
+        assert_eq!(chain.net.stats(A).give_ups, 0);
     }
 
     #[test]
@@ -1853,5 +1861,25 @@ mod tests {
         ] {
             assert!(member_input(input, 1).is_none());
         }
+    }
+
+    #[test]
+    fn rpc_totals_count_every_read_and_write() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let (mut conn, mut totals) = (RpcConn::new(stream), RpcTotals::default());
+        client.write_all(b"{\"op\":\"status\"}\n").unwrap();
+        for _ in 0..100_000 {
+            conn.fill(&mut totals);
+            if totals.bytes_read == 16 {
+                break;
+            }
+        }
+        assert_eq!(conn.take_lines(), [r#"{"op":"status"}"#]);
+        conn.push_line("ok");
+        assert!(conn.flush(&mut totals));
+        assert_eq!((totals.writes, totals.bytes_written, totals.bytes_read), (1, 3, 16));
     }
 }

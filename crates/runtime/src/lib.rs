@@ -6,8 +6,9 @@
 //! the `pcb-daemon` process shell — one single-threaded poll loop
 //! around the endpoint, a reliable [`udp`] transport to its peers,
 //! crash-durable state on disk, a JSON RPC socket and a `/metrics`
-//! page; [`shim`] is the transport's socket fault shim; [`ready`] is
-//! the `poll(2)` wait every loop blocks in between turns.
+//! page; [`link`] is that transport's per-peer protocol, a state
+//! machine with no IO that the socket shell drives; [`ready`] is the
+//! `poll(2)` wait every loop blocks in between turns.
 //!
 //! A node boots from its state directory and persists what each input
 //! changed through two functions the certification harness
@@ -58,11 +59,10 @@
 #![warn(missing_docs)]
 
 pub mod daemon;
+pub mod link;
 pub mod ready;
-pub mod shim;
 pub mod udp;
 
-pub use shim::{SocketShim, Verdict};
 pub use udp::{UdpConfig, UdpEvent, UdpStats, UdpTransport};
 // `ledger/` names this path; the codec itself is `pcb_telemetry::json`.
 pub use pcb_telemetry::json;

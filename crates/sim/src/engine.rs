@@ -1026,6 +1026,18 @@ mod tests {
             SimConfig {
                 loss: Some(LossModel { drop_probability: 0.2, retransmit_ms: 120.0 }),
                 mean_send_interval_ms: 60.0,
+                ..base.clone()
+            },
+            // Latency below one 64 µs tick, sends ms apart: a send's
+            // arrivals are pushed into the tick being drained, ahead of
+            // events still waiting there, and a send filed a level up
+            // shares its tick with arrivals filed at level 0.
+            SimConfig {
+                latency_mean_ms: 0.03,
+                latency_sigma_ms: 0.02,
+                skew_sigma_ms: 0.0,
+                latency_floor_ms: 0.001,
+                mean_send_interval_ms: 5.0,
                 ..base
             },
         ];

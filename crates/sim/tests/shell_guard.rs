@@ -188,6 +188,42 @@ fn runtime_is_one_poll_loop_per_process() {
     );
 }
 
+/// The link (`runtime/src/link.rs`, its test network and enumerator under
+/// `link/`) is a state machine: time comes in as an argument, datagrams
+/// go out into a sink. A socket, a file or a clock there would make its
+/// tests depend on the host again. And the unit tests of the socket
+/// shell and the daemon run in synthetic time: none reads the wall clock
+/// or sleeps.
+#[test]
+fn the_link_does_no_io_and_unit_tests_read_no_clock() {
+    let sources = workspace_sources();
+    let link: Vec<_> = sources
+        .iter()
+        .filter(|(path, _)| path == "runtime/src/link.rs" || path.starts_with("runtime/src/link/"))
+        .cloned()
+        .collect();
+    assert!(link.len() >= 2, "guard lost the link");
+    let mut offences = mentions(
+        &link,
+        &["std::net", "UdpSocket", "std::fs", "Instant", "SystemTime", "thread::sleep"],
+    );
+    for file in ["runtime/src/udp.rs", "runtime/src/daemon.rs"] {
+        let (_, text) = sources.iter().find(|(path, _)| path == file).expect("runtime source");
+        let tests = text.split_once("#[cfg(test)]").map_or("", |(_, tests)| tests);
+        assert!(!tests.is_empty(), "guard lost the unit tests of {file}");
+        offences.extend(mentions(
+            &[(file.to_string(), tests.to_string())],
+            &["Instant", "SystemTime", "thread::sleep"],
+        ));
+    }
+    assert!(
+        offences.is_empty(),
+        "the link does IO, or a unit test reads the wall clock — pass time in and \
+         drive links over the test network (`link::net`):\n{}",
+        offences.join("\n")
+    );
+}
+
 /// The daemon's loop blocks in `poll(2)` until a socket or a timer needs
 /// it; a fixed sleep per turn is what it replaced.
 #[test]

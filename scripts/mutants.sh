@@ -8,6 +8,7 @@
 #   scripts/mutants.sh core SCRATCH_DIR
 #   scripts/mutants.sh wire SCRATCH_DIR
 #   scripts/mutants.sh sim SCRATCH_DIR
+#   scripts/mutants.sh link SCRATCH_DIR
 #
 # restart  mutants of the code a restarted node runs: booting from its
 #          state directory, persisting, the WAL and snapshot codecs, the
@@ -32,6 +33,13 @@
 #          to the lower level. Suites: the wheel's unit tests against the
 #          heap, the chaos scheduler differential, then the engine's
 #          wheel-versus-heap run.
+# link     mutants of the per-peer link (`runtime/src/link.rs`): a
+#          restart that re-offers mid-chain frames, every outstanding
+#          frame retransmitted, no fence on a risen incarnation, an ack
+#          for an older epoch accepted, a held frame's timer taken as the
+#          deadline. Suites: the enumerator's reduced scope, then the
+#          link's unit tests; both drive links over the test network,
+#          no socket in the loop.
 #
 # Prints one line per mutant — which suite killed it, or `SURVIVED` —
 # and exits non-zero if any survived. The copy builds into
@@ -40,7 +48,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage="usage: scripts/mutants.sh restart|core|wire|sim SCRATCH_DIR"
+usage="usage: scripts/mutants.sh restart|core|wire|sim|link SCRATCH_DIR"
 set_name=${1:?$usage}
 scratch=${2:?$usage}
 # Each suite is "label|cargo test arguments".
@@ -69,6 +77,12 @@ sim)
         "wheel tests|-p pcb-sim --lib wheel::"
         "scheduler_differential|-p pcb-sim --test scheduler_differential"
         "engine|-p pcb-sim --lib wheel_and_heap_schedulers_are_bit_identical"
+    )
+    ;;
+link)
+    suites=(
+        "enumerator|-p pcb-runtime --lib link::enumerate"
+        "link tests|-p pcb-runtime --lib link::tests"
     )
     ;;
 *)

@@ -8,7 +8,7 @@
 #
 # Every other flag runs the base gate and then its own stage, nothing else:
 #
-#   scripts/verify.sh --chaos  # a deterministic chaos soak
+#   scripts/verify.sh --chaos  # a deterministic chaos soak + the link enumerator's full bound
 #   scripts/verify.sh --trace  # the observability gate
 #   scripts/verify.sh --perf   # allocation + work-counter gates, ledger smokes + layer table
 #   scripts/verify.sh --equiv  # the certification harness: recorded chaos runs through the daemon's start-up and persist code
@@ -122,9 +122,15 @@ stage_base() {
 
 # Chaos stage: short deterministic fault-injection soak over a fixed
 # seed set. Any failure prints the seed; replay it bit-identically with
-# scripts/replay.sh <seed>.
+# scripts/replay.sh <seed>. Then the link enumerator at its full bound:
+# two links over the test network, every schedule of three frames one
+# way and two the other with every datagram arriving, and of two and one
+# with one datagram of any fate, at most one restart or give-up each
+# (`cargo test --workspace` runs a reduced bound); a violation prints
+# the schedule that led to it.
 stage_chaos() {
     run cargo run --release -p pcb-bench --bin chaos_soak
+    run cargo test --release -p pcb-runtime --lib link::enumerate -q -- --include-ignored
     end_stage
 }
 
