@@ -74,7 +74,7 @@ pub fn sweep_options() -> pcb_sim::SweepOptions {
 
 /// CSV output directory from `PCB_CSV_DIR`, if set.
 #[must_use]
-pub fn csv_dir() -> Option<PathBuf> {
+fn csv_dir() -> Option<PathBuf> {
     std::env::var_os("PCB_CSV_DIR").map(PathBuf::from)
 }
 

@@ -15,13 +15,23 @@
 //! held to the same ceiling; a decoded row counts only with one entry per
 //! member, and a merged row never lowers an entry, of the matrix or of
 //! the frontier it sets.
+//!
+//! Two more are the anti-entropy probe, `6 | uvar from | windows`, and
+//! the reply, `7 | config | uvar count | count × (uvar len | frame)`.
+//! Their decoding is total and held to the same ceiling: a forged window,
+//! exception or message count — a reply's above `SYNC_REPLY_MAX`
+//! included — is refused before anything is reserved for it, and a
+//! window list whose senders or exceptions do not strictly rise is
+//! refused.
 
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, UdpSocket};
 
 use bytes::Bytes;
 use pcb_bench::alloc::{counted, CountingAlloc};
-use pcb_broadcast::fragment;
-use pcb_broadcast::wire::checksum64;
+use pcb_broadcast::endpoint::{Input, Output};
+use pcb_broadcast::wire::{checksum64, ListWriter};
+use pcb_broadcast::{fragment, Endpoint, PcbConfig, WireError, SYNC_REPLY_MAX};
+use pcb_clock::{KeySet, KeySpace, ProcessId};
 use pcb_runtime::daemon::{decode_msg, DaemonMsg, StabilityRows};
 use pcb_runtime::{UdpConfig, UdpEvent, UdpTransport};
 use proptest::prelude::*;
@@ -250,6 +260,115 @@ fn row_within_ceiling(
     Ok(())
 }
 
+/// The daemon's probe and reply kinds.
+const MSG_PROBE: u8 = 6;
+const MSG_REPLY: u8 = 7;
+
+/// A window or exception count, or a sender or sequence number, that is
+/// sometimes honest, sometimes made up.
+fn count(rng: &mut StdRng, honest: u64) -> u64 {
+    if rng.random_bool(0.7) {
+        honest
+    } else {
+        number(rng)
+    }
+}
+
+/// Real frames of one sender's chain at `R = 16`: what an honest reply
+/// carries, so forged counts meet frames that decode.
+fn chain_frames() -> Vec<Bytes> {
+    let keys = KeySet::from_entries(KeySpace::new(16, 2).expect("space"), &[3, 9]).expect("keys");
+    let mut sender = Endpoint::new(ProcessId::new(1), keys, PcbConfig::default(), None);
+    let mut list = ListWriter::default();
+    (0..8u32)
+        .flat_map(|payload| sender.handle(Input::Broadcast(payload), 1_000))
+        .filter_map(|o| if let Output::SendFrame(m) = o { Some(list.encode(&m)) } else { None })
+        .collect()
+}
+
+/// A probe whose window and exception counts may lie and whose senders
+/// and exceptions may not rise, or a reply whose message count may lie
+/// (past `SYNC_REPLY_MAX` too) over real frames, forged ones, or frames
+/// whose length lies; then damaged as a row is.
+fn hostile_sync(rng: &mut StdRng, frames: &[Bytes]) -> Vec<u8> {
+    let mut raw;
+    if rng.random_bool(0.5) {
+        raw = vec![MSG_PROBE];
+        uvar(&mut raw, count(rng, 1));
+        let windows = rng.random_range(0..5u64);
+        uvar(&mut raw, count(rng, windows));
+        let mut sender = 0u64;
+        for _ in 0..windows {
+            let next = sender.saturating_add(rng.random_range(1..3u64));
+            sender = count(rng, next);
+            uvar(&mut raw, sender);
+            let prefix = rng.random_range(0..50u64);
+            let mut seq = count(rng, prefix);
+            uvar(&mut raw, seq);
+            let exceptions = rng.random_range(0..4u64);
+            uvar(&mut raw, count(rng, exceptions));
+            for _ in 0..exceptions {
+                let next = seq.saturating_add(rng.random_range(1..4u64));
+                seq = count(rng, next);
+                uvar(&mut raw, seq);
+            }
+        }
+    } else {
+        raw = vec![MSG_REPLY, 0, 16, 2, 0];
+        let entries = rng.random_range(0..=frames.len());
+        let claimed = match rng.random_range(0..3u32) {
+            0 => SYNC_REPLY_MAX as u64 + rng.random_range(1..3u64),
+            1 => number(rng),
+            _ => entries as u64,
+        };
+        uvar(&mut raw, claimed);
+        for frame in &frames[..entries] {
+            let frame = if rng.random_bool(0.8) { frame.to_vec() } else { bytes(rng, 40) };
+            uvar(&mut raw, count(rng, frame.len() as u64));
+            raw.extend(frame);
+        }
+    }
+    match rng.random_range(0..4u32) {
+        0 => {}
+        1 => raw.truncate(rng.random_range(0..=raw.len())),
+        2 => {
+            let at = rng.random_range(0..raw.len());
+            raw[at] ^= 1 << rng.random_range(0..8u32);
+        }
+        _ => raw.extend(bytes(rng, 8)),
+    }
+    raw
+}
+
+/// Decodes `raw` with the counter armed: within the ceiling, and a probe
+/// that decodes has its windows in exported form, a reply no more than
+/// `SYNC_REPLY_MAX` messages.
+fn sync_within_ceiling(raw: &[u8]) -> Result<(), String> {
+    let frame = Bytes::from(raw.to_vec());
+    let (_, claimed, decoded) = counted(|| decode_msg(&frame));
+    let ceiling = CEILING_PER_BYTE * raw.len() as u64 + CEILING_FLAT;
+    if claimed > ceiling {
+        return Err(format!("a {}-byte probe or reply allocated {claimed} B: {raw:?}", raw.len()));
+    }
+    match decoded {
+        Ok(DaemonMsg::Probe(_, windows)) => {
+            let senders_rise = windows.windows(2).all(|pair| pair[0].0 < pair[1].0);
+            let exceptions_rise = windows.iter().all(|(_, prefix, exceptions)| {
+                exceptions.first().is_none_or(|first| first > prefix)
+                    && exceptions.windows(2).all(|pair| pair[0] < pair[1])
+            });
+            if !senders_rise || !exceptions_rise {
+                return Err(format!("windows not in exported form decoded: {windows:?}"));
+            }
+        }
+        Ok(DaemonMsg::Reply(_, messages)) if messages.len() > SYNC_REPLY_MAX => {
+            return Err(format!("a reply of {} messages decoded", messages.len()));
+        }
+        _ => {}
+    }
+    Ok(())
+}
+
 /// Sends `raw` from `from` and polls the victim once with the counter
 /// armed. Loopback queues the datagram inside `send_to`, so one poll
 /// reads it.
@@ -353,6 +472,44 @@ proptest! {
             let raw = hostile_row(&mut rng);
             let verdict = row_within_ceiling(&mut rows, &raw, &mut rng);
             prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
+
+        let frames = chain_frames();
+        // The layout, as documented, decodes.
+        let mut honest = vec![MSG_REPLY, 0, 16, 2, 0];
+        uvar(&mut honest, frames.len() as u64);
+        for frame in &frames {
+            uvar(&mut honest, frame.len() as u64);
+            honest.extend_from_slice(frame);
+        }
+        let decoded = decode_msg(&Bytes::from(honest));
+        prop_assert!(
+            matches!(&decoded, Ok(DaemonMsg::Reply(_, messages)) if messages.len() == frames.len()),
+            "{decoded:?}"
+        );
+        for _ in 0..16 {
+            let raw = hostile_sync(&mut rng, &frames);
+            let verdict = sync_within_ceiling(&raw);
+            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
+        // Counts with nothing behind them, and a reply one message longer
+        // than a store answers with: refused, with nothing reserved for
+        // them (the one window whose bytes are there has its slot).
+        let mut reply = vec![MSG_REPLY, 0, 16, 2, 0];
+        uvar(&mut reply, SYNC_REPLY_MAX as u64 + 1);
+        let mut windows = vec![MSG_PROBE, 1];
+        uvar(&mut windows, u64::MAX);
+        let mut exceptions = vec![MSG_PROBE, 1, 1, 0, 0];
+        uvar(&mut exceptions, u64::MAX);
+        let window = std::mem::size_of::<(ProcessId, u64, Vec<u64>)>() as u64;
+        for (raw, refusal, reserved) in [
+            (reply, WireError::LongReply(SYNC_REPLY_MAX + 1), 0),
+            (windows, WireError::Truncated, 0),
+            (exceptions, WireError::Truncated, window),
+        ] {
+            let frame = Bytes::from(raw);
+            let (_, claimed, decoded) = counted(|| decode_msg(&frame).err());
+            prop_assert_eq!((claimed, decoded), (reserved, Some(refusal)));
         }
     }
 }

@@ -139,10 +139,10 @@ fn a_forged_chained_store_is_refused_within_the_ceiling() {
     // Refused past its fifth delta, or for a missing base, and decoded
     // within the ceiling anyway.
     for (what, blob, decodes) in forged_stores() {
-        if let Err(verdict) = within_ceiling(&what, &blob, decode_snapshot) {
+        if let Err(verdict) = within_ceiling(&what, &blob, decode_snapshot::<Bytes>) {
             panic!("{verdict}");
         }
-        assert_eq!(decode_snapshot(blob).is_ok(), decodes, "{what}");
+        assert_eq!(decode_snapshot::<Bytes>(blob).is_ok(), decodes, "{what}");
     }
 }
 
@@ -161,7 +161,7 @@ proptest! {
         let mut primed = DeltaDecoder::new();
         primed.decode(full.clone()).expect("own full frame decodes");
         let check = |what: &str, forged: &Bytes| match what {
-            "snapshot" => within_ceiling(what, forged, decode_snapshot),
+            "snapshot" => within_ceiling(what, forged, decode_snapshot::<Bytes>),
             "full" => within_ceiling(what, forged, decode),
             _ => {
                 let mut decoder = primed.clone();

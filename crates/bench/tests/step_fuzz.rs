@@ -1,7 +1,10 @@
-//! Hostile bytes at the step codec — the frames daemons exchange and
-//! replay. `decode_step` must be total (an error, never a panic) and must
-//! not claim memory its input does not pay for: a count field is four
-//! bytes, and it used to reserve 16 MB before reading one element.
+//! Hostile bytes at the step codec — the recorder's replay format.
+//! Daemons no longer exchange steps: the probes and replies they send
+//! each other, which a step's sync arms embed, are fuzzed at the daemon's
+//! socket in `datagram_fuzz.rs`. `decode_step` must be total (an error,
+//! never a panic) and must not claim memory its input does not pay for: a
+//! count field is a few bytes, and it used to reserve 16 MB before
+//! reading one element.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -9,9 +12,10 @@ use bytes::Bytes;
 use pcb_bench::alloc::{counted, CountingAlloc};
 use pcb_bench::forge::{snapshot_holding, wide_chain};
 use pcb_broadcast::endpoint::{Endpoint, Input, Output};
-use pcb_broadcast::{encode_snapshot, Message, PcbConfig, SeenWindows, SYNC_REPLY_MAX};
+use pcb_broadcast::wire::put_uvar;
+use pcb_broadcast::{encode_snapshot, Message, PcbConfig, SeenWindows, WireError, SYNC_REPLY_MAX};
 use pcb_clock::{ClusterConfig, KeySet, KeySpace, ProcessId};
-use pcb_sim::export::{decode_step, encode_join_grant, encode_step, snapshot_to_wire, ExportError};
+use pcb_sim::export::{decode_step, encode_join_grant, encode_step, ExportError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -91,19 +95,26 @@ fn hostile_step(rng: &mut StdRng) -> Vec<u8> {
             bytes[at] ^= 1 << rng.random_range(0..8u32);
         }
         _ => {
-            let at = rng.random_range(9..bytes.len() - 3);
-            bytes[at..at + 4].fill(0xff);
+            let at = rng.random_range(9..bytes.len() - 1);
+            let end = (at + 4).min(bytes.len());
+            bytes[at..end].fill(0xff);
         }
     }
     bytes
 }
 
-/// A sync request (17 bytes), response (30) or stability frontier (13)
-/// whose count field says `u32::MAX` with nothing behind it.
-fn forged_count(input: &Input<u32>) -> Vec<u8> {
+/// An empty sync request, response or stability frontier whose count —
+/// the last field, a varint in the first two and a `u32` in the third —
+/// says `count` with nothing behind it.
+fn forged_count(input: &Input<u32>, count: u64) -> Vec<u8> {
     let mut bytes = encode_step(0, input);
-    let at = bytes.len() - 4;
-    bytes[at..].fill(0xff);
+    if matches!(input, Input::StableFrontier(_)) {
+        let at = bytes.len() - 4;
+        bytes[at..].copy_from_slice(&(count as u32).to_le_bytes());
+    } else {
+        bytes.pop();
+        put_uvar(&mut bytes, count);
+    }
     bytes
 }
 
@@ -111,28 +122,26 @@ fn forged_count(input: &Input<u32>) -> Vec<u8> {
 /// holds `frames`.
 fn reply_of(frames: &[Bytes], count: usize) -> Vec<u8> {
     let config = ClusterConfig::genesis(space());
-    let mut bytes = forged_count(&Input::SyncResponse { messages: vec![], config });
-    let at = bytes.len() - 4;
-    bytes[at..].copy_from_slice(&(count as u32).to_le_bytes());
+    let mut bytes = forged_count(&Input::SyncResponse { messages: vec![], config }, count as u64);
     for frame in frames {
-        bytes.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        put_uvar(&mut bytes, frame.len() as u64);
         bytes.extend_from_slice(frame);
     }
     bytes
 }
 
 /// A join step whose grant carries `blob` as its snapshot: a real grant's
-/// step with the blob swapped in and both length fields fixed.
+/// step with the blob swapped in (it ends the grant) and the step's length
+/// field fixed.
 fn join_holding(blob: &Bytes) -> Vec<u8> {
     let keys = KeySet::from_entries(space(), &[3, 9]).expect("keys");
     let sponsor: Endpoint<u32> =
         Endpoint::new(ProcessId::new(2), keys.clone(), PcbConfig::default(), None);
     let grant = sponsor.join_grant(ProcessId::new(4), keys);
-    let own = encode_snapshot(&snapshot_to_wire(&grant.snapshot));
+    let own = encode_snapshot(&grant.snapshot);
     let body = encode_join_grant(&grant);
     let step = encode_step(0, &Input::Join(Box::new(grant)));
-    let mut forged_grant = body[..body.len() - own.len() - 4].to_vec();
-    forged_grant.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+    let mut forged_grant = body[..body.len() - own.len()].to_vec();
     forged_grant.extend_from_slice(blob);
     let mut forged = step[..step.len() - body.len() - 4].to_vec();
     forged.extend_from_slice(&(forged_grant.len() as u32).to_le_bytes());
@@ -201,8 +210,13 @@ proptest! {
         let response =
             Input::SyncResponse { messages: vec![], config: ClusterConfig::genesis(space()) };
         let frontier = Input::StableFrontier(vec![]);
-        let forged = [forged_count(&request), forged_count(&response), forged_count(&frontier)];
-        prop_assert_eq!(forged[0].len(), 17);
+        let forged = [
+            forged_count(&request, u64::MAX),
+            forged_count(&response, u64::MAX),
+            forged_count(&frontier, u64::from(u32::MAX)),
+        ];
+        prop_assert_eq!(forged[0].len(), 20);
+        prop_assert_eq!(forged[1].len(), 23);
         prop_assert_eq!(forged[2].len(), 13);
         prop_assert_eq!(forged[2][8], STEP_STABLE_FRONTIER);
         for bytes in &forged {
@@ -228,5 +242,6 @@ fn a_forged_chained_list_is_refused_within_the_ceiling() {
         assert_eq!(decode_step(bytes).is_ok(), *decodes, "{what}");
     }
     let (_, long, _) = lists.iter().find(|(what, _, _)| what == "a long reply").expect("listed");
-    assert_eq!(decode_step(long).err(), Some(ExportError::LongReply(SYNC_REPLY_MAX + 1)));
+    let refused = ExportError::Wire(WireError::LongReply(SYNC_REPLY_MAX + 1));
+    assert_eq!(decode_step(long).err(), Some(refused));
 }

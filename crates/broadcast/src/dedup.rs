@@ -10,15 +10,60 @@
 
 use std::collections::BTreeSet;
 
+use bytes::BufMut;
 use pcb_clock::ProcessId;
 
 use crate::idmap::IdMap;
 use crate::message::MessageId;
+use crate::wire::{put_uvar, take_uvar, WireError};
 
 /// A [`DedupFilter`] in exported form: one `(sender, prefix, exceptions)`
 /// per sender, ascending by sender — ids `1..=prefix` plus the ascending
 /// `exceptions` beyond it. What snapshots persist and sync probes carry.
 pub type SeenWindows = Vec<(ProcessId, u64, Vec<u64>)>;
+
+/// Appends `windows`: `uvar count | count × (uvar sender | uvar prefix |
+/// uvar n | n × uvar seq)`, as a sync probe and a snapshot carry them.
+pub(crate) fn put_windows(out: &mut impl BufMut, windows: &[(ProcessId, u64, Vec<u64>)]) {
+    put_uvar(out, windows.len() as u64);
+    for (sender, prefix, exceptions) in windows {
+        put_uvar(out, sender.index() as u64);
+        put_uvar(out, *prefix);
+        put_uvar(out, exceptions.len() as u64);
+        for &seq in exceptions {
+            put_uvar(out, seq);
+        }
+    }
+}
+
+/// Takes what [`put_windows`] wrote, in exported form only — senders
+/// strictly ascending, each exception list strictly ascending and beyond
+/// its prefix — or [`WireError::BadWindows`]. Every element takes a byte
+/// at least, so a count reserves no more than the bytes behind it hold.
+pub(crate) fn take_windows(cur: &mut &[u8]) -> Result<SeenWindows, WireError> {
+    let count = take_uvar(cur)?;
+    let mut windows: SeenWindows = Vec::with_capacity(count.min(cur.len() as u64 / 3) as usize);
+    for _ in 0..count {
+        let sender = ProcessId::new(take_uvar(cur)? as usize);
+        if windows.last().is_some_and(|(last, _, _)| *last >= sender) {
+            return Err(WireError::BadWindows);
+        }
+        let prefix = take_uvar(cur)?;
+        let gaps = take_uvar(cur)?;
+        let mut exceptions = Vec::with_capacity(gaps.min(cur.len() as u64) as usize);
+        let mut floor = prefix;
+        for _ in 0..gaps {
+            let seq = take_uvar(cur)?;
+            if seq <= floor {
+                return Err(WireError::BadWindows);
+            }
+            floor = seq;
+            exceptions.push(seq);
+        }
+        windows.push((sender, prefix, exceptions));
+    }
+    Ok(windows)
+}
 
 /// Whether `id` is inside `windows` (which must be ascending by sender,
 /// each exception list ascending, as [`DedupFilter::export_windows`]
@@ -149,24 +194,16 @@ impl DedupFilter {
             }
         }
     }
-
-    /// Number of senders tracked.
-    #[must_use]
-    pub fn sender_count(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Number of out-of-order exceptions currently held — together with
-    /// [`DedupFilter::sender_count`], the filter's true memory footprint.
-    #[must_use]
-    pub fn exception_count(&self) -> usize {
-        self.windows.values().map(|w| w.exceptions.len()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Out-of-order exceptions the filter holds, over every sender.
+    fn exceptions(filter: &DedupFilter) -> usize {
+        filter.export_windows().iter().map(|(_, _, exceptions)| exceptions.len()).sum()
+    }
 
     fn id(sender: usize, seq: u64) -> MessageId {
         MessageId::new(ProcessId::new(sender), seq)
@@ -181,8 +218,8 @@ mod tests {
             }
         }
         // 100_000 in-order messages: zero exceptions, four counters.
-        assert_eq!(filter.sender_count(), 4);
-        assert_eq!(filter.exception_count(), 0);
+        assert_eq!(filter.export_windows().len(), 4);
+        assert_eq!(exceptions(&filter), 0);
         assert!(!filter.insert(id(2, 17)), "old ids stay recorded");
         assert!(filter.contains(id(3, 25_000)));
         assert!(!filter.contains(id(3, 25_001)));
@@ -194,10 +231,10 @@ mod tests {
         assert!(filter.insert(id(0, 1)));
         assert!(filter.insert(id(0, 4)));
         assert!(filter.insert(id(0, 3)));
-        assert_eq!(filter.exception_count(), 2, "3 and 4 wait for 2");
+        assert_eq!(exceptions(&filter), 2, "3 and 4 wait for 2");
         assert!(!filter.contains(id(0, 2)));
         assert!(filter.insert(id(0, 2)));
-        assert_eq!(filter.exception_count(), 0, "prefix absorbed 2..=4");
+        assert_eq!(exceptions(&filter), 0, "prefix absorbed 2..=4");
         assert!(!filter.insert(id(0, 4)), "absorbed ids are duplicates");
     }
 
@@ -256,7 +293,7 @@ mod tests {
         assert!(filter.contains(id(0, 3)));
         // Removed ids insert as new; absorbing heals the prefix again.
         assert!(filter.insert(id(0, 2)));
-        assert_eq!(filter.exception_count(), 0);
+        assert_eq!(exceptions(&filter), 0);
         // Unknown ids and unknown senders are no-ops.
         assert!(!filter.remove(id(0, 9)));
         assert!(!filter.remove(id(5, 1)));

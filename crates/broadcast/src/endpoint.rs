@@ -74,7 +74,7 @@ use crate::pending::WakeupStats;
 use crate::process::{Delivery, PcbConfig, PcbProcess, ProcessStats};
 use crate::recovery::{is_stable, Counters, MessageStore, SyncRequest, SYNC_REPLY_MAX};
 use crate::snapshot::{PrevEpochSnapshot, ProcessSnapshot};
-use crate::wire::WireError;
+use crate::wire::{Payload, WireError};
 
 /// Store retention when no recovery timing is configured (5 s).
 const DEFAULT_STORE_WINDOW_US: u64 = 5_000_000;
@@ -124,6 +124,23 @@ impl Default for RecoveryTimingUs {
             sync_timeout_us: 400_000,
         }
     }
+}
+
+/// Constructor arguments for one node's [`Endpoint`], as a process that
+/// shares no memory with whoever chose them reads them from its state
+/// directory.
+#[derive(Debug, Clone)]
+pub struct NodeSpec {
+    /// This node's index.
+    pub node: u32,
+    /// Cluster size.
+    pub n: u32,
+    /// The node's key set.
+    pub keys: KeySet,
+    /// Protocol configuration.
+    pub pcb_config: PcbConfig,
+    /// Recovery/anti-entropy timing.
+    pub timing: RecoveryTimingUs,
 }
 
 /// Everything that can happen *to* an endpoint. Shells translate their
@@ -841,12 +858,6 @@ impl<P: Clone> Endpoint<P> {
         self.sync_timeouts >= UNREACHABLE_AFTER
     }
 
-    /// Deliveries that arrived via anti-entropy re-fetch.
-    #[must_use]
-    pub fn recovered_deliveries(&self) -> u64 {
-        self.recovered
-    }
-
     /// The anti-entropy message store (delivered + own messages, and wire
     /// frames from their arrival, within the retention window).
     #[must_use]
@@ -1391,7 +1402,7 @@ fn has_geometry<P>(message: &Message<P>, space: KeySpace) -> bool {
     message.timestamp().len() == space.r() && message.keys().space() == space
 }
 
-impl Endpoint<Bytes> {
+impl<P: Payload> Endpoint<P> {
     /// Decodes one wire frame (full or delta — see
     /// [`crate::wire`]) through the store's long-lived per-sender delta
     /// codec and feeds the message through the [`Endpoint::handle`] state
@@ -1411,11 +1422,7 @@ impl Endpoint<Bytes> {
     /// bytes, or a delta whose base this endpoint never saw); the frame
     /// is dropped and the state machine is not stimulated, exactly as a
     /// transport-level loss.
-    pub fn handle_wire(
-        &mut self,
-        frame: Bytes,
-        now_us: u64,
-    ) -> Result<Vec<Output<Bytes>>, WireError> {
+    pub fn handle_wire(&mut self, frame: Bytes, now_us: u64) -> Result<Vec<Output<P>>, WireError> {
         if self.crashed || self.left {
             return Ok(Vec::new());
         }
@@ -1436,7 +1443,7 @@ impl Endpoint<Bytes> {
     pub fn handle_wire_batch(
         &mut self,
         frames: &[(u64, Bytes)],
-    ) -> (Vec<Output<Bytes>>, Vec<(usize, WireError)>) {
+    ) -> (Vec<Output<P>>, Vec<(usize, WireError)>) {
         let (mut out, mut errors) = (Vec::new(), Vec::new());
         for (index, (now_us, frame)) in frames.iter().enumerate() {
             match self.handle_wire(frame.clone(), *now_us) {
@@ -1617,7 +1624,7 @@ mod tests {
             .collect();
         assert_eq!(delivered, ["1", "2"]);
         assert_eq!(b.recovery_counters().refetched, 2);
-        assert_eq!(b.recovered_deliveries(), 2);
+        assert_eq!(b.status().recovered, 2);
     }
 
     #[test]

@@ -55,7 +55,9 @@ pub use discipline::{
     Alerts, DetectingProbDiscipline, Discipline, FifoDiscipline, ImmediateDiscipline,
     MergeProbDiscipline, ProbDiscipline, VectorDiscipline,
 };
-pub use endpoint::{Endpoint, EndpointStatus, Input, JoinGrant, Output, RecoveryTimingUs};
+pub use endpoint::{
+    Endpoint, EndpointStatus, Input, JoinGrant, NodeSpec, Output, RecoveryTimingUs,
+};
 pub use fragment::{
     fragment, fragment_into, max_frame_len, FragmentError, Reassembler, DEFAULT_MTU, MAX_FRAGMENTS,
     MIN_MTU,
@@ -64,9 +66,12 @@ pub use membership::{Group, MemberState};
 pub use message::{Message, MessageId};
 pub use pending::{Admission, InsertVerdict, WakeupIndex, WakeupStats};
 pub use process::{Delivery, PcbConfig, PcbProcess, ProcessStats};
-pub use recovery::{Counters, MessageStore, SyncRequest, SyncResponse, SYNC_REPLY_MAX};
+pub use recovery::{
+    decode_probe, decode_reply, encode_probe, encode_reply, put_config, take_config, Counters,
+    MessageStore, SyncRequest, SyncResponse, SYNC_REPLY_MAX,
+};
 pub use snapshot::{decode_snapshot, encode_snapshot, PrevEpochSnapshot, ProcessSnapshot};
 pub use wire::{
-    decode, encode_full, DeltaDecoder, DeltaEncoder, ListReader, ListWriter, WireError,
+    decode, encode_full, DeltaDecoder, DeltaEncoder, ListReader, ListWriter, Payload, WireError,
     LIST_ENTRIES_PER_BYTE,
 };

@@ -44,7 +44,7 @@ pub enum MemberState {
 /// // Online (R, K) reconfiguration: epoch bumps, keys re-derive.
 /// let new = group.reconfigure(KeySpace::new(128, 4)?)?;
 /// assert_eq!(new.epoch, 1);
-/// assert_eq!(group.keys_of(bob).unwrap().space().r(), 128);
+/// assert!(group.alive().all(|(id, keys)| id == bob && keys.space().r() == 128));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
@@ -55,13 +55,11 @@ pub struct Group {
     next_id: usize,
     seed: u64,
     left: usize,
-    /// Maximum departed entries retained before the oldest are dropped.
-    left_watermark: usize,
 }
 
 impl Group {
-    /// Default retirement watermark: departed members kept around for
-    /// late-frame attribution before compaction reclaims them.
+    /// Retirement watermark: departed members kept around for late-frame
+    /// attribution before compaction reclaims the oldest.
     pub const DEFAULT_LEFT_WATERMARK: usize = 1024;
 
     /// Creates an empty group over the given key space (config epoch 0).
@@ -80,7 +78,6 @@ impl Group {
             next_id: 0,
             seed,
             left: 0,
-            left_watermark: Self::DEFAULT_LEFT_WATERMARK,
         }
     }
 
@@ -100,13 +97,6 @@ impl Group {
     #[must_use]
     pub fn epoch(&self) -> u64 {
         self.config.epoch
-    }
-
-    /// Sets how many departed members are retained before compaction
-    /// (clamped to ≥ 1 so the most recent leave stays attributable).
-    pub fn set_left_watermark(&mut self, watermark: usize) {
-        self.left_watermark = watermark.max(1);
-        self.compact_left();
     }
 
     /// Admits a new member: allocates a fresh id and draws its key set in
@@ -137,12 +127,12 @@ impl Group {
         self.compact_left();
     }
 
-    /// Drops the oldest `Left` entries until at most `left_watermark`
-    /// remain. Ids are never reused (`next_id` is monotone), so a retired
+    /// Drops the oldest `Left` entries until at most
+    /// [`Group::DEFAULT_LEFT_WATERMARK`] remain. Ids are never reused (`next_id` is monotone), so a retired
     /// member simply becomes unknown — exactly like a process that never
     /// joined, which every protocol path already tolerates.
     fn compact_left(&mut self) {
-        while self.left > self.left_watermark {
+        while self.left > Self::DEFAULT_LEFT_WATERMARK {
             let oldest = self
                 .members
                 .iter()
@@ -178,19 +168,6 @@ impl Group {
         Ok(next)
     }
 
-    /// A member's key set (in the current epoch's space), if it is still
-    /// tracked.
-    #[must_use]
-    pub fn keys_of(&self, id: ProcessId) -> Option<&KeySet> {
-        self.members.get(&id).map(|(k, _)| k)
-    }
-
-    /// A member's state, if it is still tracked.
-    #[must_use]
-    pub fn state_of(&self, id: ProcessId) -> Option<MemberState> {
-        self.members.get(&id).map(|(_, s)| *s)
-    }
-
     /// Iterates over currently alive members.
     pub fn alive(&self) -> impl Iterator<Item = (ProcessId, &KeySet)> {
         self.members
@@ -203,12 +180,6 @@ impl Group {
     #[must_use]
     pub fn alive_count(&self) -> usize {
         self.members.len() - self.left
-    }
-
-    /// Number of departed members still tracked (≤ the watermark).
-    #[must_use]
-    pub fn left_count(&self) -> usize {
-        self.left
     }
 
     /// Total identities ever issued (alive + departed + retired).
@@ -226,6 +197,14 @@ mod tests {
         Group::new(KeySpace::new(10, 3).unwrap(), AssignmentPolicy::UniformRandom, 1)
     }
 
+    fn keys_of(g: &Group, id: ProcessId) -> Option<&KeySet> {
+        g.members.get(&id).map(|(keys, _)| keys)
+    }
+
+    fn state_of(g: &Group, id: ProcessId) -> Option<MemberState> {
+        g.members.get(&id).map(|(_, state)| *state)
+    }
+
     #[test]
     fn join_assigns_fresh_ids_and_valid_keys() {
         let mut g = group();
@@ -234,7 +213,7 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(ka.len(), 3);
         assert_eq!(kb.len(), 3);
-        assert_eq!(g.keys_of(a), Some(&ka));
+        assert_eq!(keys_of(&g, a), Some(&ka));
         assert_eq!(g.total_issued(), 2);
         assert_eq!(g.epoch(), 0);
     }
@@ -246,10 +225,10 @@ mod tests {
         g.leave(a);
         g.leave(a);
         g.leave(ProcessId::new(99));
-        assert_eq!(g.state_of(a), Some(MemberState::Left));
-        assert_eq!(g.state_of(ProcessId::new(99)), None);
+        assert_eq!(state_of(&g, a), Some(MemberState::Left));
+        assert_eq!(state_of(&g, ProcessId::new(99)), None);
         assert_eq!(g.alive_count(), 0);
-        assert_eq!(g.left_count(), 1);
+        assert_eq!(g.left, 1);
     }
 
     #[test]
@@ -263,7 +242,7 @@ mod tests {
             let (id, _) = g.join().unwrap();
             g.leave(id);
         }
-        assert_eq!(g.keys_of(a), Some(&ka), "a's keys survive churn untouched");
+        assert_eq!(keys_of(&g, a), Some(&ka), "a's keys survive churn untouched");
         assert_eq!(g.alive_count(), 2);
         assert_eq!(g.total_issued(), 22);
     }
@@ -281,21 +260,21 @@ mod tests {
     #[test]
     fn left_entries_are_compacted_past_the_watermark() {
         let mut g = group();
-        g.set_left_watermark(5);
+        let watermark = Group::DEFAULT_LEFT_WATERMARK;
         let (keeper, _) = g.join().unwrap();
         let mut departed = Vec::new();
-        for _ in 0..20 {
+        for _ in 0..watermark + 5 {
             let (id, _) = g.join().unwrap();
             departed.push(id);
             g.leave(id);
         }
-        assert_eq!(g.left_count(), 5, "compaction caps retained Left entries");
+        assert_eq!(g.left, watermark, "compaction caps retained Left entries");
         // The oldest departures were retired; the newest are still known.
-        assert_eq!(g.state_of(departed[0]), None);
-        assert_eq!(g.state_of(departed[19]), Some(MemberState::Left));
-        assert_eq!(g.state_of(keeper), Some(MemberState::Alive));
+        assert_eq!(state_of(&g, departed[4]), None);
+        assert_eq!(state_of(&g, departed[5]), Some(MemberState::Left));
+        assert_eq!(state_of(&g, keeper), Some(MemberState::Alive));
         assert_eq!(g.alive_count(), 1);
-        assert_eq!(g.total_issued(), 21, "retirement never recycles ids");
+        assert_eq!(g.total_issued(), watermark + 6, "retirement never recycles ids");
     }
 
     #[test]
@@ -308,7 +287,7 @@ mod tests {
         assert_eq!(cfg.epoch, 1);
         assert_eq!(g.space(), new_space);
         for (id, old_keys) in &ids {
-            let migrated = g.keys_of(*id).unwrap();
+            let migrated = keys_of(&g, *id).unwrap();
             assert_eq!(migrated.space(), new_space);
             // Deterministic: any process recomputes the same mapping.
             assert_eq!(migrated, &cfg.migrate_keys(old_keys).unwrap());

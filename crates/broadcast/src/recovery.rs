@@ -12,15 +12,23 @@
 //! recent messages outside them, at most [`SYNC_REPLY_MAX`] at a time.
 //! Replaying the response through `PcbProcess::on_receive` is idempotent
 //! thanks to duplicate suppression.
+//!
+//! Between processes the exchange is two byte forms, [`encode_probe`] and
+//! [`encode_reply`], each decoded totally and within the memory its
+//! bytes pay for.
 
 use std::collections::VecDeque;
 
-use bytes::Bytes;
-use pcb_clock::{StampPool, StampPoolStats};
+use bytes::{BufMut, Bytes};
+use pcb_clock::{AssignmentPolicy, ClusterConfig, KeySpace, ProcessId, StampPool, StampPoolStats};
 
-use crate::dedup::{windows_contain, DedupFilter, SeenWindows};
+use crate::dedup::{put_windows, take_windows, windows_contain, DedupFilter, SeenWindows};
 use crate::message::{Message, MessageId};
-use crate::wire::{DeltaDecoder, WireError};
+use crate::snapshot::take_epoch;
+use crate::wire::{
+    finish, put_uvar, take_array, take_len_prefixed, take_uvar, DeltaDecoder, ListReader,
+    ListWriter, Payload, WireError,
+};
 
 /// Recovery-health counters shared by every layer that reports them:
 /// the simulator's `RunMetrics` and [`crate::EndpointStatus`] embed this
@@ -75,7 +83,7 @@ pub struct MessageStore<P> {
     /// Per-sender reconstruction stamps for the delta wire format: the
     /// store is the long-lived per-node receive state, so it is where
     /// delta chains are resolved (see [`MessageStore::decode_pooled`]).
-    codec: DeltaDecoder,
+    codec: DeltaDecoder<P>,
     /// Recycled stamp buffers closing the ingest loop: eviction retires
     /// the stamps of aged-out messages here, and frame decode (plus the
     /// endpoint's pooled broadcast path) draws from it, so the
@@ -106,7 +114,7 @@ impl<P> MessageStore<P> {
         Self {
             window,
             entries: VecDeque::new(),
-            codec: DeltaDecoder::new(),
+            codec: DeltaDecoder::default(),
             pool: StampPool::new(),
         }
     }
@@ -126,7 +134,7 @@ impl<P> MessageStore<P> {
 
     /// The per-sender delta reconstruction state (for inspection).
     #[must_use]
-    pub fn codec(&self) -> &DeltaDecoder {
+    pub fn codec(&self) -> &DeltaDecoder<P> {
         &self.codec
     }
 
@@ -281,7 +289,7 @@ pub struct SyncResponse<P> {
     pub messages: Vec<Message<P>>,
 }
 
-impl MessageStore<Bytes> {
+impl<P: Payload> MessageStore<P> {
     /// Decodes a wire frame (full or delta) against this store's
     /// per-sender reconstruction stamps, the stamp drawn from the store's
     /// recycle pool. The result is **not** retained: the endpoint stores
@@ -294,9 +302,111 @@ impl MessageStore<Bytes> {
     /// delta chain (late joiner, or the chain head was lost) — issue a
     /// sync request; peers re-serve messages in a self-contained list,
     /// each sender's first one a full frame.
-    pub fn decode_pooled(&mut self, frame: Bytes) -> Result<Message<Bytes>, WireError> {
+    pub fn decode_pooled(&mut self, frame: Bytes) -> Result<Message<P>, WireError> {
         self.codec.decode_pooled(frame, &mut self.pool)
     }
+}
+
+/// Appends an anti-entropy probe, the prober and its dedup windows:
+/// `uvar from | uvar count | count × (uvar sender | uvar prefix | uvar n
+/// | n × uvar seq)`.
+pub fn encode_probe(
+    out: &mut impl BufMut,
+    from: ProcessId,
+    windows: &[(ProcessId, u64, Vec<u64>)],
+) {
+    put_uvar(out, from.index() as u64);
+    put_windows(out, windows);
+}
+
+/// Decodes a probe that fills `bytes` exactly.
+///
+/// # Errors
+///
+/// [`WireError::BadWindows`] for windows not in exported form (senders
+/// strictly ascending, each exception list strictly ascending and beyond
+/// its prefix), and any other [`WireError`] on malformed bytes.
+pub fn decode_probe(mut bytes: &[u8]) -> Result<(ProcessId, SeenWindows), WireError> {
+    let from = ProcessId::new(take_uvar(&mut bytes)? as usize);
+    let windows = take_windows(&mut bytes)?;
+    finish(bytes)?;
+    Ok((from, windows))
+}
+
+/// Appends a cluster configuration: `uvar epoch | uvar R | uvar K | u8
+/// policy`.
+pub fn put_config(out: &mut impl BufMut, config: &ClusterConfig) {
+    for v in [config.epoch, config.space.r() as u64, config.space.k() as u64] {
+        put_uvar(out, v);
+    }
+    out.put_u8(config.policy.wire_code());
+}
+
+/// Takes what [`put_config`] wrote.
+///
+/// # Errors
+///
+/// [`WireError::BadKeys`] for an epoch of 2⁶³ or more (a frame tag
+/// carries it doubled), an invalid `(R, K)` or an unknown policy, and
+/// [`WireError::Truncated`] when the bytes end first.
+pub fn take_config(cur: &mut &[u8]) -> Result<ClusterConfig, WireError> {
+    let epoch = take_epoch(cur)?;
+    let (r, k) = (take_uvar(cur)? as usize, take_uvar(cur)? as usize);
+    let space = KeySpace::new(r, k).map_err(|e| WireError::BadKeys(e.to_string()))?;
+    let [code] = take_array(cur)?;
+    let policy = AssignmentPolicy::from_wire_code(code)
+        .ok_or_else(|| WireError::BadKeys(format!("unknown assignment policy {code}")))?;
+    Ok(ClusterConfig { epoch, space, policy })
+}
+
+/// Fewest bytes a reply's message takes: its length varint and the
+/// smallest frame (version, tag, sender, seq, back, count, payload
+/// length and checksum — a delta with no changes and no payload).
+const REPLY_ENTRY_MIN_BYTES: usize = 1 + 15;
+
+/// Appends a sync reply, the replier's configuration and the messages as
+/// one [`ListWriter`] list: `config | uvar count | count × (uvar len |
+/// frame)`, the config as [`put_config`] writes it.
+pub fn encode_reply<P: Payload>(
+    out: &mut impl BufMut,
+    config: &ClusterConfig,
+    messages: &[Message<P>],
+) {
+    put_config(out, config);
+    put_uvar(out, messages.len() as u64);
+    let mut list = ListWriter::default();
+    for message in messages {
+        let frame = list.encode(message);
+        put_uvar(out, frame.len() as u64);
+        out.put_slice(&frame);
+    }
+}
+
+/// Decodes a reply that fills `bytes` exactly: at most
+/// [`SYNC_REPLY_MAX`] messages, read by one [`ListReader`] under its
+/// entry budget.
+///
+/// # Errors
+///
+/// [`WireError::LongReply`] for a count above [`SYNC_REPLY_MAX`], before
+/// anything is reserved for it, and any other [`WireError`] on malformed
+/// bytes or frames.
+pub fn decode_reply<P: Payload>(
+    bytes: &Bytes,
+) -> Result<(ClusterConfig, Vec<Message<P>>), WireError> {
+    let mut cur: &[u8] = bytes;
+    let config = take_config(&mut cur)?;
+    let count = take_uvar(&mut cur)? as usize;
+    if count > SYNC_REPLY_MAX {
+        return Err(WireError::LongReply(count));
+    }
+    let mut messages = Vec::with_capacity(count.min(cur.len() / REPLY_ENTRY_MIN_BYTES));
+    let mut list = ListReader::default();
+    for _ in 0..count {
+        messages.push(list.decode(bytes.slice(take_len_prefixed(bytes, &mut cur)?))?);
+    }
+    finish(cur)?;
+    Ok((config, messages))
 }
 
 impl<P: Clone> MessageStore<P> {
@@ -586,5 +696,58 @@ mod tests {
         let copy = store.clone();
         assert_eq!(copy.len(), store.len());
         assert_eq!(copy.stamp_pool_stats(), pcb_clock::StampPoolStats::default());
+    }
+
+    #[test]
+    fn probe_windows_decode_only_in_exported_form() {
+        let probe = |windows: SeenWindows| {
+            let mut out = Vec::new();
+            encode_probe(&mut out, ProcessId::new(0), &windows);
+            decode_probe(&out)
+        };
+        let sorted = vec![(ProcessId::new(1), 4, vec![6, 9]), (ProcessId::new(3), 0, vec![])];
+        assert_eq!(probe(sorted.clone()), Ok((ProcessId::new(0), sorted)));
+        for bad in [
+            // Senders out of order, or repeated: `handle_sync` binary-searches them.
+            vec![(ProcessId::new(3), 0, vec![]), (ProcessId::new(1), 4, vec![])],
+            vec![(ProcessId::new(1), 0, vec![]), (ProcessId::new(1), 4, vec![])],
+            // Exceptions out of order, repeated, or inside the prefix.
+            vec![(ProcessId::new(1), 4, vec![9, 6])],
+            vec![(ProcessId::new(1), 4, vec![6, 6])],
+            vec![(ProcessId::new(1), 4, vec![4])],
+        ] {
+            assert_eq!(probe(bad.clone()), Err(WireError::BadWindows), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn probes_and_replies_round_trip_and_refuse_a_cut_or_a_tail() {
+        let space = KeySpace::new(16, 2).unwrap();
+        let mut a =
+            PcbProcess::new(ProcessId::new(2), KeySet::from_entries(space, &[3, 9]).unwrap());
+        let messages: Vec<Message<u32>> = (0..4).map(|i| a.broadcast(7 + i)).collect();
+        let config = ClusterConfig::genesis(space).reconfigured(space);
+        let mut reply = Vec::new();
+        encode_reply(&mut reply, &config, &messages);
+        let (back_config, back) = decode_reply::<u32>(&Bytes::from(reply.clone())).unwrap();
+        assert_eq!(back_config, config);
+        let ids = |ms: &[Message<u32>]| -> Vec<_> {
+            ms.iter().map(|m| (m.id(), m.timestamp().clone(), *m.payload())).collect()
+        };
+        assert_eq!(ids(&back), ids(&messages));
+        let windows = vec![(ProcessId::new(2), 3, vec![5, 9])];
+        let mut probe = Vec::new();
+        encode_probe(&mut probe, ProcessId::new(1), &windows);
+        assert_eq!(decode_probe(&probe), Ok((ProcessId::new(1), windows)));
+        for cut in 0..reply.len() {
+            assert!(decode_reply::<u32>(&Bytes::from(reply[..cut].to_vec())).is_err(), "{cut}");
+        }
+        for cut in 0..probe.len() {
+            assert!(decode_probe(&probe[..cut]).is_err(), "{cut}");
+        }
+        reply.push(0);
+        probe.push(0);
+        assert_eq!(decode_reply::<u32>(&Bytes::from(reply)).err(), Some(WireError::Truncated));
+        assert_eq!(decode_probe(&probe), Err(WireError::Truncated));
     }
 }

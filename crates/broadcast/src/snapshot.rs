@@ -24,7 +24,7 @@
 //! `PcbProcess::replay_own_sends` after restoring, so the clock re-applies
 //! those send increments and never re-issues an already-used stamp height.
 //!
-//! For byte payloads the snapshot has a wire encoding ([`encode_snapshot`]
+//! For any [`Payload`] the snapshot has a wire encoding ([`encode_snapshot`]
 //! / [`decode_snapshot`]) with the same hardening as message frames:
 //! version byte, trailing [`crate::wire::checksum64`], total decoding.
 //! There is one blob layout. The stored messages are one self-contained
@@ -37,10 +37,10 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use pcb_clock::{AssignmentPolicy, ClusterConfig, KeySet, KeySpace, ProcessId, Timestamp};
 
-use crate::dedup::SeenWindows;
+use crate::dedup::{put_windows, take_windows, SeenWindows};
 use crate::message::{Message, MessageId};
 use crate::process::{PcbConfig, ProcessStats};
-use crate::wire::{self, WireError};
+use crate::wire::{self, Payload, WireError};
 
 /// Old-epoch remnant captured when a snapshot lands mid-reconfiguration:
 /// the drain process's geometry and clock, so a restore can rebuild it
@@ -100,10 +100,10 @@ const STORED_MIN_BYTES: usize = 2 + 15;
 /// The one flag bit: a `recent_window` follows. Any other set bit refuses.
 const FLAG_RECENT_WINDOW: u8 = 0b100;
 
-/// Encodes a snapshot with byte payloads to a self-contained durable
-/// blob (version byte, varint fields, trailing [`crate::wire::checksum64`]).
+/// Encodes a snapshot to a self-contained durable blob (version byte,
+/// varint fields, trailing [`crate::wire::checksum64`]).
 #[must_use]
-pub fn encode_snapshot(snapshot: &ProcessSnapshot<Bytes>) -> Bytes {
+pub fn encode_snapshot<P: Payload>(snapshot: &ProcessSnapshot<P>) -> Bytes {
     let mut buf = BytesMut::with_capacity(64 + snapshot.store.len() * 64);
     buf.put_u8(BLOB_VERSION);
     wire::put_uvar(&mut buf, snapshot.id.index() as u64);
@@ -117,15 +117,7 @@ pub fn encode_snapshot(snapshot: &ProcessSnapshot<Bytes>) -> Bytes {
     }
     wire::put_uvar(&mut buf, snapshot.seq);
     put_entries(&mut buf, &snapshot.clock);
-    wire::put_uvar(&mut buf, snapshot.seen.len() as u64);
-    for (sender, prefix, exceptions) in &snapshot.seen {
-        wire::put_uvar(&mut buf, sender.index() as u64);
-        wire::put_uvar(&mut buf, *prefix);
-        wire::put_uvar(&mut buf, exceptions.len() as u64);
-        for &seq in exceptions {
-            wire::put_uvar(&mut buf, seq);
-        }
-    }
+    put_windows(&mut buf, &snapshot.seen);
     let s = &snapshot.stats;
     for counter in [s.sent, s.delivered, s.duplicates, s.instant_alerts, s.recent_alerts] {
         wire::put_uvar(&mut buf, counter);
@@ -154,14 +146,21 @@ pub fn encode_snapshot(snapshot: &ProcessSnapshot<Bytes>) -> Bytes {
     wire::seal(buf)
 }
 
-/// `R`, `K` and the set id of a key set.
-fn put_keys(buf: &mut BytesMut, keys: &KeySet) {
+/// Appends a key set as `uvar R | uvar K | u128 set_id` (little-endian),
+/// as snapshots and join grants carry it.
+pub fn put_keys(buf: &mut impl BufMut, keys: &KeySet) {
     wire::put_uvar(buf, keys.space().r() as u64);
     wire::put_uvar(buf, keys.space().k() as u64);
     buf.put_u128_le(keys.set_id());
 }
 
-fn take_keys(cur: &mut &[u8]) -> Result<KeySet, WireError> {
+/// Takes a key set [`put_keys`] wrote.
+///
+/// # Errors
+///
+/// [`WireError::BadKeys`] for an invalid `(R, K, set_id)`, and
+/// [`WireError::Truncated`] when the bytes end first.
+pub fn take_keys(cur: &mut &[u8]) -> Result<KeySet, WireError> {
     let r = wire::take_uvar(cur)? as usize;
     let k = wire::take_uvar(cur)? as usize;
     let set_id = u128::from_le_bytes(wire::take_array(cur)?);
@@ -193,7 +192,7 @@ fn take_entries(cur: &mut &[u8]) -> Result<Timestamp, WireError> {
 
 /// A config epoch, refused at 2⁶³ and above: frames carry it as
 /// `epoch · 2 + kind` in a `u64`.
-fn take_epoch(cur: &mut &[u8]) -> Result<u64, WireError> {
+pub(crate) fn take_epoch(cur: &mut &[u8]) -> Result<u64, WireError> {
     let epoch = wire::take_uvar(cur)?;
     if epoch >= 1 << 63 {
         return Err(WireError::BadKeys(format!("config epoch {epoch} does not fit a frame tag")));
@@ -208,7 +207,7 @@ fn take_epoch(cur: &mut &[u8]) -> Result<u64, WireError> {
 /// Any [`WireError`] on malformed input; decoding never panics. The
 /// version byte is checked before the checksum, so a retired format
 /// reports [`WireError::BadVersion`].
-pub fn decode_snapshot(blob: Bytes) -> Result<ProcessSnapshot<Bytes>, WireError> {
+pub fn decode_snapshot<P: Payload>(blob: Bytes) -> Result<ProcessSnapshot<P>, WireError> {
     match blob.first() {
         None => return Err(WireError::Truncated),
         Some(&BLOB_VERSION) => {}
@@ -232,24 +231,7 @@ pub fn decode_snapshot(blob: Bytes) -> Result<ProcessSnapshot<Bytes>, WireError>
         PcbConfig { recent_window, trace_capacity: 0, estimators: false };
     let seq = wire::take_uvar(&mut cur)?;
     let clock = take_entries(&mut cur)?;
-    let seen_count = wire::take_uvar(&mut cur)? as usize;
-    if seen_count > cur.len() {
-        return Err(WireError::Truncated);
-    }
-    let mut seen = Vec::with_capacity(seen_count);
-    for _ in 0..seen_count {
-        let sender = ProcessId::new(wire::take_uvar(&mut cur)? as usize);
-        let prefix = wire::take_uvar(&mut cur)?;
-        let n_exc = wire::take_uvar(&mut cur)? as usize;
-        if n_exc > cur.len() {
-            return Err(WireError::Truncated);
-        }
-        let mut exceptions = Vec::with_capacity(n_exc);
-        for _ in 0..n_exc {
-            exceptions.push(wire::take_uvar(&mut cur)?);
-        }
-        seen.push((sender, prefix, exceptions));
-    }
+    let seen = take_windows(&mut cur)?;
     let stats = ProcessStats {
         sent: wire::take_uvar(&mut cur)?,
         delivered: wire::take_uvar(&mut cur)?,
@@ -322,24 +304,60 @@ mod tests {
         KeySpace::new(8, 2).unwrap()
     }
 
-    fn proc(id: usize, entries: &[usize]) -> PcbProcess<Bytes> {
+    fn proc<P>(id: usize, entries: &[usize]) -> PcbProcess<P> {
         PcbProcess::new(ProcessId::new(id), KeySet::from_entries(space(), entries).unwrap())
     }
 
     fn populated() -> (PcbProcess<Bytes>, MessageStore<Bytes>) {
+        populated_with(|i| Bytes::from(vec![i]))
+    }
+
+    /// A process whose store holds 4 messages delivered from another
+    /// and 3 of its own, the `i`-th payload `payload(i)`.
+    fn populated_with<P: Clone>(payload: impl Fn(u8) -> P) -> (PcbProcess<P>, MessageStore<P>) {
         let mut a = proc(0, &[0, 1]);
         let mut b = proc(1, &[2, 3]);
-        let mut store: MessageStore<Bytes> = MessageStore::new(1_000);
+        let mut store = MessageStore::new(1_000);
         for i in 0..4u8 {
-            let m = a.broadcast(Bytes::from(vec![i]));
+            let m = a.broadcast(payload(i));
             for d in b.on_receive(m, u64::from(i)) {
                 store.insert(u64::from(i), d.message);
             }
         }
         for i in 0..3u8 {
-            store.insert(10, b.broadcast(Bytes::from(vec![0x10 + i])));
+            store.insert(10, b.broadcast(payload(0x10 + i)));
         }
         (b, store)
+    }
+
+    /// A `u32` payload is its four big-endian bytes: a full frame, a
+    /// delta chain and a snapshot of `u32` messages are byte for byte
+    /// those of the same messages with `Bytes` payloads, and decode back.
+    #[test]
+    fn u32_payloads_encode_as_their_four_big_endian_bytes() {
+        let index = |i: u8| 0x0101_0101 * u32::from(i);
+        let (b, store) = populated_with(index);
+        let (twin, twin_store) = populated_with(|i| Bytes::from(index(i).to_be_bytes().to_vec()));
+        let messages: Vec<&Message<u32>> = store.iter().skip(4).collect();
+        let twins: Vec<&Message<Bytes>> = twin_store.iter().skip(4).collect();
+        assert_eq!(wire::encode_full(messages[0]), wire::encode_full(twins[0]));
+        let (mut chain, mut twin_chain) =
+            (wire::DeltaEncoder::default(), wire::DeltaEncoder::default());
+        for (m, t) in messages.iter().zip(&twins) {
+            assert_eq!(chain.encode(*m), twin_chain.encode(*t));
+        }
+        assert_eq!((chain.fulls_emitted(), chain.deltas_emitted()), (1, 2));
+        let blob = encode_snapshot(&b.snapshot(&store));
+        assert_eq!(blob, encode_snapshot(&twin.snapshot(&twin_store)));
+        let back = decode_snapshot::<u32>(blob).unwrap();
+        let payloads: Vec<u32> = back.store.iter().map(|(_, m)| *m.payload()).collect();
+        assert_eq!(payloads, store.iter().map(|m| *m.payload()).collect::<Vec<_>>());
+        let mut short = twin.snapshot(&twin_store);
+        short.store[0].1 = short.store[0].1.clone().map(|_| Bytes::from_static(&[1, 2, 3]));
+        assert_eq!(
+            decode_snapshot::<u32>(encode_snapshot(&short)).err(),
+            Some(WireError::BadPayload(3))
+        );
     }
 
     #[test]
@@ -347,7 +365,7 @@ mod tests {
         let (b, store) = populated();
         let snap = b.snapshot(&store);
         let blob = encode_snapshot(&snap);
-        let back = decode_snapshot(blob).unwrap();
+        let back = decode_snapshot::<Bytes>(blob).unwrap();
         assert_eq!(back.id, snap.id);
         assert_eq!(back.keys, snap.keys);
         assert_eq!(back.clock, snap.clock);
@@ -376,7 +394,7 @@ mod tests {
             let mut body = BytesMut::new();
             body.put_slice(&bytes);
             assert!(
-                matches!(decode_snapshot(wire::seal(body)), Err(WireError::BadDelta(_))),
+                matches!(decode_snapshot::<Bytes>(wire::seal(body)), Err(WireError::BadDelta(_))),
                 "flag bit {bit:#04x} must refuse"
             );
         }
@@ -389,7 +407,7 @@ mod tests {
         for version in [1u8, 2, 3, 4, 5] {
             let mut old = blob.to_vec();
             old[0] = version;
-            let err = decode_snapshot(Bytes::from(old)).unwrap_err();
+            let err = decode_snapshot::<Bytes>(Bytes::from(old)).unwrap_err();
             assert_eq!(err, WireError::BadVersion(version));
         }
     }
@@ -445,7 +463,7 @@ mod tests {
         });
         let blob = encode_snapshot(&snap);
         assert_eq!(blob[0], BLOB_VERSION);
-        let back = decode_snapshot(blob.clone()).unwrap();
+        let back = decode_snapshot::<Bytes>(blob.clone()).unwrap();
         assert_eq!(back.cluster, snap.cluster);
         assert_eq!(back.prev, snap.prev);
         assert_eq!(back.keys, snap.keys);
@@ -454,10 +472,10 @@ mod tests {
         for i in (0..blob.len()).step_by(7) {
             let mut bytes = blob.to_vec();
             bytes[i] ^= 0x41;
-            assert!(decode_snapshot(Bytes::from(bytes)).is_err(), "mutation at byte {i}");
+            assert!(decode_snapshot::<Bytes>(Bytes::from(bytes)).is_err(), "mutation at byte {i}");
         }
         for len in (0..blob.len()).step_by(11) {
-            assert!(decode_snapshot(blob.slice(0..len)).is_err(), "truncation to {len}");
+            assert!(decode_snapshot::<Bytes>(blob.slice(0..len)).is_err(), "truncation to {len}");
         }
     }
 
@@ -468,10 +486,10 @@ mod tests {
         for i in (0..blob.len()).step_by(7) {
             let mut bytes = blob.to_vec();
             bytes[i] ^= 0x41;
-            assert!(decode_snapshot(Bytes::from(bytes)).is_err(), "mutation at byte {i}");
+            assert!(decode_snapshot::<Bytes>(Bytes::from(bytes)).is_err(), "mutation at byte {i}");
         }
         for len in (0..blob.len()).step_by(11) {
-            assert!(decode_snapshot(blob.slice(0..len)).is_err(), "truncation to {len}");
+            assert!(decode_snapshot::<Bytes>(blob.slice(0..len)).is_err(), "truncation to {len}");
         }
     }
 }

@@ -89,6 +89,7 @@
 //! zero-padded extension differ too. Decoding is total — arbitrary bytes
 //! either yield a well-formed message or a [`WireError`], never a panic.
 
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -131,6 +132,16 @@ pub enum WireError {
     /// A delta frame's entry indices or counts are inconsistent with the
     /// reconstruction stamp (e.g. an index past `R`).
     BadDelta(String),
+    /// A payload of this many bytes is not one of the [`Payload`] type
+    /// being decoded (a `u32` is four).
+    BadPayload(usize),
+    /// A probe's dedup windows are not in exported form: senders
+    /// strictly ascending, each exception list strictly ascending and
+    /// beyond its prefix.
+    BadWindows,
+    /// A sync reply of more messages than a store ever answers with
+    /// ([`crate::SYNC_REPLY_MAX`]).
+    LongReply(usize),
 }
 
 impl std::fmt::Display for WireError {
@@ -145,6 +156,9 @@ impl std::fmt::Display for WireError {
                 write!(f, "no reconstruction stamp for sender {sender} at seq {base_seq}")
             }
             Self::BadDelta(msg) => write!(f, "invalid delta frame: {msg}"),
+            Self::BadPayload(len) => write!(f, "a {len}-byte payload is not of the payload type"),
+            Self::BadWindows => write!(f, "dedup windows not strictly ascending"),
+            Self::LongReply(count) => write!(f, "sync reply of {count} messages"),
         }
     }
 }
@@ -267,9 +281,23 @@ fn leb128_tail(buf: &mut &[u8]) -> Result<u64, WireError> {
     Err(WireError::VarintOverflow)
 }
 
+/// Refuses, as [`WireError::Truncated`], bytes left behind a form that
+/// must fill its input.
+///
+/// # Errors
+///
+/// As above, when `rest` is not empty.
+pub fn finish(rest: &[u8]) -> Result<(), WireError> {
+    if rest.is_empty() {
+        Ok(())
+    } else {
+        Err(WireError::Truncated)
+    }
+}
+
 /// Takes `N` fixed bytes off the front of `buf`.
 #[inline]
-pub(crate) fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], WireError> {
+pub fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], WireError> {
     let (head, rest) = buf.split_first_chunk::<N>().ok_or(WireError::Truncated)?;
     *buf = rest;
     Ok(*head)
@@ -299,6 +327,61 @@ pub(crate) fn narrowed(mut buf: Bytes, at: Range<usize>) -> Bytes {
     buf
 }
 
+/// A message payload the codecs carry: on the wire `uvar len | bytes`.
+/// A `Bytes` payload is its own bytes; a `u32` — the arena index the
+/// daemon and the simulator publish — is its four big-endian bytes, so a
+/// frame, a list or a snapshot of `u32` messages is byte for byte the one
+/// its `Bytes` twin makes.
+pub trait Payload: Clone {
+    /// Bytes the payload occupies behind its length prefix.
+    fn wire_len(&self) -> usize;
+    /// Appends those bytes.
+    fn put(&self, buf: &mut BytesMut);
+    /// The payload at `at` of `frame`, a buffer the caller gives up.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BadPayload`] for a length the type cannot take.
+    fn take(frame: Bytes, at: Range<usize>) -> Result<Self, WireError>;
+}
+
+impl Payload for Bytes {
+    #[inline]
+    fn wire_len(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_slice(self);
+    }
+
+    #[inline]
+    fn take(frame: Bytes, at: Range<usize>) -> Result<Self, WireError> {
+        Ok(narrowed(frame, at))
+    }
+}
+
+impl Payload for u32 {
+    #[inline]
+    fn wire_len(&self) -> usize {
+        4
+    }
+
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_slice(&self.to_be_bytes());
+    }
+
+    #[inline]
+    fn take(frame: Bytes, at: Range<usize>) -> Result<Self, WireError> {
+        let len = at.len();
+        <[u8; 4]>::try_from(&frame[at])
+            .map(u32::from_be_bytes)
+            .map_err(|_| WireError::BadPayload(len))
+    }
+}
+
 /// Opens a frame: the version byte and the `epoch · 2 + kind` tag. Epochs
 /// read from input are bounded where they enter (module docs) and the
 /// config plane only counts up by one, so a larger one is a bug here,
@@ -309,7 +392,7 @@ fn put_header(buf: &mut BytesMut, epoch: u64, kind: u64) {
     put_uvar(buf, epoch << 1 | kind);
 }
 
-fn put_full_body(buf: &mut BytesMut, message: &Message<Bytes>) {
+fn put_full_body<P: Payload>(buf: &mut BytesMut, message: &Message<P>) {
     put_uvar(buf, message.sender().index() as u64);
     put_uvar(buf, message.id().seq());
     let space = message.keys().space();
@@ -319,22 +402,22 @@ fn put_full_body(buf: &mut BytesMut, message: &Message<Bytes>) {
     for &entry in message.timestamp().entries() {
         put_uvar(buf, entry);
     }
-    put_uvar(buf, message.payload().len() as u64);
-    buf.put_slice(message.payload());
+    put_uvar(buf, message.payload().wire_len() as u64);
+    message.payload().put(buf);
 }
 
 /// Capacity hint covering a full frame in one allocation: header and id
 /// varints plus checksum (≤ 48 bytes), every stamp entry at its fixed
 /// 8-byte upper bound, and the payload verbatim.
-fn full_frame_capacity(message: &Message<Bytes>) -> usize {
-    48 + message.timestamp().wire_size() + message.payload().len()
+fn full_frame_capacity<P: Payload>(message: &Message<P>) -> usize {
+    48 + message.timestamp().wire_size() + message.payload().wire_len()
 }
 
 /// Encodes a message as a standalone *full* frame (all `R` entries) —
 /// the first frame of every chain, live or in a list, and what a
 /// [`DeltaDecoder`] records as the sender's reconstruction base.
 #[must_use]
-pub fn encode_full(message: &Message<Bytes>) -> Bytes {
+pub fn encode_full<P: Payload>(message: &Message<P>) -> Bytes {
     let mut buf = BytesMut::with_capacity(full_frame_capacity(message));
     put_header(&mut buf, message.epoch(), KIND_FULL);
     put_full_body(&mut buf, message);
@@ -844,7 +927,7 @@ impl DeltaEncoder {
 
     /// Encodes the sender's next message, choosing delta or full.
     #[must_use]
-    pub fn encode(&mut self, message: &Message<Bytes>) -> Bytes {
+    pub fn encode<P: Payload>(&mut self, message: &Message<P>) -> Bytes {
         let ts = message.timestamp();
         if self.last_epoch == message.epoch() {
             if let Some((base_seq, base)) = &self.last {
@@ -891,8 +974,8 @@ const FULL_FLOOR: usize = 18;
 /// sequence number not past the base) or could outgrow the full frame.
 /// `changed` is caller scratch, overwritten here and reused across
 /// frames.
-fn encode_delta(
-    message: &Message<Bytes>,
+fn encode_delta<P: Payload>(
+    message: &Message<P>,
     base_seq: u64,
     base: &Timestamp,
     changed: &mut Vec<(usize, u64)>,
@@ -911,7 +994,7 @@ fn encode_delta(
             changed.push((i, new - old));
         }
     }
-    let mut buf = BytesMut::with_capacity(32 + changed.len() * 4 + message.payload().len());
+    let mut buf = BytesMut::with_capacity(32 + changed.len() * 4 + message.payload().wire_len());
     put_header(&mut buf, message.epoch(), KIND_DELTA);
     put_uvar(&mut buf, message.sender().index() as u64);
     put_uvar(&mut buf, seq);
@@ -922,8 +1005,8 @@ fn encode_delta(
     if buf.len() - own > ts.len() + FULL_FLOOR {
         return None;
     }
-    put_uvar(&mut buf, message.payload().len() as u64);
-    buf.put_slice(message.payload());
+    put_uvar(&mut buf, message.payload().wire_len() as u64);
+    message.payload().put(&mut buf);
     Some(seal(buf))
 }
 
@@ -951,9 +1034,19 @@ struct Reconstruction {
 /// tracks at most [`DeltaDecoder::MAX_TRACKED_SENDERS`] of them: past the
 /// cap a full frame from a new sender still decodes, it just seeds no
 /// base, and that sender's deltas take the `MissingDeltaBase` path.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaDecoder {
+///
+/// `P` is the [`Payload`] type it decodes into; the state is the same
+/// for every `P`.
+#[derive(Debug, Clone)]
+pub struct DeltaDecoder<P = Bytes> {
     stamps: IdMap<usize, Reconstruction>,
+    payload: PhantomData<fn() -> P>,
+}
+
+impl<P> Default for DeltaDecoder<P> {
+    fn default() -> Self {
+        Self { stamps: IdMap::default(), payload: PhantomData }
+    }
 }
 
 impl DeltaDecoder {
@@ -961,12 +1054,15 @@ impl DeltaDecoder {
     /// stamp each): what forged sender ids can make a decoder hold.
     pub const MAX_TRACKED_SENDERS: usize = 4096;
 
-    /// A decoder with no reconstruction state (a late joiner).
+    /// A decoder of `Bytes` payloads with no reconstruction state (a
+    /// late joiner); [`Default`] makes one for any payload type.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<P> DeltaDecoder<P> {
     /// Number of senders with a live reconstruction stamp.
     #[must_use]
     pub fn tracked_senders(&self) -> usize {
@@ -980,7 +1076,10 @@ impl DeltaDecoder {
     ///
     /// Any [`WireError`]; notably [`WireError::MissingDeltaBase`] for a
     /// delta whose base stamp this decoder has never seen.
-    pub fn decode(&mut self, frame: Bytes) -> Result<Message<Bytes>, WireError> {
+    pub fn decode(&mut self, frame: Bytes) -> Result<Message<P>, WireError>
+    where
+        P: Payload,
+    {
         self.decode_pooled(frame, &mut StampPool::new())
     }
 
@@ -997,7 +1096,10 @@ impl DeltaDecoder {
         &mut self,
         frame: Bytes,
         pool: &mut StampPool,
-    ) -> Result<Message<Bytes>, WireError> {
+    ) -> Result<Message<P>, WireError>
+    where
+        P: Payload,
+    {
         let Opened { body, cur, epoch, delta } = open(&frame)?;
         let located = if delta {
             self.decode_delta_body(body, cur, epoch, pool)?
@@ -1007,14 +1109,17 @@ impl DeltaDecoder {
             full
         };
         // The one cut: the frame handle we own becomes the payload.
-        Ok(located.map(|at| narrowed(frame, at)))
+        let payload = P::take(frame, located.payload().clone())?;
+        Ok(located.map(|_| payload))
     }
 
     /// Records a full frame's stamp as its sender's reconstruction base
     /// (a sender past the cap seeds none).
     fn seed(&mut self, message: &Located) {
         let sender = message.sender().index();
-        if self.stamps.len() >= Self::MAX_TRACKED_SENDERS && !self.stamps.contains_key(&sender) {
+        if self.stamps.len() >= DeltaDecoder::MAX_TRACKED_SENDERS
+            && !self.stamps.contains_key(&sender)
+        {
             return;
         }
         self.stamps.insert(
@@ -1144,7 +1249,7 @@ pub struct ListWriter {
 impl ListWriter {
     /// The frame that carries `message` as the list's next entry.
     #[must_use]
-    pub fn encode(&mut self, message: &Message<Bytes>) -> Bytes {
+    pub fn encode<P: Payload>(&mut self, message: &Message<P>) -> Bytes {
         let sender = message.sender().index();
         let r = message.timestamp().len();
         let frame = if self.chains.len() < DeltaDecoder::MAX_TRACKED_SENDERS
@@ -1174,20 +1279,26 @@ impl ListWriter {
 /// desynchronise another. The reader refuses, with
 /// [`WireError::BadDelta`], the frame that takes the list past
 /// [`LIST_ENTRIES_PER_BYTE`] stamp entries per frame byte.
-#[derive(Debug, Default)]
-pub struct ListReader {
-    decoder: DeltaDecoder,
+#[derive(Debug)]
+pub struct ListReader<P = Bytes> {
+    decoder: DeltaDecoder<P>,
     budget: ListBudget,
 }
 
-impl ListReader {
+impl<P> Default for ListReader<P> {
+    fn default() -> Self {
+        Self { decoder: DeltaDecoder::default(), budget: ListBudget::default() }
+    }
+}
+
+impl<P: Payload> ListReader<P> {
     /// Decodes the list's next frame.
     ///
     /// # Errors
     ///
     /// Any [`WireError`] the frame earns from a [`DeltaDecoder`], and
     /// [`WireError::BadDelta`] past the list's entry budget.
-    pub fn decode(&mut self, frame: Bytes) -> Result<Message<Bytes>, WireError> {
+    pub fn decode(&mut self, frame: Bytes) -> Result<Message<P>, WireError> {
         let len = frame.len();
         let message = self.decoder.decode(frame)?;
         let r = message.timestamp().len();
@@ -2054,7 +2165,7 @@ mod tests {
         }
         // The same messages as one unbroken chain: the reader refuses the
         // sixth delta, the frame that takes the list past its budget.
-        let (mut chain, mut reader) = (DeltaEncoder::default(), ListReader::default());
+        let (mut chain, mut reader) = (DeltaEncoder::default(), ListReader::<Bytes>::default());
         let verdicts: Vec<_> = messages.iter().map(|m| reader.decode(chain.encode(m))).collect();
         assert!(verdicts[..6].iter().all(Result::is_ok));
         assert_eq!(

@@ -283,7 +283,7 @@ proptest! {
             .collect();
         let mut writer = ListWriter::default();
         let frames: Vec<Bytes> = list.iter().map(|m| writer.encode(m)).collect();
-        let mut reader = ListReader::default();
+        let mut reader = ListReader::<Bytes>::default();
         for (message, frame) in list.iter().zip(&frames) {
             let back = reader.decode(frame.clone()).map_err(|e| format!("listed: {e}"))?;
             prop_assert_eq!(wire::encode_full(&back), wire::encode_full(message));

@@ -305,8 +305,8 @@ fn golden_frames_encode_and_decode_as_pinned() {
         assert_eq!(decode(unhex(frame)).unwrap_err(), WireError::BadVersion(5));
         assert_eq!(DeltaDecoder::new().decode(unhex(frame)).unwrap_err(), WireError::BadVersion(5));
     }
-    assert_eq!(decode_snapshot(unhex(V5_SNAPSHOT)).unwrap_err(), WireError::BadVersion(4));
-    assert_eq!(decode_snapshot(unhex(SNAPSHOT_V5)).unwrap_err(), WireError::BadVersion(5));
+    assert_eq!(decode_snapshot::<Bytes>(unhex(V5_SNAPSHOT)).unwrap_err(), WireError::BadVersion(4));
+    assert_eq!(decode_snapshot::<Bytes>(unhex(SNAPSHOT_V5)).unwrap_err(), WireError::BadVersion(5));
 
     let plain = golden_messages(0);
     assert_eq!(encode_full(&plain[1]), unhex(GOLDEN_FULL));
@@ -427,7 +427,7 @@ fn golden_frames_encode_and_decode_as_pinned() {
 
     let snapshot = golden_snapshot();
     assert_eq!(encode_snapshot(&snapshot), unhex(GOLDEN_SNAPSHOT));
-    let back = decode_snapshot(unhex(GOLDEN_SNAPSHOT)).unwrap();
+    let back = decode_snapshot::<Bytes>(unhex(GOLDEN_SNAPSHOT)).unwrap();
     assert_eq!(
         (back.id, &back.keys, &back.config, back.cluster, &back.prev, &back.clock, back.seq),
         (
@@ -553,7 +553,7 @@ proptest! {
     fn resealed_snapshot_damage_is_refused_or_read_never_a_panic(xor in 1u8..=255) {
         let blob = unhex(GOLDEN_SNAPSHOT);
         for bad in damaged(&blob[..blob.len() - 8], xor) {
-            if let Ok(snapshot) = decode_snapshot(resealed(&bad)) {
+            if let Ok(snapshot) = decode_snapshot::<Bytes>(resealed(&bad)) {
                 prop_assert!(snapshot.store.len() <= 3, "a count the input never paid for");
             }
         }

@@ -133,17 +133,11 @@ impl BinomialTable {
         Self { max_n, rows }
     }
 
-    /// Largest `n` this table covers.
-    #[must_use]
-    pub fn max_n(&self) -> usize {
-        self.max_n
-    }
-
     /// Looks up `C(n, k)`, saturating at `u128::MAX`.
     ///
     /// # Panics
     ///
-    /// Panics if `n > self.max_n()`.
+    /// Panics if `n` is past the `max_n` the table was built for.
     #[must_use]
     pub fn get(&self, n: usize, k: usize) -> u128 {
         assert!(n <= self.max_n, "binomial table built for n <= {}, got {n}", self.max_n);
@@ -166,7 +160,7 @@ thread_local! {
 fn with_cached_table<T>(r: usize, f: impl FnOnce(&BinomialTable) -> T) -> T {
     TABLE_CACHE.with(|cell| {
         let mut slot = cell.borrow_mut();
-        if slot.as_ref().is_none_or(|t| t.max_n() < r) {
+        if slot.as_ref().is_none_or(|t| t.max_n < r) {
             *slot = Some(BinomialTable::new(r));
         }
         f(slot.as_ref().expect("just ensured"))

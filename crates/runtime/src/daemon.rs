@@ -6,8 +6,9 @@
 //! peers, crash-durable state on disk, and an operator surface. N
 //! daemons form a localhost cluster. A broadcast leaves as the next
 //! frame of this daemon's delta chain (`LiveFrames`), anti-entropy
-//! probes and replies as self-contained [`pcb_sim::export`] steps, both
-//! over the reliable UDP channel; applications publish and subscribe
+//! probes and replies in their own byte forms
+//! ([`pcb_broadcast::encode_probe`], [`pcb_broadcast::encode_reply`]),
+//! both over the reliable UDP channel; applications publish and subscribe
 //! over a line-delimited JSON RPC socket; Prometheus text metrics are
 //! served over HTTP. `kill -9` at any moment loses nothing durable: the
 //! send WAL is persisted before a broadcast's frames leave the process,
@@ -16,11 +17,11 @@
 //!
 //! A daemon accepts only what its callers send. Peer traffic counts only
 //! from a *member* (an address given with `--peer`; a daemon sends from
-//! its `--listen` address): chain frames in that member's own name,
-//! stability rows, and `MSG_PCB` carrying an anti-entropy probe in the
-//! member's own name or a reply. Anything else from anyone is dropped
-//! before it is applied. The RPC plane has five ops: `publish`,
-//! `subscribe`, `status`, `restore`, `shutdown`.
+//! its `--listen` address), and a member can send four kinds of message:
+//! a chain frame in its own name, a stability row, an anti-entropy probe
+//! in its own name, and a reply. Anything else from anyone is dropped
+//! before it is decoded or applied. The RPC plane has five ops:
+//! `publish`, `subscribe`, `status`, `restore`, `shutdown`.
 //!
 //! Booting from the state directory ([`start_node`]) and persisting what
 //! one input changed ([`persist_changes`]) are functions of their own:
@@ -45,17 +46,14 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use pcb_broadcast::endpoint::{Input, Output};
+use pcb_broadcast::endpoint::{Input, Output, RecoveryTimingUs};
 use pcb_broadcast::wire::{self, checksum64};
 use pcb_broadcast::{
-    decode_snapshot, encode_snapshot, DeltaDecoder, DeltaEncoder, Endpoint, Message, MessageId,
-    ProcessSnapshot, WireError,
+    decode_probe, decode_reply, decode_snapshot, encode_probe, encode_reply, encode_snapshot,
+    DeltaDecoder, DeltaEncoder, Endpoint, Message, MessageId, NodeSpec, PcbConfig, ProcessSnapshot,
+    SeenWindows, WireError,
 };
-use pcb_clock::ProcessId;
-use pcb_sim::export::{
-    decode_node_spec, decode_step, encode_step, message_from_bytes, message_to_bytes,
-    snapshot_from_wire, snapshot_to_wire, ExportError, NodeSpec,
-};
+use pcb_clock::{ClusterConfig, KeySet, KeySpace, ProcessId};
 use pcb_telemetry::json::{self, Value};
 use pcb_telemetry::prom::{PromWriter, Row, RowKind};
 use pcb_telemetry::EntryHeatmap;
@@ -101,10 +99,10 @@ impl DaemonOptions {
 
 // ---- transport message envelope ---------------------------------------
 
-/// Protocol traffic that stands alone: an encoded `Input` for the
-/// receiving endpoint. The codec takes any input; a daemon applies only
-/// what `member_input` lets through.
-const MSG_PCB: u8 = 0;
+// A message between members is one kind byte, then its body. Kinds 0
+// to 3 are retired (0 carried a step of the simulator's replay codec)
+// and refuse like any other unknown kind.
+
 /// A broadcast: one wire frame of the sender's delta chain, full or
 /// delta, for the receiver's [`DeltaDecoder`].
 const MSG_FRAME: u8 = 4;
@@ -112,25 +110,58 @@ const MSG_FRAME: u8 = 4;
 /// `uvar n | n × uvar`. The row names no member: it counts for whoever
 /// the transport says sent it.
 const MSG_ROW: u8 = 5;
+/// An anti-entropy probe ([`encode_probe`]).
+const MSG_PROBE: u8 = 6;
+/// A reply to a probe ([`encode_reply`]).
+const MSG_REPLY: u8 = 7;
 
 /// A decoded transport frame.
 #[derive(Debug)]
 pub enum DaemonMsg {
-    /// Apply this input at the receiver's clock.
-    Pcb(Input<u32>),
     /// A broadcast: a wire frame, still encoded — a delta only means
     /// something to the decoder that holds its base.
     Frame(Bytes),
     /// A peer's row of the stability matrix, per sender index.
     Row(Vec<u64>),
+    /// An anti-entropy probe: the member it claims to come from, and
+    /// that member's dedup windows.
+    Probe(ProcessId, SeenWindows),
+    /// A reply to a probe: the replier's configuration, and the messages
+    /// the prober was missing, oldest first.
+    Reply(ClusterConfig, Vec<Message<u32>>),
 }
 
-/// Encodes protocol traffic that stands alone.
+/// Encodes this member's anti-entropy probe.
+#[must_use]
+pub fn encode_probe_msg(from: ProcessId, windows: &[(ProcessId, u64, Vec<u64>)]) -> Bytes {
+    let mut out = vec![MSG_PROBE];
+    encode_probe(&mut out, from, windows);
+    Bytes::from(out)
+}
+
+/// Encodes a reply to a probe.
+#[must_use]
+fn encode_reply_msg(config: &ClusterConfig, messages: &[Message<u32>]) -> Bytes {
+    let mut out = vec![MSG_REPLY];
+    encode_reply(&mut out, config, messages);
+    Bytes::from(out)
+}
+
+/// The message a member sends for `input`: a received frame as a full
+/// chain frame, a probe, or a reply. Kept for the benchmark (`ledger/`),
+/// which sizes the frames it makes.
+///
+/// # Panics
+///
+/// On any other input: no member ever sends one.
 #[must_use]
 pub fn encode_pcb_msg(input: &Input<u32>) -> Bytes {
-    let mut out = vec![MSG_PCB];
-    out.extend_from_slice(&encode_step(0, input));
-    Bytes::from(out)
+    match input {
+        Input::FrameReceived(message) => encode_frame_msg(&wire::encode_full(message)),
+        Input::SyncRequest { from, windows } => encode_probe_msg(*from, windows),
+        Input::SyncResponse { messages, config } => encode_reply_msg(config, messages),
+        other => panic!("no member sends {other:?}"),
+    }
 }
 
 /// Wraps one wire frame of a delta chain: the kind byte, nothing
@@ -158,36 +189,31 @@ pub fn encode_row_msg(row: &[u64]) -> Bytes {
 /// `uvar n | n × uvar` and nothing after: a count the bytes cannot hold
 /// (every entry takes at least one) is refused before anything is
 /// allocated for it.
-fn decode_row(mut cur: &[u8]) -> Result<Vec<u64>, ExportError> {
-    let len = wire::take_uvar(&mut cur).map_err(ExportError::Wire)?;
+fn decode_row(mut cur: &[u8]) -> Result<Vec<u64>, WireError> {
+    let len = wire::take_uvar(&mut cur)?;
     if len > cur.len() as u64 {
-        return Err(ExportError::Truncated);
+        return Err(WireError::Truncated);
     }
-    let row = (0..len).map(|_| wire::take_uvar(&mut cur)).collect::<Result<Vec<u64>, _>>();
-    let row = row.map_err(ExportError::Wire)?;
-    if cur.is_empty() {
-        Ok(row)
-    } else {
-        Err(ExportError::Truncated)
-    }
+    let row = (0..len).map(|_| wire::take_uvar(&mut cur)).collect::<Result<Vec<u64>, _>>()?;
+    wire::finish(cur).map(|()| row)
 }
 
-/// Decodes any transport frame.
+/// Decodes a message from a member: a chain frame, a row, a probe or a
+/// reply.
 ///
 /// # Errors
 ///
-/// [`ExportError`] on malformed bytes; never panics.
-pub fn decode_msg(frame: &Bytes) -> Result<DaemonMsg, ExportError> {
-    let bytes = frame.as_ref();
-    let (&kind, rest) = bytes.split_first().ok_or(ExportError::Truncated)?;
+/// [`WireError`] on malformed bytes, and [`WireError::BadVersion`]
+/// naming any other kind byte; never panics.
+pub fn decode_msg(frame: &Bytes) -> Result<DaemonMsg, WireError> {
+    let (&kind, rest) = frame.split_first().ok_or(WireError::Truncated)?;
     match kind {
-        MSG_PCB => {
-            let (_, input) = decode_step(rest)?;
-            Ok(DaemonMsg::Pcb(input))
-        }
         MSG_FRAME => Ok(DaemonMsg::Frame(frame.slice(1..))),
         MSG_ROW => decode_row(rest).map(DaemonMsg::Row),
-        other => Err(ExportError::BadKind(other)),
+        MSG_PROBE => decode_probe(rest).map(|(from, windows)| DaemonMsg::Probe(from, windows)),
+        MSG_REPLY => decode_reply(&frame.slice(1..))
+            .map(|(config, messages)| DaemonMsg::Reply(config, messages)),
+        other => Err(WireError::BadVersion(other)),
     }
 }
 
@@ -222,11 +248,20 @@ struct ChainStats {
 /// Each member's chain has a decoder of its own, and a frame counts only
 /// in its sender's name: a daemon's chain carries nothing but its own
 /// broadcasts, so a member's frame naming another sender is forged.
+///
+/// The decoders are these, not the endpoint's own
+/// ([`Endpoint::handle_wire`]), because that one would change what a
+/// frame does. A crashed endpoint drops a frame there before the codec
+/// sees it, and a `--resume`d daemon stays crashed until its `restore`
+/// RPC, so the full frame a survivor sends after the fence could be lost
+/// and every delta behind it would miss its base. And `handle_wire`
+/// stores a frame from its arrival, where the daemon stores it on
+/// delivery.
 #[derive(Debug, Default)]
 struct LiveFrames {
     encoder: DeltaEncoder,
     /// Per member index, the decoder of that member's chain.
-    decoders: Vec<DeltaDecoder>,
+    decoders: Vec<DeltaDecoder<u32>>,
     /// Peers whose link was fenced since the last broadcast.
     restart: Vec<SocketAddr>,
     stats: ChainStats,
@@ -242,16 +277,15 @@ impl LiveFrames {
         peers: impl Iterator<Item = SocketAddr>,
         mut send: impl FnMut(SocketAddr, Bytes),
     ) {
-        let message = message_to_bytes(message);
         let deltas_before = self.encoder.deltas_emitted();
-        let chained = encode_frame_msg(&self.encoder.encode(&message));
+        let chained = encode_frame_msg(&self.encoder.encode(message));
         let is_delta = self.encoder.deltas_emitted() > deltas_before;
         let mut full = None;
         for peer in peers {
             if is_delta && self.restart.contains(&peer) {
                 self.stats.fulls_sent += 1;
                 let full = full
-                    .get_or_insert_with(|| encode_frame_msg(&wire::encode_full(&message)))
+                    .get_or_insert_with(|| encode_frame_msg(&wire::encode_full(message)))
                     .clone();
                 send(peer, full);
             } else {
@@ -273,9 +307,7 @@ impl LiveFrames {
             self.decoders.resize_with(member + 1, DeltaDecoder::default);
         }
         match self.decoders[member].decode(frame) {
-            Ok(message) if message.id().sender().index() == member => {
-                message_from_bytes(message).ok()
-            }
+            Ok(message) if message.id().sender().index() == member => Some(message),
             Ok(_) => None,
             Err(WireError::MissingDeltaBase { .. }) => {
                 self.stats.missing_base += 1;
@@ -541,7 +573,7 @@ fn load_wal(dir: &Path) -> std::io::Result<Option<u64>> {
 ///
 /// Propagates filesystem errors.
 pub fn save_snapshot(dir: &Path, snapshot: &ProcessSnapshot<u32>) -> std::io::Result<()> {
-    let blob = encode_snapshot(&snapshot_to_wire(snapshot));
+    let blob = encode_snapshot(snapshot);
     write_atomic(&dir.join("snapshot.bin"), &blob)
 }
 
@@ -555,8 +587,7 @@ pub fn save_snapshot(dir: &Path, snapshot: &ProcessSnapshot<u32>) -> std::io::Re
 pub fn load_snapshot(dir: &Path) -> std::io::Result<Option<ProcessSnapshot<u32>>> {
     let path = dir.join("snapshot.bin");
     let Some(bytes) = read_state(&path)? else { return Ok(None) };
-    let wire = decode_snapshot(Bytes::from(bytes)).map_err(|e| corrupt(&path, e))?;
-    snapshot_from_wire(wire).map(Some).map_err(|e| corrupt(&path, e))
+    decode_snapshot(Bytes::from(bytes)).map(Some).map_err(|e| corrupt(&path, e))
 }
 
 /// Reads, increments, and persists the boot counter. The incarnation
@@ -580,23 +611,78 @@ fn bump_incarnation(dir: &Path) -> std::io::Result<u64> {
     Ok(next)
 }
 
-/// Writes the node spec the daemon will construct its endpoint from.
+/// Writes the node spec the daemon will construct its endpoint from, as
+/// `spec.bin`: little-endian `u32 node | u32 n | u32 R | u32 K | u128
+/// set_id | u8 1 | u8 has_recent | u64 recent_window | u8 1 | u64
+/// trace_capacity | u8 estimators | 5 × u64 timing`. The two `1` bytes
+/// are reserved: they once carried `detect_instant` and `dedup`, and are
+/// ignored on read.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
 pub fn save_spec(dir: &Path, spec: &NodeSpec) -> std::io::Result<()> {
-    write_atomic(&dir.join("spec.bin"), &pcb_sim::export::encode_node_spec(spec))
+    let mut out = Vec::with_capacity(104);
+    let (space, config, timing) = (spec.keys.space(), &spec.pcb_config, &spec.timing);
+    for word in [spec.node, spec.n, space.r() as u32, space.k() as u32] {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    out.extend_from_slice(&spec.keys.set_id().to_le_bytes());
+    out.extend_from_slice(&[1, u8::from(config.recent_window.is_some())]);
+    out.extend_from_slice(&config.recent_window.unwrap_or(0).to_le_bytes());
+    out.push(1);
+    out.extend_from_slice(&(config.trace_capacity as u64).to_le_bytes());
+    out.push(u8::from(config.estimators));
+    for v in [
+        timing.stale_after_us,
+        timing.poll_every_us,
+        timing.store_window_us,
+        timing.snapshot_every_us,
+        timing.sync_timeout_us,
+    ] {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    write_atomic(&dir.join("spec.bin"), &out)
 }
 
-/// Loads the node spec.
+/// Loads the node spec [`save_spec`] wrote.
 ///
 /// # Errors
 ///
-/// IO errors, or [`ExportError`] rendered as `InvalidData`.
+/// IO errors, or `InvalidData` naming the file when it does not hold a
+/// spec with a valid key set.
 fn load_spec(dir: &Path) -> std::io::Result<NodeSpec> {
-    let bytes = std::fs::read(dir.join("spec.bin"))?;
-    decode_node_spec(&bytes).map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))
+    let path = dir.join("spec.bin");
+    decode_spec(&std::fs::read(&path)?).map_err(|e| corrupt(&path, e))
+}
+
+fn decode_spec(mut cur: &[u8]) -> Result<NodeSpec, WireError> {
+    let cur = &mut cur;
+    let u8_at = |cur: &mut &[u8]| wire::take_array(cur).map(u8::from_le_bytes);
+    let u32_at = |cur: &mut &[u8]| wire::take_array(cur).map(u32::from_le_bytes);
+    let u64_at = |cur: &mut &[u8]| wire::take_array(cur).map(u64::from_le_bytes);
+    let (node, n, r, k) = (u32_at(cur)?, u32_at(cur)?, u32_at(cur)?, u32_at(cur)?);
+    let set_id = u128::from_le_bytes(wire::take_array(cur)?);
+    let bad_keys = |e: pcb_clock::KeyError| WireError::BadKeys(e.to_string());
+    let space = KeySpace::new(r as usize, k as usize).map_err(bad_keys)?;
+    let keys = KeySet::from_set_id(space, set_id).map_err(bad_keys)?;
+    u8_at(cur)?; // reserved
+    let has_recent = u8_at(cur)? != 0;
+    let recent_window = u64_at(cur)?;
+    u8_at(cur)?; // reserved
+    let trace_capacity = u64_at(cur)? as usize;
+    let estimators = u8_at(cur)? != 0;
+    let timing = RecoveryTimingUs {
+        stale_after_us: u64_at(cur)?,
+        poll_every_us: u64_at(cur)?,
+        store_window_us: u64_at(cur)?,
+        snapshot_every_us: u64_at(cur)?,
+        sync_timeout_us: u64_at(cur)?,
+    };
+    wire::finish(cur)?;
+    let recent_window = has_recent.then_some(recent_window);
+    let pcb_config = PcbConfig { recent_window, trace_capacity, estimators };
+    Ok(NodeSpec { node, n, keys, pcb_config, timing })
 }
 
 // ---- the shared start-up and persist steps ------------------------------
@@ -811,10 +897,12 @@ impl Daemon {
                         // address; a stranger's is not even decoded.
                         let Some(member) = self.member_at(from) else { continue };
                         match decode_msg(&frame) {
-                            Ok(DaemonMsg::Pcb(input)) => {
-                                if let Some(input) = member_input(input, member) {
-                                    self.apply_live(input)?;
-                                }
+                            // A probe counts only in its sender's own name.
+                            Ok(DaemonMsg::Probe(from, windows)) if from.index() == member => {
+                                self.apply_live(Input::SyncRequest { from, windows })?;
+                            }
+                            Ok(DaemonMsg::Reply(config, messages)) => {
+                                self.apply_live(Input::SyncResponse { messages, config })?;
                             }
                             Ok(DaemonMsg::Frame(wire)) => {
                                 if let Some(message) = self.frames.incoming(member, wire) {
@@ -824,7 +912,7 @@ impl Daemon {
                             Ok(DaemonMsg::Row(row)) => {
                                 self.rows_rose |= self.rows.merge(member, &row);
                             }
-                            Err(_) => {}
+                            Ok(DaemonMsg::Probe(..)) | Err(_) => {}
                         }
                     }
                     UdpEvent::Fenced(peer) if self.member_at(peer).is_some() => {
@@ -967,10 +1055,8 @@ impl Daemon {
                         self.sync_round += 1;
                         let target = (self.spec.node as usize + offset) % n;
                         if let Some(addr) = self.peer_addrs[target] {
-                            let msg = encode_pcb_msg(&Input::SyncRequest {
-                                from: ProcessId::new(self.spec.node as usize),
-                                windows,
-                            });
+                            let from = ProcessId::new(self.spec.node as usize);
+                            let msg = encode_probe_msg(from, &windows);
                             let wall = self.wall_us();
                             self.transport.send(addr, msg, wall);
                         }
@@ -978,7 +1064,7 @@ impl Daemon {
                 }
                 Output::SyncReply { to, messages, config } => {
                     if let Some(addr) = self.peer_addrs.get(to.index()).copied().flatten() {
-                        let msg = encode_pcb_msg(&Input::SyncResponse { messages, config });
+                        let msg = encode_reply_msg(&config, &messages);
                         let wall = self.wall_us();
                         self.transport.send(addr, msg, wall);
                     }
@@ -1149,19 +1235,6 @@ impl Daemon {
     }
 }
 
-/// What `member` may ask of this daemon's endpoint through `MSG_PCB`: a
-/// probe in its own name, or a reply to one of ours — all a peer's
-/// `apply_live` ever sends. Every other input is the daemon's own to
-/// make (ticks, publishes, the frontier) or the operator's (`restore`).
-fn member_input(input: Input<u32>, member: usize) -> Option<Input<u32>> {
-    let allowed = match &input {
-        Input::SyncRequest { from, .. } => from.index() == member,
-        Input::SyncResponse { .. } => true,
-        _ => false,
-    };
-    allowed.then_some(input)
-}
-
 /// One line of the `subscribe` stream. An alert flag is there only when
 /// it is raised — absent means false — which keeps the line that almost
 /// every delivery sends short.
@@ -1311,8 +1384,6 @@ fn http_page(body: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcb_broadcast::{PcbConfig, RecoveryTimingUs};
-    use pcb_clock::{ClusterConfig, KeySet, KeySpace};
 
     use crate::link::net::{Net, Weather, A, B};
     use crate::link::Event;
@@ -1587,20 +1658,93 @@ mod tests {
 
     #[test]
     fn envelope_codec_round_trips_and_rejects_garbage() {
-        let pcb = encode_pcb_msg(&Input::Tick);
-        assert!(matches!(decode_msg(&pcb).unwrap(), DaemonMsg::Pcb(Input::Tick)));
         let wire = Bytes::from_static(b"any bytes: the decoder judges them");
         match decode_msg(&encode_frame_msg(&wire)).unwrap() {
             DaemonMsg::Frame(back) => assert_eq!(back, wire),
             other => panic!("wrong decode: {other:?}"),
         }
+        let windows = vec![(ProcessId::new(0), 4, vec![6])];
+        match decode_msg(&encode_probe_msg(ProcessId::new(1), &windows)).unwrap() {
+            DaemonMsg::Probe(from, back) => {
+                assert_eq!((from, back), (ProcessId::new(1), windows));
+            }
+            other => panic!("wrong decode: {other:?}"),
+        }
+        let spec = sample_spec();
+        let mut ep = Endpoint::new(ProcessId::new(2), spec.keys, spec.pcb_config, None);
+        let sent: Vec<Message<u32>> = (0..3)
+            .flat_map(|payload| ep.handle(Input::Broadcast(payload), 1_000))
+            .filter_map(|o| if let Output::SendFrame(m) = o { Some(m) } else { None })
+            .collect();
+        let config = ep.cluster();
+        match decode_msg(&encode_reply_msg(&config, &sent)).unwrap() {
+            DaemonMsg::Reply(back, messages) => {
+                assert_eq!(back, config);
+                let ids: Vec<_> = messages.iter().map(|m| (m.id(), *m.payload())).collect();
+                assert_eq!(ids, sent.iter().map(|m| (m.id(), *m.payload())).collect::<Vec<_>>());
+            }
+            other => panic!("wrong decode: {other:?}"),
+        }
 
         assert!(decode_msg(&Bytes::new()).is_err());
-        // Kinds 1 to 3 are unassigned.
-        for kind in [1u8, 2, 3, 99] {
-            assert!(decode_msg(&Bytes::from(vec![kind])).is_err(), "kind {kind}");
+        // Kinds 0 to 3 are retired: 0 carried a replay step.
+        for kind in [0u8, 1, 2, 3, 99] {
+            assert_eq!(
+                decode_msg(&Bytes::from(vec![kind, 0])).err(),
+                Some(WireError::BadVersion(kind))
+            );
         }
-        assert!(decode_msg(&Bytes::from(vec![MSG_PCB, 1, 2])).is_err());
+        let mut trailing = encode_probe_msg(ProcessId::new(1), &[]).to_vec();
+        trailing.push(0);
+        assert!(decode_msg(&Bytes::from(trailing)).is_err());
+    }
+
+    /// State files as the daemon before payload-generic codecs wrote
+    /// them: `spec.bin` for [`parent_spec`], and the `snapshot.bin` of
+    /// node 2 after three deliveries from node 1 (payloads `0xA0..=0xA2`)
+    /// and three publishes (`7`, `0x0102_0304`, `u32::MAX`).
+    const SPEC_PARENT: &str = "020000000500000010000000020000002f0000000000000000000000000000000101393000000000000001400000000000000001a086010000000000a861000000000000404b4c000000000090d0030000000000801a060000000000";
+    const SNAPSHOT_PARENT: &str = "060210022f0000000000000000000000000000000003100003000303000000000300000000000002010300020300030300000001c096b10206d80433060001011002110000000000000000000000000000000001000001000000000000000000000004000000a04276d569df74698dd804150601010201029b0104000000a198c7c817d052c4abd804150601010301029b0104000000a2c235bf49e8994e93e807330600020110022f0000000000000000000000000000000003000103000000000100000000000004000000078487f0f129efdcc9e807150601020201027c1b04010203042cb86b870031dc2fe807150601020301027c1b04ffffffff1424fd9e503f5afd000000665529e90aed1149";
+
+    fn parent_spec() -> NodeSpec {
+        let pcb_config =
+            PcbConfig { recent_window: Some(12_345), trace_capacity: 64, estimators: true };
+        NodeSpec { pcb_config, ..sample_spec() }
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|at| u8::from_str_radix(&hex[at..at + 2], 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn state_files_the_earlier_daemon_wrote_load_and_are_written_the_same() {
+        let dir = temp_dir("parent-files");
+        std::fs::write(dir.join("spec.bin"), unhex(SPEC_PARENT)).unwrap();
+        let spec = load_spec(&dir).unwrap();
+        let want = parent_spec();
+        assert_eq!((spec.node, spec.n, &spec.keys), (want.node, want.n, &want.keys));
+        assert_eq!((&spec.pcb_config, spec.timing), (&want.pcb_config, want.timing));
+        std::fs::write(dir.join("snapshot.bin"), unhex(SNAPSHOT_PARENT)).unwrap();
+        let snapshot = load_snapshot(&dir).unwrap().expect("present");
+        let payloads: Vec<u32> = snapshot.store.iter().map(|(_, m)| *m.payload()).collect();
+        assert_eq!(payloads, [0xA0, 0xA1, 0xA2, 7, 0x0102_0304, u32::MAX]);
+        assert_eq!(snapshot.seq, 3);
+
+        save_spec(&dir, &spec).unwrap();
+        save_snapshot(&dir, &snapshot).unwrap();
+        assert_eq!(std::fs::read(dir.join("spec.bin")).unwrap(), unhex(SPEC_PARENT));
+        assert_eq!(std::fs::read(dir.join("snapshot.bin")).unwrap(), unhex(SNAPSHOT_PARENT));
+        let spec_bin = unhex(SPEC_PARENT);
+        for cut in 0..spec_bin.len() {
+            std::fs::write(dir.join("spec.bin"), &spec_bin[..cut]).unwrap();
+            let refused = load_spec(&dir).unwrap_err();
+            assert_eq!(refused.kind(), ErrorKind::InvalidData, "cut {cut}");
+            assert!(refused.to_string().contains("spec.bin"), "{refused}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1646,7 +1790,7 @@ mod tests {
         }
         let mut forged = vec![MSG_ROW];
         wire::put_uvar(&mut forged, u64::MAX); // and not one entry behind it
-        assert_eq!(decode_msg(&Bytes::from(forged)).unwrap_err(), ExportError::Truncated);
+        assert_eq!(decode_msg(&Bytes::from(forged)).unwrap_err(), WireError::Truncated);
         let mut trailing = encode_row_msg(&[1]).to_vec();
         trailing.push(0);
         assert!(decode_msg(&Bytes::from(trailing)).is_err());
@@ -1809,6 +1953,20 @@ mod tests {
     }
 
     #[test]
+    fn a_members_chain_counts_only_in_its_own_name() {
+        let spec = sample_spec();
+        let mut publisher = Endpoint::new(ProcessId::new(2), spec.keys, spec.pcb_config, None);
+        let outputs = publisher.handle(Input::Broadcast(7), 1_000);
+        let Some(Output::SendFrame(message)) = outputs.into_iter().next() else {
+            panic!("a broadcast sends a frame first");
+        };
+        let frame = wire::encode_full(&message);
+        let mut frames = LiveFrames::default();
+        assert!(frames.incoming(1, frame.clone()).is_none(), "member 1 sent member 2's frame");
+        assert_eq!(frames.incoming(2, frame).map(|m| *m.payload()), Some(7));
+    }
+
+    #[test]
     fn chain_restarts_with_a_full_frame_after_a_peer_restart() {
         let mut chain = Chain::new();
         for payload in 0..3 {
@@ -1826,7 +1984,7 @@ mod tests {
         chain.net.restart(B);
         chain.net.weather[B] = Weather::Clear;
         chain.into = LiveFrames::default();
-        chain.net.send(B, encode_pcb_msg(&Input::Tick));
+        chain.net.send(B, encode_row_msg(&[]));
         chain.net.flush(B);
         assert_eq!(chain.pump(), [] as [u32; 0]);
         assert_eq!(chain.net.stats(A).peer_restarts, 1, "the restart went unnoticed");
@@ -1841,26 +1999,6 @@ mod tests {
         assert_eq!(chain.into.stats.missing_base, 0, "no frame of the old chain reached b");
         assert_eq!(chain.out.stats.fulls_sent, 2);
         assert_eq!(chain.net.stats(A).give_ups, 0);
-    }
-
-    #[test]
-    fn members_may_send_only_their_own_probes_and_replies() {
-        let probe = |from| Input::SyncRequest { from: ProcessId::new(from), windows: Vec::new() };
-        assert!(member_input(probe(1), 1).is_some());
-        assert!(member_input(probe(0), 1).is_none(), "a probe in another member's name");
-        let config = ClusterConfig::genesis(KeySpace::vector(2).unwrap());
-        assert!(member_input(Input::SyncResponse { messages: Vec::new(), config }, 1).is_some());
-        for input in [
-            Input::Tick,
-            Input::Broadcast(7),
-            Input::Crash,
-            Input::Restore,
-            Input::Leave,
-            Input::Reconfigure(config.reconfigured(config.space)),
-            Input::StableFrontier(vec![u64::MAX; 2]),
-        ] {
-            assert!(member_input(input, 1).is_none());
-        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! [`pcb_broadcast::Endpoint`] per OS process.
 //!
 //! `pcb-sim` runs the protocol under the paper's delay model in virtual
-//! time; this crate runs the same state machine for real. [`daemon`] is
+//! time; this crate runs the same state machine for real, and links
+//! nothing of the simulator (only its tests and this example do). [`daemon`] is
 //! the `pcb-daemon` process shell — one single-threaded poll loop
 //! around the endpoint, a reliable [`udp`] transport to its peers,
 //! crash-durable state on disk, a JSON RPC socket and a `/metrics`
@@ -17,9 +18,10 @@
 //!
 //! ```
 //! use pcb_broadcast::endpoint::{Input, Output};
+//! use pcb_broadcast::NodeSpec;
 //! use pcb_clock::{AssignmentPolicy, KeySpace};
 //! use pcb_runtime::daemon::{persist_changes, save_spec, start_node};
-//! use pcb_sim::{chaos_config, record_endpoint_chaos, NodeSpec};
+//! use pcb_sim::{chaos_config, record_endpoint_chaos};
 //!
 //! // A seeded 4-node run with a crash, a partition and a link-fault window.
 //! let (config, space) = (chaos_config(1, 4, 1_000.0), KeySpace::vector(4)?);

@@ -41,13 +41,13 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use pcb_broadcast::endpoint::{Input, Output};
-use pcb_broadcast::{wire, DeltaEncoder, Endpoint, Message, PcbConfig, RecoveryTimingUs};
+use pcb_broadcast::{wire, DeltaEncoder, Endpoint, Message, NodeSpec, PcbConfig, RecoveryTimingUs};
 use pcb_clock::{KeySet, KeySpace, ProcessId};
 use pcb_runtime::daemon::{
-    decode_msg, encode_frame_msg, encode_pcb_msg, encode_row_msg, save_spec, DaemonMsg,
+    decode_msg, encode_frame_msg, encode_probe_msg, encode_row_msg, save_spec, DaemonMsg,
 };
 use pcb_runtime::{UdpConfig, UdpEvent, UdpTransport};
-use pcb_sim::export::{encode_join_grant, message_to_bytes, NodeSpec};
+use pcb_sim::export::{encode_join_grant, encode_step};
 use pcb_sim::StreamOracle;
 use pcb_telemetry::json::{self, Value};
 
@@ -837,6 +837,15 @@ fn broadcast(endpoint: &mut Endpoint<u32>, payload: u32) -> Message<u32> {
         .expect("a broadcast sends a frame")
 }
 
+/// `input` as daemons once sent it to each other: kind byte 0, then a
+/// step of the simulator's replay codec. The kind is retired, so a
+/// daemon refuses every one of these, whoever sends it.
+fn old_step(input: &Input<u32>) -> Bytes {
+    let mut msg = vec![0];
+    msg.extend_from_slice(&encode_step(0, input));
+    Bytes::from(msg)
+}
+
 /// The payloads of every delivery the daemon has logged, in order: the
 /// backlog a `subscribe` replays before its reply.
 fn delivered_payloads(addr: SocketAddr) -> Vec<u64> {
@@ -855,13 +864,13 @@ fn delivered_payloads(addr: SocketAddr) -> Vec<u64> {
     panic!("the daemon hung up during the backlog")
 }
 
-/// One datagram from any address carrying `MSG_PCB(Input::Leave)` used
-/// to retire a live daemon for good.
+/// One datagram from any address carrying `Input::Leave` as a kind-0
+/// step used to retire a live daemon for good.
 #[test]
 fn a_strangers_leave_does_not_retire_the_daemon() {
     let Some(daemon) = spawn_half_pair("leave", None) else { return };
     publish(daemon.rpc, 1);
-    let after = Speaker::bind().say(&daemon, encode_pcb_msg(&Input::Leave));
+    let after = Speaker::bind().say(&daemon, old_step(&Input::Leave));
     assert_eq!(after.get("left"), Some(&Value::from(false)), "a stranger's Leave retired it");
     publish(daemon.rpc, 2);
     assert_eq!(u64_of(&status(daemon.rpc), "sent"), 2, "the daemon still publishes");
@@ -876,7 +885,7 @@ fn a_strangers_frontier_leaves_the_store_alone_while_a_member_is_down() {
         publish(daemon.rpc, k);
     }
     assert_eq!(u64_of(&status(daemon.rpc), "store_retained"), 5);
-    let forged = encode_pcb_msg(&Input::StableFrontier(vec![u64::MAX; 2]));
+    let forged = old_step(&Input::StableFrontier(vec![u64::MAX; 2]));
     let after = Speaker::bind().say(&daemon, forged);
     assert_eq!(u64_of(&after, "store_retained"), 5, "a stranger's frontier pruned the store");
     publish(daemon.rpc, 5);
@@ -1016,10 +1025,11 @@ fn idle_metrics_connections_do_not_stall_the_loop() {
     drop(idle);
 }
 
-/// Every `Input` variant as `MSG_PCB`, from a stranger and then from the
-/// member's own address: nothing an operator watches moves, and the
-/// only input that reaches the endpoint is the member's probe in its own
-/// name, which the daemon serves.
+/// Every `Input` variant as a kind-0 step, from a stranger and then from
+/// the member's own address: the kind is retired, so nothing an operator
+/// watches moves and nothing is served. Then probes of today's kind: only
+/// the member's probe in its own name reaches the endpoint, which serves
+/// it.
 #[test]
 fn only_a_members_own_probes_and_replies_reach_the_endpoint() {
     let mut member = Speaker::bind();
@@ -1059,15 +1069,26 @@ fn only_a_members_own_probes_and_replies_reach_the_endpoint() {
     let mut before = status(daemon.rpc);
     for (who, speaker) in [("stranger", &mut stranger), ("member", &mut member)] {
         for (name, input) in &inputs {
-            let after = speaker.say(&daemon, encode_pcb_msg(input));
+            let after = speaker.say(&daemon, old_step(input));
             for key in watched {
                 assert_eq!(after.get(key), before.get(key), "{who}'s {name} moved {key}");
             }
             let served = u64_of(&after, "sync_served") - u64_of(&before, "sync_served");
-            let own_probe = who == "member" && *name == "SyncRequest in its own name";
-            assert_eq!(served, u64::from(own_probe), "{who}'s {name}: sync_served");
+            assert_eq!(served, 0, "{who}'s {name} as a step: sync_served");
             before = after;
         }
+    }
+    let probes = [(false, 0, false), (false, 1, false), (true, 0, false), (true, 1, true)];
+    for (member_speaks, from, serves) in probes {
+        let speaker = if member_speaks { &mut member } else { &mut stranger };
+        let who = if member_speaks { "member" } else { "stranger" };
+        let after = speaker.say(&daemon, encode_probe_msg(ProcessId::new(from), &[]));
+        for key in watched {
+            assert_eq!(after.get(key), before.get(key), "{who}'s probe as {from} moved {key}");
+        }
+        let served = u64_of(&after, "sync_served") - u64_of(&before, "sync_served");
+        assert_eq!(served, u64::from(serves), "{who}'s probe in member {from}'s name");
+        before = after;
     }
 }
 
@@ -1081,7 +1102,7 @@ fn a_strangers_frame_in_a_members_name_leaves_its_chain_alone() {
     let (mut real, mut forger) = (member_one(), member_one());
     let mut chain = DeltaEncoder::default();
     let mut next = |speaker: &mut Speaker, payload| {
-        let frame = chain.encode(&message_to_bytes(&broadcast(&mut real, payload)));
+        let frame = chain.encode(&broadcast(&mut real, payload));
         speaker.say(&daemon, encode_frame_msg(&frame))
     };
     next(&mut member, 10);
@@ -1091,7 +1112,7 @@ fn a_strangers_frame_in_a_members_name_leaves_its_chain_alone() {
     for payload in [90, 91] {
         broadcast(&mut forger, payload);
     }
-    let forged = wire::encode_full(&message_to_bytes(&broadcast(&mut forger, 99)));
+    let forged = wire::encode_full(&broadcast(&mut forger, 99));
     Speaker::bind().say(&daemon, encode_frame_msg(&forged));
     next(&mut member, 12);
     let after = next(&mut member, 13);
@@ -1113,7 +1134,7 @@ fn a_members_frame_in_another_members_name_leaves_its_chain_alone() {
     let (mut real, mut forger) = (member_one(), member_one());
     let mut chain = DeltaEncoder::default();
     let mut next = |payload| {
-        let frame = chain.encode(&message_to_bytes(&broadcast(&mut real, payload)));
+        let frame = chain.encode(&broadcast(&mut real, payload));
         one.say(&daemon, encode_frame_msg(&frame))
     };
     next(10);
@@ -1121,7 +1142,7 @@ fn a_members_frame_in_another_members_name_leaves_its_chain_alone() {
     for payload in [90, 91] {
         broadcast(&mut forger, payload);
     }
-    let forged = wire::encode_full(&message_to_bytes(&broadcast(&mut forger, 99)));
+    let forged = wire::encode_full(&broadcast(&mut forger, 99));
     two.say(&daemon, encode_frame_msg(&forged));
     next(12);
     let after = next(13);

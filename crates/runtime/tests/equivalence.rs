@@ -36,12 +36,12 @@ use std::path::{Path, PathBuf};
 
 use pcb_broadcast::endpoint::{Input, Output};
 use pcb_broadcast::wire::checksum64;
-use pcb_broadcast::{Counters, Endpoint, MessageId};
+use pcb_broadcast::{Counters, Endpoint, MessageId, NodeSpec};
 use pcb_clock::{AssignmentPolicy, KeySpace, ProcessId};
 use pcb_runtime::daemon::{persist_changes, save_spec, start_node};
 use pcb_sim::{
     chaos_config, churn_config, decode_step, drain_node_trace, encode_step, record_endpoint_chaos,
-    ChaosRecord, NodeSpec, SimConfig, StreamOracle,
+    ChaosRecord, SimConfig, StreamOracle,
 };
 use pcb_telemetry::TraceRecord;
 

@@ -1,29 +1,37 @@
-//! Byte forms for what crosses a process boundary around one node: a
-//! step (`(now_us, Input)`), a join grant, a node spec, and the `u32`
-//! payload rewrites the wire and snapshot codecs need.
+//! Byte forms for what the recorder replays around one node: a step
+//! (`(now_us, Input)`) and a join grant.
 //!
 //! * [`encode_step`]/[`decode_step`] give each `(now_us, Input)` a
 //!   self-contained byte form. A received frame travels as a standalone
-//!   full wire frame ([`pcb_broadcast::wire`]), and a sync reply's
-//!   messages as one wire list ([`wire::ListWriter`]): per sender a full
-//!   frame, then deltas against that sender's previous message in the
-//!   reply. Either way a receiver reconstructs bit-identical stamps, key
-//!   sets, and payloads from the step's bytes alone. The daemon's
-//!   anti-entropy probes and replies travel in this form.
-//! * [`encode_node_spec`]/[`decode_node_spec`] carry the constructor
-//!   arguments (keys, protocol config, recovery timing) into a node's
-//!   state directory, for a process that shares no memory with whoever
-//!   wrote it.
+//!   full wire frame ([`pcb_broadcast::wire`]); a sync probe and a sync
+//!   reply in the byte forms a daemon sends its peers
+//!   ([`pcb_broadcast::encode_probe`], [`pcb_broadcast::encode_reply`]),
+//!   the reply's messages one wire list: per sender a full frame, then
+//!   deltas against that sender's previous message in the reply. Either
+//!   way a receiver reconstructs bit-identical stamps, key sets, and
+//!   payloads from the step's bytes alone.
+//! * [`encode_join_grant`]/[`decode_join_grant`] carry a
+//!   snapshot-assisted join inside `Input::Join`.
+//!
+//! The wire and snapshot codecs take `u32` payloads as they are, so
+//! nothing here rewrites one. [`snapshot_to_wire`]/[`snapshot_from_wire`]
+//! and the [`NodeSpec`] re-export are kept only for the benchmark
+//! (`ledger/`), which links them.
 //!
 //! Everything decodes totally: corrupt or truncated bytes produce an
 //! [`ExportError`], never a panic.
 
 use bytes::Bytes;
-use pcb_broadcast::endpoint::{Input, RecoveryTimingUs};
+use pcb_broadcast::endpoint::Input;
+use pcb_broadcast::snapshot::{put_keys, take_keys};
 use pcb_broadcast::{
-    wire, JoinGrant, Message, PcbConfig, ProcessSnapshot, SeenWindows, WireError, SYNC_REPLY_MAX,
+    decode_probe, decode_reply, decode_snapshot, encode_probe, encode_reply, encode_snapshot,
+    put_config, take_config, wire, DeltaDecoder, JoinGrant, ProcessSnapshot, WireError,
 };
-use pcb_clock::{AssignmentPolicy, ClusterConfig, KeySet, KeySpace, ProcessId};
+use pcb_clock::ProcessId;
+
+/// The node spec, at the path the benchmark imports it from.
+pub use pcb_broadcast::NodeSpec;
 
 /// Errors decoding exported bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,20 +40,9 @@ pub enum ExportError {
     Truncated,
     /// Unknown step kind byte.
     BadKind(u8),
-    /// An embedded frame decoded, but its payload is not the `u32` arena
-    /// index every replayed message carries.
-    BadPayload,
-    /// An embedded wire frame failed to decode.
+    /// An embedded wire frame, probe, reply, key set, configuration or
+    /// snapshot failed to decode.
     Wire(WireError),
-    /// Key-set reconstruction from `(R, K, set_id)` failed.
-    Keys(String),
-    /// A sync request's dedup windows are not in exported form: senders
-    /// strictly ascending, each exception list strictly ascending and
-    /// beyond its prefix.
-    BadWindows,
-    /// A sync reply of more messages than a store ever answers with
-    /// ([`SYNC_REPLY_MAX`]).
-    LongReply(usize),
 }
 
 impl std::fmt::Display for ExportError {
@@ -56,19 +53,10 @@ impl std::fmt::Display for ExportError {
 
 impl std::error::Error for ExportError {}
 
-/// Constructor arguments for one node, in serializable form.
-#[derive(Debug, Clone)]
-pub struct NodeSpec {
-    /// This node's index.
-    pub node: u32,
-    /// Cluster size.
-    pub n: u32,
-    /// The node's key set.
-    pub keys: KeySet,
-    /// Protocol configuration.
-    pub pcb_config: PcbConfig,
-    /// Recovery/anti-entropy timing.
-    pub timing: RecoveryTimingUs,
+impl From<WireError> for ExportError {
+    fn from(e: WireError) -> Self {
+        ExportError::Wire(e)
+    }
 }
 
 // ---- primitive readers ------------------------------------------------
@@ -85,6 +73,11 @@ impl<'a> Reader<'a> {
         Ok(head)
     }
 
+    /// Everything not read yet: the probe or reply a step ends with.
+    fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.0)
+    }
+
     fn u8(&mut self) -> Result<u8, ExportError> {
         Ok(self.take(1)?[0])
     }
@@ -95,10 +88,6 @@ impl<'a> Reader<'a> {
 
     fn u64(&mut self) -> Result<u64, ExportError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn u128(&mut self) -> Result<u128, ExportError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("16 bytes")))
     }
 
     /// Capacity for `count` announced elements of at least `min_bytes`
@@ -117,45 +106,10 @@ impl<'a> Reader<'a> {
     }
 }
 
-// ---- message <-> wire frame ------------------------------------------
+// ---- snapshots, for the benchmark ---------------------------------------
 
-/// A replayed message as the wire codecs take it: the `u32` arena
-/// payload as 4 big-endian bytes, everything else untouched.
-#[must_use]
-pub fn message_to_bytes(message: &Message<u32>) -> Message<Bytes> {
-    message.clone().map(|v| Bytes::from(v.to_be_bytes().to_vec()))
-}
-
-/// The inverse of [`message_to_bytes`], for a message any wire decoder
-/// produced.
-///
-/// # Errors
-///
-/// [`ExportError::BadPayload`] if the payload is not a 4-byte arena index.
-pub fn message_from_bytes(message: Message<Bytes>) -> Result<Message<u32>, ExportError> {
-    let payload: [u8; 4] =
-        message.payload().as_ref().try_into().map_err(|_| ExportError::BadPayload)?;
-    Ok(message.map(move |_| u32::from_be_bytes(payload)))
-}
-
-/// Encodes a replayed message as a standalone full wire frame.
-#[must_use]
-pub fn message_to_wire(message: &Message<u32>) -> Bytes {
-    wire::encode_full(&message_to_bytes(message))
-}
-
-/// Decodes a standalone wire frame back into a replayed message.
-///
-/// # Errors
-///
-/// [`ExportError::Wire`] for undecodable bytes, [`ExportError::BadPayload`]
-/// if the payload is not a 4-byte arena index.
-pub fn message_from_wire(frame: Bytes) -> Result<Message<u32>, ExportError> {
-    message_from_bytes(wire::decode(frame).map_err(ExportError::Wire)?)
-}
-
-/// Rewrites a replayed-node snapshot to byte payloads so it can pass
-/// through [`pcb_broadcast::encode_snapshot`] for on-disk persistence.
+/// Rewrites a snapshot to byte payloads, each `u32` as its 4 big-endian
+/// bytes. Kept for the benchmark, which encodes what this returns.
 #[must_use]
 pub fn snapshot_to_wire(s: &ProcessSnapshot<u32>) -> ProcessSnapshot<Bytes> {
     // Every payload in one buffer, each message a 4-byte window of it:
@@ -185,17 +139,17 @@ pub fn snapshot_to_wire(s: &ProcessSnapshot<u32>) -> ProcessSnapshot<Bytes> {
     }
 }
 
-/// Rewrites a decoded on-disk snapshot back to `u32` payloads.
+/// The inverse of [`snapshot_to_wire`], for a snapshot decoded with byte
+/// payloads. Kept for the benchmark.
 ///
 /// # Errors
 ///
-/// [`ExportError::BadPayload`] if any stored payload is not a 4-byte
-/// arena index.
+/// [`WireError::BadPayload`] if a stored payload is not 4 bytes.
 pub fn snapshot_from_wire(s: ProcessSnapshot<Bytes>) -> Result<ProcessSnapshot<u32>, ExportError> {
     let mut store = Vec::with_capacity(s.store.len());
     for (t, m) in s.store {
-        let payload: [u8; 4] =
-            m.payload().as_ref().try_into().map_err(|_| ExportError::BadPayload)?;
+        let payload = <[u8; 4]>::try_from(m.payload().as_ref())
+            .map_err(|_| WireError::BadPayload(m.payload().len()))?;
         store.push((t, m.map(move |_| u32::from_be_bytes(payload))));
     }
     Ok(ProcessSnapshot {
@@ -227,39 +181,6 @@ const STEP_LEAVE: u8 = 8;
 const STEP_JOIN: u8 = 9;
 const STEP_STABLE_FRONTIER: u8 = 10;
 
-/// Fewest bytes one window of a sync request occupies: sender, prefix,
-/// exception count.
-const WINDOW_MIN_BYTES: usize = 4 + 8 + 4;
-/// Fewest bytes one embedded frame occupies: its length prefix and the
-/// checksum trailer every wire frame ends with.
-const FRAME_MIN_BYTES: usize = 4 + 8;
-
-fn put_config(out: &mut Vec<u8>, config: &ClusterConfig) {
-    out.extend_from_slice(&config.epoch.to_le_bytes());
-    out.extend_from_slice(&(config.space.r() as u32).to_le_bytes());
-    out.extend_from_slice(&(config.space.k() as u32).to_le_bytes());
-    out.push(config.policy.wire_code());
-}
-
-/// Reads a cluster configuration. An epoch of 2⁶³ or more is refused:
-/// wire frames carry it as `epoch · 2 + kind` in a `u64`.
-fn read_config(r: &mut Reader<'_>) -> Result<ClusterConfig, ExportError> {
-    let epoch = r.u64()?;
-    if epoch >= 1 << 63 {
-        return Err(ExportError::BadKind(STEP_RECONFIGURE));
-    }
-    let space = KeySpace::new(r.u32()? as usize, r.u32()? as usize)
-        .map_err(|_| ExportError::BadKind(STEP_RECONFIGURE))?;
-    let policy =
-        AssignmentPolicy::from_wire_code(r.u8()?).ok_or(ExportError::BadKind(STEP_RECONFIGURE))?;
-    Ok(ClusterConfig { epoch, space, policy })
-}
-
-fn put_frame(out: &mut Vec<u8>, frame: &[u8]) {
-    out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-    out.extend_from_slice(frame);
-}
-
 /// Serializes one replay step.
 #[must_use]
 pub fn encode_step(now_us: u64, input: &Input<u32>) -> Vec<u8> {
@@ -268,29 +189,17 @@ pub fn encode_step(now_us: u64, input: &Input<u32>) -> Vec<u8> {
     match input {
         Input::FrameReceived(message) => {
             out.push(STEP_FRAME);
-            put_frame(&mut out, &message_to_wire(message));
+            let frame = wire::encode_full(message);
+            out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+            out.extend_from_slice(&frame);
         }
         Input::SyncRequest { from, windows } => {
             out.push(STEP_SYNC_REQUEST);
-            out.extend_from_slice(&(from.index() as u32).to_le_bytes());
-            out.extend_from_slice(&(windows.len() as u32).to_le_bytes());
-            for (sender, prefix, exceptions) in windows {
-                out.extend_from_slice(&(sender.index() as u32).to_le_bytes());
-                out.extend_from_slice(&prefix.to_le_bytes());
-                out.extend_from_slice(&(exceptions.len() as u32).to_le_bytes());
-                for seq in exceptions {
-                    out.extend_from_slice(&seq.to_le_bytes());
-                }
-            }
+            encode_probe(&mut out, *from, windows);
         }
         Input::SyncResponse { messages, config } => {
             out.push(STEP_SYNC_RESPONSE);
-            put_config(&mut out, config);
-            out.extend_from_slice(&(messages.len() as u32).to_le_bytes());
-            let mut list = wire::ListWriter::default();
-            for message in messages {
-                put_frame(&mut out, &list.encode(&message_to_bytes(message)));
-            }
+            encode_reply(&mut out, config, messages);
         }
         Input::Tick => out.push(STEP_TICK),
         Input::Broadcast(payload) => {
@@ -321,39 +230,6 @@ pub fn encode_step(now_us: u64, input: &Input<u32>) -> Vec<u8> {
     out
 }
 
-/// Reads a sync request's dedup windows, accepting only the exported
-/// form `MessageStore::handle_sync` searches: senders strictly ascending,
-/// each exception list strictly ascending and beyond its prefix.
-fn read_windows(r: &mut Reader<'_>) -> Result<SeenWindows, ExportError> {
-    let count = r.u32()? as usize;
-    let mut windows: SeenWindows = Vec::with_capacity(r.capacity(count, WINDOW_MIN_BYTES));
-    for _ in 0..count {
-        let sender = ProcessId::new(r.u32()? as usize);
-        if windows.last().is_some_and(|(last, _, _)| *last >= sender) {
-            return Err(ExportError::BadWindows);
-        }
-        let prefix = r.u64()?;
-        let gaps = r.u32()? as usize;
-        let mut exceptions = Vec::with_capacity(r.capacity(gaps, 8));
-        let mut floor = prefix;
-        for _ in 0..gaps {
-            let seq = r.u64()?;
-            if seq <= floor {
-                return Err(ExportError::BadWindows);
-            }
-            floor = seq;
-            exceptions.push(seq);
-        }
-        windows.push((sender, prefix, exceptions));
-    }
-    Ok(windows)
-}
-
-fn read_frame(r: &mut Reader<'_>) -> Result<Bytes, ExportError> {
-    let len = r.u32()? as usize;
-    Ok(Bytes::from(r.take(len)?))
-}
-
 /// Deserializes one replay step.
 ///
 /// # Errors
@@ -364,30 +240,24 @@ pub fn decode_step(bytes: &[u8]) -> Result<(u64, Input<u32>), ExportError> {
     let now_us = r.u64()?;
     let kind = r.u8()?;
     let input = match kind {
-        STEP_FRAME => Input::FrameReceived(message_from_wire(read_frame(&mut r)?)?),
+        STEP_FRAME => {
+            let len = r.u32()? as usize;
+            // A fresh decoder holds no base: a full frame or nothing.
+            Input::FrameReceived(DeltaDecoder::default().decode(Bytes::from(r.take(len)?))?)
+        }
         STEP_SYNC_REQUEST => {
-            let from = ProcessId::new(r.u32()? as usize);
-            Input::SyncRequest { from, windows: read_windows(&mut r)? }
+            let (from, windows) = decode_probe(r.rest())?;
+            Input::SyncRequest { from, windows }
         }
         STEP_SYNC_RESPONSE => {
-            let config = read_config(&mut r)?;
-            let count = r.u32()? as usize;
-            if count > SYNC_REPLY_MAX {
-                return Err(ExportError::LongReply(count));
-            }
-            let mut messages = Vec::with_capacity(r.capacity(count, FRAME_MIN_BYTES));
-            let mut list = wire::ListReader::default();
-            for _ in 0..count {
-                let message = list.decode(read_frame(&mut r)?).map_err(ExportError::Wire)?;
-                messages.push(message_from_bytes(message)?);
-            }
+            let (config, messages) = decode_reply(&Bytes::from(r.rest()))?;
             Input::SyncResponse { messages, config }
         }
         STEP_TICK => Input::Tick,
         STEP_BROADCAST => Input::Broadcast(r.u32()?),
         STEP_CRASH => Input::Crash,
         STEP_RESTORE => Input::Restore,
-        STEP_RECONFIGURE => Input::Reconfigure(read_config(&mut r)?),
+        STEP_RECONFIGURE => Input::Reconfigure(take_config(&mut r.0)?),
         STEP_LEAVE => Input::Leave,
         STEP_JOIN => {
             let len = r.u32()? as usize;
@@ -411,18 +281,16 @@ pub fn decode_step(bytes: &[u8]) -> Result<(u64, Input<u32>), ExportError> {
 // ---- join grant codec -------------------------------------------------
 
 /// Serializes a snapshot-assisted join grant, as the step codec carries
-/// it inside `Input::Join`.
+/// it inside `Input::Join`: `uvar id | keys | config | snapshot blob`,
+/// the keys as [`put_keys`] and the configuration as [`put_config`]
+/// write them.
 #[must_use]
 pub fn encode_join_grant(grant: &JoinGrant<u32>) -> Vec<u8> {
     let mut out = Vec::with_capacity(128);
-    out.extend_from_slice(&(grant.id.index() as u32).to_le_bytes());
-    out.extend_from_slice(&(grant.keys.space().r() as u32).to_le_bytes());
-    out.extend_from_slice(&(grant.keys.space().k() as u32).to_le_bytes());
-    out.extend_from_slice(&grant.keys.set_id().to_le_bytes());
+    wire::put_uvar(&mut out, grant.id.index() as u64);
+    put_keys(&mut out, &grant.keys);
     put_config(&mut out, &grant.config);
-    let blob = pcb_broadcast::encode_snapshot(&snapshot_to_wire(&grant.snapshot));
-    out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-    out.extend_from_slice(&blob);
+    out.extend_from_slice(&encode_snapshot(&grant.snapshot));
     out
 }
 
@@ -431,97 +299,20 @@ pub fn encode_join_grant(grant: &JoinGrant<u32>) -> Vec<u8> {
 /// # Errors
 ///
 /// [`ExportError`] on malformed bytes; never panics.
-pub fn decode_join_grant(bytes: &[u8]) -> Result<JoinGrant<u32>, ExportError> {
-    let mut r = Reader(bytes);
-    let id = ProcessId::new(r.u32()? as usize);
-    let (kr, kk) = (r.u32()? as usize, r.u32()? as usize);
-    let set_id = r.u128()?;
-    let space = KeySpace::new(kr, kk).map_err(|e| ExportError::Keys(e.to_string()))?;
-    let keys = KeySet::from_set_id(space, set_id).map_err(|e| ExportError::Keys(e.to_string()))?;
-    let config = read_config(&mut r)?;
-    let len = r.u32()? as usize;
-    let blob = Bytes::from(r.take(len)?.to_vec());
-    r.done()?;
-    let wire = pcb_broadcast::decode_snapshot(blob).map_err(ExportError::Wire)?;
-    let snapshot = snapshot_from_wire(wire)?;
+pub fn decode_join_grant(mut bytes: &[u8]) -> Result<JoinGrant<u32>, ExportError> {
+    let id = ProcessId::new(wire::take_uvar(&mut bytes)? as usize);
+    let keys = take_keys(&mut bytes)?;
+    let config = take_config(&mut bytes)?;
+    let snapshot = decode_snapshot(Bytes::from(bytes))?;
     Ok(JoinGrant { id, keys, config, snapshot })
-}
-
-// ---- node spec codec --------------------------------------------------
-
-/// Serializes the constructor arguments for one replayed node.
-#[must_use]
-pub fn encode_node_spec(spec: &NodeSpec) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&spec.node.to_le_bytes());
-    out.extend_from_slice(&spec.n.to_le_bytes());
-    out.extend_from_slice(&(spec.keys.space().r() as u32).to_le_bytes());
-    out.extend_from_slice(&(spec.keys.space().k() as u32).to_le_bytes());
-    out.extend_from_slice(&spec.keys.set_id().to_le_bytes());
-    // The two `1` bytes are reserved: they once carried `detect_instant`
-    // and `dedup`, keep the spec's byte layout, and are ignored on read.
-    out.push(1);
-    out.push(u8::from(spec.pcb_config.recent_window.is_some()));
-    out.extend_from_slice(&spec.pcb_config.recent_window.unwrap_or(0).to_le_bytes());
-    out.push(1);
-    out.extend_from_slice(&(spec.pcb_config.trace_capacity as u64).to_le_bytes());
-    out.push(u8::from(spec.pcb_config.estimators));
-    for v in [
-        spec.timing.stale_after_us,
-        spec.timing.poll_every_us,
-        spec.timing.store_window_us,
-        spec.timing.snapshot_every_us,
-        spec.timing.sync_timeout_us,
-    ] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Deserializes a [`NodeSpec`].
-///
-/// # Errors
-///
-/// [`ExportError`] on malformed bytes or an invalid key set.
-pub fn decode_node_spec(bytes: &[u8]) -> Result<NodeSpec, ExportError> {
-    let mut r = Reader(bytes);
-    let node = r.u32()?;
-    let n = r.u32()?;
-    let (kr, kk) = (r.u32()? as usize, r.u32()? as usize);
-    let set_id = r.u128()?;
-    let space = KeySpace::new(kr, kk).map_err(|e| ExportError::Keys(e.to_string()))?;
-    let keys = KeySet::from_set_id(space, set_id).map_err(|e| ExportError::Keys(e.to_string()))?;
-    r.u8()?; // reserved
-    let has_recent = r.u8()? != 0;
-    let recent_window = r.u64()?;
-    r.u8()?; // reserved
-    let trace_capacity = r.u64()? as usize;
-    let estimators = r.u8()? != 0;
-    let timing = RecoveryTimingUs {
-        stale_after_us: r.u64()?,
-        poll_every_us: r.u64()?,
-        store_window_us: r.u64()?,
-        snapshot_every_us: r.u64()?,
-        sync_timeout_us: r.u64()?,
-    };
-    r.done()?;
-    Ok(NodeSpec {
-        node,
-        n,
-        keys,
-        pcb_config: PcbConfig {
-            recent_window: has_recent.then_some(recent_window),
-            trace_capacity,
-            estimators,
-        },
-        timing,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcb_broadcast::Endpoint;
+    use pcb_broadcast::endpoint::RecoveryTimingUs;
+    use pcb_broadcast::{Endpoint, Message, PcbConfig, SYNC_REPLY_MAX};
+    use pcb_clock::{ClusterConfig, KeySet, KeySpace};
 
     fn sample_message() -> Message<u32> {
         let space = KeySpace::new(16, 2).unwrap();
@@ -619,28 +410,30 @@ mod tests {
                 })
                 .expect("broadcast emits a frame")
         };
-        let messages: Vec<Message<u32>> = (0..SYNC_REPLY_MAX as u32)
+        let mut messages: Vec<Message<u32>> = (0..=SYNC_REPLY_MAX as u32)
             .map(|i| {
                 let from_b = sent(&mut b, i);
                 let _ = a.handle(Input::FrameReceived(from_b), 1_000);
                 sent(&mut a, i)
             })
             .collect();
+        let one_more = messages.pop().expect("SYNC_REPLY_MAX + 1 messages");
         let config = ClusterConfig::genesis(space);
         let step = encode_step(0, &Input::SyncResponse { messages: messages.clone(), config });
-        // now_us, kind, config (17 bytes), count; then `u32 len | frame`.
-        let mut frames = &step[8 + 1 + 17 + 4..];
+        // now_us, kind, config (epoch, R, K, policy: 4 bytes), the count
+        // (2 bytes); then `uvar len | frame`.
+        let mut frames = &step[8 + 1 + 4 + 2..];
         let mut kinds = Vec::new();
         while !frames.is_empty() {
-            let len = u32::from_le_bytes(frames[..4].try_into().unwrap()) as usize;
-            kinds.push(frames[5] & 1);
-            frames = &frames[4 + len..];
+            let len = wire::take_uvar(&mut frames).unwrap() as usize;
+            kinds.push(frames[1] & 1);
+            frames = &frames[len..];
         }
         assert_eq!(kinds.len(), SYNC_REPLY_MAX);
         assert_eq!(kinds.iter().filter(|&&kind| kind == 0).count(), 1, "one full frame");
-        // 31 bytes a message, length prefix included; as standalone full
+        // 28 bytes a message, length prefix included; as standalone full
         // frames it was ≈ 150.
-        assert!(step.len() < 32 * SYNC_REPLY_MAX, "{} bytes", step.len());
+        assert!(step.len() < 29 * SYNC_REPLY_MAX, "{} bytes", step.len());
         let Ok((_, Input::SyncResponse { messages: back, .. })) = decode_step(&step) else {
             panic!("a reply decodes");
         };
@@ -651,9 +444,10 @@ mod tests {
             );
         }
         // One message more than a store answers with is refused.
-        let mut long = step.clone();
-        long[26..30].copy_from_slice(&(SYNC_REPLY_MAX as u32 + 1).to_le_bytes());
-        assert_eq!(decode_step(&long).err(), Some(ExportError::LongReply(SYNC_REPLY_MAX + 1)));
+        messages.push(one_more);
+        let long = encode_step(0, &Input::SyncResponse { messages, config });
+        let refused = ExportError::Wire(WireError::LongReply(SYNC_REPLY_MAX + 1));
+        assert_eq!(decode_step(&long).err(), Some(refused));
     }
 
     #[test]
@@ -674,38 +468,19 @@ mod tests {
             let step = encode_step(1, &Input::Reconfigure(ClusterConfig { epoch, ..genesis }));
             match decode_step(&step) {
                 Ok((_, Input::Reconfigure(back))) => assert!(fits && back.epoch == epoch),
-                other => assert!(!fits && matches!(other, Err(ExportError::BadKind(_))), "{epoch}"),
+                other => {
+                    let refused = matches!(other, Err(ExportError::Wire(WireError::BadKeys(_))));
+                    assert!(!fits && refused, "{epoch}");
+                }
             }
         }
     }
 
+    /// A probe names senders and gaps, not history: after 10⁵ in-order
+    /// deliveries it is the probe after 10, but for the two bytes the
+    /// sender's prefix, a varint, grew by.
     #[test]
-    fn sync_request_windows_decode_only_in_exported_form() {
-        let from = ProcessId::new(0);
-        let step = |windows| encode_step(1, &Input::SyncRequest { from, windows });
-        let sorted = vec![(ProcessId::new(1), 4, vec![6, 9]), (ProcessId::new(3), 0, vec![])];
-        assert!(decode_step(&step(sorted)).is_ok());
-        for bad in [
-            // Senders out of order, or repeated: `handle_sync` binary-searches them.
-            vec![(ProcessId::new(3), 0, vec![]), (ProcessId::new(1), 4, vec![])],
-            vec![(ProcessId::new(1), 0, vec![]), (ProcessId::new(1), 4, vec![])],
-            // Exceptions out of order, repeated, or inside the prefix.
-            vec![(ProcessId::new(1), 4, vec![9, 6])],
-            vec![(ProcessId::new(1), 4, vec![6, 6])],
-            vec![(ProcessId::new(1), 4, vec![4])],
-        ] {
-            assert_eq!(
-                decode_step(&step(bad.clone())).err(),
-                Some(ExportError::BadWindows),
-                "{bad:?}"
-            );
-        }
-    }
-
-    /// A probe names senders and gaps, not history: after 10 in-order
-    /// deliveries or 10⁵, the same bytes go out.
-    #[test]
-    fn probe_size_is_independent_of_how_much_was_ever_delivered() {
+    fn probe_size_follows_senders_and_gaps_not_history() {
         let space = KeySpace::new(16, 2).unwrap();
         let timing = RecoveryTimingUs {
             stale_after_us: 1_000,
@@ -745,7 +520,7 @@ mod tests {
                 .expect("idle probe");
             encode_step(0, &Input::SyncRequest { from: b.id(), windows }).len()
         };
-        assert_eq!(probe_bytes(100_000), probe_bytes(10));
+        assert_eq!(probe_bytes(100_000), probe_bytes(10) + 2);
     }
 
     #[test]
@@ -767,32 +542,6 @@ mod tests {
         assert_eq!(bytes, encode_join_grant(&back), "re-encode is the identity");
         for cut in 0..bytes.len() {
             assert!(decode_join_grant(&bytes[..cut]).is_err(), "cut={cut}");
-        }
-    }
-
-    #[test]
-    fn node_spec_round_trips() {
-        let space = KeySpace::new(10, 3).unwrap();
-        let spec = NodeSpec {
-            node: 4,
-            n: 9,
-            keys: KeySet::from_entries(space, &[1, 5, 7]).unwrap(),
-            pcb_config: PcbConfig {
-                recent_window: Some(12_345),
-                trace_capacity: 64,
-                estimators: true,
-            },
-            timing: RecoveryTimingUs::default(),
-        };
-        let bytes = encode_node_spec(&spec);
-        let back = decode_node_spec(&bytes).unwrap();
-        assert_eq!(back.node, 4);
-        assert_eq!(back.n, 9);
-        assert_eq!(back.keys, spec.keys);
-        assert_eq!(back.pcb_config, spec.pcb_config);
-        assert_eq!(back.timing, spec.timing);
-        for cut in 0..bytes.len() {
-            assert!(decode_node_spec(&bytes[..cut]).is_err(), "cut={cut}");
         }
     }
 }

@@ -48,10 +48,7 @@ pub use engine::{
     simulate, simulate_fifo, simulate_immediate, simulate_prob, simulate_prob_detecting,
     simulate_prob_traced, simulate_traced, simulate_vector, SimError,
 };
-pub use export::{
-    decode_node_spec, decode_step, encode_node_spec, encode_step, message_from_wire,
-    message_to_wire, snapshot_from_wire, snapshot_to_wire, ExportError, NodeSpec,
-};
+pub use export::{decode_step, encode_step, ExportError};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkFaults};
 pub use metrics::RunMetrics;
 pub use oracle::{EpsilonEstimator, EpsilonOutcome, ExactChecker, StreamOracle, StreamViolation};

@@ -48,7 +48,7 @@ impl ExactChecker {
     /// Whether all messages of `sender` with sequence `<= upto` have been
     /// delivered at this receiver.
     #[must_use]
-    pub fn has_all_upto(&self, sender: usize, upto: u32) -> bool {
+    fn has_all_upto(&self, sender: usize, upto: u32) -> bool {
         let p = self.prefix[sender];
         if p >= upto {
             return true;
@@ -109,19 +109,6 @@ impl ExactChecker {
     #[must_use]
     pub fn contains(&self, sender: usize, seq: u32) -> bool {
         seq <= self.prefix[sender] || self.ooo[sender].contains(&seq)
-    }
-
-    /// Total messages delivered at this receiver.
-    #[must_use]
-    pub fn delivered_total(&self) -> u64 {
-        self.prefix.iter().map(|&p| u64::from(p)).sum::<u64>()
-            + self.ooo.iter().map(|s| s.len() as u64).sum::<u64>()
-    }
-
-    /// Number of out-of-order (gap-leaving) deliveries currently held.
-    #[must_use]
-    pub fn gap_count(&self) -> usize {
-        self.ooo.iter().map(BTreeSet::len).sum()
     }
 }
 
@@ -444,14 +431,18 @@ mod tests {
         entries.to_vec()
     }
 
+    /// No delivery is held beyond a sender's contiguous prefix.
+    fn no_gaps(c: &ExactChecker) -> bool {
+        c.ooo.iter().all(BTreeSet::is_empty)
+    }
+
     #[test]
     fn in_order_stream_is_clean() {
         let mut c = ExactChecker::new(2);
         assert!(!c.deliver(0, 1, &tvc(&[1, 0])));
         assert!(!c.deliver(0, 2, &tvc(&[2, 0])));
         assert!(!c.deliver(1, 1, &tvc(&[2, 1]))); // p1 saw both of p0's
-        assert_eq!(c.delivered_total(), 3);
-        assert_eq!(c.gap_count(), 0);
+        assert_eq!((c.prefix.as_slice(), no_gaps(&c)), (&[2, 1][..], true));
     }
 
     #[test]
@@ -460,8 +451,8 @@ mod tests {
         // Message #2 delivered before #1.
         assert!(c.deliver(0, 2, &tvc(&[2])));
         assert!(!c.deliver(0, 1, &tvc(&[1])), "late #1 has empty past");
-        assert_eq!(c.gap_count(), 0, "prefix absorbed after #1 arrives");
-        assert_eq!(c.delivered_total(), 2);
+        assert!(no_gaps(&c), "prefix absorbed after #1 arrives");
+        assert_eq!(c.prefix, [2]);
     }
 
     #[test]
@@ -501,7 +492,7 @@ mod tests {
         assert!(!c.has_all_upto(0, 4), "3 missing");
         c.record(0, 3);
         assert!(c.has_all_upto(0, 4));
-        assert_eq!(c.gap_count(), 0);
+        assert!(no_gaps(&c));
     }
 
     #[test]

@@ -135,7 +135,7 @@ impl<T> TimingWheel<T> {
     /// (diagnostics: bounded — not growing with throughput — once the
     /// capacity recycling reaches steady state).
     #[must_use]
-    pub fn slab_len(&self) -> usize {
+    fn slab_len(&self) -> usize {
         self.slots.iter().map(Vec::capacity).sum::<usize>()
             + self.ready.capacity()
             + self.cascade.capacity()

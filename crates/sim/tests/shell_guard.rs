@@ -33,6 +33,11 @@
 //! directions: it names nothing of its own crate, so a bug in the tuned
 //! code cannot leak into the oracle it is tested against, and no source
 //! under `crates/*/src` calls it, so production never runs it.
+//!
+//! A sixth keeps the simulator off the live path: `pcb-runtime` lists
+//! `pcb-sim` as a dev-dependency only, and its sources name `pcb_sim`
+//! in doc comments alone (the crate's doc example replays a recorded
+//! run).
 
 use std::fs;
 use std::path::Path;
@@ -220,6 +225,42 @@ fn the_link_does_no_io_and_unit_tests_read_no_clock() {
         offences.is_empty(),
         "the link does IO, or a unit test reads the wall clock — pass time in and \
          drive links over the test network (`link::net`):\n{}",
+        offences.join("\n")
+    );
+}
+
+/// What a daemon links is what it runs: its peers speak the daemon's own
+/// four message kinds, and nothing of the simulator's replay codec.
+#[test]
+fn the_runtime_links_no_simulator() {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR")).join("../runtime/Cargo.toml");
+    let manifest = fs::read_to_string(&manifest).expect("read runtime/Cargo.toml");
+    let mut section = "";
+    let mut offences = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            section = line;
+        } else if section == "[dependencies]" && line.starts_with("pcb-sim") {
+            offences.push(format!("runtime/Cargo.toml [dependencies]: {line}"));
+        }
+    }
+    assert!(manifest.contains("[dependencies]"), "guard lost the runtime's dependencies");
+    let runtime: Vec<_> = workspace_sources()
+        .into_iter()
+        .filter(|(path, _)| path.starts_with("runtime/src/"))
+        .map(|(path, text)| {
+            // Doc lines blanked, so the line numbers stay.
+            let doc = |line: &str| ["//!", "///"].iter().any(|d| line.trim_start().starts_with(d));
+            let code: Vec<&str> =
+                text.lines().map(|line| if doc(line) { "" } else { line }).collect();
+            (path, code.join("\n"))
+        })
+        .collect();
+    offences.extend(mentions(&runtime, &["pcb_sim"]));
+    assert!(
+        offences.is_empty(),
+        "the live path links the simulator — give the daemon a codec of its own in \
+         `pcb-broadcast`:\n{}",
         offences.join("\n")
     );
 }

@@ -159,7 +159,7 @@ impl EntryHeatmap {
     /// The slot a clock entry folds into.
     #[inline]
     #[must_use]
-    pub fn slot_of(&self, entry: u32) -> usize {
+    fn slot_of(&self, entry: u32) -> usize {
         let slot = ((u64::from(entry).wrapping_mul(self.slot_scale)) >> 32) as usize;
         slot.min(HEATMAP_SLOTS - 1)
     }
@@ -196,12 +196,6 @@ impl EntryHeatmap {
     #[must_use]
     pub fn total_hits(&self) -> u64 {
         self.hits.iter().sum()
-    }
-
-    /// The largest per-slot hit count (0 when empty).
-    #[must_use]
-    pub fn max_hits(&self) -> u64 {
-        self.hits.iter().copied().max().unwrap_or(0)
     }
 
     /// Element-wise merge (exact: slot sums and the underlying `Hist`
@@ -245,13 +239,7 @@ impl CausalHealth {
     /// sample window.
     #[must_use]
     pub fn new(r: u32, k: u32) -> Self {
-        Self::with_window(r, k, X_WINDOW)
-    }
-
-    /// Creates a health bundle with an explicit sample window.
-    #[must_use]
-    pub fn with_window(r: u32, k: u32, window: usize) -> Self {
-        Self { r, k, x: XEstimator::new(window), heatmap: EntryHeatmap::new(r) }
+        Self { r, k, x: XEstimator::new(X_WINDOW), heatmap: EntryHeatmap::new(r) }
     }
 
     /// Clock width `R`.
@@ -366,7 +354,7 @@ mod tests {
         assert_eq!(merged.hits()[10], 1);
         assert_eq!(merged.hits()[63], 1);
         assert_eq!(merged.total_hits(), 4);
-        assert_eq!(merged.max_hits(), 2);
+        assert_eq!(merged.hits().iter().max(), Some(&2));
         assert_eq!(merged.dist().count(), 4);
         // Merge order does not matter.
         let mut other = b.clone();

@@ -9,6 +9,7 @@
 #   scripts/mutants.sh wire SCRATCH_DIR
 #   scripts/mutants.sh sim SCRATCH_DIR
 #   scripts/mutants.sh link SCRATCH_DIR
+#   scripts/mutants.sh daemon SCRATCH_DIR
 #
 # restart  mutants of the code a restarted node runs: booting from its
 #          state directory, persisting, the WAL and snapshot codecs, the
@@ -40,6 +41,12 @@
 #          deadline. Suites: the enumerator's reduced scope, then the
 #          link's unit tests; both drive links over the test network,
 #          no socket in the loop.
+# daemon   mutants of what a daemon accepts from its peers
+#          (`runtime/src/daemon.rs`): a probe applied in another member's
+#          name, a member's chain frame naming another sender applied,
+#          a stranger's datagram decoded as member 0's. Suites: the live
+#          tests of `runtime/tests/daemon.rs`, which spawn the mutated
+#          `pcb-daemon`, then the runtime crate's unit tests.
 #
 # Prints one line per mutant — which suite killed it, or `SURVIVED` —
 # and exits non-zero if any survived. The copy builds into
@@ -48,7 +55,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage="usage: scripts/mutants.sh restart|core|wire|sim|link SCRATCH_DIR"
+usage="usage: scripts/mutants.sh restart|core|wire|sim|link|daemon SCRATCH_DIR"
 set_name=${1:?$usage}
 scratch=${2:?$usage}
 # Each suite is "label|cargo test arguments".
@@ -84,6 +91,9 @@ link)
         "enumerator|-p pcb-runtime --lib link::enumerate"
         "link tests|-p pcb-runtime --lib link::tests"
     )
+    ;;
+daemon)
+    suites=("daemon tests|-p pcb-runtime --test daemon" "unit tests|-p pcb-runtime --lib")
     ;;
 *)
     echo "$usage" >&2

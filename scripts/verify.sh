@@ -2,7 +2,7 @@
 # Full local verification gate. Everything runs offline — the workspace
 # vendors its dependencies — so this works with no network at all.
 #
-#   scripts/verify.sh          # the base gate: tier-1 + workspace tests + fmt + clippy
+#   scripts/verify.sh          # the base gate: tier-1 + workspace tests + the benchmark's build + fmt + clippy
 #   scripts/verify.sh --tier1  # just the tier-1 gate (what CI enforces)
 #   scripts/verify.sh --all    # the base gate once, then every stage below
 #
@@ -104,6 +104,12 @@ stage_base() {
 
     # Every crate's unit, integration, property, and doc tests.
     run cargo test --workspace -q
+
+    # The benchmark (`ledger/`) is its own package and links crate
+    # internals the workspace does not build; compiling it here means an
+    # API change that breaks it fails the quick gate, not only --perf and
+    # --daemon.
+    run cargo build --release --offline --manifest-path ledger/Cargo.toml
 
     # Style gates. fmt/clippy come with the pinned toolchain; if a stripped
     # container lacks a component, report and skip rather than fail the gate.
